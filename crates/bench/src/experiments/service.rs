@@ -79,6 +79,16 @@ pub fn build_service(tenants: usize, seed: u64) -> Service {
     svc
 }
 
+/// Tenant `t`'s `r`-th task: one reference-size task on its own region.
+fn submit_one(svc: &mut Service, t: usize, r: u64) {
+    svc.submit(
+        legato_runtime::TenantId(t as u32),
+        TaskDescriptor::named("svc").with_work(Work::flops(1e12)),
+        [(r, AccessMode::InOut)],
+    )
+    .expect("backlog fits the default budget");
+}
+
 /// Execute one cell: stream every backlog, run to quiescence, and
 /// distill the rate/latency row. Deterministic per `seed`.
 #[must_use]
@@ -86,12 +96,7 @@ pub fn run_scenario(tenants: usize, seed: u64) -> ServiceRow {
     let mut svc = build_service(tenants, seed);
     for t in 0..tenants {
         for r in 0..PER_TENANT as u64 {
-            svc.submit(
-                legato_runtime::TenantId(t as u32),
-                TaskDescriptor::named("svc").with_work(Work::flops(1e12)),
-                [(r, AccessMode::InOut)],
-            )
-            .expect("backlog fits the default budget");
+            submit_one(&mut svc, t, r);
         }
     }
     let report = svc.run().expect("devices present");
@@ -118,6 +123,33 @@ pub fn run_scenario(tenants: usize, seed: u64) -> ServiceRow {
     }
 }
 
+/// The same backlogs as [`run_scenario`], streamed: each round every
+/// tenant submits one task and the engine advances `tenants` events
+/// through [`Service::step`] (meters synced after each), then the
+/// backlog drains — never `run()`. Returns the tasks the meters saw
+/// complete.
+#[must_use]
+pub fn run_stream_scenario(tenants: usize, seed: u64) -> u64 {
+    let mut svc = build_service(tenants, seed);
+    for r in 0..PER_TENANT as u64 {
+        for t in 0..tenants {
+            submit_one(&mut svc, t, r);
+        }
+        for _ in 0..tenants {
+            if svc.step().expect("devices present").is_none() {
+                break;
+            }
+        }
+    }
+    while svc.step().expect("devices present").is_some() {}
+    (0..tenants)
+        .map(|t| {
+            svc.tenant_report(legato_runtime::TenantId(t as u32))
+                .tasks_completed
+        })
+        .sum()
+}
+
 /// The reference tenant-count grid with the labels the `service` bench
 /// records them under — the single definition, so `BENCH_service.json`
 /// rows can never drift from the experiment.
@@ -142,6 +174,11 @@ mod tests {
             assert_eq!(row.rejections, 0, "spurious backpressure at {tenants}");
             assert!(row.sustained_rate > 0.0);
         }
+    }
+
+    #[test]
+    fn streamed_backlogs_complete_like_batched_ones() {
+        assert_eq!(run_stream_scenario(256, 42), (256 * PER_TENANT) as u64);
     }
 
     #[test]

@@ -225,6 +225,12 @@ pub(crate) struct EngineState {
     /// sort (tasks have at most one accepted outcome; `None` = not
     /// executed, or discarded by a rollback).
     outcomes: Vec<Option<TaskOutcome>>,
+    /// Every acceptance in the order it happened: the id of each outcome
+    /// written to `outcomes`, appended and never truncated. A rollback
+    /// clears outcome slots but leaves this log alone, so an id whose
+    /// work is redone appears again; a consumer holding a cursor into it
+    /// (see [`Runtime::accepted`]) visits each acceptance exactly once.
+    accepted: Vec<TaskId>,
     stats: ReplicationStats,
     failed: Vec<TaskId>,
     /// Payloads of in-flight finish events, indexed by
@@ -423,6 +429,12 @@ impl EngineState {
             self.outcomes.resize(idx + 1, None);
         }
         self.outcomes[idx] = Some(outcome);
+        self.accepted.push(outcome.task);
+    }
+
+    /// Pre-size the acceptance log for `tasks` more tasks.
+    pub(crate) fn reserve(&mut self, tasks: usize) {
+        self.accepted.reserve(tasks);
     }
 }
 
@@ -800,6 +812,26 @@ impl Runtime {
             analysis: self.analysis.as_ref().and_then(|s| s.report.clone()),
             churn: self.churn.as_ref().map(|c| c.stats),
         }
+    }
+
+    /// The acceptance log: the id of every outcome the engine accepted,
+    /// in acceptance order, append-only. A consumer that remembers how
+    /// far it has read sees each new completion exactly once without
+    /// re-reading the cumulative [`Runtime::report`]. A checkpoint
+    /// rollback discards outcomes but not log entries: look an id up
+    /// with [`Runtime::outcome`] to see whether it still stands, and
+    /// expect it again if the work is redone.
+    #[must_use]
+    pub fn accepted(&self) -> &[TaskId] {
+        &self.engine.accepted
+    }
+
+    /// The currently accepted outcome of `task`: `None` when it has not
+    /// completed, or its completion was discarded by a rollback and not
+    /// yet redone.
+    #[must_use]
+    pub fn outcome(&self, task: TaskId) -> Option<&TaskOutcome> {
+        self.engine.outcomes.get(task.index())?.as_ref()
     }
 
     /// Run the static analyzer if it is configured and the graph has

@@ -393,11 +393,13 @@ impl Runtime {
     }
 
     /// Pre-size the graph for a workload of known scale: reserves node
-    /// and edge storage so a large streaming submission (100k–1M tasks)
-    /// does not pay amortized regrowth. Purely an optimization — the
+    /// and edge storage (and the engine's acceptance log) so a large
+    /// streaming submission (100k–1M tasks) does not pay amortized
+    /// regrowth. Purely an optimization — the
     /// resulting schedule is identical with or without the call.
     pub fn reserve(&mut self, tasks: usize, edges: usize) {
         self.graph.reserve(tasks, edges);
+        self.engine.reserve(tasks);
     }
 
     /// Submit a batch of tasks buffered in a

@@ -38,12 +38,18 @@
 //!   Sealed tasks are never re-executed; an unsealed task whose sealed
 //!   producer is gone becomes a root (its input is in the checkpoint).
 //!
+//! Every operation costs what is new since the last one: a dispatch is
+//! a heap pop over the tenants with pending work, the meters read the
+//! engine's acceptance log ([`Runtime::accepted`]) from a cursor, and a
+//! seal visits only what completed since the previous seal.
+//!
 //! [`SessionStore`]: crate::resilience::SessionStore
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use legato_core::requirements::SecurityLevel;
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor};
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
 use legato_core::units::{Bytes, Joule, Seconds};
 use legato_fti::Strategy;
 use legato_hw::storage::StorageTier;
@@ -155,10 +161,15 @@ struct TenantState {
     pending: VecDeque<u64>,
     /// Every task this session ever admitted, by session-local index.
     log: Vec<LoggedTask>,
-    completed: Vec<bool>,
     sealed: Vec<bool>,
+    /// Session-local indices completed since the last seal, in
+    /// completion order; [`Service::seal`] drains it.
+    unsealed: Vec<u64>,
     /// Completed count (so the queued-task budget check is O(1)).
     done: usize,
+    /// Sealed tasks metered by the [`Service::absorb`] call in progress
+    /// (its premium split weighs tenants by it); zero between calls.
+    sealed_fresh: u64,
     meter: TenantReport,
 }
 
@@ -167,6 +178,38 @@ impl TenantState {
         self.log.len() - self.done
     }
 }
+
+/// A pending tenant's place in the stride order: lowest virtual time
+/// first, ties to the lowest tenant id. `total_cmp` is a faithful order
+/// here because virtual times are sums of `1/share` over validated
+/// positive finite shares — never NaN, never negative zero.
+#[derive(Debug, Clone, Copy)]
+struct Turn {
+    vtime: f64,
+    tenant: u32,
+}
+
+impl Ord for Turn {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.vtime
+            .total_cmp(&other.vtime)
+            .then(self.tenant.cmp(&other.tenant))
+    }
+}
+
+impl PartialOrd for Turn {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Turn {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Turn {}
 
 /// Builder for a [`Service`]: the engine configuration every (re)start
 /// builds from, plus the session-layer knobs.
@@ -232,9 +275,15 @@ impl ServiceConfig {
             rt,
             store,
             tenants: Vec::new(),
+            turns: BinaryHeap::new(),
             task_of: Vec::new(),
             metered: Vec::new(),
+            cursor: 0,
+            visits: 0,
             premium_seen: Seconds::ZERO,
+            unsealed_tenants: Vec::new(),
+            batch: Vec::new(),
+            sealed_tenants: Vec::new(),
         })
     }
 }
@@ -247,14 +296,32 @@ pub struct Service {
     rt: Runtime,
     store: SessionStore,
     tenants: Vec<TenantState>,
+    /// Stride order over exactly the tenants with pending work, one
+    /// entry each, keyed by the tenant's current virtual time (which
+    /// only moves while the tenant is popped for dispatch).
+    turns: BinaryHeap<Reverse<Turn>>,
     /// Engine task id → (tenant, session-local index). Rebuilt from the
     /// session logs on restart.
     task_of: Vec<(u32, u64)>,
-    /// Engine task ids already absorbed into the meters (the engine's
-    /// report is cumulative; this keeps metering idempotent).
+    /// Engine task ids already absorbed into the meters (a rollback
+    /// makes the engine accept an id again; this keeps metering
+    /// idempotent).
     metered: Vec<bool>,
+    /// How far into the engine's acceptance log ([`Runtime::accepted`])
+    /// the meters have read.
+    cursor: usize,
+    /// Acceptance-log entries metering has read, over the service's
+    /// lifetime ([`Service::metering_visits`]).
+    visits: u64,
     /// Security premium already distributed to tenant meters.
     premium_seen: Seconds,
+    /// Tenants whose `unsealed` list is non-empty, each once.
+    unsealed_tenants: Vec<u32>,
+    /// Scratch for [`Service::absorb`]; contents are dead between
+    /// calls, only the capacity is carried: the fresh ids, and the
+    /// tenants whose `sealed_fresh` the call raised.
+    batch: Vec<TaskId>,
+    sealed_tenants: Vec<u32>,
 }
 
 impl Service {
@@ -284,9 +351,10 @@ impl Service {
             vtime: 0.0,
             pending: VecDeque::new(),
             log: Vec::new(),
-            completed: Vec::new(),
             sealed: Vec::new(),
+            unsealed: Vec::new(),
             done: 0,
+            sealed_fresh: 0,
             meter: TenantReport::default(),
         });
         Ok(id)
@@ -302,7 +370,9 @@ impl Service {
     /// [`RuntimeError::AdmissionRejected`] when the tenant's
     /// admitted-but-uncompleted count is at its budget (nothing is
     /// enqueued); [`RuntimeError::InvalidParameter`] for an unknown
-    /// tenant.
+    /// tenant, or for a session-local region id of 2³² or more (the
+    /// upper half of the engine's region id holds the tenant, so such an
+    /// id would alias another region; nothing is logged or enqueued).
     pub fn submit<I, R>(
         &mut self,
         tenant: TenantId,
@@ -327,15 +397,31 @@ impl Service {
         if t.spec.confidential && !descriptor.requirements.security.seals_at_rest() {
             descriptor.requirements.security = SecurityLevel::Confidential;
         }
-        let accesses: Vec<(RegionId, AccessMode)> =
-            accesses.into_iter().map(|(r, m)| (r.into(), m)).collect();
+        let accesses = accesses
+            .into_iter()
+            .map(|(r, m)| {
+                let r: RegionId = r.into();
+                if r.0 > u64::from(u32::MAX) {
+                    return Err(RuntimeError::invalid_parameter(
+                        "region",
+                        format!("session-local region ids are 32-bit, got {}", r.0),
+                    ));
+                }
+                Ok((r, m))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let idx = t.log.len() as u64;
         t.log.push(LoggedTask {
             descriptor,
             accesses,
         });
-        t.completed.push(false);
         t.sealed.push(false);
+        if t.pending.is_empty() {
+            self.turns.push(Reverse(Turn {
+                vtime: t.vtime,
+                tenant: tenant.0,
+            }));
+        }
         t.pending.push_back(idx);
         Ok(idx)
     }
@@ -344,31 +430,28 @@ impl Service {
     /// order: lowest virtual time first, ties to the lowest tenant id,
     /// each dispatch advancing the tenant's virtual time by `1/share`.
     fn dispatch_pending(&mut self) {
-        loop {
-            let mut next: Option<usize> = None;
-            for (i, t) in self.tenants.iter().enumerate() {
-                if t.pending.is_empty() {
-                    continue;
-                }
-                match next {
-                    Some(b) if self.tenants[b].vtime <= t.vtime => {}
-                    _ => next = Some(i),
-                }
-            }
-            let Some(i) = next else { break };
-            let t = &mut self.tenants[i];
-            let idx = t.pending.pop_front().expect("selected non-empty queue");
+        while let Some(Reverse(Turn { tenant, .. })) = self.turns.pop() {
+            let t = &mut self.tenants[tenant as usize];
+            let idx = t.pending.pop_front().expect("a queued turn has work");
             let logged = &t.log[idx as usize];
-            let descriptor = logged.descriptor.clone();
-            let accesses: Vec<(RegionId, AccessMode)> = logged
-                .accesses
-                .iter()
-                .map(|&(r, m)| (namespace(i as u32, r), m))
-                .collect();
+            // The session log keeps its copy for restart; a static
+            // task-type name makes the clone allocation-free.
+            let id = self.rt.submit(
+                logged.descriptor.clone(),
+                logged
+                    .accesses
+                    .iter()
+                    .map(|&(r, m)| (namespace(tenant, r), m)),
+            );
             t.vtime += 1.0 / t.spec.share;
-            let id = self.rt.submit(descriptor, accesses);
-            debug_assert_eq!(id.0 as usize, self.task_of.len());
-            self.task_of.push((i as u32, idx));
+            if !t.pending.is_empty() {
+                self.turns.push(Reverse(Turn {
+                    vtime: t.vtime,
+                    tenant,
+                }));
+            }
+            debug_assert_eq!(id.index(), self.task_of.len());
+            self.task_of.push((tenant, idx));
             self.metered.push(false);
         }
     }
@@ -387,11 +470,9 @@ impl Service {
     pub fn run(&mut self) -> Result<RunReport, RuntimeError> {
         self.dispatch_pending();
         let outcome = self.rt.run();
-        let report = self.rt.report();
-        self.absorb(&report);
+        self.absorb();
         self.seal();
-        let _ = outcome?;
-        Ok(report)
+        outcome
     }
 
     /// Dispatch pending submissions and advance the engine by one event
@@ -405,22 +486,39 @@ impl Service {
     pub fn step(&mut self) -> Result<Option<Seconds>, RuntimeError> {
         self.dispatch_pending();
         let stepped = self.rt.step();
-        let report = self.rt.report();
-        self.absorb(&report);
+        self.absorb();
         stepped
     }
 
-    /// Absorb newly completed outcomes into the tenant meters, then
-    /// distribute the security layer's premium growth over the sealed
-    /// tasks that completed since the last absorption.
-    fn absorb(&mut self, report: &RunReport) {
-        let mut sealed_done: Vec<u64> = vec![0; self.tenants.len()];
+    /// Fold the acceptances the engine logged since the last call into
+    /// the tenant meters, then distribute the security layer's premium
+    /// growth over the sealed tasks among them. Each log entry is read
+    /// once; an id whose outcome a rollback has since discarded is left
+    /// unmetered until the engine accepts it again, and an id is metered
+    /// at most once.
+    fn absorb(&mut self) {
+        let fresh = &self.rt.accepted()[self.cursor..];
+        if fresh.is_empty() {
+            return;
+        }
+        self.cursor += fresh.len();
+        self.visits += fresh.len() as u64;
+        // Ascending id order: the order per-tenant joules are summed in
+        // must not depend on how the engine interleaved completions. (An
+        // id the engine accepted twice is caught by `metered`.)
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.extend_from_slice(fresh);
+        batch.sort_unstable();
         let mut sealed_total = 0u64;
-        for p in &report.placements {
-            let i = p.task.0 as usize;
+        for &id in &batch {
+            let i = id.index();
             if self.metered[i] {
                 continue;
             }
+            let Some(p) = self.rt.outcome(id) else {
+                continue;
+            };
             self.metered[i] = true;
             let (tenant, idx) = self.task_of[i];
             let dur = p.finish - p.start;
@@ -432,29 +530,37 @@ impl Service {
             let t = &mut self.tenants[tenant as usize];
             t.meter.tasks_completed += 1;
             t.meter.busy_energy += energy;
-            if !t.completed[idx as usize] {
-                t.completed[idx as usize] = true;
-                t.done += 1;
+            t.done += 1;
+            if t.unsealed.is_empty() {
+                self.unsealed_tenants.push(tenant);
             }
+            t.unsealed.push(idx);
             if t.log[idx as usize]
                 .descriptor
                 .requirements
                 .security
                 .seals_at_rest()
             {
-                sealed_done[tenant as usize] += 1;
+                if t.sealed_fresh == 0 {
+                    self.sealed_tenants.push(tenant);
+                }
+                t.sealed_fresh += 1;
                 sealed_total += 1;
             }
         }
-        let premium = report
-            .security
-            .map_or(Seconds::ZERO, |s| s.enclave_time + s.seal_time);
+        self.batch = batch;
+        let stats = self.rt.security_stats();
+        let premium = stats.enclave_time + stats.seal_time;
         let grown = premium - self.premium_seen;
-        if sealed_total > 0 && grown > Seconds::ZERO {
+        let split = sealed_total > 0 && grown > Seconds::ZERO;
+        if split {
             self.premium_seen = premium;
-            let per_task = grown / sealed_total as f64;
-            for (t, &n) in self.tenants.iter_mut().zip(&sealed_done) {
-                t.meter.enclave_premium += per_task * n as f64;
+        }
+        for tenant in self.sealed_tenants.drain(..) {
+            let t = &mut self.tenants[tenant as usize];
+            let n = std::mem::take(&mut t.sealed_fresh);
+            if split {
+                t.meter.enclave_premium += grown / sealed_total as f64 * n as f64;
             }
         }
     }
@@ -465,18 +571,16 @@ impl Service {
     /// ([`ServiceConfig::with_region_sizes`]), and the priced write cost
     /// accumulates on the session record. Called by [`Service::run`];
     /// public so stream-style drivers ([`Service::step`]) can checkpoint
-    /// at their own cadence.
+    /// at their own cadence. Costs the completions since the last seal,
+    /// not the session logs.
     pub fn seal(&mut self) {
-        for (i, t) in self.tenants.iter_mut().enumerate() {
-            let mut fresh: Vec<u64> = Vec::new();
+        for tenant in self.unsealed_tenants.drain(..) {
+            let t = &mut self.tenants[tenant as usize];
+            t.unsealed.sort_unstable();
             let mut bytes = Bytes::ZERO;
-            for idx in 0..t.log.len() {
-                if !t.completed[idx] || t.sealed[idx] {
-                    continue;
-                }
-                fresh.push(idx as u64);
-                t.sealed[idx] = true;
-                for &(r, m) in &t.log[idx].accesses {
+            for &idx in &t.unsealed {
+                t.sealed[idx as usize] = true;
+                for &(r, m) in &t.log[idx as usize].accesses {
                     if m.writes() {
                         bytes += self
                             .config
@@ -487,11 +591,9 @@ impl Service {
                     }
                 }
             }
-            if fresh.is_empty() {
-                continue;
-            }
-            self.store.seal(i as u32, &fresh, bytes);
+            self.store.seal(tenant, &t.unsealed, bytes);
             t.meter.checkpoint_bytes += bytes;
+            t.unsealed.clear();
         }
     }
 
@@ -509,19 +611,27 @@ impl Service {
         self.rt = self.config.engine.clone().build()?;
         self.task_of.clear();
         self.metered.clear();
+        self.cursor = 0;
         self.premium_seen = Seconds::ZERO;
-        for t in &mut self.tenants {
+        self.turns.clear();
+        self.unsealed_tenants.clear();
+        for (i, t) in self.tenants.iter_mut().enumerate() {
             t.vtime = 0.0;
             t.pending.clear();
+            t.unsealed.clear();
             t.done = 0;
             for idx in 0..t.log.len() {
                 if t.sealed[idx] {
-                    t.completed[idx] = true;
                     t.done += 1;
                 } else {
-                    t.completed[idx] = false;
                     t.pending.push_back(idx as u64);
                 }
+            }
+            if !t.pending.is_empty() {
+                self.turns.push(Reverse(Turn {
+                    vtime: 0.0,
+                    tenant: i as u32,
+                }));
             }
         }
         Ok(())
@@ -566,6 +676,17 @@ impl Service {
         &self.rt
     }
 
+    /// Acceptance-log entries the meters have read over the service's
+    /// lifetime — the deterministic, timer-free observable of metering
+    /// cost: it equals the length of the engine's acceptance log
+    /// (summed over restarts), however the service was driven. Like
+    /// [`Runtime::placement_evals`], deliberately kept out of every
+    /// report.
+    #[must_use]
+    pub fn metering_visits(&self) -> u64 {
+        self.visits
+    }
+
     fn budget_of(&self, tenant: TenantId) -> Result<usize, RuntimeError> {
         let t = self.tenants.get(tenant.0 as usize).ok_or_else(|| {
             RuntimeError::invalid_parameter("tenant", format!("{tenant} is not registered"))
@@ -576,10 +697,10 @@ impl Service {
 
 /// Tenant `t`'s session-local region `r` in the engine's flat region
 /// space. Identity for tenant 0, so single-tenant services submit the
-/// engine's native region ids.
+/// engine's native region ids. [`Service::submit`] admits only 32-bit
+/// `r`, so the halves never overlap.
 fn namespace(tenant: u32, r: RegionId) -> RegionId {
-    debug_assert!(r.0 < 1 << 32, "session-local regions are 32-bit");
-    RegionId((u64::from(tenant) << 32) | (r.0 & 0xFFFF_FFFF))
+    RegionId((u64::from(tenant) << 32) | r.0)
 }
 
 #[cfg(test)]
@@ -734,6 +855,43 @@ mod tests {
         let report = svc.run().unwrap();
         assert!(report.placements.is_empty(), "sealed task was re-executed");
         assert_eq!(svc.tenant_report(a).tasks_completed, 1);
+    }
+
+    #[test]
+    fn rejects_oversized_region_ids_before_anything_is_logged() {
+        let mut svc = ServiceConfig::new(engine()).build().unwrap();
+        let zero = svc.register(TenantSpec::new()).unwrap();
+        let other = svc.register(TenantSpec::new()).unwrap();
+        for t in [zero, other] {
+            // One good access ahead of the bad one: nothing of the
+            // submission may survive.
+            let err = svc
+                .submit(
+                    t,
+                    task(),
+                    [(0u64, AccessMode::Out), (1u64 << 32, AccessMode::In)],
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::InvalidParameter { name: "region", .. }),
+                "{err:?}"
+            );
+            assert_eq!(svc.queued(t), 0);
+        }
+        let report = svc.run().unwrap();
+        assert!(
+            report.placements.is_empty(),
+            "a refused task was dispatched"
+        );
+        // The largest session-local id is still admitted, and stays in
+        // its own tenant's half of the engine's region space.
+        svc.submit(other, task(), [(u64::from(u32::MAX), AccessMode::Out)])
+            .unwrap();
+        let _ = svc.run().unwrap();
+        assert_eq!(
+            svc.engine().graph().accesses(TaskId(0)).unwrap(),
+            [(RegionId((1 << 32) | u64::from(u32::MAX)), AccessMode::Out)]
+        );
     }
 
     #[test]

@@ -11,12 +11,23 @@
 //! * **Restart loses nothing** — after `restart()`, every sealed task
 //!   survives without re-execution, every unsealed task is re-queued,
 //!   and a follow-up run completes the full workload.
+//! * **Incremental metering is a fold** — the meters the service keeps
+//!   by reading the engine's acceptance log from a cursor equal, bit for
+//!   bit, a fold over the final `RunReport`, rollbacks included; and a
+//!   step-driven service drives the engine exactly as a run-driven one.
+//! * **Heap stride order** — the dispatch order equals a linear argmin
+//!   over `(vtime, tenant id)`, under mid-stream submissions and a
+//!   restart.
 
-use legato_core::task::{AccessMode, TaskDescriptor, Work};
-use legato_core::units::Seconds;
-use legato_hw::device::DeviceSpec;
+use std::collections::{HashMap, VecDeque};
+
+use legato_core::requirements::{Criticality, Requirements};
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
+use legato_core::units::{Bytes, Joule, Seconds};
+use legato_hw::device::{DeviceSpec, OperatingPoint};
 use legato_runtime::{
-    EngineConfig, Policy, Runtime, RuntimeError, Service, ServiceConfig, TenantId, TenantSpec,
+    EnergyConfig, EngineConfig, Policy, ResilienceConfig, RunReport, Runtime, RuntimeError,
+    Service, ServiceConfig, TenantId, TenantSpec,
 };
 use proptest::prelude::*;
 
@@ -52,6 +63,136 @@ fn tasks_strategy() -> impl Strategy<Value = Tasks> {
 
 fn descriptor(flops: f64) -> TaskDescriptor {
     TaskDescriptor::named("t").with_work(Work::flops(flops))
+}
+
+/// An engine that rolls back: device 1 runs on a rail that corrupts
+/// half its executions, the retry budget is 1, and checkpoint/restart
+/// recovers replicated tasks that exhaust it. (A `Service` owns its
+/// engine, so the fault rate has to come from the configuration.)
+fn rollback_engine(seed: u64, tenants: usize) -> EngineConfig {
+    let mut fleet = devices();
+    fleet[1] = fleet[1].clone().with_operating_points(vec![
+        OperatingPoint::nominal(),
+        OperatingPoint::new("critical", 1.0, 1.0, 0.5),
+    ]);
+    let sizes: HashMap<RegionId, Bytes> = (0..tenants as u64)
+        .flat_map(|t| (0..6).map(move |r| (RegionId((t << 32) | r), Bytes::mib(16))))
+        .collect();
+    EngineConfig::new()
+        .with_devices(fleet)
+        .with_policy(Policy::Performance)
+        .with_seed(seed)
+        .with_max_retries(1)
+        .with_energy(EnergyConfig::new().with_device_point(1, 1))
+        .with_resilience(
+            ResilienceConfig::new(Seconds(5.0))
+                .with_region_sizes(sizes)
+                .with_max_rollbacks(10_000),
+        )
+}
+
+/// `tenants` sessions (every other one confidential, so the premium
+/// split is exercised), each submitting the whole of `tasks`.
+fn multi_tenant(cfg: EngineConfig, tenants: usize, tasks: &Tasks, replicated: bool) -> Service {
+    let mut svc = ServiceConfig::new(cfg).build().expect("valid config");
+    for t in 0..tenants {
+        let spec = TenantSpec::new().with_share(1.0 + (t % 3) as f64);
+        let spec = if t % 2 == 1 {
+            spec.confidential()
+        } else {
+            spec
+        };
+        svc.register(spec).expect("valid spec");
+    }
+    for t in 0..tenants {
+        for &(flops, r) in tasks {
+            let mut d = descriptor(flops);
+            if replicated {
+                d = d.with_requirements(Requirements::new().with_criticality(Criticality::High));
+            }
+            svc.submit(TenantId(t as u32), d, [(u64::from(r), AccessMode::InOut)])
+                .expect("within default budget");
+        }
+    }
+    svc
+}
+
+/// The tenant an engine task belongs to, read back from the upper half
+/// of the region id the service namespaced it into.
+fn tenant_of(rt: &Runtime, task: TaskId) -> usize {
+    (rt.graph().accesses(task).expect("submitted task")[0].0 .0 >> 32) as usize
+}
+
+/// Reference metering: one pass over a final report, in task-id order.
+/// Returns `(tasks_completed, busy_energy, enclave_premium)` per tenant.
+fn fold_meters(rt: &Runtime, report: &RunReport, tenants: usize) -> Vec<(u64, Joule, Seconds)> {
+    let mut meters = vec![(0u64, Joule::ZERO, Seconds::ZERO); tenants];
+    let mut sealed = vec![0u64; tenants];
+    for p in &report.placements {
+        let t = tenant_of(rt, p.task);
+        let dur = p.finish - p.start;
+        let energy: Joule = p
+            .devices
+            .iter()
+            .map(|&d| rt.devices()[d].spec.busy_power * dur)
+            .sum();
+        meters[t].0 += 1;
+        meters[t].1 += energy;
+        let d = rt.graph().descriptor(p.task).expect("submitted task");
+        if d.requirements.security.seals_at_rest() {
+            sealed[t] += 1;
+        }
+    }
+    let premium = report
+        .security
+        .map_or(Seconds::ZERO, |s| s.enclave_time + s.seal_time);
+    let sealed_total: u64 = sealed.iter().sum();
+    if sealed_total > 0 && premium > Seconds::ZERO {
+        let per_task = premium / sealed_total as f64;
+        for (m, &n) in meters.iter_mut().zip(&sealed) {
+            m.2 += per_task * n as f64;
+        }
+    }
+    meters
+}
+
+/// Reference stride scheduler: drain every queue by repeated linear
+/// argmin over `(vtime, tenant id)`, appending `(tenant, index)` to
+/// `order`.
+fn reference_dispatch(
+    shares: &[f64],
+    vtime: &mut [f64],
+    pending: &mut [VecDeque<u64>],
+    order: &mut Vec<(usize, u64)>,
+) {
+    loop {
+        let mut next: Option<usize> = None;
+        for t in 0..shares.len() {
+            if pending[t].is_empty() {
+                continue;
+            }
+            if next.is_none_or(|b| vtime[t] < vtime[b]) {
+                next = Some(t);
+            }
+        }
+        let Some(t) = next else { break };
+        order.push((t, pending[t].pop_front().expect("non-empty")));
+        vtime[t] += 1.0 / shares[t];
+    }
+}
+
+/// The order the engine actually received submissions in, as
+/// `(tenant, session-local index)` — each task of the stride test
+/// writes the region named after its own index.
+fn observed_dispatch(rt: &Runtime) -> Vec<(usize, u64)> {
+    (0..rt.graph().len() as u64)
+        .map(|id| {
+            let r = rt.graph().accesses(TaskId(id)).expect("submitted task")[0]
+                .0
+                 .0;
+            ((r >> 32) as usize, r & 0xFFFF_FFFF)
+        })
+        .collect()
 }
 
 proptest! {
@@ -191,6 +332,135 @@ proptest! {
         let done = svc.session(tenant).map_or(0, |s| s.completed.len());
         prop_assert_eq!(done, tasks.len());
     }
+
+    /// Run-driven metering equals a fold over the final report, bit for
+    /// bit — tasks completed, busy joules and premium — on a fault-free
+    /// engine and on one that rolls back (where the engine accepts some
+    /// ids more than once and the meters must count each once, with the
+    /// outcome that stands).
+    #[test]
+    fn incremental_meters_equal_a_fold_over_the_final_report(
+        tasks in tasks_strategy(),
+        tenants in 1usize..5,
+        seed in 0u64..200,
+        rolls_back in 0u8..2,
+    ) {
+        let cfg = if rolls_back == 1 {
+            rollback_engine(seed, tenants)
+        } else {
+            engine(seed, 0)
+        };
+        let mut svc = multi_tenant(cfg, tenants, &tasks, rolls_back == 1);
+        // A failed run still syncs the meters with what the engine did.
+        let _ = svc.run();
+        let report = svc.engine().report();
+        let expected = fold_meters(svc.engine(), &report, tenants);
+        for (t, want) in expected.iter().enumerate() {
+            let got = svc.tenant_report(TenantId(t as u32));
+            prop_assert_eq!(got.tasks_completed, want.0);
+            prop_assert_eq!(got.busy_energy.0.to_bits(), want.1 .0.to_bits());
+            prop_assert_eq!(got.enclave_premium.0.to_bits(), want.2 .0.to_bits());
+        }
+        prop_assert_eq!(
+            svc.metering_visits(),
+            svc.engine().accepted().len() as u64
+        );
+    }
+
+    /// Without rollbacks, metering after every event and metering once
+    /// after the run drive the engine identically (report bits and
+    /// placement evaluations) and count the same completions.
+    #[test]
+    fn step_driven_service_equals_run_driven(
+        tasks in tasks_strategy(),
+        tenants in 1usize..5,
+        seed in 0u64..200,
+        policy_sel in 0u8..4,
+    ) {
+        let mut by_run = multi_tenant(engine(seed, policy_sel), tenants, &tasks, false);
+        let mut by_step = multi_tenant(engine(seed, policy_sel), tenants, &tasks, false);
+        let _ = by_run.run().expect("devices present");
+        while by_step.step().expect("devices present").is_some() {}
+        prop_assert_eq!(by_run.engine().report(), by_step.engine().report());
+        prop_assert_eq!(
+            by_run.engine().placement_evals(),
+            by_step.engine().placement_evals()
+        );
+        for t in (0..tenants as u32).map(TenantId) {
+            prop_assert_eq!(
+                by_run.tenant_report(t).tasks_completed,
+                by_step.tenant_report(t).tasks_completed
+            );
+        }
+    }
+
+    /// The heap hands out turns exactly as a linear argmin over
+    /// `(vtime, tenant id)` would, whatever the shares (ties included)
+    /// and however submissions interleave with steps — and again from
+    /// zero virtual time after a seal + restart.
+    #[test]
+    fn stride_order_equals_the_linear_argmin(
+        share_sel in prop::collection::vec(0usize..5, 1..7),
+        ops in prop::collection::vec((0u8..8, 0usize..7), 1..60),
+        restart_at in 0usize..60,
+    ) {
+        let shares: Vec<f64> = share_sel.iter().map(|&s| [0.5, 1.0, 1.0, 2.0, 3.0][s]).collect();
+        let n = shares.len();
+        let mut svc = ServiceConfig::new(engine(1, 0)).build().expect("valid config");
+        for &share in &shares {
+            svc.register(TenantSpec::new().with_share(share)).expect("valid spec");
+        }
+        let mut vtime = vec![0.0; n];
+        let mut pending = vec![VecDeque::new(); n];
+        let mut logged = vec![0u64; n];
+        let mut expected = Vec::new();
+        for (i, &(op, sel)) in ops.iter().enumerate() {
+            if i == restart_at {
+                svc.seal();
+                prop_assert_eq!(&observed_dispatch(svc.engine()), &expected);
+                svc.restart().expect("retained config rebuilds");
+                expected.clear();
+                for t in 0..n {
+                    vtime[t] = 0.0;
+                    let sealed = svc.session(TenantId(t as u32)).map(|s| s.completed.as_slice());
+                    pending[t] = (0..logged[t])
+                        .filter(|idx| !sealed.is_some_and(|s| s.contains(idx)))
+                        .collect();
+                }
+            }
+            if op < 5 {
+                let t = sel % n;
+                let idx = svc
+                    .submit(TenantId(t as u32), descriptor(1e12), [(logged[t], AccessMode::Out)])
+                    .expect("within default budget");
+                prop_assert_eq!(idx, logged[t]);
+                pending[t].push_back(idx);
+                logged[t] += 1;
+            } else {
+                let _ = svc.step().expect("devices present");
+                reference_dispatch(&shares, &mut vtime, &mut pending, &mut expected);
+            }
+        }
+        let _ = svc.run().expect("devices present");
+        reference_dispatch(&shares, &mut vtime, &mut pending, &mut expected);
+        prop_assert_eq!(&observed_dispatch(svc.engine()), &expected);
+    }
+}
+
+/// The rollback configuration of the metering property is not vacuous:
+/// it really makes the engine discard and redo accepted work.
+#[test]
+fn rollback_engine_really_rolls_back() {
+    let tasks: Tasks = (0..20)
+        .map(|i| (1e12 + f64::from(i) * 1e11, (i % 6) as u8))
+        .collect();
+    let rolled = (0..8u64).any(|seed| {
+        let mut svc = multi_tenant(rollback_engine(seed, 3), 3, &tasks, true);
+        let _ = svc.run();
+        let rt = svc.engine();
+        !rt.rollback_trace().is_empty() && rt.accepted().len() > rt.report().placements.len()
+    });
+    assert!(rolled, "no seed in 0..8 rolled back and re-accepted work");
 }
 
 /// The admission gate composes with the proptest workload shape: a
