@@ -10,9 +10,10 @@
 //!   engine's `(time, seq)` event order when a run starts;
 //! * **crash departures** fail the attempts running on the lost device
 //!   (charged against retry budgets, rolled back to the last FTI
-//!   checkpoint when exhausted), re-plan its queued placements through
-//!   [`Scheduler::migrate`], and re-spread confidential replicas across
-//!   the surviving TEE pool;
+//!   checkpoint when exhausted), re-launch its queued attempts through
+//!   the engine's one attempt launcher (same attempt number, no retry
+//!   charged), and re-spread confidential replicas across the surviving
+//!   TEE pool;
 //! * **planned departures** drain the device — no new placements, a
 //!   frontier checkpoint through the resilience layer once its committed
 //!   work finishes, then removal with zero wasted work;
@@ -27,18 +28,15 @@
 //! A runtime without a churn configuration pays nothing: no event is
 //! merged, no mask is consulted, and the schedule is bit-identical to
 //! the churn-free engine (pinned by `tests/churn_properties.rs`).
-//!
-//! [`Scheduler::migrate`]: crate::sched::Scheduler::migrate
 
-use legato_core::requirements::SecurityLevel;
-use legato_core::task::{TaskId, TaskKind, Work};
+use legato_core::task::TaskId;
 use legato_core::units::Seconds;
 use legato_hw::device::DeviceSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::elastic::ElasticPool;
+use crate::engine::Attempt;
 use crate::error::RuntimeError;
 
 /// How a device leaves the fleet.
@@ -194,7 +192,7 @@ impl ChurnTrace {
     }
 }
 
-/// Churn configuration: the trace plus the two reaction knobs.
+/// Churn configuration: the trace plus the deferral window.
 ///
 /// Attach with
 /// [`EngineConfig::with_churn`](crate::config::EngineConfig::with_churn).
@@ -205,48 +203,16 @@ pub struct ChurnConfig {
     /// How long a task with no eligible device waits for a re-arrival
     /// before it fails ([`RuntimeError::DeferralExpired`]).
     pub defer_window: Seconds,
-    /// Hysteresis margin handed to [`Scheduler::migrate`] when queued
-    /// placements re-plan off a crashed device: an alternative must
-    /// beat the doomed plan's score by this relative margin to be taken
-    /// directly; otherwise the best survivor is used as the forced
-    /// fallback.
-    ///
-    /// [`Scheduler::migrate`]: crate::sched::Scheduler::migrate
-    pub hysteresis: f64,
-    /// An [`ElasticPool`] of planned task widths riding on the fleet
-    /// (one core per device). When churn shrinks the surviving fleet
-    /// below the pool's width, the engine re-fits it via
-    /// [`ElasticPool::shrink_to`] so later elastic placements plan at
-    /// the width that actually exists — instead of the stale pre-churn
-    /// width. Arrivals grow it back. `None` (the default) tracks no
-    /// elastic widths.
-    pub elastic: Option<ElasticPool>,
 }
 
 impl ChurnConfig {
-    /// Churn with default reaction knobs: a 60-simulated-second
-    /// deferral window and no migration hysteresis.
+    /// Churn with the default 60-simulated-second deferral window.
     #[must_use]
     pub fn new(trace: ChurnTrace) -> Self {
         ChurnConfig {
             trace,
             defer_window: Seconds(60.0),
-            hysteresis: 0.0,
-            elastic: None,
         }
-    }
-
-    /// Attach an [`ElasticPool`] of planned task widths that follows
-    /// the fleet through churn: departures that leave the surviving
-    /// fleet narrower than the pool re-fit it via
-    /// [`ElasticPool::shrink_to`] (counted in
-    /// [`ChurnStats::width_refits`]), and arrivals grow it back by one
-    /// core. Read the live pool through
-    /// [`Runtime::elastic_pool`](crate::runtime::Runtime::elastic_pool).
-    #[must_use]
-    pub fn with_elastic_pool(mut self, pool: ElasticPool) -> Self {
-        self.elastic = Some(pool);
-        self
     }
 
     /// Set the deferral window for placements with no eligible device.
@@ -263,23 +229,6 @@ impl ChurnConfig {
             ));
         }
         self.defer_window = window;
-        Ok(self)
-    }
-
-    /// Set the migration hysteresis margin.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidParameter`] unless the margin is finite
-    /// and in `[0, 1)`.
-    pub fn with_hysteresis(mut self, hysteresis: f64) -> Result<Self, RuntimeError> {
-        if !hysteresis.is_finite() || !(0.0..1.0).contains(&hysteresis) {
-            return Err(RuntimeError::invalid_parameter(
-                "hysteresis",
-                format!("migration hysteresis must be finite and in [0, 1), got {hysteresis}"),
-            ));
-        }
-        self.hysteresis = hysteresis;
         Ok(self)
     }
 }
@@ -305,11 +254,6 @@ pub struct ChurnStats {
     /// Execution time of running attempts killed by crashes (the work
     /// the retry or rollback repeats).
     pub wasted_work: Seconds,
-    /// Elastic-width re-fits: departures that left the surviving fleet
-    /// narrower than the attached [`ElasticPool`]'s width, forcing a
-    /// [`ElasticPool::shrink_to`] so later placements stop planning at
-    /// the stale width.
-    pub width_refits: u64,
 }
 
 /// One fleet change as the engine executes it. Trace events become ops
@@ -332,17 +276,12 @@ pub(crate) enum ChurnOp {
     DeferTimeout { task: TaskId, deadline: Seconds },
 }
 
-/// A placement parked while no eligible device exists: everything
-/// `start_attempt` needs to re-launch it when a device arrives.
+/// A placement parked while no eligible device exists: the attempt
+/// `start_attempt` re-launches when a device arrives, and the deadline
+/// its timeout event must match.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeferredTask {
-    pub(crate) task: TaskId,
-    pub(crate) work: Work,
-    pub(crate) kind: TaskKind,
-    pub(crate) security: SecurityLevel,
-    pub(crate) measurement: u64,
-    pub(crate) replicas: usize,
-    pub(crate) attempt: u32,
+    pub(crate) attempt: Attempt,
     pub(crate) deadline: Seconds,
 }
 
@@ -374,9 +313,6 @@ pub(crate) struct ChurnState {
     pub(crate) departed_at: Vec<Option<Seconds>>,
     /// Placements waiting for a device re-arrival.
     pub(crate) deferred: Vec<DeferredTask>,
-    /// Live copy of the configured elastic width pool, re-fit as the
-    /// fleet churns (the config keeps the pristine original).
-    pub(crate) elastic: Option<ElasticPool>,
     /// Bumped on every fleet change; the static analyzer memoizes the
     /// epoch it last linted so a grown or shrunk fleet re-lints.
     pub(crate) epoch: u64,
@@ -385,7 +321,6 @@ pub(crate) struct ChurnState {
 
 impl ChurnState {
     pub(crate) fn new(config: ChurnConfig, fleet: usize) -> Self {
-        let elastic = config.elastic.clone();
         ChurnState {
             config,
             merged: false,
@@ -396,7 +331,6 @@ impl ChurnState {
             arrived_at: vec![Seconds::ZERO; fleet],
             departed_at: vec![None; fleet],
             deferred: Vec::new(),
-            elastic,
             epoch: 0,
             stats: ChurnStats::default(),
         }
@@ -405,31 +339,6 @@ impl ChurnState {
     /// Number of devices placements may currently target.
     pub(crate) fn available_count(&self) -> usize {
         self.available.iter().filter(|&&a| a).count()
-    }
-
-    /// A departure narrowed the fleet: when the attached elastic pool
-    /// is still wider than the surviving fleet, shrink it to fit (never
-    /// below one core — the trace generator never empties the fleet,
-    /// and a transiently empty mask must not poison the pool). Called
-    /// from the engine's drain *and* crash paths.
-    pub(crate) fn refit_elastic_width(&mut self) {
-        let surviving = self.available_count().max(1);
-        let Some(pool) = &mut self.elastic else {
-            return;
-        };
-        if pool.cores() > surviving {
-            pool.shrink_to(surviving)
-                .expect("surviving >= 1 and < pool width");
-            self.stats.width_refits += 1;
-        }
-    }
-
-    /// An arrival widened the fleet: grow the attached elastic pool by
-    /// one idle core so planned widths track the new capacity.
-    pub(crate) fn grow_elastic_width(&mut self) {
-        if let Some(pool) = &mut self.elastic {
-            pool.grow(1);
-        }
     }
 }
 
@@ -515,17 +424,10 @@ mod tests {
             Err(RuntimeError::InvalidParameter { name, .. }) if name == "defer_window"
         ));
         assert!(matches!(
-            cfg.clone().with_hysteresis(1.5),
-            Err(RuntimeError::InvalidParameter { name, .. }) if name == "hysteresis"
+            cfg.clone().with_defer_window(Seconds(f64::NAN)),
+            Err(RuntimeError::InvalidParameter { name, .. }) if name == "defer_window"
         ));
-        assert!(matches!(
-            cfg.clone().with_hysteresis(f64::NAN),
-            Err(RuntimeError::InvalidParameter { name, .. }) if name == "hysteresis"
-        ));
-        let ok = cfg
-            .with_defer_window(Seconds(5.0))
-            .and_then(|c| c.with_hysteresis(0.1))
-            .expect("valid knobs");
+        let ok = cfg.with_defer_window(Seconds(5.0)).expect("valid window");
         assert_eq!(ok.defer_window, Seconds(5.0));
     }
 }

@@ -74,7 +74,7 @@ use crate::pool::DevicePools;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
-use crate::sched::{Estimate, Scheduler, ScoreNorm};
+use crate::sched::Estimate;
 use crate::security::SecurityState;
 
 /// The devices and per-replica results of one (possibly replicated)
@@ -131,30 +131,38 @@ enum EventKind {
     },
 }
 
-/// Out-of-heap payload of one finish event. Carries the task facts the
-/// retry path needs (`work`, `kind`, `golden`) so neither the finish
-/// handler nor a retry touches the graph node again.
+/// The facts of one attempt of one task, read off the graph node once
+/// when the task is claimed. Every launch — first placement, fault or
+/// crash retry, crash migration, deferred re-dispatch — hands this one
+/// value to [`Runtime::start_attempt`], so no later step touches the
+/// graph node again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attempt {
+    pub(crate) task: TaskId,
+    pub(crate) work: Work,
+    pub(crate) kind: TaskKind,
+    /// Confidentiality level (drives re-planning and output sealing).
+    pub(crate) security: SecurityLevel,
+    /// Enclave code measurement of the task type (meaningful only when
+    /// `security` requires an enclave).
+    pub(crate) measurement: u64,
+    /// Replicas to place. A finish payload carries the width actually
+    /// placed, so a retry or migration re-plans at that width.
+    pub(crate) replicas: usize,
+    /// Zero-based attempt number.
+    pub(crate) attempt: u32,
+}
+
+/// Out-of-heap payload of one finish event.
 #[derive(Debug, Clone, Copy)]
 struct FinishPayload {
-    task: TaskId,
+    attempt: Attempt,
     /// Devices and results of the attempt, inline (primary first).
     replicas: ReplicaSet,
     /// Earliest replica start.
     start: Seconds,
-    /// Zero-based attempt number.
-    attempt: u32,
-    /// The task's work, read once when it was claimed.
-    work: Work,
-    /// The task's kind, read once when it was claimed.
-    kind: TaskKind,
-    /// The task's golden value, computed once when it was claimed.
+    /// The task's golden value, computed once when it was launched.
     golden: u64,
-    /// The task's confidentiality level, read once when it was claimed
-    /// (drives retry re-planning and output sealing).
-    security: SecurityLevel,
-    /// Enclave code measurement of the task type (meaningful only when
-    /// `security` requires an enclave).
-    measurement: u64,
     /// Set when a device crash killed this attempt before its finish
     /// event fired: the event stays queued (heap entries cannot be
     /// retracted) and no-ops on arrival, so slot recycling and per-device
@@ -892,23 +900,30 @@ impl Runtime {
         // Stale events (task already executed by `run_sweep`, or poisoned
         // by an upstream failure) are dropped, not errors; `try_claim`
         // answers "still ready?", claims, and returns the descriptor in
-        // one node access.
+        // one node access. Everything a launch needs is copied into one
+        // `Attempt` here.
         let Some(desc) = self.graph.try_claim(task)? else {
             return Ok(());
         };
-        let mut replicas = desc
-            .requirements
-            .criticality
-            .replica_count()
-            .min(self.devices.len());
+        let mut attempt = Attempt {
+            task,
+            work: desc.work,
+            kind: desc.kind,
+            security: desc.requirements.security,
+            measurement: 0,
+            replicas: desc
+                .requirements
+                .criticality
+                .replica_count()
+                .min(self.devices.len()),
+            attempt: 0,
+        };
         if let Some(churn) = &self.churn {
             // Replicas spread over the *surviving* fleet. `.max(1)` keeps
             // the attempt alive through a transiently empty pool — the
-            // k == 0 deferral below owns that case.
-            replicas = replicas.min(churn.available_count()).max(1);
+            // k == 0 deferral in `start_attempt` owns that case.
+            attempt.replicas = attempt.replicas.min(churn.available_count()).max(1);
         }
-        let (work, kind) = (desc.work, desc.kind);
-        let security = desc.requirements.security;
         // Enclave-only tasks are restricted to TEE-capable devices: the
         // replica budget shrinks to that pool, and an empty pool is a
         // hard error — the engine never degrades confidentiality. The
@@ -917,10 +932,10 @@ impl Runtime {
         // that, the task would be stuck `Running` forever and a
         // follow-up `run()` would silently drop it and its cone from
         // both `placements` and `failed`.
-        let enclave_setup = security
+        let enclave_setup = attempt
+            .security
             .requires_enclave()
             .then(|| self.security.ensure_enclaves(desc.name.as_bytes()));
-        let mut measurement = 0;
         if let Some(setup) = enclave_setup {
             let tee = SecurityState::tee_device_count_available(
                 &self.devices,
@@ -928,60 +943,69 @@ impl Runtime {
             );
             match setup {
                 Ok(m) if tee > 0 => {
-                    replicas = replicas.min(tee);
-                    measurement = m;
+                    attempt.replicas = attempt.replicas.min(tee);
+                    attempt.measurement = m;
                 }
                 Ok(m) => {
                     // Under churn an empty TEE pool is (possibly) transient:
                     // park the task for a bounded wait instead of refusing —
                     // a re-arrival re-spreads it, the deadline fails it.
                     if self.churn.is_some() {
-                        return self
-                            .defer_placement(task, work, kind, security, m, replicas, at, 0);
+                        attempt.measurement = m;
+                        self.defer_placement(attempt, at);
+                        return Ok(());
                     }
-                    self.engine.failed.push(task);
-                    self.graph.fail(task)?;
+                    self.fail_task(task)?;
                     return Err(RuntimeError::NoSecurePlacement(task));
                 }
                 Err(e) => {
-                    self.engine.failed.push(task);
-                    self.graph.fail(task)?;
+                    self.fail_task(task)?;
                     return Err(e);
                 }
             }
         }
-        if replicas == 1 {
+        if attempt.replicas == 1 {
             self.engine.stats.unreplicated += 1;
         } else {
-            self.engine.stats.replica_executions += (replicas - 1) as u64;
+            self.engine.stats.replica_executions += (attempt.replicas - 1) as u64;
         }
-        self.start_attempt(task, work, kind, security, measurement, replicas, at, 0)
+        self.start_attempt(attempt, at)
     }
 
-    /// Place and launch one (possibly replicated) attempt of `task` at
-    /// virtual time `at`, pushing the finish event where its replicas
-    /// join.
+    /// Fail `task` and poison its downstream cone.
+    fn fail_task(&mut self, task: TaskId) -> Result<(), RuntimeError> {
+        self.engine.failed.push(task);
+        self.graph.fail(task)?;
+        Ok(())
+    }
+
+    /// Place and launch one (possibly replicated) attempt at virtual
+    /// time `at`, pushing the finish event where its replicas join.
     ///
-    /// This is the allocation-free half of the hot path: the descriptor
-    /// is read in place (no clone of its name), placement estimates go
-    /// into a per-runtime scratch buffer, and device selection is the
-    /// O(D·k) [`Scheduler::select_k`] into an inline array — no ranking
-    /// vector, no sort. Confidential tasks (and tasks reading sealed
-    /// regions) first build a per-device security plan whose costs are
-    /// folded into the estimates, so the policy ranks TEE and crypto
-    /// capability like any other dimension.
-    #[allow(clippy::too_many_arguments)]
-    fn start_attempt(
-        &mut self,
-        task: TaskId,
-        work: Work,
-        kind: TaskKind,
-        security: SecurityLevel,
-        measurement: u64,
-        replicas: usize,
-        at: Seconds,
-        attempt: u32,
-    ) -> Result<(), RuntimeError> {
+    /// Every launch enters here — first placement, fault or crash retry,
+    /// migration of an attempt queued on a crashed device, re-dispatch
+    /// of a deferred one — so the checkpoint blackout, the security
+    /// plan, the energy objective and the pooled search bind all of
+    /// them alike.
+    ///
+    /// This is the allocation-free half of the hot path: placement
+    /// estimates go into a per-runtime scratch buffer, and device
+    /// selection is the O(D·k)
+    /// [`Scheduler::select_k`](crate::sched::Scheduler::select_k) into
+    /// an inline array — no ranking vector, no sort. Confidential tasks
+    /// (and tasks reading sealed regions) first build a per-device
+    /// security plan whose costs are folded into the estimates, so the
+    /// policy ranks TEE and crypto capability like any other dimension.
+    fn start_attempt(&mut self, attempt: Attempt, at: Seconds) -> Result<(), RuntimeError> {
+        let Attempt {
+            task,
+            work,
+            kind,
+            security,
+            measurement,
+            replicas,
+            ..
+        } = attempt;
         // A synchronous checkpoint or an in-progress restart stalls new
         // placements (resilience mode).
         let at = match &self.resilience {
@@ -1074,19 +1098,10 @@ impl Runtime {
             // claimed task first so the graph stays consistent for
             // follow-up runs.
             if self.churn.is_some() {
-                return self.defer_placement(
-                    task,
-                    work,
-                    kind,
-                    security,
-                    measurement,
-                    replicas,
-                    at,
-                    attempt,
-                );
+                self.defer_placement(attempt, at);
+                return Ok(());
             }
-            self.engine.failed.push(task);
-            self.graph.fail(task)?;
+            self.fail_task(task)?;
             return Err(RuntimeError::NoSecurePlacement(task));
         }
         let golden = golden_value(task);
@@ -1124,19 +1139,17 @@ impl Runtime {
         self.engine.push_finish(
             finish,
             FinishPayload {
-                task,
+                attempt: Attempt {
+                    replicas: k,
+                    ..attempt
+                },
                 replicas: ReplicaSet {
                     devices,
                     results,
                     len: k as u8,
                 },
                 start,
-                attempt,
-                work,
-                kind,
                 golden,
-                security,
-                measurement,
                 crashed: false,
             },
         );
@@ -1149,17 +1162,13 @@ impl Runtime {
         finish: Seconds,
     ) -> Result<(), RuntimeError> {
         let FinishPayload {
-            task,
+            attempt,
             replicas,
             start,
-            attempt,
-            work,
-            kind,
             golden,
-            security,
-            measurement,
             crashed: _,
         } = payload;
+        let task = attempt.task;
         let accepted = match vote(replicas.results()) {
             Verdict::Accept(v) => {
                 let correct = v.0 == golden;
@@ -1172,10 +1181,7 @@ impl Runtime {
                 self.engine.stats.masked += 1;
                 Some(v.0 == golden)
             }
-            Verdict::Retry => {
-                self.engine.stats.detected += 1;
-                None
-            }
+            Verdict::Retry => None,
         };
         match accepted {
             Some(correct) => {
@@ -1187,7 +1193,7 @@ impl Runtime {
                 if self.security.active {
                     let accesses = self.graph.accesses(task)?;
                     self.security
-                        .record_outputs(accesses, replicas.devices[0], security);
+                        .record_outputs(accesses, replicas.devices[0], attempt.security);
                 }
                 // Topology producer tracking mirrors the security
                 // bookkeeping: the task's written regions now live in
@@ -1246,37 +1252,40 @@ impl Runtime {
                     correct,
                 });
             }
-            None if attempt < self.max_retries => {
-                self.engine.stats.retries += 1;
-                self.start_attempt(
-                    task,
-                    work,
-                    kind,
-                    security,
-                    measurement,
-                    replicas.len as usize,
-                    finish,
-                    attempt + 1,
-                )?;
-            }
             None => {
-                // Retry budget exhausted. With checkpoint/restart enabled
-                // the engine restores the last checkpointed frontier and
-                // re-executes (the task gets a fresh budget); without it —
-                // or once the rollback budget is spent — the task fails
-                // and its downstream cone is poisoned.
-                let can_roll = self.resilience.as_ref().is_some_and(|r| {
-                    r.interval.is_some() && r.stats.rollbacks < u64::from(r.config.max_rollbacks)
-                });
-                if can_roll {
-                    self.rollback_to_checkpoint(task, finish)?;
-                } else {
-                    self.engine.failed.push(task);
-                    self.graph.fail(task)?;
-                }
+                self.retry_or_recover(attempt, finish)?;
             }
         }
         Ok(())
+    }
+
+    /// An attempt's fault was detected at `at` (its replicas disagreed,
+    /// or a crash killed it mid-execution). While retry budget is left
+    /// the task re-launches with the next attempt number. Once it is
+    /// spent, checkpoint/restart restores the last checkpointed frontier
+    /// and re-executes (the task gets a fresh budget); without it — or
+    /// once the rollback budget is spent too — the task fails and its
+    /// downstream cone is poisoned. Returns whether the run rolled back.
+    fn retry_or_recover(&mut self, attempt: Attempt, at: Seconds) -> Result<bool, RuntimeError> {
+        self.engine.stats.detected += 1;
+        if attempt.attempt < self.max_retries {
+            self.engine.stats.retries += 1;
+            let next = Attempt {
+                attempt: attempt.attempt + 1,
+                ..attempt
+            };
+            self.start_attempt(next, at)?;
+            return Ok(false);
+        }
+        let can_roll = self.resilience.as_ref().is_some_and(|r| {
+            r.interval.is_some() && r.stats.rollbacks < u64::from(r.config.max_rollbacks)
+        });
+        if can_roll {
+            self.rollback_to_checkpoint(attempt.task, at)?;
+        } else {
+            self.fail_task(attempt.task)?;
+        }
+        Ok(can_roll)
     }
 
     /// Merge the churn trace into the engine's `(time, seq)` event order,
@@ -1381,7 +1390,6 @@ impl Runtime {
         churn.departed_at.push(None);
         churn.epoch += 1;
         churn.stats.arrivals += 1;
-        churn.grow_elastic_width();
         self.redispatch_deferred(at)
     }
 
@@ -1431,7 +1439,6 @@ impl Runtime {
         churn.available[device] = false;
         churn.epoch += 1;
         churn.stats.departures += 1;
-        churn.refit_elastic_width();
         churn.ops.push(ChurnOp::DrainComplete { device });
         let slot = (churn.ops.len() - 1) as u32;
         self.engine.heap.push(Reverse(Event {
@@ -1469,10 +1476,11 @@ impl Runtime {
     }
 
     /// Crash departure: the device and every in-flight attempt touching
-    /// it are lost at `at`. Queued attempts migrate (no retry charge);
-    /// running attempts are charged against their retry budget and fall
-    /// back to rollback once it is exhausted — exactly the detected-fault
-    /// path, with the partial execution counted as wasted work.
+    /// it are lost at `at`. Queued attempts re-launch elsewhere (no
+    /// retry charge); running attempts are charged against their retry
+    /// budget and fall back to rollback once it is exhausted — exactly
+    /// the detected-fault path, with the partial execution counted as
+    /// wasted work.
     fn handle_crash(&mut self, device: usize, at: Seconds) -> Result<(), RuntimeError> {
         if let Some(pools) = &mut self.pools {
             pools.remove_device(device);
@@ -1488,7 +1496,6 @@ impl Runtime {
             churn.epoch += 1;
             churn.stats.departures += 1;
             churn.stats.crashes += 1;
-            churn.refit_elastic_width();
         }
         // Tombstone every victim first — their queued finish events
         // no-op, and replacements pushed below reuse only slots that
@@ -1510,7 +1517,7 @@ impl Runtime {
             }
         }
         for payload in victims {
-            if self.crash_attempt(payload, device, at)? {
+            if self.crash_attempt(payload, at)? {
                 // A rollback rewound the run: the remaining victims were
                 // discarded with the rest of the in-flight work.
                 break;
@@ -1522,234 +1529,43 @@ impl Runtime {
     /// Handle one attempt lost to a crash at `at`. Returns whether the
     /// handling rolled the run back to a checkpoint, in which case the
     /// caller must stop processing further victims (they were rewound).
-    fn crash_attempt(
-        &mut self,
-        payload: FinishPayload,
-        device: usize,
-        at: Seconds,
-    ) -> Result<bool, RuntimeError> {
-        let FinishPayload {
-            task,
-            replicas,
-            start,
-            attempt,
-            work,
-            kind,
-            security,
-            measurement,
-            ..
-        } = payload;
-        if security.requires_enclave() {
+    fn crash_attempt(&mut self, payload: FinishPayload, at: Seconds) -> Result<bool, RuntimeError> {
+        let FinishPayload { attempt, start, .. } = payload;
+        let stats = &mut self
+            .churn
+            .as_mut()
+            .expect("churn events exist only with churn state")
+            .stats;
+        if attempt.security.requires_enclave() {
             // The attempt re-spreads over the surviving TEE pool (or
             // parks until one re-arrives).
-            self.churn
-                .as_mut()
-                .expect("churn events exist only with churn state")
-                .stats
-                .respreads += 1;
+            stats.respreads += 1;
         }
         if start >= at {
             // Queued, not yet running: nothing executed, so this is a
             // pure migration — same attempt number, no retry charged.
-            self.churn
-                .as_mut()
-                .expect("churn events exist only with churn state")
-                .stats
-                .migrations += 1;
-            if replicas.len == 1 && !self.security.active && !self.topology.active() {
-                self.migrate_single(
-                    task,
-                    work,
-                    kind,
-                    security,
-                    measurement,
-                    device,
-                    start,
-                    at,
-                    attempt,
-                )?;
-            } else {
-                // Replicated or cost-coupled (security / topology)
-                // placements re-plan from scratch: their estimates are
-                // not a pure per-device roofline.
-                self.start_attempt(
-                    task,
-                    work,
-                    kind,
-                    security,
-                    measurement,
-                    replicas.len as usize,
-                    at,
-                    attempt,
-                )?;
-            }
+            stats.migrations += 1;
+            self.start_attempt(attempt, at)?;
             return Ok(false);
         }
         // Running: the partial execution is lost, charged against the
         // retry budget like a detected corruption.
-        self.churn
-            .as_mut()
-            .expect("churn events exist only with churn state")
-            .stats
-            .wasted_work += at - start;
-        self.engine.stats.detected += 1;
-        if attempt < self.max_retries {
-            self.engine.stats.retries += 1;
-            self.start_attempt(
-                task,
-                work,
-                kind,
-                security,
-                measurement,
-                replicas.len as usize,
-                at,
-                attempt + 1,
-            )?;
-            return Ok(false);
-        }
-        let can_roll = self.resilience.as_ref().is_some_and(|r| {
-            r.interval.is_some() && r.stats.rollbacks < u64::from(r.config.max_rollbacks)
-        });
-        if can_roll {
-            self.rollback_to_checkpoint(task, at)?;
-            Ok(true)
-        } else {
-            self.engine.failed.push(task);
-            self.graph.fail(task)?;
-            Ok(false)
-        }
+        stats.wasted_work += at - start;
+        self.retry_or_recover(attempt, at)
     }
 
-    /// Re-plan one queued single-replica attempt off a crashed device via
-    /// [`Scheduler::migrate`]: "stay" is scored as what the attempt would
-    /// have cost on the lost device, the alternatives are the survivors,
-    /// and the configured hysteresis damps oscillation. When `migrate`
-    /// answers "stay" — there is nothing left to stay on — the policy's
-    /// best survivor is used instead.
-    #[allow(clippy::too_many_arguments)]
-    fn migrate_single(
-        &mut self,
-        task: TaskId,
-        work: Work,
-        kind: TaskKind,
-        security: SecurityLevel,
-        measurement: u64,
-        lost: usize,
-        planned_start: Seconds,
-        at: Seconds,
-        attempt: u32,
-    ) -> Result<(), RuntimeError> {
-        let stay_dur = self.devices[lost].spec.time_for(work, kind);
-        let stay = Estimate::new(
-            planned_start + stay_dur,
-            self.devices[lost].spec.busy_power * stay_dur,
-        );
-        let mut estimates: Vec<Estimate> = Vec::new();
-        let mut plans: Vec<(Seconds, Seconds)> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
-        {
-            let avail = &self
-                .churn
-                .as_ref()
-                .expect("migration only under churn")
-                .available;
-            for (i, d) in self.devices.iter().enumerate() {
-                if !avail[i] {
-                    continue;
-                }
-                let start = at.max(d.busy_until());
-                let dur = d.spec.time_for(work, kind);
-                estimates.push(Estimate::new(start + dur, d.spec.busy_power * dur));
-                plans.push((start, dur));
-                candidates.push(i);
-            }
-        }
-        self.engine.sched_evals += estimates.len() as u64;
-        if estimates.is_empty() {
-            return self.defer_placement(task, work, kind, security, measurement, 1, at, attempt);
-        }
-        let policy = self.policy.sanitized();
-        let norm = if policy.needs_norm() {
-            ScoreNorm::from_estimates(&estimates)
-        } else {
-            ScoreNorm::IDENTITY
-        };
-        let hysteresis = self
-            .churn
-            .as_ref()
-            .expect("checked above")
-            .config
-            .hysteresis;
-        let pick = policy
-            .migrate(&stay, &estimates, &norm, hysteresis)
-            .unwrap_or_else(|| policy.place(&estimates).expect("estimates is non-empty"));
-        let (d, plan_start, plan_dur) = (candidates[pick], plans[pick].0, plans[pick].1);
-        let (s, f) = self.devices[d].execute_planned(plan_start, plan_dur);
-        if let Some(pools) = &mut self.pools {
-            pools.mark_dirty(d);
-        }
-        let golden = golden_value(task);
-        let faulty = self.rng.gen_range(0.0..1.0) < self.fault_probs[d];
-        let mut devices = [0usize; MAX_REPLICAS];
-        devices[0] = d;
-        let mut results = [ReplicaResult(0); MAX_REPLICAS];
-        results[0] = if faulty {
-            ReplicaResult(golden ^ (1 + self.rng.gen_range(0..u64::MAX - 1)))
-        } else {
-            ReplicaResult(golden)
-        };
-        self.engine.push_finish(
-            f,
-            FinishPayload {
-                task,
-                replicas: ReplicaSet {
-                    devices,
-                    results,
-                    len: 1,
-                },
-                start: s,
-                attempt,
-                work,
-                kind,
-                golden,
-                security,
-                measurement,
-                crashed: false,
-            },
-        );
-        Ok(())
-    }
-
-    /// Park a task whose eligible device set is (transiently) empty: it
-    /// stays claimed, a timeout event bounds the wait, and the next
-    /// arrival re-plans it. This degrades what would be an immediate
+    /// Park an attempt whose eligible device set is (transiently) empty:
+    /// the task stays claimed, a timeout event bounds the wait, and the
+    /// next arrival hands the parked [`Attempt`] back to
+    /// [`Self::start_attempt`]. This degrades what would be an immediate
     /// [`RuntimeError::NoSecurePlacement`] refusal on a fixed fleet into
     /// a bounded wait for re-arrival.
-    #[allow(clippy::too_many_arguments)]
-    fn defer_placement(
-        &mut self,
-        task: TaskId,
-        work: Work,
-        kind: TaskKind,
-        security: SecurityLevel,
-        measurement: u64,
-        replicas: usize,
-        at: Seconds,
-        attempt: u32,
-    ) -> Result<(), RuntimeError> {
+    fn defer_placement(&mut self, attempt: Attempt, at: Seconds) {
         let seq = self.engine.next_seq();
         let churn = self.churn.as_mut().expect("callers check for churn");
         let deadline = at + churn.config.defer_window;
-        churn.deferred.push(DeferredTask {
-            task,
-            work,
-            kind,
-            security,
-            measurement,
-            replicas,
-            attempt,
-            deadline,
-        });
+        let task = attempt.task;
+        churn.deferred.push(DeferredTask { attempt, deadline });
         churn.ops.push(ChurnOp::DeferTimeout { task, deadline });
         let slot = (churn.ops.len() - 1) as u32;
         churn.stats.deferred_placements += 1;
@@ -1758,28 +1574,19 @@ impl Runtime {
             seq,
             kind: EventKind::Churn { op: slot },
         }));
-        Ok(())
     }
 
-    /// A device arrived: every parked task gets a fresh placement
-    /// attempt. A task that still finds nothing re-parks under a new
-    /// deadline, and its old timeout event no-ops (deadline mismatch).
+    /// A device arrived: every parked [`Attempt`] goes back to
+    /// [`Self::start_attempt`]. One that still finds nothing re-parks
+    /// under a new deadline, and its old timeout event no-ops (deadline
+    /// mismatch).
     fn redispatch_deferred(&mut self, at: Seconds) -> Result<(), RuntimeError> {
         let parked = match &mut self.churn {
             Some(churn) if !churn.deferred.is_empty() => std::mem::take(&mut churn.deferred),
             _ => return Ok(()),
         };
         for dt in parked {
-            self.start_attempt(
-                dt.task,
-                dt.work,
-                dt.kind,
-                dt.security,
-                dt.measurement,
-                dt.replicas,
-                at,
-                dt.attempt,
-            )?;
+            self.start_attempt(dt.attempt, at)?;
         }
         Ok(())
     }
@@ -1800,15 +1607,14 @@ impl Runtime {
         let Some(pos) = churn
             .deferred
             .iter()
-            .position(|dt| dt.task == task && dt.deadline == deadline)
+            .position(|dt| dt.attempt.task == task && dt.deadline == deadline)
         else {
             // Re-dispatched by an arrival, re-parked under a fresh
             // deadline, or rewound by a rollback: stale timeout, no-op.
             return Ok(());
         };
         churn.deferred.remove(pos);
-        self.engine.failed.push(task);
-        self.graph.fail(task)?;
+        self.fail_task(task)?;
         Err(RuntimeError::DeferralExpired(task))
     }
 }

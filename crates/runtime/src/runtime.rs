@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::analyze::{self, AnalysisConfig, AnalysisContext, AnalysisReport, AnalysisState};
 use crate::churn::{ChurnState, ChurnStats};
-use crate::elastic::ElasticPool;
 use crate::energy::{EnergyState, EnergyStats};
 use crate::engine::EngineState;
 use crate::error::RuntimeError;
@@ -270,16 +269,6 @@ impl Runtime {
     #[must_use]
     pub fn rollback_trace(&self) -> &[RollbackEvent] {
         self.resilience.as_ref().map_or(&[], |r| r.trace.as_slice())
-    }
-
-    /// The elastic-width pool tracked alongside device churn, re-fitted
-    /// whenever a departure or crash leaves the surviving fleet narrower
-    /// than its planned width
-    /// ([`ChurnConfig::with_elastic_pool`](crate::churn::ChurnConfig::with_elastic_pool)).
-    /// `None` when churn is disabled or no pool was attached.
-    #[must_use]
-    pub fn elastic_pool(&self) -> Option<&ElasticPool> {
-        self.churn.as_ref().and_then(|c| c.elastic.as_ref())
     }
 
     /// Virtual time at which the last checkpoint (the current restore

@@ -9,12 +9,12 @@
 //!
 //! A [`Policy`] is a [`Scheduler`]: the scoring itself lives in the
 //! shared [`sched`](crate::sched) layer, and the methods here are thin
-//! adapters that turn live [`Device`] state (or bare [`DeviceSpec`]s)
-//! into [`Estimate`]s before delegating to the trait.
+//! adapters that turn live [`Device`] state into [`Estimate`]s before
+//! delegating to the trait.
 
 use legato_core::task::{TaskKind, Work};
 use legato_core::units::Seconds;
-use legato_hw::device::{Device, DeviceSpec};
+use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuntimeError;
@@ -67,23 +67,6 @@ impl Policy {
         }
     }
 
-    /// Pick the best device index for `work` given each device's earliest
-    /// availability. Returns `None` for an empty device list.
-    ///
-    /// An out-of-range `Weighted` weight is clamped into `[0, 1]` here
-    /// (use [`Policy::validate`] to reject it instead).
-    #[must_use]
-    pub fn choose(
-        self,
-        devices: &[Device],
-        work: Work,
-        kind: TaskKind,
-        ready_at: Seconds,
-    ) -> Option<usize> {
-        self.sanitized()
-            .place(&device_estimates(devices, work, kind, ready_at))
-    }
-
     /// Rank device indices from best to worst under this policy (used by
     /// replication to pick diverse placements).
     ///
@@ -97,14 +80,13 @@ impl Policy {
         kind: TaskKind,
         ready_at: Seconds,
     ) -> Vec<usize> {
-        Scheduler::rank(
-            &self.sanitized(),
-            &device_estimates(devices, work, kind, ready_at),
-        )
+        let mut estimates = Vec::with_capacity(devices.len());
+        device_estimates_into(devices, work, kind, ready_at, &mut estimates);
+        Scheduler::rank(&self.sanitized(), &estimates)
     }
 
     /// Top-k device selection for the engine's hot path: semantically
-    /// identical to `device_estimates` + [`Scheduler::select_k`], but
+    /// identical to [`device_estimates_into`] + [`Scheduler::select_k`], but
     /// the expensive per-device roofline evaluation (`time_for`, two
     /// divisions) runs exactly **once** per device: the `(start,
     /// duration)` plan is computed first, estimates derive from it, and
@@ -328,23 +310,8 @@ fn pick_k_by(
 }
 
 /// Predicted completion and energy of `work` on each live device, folding
-/// in the device's current availability.
-#[must_use]
-pub fn device_estimates(
-    devices: &[Device],
-    work: Work,
-    kind: TaskKind,
-    ready_at: Seconds,
-) -> Vec<Estimate> {
-    let mut out = Vec::with_capacity(devices.len());
-    device_estimates_into(devices, work, kind, ready_at, &mut out);
-    out
-}
-
-/// Allocation-free twin of [`device_estimates`]: fill `out` (cleared
-/// first), reusing its capacity. The event engine calls this once per
-/// placement with a per-runtime scratch buffer, so steady-state placement
-/// allocates nothing.
+/// in the device's current availability: fill `out` (cleared first),
+/// reusing its capacity.
 pub fn device_estimates_into(
     devices: &[Device],
     work: Work,
@@ -363,26 +330,10 @@ pub fn device_estimates_into(
     }));
 }
 
-/// Static (spec-only) choice, ignoring availability — used when comparing
-/// hardware configurations rather than scheduling live work.
-#[must_use]
-pub fn best_spec_for(
-    specs: &[DeviceSpec],
-    work: Work,
-    kind: TaskKind,
-    policy: Policy,
-) -> Option<usize> {
-    let estimates: Vec<Estimate> = specs
-        .iter()
-        .map(|s| Estimate::new(s.time_for(work, kind), s.energy_for(work, kind)))
-        .collect();
-    policy.sanitized().place(&estimates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legato_hw::device::DeviceId;
+    use legato_hw::device::{DeviceId, DeviceSpec};
 
     fn devices() -> Vec<Device> {
         vec![
@@ -393,38 +344,35 @@ mod tests {
         ]
     }
 
+    /// The policy's first choice for the reference inference task.
+    fn best(policy: Policy, devices: &[Device]) -> usize {
+        policy.rank(
+            devices,
+            Work::flops(66e9),
+            TaskKind::Inference,
+            Seconds::ZERO,
+        )[0]
+    }
+
     #[test]
     fn performance_picks_gpu_for_inference() {
-        let d = devices();
-        let w = Work::flops(66e9);
-        let idx = Policy::Performance
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(idx, 1, "GPU should win on speed");
+        assert_eq!(
+            best(Policy::Performance, &devices()),
+            1,
+            "GPU wins on speed"
+        );
     }
 
     #[test]
     fn energy_picks_fpga_for_inference() {
-        let d = devices();
-        let w = Work::flops(66e9);
-        let idx = Policy::Energy
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(idx, 2, "FPGA should win on energy");
+        assert_eq!(best(Policy::Energy, &devices()), 2, "FPGA wins on energy");
     }
 
     #[test]
     fn weighted_interpolates() {
         let d = devices();
-        let w = Work::flops(66e9);
-        let perf = Policy::Weighted(0.0)
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        let energy = Policy::Weighted(1.0)
-            .choose(&d, w, TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(perf, 1);
-        assert_eq!(energy, 2);
+        assert_eq!(best(Policy::Weighted(0.0), &d), 1);
+        assert_eq!(best(Policy::Weighted(1.0), &d), 2);
     }
 
     #[test]
@@ -432,10 +380,11 @@ mod tests {
         let mut d = devices();
         // Keep the GPU busy for a long time.
         let (_s, _f) = d[1].execute(Seconds::ZERO, Work::flops(1e14), TaskKind::Inference);
-        let idx = Policy::Performance
-            .choose(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_ne!(idx, 1, "busy GPU should be skipped");
+        assert_ne!(
+            best(Policy::Performance, &d),
+            1,
+            "busy GPU should be skipped"
+        );
     }
 
     #[test]
@@ -453,9 +402,8 @@ mod tests {
     #[test]
     fn empty_devices_gives_none() {
         assert!(Policy::Performance
-            .choose(&[], Work::flops(1.0), TaskKind::Compute, Seconds::ZERO)
-            .is_none());
-        assert!(best_spec_for(&[], Work::flops(1.0), TaskKind::Compute, Policy::Energy).is_none());
+            .rank(&[], Work::flops(1.0), TaskKind::Compute, Seconds::ZERO)
+            .is_empty());
     }
 
     #[test]
@@ -478,10 +426,7 @@ mod tests {
     fn out_of_range_weight_no_longer_panics_in_choose() {
         let d = devices();
         // Clamped to pure energy: same pick as Weighted(1.0).
-        let idx = Policy::Weighted(1.5)
-            .choose(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
-        assert_eq!(idx, 2);
+        assert_eq!(best(Policy::Weighted(1.5), &d), 2);
         // Non-finite weights degrade to a balanced trade-off, not a panic.
         let order = Policy::Weighted(f64::NAN).rank(
             &d,
@@ -494,25 +439,19 @@ mod tests {
 
     #[test]
     fn best_spec_static_choice() {
-        let specs = vec![DeviceSpec::xeon_x86(), DeviceSpec::fpga_kintex()];
-        let idx = best_spec_for(
-            &specs,
-            Work::flops(66e9),
-            TaskKind::Inference,
-            Policy::Energy,
-        )
-        .unwrap();
-        assert_eq!(idx, 1);
+        // On an idle fleet every device is free at once, so the ranking
+        // is the static comparison of the specs.
+        let d = vec![
+            Device::new(DeviceId(0), DeviceSpec::xeon_x86()),
+            Device::new(DeviceId(1), DeviceSpec::fpga_kintex()),
+        ];
+        assert_eq!(best(Policy::Energy, &d), 1);
     }
 
     #[test]
     fn edp_balances() {
-        let d = devices();
-        let idx = Policy::Edp
-            .choose(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO)
-            .unwrap();
         // EDP squares the delay advantage: the GPU's 4× speed edge beats
         // the FPGA's 2× energy edge.
-        assert_eq!(idx, 1);
+        assert_eq!(best(Policy::Edp, &devices()), 1);
     }
 }

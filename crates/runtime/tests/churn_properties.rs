@@ -1,6 +1,6 @@
 //! Chaos properties pinning the malleability (churn) layer.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * **Zero churn costs zero** — a runtime built with churn armed but an
 //!   empty trace produces a *bit-identical* report (schedule, energy,
@@ -13,6 +13,10 @@
 //!   fleet, the run loop terminates, every error is a typed refusal
 //!   (an expired deferral), and the final report accounts for each
 //!   submitted task at most once — never both placed and failed.
+//! * **Pooled ≡ flat under churn** — crash migrations take the same
+//!   launcher as every other attempt, so with a pool configuration they
+//!   reach the sharded search: same report as the flat scan, never more
+//!   placement evaluations.
 
 use std::collections::HashMap;
 
@@ -21,7 +25,8 @@ use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    ChurnConfig, ChurnTrace, EngineConfig, Policy, ResilienceConfig, Runtime, RuntimeError,
+    ChurnConfig, ChurnTrace, EngineConfig, Policy, PoolConfig, ResilienceConfig, Runtime,
+    RuntimeError,
 };
 use proptest::prelude::*;
 
@@ -67,7 +72,12 @@ fn sizes(chains: &ChainSpec) -> HashMap<RegionId, Bytes> {
         .collect()
 }
 
-fn runtime(seed: u64, resilient: bool, churn: Option<ChurnConfig>, chains: &ChainSpec) -> Runtime {
+fn config(
+    seed: u64,
+    resilient: bool,
+    churn: Option<ChurnConfig>,
+    chains: &ChainSpec,
+) -> EngineConfig {
     let mut cfg = EngineConfig::new()
         .with_devices(devices())
         .with_policy(Policy::Weighted(0.5))
@@ -83,9 +93,17 @@ fn runtime(seed: u64, resilient: bool, churn: Option<ChurnConfig>, chains: &Chai
     if let Some(churn) = churn {
         cfg = cfg.with_churn(churn);
     }
+    cfg
+}
+
+fn build(cfg: EngineConfig) -> Runtime {
     let mut rt = cfg.build().expect("valid engine config");
     rt.set_fault_prob(1, 0.4);
     rt
+}
+
+fn runtime(seed: u64, resilient: bool, churn: Option<ChurnConfig>, chains: &ChainSpec) -> Runtime {
+    build(config(seed, resilient, churn, chains))
 }
 
 /// Drive `run()` to quiescence, tolerating per-task churn refusals: an
@@ -202,5 +220,54 @@ proptest! {
         }
         let stats = report.churn.expect("churn was configured");
         prop_assert!(stats.crashes <= stats.departures);
+    }
+
+    /// Single-replica chains under a crash-heavy trace: attempts queued
+    /// on a crashed device migrate through the sharded search when the
+    /// fleet is pooled, and the shards grow and shrink underneath it —
+    /// the report stays bit-identical to the flat scan's, and pruning
+    /// never evaluates more candidates than the scan does.
+    #[test]
+    fn pooled_placement_stays_bit_identical_under_churn(
+        // Many short chains of `Normal` tasks (selector 0: one replica):
+        // more ready tasks than devices, so attempts queue behind one
+        // another and an early crash finds some to migrate.
+        chains in prop::collection::vec(
+            prop::collection::vec((5e11f64..4e12, 0u8..1), 1..4),
+            8..20,
+        ),
+        seed in 0u64..300,
+        trace_seed in 0u64..300,
+        events in 1usize..8,
+        crash_fraction in 0.7f64..1.0,
+        resilient in any::<bool>(),
+    ) {
+        let run = |pools: Option<PoolConfig>| {
+            let trace = ChurnTrace::seeded(
+                trace_seed,
+                devices().len(),
+                Seconds(20.0),
+                events,
+                &devices(),
+                crash_fraction,
+            );
+            let mut cfg = config(seed, resilient, Some(ChurnConfig::new(trace)), &chains);
+            if let Some(pools) = pools {
+                cfg = cfg.with_pools(pools);
+            }
+            let mut rt = build(cfg);
+            submit_wave(&mut rt, &chains);
+            let (report, refused) = run_to_quiescence(&mut rt);
+            (report, refused, rt.placement_evals())
+        };
+        let (flat, flat_refused, flat_evals) = run(None);
+        let (pooled, pooled_refused, pooled_evals) =
+            run(Some(PoolConfig::uniform(devices().len(), 2)));
+        prop_assert_eq!(&pooled, &flat);
+        prop_assert_eq!(pooled_refused, flat_refused);
+        prop_assert!(
+            pooled_evals <= flat_evals,
+            "pooled search evaluated {} candidates, flat scan {}", pooled_evals, flat_evals
+        );
     }
 }

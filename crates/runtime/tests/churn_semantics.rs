@@ -1,17 +1,19 @@
 //! Deterministic end-to-end scenarios for the malleability layer:
-//! planned drain wastes nothing, crashes migrate queued work and charge
-//! running work, transiently empty TEE pools defer instead of refusing,
-//! expired deferrals fail cleanly, and the sharded placement path stays
-//! bit-identical to the flat path while the fleet churns underneath it.
+//! planned drain wastes nothing, crashes migrate queued work (honouring
+//! checkpoint stalls and power caps) and charge running work,
+//! transiently empty TEE pools defer instead of refusing, and expired
+//! deferrals fail cleanly.
+
+use std::collections::HashMap;
 
 use legato_core::requirements::{Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
-use legato_core::units::Seconds;
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
+use legato_core::units::{Bytes, Seconds, Watt};
+use legato_fti::Strategy;
 use legato_hw::device::DeviceSpec;
-use legato_runtime::elastic::ElasticPool;
 use legato_runtime::{
-    ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, DepartureKind, EngineConfig, Policy,
-    PoolConfig, Runtime, RuntimeError,
+    ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, DepartureKind, EnergyConfig, EngineConfig,
+    Policy, ResilienceConfig, Runtime, RuntimeError,
 };
 
 const FLOPS: f64 = 2e12;
@@ -105,6 +107,117 @@ fn crash_migrates_queued_attempts_and_charges_running_ones() {
 }
 
 #[test]
+fn migration_during_a_checkpoint_blackout_waits_for_it_to_end() {
+    // One chain on two Xeons under `Performance`: every task lands on
+    // device 0 (equal finishes tie toward the first index), device 1
+    // idles. A synchronous (`Initial`) checkpoint of a 16 GiB frontier
+    // stalls placements for many task durations, so the successor
+    // released inside the stall is queued on device 0 to start when the
+    // write completes.
+    let build = |trace: ChurnTrace| {
+        let mut rt = EngineConfig::new()
+            .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::xeon_x86()])
+            .with_policy(Policy::Performance)
+            .with_resilience(
+                ResilienceConfig::new(Seconds(10.0))
+                    .with_strategy(Strategy::Initial)
+                    .with_region_sizes(HashMap::from([(RegionId(0), Bytes::gib(16))])),
+            )
+            .with_churn(ChurnConfig::new(trace))
+            .build()
+            .expect("valid engine config");
+        for _ in 0..64 {
+            rt.submit(
+                TaskDescriptor::named("t").with_work(Work::flops(FLOPS)),
+                [(0, AccessMode::InOut)],
+            );
+        }
+        rt
+    };
+    // Dry run (an empty trace is bit-identical to no churn) to read the
+    // first checkpoint's stall window.
+    let mut dry = build(ChurnTrace::new());
+    while dry
+        .last_checkpoint_time()
+        .is_none_or(|t| t == Seconds::ZERO)
+    {
+        dry.step()
+            .expect("no refusals")
+            .expect("a checkpoint fires before the chain ends");
+    }
+    let stall_from = dry.checkpoint_interval().expect("interval planned");
+    let stall_until = dry.last_checkpoint_time().expect("checkpoint taken");
+    assert!(
+        (stall_until - stall_from).0 > 4.0 * task_duration().0,
+        "the stall must outlast the running task"
+    );
+    // Crash device 0 late in the stall: its only in-flight attempt is
+    // the queued successor, which migrates to the idle device 1.
+    let crash_at = Seconds(stall_until.0 - task_duration().0);
+    let mut rt = build(ChurnTrace::from_events(vec![ChurnEvent {
+        at: crash_at,
+        kind: ChurnEventKind::Departure {
+            device: 0,
+            kind: DepartureKind::Crash,
+        },
+    }]));
+    let report = rt.run().expect("the survivor finishes the chain");
+    let churn = report.churn.expect("churn configured");
+    assert_eq!(churn.migrations, 1, "the queued successor migrates");
+    assert_eq!(report.stats.retries, 0, "nothing was running");
+    assert_eq!(report.placements.len(), 64);
+    let first_on_survivor = report
+        .placements
+        .iter()
+        .filter(|p| p.devices.as_slice() == [1])
+        .map(|p| p.start)
+        .fold(Seconds(f64::INFINITY), Seconds::min);
+    assert_eq!(
+        first_on_survivor, stall_until,
+        "the migrated attempt starts when the synchronous write completes"
+    );
+}
+
+#[test]
+fn migration_under_a_power_cap_stays_within_the_cap() {
+    // Two Xeons (130 W) within a 150 W cap, one idle GTX 1080 (180 W)
+    // above it: the capped objective stacks three tasks on each Xeon.
+    // When device 1 crashes, its two queued attempts must move to the
+    // other Xeon, not to the faster, idle, over-cap GPU.
+    let dur = task_duration();
+    let trace = ChurnTrace::from_events(vec![ChurnEvent {
+        at: Seconds(dur.0 * 0.5),
+        kind: ChurnEventKind::Departure {
+            device: 1,
+            kind: DepartureKind::Crash,
+        },
+    }]);
+    let mut rt = EngineConfig::new()
+        .with_devices(vec![
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::gtx1080(),
+        ])
+        .with_policy(Policy::Performance)
+        .with_energy(EnergyConfig::new().with_power_cap(Watt(150.0)))
+        .with_churn(ChurnConfig::new(trace))
+        .build()
+        .expect("valid engine config");
+    submit_independent(&mut rt, 6);
+    let report = rt.run().expect("the capped survivor absorbs the crash");
+    assert_eq!(report.placements.len(), 6);
+    assert_eq!(report.churn.expect("churn configured").migrations, 2);
+    for p in &report.placements {
+        assert_ne!(p.devices.as_slice(), &[2], "placed above the cap");
+    }
+    assert_eq!(
+        report.energy.expect("energy configured").cap_relaxations,
+        0,
+        "a capped survivor existed for every placement"
+    );
+}
+
+#[test]
 fn enclave_task_defers_until_a_tee_device_arrives() {
     // No TEE device at build time: a fixed fleet would hard-refuse.
     let trace = ChurnTrace::from_events(vec![ChurnEvent {
@@ -169,142 +282,4 @@ fn expired_deferral_fails_the_task_cleanly() {
         report.churn.expect("churn configured").deferred_placements,
         1
     );
-}
-
-#[test]
-fn elastic_width_refits_when_churn_narrows_the_fleet() {
-    // A moldable kernel planned at width 3 on a 3-device fleet: one
-    // planned drain and one crash leave a single survivor, so the
-    // attached elastic pool must be re-fitted — twice — down to the
-    // surviving width instead of planning widths the fleet can no
-    // longer provide. A later arrival grows it back by one core.
-    let dur = task_duration();
-    let trace = ChurnTrace::from_events(vec![
-        ChurnEvent {
-            at: Seconds(dur.0 * 0.4),
-            kind: ChurnEventKind::Departure {
-                device: 2,
-                kind: DepartureKind::Planned,
-            },
-        },
-        ChurnEvent {
-            at: Seconds(dur.0 * 0.8),
-            kind: ChurnEventKind::Departure {
-                device: 1,
-                kind: DepartureKind::Crash,
-            },
-        },
-        ChurnEvent {
-            at: Seconds(dur.0 * 4.0),
-            kind: ChurnEventKind::Arrival {
-                spec: DeviceSpec::xeon_x86(),
-                pool: None,
-                fault_prob: 0.0,
-            },
-        },
-    ]);
-    let mut rt = EngineConfig::new()
-        .with_devices(vec![
-            DeviceSpec::xeon_x86(),
-            DeviceSpec::xeon_x86(),
-            DeviceSpec::xeon_x86(),
-        ])
-        .with_policy(Policy::Performance)
-        .with_churn(
-            ChurnConfig::new(trace).with_elastic_pool(ElasticPool::new(3).expect("non-zero width")),
-        )
-        .build()
-        .expect("valid engine config");
-    submit_independent(&mut rt, 9);
-    let report = rt.run().expect("the survivor absorbs the churn");
-    let churn = report.churn.expect("churn configured");
-    assert_eq!(churn.departures, 2);
-    assert_eq!(
-        churn.width_refits, 2,
-        "each narrowing departure re-fits the elastic width once"
-    );
-    let pool = rt.elastic_pool().expect("elastic pool attached");
-    assert_eq!(
-        pool.cores(),
-        2,
-        "shrunk to the lone survivor, then grown by the arrival"
-    );
-    assert!(report.failed.is_empty(), "no task lost to the re-fit");
-}
-
-#[test]
-fn elastic_width_is_untouched_without_narrowing_churn() {
-    // Zero churn events: the pool rides along unchanged and the refit
-    // counter stays at its default.
-    let mut rt = EngineConfig::new()
-        .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::xeon_x86()])
-        .with_policy(Policy::Performance)
-        .with_churn(
-            ChurnConfig::new(ChurnTrace::new())
-                .with_elastic_pool(ElasticPool::new(4).expect("non-zero width")),
-        )
-        .build()
-        .expect("valid engine config");
-    submit_independent(&mut rt, 4);
-    let report = rt.run().expect("nothing churns");
-    assert_eq!(report.churn.expect("churn configured").width_refits, 0);
-    assert_eq!(rt.elastic_pool().expect("pool attached").cores(), 4);
-}
-
-#[test]
-fn pooled_placement_stays_bit_identical_under_churn() {
-    // Arrival + drain + crash over a pooled fleet: the sharded search
-    // must keep making exactly the placements of the flat scan while
-    // the shards grow and shrink (PR 7's equivalence, now under churn).
-    let dur = task_duration();
-    let specs = vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-    ];
-    let trace = ChurnTrace::from_events(vec![
-        ChurnEvent {
-            at: Seconds(dur.0 * 0.3),
-            kind: ChurnEventKind::Arrival {
-                spec: DeviceSpec::arm64(),
-                pool: Some(1),
-                fault_prob: 0.0,
-            },
-        },
-        ChurnEvent {
-            at: Seconds(dur.0 * 0.6),
-            kind: ChurnEventKind::Departure {
-                device: 1,
-                kind: DepartureKind::Planned,
-            },
-        },
-        ChurnEvent {
-            at: Seconds(dur.0 * 0.9),
-            kind: ChurnEventKind::Departure {
-                device: 2,
-                kind: DepartureKind::Crash,
-            },
-        },
-    ]);
-    let build = |pools: Option<PoolConfig>| {
-        let mut cfg = EngineConfig::new()
-            .with_devices(specs.clone())
-            .with_policy(Policy::Performance)
-            .with_churn(ChurnConfig::new(trace.clone()));
-        if let Some(p) = pools {
-            cfg = cfg.with_pools(p);
-        }
-        cfg.build().expect("valid engine config")
-    };
-    let mut flat = build(None);
-    submit_independent(&mut flat, 12);
-    let flat_report = flat.run().expect("flat run completes");
-
-    let mut pooled = build(Some(PoolConfig::uniform(4, 2)));
-    submit_independent(&mut pooled, 12);
-    let pooled_report = pooled.run().expect("pooled run completes");
-
-    assert_eq!(flat_report, pooled_report);
-    assert!(flat_report.churn.expect("churn configured").departures == 2);
 }
