@@ -15,6 +15,12 @@
 //! DESIGN.md §4), and this format is produced by our own criterion stub,
 //! so matching its exact shape is the honest scope. Rows are matched by
 //! `id` and reported as per-row percentage deltas, most-regressed first.
+//!
+//! A perf PR records the parent commit's measurement of a case next to
+//! its own, on the same machine, as a second row whose id ends in
+//! `@parent`. Fresh runs never produce such rows; the comparison pairs
+//! each with its sibling in the baseline file and prints the recorded
+//! parent-to-committed ratio.
 
 use std::fmt::Write as _;
 
@@ -83,13 +89,20 @@ pub enum DeltaRow {
     Added(String, f64),
     /// Only in the baseline file (bench case removed).
     Removed(String, f64),
+    /// An `id@parent` row of the baseline file next to its `id` row:
+    /// `(id, parent ns, committed ns, parent / committed)`.
+    Parent(String, f64, f64, f64),
 }
+
+/// Id suffix of a row that records the parent commit's measurement.
+const PARENT_SUFFIX: &str = "@parent";
 
 /// Diff `current` against `baseline`, matching rows by id. Each side
 /// contributes its [`BaselineRow::metric`] — the minimum when recorded,
 /// the median otherwise. Changed rows come first, sorted most-regressed
 /// first (largest positive delta); added and removed rows follow in
-/// file order.
+/// file order, then the baseline's `@parent` pairs (an `@parent` row
+/// with no sibling counts as removed).
 #[must_use]
 pub fn diff_baselines(baseline: &[BaselineRow], current: &[BaselineRow]) -> Vec<DeltaRow> {
     let mut changed = Vec::new();
@@ -112,9 +125,20 @@ pub fn diff_baselines(baseline: &[BaselineRow], current: &[BaselineRow]) -> Vec<
             None => added.push(DeltaRow::Added(cur.id.clone(), cur.metric())),
         }
     }
+    let parent_pair = |b: &BaselineRow| {
+        let id = b.id.strip_suffix(PARENT_SUFFIX)?;
+        let now = baseline.iter().find(|row| row.id == id)?.metric();
+        Some(DeltaRow::Parent(
+            id.to_string(),
+            b.metric(),
+            now,
+            b.metric() / now,
+        ))
+    };
+    let parents: Vec<DeltaRow> = baseline.iter().filter_map(parent_pair).collect();
     let removed = baseline
         .iter()
-        .filter(|b| !current.iter().any(|c| c.id == b.id))
+        .filter(|b| !current.iter().any(|c| c.id == b.id) && parent_pair(b).is_none())
         .map(|b| DeltaRow::Removed(b.id.clone(), b.metric()));
     changed.sort_by(|a, b| match (a, b) {
         (DeltaRow::Changed(_, _, _, da), DeltaRow::Changed(_, _, _, db)) => db.total_cmp(da),
@@ -122,6 +146,7 @@ pub fn diff_baselines(baseline: &[BaselineRow], current: &[BaselineRow]) -> Vec<
     });
     changed.extend(added);
     changed.extend(removed);
+    changed.extend(parents);
     changed
 }
 
@@ -147,6 +172,12 @@ pub fn render_markdown(title: &str, rows: &[DeltaRow]) -> String {
             }
             DeltaRow::Removed(id, base) => {
                 let _ = writeln!(out, "| `{id}` | {base:.1} | — | removed |");
+            }
+            DeltaRow::Parent(id, parent, now, ratio) => {
+                let _ = writeln!(
+                    out,
+                    "| `{id}{PARENT_SUFFIX}` | {parent:.1} | {now:.1} (baseline) | {ratio:.2}× as recorded |"
+                );
             }
         }
     }
@@ -215,6 +246,32 @@ mod tests {
         }
         assert!(matches!(&delta[1], DeltaRow::Added(id, _) if id == "g/new"));
         assert!(matches!(&delta[2], DeltaRow::Removed(id, _) if id == "g/b"));
+    }
+
+    #[test]
+    fn parent_rows_pair_with_their_sibling_instead_of_counting_as_removed() {
+        let mut base = parse_baseline(SAMPLE);
+        for (id, ns) in [("g/b@parent", 960.0), ("g/gone@parent", 5.0)] {
+            base.push(BaselineRow {
+                id: id.into(),
+                ns_per_iter: 2.0 * ns,
+                min_ns_per_iter: Some(ns),
+            });
+        }
+        let fresh = parse_baseline(SAMPLE);
+        let delta = diff_baselines(&base, &fresh);
+        assert_eq!(delta.len(), 4, "{delta:?}");
+        assert!(matches!(&delta[2], DeltaRow::Removed(id, _) if id == "g/gone@parent"));
+        assert_eq!(
+            delta[3],
+            DeltaRow::Parent("g/b".into(), 960.0, 240.0, 4.0),
+            "min-of-N on both sides"
+        );
+        let md = render_markdown("t", &delta);
+        assert!(
+            md.contains("| `g/b@parent` | 960.0 | 240.0 (baseline) | 4.00× as recorded |"),
+            "{md}"
+        );
     }
 
     #[test]

@@ -48,7 +48,59 @@ impl TaskState {
             TaskState::Completed | TaskState::Failed | TaskState::Poisoned
         )
     }
+
+    /// Whether a rollback has to re-arm the task whatever the frontier
+    /// says about completions: claimed, or written off.
+    fn is_unsettled(self) -> bool {
+        matches!(
+            self,
+            TaskState::Running | TaskState::Failed | TaskState::Poisoned
+        )
+    }
 }
+
+/// A restore target for [`TaskGraph::rollback_to`]: the set of tasks that
+/// were [`TaskState::Completed`] when [`TaskGraph::frontier`] took it, as
+/// one bit per task. Taking one copies n/64 words; it stays valid as the
+/// graph grows (later submissions are simply not in it).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Frontier {
+    bits: Vec<u64>,
+    /// Number of set bits.
+    count: usize,
+}
+
+impl Frontier {
+    /// Whether `id` was completed when the frontier was taken.
+    #[must_use]
+    pub fn contains(&self, id: TaskId) -> bool {
+        self.word(id.index() / 64) >> (id.index() % 64) & 1 == 1
+    }
+
+    /// Word `w` of the bitmap; zero past the graph size at snapshot time.
+    fn word(&self, w: usize) -> u64 {
+        self.bits.get(w).copied().unwrap_or(0)
+    }
+
+    /// The lowest task in the frontier whose index is `n` or more.
+    fn first_at_or_after(&self, n: usize) -> Option<TaskId> {
+        (n / 64..self.bits.len()).find_map(|w| {
+            let from = if w == n / 64 { n % 64 } else { 0 };
+            let word = self.bits[w] >> from << from;
+            (word != 0).then(|| TaskId((w * 64) as u64 + u64::from(word.trailing_zeros())))
+        })
+    }
+
+    /// Add `id` (no-op if present). The bitmap must already span it.
+    fn insert(&mut self, id: TaskId) {
+        let (w, mask) = (id.index() / 64, 1u64 << (id.index() % 64));
+        self.count += usize::from(self.bits[w] & mask == 0);
+        self.bits[w] |= mask;
+    }
+}
+
+/// Why [`TaskGraph::rollback_to`] refuses a frontier.
+const OPEN_FRONTIER: &str = "checkpoint frontier is not closed under dependences";
 
 /// Half-open window into one of the graph's flat arenas.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -169,6 +221,8 @@ pub struct TaskGraph {
     /// Reusable scratch for dependence inference (avoids a heap
     /// allocation per submitted task).
     pred_scratch: Vec<TaskId>,
+    /// See [`TaskGraph::rollback_visits`].
+    rollback_visits: u64,
 }
 
 impl TaskGraph {
@@ -846,87 +900,208 @@ impl TaskGraph {
         }
     }
 
+    /// Snapshot the current completed set as a restore target for
+    /// [`TaskGraph::rollback_to`]: a copy of the completed bitmap,
+    /// O(n/64) however many tasks have completed.
+    #[must_use]
+    pub fn frontier(&self) -> Frontier {
+        Frontier {
+            bits: self.completed_bits.clone(),
+            count: self.completed_count,
+        }
+    }
+
     /// Roll the graph back to a checkpointed execution frontier: exactly
-    /// the tasks in `completed` stay [`TaskState::Completed`], and every
-    /// other task — running, completed-since, failed or poisoned — is
-    /// re-armed to [`TaskState::Pending`]/[`TaskState::Ready`] with its
-    /// unmet-dependence count recomputed. Returns the tasks that are ready
-    /// after the rollback, in submission order.
+    /// the tasks in `frontier` are [`TaskState::Completed`] afterwards,
+    /// and every other task — running, completed-since, failed or
+    /// poisoned — is re-armed to [`TaskState::Pending`]/[`TaskState::Ready`]
+    /// with its unmet-dependence count recomputed. Tasks submitted after
+    /// the frontier was taken are simply outside it. Returns the tasks
+    /// that are ready after the rollback, in submission order.
     ///
-    /// This is the graph half of checkpoint/restart: the runtime records
-    /// the completed set when it takes a checkpoint, and on an
+    /// This is the graph half of checkpoint/restart: the runtime takes a
+    /// [`TaskGraph::frontier`] with each checkpoint, and on an
     /// unrecoverable task failure restores it here instead of poisoning
     /// the whole downstream cone (`legato-runtime`'s resilience module is
     /// the caller). Work completed after the checkpoint is *discarded*
     /// and will be re-executed.
     ///
+    /// The cost follows what changed, not the graph. A word-wise diff of
+    /// the completed bitmap against the frontier and a byte scan of the
+    /// states (n/64 words and n bytes read, nothing written) find the Δ
+    /// tasks that are completed on one side only or currently running,
+    /// failed or poisoned; only they and their direct successors have
+    /// state, unmet count and ready bit recomputed, and region liveness
+    /// is adjusted by the inverse of the counter updates their
+    /// transitions applied. Every other task is pending or ready on both
+    /// sides with the same completed predecessors, so nothing about it
+    /// moves.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownTask`] if the frontier names a task outside
+    /// the graph; [`CoreError::InvalidTransition`] (naming the lowest
+    /// offending id) if it is not closed under dependences (a task is
+    /// kept but one of its predecessors is not — such a frontier could
+    /// never have been reached). On error the graph is unchanged.
+    pub fn rollback_to(&mut self, frontier: &Frontier) -> Result<Vec<TaskId>, CoreError> {
+        if let Some(id) = frontier.first_at_or_after(self.nodes.len()) {
+            return Err(CoreError::UnknownTask(id));
+        }
+        // Δ: completed on one side only, or unsettled right now.
+        let mut delta = Vec::new();
+        for (w, chunk) in self.states.chunks(64).enumerate() {
+            let keep = frontier.word(w);
+            let mut bits = self.completed_bits[w] ^ keep;
+            for (b, &s) in chunk.iter().enumerate() {
+                bits |= u64::from(s.is_unsettled()) << b;
+            }
+            while bits != 0 {
+                delta.push(TaskId((w * 64) as u64 + u64::from(bits.trailing_zeros())));
+                bits &= bits - 1;
+            }
+        }
+        // A completed task's predecessors are completed or (submitted
+        // after one failed) written off, hence kept or in Δ: the frontier
+        // is closed iff no dropped task of Δ has a kept successor and
+        // every newly kept one has all its predecessors kept.
+        let offender = |&d: &TaskId| {
+            if frontier.contains(d) {
+                let preds = self.preds_of(d.index());
+                preds.iter().any(|&p| !frontier.contains(p)).then_some(d)
+            } else {
+                let succs = self.succs_of(d.index());
+                succs.iter().copied().find(|&s| frontier.contains(s))
+            }
+        };
+        if let Some(task) = delta.iter().filter_map(offender).min() {
+            return Err(CoreError::InvalidTransition {
+                task,
+                reason: OPEN_FRONTIER,
+            });
+        }
+
+        // A successor of Δ that is pending or ready stays one or the
+        // other, but one of its predecessors changed sides. (The rest of
+        // Δ's successors are in Δ, whose turn is next: a waiting one that
+        // the frontier keeps is re-armed here and completed there.)
+        for &d in &delta {
+            let span = self.nodes[d.index()].succs;
+            for k in 0..span.len {
+                let s = self.succ_arena[span.start + k];
+                if matches!(
+                    self.states[s.index()],
+                    TaskState::Pending | TaskState::Ready
+                ) {
+                    self.rearm(s, frontier);
+                }
+            }
+        }
+        // Δ itself: undo what `complete_into`/`retire_reads` applied to
+        // region liveness on the way here, then complete or re-arm.
+        for &d in &delta {
+            let was = self.states[d.index()];
+            if frontier.contains(d) {
+                if was == TaskState::Ready {
+                    self.remove_ready(d);
+                }
+                self.states[d.index()] = TaskState::Completed;
+                let outstanding = !matches!(was, TaskState::Failed | TaskState::Poisoned);
+                self.shift_liveness(d, -isize::from(outstanding), 1);
+            } else {
+                match was {
+                    TaskState::Completed => self.shift_liveness(d, 1, -1),
+                    TaskState::Failed | TaskState::Poisoned => self.shift_liveness(d, 1, 0),
+                    _ => {}
+                }
+                self.rearm(d, frontier);
+            }
+        }
+        for (w, word) in self.completed_bits.iter_mut().enumerate() {
+            *word = frontier.word(w);
+        }
+        self.completed_count = frontier.count;
+        Ok(self.ready())
+    }
+
+    /// Recompute an unfinished task's unmet count, state and ready bit
+    /// against the restored frontier.
+    fn rearm(&mut self, id: TaskId, frontier: &Frontier) {
+        self.rollback_visits += 1;
+        let preds = self.preds_of(id.index());
+        let unmet = preds.iter().filter(|&&p| !frontier.contains(p)).count();
+        self.unmet[id.index()] = unmet;
+        if unmet == 0 {
+            self.states[id.index()] = TaskState::Ready;
+            self.insert_ready(id);
+        } else {
+            self.states[id.index()] = TaskState::Pending;
+            self.remove_ready(id);
+        }
+    }
+
+    /// Add `readers` to the outstanding-reader count of every region `id`
+    /// reads and `writers` to the completed-writer count of every region
+    /// it writes (the rollback-side inverse of the transition updates).
+    fn shift_liveness(&mut self, id: TaskId, readers: isize, writers: isize) {
+        const MIRROR: &str = "liveness counters mirror task states";
+        for a in self.nodes[id.index()].accesses.range() {
+            let (region, mode) = self.access_arena[a];
+            self.update_liveness(region, |l| {
+                if mode.reads() {
+                    l.readers_outstanding = l
+                        .readers_outstanding
+                        .checked_add_signed(readers)
+                        .expect(MIRROR);
+                }
+                if mode.writes() {
+                    l.writers_done = l.writers_done.checked_add_signed(writers).expect(MIRROR);
+                }
+            });
+        }
+    }
+
+    /// Tasks whose state rollbacks have recomputed over the graph's
+    /// lifetime — a deterministic work counter: it grows with what each
+    /// rollback discarded, not with the size of the graph.
+    #[must_use]
+    pub fn rollback_visits(&self) -> u64 {
+        self.rollback_visits
+    }
+
+    /// [`TaskGraph::rollback_to`] for a frontier given as a task list (any
+    /// order, duplicates allowed): exactly the tasks in `completed` stay
+    /// [`TaskState::Completed`]. Returns the tasks that are ready after
+    /// the rollback, in submission order.
+    ///
     /// # Errors
     ///
     /// [`CoreError::UnknownTask`] if `completed` names a task outside the
     /// graph; [`CoreError::InvalidTransition`] if `completed` is not
-    /// closed under dependences (a task is listed but one of its
-    /// predecessors is not — such a frontier could never have been
-    /// reached). On error the graph is unchanged.
+    /// closed under dependences, naming the first listed task with an
+    /// unlisted predecessor. On error the graph is unchanged.
     pub fn rollback(&mut self, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreError> {
-        let mut keep = vec![false; self.nodes.len()];
+        let mut frontier = Frontier {
+            bits: vec![0; self.completed_bits.len()],
+            count: 0,
+        };
         for &id in completed {
             self.node(id)?;
-            keep[id.index()] = true;
+            frontier.insert(id);
         }
-        for &id in completed {
-            if self.preds_of(id.index()).iter().any(|p| !keep[p.index()]) {
-                return Err(CoreError::InvalidTransition {
-                    task: id,
-                    reason: "checkpoint frontier is not closed under dependences",
-                });
-            }
-        }
-        self.ready_bits.iter_mut().for_each(|w| *w = 0);
-        self.ready_count = 0;
-        self.completed_bits.iter_mut().for_each(|w| *w = 0);
-        self.completed_count = 0;
-        self.liveness.clear();
-        self.live_set.clear();
-        let mut ready = Vec::new();
-        for i in 0..self.nodes.len() {
-            if keep[i] {
-                self.states[i] = TaskState::Completed;
-                self.insert_completed(TaskId(i as u64));
-                continue;
-            }
-            let unmet = self.preds_of(i).iter().filter(|p| !keep[p.index()]).count();
-            self.unmet[i] = unmet;
-            if unmet == 0 {
-                self.states[i] = TaskState::Ready;
-                let id = TaskId(i as u64);
-                self.insert_ready(id);
-                ready.push(id);
-            } else {
-                self.states[i] = TaskState::Pending;
-            }
-        }
-        // Rebuild the region-liveness counters wholesale: the rollback is
-        // O(n) regardless, and every task is now either completed
-        // (writes count) or pending/ready (reads outstanding).
-        for (node, &completed) in self.nodes.iter().zip(&keep) {
-            for &(region, mode) in &self.access_arena[node.accesses.range()] {
-                let live = self.liveness.entry(region).or_default();
-                if completed && mode.writes() {
-                    live.writers_done += 1;
-                }
-                if !completed && mode.reads() {
-                    live.readers_outstanding += 1;
-                }
-            }
-        }
-        let live_now: Vec<RegionId> = self
-            .liveness
-            .iter()
-            .filter(|(_, l)| l.is_live())
-            .map(|(&r, _)| r)
-            .collect();
-        self.live_set.extend(live_now);
-        Ok(ready)
+        self.rollback_to(&frontier).map_err(|err| {
+            let open = |id: &&TaskId| {
+                let preds = self.preds_of(id.index());
+                preds.iter().any(|&p| !frontier.contains(p))
+            };
+            completed
+                .iter()
+                .find(open)
+                .map_or(err, |&task| CoreError::InvalidTransition {
+                    task,
+                    reason: OPEN_FRONTIER,
+                })
+        })
     }
 
     /// Walk the dependence edges backwards from `id` and return the set of
@@ -1365,6 +1540,9 @@ impl GraphBuilder {
         }
     }
 }
+
+#[cfg(test)]
+mod rollback_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -58,7 +58,6 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{TaskId, TaskKind, Work};
@@ -602,17 +601,14 @@ impl Runtime {
             &self.graph,
             &self.energy.op_fault_probs,
         )?;
-        // Copy-on-write snapshot of the incrementally maintained
-        // completed list (sorted by id = submission order): one copy per
-        // checkpoint, shared from then on.
-        let completed: Arc<[TaskId]> = self.graph.completed().into();
         let security = self.security.snapshot();
         let now = self.engine.now;
         let res = self.resilience.as_mut().expect("checked above");
         res.interval = Some(interval);
         res.last = Some(CheckpointRecord {
             time: now,
-            completed,
+            frontier: self.graph.frontier(),
+            accepted_mark: self.engine.accepted.len(),
             bytes: Bytes::ZERO,
             security,
         });
@@ -625,9 +621,9 @@ impl Runtime {
     /// the configured storage tier under the configured FTI strategy,
     /// and re-arm the next checkpoint.
     ///
-    /// Cost per checkpoint: O(completed) for the frontier snapshot and
-    /// O(live regions) for the volume — both incremental views maintained
-    /// by the graph, replacing the former full-graph scans.
+    /// Cost per checkpoint: O(n/64) for the frontier snapshot (a copy of
+    /// the completed bitmap) and O(live regions) for the volume — both
+    /// incremental views maintained by the graph.
     fn handle_checkpoint(&mut self, at: Seconds) {
         let finish = self.take_checkpoint(at);
         let res = self
@@ -644,7 +640,6 @@ impl Runtime {
     /// leaves (the armed periodic event is untouched). Returns the
     /// checkpoint's finish time.
     fn take_checkpoint(&mut self, at: Seconds) -> Seconds {
-        let completed: Arc<[TaskId]> = self.graph.completed().into();
         let security_snapshot = self.security.snapshot();
         let res = self
             .resilience
@@ -669,7 +664,8 @@ impl Runtime {
         let (start, finish) = res.storage.occupy(at, duration, bytes);
         res.last = Some(CheckpointRecord {
             time: finish,
-            completed,
+            frontier: self.graph.frontier(),
+            accepted_mark: self.engine.accepted.len(),
             bytes,
             security: security_snapshot,
         });
@@ -689,24 +685,33 @@ impl Runtime {
     /// retry budget at time `at`: discard post-checkpoint work (counted
     /// as wasted), pay the restart cost, and re-enqueue the re-armed
     /// ready set as engine events.
+    ///
+    /// Cost follows what is discarded: the acceptance-log entries since
+    /// the checkpoint (or the previous rollback to it), plus the graph's
+    /// differential [`TaskGraph::rollback_to`](legato_core::graph::TaskGraph::rollback_to).
     fn rollback_to_checkpoint(&mut self, task: TaskId, at: Seconds) -> Result<(), RuntimeError> {
         let res = self
             .resilience
             .as_mut()
             .expect("rollback only in resilience mode");
-        // Cheap clone: the frontier snapshot is an `Arc` slice.
-        let record = res.last.clone().expect("planning seeds the first record");
+        let record = res.last.as_mut().expect("planning seeds the first record");
+        // An outcome outside the frontier was accepted after the frontier
+        // was taken. Each rollback empties those slots and moves the mark
+        // up, so a task appears at most once past it; ascending id order
+        // keeps the floating-point sum of `wasted` reproducible.
+        let mut discarded = self.engine.accepted[record.accepted_mark..].to_vec();
+        record.accepted_mark = self.engine.accepted.len();
+        res.log_visits += discarded.len() as u64;
+        discarded.sort_unstable();
         let mut wasted = Seconds::ZERO;
-        // The snapshot is sorted by id, so membership is a binary search —
-        // no per-rollback hash set.
-        for slot in &mut self.engine.outcomes {
-            if let Some(o) = slot {
-                if record.completed.binary_search(&o.task).is_err() {
-                    wasted += o.finish - o.start;
-                    *slot = None;
-                }
+        for id in discarded {
+            if let Some(o) = self.engine.outcomes[id.index()].take() {
+                wasted += o.finish - o.start;
             }
         }
+        // The graph re-arms every failed and poisoned task, whenever it
+        // failed: none of them is failed any more.
+        self.engine.failed.clear();
         let restart = restart_cost(
             &res.config.fti,
             &res.config.tier,
@@ -740,7 +745,7 @@ impl Runtime {
             // timeout events no-op against the emptied list.
             churn.deferred.clear();
         }
-        let ready = self.graph.rollback(&record.completed)?;
+        let ready = self.graph.rollback_to(&record.frontier)?;
         // Region confidentiality rewinds with the frontier: discarded
         // post-checkpoint writes must not leave stale sealedness or
         // producer entries behind (the attestation cache stays — those

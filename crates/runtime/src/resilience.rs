@@ -25,7 +25,7 @@
 //!   end-to-end makespan overhead.
 //! * **Rollback** — when a task exhausts its retry budget, the engine
 //!   restores the last checkpointed frontier
-//!   ([`TaskGraph::rollback`](legato_core::graph::TaskGraph::rollback))
+//!   ([`TaskGraph::rollback_to`](legato_core::graph::TaskGraph::rollback_to))
 //!   and re-enqueues the re-armed work as engine events after the
 //!   restart cost, instead of failing the whole downstream cone. Work
 //!   completed since the checkpoint is counted as wasted (its energy
@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use legato_core::graph::TaskGraph;
+use legato_core::graph::{Frontier, TaskGraph};
 use legato_core::task::{RegionId, TaskId};
 use legato_core::units::{Bytes, Seconds};
 use legato_fti::mtbf::young_interval;
@@ -217,11 +217,13 @@ pub struct RollbackEvent {
 pub(crate) struct CheckpointRecord {
     /// Completion time of the checkpoint write.
     pub time: Seconds,
-    /// Tasks completed at snapshot time (the restore target), sorted by
-    /// id. A copy-on-write snapshot of the graph's incremental completed
-    /// list: materialized once per checkpoint, shared by reference
-    /// afterwards — cloning the record (every rollback does) is O(1).
-    pub completed: Arc<[TaskId]>,
+    /// Tasks completed at snapshot time (the restore target): a copy of
+    /// the graph's completed bitmap, n/64 words per checkpoint.
+    pub frontier: Frontier,
+    /// Length of the engine's acceptance log when the frontier was taken
+    /// (moved up to the log's end by each rollback): every outcome outside
+    /// the frontier was accepted at or after this entry.
+    pub accepted_mark: usize,
     /// Task-aware bytes the checkpoint wrote.
     pub bytes: Bytes,
     /// Region-confidentiality state at snapshot time (sealed regions and
@@ -248,6 +250,9 @@ pub(crate) struct ResilienceState {
     pub blackout_until: Seconds,
     pub stats: ResilienceStats,
     pub trace: Vec<RollbackEvent>,
+    /// Acceptance-log entries rollbacks have read so far (see
+    /// [`Runtime::rollback_visits`](crate::runtime::Runtime::rollback_visits)).
+    pub log_visits: u64,
 }
 
 impl ResilienceState {
@@ -261,6 +266,7 @@ impl ResilienceState {
             blackout_until: Seconds::ZERO,
             stats: ResilienceStats::default(),
             trace: Vec::new(),
+            log_visits: 0,
         }
     }
 }

@@ -271,6 +271,16 @@ impl Runtime {
         self.resilience.as_ref().map_or(&[], |r| r.trace.as_slice())
     }
 
+    /// Work rollbacks have done so far: tasks whose state the graph
+    /// recomputed plus acceptance-log entries read. Deterministic,
+    /// lifetime-cumulative and in no report — the observable that
+    /// rollback cost follows what was discarded since the checkpoint,
+    /// not the size of the graph.
+    #[must_use]
+    pub fn rollback_visits(&self) -> u64 {
+        self.graph.rollback_visits() + self.resilience.as_ref().map_or(0, |r| r.log_visits)
+    }
+
     /// Virtual time at which the last checkpoint (the current restore
     /// target) was committed; `None` before the first run plans its
     /// interval or when resilience is disabled.

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use legato_core::requirements::{Requirements, SecurityLevel};
+use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Seconds, Watt};
 use legato_fti::Strategy;
@@ -282,4 +282,99 @@ fn expired_deferral_fails_the_task_cleanly() {
         report.churn.expect("churn configured").deferred_placements,
         1
     );
+}
+
+/// Four dual-replica chains of 40 on two faulty GTX1080s with no retry
+/// budget — every detected fault rolls back — plus one enclave task
+/// with no successor and no TEE device to run on, so its deferral
+/// expires (after three task durations) and fails it, over and over,
+/// between rollbacks that re-arm it. Runs until the engine drains,
+/// stepping past each expiry.
+fn rolled_back_deferrals(trace: ChurnTrace) -> (Runtime, legato_runtime::RunReport) {
+    let dur = DeviceSpec::gtx1080().time_for(Work::flops(FLOPS), TaskKind::Compute);
+    let churn = ChurnConfig::new(trace)
+        .with_defer_window(Seconds(dur.0 * 3.0))
+        .expect("positive window");
+    let mut rt = EngineConfig::new()
+        .with_devices(vec![DeviceSpec::gtx1080(), DeviceSpec::gtx1080()])
+        .with_policy(Policy::Performance)
+        .with_seed(42)
+        .with_max_retries(0)
+        .with_churn(churn)
+        .with_resilience(ResilienceConfig::new(Seconds(dur.0 * 8.0)).with_max_rollbacks(100_000))
+        .build()
+        .expect("valid engine config");
+    rt.set_fault_prob(0, 0.05);
+    rt.set_fault_prob(1, 0.05);
+    rt.submit(
+        TaskDescriptor::named("sealed")
+            .with_work(Work::flops(FLOPS))
+            .with_requirements(Requirements::new().with_security(SecurityLevel::Enclave)),
+        [(1000, AccessMode::InOut)],
+    );
+    let dual = Requirements::new().with_criticality(Criticality::High);
+    for _ in 0..40 {
+        for chain in 0..4u64 {
+            rt.submit(
+                TaskDescriptor::named("link")
+                    .with_work(Work::flops(FLOPS))
+                    .with_requirements(dual),
+                [(chain, AccessMode::InOut)],
+            );
+        }
+    }
+    let report = loop {
+        match rt.run() {
+            Ok(report) => break report,
+            Err(RuntimeError::DeferralExpired(_)) => {}
+            Err(e) => panic!("unexpected refusal: {e}"),
+        }
+    };
+    (rt, report)
+}
+
+/// `placements` and `failed` partition the submitted tasks.
+fn assert_accounted(report: &legato_runtime::RunReport, tasks: usize) {
+    let mut seen: Vec<_> = report.placements.iter().map(|p| p.task).collect();
+    seen.extend(&report.failed);
+    seen.sort_unstable();
+    let listed = seen.len();
+    seen.dedup();
+    assert_eq!(seen.len(), listed, "a task is listed twice: {report:?}");
+    assert_eq!(listed, tasks, "placements + failed account for every task");
+}
+
+#[test]
+fn rollback_rewinds_the_failed_list_with_the_frontier() {
+    // No TEE device ever arrives: the enclave task ends failed — once,
+    // however many rollbacks re-armed it and expiries failed it again.
+    let (rt, report) = rolled_back_deferrals(ChurnTrace::new());
+    let res = report.resilience.expect("resilience configured");
+    assert!(res.rollbacks > 5, "scenario must roll back: {res:?}");
+    let deferred = report.churn.expect("churn configured").deferred_placements;
+    assert!(deferred > 1, "and re-park the re-armed task: {deferred}");
+    assert_eq!(report.failed, vec![legato_core::task::TaskId(0)]);
+    assert_accounted(&report, rt.graph().len());
+}
+
+#[test]
+fn a_task_failed_before_a_rollback_and_placed_after_it_is_not_failed() {
+    // A TEE device arrives after the first expiries: the next rollback
+    // re-arms the enclave task and it runs. It is a placement, not a
+    // failure as well.
+    let dur = DeviceSpec::gtx1080().time_for(Work::flops(FLOPS), TaskKind::Compute);
+    let trace = ChurnTrace::from_events(vec![ChurnEvent {
+        at: Seconds(dur.0 * 30.0),
+        kind: ChurnEventKind::Arrival {
+            spec: DeviceSpec::xeon_x86(),
+            pool: None,
+            fault_prob: 0.0,
+        },
+    }]);
+    let (rt, report) = rolled_back_deferrals(trace);
+    let sealed = &report.placements[0];
+    assert_eq!(sealed.task, legato_core::task::TaskId(0));
+    assert_eq!(sealed.devices.as_slice(), &[2], "ran on the arrived TEE");
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert_accounted(&report, rt.graph().len());
 }
