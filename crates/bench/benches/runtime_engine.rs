@@ -1,12 +1,10 @@
-//! Criterion bench for E8: the event-driven execution engine vs the
-//! legacy topological sweep on wide graphs (≥ 1k tasks, fan-out/fan-in).
+//! Criterion bench for E8: the event-driven execution engine on wide
+//! graphs (≥ 1k tasks, fan-out/fan-in).
 //!
-//! Two things are measured per scenario: how fast each executor *runs*
-//! (simulator overhead — the engine pays for its event queues, the sweep
-//! for its per-task allocations), while the printed `makespan` assertions
-//! in `tests/full_stack.rs` cover the *simulated* quality win. A third
-//! group exercises the incremental ready-set maintenance in
-//! `legato-core` on its own.
+//! The `event_driven` rows measure how fast the engine *runs* (simulator
+//! overhead); the `makespan` assertions in `tests/full_stack.rs` cover
+//! the *simulated* schedule quality. A second group exercises the
+//! incremental ready-set maintenance in `legato-core` on its own.
 //!
 //! Every row declares the scenario's task count as its throughput, so
 //! `BENCH_runtime.json` rows carry `throughput.elements_per_iter` exactly
@@ -14,7 +12,7 @@
 //! stay comparable across PRs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use legato_bench::experiments::engine::{compare, Scenario};
+use legato_bench::experiments::engine::Scenario;
 use legato_bench::experiments::goals;
 use legato_core::graph::{GraphBuilder, TaskGraph};
 use legato_core::task::{AccessMode, TaskDescriptor, Work};
@@ -48,16 +46,6 @@ fn bench_executors(c: &mut Criterion) {
                 scenario.build(&mut rt, 42);
                 rt.run().expect("devices present")
             })
-        });
-        g.bench_function(&format!("{name}/sweep"), |b| {
-            b.iter(|| {
-                let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
-                scenario.build(&mut rt, 42);
-                rt.run_sweep().expect("devices present")
-            })
-        });
-        g.bench_function(&format!("{name}/makespan_comparison"), |b| {
-            b.iter(|| black_box(compare(scenario, policy, 42).speedup()))
         });
     }
     g.finish();

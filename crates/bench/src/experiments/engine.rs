@@ -1,41 +1,37 @@
-//! E8 — event-driven execution engine vs the legacy topological sweep.
+//! E8 — wide-graph scenarios for the event-driven execution engine.
 //!
-//! Two wide-graph scenarios (≥ 1k tasks, fan-out/fan-in) exercise the
-//! difference between scheduling in *submission* order and scheduling in
-//! *readiness* order:
+//! Two wide-graph scenarios (≥ 1k tasks, fan-out/fan-in) where scheduling
+//! in *readiness* order beats committing placements in *submission* order
+//! (what the deleted topological sweep did; its makespans on these two
+//! scenarios are frozen as goldens in `tests/full_stack.rs`):
 //!
 //! * [`Scenario::Wide`] — a scatter task fans out to many independent
 //!   dependency chains of uneven length and work, joined by a gather
-//!   task. Devices saturate, so both executors approach the work-bound
-//!   makespan; the engine's readiness-order placement still wins the
-//!   tail.
+//!   task. Devices saturate, so any greedy executor approaches the
+//!   work-bound makespan; readiness-order placement still wins the tail.
 //! * [`Scenario::Straggler`] — the same fan-out/fan-in shell around bulk
-//!   chains *plus a few deep, thin chains submitted last*. The sweep
-//!   commits every bulk task's device window before it even looks at the
-//!   thin chains' roots (ready since the scatter), serializing the
-//!   stragglers behind the bulk; the engine interleaves them from the
-//!   start. This is where the event-driven win is large (≈ 1.5–1.7×
-//!   under the weighted trade-off policy).
+//!   chains *plus a few deep, thin chains submitted last*. A
+//!   submission-order executor commits every bulk task's device window
+//!   before it even looks at the thin chains' roots (ready since the
+//!   scatter), serializing the stragglers behind the bulk; the engine
+//!   interleaves them from the start (1.72× under the weighted trade-off
+//!   policy).
 //!
-//! [`compare`] runs both executors on identical workloads and reports
-//! makespan and energy side by side; the `runtime_engine` criterion
-//! bench and the full-stack integration tests build on it.
+//! The `runtime_engine` criterion bench, `analyze_experiments` and
+//! `experiments::energy` build on these scenarios.
 
 use legato_core::requirements::{Criticality, Requirements};
 use legato_core::task::{AccessMode, TaskDescriptor, TaskKind, Work};
-use legato_core::units::{Joule, Seconds};
-use legato_runtime::{Policy, RunReport, Runtime};
+use legato_runtime::Runtime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use super::goals::reference_devices;
 
 /// Region carrying the scatter task's fan-out output.
 const SCATTER_REGION: u64 = 0;
 /// First region id used by chains (one private region per chain).
 const CHAIN_REGION_BASE: u64 = 1;
 
-/// A wide-graph workload shape for the executor comparison.
+/// A wide-graph workload shape.
 #[derive(Debug, Clone, Copy)]
 pub enum Scenario {
     /// Saturating fan-out into `chains` uneven chains of mean `depth`.
@@ -131,9 +127,9 @@ impl Scenario {
             Scenario::Wide { chains, depth } => {
                 for c in 0..chains {
                     let d = rng.gen_range((depth / 2).max(1)..=depth * 2);
-                    // Heavier work on earlier chains: the sweep commits
-                    // these far into the future before looking at later,
-                    // lighter chains.
+                    // Heavier work on earlier chains: committing in
+                    // submission order books these far into the future
+                    // before looking at later, lighter chains.
                     let scale = 1.0 + 4.0 * (chains - c) as f64 / chains as f64;
                     tasks += chain(
                         rt,
@@ -166,7 +162,7 @@ impl Scenario {
                 // The stragglers: long serial chains of mid-size tasks,
                 // submitted after every bulk task. Their per-task work is
                 // big enough that parking them on the slowest device is
-                // never worthwhile — the sweep has no escape hatch.
+                // never worthwhile — submission order has no escape hatch.
                 for _ in 0..thin_chains {
                     tasks += chain(
                         rt,
@@ -192,68 +188,11 @@ impl Scenario {
     }
 }
 
-/// Makespan and energy of one executor on a scenario.
-#[derive(Debug, Clone)]
-pub struct ExecutorRow {
-    /// `"event-driven"` or `"topological sweep"`.
-    pub executor: String,
-    /// Completion time of the last task.
-    pub makespan: Seconds,
-    /// Busy energy over the run.
-    pub energy: Joule,
-}
-
-/// Side-by-side comparison of the two executors on identical workloads.
-#[derive(Debug, Clone)]
-pub struct EngineComparison {
-    /// Tasks in the graph.
-    pub tasks: usize,
-    /// Policy both executors ran under.
-    pub policy: String,
-    /// Event-driven engine result.
-    pub engine: ExecutorRow,
-    /// Topological sweep result.
-    pub sweep: ExecutorRow,
-}
-
-impl EngineComparison {
-    /// Sweep makespan divided by engine makespan (> 1 means the engine
-    /// wins).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sweep.makespan.0 / self.engine.makespan.0.max(1e-12)
-    }
-}
-
-/// Build `scenario` twice (identical submissions) and execute it once
-/// with each executor under `policy`.
-#[must_use]
-pub fn compare(scenario: Scenario, policy: Policy, seed: u64) -> EngineComparison {
-    let fresh = || {
-        let mut rt = Runtime::new(reference_devices(), policy, seed);
-        let tasks = scenario.build(&mut rt, seed);
-        (rt, tasks)
-    };
-    let (mut rt_engine, tasks) = fresh();
-    let engine = rt_engine.run().expect("devices present");
-    let (mut rt_sweep, _) = fresh();
-    let sweep = rt_sweep.run_sweep().expect("devices present");
-    let row = |label: &str, rep: &RunReport| ExecutorRow {
-        executor: label.to_string(),
-        makespan: rep.makespan,
-        energy: rep.busy_energy,
-    };
-    EngineComparison {
-        tasks,
-        policy: format!("{policy:?}"),
-        engine: row("event-driven", &engine),
-        sweep: row("topological sweep", &sweep),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::goals::reference_devices;
+    use legato_runtime::Policy;
 
     #[test]
     fn reference_scenarios_are_wide_enough() {
@@ -264,28 +203,5 @@ mod tests {
             // Fan-out/fan-in: only the scatter task is initially ready.
             assert_eq!(rt.graph().ready().len(), 1);
         }
-    }
-
-    #[test]
-    fn engine_beats_sweep_on_saturating_wide_graph() {
-        let cmp = compare(Scenario::reference_wide(), Policy::Performance, 42);
-        assert!(
-            cmp.engine.makespan < cmp.sweep.makespan,
-            "event-driven must win: engine {} vs sweep {}",
-            cmp.engine.makespan,
-            cmp.sweep.makespan
-        );
-    }
-
-    #[test]
-    fn engine_wins_big_on_stragglers() {
-        let cmp = compare(Scenario::reference_straggler(), Policy::Weighted(0.5), 42);
-        assert!(
-            cmp.speedup() > 1.3,
-            "straggler interleaving should be a decisive win, got {:.3} ({} vs {})",
-            cmp.speedup(),
-            cmp.engine.makespan,
-            cmp.sweep.makespan
-        );
     }
 }

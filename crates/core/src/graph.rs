@@ -1132,38 +1132,22 @@ impl TaskGraph {
     }
 
     /// A topological order of all tasks, computed by indegree counting
-    /// (Kahn's algorithm) with a smallest-id frontier.
+    /// (Kahn's algorithm) with a smallest-id frontier — or the tasks of a
+    /// dependence cycle when one exists.
     ///
     /// Because dependence edges always point from an earlier submission to
-    /// a later one, the result coincides with submission order — but it is
+    /// a later one, the order coincides with submission order — but it is
     /// *derived* from the edges rather than assumed, so it stays correct
-    /// for any acyclic edge set and doubles as a structural self-check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge set contains a cycle (impossible through the
-    /// public API, which only creates forward edges). Use
-    /// [`TaskGraph::try_topological_order`] to get the cycle named
-    /// instead of a panic.
-    #[must_use]
-    pub fn topological_order(&self) -> Vec<TaskId> {
-        match self.try_topological_order() {
-            Ok(order) => order,
-            Err(cycle) => panic!("dependence edges must form a DAG, found cycle {cycle:?}"),
-        }
-    }
-
-    /// A topological order, or the tasks of a dependence cycle when one
-    /// exists: `Err(path)` names tasks `t₀ → t₁ → … → t₀` where each
-    /// task depends on the previous one and the first depends on the
-    /// last. The non-panicking form of
-    /// [`TaskGraph::topological_order`], used by the static analyzer to
-    /// turn a malformed edge set into a diagnostic instead of an abort.
+    /// for any acyclic edge set and doubles as a structural self-check
+    /// (a cycle is impossible through the public API, which only creates
+    /// forward edges). The static analyzer uses it to turn a malformed
+    /// edge set into a diagnostic instead of an abort.
     ///
     /// # Errors
     ///
-    /// `Err(cycle)` when the edge set is not a DAG; the path is
-    /// non-empty and closed (last task has an edge to the first).
+    /// `Err(path)` when the edge set is not a DAG: `path` names tasks
+    /// `t₀ → t₁ → … → t₀` where each task depends on the previous one and
+    /// the first depends on the last — non-empty and closed.
     pub fn try_topological_order(&self) -> Result<Vec<TaskId>, Vec<TaskId>> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -1671,8 +1655,6 @@ mod tests {
             .predecessors(cycle[0])
             .unwrap()
             .contains(cycle.last().unwrap()));
-        // The panicking form still panics.
-        assert!(std::panic::catch_unwind(|| g.topological_order()).is_err());
     }
 
     #[test]
@@ -1865,7 +1847,7 @@ mod tests {
         for i in 0..50u64 {
             g.add_task(desc("t"), [(i % 7, AccessMode::InOut)]);
         }
-        let order = g.topological_order();
+        let order = g.try_topological_order().expect("forward edges only");
         assert_eq!(order, (0..50).map(TaskId).collect::<Vec<_>>());
         // And it is a genuine topological order: preds before succs.
         let pos: Vec<usize> = order.iter().map(|t| t.index()).collect();

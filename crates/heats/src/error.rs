@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors produced by the HEATS scheduler.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum HeatsError {
     /// A task demands more resources than any node in the cluster has.
@@ -16,6 +16,16 @@ pub enum HeatsError {
     UnknownId(usize),
     /// The cluster has no nodes.
     EmptyCluster,
+    /// A task's energy/performance weight is not a finite value in
+    /// `[0, 1]` (the `weight` field is public; only
+    /// [`TaskRequest::with_weight`](crate::TaskRequest::with_weight)
+    /// checks it up front).
+    InvalidWeight {
+        /// The task's name.
+        task: String,
+        /// The rejected weight.
+        weight: f64,
+    },
 }
 
 impl fmt::Display for HeatsError {
@@ -26,6 +36,9 @@ impl fmt::Display for HeatsError {
             }
             HeatsError::UnknownId(id) => write!(f, "unknown id {id}"),
             HeatsError::EmptyCluster => write!(f, "cluster has no nodes"),
+            HeatsError::InvalidWeight { task, weight } => {
+                write!(f, "task '{task}' has weight {weight}, outside [0, 1]")
+            }
         }
     }
 }

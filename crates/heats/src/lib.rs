@@ -22,9 +22,9 @@
 //!   pass migrates running tasks when a sufficiently better fit appears.
 //!
 //! Scoring and placement are not HEATS-private: both go through the
-//! shared scheduler layer in [`legato_runtime::sched`], so HEATS'
+//! shared scheduler layer in [`legato_runtime::scheduler`], so HEATS'
 //! model-learned predictions and the task runtime's analytic device
-//! estimates feed the *same* [`Scheduler`](legato_runtime::sched::Scheduler)
+//! estimates feed the *same* [`Scheduler`](legato_runtime::Scheduler)
 //! implementations and are interchangeable.
 //!
 //! ## Example

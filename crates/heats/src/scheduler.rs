@@ -7,7 +7,7 @@
 //! the scheduler performs a migration" (paper §V).
 //!
 //! Placement and migration decisions go through the **shared scheduler
-//! layer** ([`legato_runtime::sched`]): HEATS turns its model-learned
+//! layer** ([`legato_runtime::scheduler`]): HEATS turns its model-learned
 //! predictions into [`Estimate`]s and lets the same
 //! [`Scheduler`]/[`Policy`] machinery that drives the task runtime's
 //! device placement pick the node — the customer's energy/performance
@@ -19,8 +19,7 @@ use std::collections::VecDeque;
 use legato_core::task::Work;
 use legato_core::units::{Joule, Seconds};
 use legato_hw::cluster::NodeSpec;
-use legato_runtime::sched::{Estimate, Scheduler, ScoreNorm};
-use legato_runtime::scheduler::Policy;
+use legato_runtime::scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterNode, RunningTask};
@@ -189,7 +188,9 @@ impl Heats {
     /// # Errors
     ///
     /// [`HeatsError::Unsatisfiable`] when a task exceeds every node's
-    /// *total* capacity (it could never run).
+    /// *total* capacity (it could never run);
+    /// [`HeatsError::InvalidWeight`] when a task's trade-off weight is not
+    /// a finite value in `[0, 1]`.
     pub fn schedule(&mut self, now: Seconds) -> Result<Vec<PlacementDecision>, HeatsError> {
         let mut placed = Vec::new();
         let mut still_pending = VecDeque::new();
@@ -197,7 +198,13 @@ impl Heats {
             if !self.satisfiable(&request) {
                 return Err(HeatsError::Unsatisfiable { task: request.name });
             }
-            match self.best_node(&request, None) {
+            let Ok(policy) = Policy::weighted(request.weight) else {
+                return Err(HeatsError::InvalidWeight {
+                    task: request.name,
+                    weight: request.weight,
+                });
+            };
+            match self.best_node(&request, policy) {
                 Some((node, time, energy)) => {
                     let finish = now + time;
                     self.nodes[node].place(RunningTask {
@@ -307,7 +314,10 @@ impl Heats {
                 self.typical_time(&rem_request),
                 self.typical_energy(&rem_request),
             );
-            let policy = Policy::Weighted(rem_request.weight);
+            // `schedule` admitted this instance, so its weight is valid.
+            let Ok(policy) = Policy::weighted(rem_request.weight) else {
+                continue;
+            };
             if let Some(i) = policy.migrate(&stay, &alternatives, &norm, self.migration_threshold) {
                 let to = candidates[i];
                 let t = alternatives[i].finish;
@@ -346,21 +356,17 @@ impl Heats {
     /// `(node, predicted_time, predicted_energy)`.
     ///
     /// The model-learned predictions become [`Estimate`]s and the
-    /// customer weight a [`Policy::Weighted`]; placement is the shared
-    /// [`Scheduler::place`] over them.
-    fn best_node(
-        &self,
-        request: &TaskRequest,
-        exclude: Option<usize>,
-    ) -> Option<(usize, Seconds, Joule)> {
+    /// customer weight the [`Policy::Weighted`] passed as `policy`;
+    /// placement is the shared [`Scheduler::place`] over them.
+    fn best_node(&self, request: &TaskRequest, policy: Policy) -> Option<(usize, Seconds, Joule)> {
         let candidates: Vec<usize> = (0..self.nodes.len())
-            .filter(|&n| Some(n) != exclude && self.nodes[n].fits(request))
+            .filter(|&n| self.nodes[n].fits(request))
             .collect();
         let estimates: Vec<Estimate> = candidates
             .iter()
             .map(|&n| self.estimate(request, n))
             .collect();
-        let i = Policy::Weighted(request.weight).place(&estimates)?;
+        let i = policy.place(&estimates)?;
         Some((candidates[i], estimates[i].finish, estimates[i].energy))
     }
 
@@ -503,6 +509,25 @@ mod tests {
             h.schedule(Seconds::ZERO),
             Err(HeatsError::Unsatisfiable { .. })
         ));
+    }
+
+    #[test]
+    fn unvalidated_weight_is_a_typed_error() {
+        // The field is public, so a struct literal bypasses `with_weight`.
+        for weight in [2.0, f64::NAN] {
+            let mut h = cluster();
+            h.submit(TaskRequest {
+                weight,
+                ..compute_task(0.5)
+            });
+            assert!(
+                matches!(
+                    h.schedule(Seconds::ZERO),
+                    Err(HeatsError::InvalidWeight { .. })
+                ),
+                "weight {weight} must be refused, not scored"
+            );
+        }
     }
 
     #[test]

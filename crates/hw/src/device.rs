@@ -560,12 +560,6 @@ impl Device {
     pub fn meter(&self) -> &EnergyMeter {
         &self.meter
     }
-
-    /// Reset execution state (meter and availability).
-    pub fn reset(&mut self) {
-        self.meter.reset();
-        self.busy_until = Seconds::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -655,8 +649,6 @@ mod tests {
         assert!((d.meter().total().0 - 12.0).abs() < 1e-6); // 12 W × 1 s
         d.record_idle(Seconds(10.0));
         assert!((d.meter().total().0 - 42.0).abs() < 1e-6); // + 3 W × 10 s
-        d.reset();
-        assert_eq!(d.meter().total(), Joule::ZERO);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn task_declared_volume(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>)
 #[must_use]
 pub fn full_memory_volume(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>) -> Bytes {
     // Task ids are dense, so a direct index walk enumerates every task —
-    // no need for the Kahn `topological_order()` (O(V+E) plus an
+    // no need for the Kahn `try_topological_order()` (O(V+E) plus an
     // allocation) the original implementation built just to list ids.
     let mut seen: HashSet<RegionId> = HashSet::new();
     for id in 0..graph.len() {

@@ -12,7 +12,7 @@
 //! * an [`EnergyConfig`] selects a rung per device. The effective spec
 //!   (derated compute rate, scaled idle/busy draw) is derived once at
 //!   [`EngineConfig::build`](crate::config::EngineConfig::build) time, so
-//!   every scheduler [`Estimate`](crate::sched::Estimate), every
+//!   every scheduler [`Estimate`](crate::scheduler::Estimate), every
 //!   committed execution and every energy-meter sample is
 //!   operating-point-aware with zero hot-path cost;
 //! * an optional [`EnergyObjective`] turns placement into a Pareto

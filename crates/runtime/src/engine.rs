@@ -1,14 +1,6 @@
 //! The event-driven execution engine behind [`Runtime::run`].
 //!
-//! The original executor was a *topological sweep*: it walked the task
-//! graph in submission order and committed every task's placement before
-//! even looking at the next one. On wide graphs that order is a poor
-//! proxy for time — a task submitted early but ready late would reserve a
-//! device window far in the future, and a task ready *now* (submitted
-//! later) could no longer slot in front of it, because simulated devices
-//! only append to their timelines.
-//!
-//! This module replaces the sweep with a discrete-event simulation:
+//! A discrete-event simulation:
 //!
 //! * `(time, seq)`-ordered **task-ready** and **replica-finish** events
 //!   drive execution (a device-free moment is exactly the finish event
@@ -21,9 +13,9 @@
 //!   [`Runtime::run`] calls): they join the in-flight schedule at the
 //!   current virtual time;
 //! * the fault model, selective replication, majority voting and the
-//!   retry budget behave exactly as in the sweep — the verdict for each
-//!   attempt is evaluated when its replicas *join* (the finish event),
-//!   and retries restart from that moment;
+//!   retry budget are evaluated per attempt — the verdict when its
+//!   replicas *join* (the finish event), and retries restart from that
+//!   moment;
 //! * with [`resilience`](crate::resilience) enabled, periodic
 //!   **checkpoint** events snapshot the completed frontier (task-aware
 //!   volume, FTI-priced), and a task that exhausts its retry budget
@@ -31,8 +23,8 @@
 //!   its downstream cone.
 //!
 //! Every placement goes through the shared [`Scheduler`] trait
-//! ([`sched`](crate::sched)), the same abstraction HEATS drives its
-//! cluster placements with.
+//! ([`scheduler`](crate::scheduler)), the same abstraction HEATS drives
+//! its cluster placements with.
 //!
 //! The per-event path is engineered to be allocation-free and to touch
 //! as little memory as the simulation semantics allow — event-class
@@ -43,18 +35,7 @@
 //! is allowed to allocate where, and the invariants the equivalence
 //! proptests pin.
 //!
-//! **Trade-off, stated honestly:** both executors are greedy
-//! earliest-finish placers over append-only device timelines; they
-//! differ only in commitment order. At saturation and on
-//! straggler-tailed workloads event order wins the *simulated* makespan
-//! decisively, and since the allocation-discipline work the engine also
-//! runs at or below the sweep's own wall-clock (see the `runtime_engine`
-//! bench). On small, under-loaded chain unions, submission order
-//! doubles as a chain-depth priority and can beat plain readiness
-//! order — a future refinement is a critical-path-aware priority on
-//! ready events.
-//!
-//! [`Scheduler`]: crate::sched::Scheduler
+//! [`Scheduler`]: crate::scheduler::Scheduler
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -73,7 +54,7 @@ use crate::pool::DevicePools;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
-use crate::sched::Estimate;
+use crate::scheduler::Estimate;
 use crate::security::SecurityState;
 
 /// The devices and per-replica results of one (possibly replicated)
@@ -388,8 +369,8 @@ impl EngineState {
         }
     }
 
-    /// Drop every queued event (used by the legacy sweep, which executes
-    /// the outstanding tasks itself, and by checkpoint rollback).
+    /// Drop every queued event (checkpoint rollback re-queues the ready
+    /// frontier afterwards).
     pub(crate) fn clear_events(&mut self) {
         self.heap.clear();
         self.ready_queue.clear();
@@ -902,8 +883,8 @@ impl Runtime {
     }
 
     fn handle_ready(&mut self, task: TaskId, at: Seconds) -> Result<(), RuntimeError> {
-        // Stale events (task already executed by `run_sweep`, or poisoned
-        // by an upstream failure) are dropped, not errors; `try_claim`
+        // Stale events (task poisoned by an upstream failure) are
+        // dropped, not errors; `try_claim`
         // answers "still ready?", claims, and returns the descriptor in
         // one node access. Everything a launch needs is copied into one
         // `Attempt` here.
@@ -996,7 +977,7 @@ impl Runtime {
     /// This is the allocation-free half of the hot path: placement
     /// estimates go into a per-runtime scratch buffer, and device
     /// selection is the O(D·k)
-    /// [`Scheduler::select_k`](crate::sched::Scheduler::select_k) into
+    /// [`Scheduler::select_k`](crate::scheduler::Scheduler::select_k) into
     /// an inline array — no ranking vector, no sort. Confidential tasks
     /// (and tasks reading sealed regions) first build a per-device
     /// security plan whose costs are folded into the estimates, so the

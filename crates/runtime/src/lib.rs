@@ -106,7 +106,6 @@ pub mod pool;
 pub mod replication;
 pub mod resilience;
 pub mod runtime;
-pub mod sched;
 pub mod scheduler;
 pub mod security;
 pub mod service;
@@ -122,7 +121,6 @@ pub use pool::{PoolConfig, TopologyConfig};
 pub use replication::MAX_REPLICAS;
 pub use resilience::{ResilienceConfig, ResilienceStats, RollbackEvent, SessionCheckpoint};
 pub use runtime::{ReplicaDevices, RunReport, Runtime, TaskOutcome};
-pub use sched::{Estimate, Scheduler, ScoreNorm};
-pub use scheduler::Policy;
+pub use scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
 pub use security::{SecurityConfig, SecurityStats};
 pub use service::{Service, ServiceConfig, TenantId, TenantReport, TenantSpec};

@@ -33,7 +33,7 @@
 //! Because pruning only skips devices that are *strictly* worse than
 //! the k-th selected score, and ties among evaluated devices break
 //! toward the lowest device index — exactly the flat
-//! [`select_k`](crate::sched::Scheduler::select_k) tie-break — the
+//! [`select_k`](crate::scheduler::Scheduler::select_k) tie-break — the
 //! selected set, order and committed plans are bit-identical to the
 //! flat O(D) scan (proptest-pinned in `tests/pool_equivalence.rs`).
 //!
@@ -69,8 +69,7 @@ use legato_hw::recs::RecsBox;
 
 use crate::error::RuntimeError;
 use crate::replication::MAX_REPLICAS;
-use crate::sched::{Estimate, Scheduler, ScoreNorm};
-use crate::scheduler::Policy;
+use crate::scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
 
 /// How the device fleet is partitioned into pools.
 ///
@@ -345,11 +344,6 @@ impl DevicePools {
     /// minimum is stale.
     pub(crate) fn mark_dirty(&mut self, d: usize) {
         self.dirty[self.shard_of[d]] = true;
-    }
-
-    /// Every cached minimum is stale (device reset, sweep execution).
-    pub(crate) fn mark_all_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|f| *f = true);
     }
 
     /// Grow the structures for an arriving device `d` (which must be the

@@ -31,7 +31,7 @@
 //!   completed since the checkpoint is counted as wasted (its energy
 //!   stays on the device meters — it really was burned).
 //!
-//! [`Estimate`]: crate::sched::Estimate
+//! [`Estimate`]: crate::scheduler::Estimate
 //! [`Strategy::Initial`]: legato_fti::Strategy::Initial
 //! [`Strategy::Async`]: legato_fti::Strategy::Async
 //! [`StorageTier`]: legato_hw::storage::StorageTier
@@ -49,8 +49,7 @@ use legato_hw::storage::{StorageDevice, StorageTier};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuntimeError;
-use crate::sched::{Estimate, Scheduler};
-use crate::scheduler::Policy;
+use crate::scheduler::{Estimate, Policy, Scheduler};
 
 /// Configuration of the engine's checkpoint/restart mode
 /// ([`EngineConfig::with_resilience`](crate::config::EngineConfig::with_resilience)).

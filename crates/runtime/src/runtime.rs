@@ -1,17 +1,14 @@
 //! The OmpSs-style dataflow runtime over simulated heterogeneous devices.
 //!
 //! Execution is driven by the event-driven engine in
-//! [`engine`](crate::engine); the legacy topological sweep is kept as
-//! [`Runtime::run_sweep`] so its schedules can be compared against the
-//! engine's (the `runtime_engine` bench and the full-stack tests do
-//! exactly that).
+//! [`engine`](crate::engine) — the one executor.
 
 use legato_core::graph::{TaskGraph, TaskState};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
 use legato_core::units::{Joule, Seconds};
 use legato_hw::device::{Device, DeviceId, DeviceSpec};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::analyze::{self, AnalysisConfig, AnalysisContext, AnalysisReport, AnalysisState};
@@ -20,7 +17,7 @@ use crate::energy::{EnergyState, EnergyStats};
 use crate::engine::EngineState;
 use crate::error::RuntimeError;
 use crate::pool::{DevicePools, TopologyState};
-use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict};
+use crate::replication::ReplicationStats;
 use crate::resilience::{ResilienceState, ResilienceStats, RollbackEvent};
 use crate::scheduler::Policy;
 use crate::security::{SecurityState, SecurityStats};
@@ -36,22 +33,6 @@ pub struct ReplicaDevices {
 }
 
 impl ReplicaDevices {
-    /// Build from a slice of device indices (primary replica first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` exceeds
-    /// [`MAX_REPLICAS`](crate::replication::MAX_REPLICAS) entries.
-    #[must_use]
-    pub fn from_slice(devices: &[usize]) -> Self {
-        let mut inline = [0usize; crate::replication::MAX_REPLICAS];
-        inline[..devices.len()].copy_from_slice(devices);
-        ReplicaDevices {
-            devices: inline,
-            len: devices.len() as u8,
-        }
-    }
-
     /// The device indices as a slice (primary replica first).
     #[must_use]
     pub fn as_slice(&self) -> &[usize] {
@@ -460,210 +441,6 @@ impl Runtime {
     pub fn devices(&self) -> &[Device] {
         &self.devices
     }
-
-    /// Execute every outstanding task with the **legacy topological
-    /// sweep** and return the report.
-    ///
-    /// This is the pre-engine executor, kept as the comparison baseline:
-    /// it walks the graph in topological (submission) order and commits
-    /// every task's placement in that order, so a task that is ready
-    /// early but submitted late cannot slot in front of already-committed
-    /// device time. [`Runtime::run`] (the event-driven engine) schedules
-    /// in event order instead and never does worse on dependency chains —
-    /// the `runtime_engine` bench quantifies the gap on wide graphs.
-    ///
-    /// The sweep bypasses the persistent engine: its report covers
-    /// exactly the tasks it executed, and the engine's queued events for
-    /// those tasks are discarded (the sweep drains the graph, so
-    /// [`Runtime::has_pending_events`] stays honest afterwards). The
-    /// security layer is engine-only: rather than silently skipping
-    /// enclave placement and seal accounting, the sweep refuses to run
-    /// once any confidential task has been submitted — use
-    /// [`Runtime::run`] for confidential workloads.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::NoDevices`] when the runtime has no devices;
-    /// [`RuntimeError::InvalidWeight`] for an unusable
-    /// [`Policy::Weighted`] weight; [`RuntimeError::Security`] when a
-    /// confidential task has been submitted (the sweep cannot honour
-    /// confidentiality and will not pretend to).
-    pub fn run_sweep(&mut self) -> Result<RunReport, RuntimeError> {
-        if self.devices.is_empty() {
-            return Err(RuntimeError::NoDevices);
-        }
-        self.policy.validate()?;
-        if self.security.active {
-            return Err(RuntimeError::Security(
-                "the topological sweep is security-unaware; use run() for workloads \
-                 with confidential tasks"
-                    .into(),
-            ));
-        }
-        if self.energy.objective.is_some() {
-            // Rung selection (baked into the specs) is honest in the
-            // sweep, but a Pareto objective steers placement and only
-            // the engine implements it.
-            return Err(RuntimeError::invalid_parameter(
-                "objective",
-                "the topological sweep ignores Pareto objectives; use run() for \
-                 energy-objective workloads",
-            ));
-        }
-        if self.churn.is_some() {
-            // The sweep has no event order to merge churn into; it would
-            // silently run on the build-time fleet.
-            return Err(RuntimeError::invalid_parameter(
-                "churn",
-                "the topological sweep ignores device churn; use run() for \
-                 malleable fleets",
-            ));
-        }
-        // The sweep executes every outstanding task itself; any ready
-        // events the engine queued for them would be stale no-ops.
-        self.engine.clear_events();
-        let n = self.graph.len();
-        let mut finish_at = vec![Seconds::ZERO; n];
-        let mut placements = Vec::new();
-        let mut stats = ReplicationStats::default();
-        let mut failed = Vec::new();
-
-        for task in self.graph.topological_order() {
-            match self.graph.state(task)? {
-                TaskState::Poisoned | TaskState::Failed | TaskState::Completed => continue,
-                _ => {}
-            }
-            let desc = self.graph.descriptor(task)?.clone();
-            let ready = self
-                .graph
-                .predecessors(task)?
-                .iter()
-                .map(|p| finish_at[p.index()])
-                .fold(Seconds::ZERO, Seconds::max);
-
-            let replicas = desc
-                .requirements
-                .criticality
-                .replica_count()
-                .min(self.devices.len());
-            if replicas == 1 {
-                stats.unreplicated += 1;
-            } else {
-                stats.replica_executions += (replicas - 1) as u64;
-            }
-            let golden = golden_value(task);
-
-            let mut attempt_start = ready;
-            let mut accepted: Option<(Vec<usize>, Seconds, Seconds, bool)> = None;
-            for attempt in 0..=self.max_retries {
-                let ranking = self
-                    .policy
-                    .rank(&self.devices, desc.work, desc.kind, attempt_start);
-                let chosen: Vec<usize> = ranking.into_iter().take(replicas).collect();
-                let mut results = Vec::with_capacity(chosen.len());
-                let mut start = Seconds(f64::INFINITY);
-                let mut finish = Seconds::ZERO;
-                for &d in &chosen {
-                    let (s, f) = self.devices[d].execute(attempt_start, desc.work, desc.kind);
-                    if let Some(pools) = &mut self.pools {
-                        pools.mark_dirty(d);
-                    }
-                    start = start.min(s);
-                    finish = finish.max(f);
-                    let faulty = self.rng.gen_range(0.0..1.0) < self.fault_probs[d];
-                    let value = if faulty {
-                        // Corrupt deterministically per draw but never equal
-                        // to golden.
-                        ReplicaResult(golden ^ (1 + self.rng.gen_range(0..u64::MAX - 1)))
-                    } else {
-                        ReplicaResult(golden)
-                    };
-                    results.push(value);
-                }
-                match vote(&results) {
-                    Verdict::Accept(v) => {
-                        let correct = v.0 == golden;
-                        if !correct {
-                            stats.silent_corruptions += 1;
-                        }
-                        accepted = Some((chosen, start, finish, correct));
-                        break;
-                    }
-                    Verdict::Masked(v) => {
-                        stats.masked += 1;
-                        accepted = Some((chosen, start, finish, v.0 == golden));
-                        break;
-                    }
-                    Verdict::Retry => {
-                        stats.detected += 1;
-                        if attempt < self.max_retries {
-                            stats.retries += 1;
-                            attempt_start = finish;
-                        }
-                    }
-                }
-            }
-
-            match accepted {
-                Some((devices, start, finish, correct)) => {
-                    finish_at[task.index()] = finish;
-                    self.graph.complete(task)?;
-                    placements.push(TaskOutcome {
-                        task,
-                        devices: ReplicaDevices::from_slice(&devices),
-                        start,
-                        finish,
-                        correct,
-                    });
-                }
-                None => {
-                    failed.push(task);
-                    self.graph.fail(task)?;
-                }
-            }
-        }
-
-        let makespan = finish_at.iter().copied().fold(Seconds::ZERO, Seconds::max);
-        let busy_energy: Joule = self.devices.iter().map(|d| d.meter().total()).sum();
-        let idle_energy: Joule = self
-            .devices
-            .iter()
-            .map(|d| {
-                let idle_time = (makespan - d.meter().elapsed()).max(Seconds::ZERO);
-                d.spec.idle_power * idle_time
-            })
-            .sum();
-        Ok(RunReport {
-            makespan,
-            busy_energy,
-            total_energy: busy_energy + idle_energy,
-            placements,
-            stats,
-            failed,
-            // The sweep ignores resilience mode entirely, so reporting
-            // its counters here would imply coverage it does not have.
-            resilience: None,
-            security: None,
-            energy: self
-                .energy
-                .active
-                .then(|| self.energy.stats(busy_energy, idle_energy, makespan)),
-            // Likewise: the sweep never runs the analyzer, and churn is
-            // refused above.
-            analysis: None,
-            churn: None,
-        })
-    }
-
-    /// Reset device availability and meters (keeps the graph).
-    pub fn reset_devices(&mut self) {
-        for d in &mut self.devices {
-            d.reset();
-        }
-        if let Some(pools) = &mut self.pools {
-            pools.mark_all_dirty();
-        }
-    }
 }
 
 /// The golden (fault-free) result value of a task: a SplitMix64 hash of
@@ -716,8 +493,6 @@ mod tests {
     fn no_devices_is_an_error() {
         let mut rt = Runtime::new(vec![], Policy::Performance, 1);
         assert_eq!(rt.run(), Err(RuntimeError::NoDevices));
-        let mut rt = Runtime::new(vec![], Policy::Performance, 1);
-        assert_eq!(rt.run_sweep(), Err(RuntimeError::NoDevices));
     }
 
     #[test]
@@ -725,9 +500,6 @@ mod tests {
         let mut rt = Runtime::new(specs(), Policy::Weighted(2.0), 1);
         chain(&mut rt, 2, Criticality::Normal);
         assert_eq!(rt.run(), Err(RuntimeError::InvalidWeight(2.0)));
-        let mut rt = Runtime::new(specs(), Policy::Weighted(-0.5), 1);
-        chain(&mut rt, 2, Criticality::Normal);
-        assert_eq!(rt.run_sweep(), Err(RuntimeError::InvalidWeight(-0.5)));
     }
 
     #[test]
@@ -872,18 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_devices_clears_meters() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
-        chain(&mut rt, 2, Criticality::Normal);
-        let _ = rt.run().unwrap();
-        rt.reset_devices();
-        assert!(rt
-            .devices()
-            .iter()
-            .all(|d| d.meter().total() == Joule::ZERO));
-    }
-
-    #[test]
     fn streaming_submission_joins_run_in_progress() {
         let mut rt = Runtime::new(specs(), Policy::Performance, 1);
         let first = chain(&mut rt, 3, Criticality::Normal);
@@ -952,29 +712,6 @@ mod tests {
         while rt.step().unwrap().is_some() {}
         assert_eq!(rt.step().unwrap(), None);
         assert_eq!(rt.now(), rt.report().makespan);
-    }
-
-    #[test]
-    fn sweep_still_executes_everything() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
-        chain(&mut rt, 5, Criticality::Normal);
-        let rep = rt.run_sweep().unwrap();
-        assert_eq!(rep.placements.len(), 5);
-        assert!(rep.is_correct());
-        assert!(rt.graph().is_complete());
-    }
-
-    #[test]
-    fn sweep_discards_queued_engine_events() {
-        let mut rt = Runtime::new(specs(), Policy::Performance, 1);
-        chain(&mut rt, 3, Criticality::Normal);
-        assert!(rt.has_pending_events());
-        let _ = rt.run_sweep().unwrap();
-        assert!(
-            !rt.has_pending_events(),
-            "sweep must not leave phantom events behind"
-        );
-        assert_eq!(rt.step().unwrap(), None);
     }
 
     fn resilient_config(mtbf: f64) -> crate::resilience::ResilienceConfig {
@@ -1227,16 +964,6 @@ mod tests {
         }
 
         #[test]
-        fn sweep_refuses_confidential_workloads() {
-            let mut rt = secure_rt(1);
-            submit_leveled(&mut rt, 0, SecurityLevel::Confidential, TaskKind::Compute);
-            assert!(
-                matches!(rt.run_sweep(), Err(RuntimeError::Security(_))),
-                "the security-unaware sweep must refuse, not silently degrade"
-            );
-        }
-
-        #[test]
         fn attestation_charged_once_per_enclave_device_pair() {
             let mut rt = secure_rt(3);
             // 8 instances of the same task type on one region → a serial
@@ -1381,18 +1108,5 @@ mod tests {
             };
             assert_eq!(run(13), run(13));
         }
-    }
-
-    #[test]
-    fn engine_matches_sweep_on_a_single_chain() {
-        let build = |_| {
-            let mut rt = Runtime::new(specs(), Policy::Performance, 9);
-            chain(&mut rt, 12, Criticality::Normal);
-            rt
-        };
-        let sweep = build(()).run_sweep().unwrap();
-        let event = build(()).run().unwrap();
-        assert_eq!(sweep.makespan, event.makespan);
-        assert_eq!(sweep.placements, event.placements);
     }
 }

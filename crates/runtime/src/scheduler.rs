@@ -1,24 +1,253 @@
-//! Device-selection policies.
+//! Scheduling: the [`Scheduler`] abstraction shared by the runtime and
+//! HEATS, and the runtime's device-selection [`Policy`].
 //!
 //! "The runtime systems will reduce the energy \[consumption\] of the
 //! application by scheduling the computations to the most energy-efficient
-//! device of the heterogeneous hardware architecture" (paper §II). The
-//! [`Policy`] encodes what "most efficient" means for a given customer:
-//! pure performance, pure energy, energy-delay product, or the weighted
-//! trade-off HEATS exposes as a knob.
+//! device of the heterogeneous hardware architecture" (paper §II). Both
+//! schedulers in the toolset answer the same question — *given a set of
+//! candidate execution sites with predicted finish times and energies,
+//! which one should run this task?* — so the answer lives here once:
 //!
-//! A [`Policy`] is a [`Scheduler`]: the scoring itself lives in the
-//! shared [`sched`](crate::sched) layer, and the methods here are thin
-//! adapters that turn live [`Device`] state into [`Estimate`]s before
-//! delegating to the trait.
+//! * a *predictor* (analytic spec, learned model, …) turns a task and a
+//!   candidate into an [`Estimate`]: the runtime scores live [`Device`]s
+//!   analytically from their specs ([`device_estimates_into`]), HEATS
+//!   scores cluster nodes through its learned `NodeModel`s;
+//! * a [`Scheduler`] turns a slice of estimates into a placement, a top-k
+//!   selection, or a migration decision — all three through one
+//!   repeated-minimum routine, so they share one tie-break;
+//! * the [`Policy`] encodes what "most efficient" means for a given
+//!   customer — pure performance, pure energy, energy-delay product, or
+//!   the weighted trade-off HEATS exposes as a knob — and is the
+//!   `Scheduler` that drives both the engine's device placement and
+//!   HEATS' node placement and migration phases.
 
 use legato_core::task::{TaskKind, Work};
-use legato_core::units::Seconds;
+use legato_core::units::{Joule, Seconds};
 use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuntimeError;
-use crate::sched::{Estimate, Scheduler, ScoreNorm};
+
+/// Predicted cost of running a task on one candidate execution site.
+///
+/// `finish` folds in whatever queueing or availability delay the predictor
+/// knows about (the runtime passes absolute finish times over busy device
+/// timelines; HEATS passes predicted durations, which is equivalent under
+/// normalization since all its candidates start together).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Estimate {
+    /// Predicted completion time on this candidate.
+    pub finish: Seconds,
+    /// Predicted energy spent on this candidate.
+    pub energy: Joule,
+}
+
+impl Estimate {
+    /// Build an estimate from a finish time and an energy.
+    #[must_use]
+    pub fn new(finish: Seconds, energy: Joule) -> Self {
+        Estimate { finish, energy }
+    }
+}
+
+/// Normalization context for scores that mix time and energy.
+///
+/// Scale-dependent schedulers (the `Weighted` policy, HEATS' trade-off
+/// scoring) need seconds and joules mapped onto a comparable scale before
+/// combining them. The two constructors cover both idioms in the
+/// codebase: min-max over the candidate set (batch placement) and
+/// fixed reference scales (stay-vs-move migration scoring, where both
+/// sides must be measured against the *same* yardstick).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScoreNorm {
+    t_lo: f64,
+    t_hi: f64,
+    e_lo: f64,
+    e_hi: f64,
+}
+
+impl ScoreNorm {
+    /// The identity context: `time`/`energy` return their input
+    /// unchanged. Used as the placeholder for scale-free schedulers
+    /// ([`Scheduler::needs_norm`] is `false`), whose `score` never reads
+    /// the context — skipping the min-max scan over the candidates.
+    pub const IDENTITY: ScoreNorm = ScoreNorm {
+        t_lo: 0.0,
+        t_hi: 1.0,
+        e_lo: 0.0,
+        e_hi: 1.0,
+    };
+
+    /// Min-max normalization over a candidate set.
+    #[must_use]
+    pub fn from_estimates(estimates: &[Estimate]) -> Self {
+        let (t_lo, t_hi) = min_max(estimates.iter().map(|e| e.finish.0));
+        let (e_lo, e_hi) = min_max(estimates.iter().map(|e| e.energy.0));
+        ScoreNorm {
+            t_lo,
+            t_hi,
+            e_lo,
+            e_hi,
+        }
+    }
+
+    /// Min-max normalization from precomputed bounds. The pooled
+    /// scheduler derives the exact candidate-set bounds in O(shards)
+    /// (every shard is spec-homogeneous, so its members share one
+    /// duration and one energy; only the queue delay varies, and the
+    /// shard caches its min/max busy horizon) — this constructor lets it
+    /// build the identical context [`ScoreNorm::from_estimates`] would
+    /// have produced from the flat candidate scan, without materializing
+    /// the estimates.
+    #[must_use]
+    pub(crate) fn from_bounds(t_lo: f64, t_hi: f64, e_lo: f64, e_hi: f64) -> Self {
+        ScoreNorm {
+            t_lo,
+            t_hi,
+            e_lo,
+            e_hi,
+        }
+    }
+
+    /// Normalization against fixed reference magnitudes: a value `v` maps
+    /// to `v / reference`. Used when scores from different candidate sets
+    /// must stay comparable (e.g. migration hysteresis).
+    #[must_use]
+    pub fn from_scale(typical_time: Seconds, typical_energy: Joule) -> Self {
+        ScoreNorm {
+            t_lo: 0.0,
+            t_hi: typical_time.0.max(1e-12),
+            e_lo: 0.0,
+            e_hi: typical_energy.0.max(1e-12),
+        }
+    }
+
+    /// Normalized time component.
+    #[must_use]
+    pub fn time(&self, v: f64) -> f64 {
+        normalize(v, self.t_lo, self.t_hi)
+    }
+
+    /// Normalized energy component.
+    #[must_use]
+    pub fn energy(&self, v: f64) -> f64 {
+        normalize(v, self.e_lo, self.e_hi)
+    }
+}
+
+/// A placement strategy over scored candidates.
+///
+/// Implementors provide [`Scheduler::score`] (lower is better); the
+/// provided methods derive placement, top-k selection and migration from
+/// it. The runtime's [`Policy`] implements this trait, and HEATS drives
+/// its placement and rescheduling phases through the same implementation.
+pub trait Scheduler {
+    /// Scalar cost of one candidate under this strategy; **lower is
+    /// better**. `norm` supplies the time/energy normalization context
+    /// for strategies that mix the two dimensions.
+    fn score(&self, estimate: &Estimate, norm: &ScoreNorm) -> f64;
+
+    /// Whether [`Scheduler::score`] reads the normalization context.
+    /// Scale-free strategies (pure time, pure energy, products of the
+    /// two) override this to `false`, and the provided methods skip the
+    /// min-max scan over the candidates — one fewer O(D) pass per
+    /// placement on the engine's hot path.
+    fn needs_norm(&self) -> bool {
+        true
+    }
+
+    /// Index of the best candidate, or `None` for an empty slice. Ties
+    /// break toward the earliest index, deterministically.
+    fn place(&self, estimates: &[Estimate]) -> Option<usize> {
+        let mut best = [0];
+        (self.select_k(estimates, &mut best) == 1).then_some(best[0])
+    }
+
+    /// Top-k selection without sorting or allocating: fill `out` with the
+    /// `out.len()` best candidates, best first, and return how many were
+    /// filled (`min(out.len(), estimates.len())`).
+    ///
+    /// This is the replicated-placement fast path: choosing `k` devices
+    /// out of `D` candidates costs O(D·k) comparisons and no allocation,
+    /// and `k` is bounded by the replica cap (≤ 3). The result is the
+    /// first `k` entries of a stable sort by score: repeated minimum
+    /// selection with strict `<` picks the earliest index among score
+    /// ties.
+    #[inline] // into `plan_k_devices`, where `k` and the policy are known
+    fn select_k(&self, estimates: &[Estimate], out: &mut [usize]) -> usize {
+        let norm = if self.needs_norm() {
+            ScoreNorm::from_estimates(estimates)
+        } else {
+            ScoreNorm::IDENTITY
+        };
+        pick_k_by(estimates, |_, e| Some(self.score(e, &norm)), out)
+    }
+
+    /// Migration decision: given the estimate of *staying* on the current
+    /// site and the estimates of the alternatives, return the index of an
+    /// alternative worth moving to, or `None` to stay put.
+    ///
+    /// The default applies hysteresis: an alternative must beat the stay
+    /// score by the relative margin `hysteresis` (e.g. `0.10` = 10 %
+    /// better) to defend against migration ping-ponging. Both sides are
+    /// scored under the caller-supplied `norm` so they share a yardstick.
+    fn migrate(
+        &self,
+        stay: &Estimate,
+        alternatives: &[Estimate],
+        norm: &ScoreNorm,
+        hysteresis: f64,
+    ) -> Option<usize> {
+        let mut best = [0];
+        if pick_k_by(alternatives, |_, e| Some(self.score(e, norm)), &mut best) == 0 {
+            return None;
+        }
+        let threshold = self.score(stay, norm) * (1.0 - hysteresis.max(0.0));
+        (self.score(&alternatives[best[0]], norm) < threshold).then_some(best[0])
+    }
+}
+
+/// Repeated-minimum top-k over `items`: position `c` competes with the
+/// key `key(c, &items[c])`, or not at all when that is `None`; lowest key
+/// first, ties toward the earliest position (strict `<`). Fills `out` best
+/// first and returns how many slots were filled. The one selection loop of
+/// the crate — [`Scheduler::place`], [`Scheduler::select_k`],
+/// [`Scheduler::migrate`] and the Pareto objectives all pick through it,
+/// so constrained and unconstrained selections are directly comparable.
+#[inline] // each caller's key folds into the loop
+fn pick_k_by<T>(items: &[T], key: impl Fn(usize, &T) -> Option<f64>, out: &mut [usize]) -> usize {
+    let mut filled = 0;
+    for slot in 0..out.len() {
+        let mut best: Option<(usize, f64)> = None;
+        for (c, item) in items.iter().enumerate() {
+            if out[..slot].contains(&c) {
+                continue;
+            }
+            let Some(s) = key(c, item) else { continue };
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((c, s));
+            }
+        }
+        let Some((c, _)) = best else { break };
+        out[slot] = c;
+        filled += 1;
+    }
+    filled
+}
+
+fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        (lo.min(v), hi.max(v))
+    })
+}
+
+fn normalize(v: f64, lo: f64, hi: f64) -> f64 {
+    if (hi - lo).abs() < 1e-12 {
+        0.0
+    } else {
+        (v - lo) / (hi - lo)
+    }
+}
 
 /// What a scheduler optimizes when placing a task.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,24 +294,6 @@ impl Policy {
             }
             _ => Ok(()),
         }
-    }
-
-    /// Rank device indices from best to worst under this policy (used by
-    /// replication to pick diverse placements).
-    ///
-    /// An out-of-range `Weighted` weight is clamped into `[0, 1]` here
-    /// (use [`Policy::validate`] to reject it instead).
-    #[must_use]
-    pub fn rank(
-        self,
-        devices: &[Device],
-        work: Work,
-        kind: TaskKind,
-        ready_at: Seconds,
-    ) -> Vec<usize> {
-        let mut estimates = Vec::with_capacity(devices.len());
-        device_estimates_into(devices, work, kind, ready_at, &mut estimates);
-        Scheduler::rank(&self.sanitized(), &estimates)
     }
 
     /// Top-k device selection for the engine's hot path: semantically
@@ -232,10 +443,10 @@ impl Scheduler for Policy {
 ///   them; otherwise fall back to the `k` lowest-power candidates and
 ///   count one cap relaxation.
 ///
-/// Selection is the same allocation-free repeated-minimum
-/// [`Scheduler::select_k`] uses, with identical earliest-index
-/// tie-breaking, so Pareto runs stay exactly as deterministic as policy
-/// runs.
+/// Selection is the allocation-free repeated minimum
+/// [`Scheduler::select_k`] uses (`pick_k_by`), with the same
+/// earliest-index tie-breaking, so Pareto runs stay exactly as
+/// deterministic as policy runs.
 fn pick_k_pareto(
     objective: crate::energy::EnergyObjective,
     state: &mut crate::energy::EnergyState,
@@ -248,65 +459,27 @@ fn pick_k_pareto(
     let want = out.len().min(estimates.len());
     match objective {
         MinEnergyWithinMakespan(bound) => {
-            let in_bound = |c: usize| estimates[c].finish.0 <= bound.0;
-            let feasible = (0..estimates.len()).filter(|&c| in_bound(c)).count();
+            let in_bound = |e: &Estimate| e.finish.0 <= bound.0;
+            let feasible = estimates.iter().filter(|e| in_bound(e)).count();
             if feasible >= want {
-                pick_k_by(estimates.len(), in_bound, |c| estimates[c].energy.0, out)
+                pick_k_by(estimates, |_, e| in_bound(e).then_some(e.energy.0), out)
             } else {
                 state.bound_relaxations += 1;
-                pick_k_by(estimates.len(), |_| true, |c| estimates[c].finish.0, out)
+                pick_k_by(estimates, |_, e| Some(e.finish.0), out)
             }
         }
         MinMakespanUnderPowerCap(cap) => {
-            let capped = |c: usize| devices[candidates[c]].spec.busy_power.0 <= cap.0;
-            let feasible = (0..estimates.len()).filter(|&c| capped(c)).count();
+            let power = |c: usize| devices[candidates[c]].spec.busy_power.0;
+            let feasible = (0..estimates.len()).filter(|&c| power(c) <= cap.0).count();
             if feasible >= want {
-                pick_k_by(estimates.len(), capped, |c| estimates[c].finish.0, out)
+                let capped_finish = |c, e: &Estimate| (power(c) <= cap.0).then_some(e.finish.0);
+                pick_k_by(estimates, capped_finish, out)
             } else {
                 state.cap_relaxations += 1;
-                pick_k_by(
-                    estimates.len(),
-                    |_| true,
-                    |c| devices[candidates[c]].spec.busy_power.0,
-                    out,
-                )
+                pick_k_by(estimates, |c, _| Some(power(c)), out)
             }
         }
     }
-}
-
-/// Repeated-minimum top-k over candidate positions `0..n` that satisfy
-/// `keep`, ordered by ascending `key` with ties toward the earliest
-/// position — the filtered twin of [`Scheduler::select_k`], sharing its
-/// allocation-free shape and tie-break so constrained and unconstrained
-/// selections are directly comparable.
-fn pick_k_by(
-    n: usize,
-    keep: impl Fn(usize) -> bool,
-    key: impl Fn(usize) -> f64,
-    out: &mut [usize],
-) -> usize {
-    let mut filled = 0;
-    for slot in 0..out.len().min(n) {
-        let mut best: Option<(usize, f64)> = None;
-        for c in 0..n {
-            if !keep(c) || out[..slot].contains(&c) {
-                continue;
-            }
-            let s = key(c);
-            if best.is_none_or(|(_, bs)| s < bs) {
-                best = Some((c, s));
-            }
-        }
-        match best {
-            Some((c, _)) => {
-                out[slot] = c;
-                filled += 1;
-            }
-            None => break,
-        }
-    }
-    filled
 }
 
 /// Predicted completion and energy of `work` on each live device, folding
@@ -334,6 +507,200 @@ pub fn device_estimates_into(
 mod tests {
     use super::*;
     use legato_hw::device::{DeviceId, DeviceSpec};
+    use proptest::prelude::*;
+
+    fn estimates() -> Vec<Estimate> {
+        vec![
+            Estimate::new(Seconds(10.0), Joule(5.0)),  // slow, frugal
+            Estimate::new(Seconds(1.0), Joule(100.0)), // fast, hungry
+            Estimate::new(Seconds(4.0), Joule(20.0)),  // balanced
+        ]
+    }
+
+    /// Reference ranking the selection routine is checked against: all
+    /// candidate indices, stable-sorted by score (ties keep index order).
+    fn rank(policy: Policy, estimates: &[Estimate]) -> Vec<usize> {
+        let norm = ScoreNorm::from_estimates(estimates);
+        let mut order: Vec<usize> = (0..estimates.len()).collect();
+        order.sort_by(|&a, &b| {
+            policy
+                .score(&estimates[a], &norm)
+                .total_cmp(&policy.score(&estimates[b], &norm))
+        });
+        order
+    }
+
+    #[test]
+    fn place_follows_policy_axis() {
+        let ests = estimates();
+        assert_eq!(Policy::Performance.place(&ests), Some(1));
+        assert_eq!(Policy::Energy.place(&ests), Some(0));
+    }
+
+    #[test]
+    fn weighted_endpoints_match_pure_policies() {
+        let ests = estimates();
+        assert_eq!(Policy::Weighted(0.0).place(&ests), Some(1));
+        assert_eq!(Policy::Weighted(1.0).place(&ests), Some(0));
+    }
+
+    #[test]
+    fn empty_candidates_place_nowhere() {
+        assert_eq!(Policy::Performance.place(&[]), None);
+    }
+
+    #[test]
+    fn ties_break_toward_first_index() {
+        let ests = vec![
+            Estimate::new(Seconds(2.0), Joule(4.0)),
+            Estimate::new(Seconds(2.0), Joule(4.0)),
+        ];
+        assert_eq!(Policy::Performance.place(&ests), Some(0));
+        let mut out = [usize::MAX; 2];
+        assert_eq!(Policy::Energy.select_k(&ests, &mut out), 2);
+        assert_eq!(out, [0, 1]);
+    }
+
+    #[test]
+    fn select_k_matches_rank_prefix() {
+        let ests = estimates();
+        for policy in [
+            Policy::Performance,
+            Policy::Energy,
+            Policy::Edp,
+            Policy::Weighted(0.3),
+        ] {
+            let full = rank(policy, &ests);
+            for k in 0..=ests.len() + 1 {
+                let mut out = vec![usize::MAX; k];
+                let filled = policy.select_k(&ests, &mut out);
+                assert_eq!(filled, k.min(ests.len()));
+                assert_eq!(&out[..filled], &full[..filled], "policy {policy:?}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_k_breaks_ties_toward_first_index_like_rank() {
+        let ests = vec![
+            Estimate::new(Seconds(2.0), Joule(4.0)),
+            Estimate::new(Seconds(2.0), Joule(4.0)),
+            Estimate::new(Seconds(1.0), Joule(9.0)),
+            Estimate::new(Seconds(2.0), Joule(4.0)),
+        ];
+        let mut out = [usize::MAX; 3];
+        let filled = Policy::Performance.select_k(&ests, &mut out);
+        assert_eq!(filled, 3);
+        assert_eq!(out, [2, 0, 1]);
+        assert_eq!(&rank(Policy::Performance, &ests)[..3], &out);
+    }
+
+    #[test]
+    fn select_k_on_empty_inputs() {
+        let ests = estimates();
+        let mut empty_out: [usize; 0] = [];
+        assert_eq!(Policy::Energy.select_k(&ests, &mut empty_out), 0);
+        let mut out = [usize::MAX; 2];
+        assert_eq!(Policy::Energy.select_k(&[], &mut out), 0);
+        assert_eq!(out, [usize::MAX; 2], "nothing written for no candidates");
+    }
+
+    #[test]
+    fn migrate_requires_hysteresis_margin() {
+        let norm = ScoreNorm::from_scale(Seconds(10.0), Joule(10.0));
+        let stay = Estimate::new(Seconds(10.0), Joule(10.0));
+        // 5 % better: below the 10 % threshold — stay.
+        let slightly = vec![Estimate::new(Seconds(9.5), Joule(9.5))];
+        assert_eq!(
+            Policy::Weighted(0.5).migrate(&stay, &slightly, &norm, 0.10),
+            None
+        );
+        // 50 % better: migrate.
+        let much = vec![Estimate::new(Seconds(5.0), Joule(5.0))];
+        assert_eq!(
+            Policy::Weighted(0.5).migrate(&stay, &much, &norm, 0.10),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn migrate_with_no_alternatives_stays() {
+        let norm = ScoreNorm::from_scale(Seconds(1.0), Joule(1.0));
+        let stay = Estimate::new(Seconds(1.0), Joule(1.0));
+        assert_eq!(Policy::Energy.migrate(&stay, &[], &norm, 0.1), None);
+    }
+
+    #[test]
+    fn score_norm_from_scale_divides_by_reference() {
+        let norm = ScoreNorm::from_scale(Seconds(4.0), Joule(8.0));
+        assert!((norm.time(2.0) - 0.5).abs() < 1e-12);
+        assert!((norm.energy(2.0) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn degenerate_norm_is_zero() {
+        let ests = vec![Estimate::new(Seconds(3.0), Joule(3.0))];
+        let norm = ScoreNorm::from_estimates(&ests);
+        assert_eq!(norm.time(3.0), 0.0);
+        assert_eq!(norm.energy(3.0), 0.0);
+    }
+
+    fn policy_strategy() -> impl Strategy<Value = Policy> {
+        (0u8..6).prop_map(|sel| match sel {
+            0 => Policy::Performance,
+            1 => Policy::Energy,
+            2 => Policy::Edp,
+            3 => Policy::Weighted(0.0),
+            4 => Policy::Weighted(0.5),
+            _ => Policy::Weighted(1.0),
+        })
+    }
+
+    proptest! {
+        /// `place`, `select_k`, `migrate` and the Pareto picker are one
+        /// loop: on random estimates drawn from a 4 × 4 grid (so exact
+        /// score ties are the norm, not the exception) each of them agrees
+        /// with the stable-sort reference ranking.
+        #[test]
+        fn every_selection_agrees_with_the_stable_sort_reference(
+            grid in prop::collection::vec((1u8..5, 1u8..5), 0..12),
+            policy in policy_strategy(),
+            k in 0usize..5,
+        ) {
+            let ests: Vec<Estimate> = grid
+                .iter()
+                .map(|&(t, e)| Estimate::new(Seconds(f64::from(t)), Joule(f64::from(e))))
+                .collect();
+            let reference = rank(policy, &ests);
+            let want = k.min(ests.len());
+
+            let mut selected = vec![usize::MAX; k];
+            prop_assert_eq!(policy.select_k(&ests, &mut selected), want);
+            prop_assert_eq!(&selected[..want], &reference[..want]);
+
+            let mut one = [usize::MAX];
+            let filled = policy.select_k(&ests, &mut one);
+            prop_assert_eq!(policy.place(&ests), (filled == 1).then_some(one[0]));
+            prop_assert_eq!(policy.place(&ests), reference.first().copied());
+
+            let norm = ScoreNorm::from_estimates(&ests);
+            let score = |i: usize| policy.score(&ests[i], &norm);
+            let mut picked = vec![usize::MAX; k];
+            let keyed = pick_k_by(&ests, |i, _| Some(score(i)), &mut picked);
+            prop_assert_eq!(keyed, want);
+            prop_assert_eq!(&picked, &selected);
+
+            // Hysteresis 0: move to `place`'s pick exactly when it scores
+            // strictly below staying.
+            for &(t, e) in &[(0.5, 0.5), (2.0, 2.0), (9.0, 9.0)] {
+                let stay = Estimate::new(Seconds(t), Joule(e));
+                let expected = policy
+                    .place(&ests)
+                    .filter(|&i| score(i) < policy.score(&stay, &norm));
+                prop_assert_eq!(policy.migrate(&stay, &ests, &norm, 0.0), expected);
+            }
+        }
+    }
 
     fn devices() -> Vec<Device> {
         vec![
@@ -344,14 +711,25 @@ mod tests {
         ]
     }
 
-    /// The policy's first choice for the reference inference task.
-    fn best(policy: Policy, devices: &[Device]) -> usize {
-        policy.rank(
+    /// Estimates of the reference inference task on `devices`.
+    fn inference_estimates(devices: &[Device]) -> Vec<Estimate> {
+        let mut estimates = Vec::new();
+        device_estimates_into(
             devices,
             Work::flops(66e9),
             TaskKind::Inference,
             Seconds::ZERO,
-        )[0]
+            &mut estimates,
+        );
+        estimates
+    }
+
+    /// The policy's first choice for the reference inference task.
+    fn best(policy: Policy, devices: &[Device]) -> usize {
+        policy
+            .sanitized()
+            .place(&inference_estimates(devices))
+            .expect("devices present")
     }
 
     #[test]
@@ -389,21 +767,18 @@ mod tests {
 
     #[test]
     fn rank_orders_all_devices() {
-        let d = devices();
-        let order = Policy::Energy.rank(&d, Work::flops(66e9), TaskKind::Inference, Seconds::ZERO);
-        assert_eq!(order.len(), 4);
+        let mut order = [usize::MAX; 4];
+        let filled = Policy::Energy.select_k(&inference_estimates(&devices()), &mut order);
+        assert_eq!(filled, 4);
         assert_eq!(order[0], 2);
         // Every index appears exactly once.
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
+        order.sort_unstable();
+        assert_eq!(order, [0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_devices_gives_none() {
-        assert!(Policy::Performance
-            .rank(&[], Work::flops(1.0), TaskKind::Compute, Seconds::ZERO)
-            .is_empty());
+        assert_eq!(Policy::Performance.place(&inference_estimates(&[])), None);
     }
 
     #[test]
@@ -428,13 +803,10 @@ mod tests {
         // Clamped to pure energy: same pick as Weighted(1.0).
         assert_eq!(best(Policy::Weighted(1.5), &d), 2);
         // Non-finite weights degrade to a balanced trade-off, not a panic.
-        let order = Policy::Weighted(f64::NAN).rank(
-            &d,
-            Work::flops(66e9),
-            TaskKind::Inference,
-            Seconds::ZERO,
+        assert_eq!(
+            best(Policy::Weighted(f64::NAN), &d),
+            best(Policy::Weighted(0.5), &d)
         );
-        assert_eq!(order.len(), 4);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   [`RuntimeError::NoSecurePlacement`] instead of silently degrading
 //!   confidentiality.
 //! * **Estimate costs** — every candidate device's scheduling
-//!   [`Estimate`](crate::sched::Estimate) for a confidential task folds
+//!   [`Estimate`](crate::scheduler::Estimate) for a confidential task folds
 //!   in the security overhead (world transitions, enclave-boundary
 //!   crypto at the device's crypto bandwidth, pending attestation, and
 //!   seal/unseal of sealed inputs produced on *other* devices), so the

@@ -3,18 +3,21 @@
 //! The hot-path rework (inline replica sets, scratch buffers, the
 //! ready-FIFO/heap split, bitmap ready/completed tracking, incremental
 //! live-region volumes) must not change *what* the engine computes, only
-//! how fast. Three contracts pin that:
+//! how fast. These contracts pin that:
 //!
 //! * **Streaming ≡ batched** — driving the engine with interleaved
 //!   `submit()`/`step()` waves produces the identical [`RunReport`] and
 //!   rollback trace as `run()` over the same waves, with and without
 //!   resilience enabled (checkpoints, rollbacks and all).
+//! * **Determinism** — the same seed and the same graph produce an
+//!   identical [`RunReport`], bit for bit, however the event heap
+//!   interleaves placements (`time, seq` ordering is total).
 //! * **Sweep-era semantics on serial chains** — on a single dependency
-//!   chain the engine and the legacy sweep make the same placement at
-//!   the same simulated moment, so their placements agree task by task
-//!   even under an active fault model; this anchors the engine to the
-//!   executor semantics it replaced wherever the two are defined to
-//!   coincide.
+//!   chain the engine and the topological sweep it replaced made the
+//!   same placement at the same simulated moment, even under an active
+//!   fault model (a proptest pinned them equal until the sweep was
+//!   deleted); the sweep's reports on ten fixed chains are frozen here
+//!   as goldens the engine must keep reproducing.
 //! * **Report shape** — placements come out sorted by task id with at
 //!   most one outcome per task, whatever order completions happened in
 //!   (the outcome log is indexed, not sorted; this pins the invariant).
@@ -184,33 +187,16 @@ proptest! {
         prop_assert!(batched_report.placements.len() <= batched.graph().len());
     }
 
-    /// On a single serial chain the event engine reproduces the legacy
-    /// sweep bit for bit — placements, makespan, statistics — even with
-    /// the fault model active: with one task in flight at a time both
-    /// executors make the same placement at the same moment and consume
-    /// the fault stream in the same order. This pins the refactored
-    /// engine to `run_sweep`-era semantics where the two executors are
-    /// defined to coincide. (Public tasks only: the sweep deliberately
-    /// ignores the security layer, so the executors are only defined to
-    /// coincide on security-free workloads.)
+    /// Same seed + same graph ⇒ identical `RunReport`, with the fault
+    /// model and replication voting active.
     #[test]
-    fn engine_matches_sweep_on_serial_chains(
-        chain in prop::collection::vec((5e11f64..4e12, 0u8..3, Just(0u8)), 1..16),
-        seed in 0u64..300,
-    ) {
-        let chains = vec![chain];
-        let mut engine_rt = runtime(seed, false, &chains);
-        submit_wave(&mut engine_rt, &chains);
-        let engine = engine_rt.run().expect("devices present");
-
-        let mut sweep_rt = runtime(seed, false, &chains);
-        submit_wave(&mut sweep_rt, &chains);
-        let sweep = sweep_rt.run_sweep().expect("devices present");
-
-        prop_assert_eq!(engine.placements, sweep.placements);
-        prop_assert_eq!(engine.makespan, sweep.makespan);
-        prop_assert_eq!(engine.failed, sweep.failed);
-        prop_assert_eq!(engine.stats, sweep.stats);
+    fn engine_is_deterministic(chains in public_chains_strategy(), seed in 0u64..1000) {
+        let run = || {
+            let mut rt = runtime(seed, false, &chains);
+            submit_wave(&mut rt, &chains);
+            rt.run().expect("devices present")
+        };
+        prop_assert_eq!(run(), run());
     }
 
     /// With confidential tasks in the mix (sealed-io and enclave-only,
@@ -342,5 +328,108 @@ proptest! {
         prop_assert_eq!(&plain_report, &configured_report);
         prop_assert_eq!(plain.rollback_trace(), configured.rollback_trace());
         prop_assert_eq!(configured_report.security, None);
+    }
+}
+
+/// What the deleted topological sweep reported for `golden_chain(case)`
+/// under `seed`, recorded at commit bfc4631 — the last one with the
+/// sweep — where the proptest this replaces held the engine equal to it.
+struct SweepGolden {
+    seed: u64,
+    /// [`placements_digest`] of the report's placements.
+    placements: u64,
+    /// `makespan` as f64 bits.
+    makespan: u64,
+    failed: &'static [u64],
+    /// unreplicated, replica_executions, silent_corruptions, detected,
+    /// masked, retries.
+    stats: [u64; 6],
+}
+
+#[rustfmt::skip]
+const SWEEP_GOLDENS: [SweepGolden; 10] = [
+    SweepGolden { seed: 11, placements: 0x7B5A_DE44_2BD6_CDA6, makespan: 0x4030_0E3E_BBA6_B1CA, failed: &[7], stats: [5, 5, 1, 2, 1, 1] },
+    SweepGolden { seed: 48, placements: 0x5F34_2866_0359_4DBA, makespan: 0x4031_EA33_021B_FF3C, failed: &[], stats: [1, 6, 0, 0, 0, 0] },
+    SweepGolden { seed: 85, placements: 0xBA1A_B9D9_D44A_40E5, makespan: 0x4016_D307_13AD_A267, failed: &[2], stats: [1, 3, 0, 2, 0, 1] },
+    SweepGolden { seed: 122, placements: 0x6D67_897D_913C_C0E0, makespan: 0x4038_8F7F_2317_9625, failed: &[], stats: [4, 9, 2, 1, 2, 1] },
+    SweepGolden { seed: 159, placements: 0xD3C3_4AC1_4E06_5B4F, makespan: 0x4033_F8C9_6731_C687, failed: &[], stats: [3, 7, 3, 1, 0, 1] },
+    SweepGolden { seed: 196, placements: 0xFF0F_367D_D079_263B, makespan: 0x4043_CF85_DB9A_2130, failed: &[], stats: [5, 15, 3, 0, 3, 0] },
+    SweepGolden { seed: 233, placements: 0x8F21_6B72_1725_7D9E, makespan: 0x4033_416C_16C1_6C16, failed: &[4], stats: [0, 8, 0, 2, 2, 1] },
+    SweepGolden { seed: 270, placements: 0x2E2E_2651_E6F1_4914, makespan: 0x402F_9E3C_8A9D_8473, failed: &[], stats: [2, 5, 0, 0, 0, 0] },
+    SweepGolden { seed: 7, placements: 0x3CEB_6CA3_38F3_4A1D, makespan: 0x403F_7E38_E38E_38E3, failed: &[8], stats: [0, 14, 0, 2, 4, 1] },
+    SweepGolden { seed: 44, placements: 0xFEF6_F73F_400F_D5AD, makespan: 0x4024_8E7C_AE43_B355, failed: &[4], stats: [1, 5, 1, 2, 0, 1] },
+];
+
+/// The fixed public serial chain of golden `case`: 1–15 tasks with work
+/// and criticality from an LCG, inside the ranges [`chains_strategy`]
+/// draws from.
+fn golden_chain(case: u64) -> Vec<(f64, u8, u8)> {
+    let mut state = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let len = 1 + next() % 15;
+    (0..len)
+        .map(|_| (5e11 + (next() % 350) as f64 * 1e10, (next() % 3) as u8, 0))
+        .collect()
+}
+
+/// FNV-1a over every placement's task, devices, start/finish bits and
+/// correctness flag.
+fn placements_digest(report: &RunReport) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+    for p in &report.placements {
+        mix(p.task.0);
+        mix(p.devices.len() as u64);
+        for &d in &p.devices {
+            mix(d as u64);
+        }
+        mix(p.start.0.to_bits());
+        mix(p.finish.0.to_bits());
+        mix(u64::from(p.correct));
+    }
+    h
+}
+
+/// On a single serial chain the event engine reproduces the deleted
+/// topological sweep bit for bit — placements, makespan, failures,
+/// statistics — with the fault model active: with one task in flight at a
+/// time both executors made the same placement at the same moment and
+/// consumed the fault stream in the same order. (Public tasks only: the
+/// sweep ignored the security layer.)
+#[test]
+fn engine_matches_sweep_on_serial_chains() {
+    for (case, golden) in SWEEP_GOLDENS.iter().enumerate() {
+        let chains = vec![golden_chain(case as u64)];
+        let mut rt = runtime(golden.seed, false, &chains);
+        submit_wave(&mut rt, &chains);
+        let engine = rt.run().expect("devices present");
+
+        assert_eq!(
+            placements_digest(&engine),
+            golden.placements,
+            "case {case}: {:?}",
+            engine.placements
+        );
+        assert_eq!(engine.makespan.0.to_bits(), golden.makespan, "case {case}");
+        let failed: Vec<u64> = engine.failed.iter().map(|t| t.0).collect();
+        assert_eq!(failed, golden.failed, "case {case}");
+        let s = engine.stats;
+        assert_eq!(
+            [
+                s.unreplicated,
+                s.replica_executions,
+                s.silent_corruptions,
+                s.detected,
+                s.masked,
+                s.retries
+            ],
+            golden.stats,
+            "case {case}"
+        );
     }
 }
