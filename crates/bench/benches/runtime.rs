@@ -5,6 +5,7 @@ use legato_bench::experiments::goals;
 use legato_core::graph::TaskGraph;
 use legato_core::task::{AccessMode, TaskDescriptor};
 use legato_runtime::{Policy, Runtime};
+use legato_workloads::fleets;
 use std::hint::black_box;
 
 fn bench_graph_build(c: &mut Criterion) {
@@ -27,7 +28,7 @@ fn bench_runtime_run(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("dag_6x8_weighted", |b| {
         b.iter(|| {
-            let mut rt = Runtime::new(goals::reference_devices(), Policy::Weighted(0.5), 7);
+            let mut rt = Runtime::new(fleets::reference(), Policy::Weighted(0.5), 7);
             goals::build_app(&mut rt, 6, 8, 0.2, 7);
             rt.run().expect("devices present")
         })

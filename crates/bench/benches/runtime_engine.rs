@@ -12,40 +12,24 @@
 //! stay comparable across PRs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use legato_bench::experiments::engine::Scenario;
-use legato_bench::experiments::goals;
-use legato_core::graph::{GraphBuilder, TaskGraph};
-use legato_core::task::{AccessMode, TaskDescriptor, Work};
-use legato_hw::device::DeviceSpec;
+use legato_bench::experiments::RECIPES;
+use legato_core::graph::TaskGraph;
+use legato_core::task::{AccessMode, TaskDescriptor};
 use legato_runtime::{EngineConfig, Policy, PoolConfig, Runtime};
+use legato_workloads::{chains_batch, fleets};
 use std::hint::black_box;
 
 fn bench_executors(c: &mut Criterion) {
     let mut g = c.benchmark_group("runtime_engine");
     g.sample_size(10);
-    for (name, scenario, policy) in [
-        (
-            "wide_graph_1k",
-            Scenario::reference_wide(),
-            Policy::Performance,
-        ),
-        (
-            "straggler_1k",
-            Scenario::reference_straggler(),
-            Policy::Weighted(0.5),
-        ),
-    ] {
-        let tasks = {
-            let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
-            scenario.build(&mut rt, 42) as u64
+    for recipe in RECIPES {
+        let Some(name) = recipe.name.strip_prefix("engine/") else {
+            continue;
         };
-        g.throughput(Throughput::Elements(tasks));
+        let build = || (recipe.build)(42).expect("recipe builds");
+        g.throughput(Throughput::Elements(build().graph().len() as u64));
         g.bench_function(&format!("{name}/event_driven"), |b| {
-            b.iter(|| {
-                let mut rt = Runtime::new(goals::reference_devices(), policy, 42);
-                scenario.build(&mut rt, 42);
-                rt.run().expect("devices present")
-            })
+            b.iter(|| build().run().expect("devices present"))
         });
     }
     g.finish();
@@ -91,22 +75,13 @@ fn bench_ready_set_drain(c: &mut Criterion) {
 fn bench_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("runtime_engine/scaling");
     g.sample_size(10);
-    let fleet = |n: usize| -> Vec<DeviceSpec> {
-        let specs = [
-            DeviceSpec::xeon_x86(),
-            DeviceSpec::gtx1080(),
-            DeviceSpec::fpga_kintex(),
-            DeviceSpec::arm64(),
-        ];
-        (0..n).map(|i| specs[i % specs.len()].clone()).collect()
-    };
     for &tasks in &[10_000usize, 100_000, 1_000_000] {
         for &devs in &[64usize, 256, 1024] {
             g.throughput(Throughput::Elements(tasks as u64));
             g.bench_function(&format!("tasks_{tasks}/devs_{devs}"), |b| {
                 b.iter(|| {
                     let mut rt = EngineConfig::new()
-                        .with_devices(fleet(devs))
+                        .with_devices(fleets::cycled(devs))
                         .with_policy(Policy::Performance)
                         .with_seed(42)
                         .with_pools(PoolConfig::uniform(devs, 16))
@@ -116,17 +91,8 @@ fn bench_scaling(c: &mut Criterion) {
                     // with varied task sizes so availability minima
                     // diverge and the shard bounds separate.
                     let width = tasks / 4;
-                    let mut builder =
-                        GraphBuilder::with_capacity(tasks, tasks).with_region_capacity(width);
-                    for i in 0..tasks {
-                        let flops = (1.0 + (i % 997) as f64 / 997.0) * 1.0e12;
-                        builder.task(
-                            TaskDescriptor::named("t").with_work(Work::flops(flops)),
-                            [((i % width) as u64, AccessMode::InOut)],
-                        );
-                    }
                     rt.reserve(tasks, tasks - width);
-                    rt.submit_batch(builder);
+                    rt.submit_batch(chains_batch(tasks, width));
                     rt.run().expect("devices present")
                 })
             });
@@ -146,37 +112,16 @@ fn bench_analyze(c: &mut Criterion) {
     let mut g = c.benchmark_group("runtime_engine/analyze");
     g.sample_size(10);
     g.throughput(Throughput::Elements(TASKS as u64));
-    let devices = || {
-        vec![
-            DeviceSpec::xeon_x86(),
-            DeviceSpec::gtx1080(),
-            DeviceSpec::fpga_kintex(),
-            DeviceSpec::arm64(),
-        ]
-    };
     let width = TASKS / 4;
-    let build = |rt: &mut Runtime| {
-        let mut builder = GraphBuilder::with_capacity(TASKS, TASKS).with_region_capacity(width);
-        for i in 0..TASKS {
-            let flops = (1.0 + (i % 997) as f64 / 997.0) * 1.0e12;
-            builder.task(
-                TaskDescriptor::named("t").with_work(Work::flops(flops)),
-                [((i % width) as u64, AccessMode::InOut)],
-            );
-        }
+    let build = || {
+        let mut rt = Runtime::new(fleets::reference(), Policy::Performance, 42);
         rt.reserve(TASKS, TASKS - width);
-        rt.submit_batch(builder);
+        rt.submit_batch(chains_batch(TASKS, width));
+        rt
     };
-    g.bench_function("build_100k", |b| {
-        b.iter(|| {
-            let mut rt = Runtime::new(devices(), Policy::Performance, 42);
-            build(&mut rt);
-            black_box(rt)
-        })
-    });
+    g.bench_function("build_100k", |b| b.iter(|| black_box(build())));
     g.bench_function("analyze_100k", |b| {
-        let mut rt = Runtime::new(devices(), Policy::Performance, 42);
-        build(&mut rt);
+        let rt = build();
         b.iter(|| black_box(rt.analyze()).error_count())
     });
     g.finish();

@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use legato_bench::experiments::energy::run_cell;
-use legato_bench::experiments::engine::Scenario;
 use legato_core::units::{FaultsPerMbit, Volt};
 use legato_fpga::{undervolt_sweep, BramArray, FpgaPlatform};
 use legato_runtime::Policy;
+use legato_workloads::Fan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -52,15 +52,15 @@ fn bench_energy_frontier(c: &mut Criterion) {
     // end to end.
     let mut g = c.benchmark_group("energy/frontier_wide");
     g.sample_size(10);
-    let scenario = Scenario::reference_wide();
+    let fan = Fan::reference_wide();
     g.bench_function("performance_nominal", |b| {
-        b.iter(|| run_cell(scenario, Policy::Performance, black_box(0), 42))
+        b.iter(|| run_cell(&fan, Policy::Performance, black_box(0), 42))
     });
     g.bench_function("performance_deep_eco", |b| {
-        b.iter(|| run_cell(scenario, Policy::Performance, black_box(2), 42))
+        b.iter(|| run_cell(&fan, Policy::Performance, black_box(2), 42))
     });
     g.bench_function("energy_deep_eco", |b| {
-        b.iter(|| run_cell(scenario, Policy::Energy, black_box(2), 42))
+        b.iter(|| run_cell(&fan, Policy::Energy, black_box(2), 42))
     });
     g.finish();
 }

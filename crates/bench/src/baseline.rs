@@ -16,6 +16,13 @@
 //! so matching its exact shape is the honest scope. Rows are matched by
 //! `id` and reported as per-row percentage deltas, most-regressed first.
 //!
+//! Two kinds of number live in a row. `ns_per_iter` is wall-clock and
+//! noisy: its deltas are reported, never gated. `elements_per_iter` is
+//! what the bench declared as its throughput — tasks completed, makespan
+//! overhead in per-mille — a pure function of the simulated run, so any
+//! difference is a behaviour change: those come first in the report as
+//! [`DeltaRow::Drift`] and make `bench_compare` exit non-zero.
+//!
 //! A perf PR records the parent commit's measurement of a case next to
 //! its own, on the same machine, as a second row whose id ends in
 //! `@parent`. Fresh runs never produce such rows; the comparison pairs
@@ -34,6 +41,9 @@ pub struct BaselineRow {
     /// Minimum wall-clock nanoseconds per iteration, when the baseline
     /// recorded one (older baselines predate the field).
     pub min_ns_per_iter: Option<f64>,
+    /// The deterministic count the bench declared as its throughput
+    /// (`null` in the file when it declared none).
+    pub elements_per_iter: Option<u64>,
 }
 
 impl BaselineRow {
@@ -75,6 +85,7 @@ pub fn parse_baseline(contents: &str) -> Vec<BaselineRow> {
                 id: string_field(line, "id")?,
                 ns_per_iter: number_field(line, "ns_per_iter")?,
                 min_ns_per_iter: number_field(line, "min_ns_per_iter"),
+                elements_per_iter: number_field(line, "elements_per_iter").map(|n| n as u64),
             })
         })
         .collect()
@@ -83,6 +94,9 @@ pub fn parse_baseline(contents: &str) -> Vec<BaselineRow> {
 /// One row of a baseline comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaRow {
+    /// Present in both files with different declared throughputs:
+    /// `(id, baseline elements, current elements)`. Exact, so gating.
+    Drift(String, Option<u64>, Option<u64>),
     /// Present in both files: `(id, baseline ns, current ns, delta %)`.
     Changed(String, f64, f64, f64),
     /// Only in the current file (new bench case).
@@ -99,17 +113,25 @@ const PARENT_SUFFIX: &str = "@parent";
 
 /// Diff `current` against `baseline`, matching rows by id. Each side
 /// contributes its [`BaselineRow::metric`] — the minimum when recorded,
-/// the median otherwise. Changed rows come first, sorted most-regressed
-/// first (largest positive delta); added and removed rows follow in
-/// file order, then the baseline's `@parent` pairs (an `@parent` row
-/// with no sibling counts as removed).
+/// the median otherwise. Throughput drift comes first (file order), then
+/// changed rows sorted most-regressed first (largest positive delta);
+/// added and removed rows follow in file order, then the baseline's
+/// `@parent` pairs (an `@parent` row with no sibling counts as removed).
 #[must_use]
 pub fn diff_baselines(baseline: &[BaselineRow], current: &[BaselineRow]) -> Vec<DeltaRow> {
+    let mut drift = Vec::new();
     let mut changed = Vec::new();
     let mut added = Vec::new();
     for cur in current {
         match baseline.iter().find(|b| b.id == cur.id) {
             Some(base) => {
+                if base.elements_per_iter != cur.elements_per_iter {
+                    drift.push(DeltaRow::Drift(
+                        cur.id.clone(),
+                        base.elements_per_iter,
+                        cur.elements_per_iter,
+                    ));
+                }
                 let delta = if base.metric() > 0.0 {
                     (cur.metric() - base.metric()) / base.metric() * 100.0
                 } else {
@@ -144,10 +166,18 @@ pub fn diff_baselines(baseline: &[BaselineRow], current: &[BaselineRow]) -> Vec<
         (DeltaRow::Changed(_, _, _, da), DeltaRow::Changed(_, _, _, db)) => db.total_cmp(da),
         _ => std::cmp::Ordering::Equal,
     });
-    changed.extend(added);
-    changed.extend(removed);
-    changed.extend(parents);
-    changed
+    drift.extend(changed);
+    drift.extend(added);
+    drift.extend(removed);
+    drift.extend(parents);
+    drift
+}
+
+/// Whether a comparison found any [`DeltaRow::Drift`] — the one finding
+/// `bench_compare` fails on.
+#[must_use]
+pub fn has_drift(rows: &[DeltaRow]) -> bool {
+    rows.iter().any(|row| matches!(row, DeltaRow::Drift(..)))
 }
 
 /// Render a comparison as a GitHub-flavored markdown table (what the CI
@@ -162,8 +192,17 @@ pub fn render_markdown(title: &str, rows: &[DeltaRow]) -> String {
     }
     let _ = writeln!(out, "| bench | baseline ns/iter | current ns/iter | Δ |");
     let _ = writeln!(out, "|---|---:|---:|---:|");
+    let elements = |e: &Option<u64>| e.map_or("—".to_string(), |n| n.to_string());
     for row in rows {
         match row {
+            DeltaRow::Drift(id, base, cur) => {
+                let _ = writeln!(
+                    out,
+                    "| `{id}` elements/iter | {} | {} | **drift** |",
+                    elements(base),
+                    elements(cur)
+                );
+            }
             DeltaRow::Changed(id, base, cur, delta) => {
                 let _ = writeln!(out, "| `{id}` | {base:.1} | {cur:.1} | {delta:+.1}% |");
             }
@@ -203,6 +242,42 @@ mod tests {
         assert_eq!(rows[1].id, "g/b");
         assert!((rows[1].ns_per_iter - 250.5).abs() < 1e-9);
         assert_eq!(rows[1].min_ns_per_iter, Some(240.0));
+        assert_eq!(rows[0].elements_per_iter, None);
+        assert_eq!(rows[1].elements_per_iter, Some(1026));
+    }
+
+    #[test]
+    fn only_throughput_drift_gates() {
+        let base = parse_baseline(SAMPLE);
+        // Timing-only change: every row slower, same declared counts.
+        let mut slower = base.clone();
+        for row in &mut slower {
+            row.ns_per_iter *= 3.0;
+            row.min_ns_per_iter = row.min_ns_per_iter.map(|ns| ns * 3.0);
+        }
+        let delta = diff_baselines(&base, &slower);
+        assert!(!has_drift(&delta), "wall-clock is report-only: {delta:?}");
+
+        // Same timings, one row completed fewer tasks.
+        let mut drifted = base.clone();
+        drifted[1].elements_per_iter = Some(1020);
+        let delta = diff_baselines(&base, &drifted);
+        assert!(has_drift(&delta));
+        assert_eq!(
+            delta[0],
+            DeltaRow::Drift("g/b".into(), Some(1026), Some(1020)),
+            "drift leads the report"
+        );
+        assert_eq!(
+            delta.len(),
+            3,
+            "one drift row on top of the two timing rows"
+        );
+        let md = render_markdown("t", &delta);
+        assert!(
+            md.contains("| `g/b` elements/iter | 1026 | 1020 | **drift** |"),
+            "{md}"
+        );
     }
 
     #[test]
@@ -226,11 +301,13 @@ mod tests {
                 id: "g/a".into(),
                 ns_per_iter: 150.0, // +50 % regression
                 min_ns_per_iter: None,
+                elements_per_iter: None,
             },
             BaselineRow {
                 id: "g/new".into(),
                 ns_per_iter: 10.0,
                 min_ns_per_iter: None,
+                elements_per_iter: None,
             },
         ];
         let delta = diff_baselines(&base, &current);
@@ -256,6 +333,7 @@ mod tests {
                 id: id.into(),
                 ns_per_iter: 2.0 * ns,
                 min_ns_per_iter: Some(ns),
+                elements_per_iter: None,
             });
         }
         let fresh = parse_baseline(SAMPLE);
@@ -281,11 +359,13 @@ mod tests {
                 id: "a".into(),
                 ns_per_iter: 100.0,
                 min_ns_per_iter: None,
+                elements_per_iter: None,
             },
             BaselineRow {
                 id: "b".into(),
                 ns_per_iter: 100.0,
                 min_ns_per_iter: None,
+                elements_per_iter: None,
             },
         ];
         let current = vec![
@@ -293,11 +373,13 @@ mod tests {
                 id: "a".into(),
                 ns_per_iter: 50.0, // -50 % improvement
                 min_ns_per_iter: None,
+                elements_per_iter: None,
             },
             BaselineRow {
                 id: "b".into(),
                 ns_per_iter: 200.0, // +100 % regression
                 min_ns_per_iter: None,
+                elements_per_iter: None,
             },
         ];
         let delta = diff_baselines(&base, &current);

@@ -1,13 +1,9 @@
-//! CI gate: run the static analyzer over every reference experiment
-//! graph — the exact graphs the criterion benches time and the figure
-//! bins plot — and refuse the build if any of them carries an
-//! analysis *error* (a race, an illegal confidential flow, an
-//! infeasible placement, an unclosed checkpoint frontier).
-//!
-//! Each experiment is rebuilt under its own real pillar configuration
-//! (the resilience scenario with its checkpoint config, the secure
-//! offload scenario with its security config, …) so the lints see what
-//! the runtime would see. One human-readable report per experiment plus
+//! CI gate: run the static analyzer over every entry of
+//! [`RECIPES`] — the exact runtimes the criterion benches time and the
+//! sweeps run, each under its own real pillar configuration — and refuse
+//! the build if any of them carries an analysis *error* (a race, an
+//! illegal confidential flow, an infeasible placement, an unclosed
+//! checkpoint frontier). One human-readable report per experiment plus
 //! a machine-readable `summary.json` land in the output directory
 //! (first CLI argument, default `analysis-reports/`), which CI uploads
 //! as an artifact.
@@ -19,132 +15,22 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
-use legato_bench::experiments::{engine, goals, resilience, secure_offload};
-use legato_fti::Strategy;
-use legato_runtime::{
-    AnalysisReport, EnergyConfig, EngineConfig, Policy, ResilienceConfig, Runtime, SecurityConfig,
-};
-
-/// One analyzed experiment graph.
-struct Cell {
-    /// Bench-style id, also the report file stem (`/` → `_`).
-    name: &'static str,
-    report: AnalysisReport,
-}
-
-fn analyze_all() -> Vec<Cell> {
-    let seed = 42;
-    let mut cells = Vec::new();
-
-    // The two engine scenarios, exactly as `runtime_engine` times them.
-    for (name, scenario, policy) in [
-        (
-            "engine/wide_graph_1k",
-            engine::Scenario::reference_wide(),
-            Policy::Performance,
-        ),
-        (
-            "engine/straggler_1k",
-            engine::Scenario::reference_straggler(),
-            Policy::Weighted(0.5),
-        ),
-    ] {
-        let mut rt = Runtime::new(goals::reference_devices(), policy, seed);
-        scenario.build(&mut rt, seed);
-        cells.push(Cell {
-            name,
-            report: rt.analyze(),
-        });
-    }
-
-    // The goals app with reliability-critical stages (E7 shape).
-    {
-        let mut rt = Runtime::new(goals::reference_devices(), Policy::Weighted(0.5), seed);
-        goals::build_app(&mut rt, 6, 8, 0.3, seed);
-        cells.push(Cell {
-            name: "goals/app_6x8_critical",
-            report: rt.analyze(),
-        });
-    }
-
-    // The resilience scenario under its checkpoint configuration, so the
-    // checkpoint-closure lint sees the frontier the FTI layer would
-    // roll back to.
-    {
-        let scenario = resilience::Scenario::reference();
-        let mtbf = resilience::reference_mtbfs(scenario)[0].1;
-        let mut rt = EngineConfig::new()
-            .with_devices(goals::reference_devices())
-            .with_policy(Policy::Performance)
-            .with_seed(seed)
-            .with_resilience(
-                ResilienceConfig::new(mtbf)
-                    .with_strategy(Strategy::Initial)
-                    .with_region_sizes(scenario.region_sizes()),
-            )
-            .build()
-            .expect("valid engine config");
-        scenario.build(&mut rt);
-        cells.push(Cell {
-            name: "resilience/initial_ckpt",
-            report: rt.analyze(),
-        });
-    }
-
-    // Secure offload at the 50 % confidential cell, both crypto classes:
-    // the flow and feasibility lints run against the same device mixes
-    // the sweep places on.
-    for crypto in secure_offload::CryptoClass::ALL {
-        let scenario = secure_offload::Scenario::reference();
-        let mut rt = EngineConfig::new()
-            .with_devices(secure_offload::devices(crypto))
-            .with_policy(Policy::Performance)
-            .with_seed(seed)
-            .with_security(SecurityConfig::new().with_region_sizes(scenario.region_sizes()))
-            .build()
-            .expect("valid engine config");
-        scenario.build(&mut rt, 50);
-        cells.push(Cell {
-            name: match crypto {
-                secure_offload::CryptoClass::Software => "secure_offload/sw_50pct",
-                secure_offload::CryptoClass::Hardware => "secure_offload/hw_50pct",
-            },
-            report: rt.analyze(),
-        });
-    }
-
-    // The energy frontier's eco cell (E11 shape).
-    {
-        let mut rt = EngineConfig::new()
-            .with_devices(goals::reference_devices())
-            .with_policy(Policy::Energy)
-            .with_seed(seed)
-            .with_energy(EnergyConfig::new().with_uniform_step(1))
-            .build()
-            .expect("reference devices carry the default ladder");
-        engine::Scenario::reference_wide().build(&mut rt, seed);
-        cells.push(Cell {
-            name: "energy/eco_wide_graph",
-            report: rt.analyze(),
-        });
-    }
-
-    cells
-}
+use legato_bench::experiments::RECIPES;
+use legato_runtime::AnalysisReport;
 
 /// Hand-rolled JSON, same policy as the rest of the workspace (no
 /// serde_json in the tree): flat array of per-experiment verdicts.
-fn summary_json(cells: &[Cell]) -> String {
+fn summary_json(cells: &[(&str, AnalysisReport)]) -> String {
     let mut out = String::from("[\n");
-    for (i, cell) in cells.iter().enumerate() {
+    for (i, (name, report)) in cells.iter().enumerate() {
         let _ = write!(
             out,
             "  {{\"experiment\": \"{}\", \"tasks_analyzed\": {}, \"errors\": {}, \"warnings\": {}, \"clean\": {}}}",
-            cell.name,
-            cell.report.tasks_analyzed,
-            cell.report.error_count(),
-            cell.report.warning_count(),
-            cell.report.is_clean(),
+            name,
+            report.tasks_analyzed,
+            report.error_count(),
+            report.warning_count(),
+            report.is_clean(),
         );
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
@@ -159,21 +45,27 @@ fn main() -> ExitCode {
     let out_dir = Path::new(&out_dir);
     std::fs::create_dir_all(out_dir).expect("create report directory");
 
-    let cells = analyze_all();
+    // Bench-style ids double as report file stems (`/` → `_`).
+    let cells: Vec<(&str, AnalysisReport)> = RECIPES
+        .iter()
+        .map(|recipe| {
+            let rt = (recipe.build)(42).expect("recipe builds");
+            (recipe.name, rt.analyze())
+        })
+        .collect();
     let mut failed = false;
-    for cell in &cells {
-        let verdict = if cell.report.has_errors() {
+    for (name, report) in &cells {
+        let verdict = if report.has_errors() {
             failed = true;
             "FAIL"
-        } else if cell.report.warning_count() > 0 {
+        } else if report.warning_count() > 0 {
             "warn"
         } else {
             "ok"
         };
-        println!("{:>4}  {:<28} {}", verdict, cell.name, cell.report);
-        let path = out_dir.join(format!("{}.txt", cell.name.replace('/', "_")));
-        std::fs::write(&path, format!("{}\n{}\n", cell.name, cell.report))
-            .expect("write report file");
+        println!("{verdict:>4}  {name:<28} {report}");
+        let path = out_dir.join(format!("{}.txt", name.replace('/', "_")));
+        std::fs::write(&path, format!("{name}\n{report}\n")).expect("write report file");
     }
     std::fs::write(out_dir.join("summary.json"), summary_json(&cells)).expect("write summary.json");
 

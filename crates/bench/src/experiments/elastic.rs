@@ -28,8 +28,8 @@ use legato_runtime::{
     ChurnConfig, ChurnTrace, EngineConfig, Policy, ResilienceConfig, RunReport, Runtime,
     RuntimeError,
 };
+use legato_workloads::{fleets, region_sizes};
 
-use super::goals::reference_devices;
 use super::resilience::Scenario;
 
 /// How the fleet churns under the run.
@@ -141,7 +141,8 @@ pub fn baseline_makespan(scenario: Scenario) -> Seconds {
 /// mode. Deterministic per `seed` (which seeds the trace too).
 #[must_use]
 pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u64) -> ElasticRow {
-    let fleet = reference_devices();
+    let fleet = fleets::reference();
+    let fan = scenario.fan();
     let mut cfg = EngineConfig::new()
         .with_devices(fleet.clone())
         .with_policy(Policy::Performance)
@@ -150,7 +151,7 @@ pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u6
     if mode.checkpointed() {
         cfg = cfg.with_resilience(
             ResilienceConfig::new(scenario.mean_task_duration() * 64.0)
-                .with_region_sizes(scenario.region_sizes())
+                .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))
                 .with_max_rollbacks(10_000),
         );
     }
@@ -167,13 +168,13 @@ pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u6
         cfg = cfg.with_churn(ChurnConfig::new(trace));
     }
     let mut rt = cfg.build().expect("valid engine config");
-    scenario.build(&mut rt);
+    let tasks = super::submit(&mut rt, &fan, seed);
     let report = run_to_quiescence(&mut rt);
     let churn = report.churn.unwrap_or_default();
     ElasticRow {
         events,
         mode: mode.label(),
-        tasks: scenario.tasks(),
+        tasks,
         completed: report.placements.len(),
         failed: report.failed.len(),
         makespan: report.makespan,

@@ -7,9 +7,9 @@
 //! frontier instead of pinning it to the fastest point. This experiment
 //! traces that frontier on the event engine:
 //!
-//! * the reference wide fan-out/fan-in scenario from
-//!   [`experiments::engine`](super::engine) (≥ 1k tasks) on the
-//!   four-device reference mix;
+//! * the reference wide fan-out/fan-in scenario
+//!   ([`Fan::reference_wide`], ≥ 1k tasks) on the four-device reference
+//!   mix;
 //! * a grid of scheduling policies × device operating points: every
 //!   device stepped together down its default DVFS ladder
 //!   (nominal → eco → deep-eco) through [`EnergyConfig`];
@@ -27,10 +27,8 @@
 
 use legato_core::units::{Joule, Seconds, Watt};
 use legato_hw::device::OperatingPoint;
-use legato_runtime::{EnergyConfig, EngineConfig, Policy};
-
-use super::engine::Scenario;
-use super::goals::reference_devices;
+use legato_runtime::{EnergyConfig, EngineConfig, Policy, Runtime, RuntimeError};
+use legato_workloads::{fleets, Fan};
 
 /// One cell of the frontier: a (policy, operating-point) pair and what
 /// the run cost.
@@ -66,36 +64,43 @@ pub fn reference_policies() -> Vec<(&'static str, Policy)> {
 /// The operating-point grid: every rung of the default device ladder.
 pub const REFERENCE_STEPS: [usize; 3] = [0, 1, 2];
 
-/// Execute `scenario` once under `policy` with every device stepped to
-/// ladder rung `step`. Deterministic per `seed`. This is the single
-/// definition of a frontier cell: [`frontier`] builds its rows from it
-/// and the `undervolting` criterion bench times it, so the recorded
-/// frontier and the timed cells can never diverge.
-pub fn run_cell(
-    scenario: Scenario,
-    policy: Policy,
-    step: usize,
-    seed: u64,
-) -> legato_runtime::RunReport {
+/// `fan` submitted to an engine on the reference fleet under `policy`
+/// with every device stepped to ladder rung `step`. Deterministic per
+/// `seed`.
+///
+/// # Errors
+///
+/// Whatever [`EngineConfig::build`] refuses.
+pub fn runtime(fan: &Fan, policy: Policy, step: usize, seed: u64) -> Result<Runtime, RuntimeError> {
     let mut rt = EngineConfig::new()
-        .with_devices(reference_devices())
+        .with_devices(fleets::reference())
         .with_policy(policy)
         .with_seed(seed)
         .with_energy(EnergyConfig::new().with_uniform_step(step))
-        .build()
-        .expect("reference devices carry the default ladder");
-    scenario.build(&mut rt, seed);
-    rt.run().expect("devices present")
+        .build()?;
+    super::submit(&mut rt, fan, seed);
+    Ok(rt)
+}
+
+/// Execute one frontier cell. This is the single definition of a cell:
+/// [`frontier`] builds its rows from it and the `undervolting` criterion
+/// bench times it, so the recorded frontier and the timed cells can
+/// never diverge.
+pub fn run_cell(fan: &Fan, policy: Policy, step: usize, seed: u64) -> legato_runtime::RunReport {
+    runtime(fan, policy, step, seed)
+        .expect("reference devices carry the default ladder")
+        .run()
+        .expect("devices present")
 }
 
 /// Trace the full frontier: every policy × every ladder rung.
 #[must_use]
-pub fn frontier(scenario: Scenario, seed: u64) -> Vec<EnergyFrontierRow> {
+pub fn frontier(fan: &Fan, seed: u64) -> Vec<EnergyFrontierRow> {
     let ladder = OperatingPoint::default_ladder();
     let mut rows = Vec::new();
     for (label, policy) in reference_policies() {
         for step in REFERENCE_STEPS {
-            let report = run_cell(scenario, policy, step, seed);
+            let report = run_cell(fan, policy, step, seed);
             let stats = report.energy.expect("energy layer on");
             rows.push(EnergyFrontierRow {
                 policy: label,
@@ -117,7 +122,7 @@ mod tests {
 
     #[test]
     fn frontier_covers_the_grid() {
-        let rows = frontier(Scenario::reference_wide(), 42);
+        let rows = frontier(&Fan::reference_wide(), 42);
         assert_eq!(rows.len(), 9, "3 policies × 3 rungs");
         let tasks = rows[0].tasks;
         assert!(tasks >= 1000, "need ≥ 1k tasks, got {tasks}");
@@ -126,7 +131,7 @@ mod tests {
 
     #[test]
     fn ladder_steps_are_pareto_ordered_per_policy() {
-        let rows = frontier(Scenario::reference_wide(), 42);
+        let rows = frontier(&Fan::reference_wide(), 42);
         for (label, _) in reference_policies() {
             let cells: Vec<&EnergyFrontierRow> =
                 rows.iter().filter(|r| r.policy == label).collect();
@@ -148,8 +153,8 @@ mod tests {
 
     #[test]
     fn frontier_is_deterministic() {
-        let a = frontier(Scenario::reference_wide(), 7);
-        let b = frontier(Scenario::reference_wide(), 7);
+        let a = frontier(&Fan::reference_wide(), 7);
+        let b = frontier(&Fan::reference_wide(), 7);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.makespan, y.makespan);
             assert_eq!(x.total_energy, y.total_energy);

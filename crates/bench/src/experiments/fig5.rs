@@ -66,6 +66,13 @@ pub fn vmin_error(sweep: &PlatformSweep) -> Volt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The 5 mV sweep, run once for the tests that read it.
+    fn sweeps_5mv() -> &'static [PlatformSweep] {
+        static SWEEPS: OnceLock<Vec<PlatformSweep>> = OnceLock::new();
+        SWEEPS.get_or_init(|| run(5.0, 2))
+    }
 
     #[test]
     fn all_four_platforms_swept() {
@@ -79,8 +86,7 @@ mod tests {
 
     #[test]
     fn vc707_headline_numbers() {
-        let sweeps = run(5.0, 2);
-        let vc707 = &sweeps[0];
+        let vc707 = &sweeps_5mv()[0];
         let (saving, rate) = headline(vc707);
         assert!(saving > 0.88, "saving {saving}");
         assert!((rate - 652.0).abs() / 652.0 < 0.3, "rate {rate}");
@@ -88,13 +94,13 @@ mod tests {
 
     #[test]
     fn series_decimation_keeps_critical_points() {
-        let sweeps = run(5.0, 3);
-        let s = series(&sweeps[0], 10);
+        let vc707 = &sweeps_5mv()[0];
+        let s = series(vc707, 10);
         let critical = s
             .iter()
             .filter(|p| p.region == VoltageRegion::Critical)
             .count();
-        let total_critical = sweeps[0]
+        let total_critical = vc707
             .points
             .iter()
             .filter(|p| p.region == VoltageRegion::Critical)

@@ -6,22 +6,11 @@ use std::collections::HashMap;
 use legato_core::requirements::{Criticality, Requirements};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Joule, Seconds};
-use legato_hw::device::DeviceSpec;
 use legato_runtime::ckpt::{full_memory_volume, reduction_factor, task_declared_volume};
 use legato_runtime::{Policy, Runtime};
+use legato_workloads::fleets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// The device mix of the reference heterogeneous node.
-#[must_use]
-pub fn reference_devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-        DeviceSpec::arm64(),
-    ]
-}
 
 /// Build a synthetic application DAG: `stages` pipeline stages, each a
 /// fan-out of `width` mixed tasks over a shared input, with `critical`
@@ -87,7 +76,7 @@ pub fn policy_comparison(seed: u64) -> Vec<PolicyRow> {
     ]
     .into_iter()
     .map(|(label, policy)| {
-        let mut rt = Runtime::new(reference_devices(), policy, seed);
+        let mut rt = Runtime::new(fleets::reference(), policy, seed);
         build_app(&mut rt, 6, 8, 0.0, seed);
         let rep = rt.run().expect("devices present");
         PolicyRow {
@@ -142,7 +131,7 @@ pub fn reliability_comparison(fault_prob: f64, trials: u64) -> Vec<ReliabilityRo
         let mut energy = 0.0;
         let mut makespan = 0.0;
         for seed in 0..trials {
-            let mut rt = Runtime::new(reference_devices(), Policy::Performance, seed);
+            let mut rt = Runtime::new(fleets::reference(), Policy::Performance, seed);
             // The GPU is flaky.
             rt.set_fault_prob(1, fault_prob);
             // Designate critical tasks deterministically per seed, then

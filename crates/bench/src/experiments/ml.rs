@@ -109,12 +109,21 @@ pub fn standard_exposure() -> Seconds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The standard VC707 ablation, run once for both tests.
+    fn standard_run() -> &'static [MlPoint] {
+        static RUN: OnceLock<Vec<MlPoint>> = OnceLock::new();
+        RUN.get_or_init(|| {
+            let platform = FpgaPlatform::vc707();
+            let voltages = standard_voltages(&platform);
+            run(platform, &voltages, standard_exposure(), 7)
+        })
+    }
 
     #[test]
     fn accuracy_survives_guardband_and_degrades_gracefully() {
-        let platform = FpgaPlatform::vc707();
-        let voltages = standard_voltages(&platform);
-        let pts = run(platform, &voltages, standard_exposure(), 7);
+        let pts = standard_run();
         // Nominal and guardband: full accuracy, zero weight corruption.
         assert!(pts[0].accuracy > 0.9, "nominal {:?}", pts[0]);
         assert!(pts[1].accuracy > 0.9, "guardband {:?}", pts[1]);
@@ -139,10 +148,7 @@ mod tests {
 
     #[test]
     fn faults_increase_toward_crash() {
-        let platform = FpgaPlatform::vc707();
-        let voltages = standard_voltages(&platform);
-        let pts = run(platform, &voltages, standard_exposure(), 11);
-        let critical: Vec<&MlPoint> = pts
+        let critical: Vec<&MlPoint> = standard_run()
             .iter()
             .filter(|p| p.region == VoltageRegion::Critical)
             .collect();

@@ -23,20 +23,11 @@
 //! asserts both, and the `resilience` criterion bench records the rows
 //! in `BENCH_resilience.json`.
 
-use std::collections::HashMap;
-
-use legato_core::requirements::{Criticality, Requirements};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
+use legato_core::task::{TaskKind, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_fti::Strategy;
-use legato_runtime::{EngineConfig, Policy, ResilienceConfig, Runtime};
-
-use super::goals::reference_devices;
-
-/// Region carrying the scatter task's fan-out output.
-const SCATTER_REGION: u64 = 0;
-/// First region id used by chains (one private region per chain).
-const CHAIN_REGION_BASE: u64 = 1;
+use legato_runtime::{EngineConfig, Policy, ResilienceConfig, Runtime, RuntimeError};
+use legato_workloads::{fleets, region_sizes, Fan};
 
 /// How the engine reacts to a task that exhausts its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,66 +83,23 @@ impl Scenario {
         }
     }
 
-    /// Total tasks the scenario submits (scatter + chains + gather).
-    #[must_use]
-    pub fn tasks(&self) -> usize {
-        self.chains * self.depth + 2
-    }
-
     /// Mean task duration on the reference devices under the performance
     /// policy (the fastest device's time — what the scheduler layer
     /// predicts for every placement).
     #[must_use]
     pub fn mean_task_duration(&self) -> Seconds {
-        reference_devices()
+        fleets::reference()
             .iter()
             .map(|d| d.time_for(self.work, TaskKind::Compute))
             .fold(Seconds(f64::INFINITY), Seconds::min)
     }
 
-    /// Declared per-region sizes (scatter + one region per chain).
+    /// The scatter → chains → gather graph: every chain task is
+    /// reliability-`High` (dual replication), so device faults are
+    /// detected rather than silent.
     #[must_use]
-    pub fn region_sizes(&self) -> HashMap<RegionId, Bytes> {
-        let mut sizes = HashMap::new();
-        sizes.insert(RegionId(SCATTER_REGION), self.region_bytes);
-        for c in 0..self.chains as u64 {
-            sizes.insert(RegionId(CHAIN_REGION_BASE + c), self.region_bytes);
-        }
-        sizes
-    }
-
-    /// Submit the scatter → chains → gather graph into `rt`. Every chain
-    /// task is reliability-`High` (dual replication), so device faults
-    /// are detected rather than silent.
-    pub fn build(&self, rt: &mut Runtime) {
-        rt.submit(
-            TaskDescriptor::named("scatter").with_work(Work::flops(1e9)),
-            [(SCATTER_REGION, AccessMode::Out)],
-        );
-        for c in 0..self.chains as u64 {
-            let region = CHAIN_REGION_BASE + c;
-            for d in 0..self.depth {
-                let mut accesses = vec![(region, AccessMode::InOut)];
-                if d == 0 {
-                    accesses.push((SCATTER_REGION, AccessMode::In));
-                }
-                // Static task-type label (see the engine scenario): no
-                // per-instance name allocation inside the timed build.
-                rt.submit(
-                    TaskDescriptor::named("chain")
-                        .with_kind(TaskKind::Compute)
-                        .with_work(self.work)
-                        .with_requirements(Requirements::new().with_criticality(Criticality::High)),
-                    accesses,
-                );
-            }
-        }
-        rt.submit(
-            TaskDescriptor::named("gather").with_work(Work::flops(1e9)),
-            (0..self.chains as u64)
-                .map(|c| (CHAIN_REGION_BASE + c, AccessMode::In))
-                .collect::<Vec<_>>(),
-        );
+    pub fn fan(&self) -> Fan {
+        Fan::replicated(self.chains, self.depth, self.work)
     }
 }
 
@@ -197,43 +145,58 @@ impl ResilienceRow {
     }
 }
 
-/// Execute `scenario` once at the given MTBF and mode. Deterministic per
-/// `seed`.
-#[must_use]
-pub fn run_scenario(scenario: Scenario, mtbf: Seconds, mode: CkptMode, seed: u64) -> ResilienceRow {
+/// `scenario` submitted to an engine on the reference fleet, faulting
+/// at the given MTBF and recovering per `mode`. Deterministic per `seed`.
+///
+/// # Errors
+///
+/// Whatever [`EngineConfig::build`] refuses.
+pub fn runtime(
+    scenario: Scenario,
+    mtbf: Seconds,
+    mode: CkptMode,
+    seed: u64,
+) -> Result<Runtime, RuntimeError> {
+    let fan = scenario.fan();
     let mut cfg = EngineConfig::new()
-        .with_devices(reference_devices())
+        .with_devices(fleets::reference())
         .with_policy(Policy::Performance)
         .with_seed(seed)
         .with_max_retries(scenario.max_retries);
-    match mode {
-        CkptMode::RetryOnly => {}
-        CkptMode::Initial | CkptMode::Async => {
-            let strategy = if mode == CkptMode::Initial {
-                Strategy::Initial
-            } else {
-                Strategy::Async
-            };
-            cfg = cfg.with_resilience(
-                ResilienceConfig::new(mtbf)
-                    .with_strategy(strategy)
-                    .with_region_sizes(scenario.region_sizes())
-                    .with_max_rollbacks(10_000),
-            );
-        }
+    let strategy = match mode {
+        CkptMode::RetryOnly => None,
+        CkptMode::Initial => Some(Strategy::Initial),
+        CkptMode::Async => Some(Strategy::Async),
+    };
+    if let Some(strategy) = strategy {
+        cfg = cfg.with_resilience(
+            ResilienceConfig::new(mtbf)
+                .with_strategy(strategy)
+                .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))
+                .with_max_rollbacks(10_000),
+        );
     }
-    let mut rt = cfg.build().expect("valid engine config");
+    let mut rt = cfg.build()?;
     let p = fault_prob_for_mtbf(mtbf, scenario.mean_task_duration());
     for i in 0..rt.devices().len() {
         rt.set_fault_prob(i, p);
     }
-    scenario.build(&mut rt);
+    super::submit(&mut rt, &fan, seed);
+    Ok(rt)
+}
+
+/// Execute `scenario` once at the given MTBF and mode. Deterministic per
+/// `seed`.
+#[must_use]
+pub fn run_scenario(scenario: Scenario, mtbf: Seconds, mode: CkptMode, seed: u64) -> ResilienceRow {
+    let mut rt = runtime(scenario, mtbf, mode, seed).expect("valid engine config");
+    let tasks = rt.graph().len();
     let report = rt.run().expect("devices present");
     let res = report.resilience.unwrap_or_default();
     ResilienceRow {
         mtbf,
         mode: mode.label(),
-        tasks: scenario.tasks(),
+        tasks,
         completed: report.placements.len(),
         failed: report.failed.len(),
         makespan: report.makespan,
@@ -266,10 +229,10 @@ mod tests {
     #[test]
     fn scenario_is_wide_enough() {
         let s = Scenario::reference();
-        assert!(s.tasks() >= 1000, "need ≥ 1k tasks, got {}", s.tasks());
-        let mut rt = Runtime::new(reference_devices(), Policy::Performance, 1);
-        s.build(&mut rt);
-        assert_eq!(rt.graph().len(), s.tasks());
+        let rt = runtime(s, Seconds(1.0), CkptMode::RetryOnly, 1).expect("valid engine config");
+        let tasks = rt.graph().len();
+        assert!(tasks >= 1000, "need ≥ 1k tasks, got {tasks}");
+        assert_eq!(tasks, s.chains * s.depth + 2, "scatter + chains + gather");
         assert_eq!(rt.graph().ready().len(), 1, "only the scatter is ready");
     }
 

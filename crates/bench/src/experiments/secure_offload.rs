@@ -14,7 +14,7 @@
 //!
 //! * a scatter → chains → gather graph of inference tasks, where a
 //!   configurable fraction of chains is declared
-//!   [`SecurityLevel::Enclave`] — the engine must keep those chains on
+//!   `SecurityLevel::Enclave` — the engine must keep those chains on
 //!   the TEE-capable CPUs even though the GPU wins every unconstrained
 //!   placement;
 //! * two hardware variants: TEE CPUs with *software* crypto vs
@@ -29,18 +29,13 @@
 //! grows with the confidential fraction, and hardware crypto pays
 //! measurably less than software at every non-zero fraction.
 
-use std::collections::HashMap;
-
-use legato_core::requirements::{Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
+use legato_core::task::Work;
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::{DeviceSpec, TeeCapability};
-use legato_runtime::{EngineConfig, Policy, Runtime, SecurityConfig, SecurityStats};
-
-/// Region carrying the scatter task's fan-out output.
-const SCATTER_REGION: u64 = 0;
-/// First region id used by chains (one private region per chain).
-const CHAIN_REGION_BASE: u64 = 1;
+use legato_runtime::{
+    EngineConfig, Policy, RunReport, Runtime, RuntimeError, SecurityConfig, SecurityStats,
+};
+use legato_workloads::{region_sizes, Fan};
 
 /// Which crypto class the TEE-capable devices carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,77 +108,23 @@ impl Scenario {
         }
     }
 
-    /// Total tasks the scenario submits (scatter + chains + gather).
-    #[must_use]
-    pub fn tasks(&self) -> usize {
-        self.chains * self.depth + 2
-    }
-
     /// Number of chains declared enclave-only at `percent` confidential.
     #[must_use]
     pub fn confidential_chains(&self, percent: u32) -> usize {
         (self.chains * percent as usize) / 100
     }
 
-    /// Declared per-region sizes (scatter + one region per chain).
+    /// The scatter → chains → gather graph with the first
+    /// `confidential_chains(percent)` chains enclave-only (and the gather
+    /// with them: it reads their outputs).
     #[must_use]
-    pub fn region_sizes(&self) -> HashMap<RegionId, Bytes> {
-        let mut sizes = HashMap::new();
-        sizes.insert(RegionId(SCATTER_REGION), self.region_bytes);
-        for c in 0..self.chains as u64 {
-            sizes.insert(RegionId(CHAIN_REGION_BASE + c), self.region_bytes);
-        }
-        sizes
-    }
-
-    /// Submit the scatter → chains → gather graph with the first
-    /// `confidential_chains(percent)` chains enclave-only.
-    pub fn build(&self, rt: &mut Runtime, percent: u32) {
-        let confidential = self.confidential_chains(percent);
-        rt.submit(
-            TaskDescriptor::named("scatter").with_work(Work::flops(1e9)),
-            [(SCATTER_REGION, AccessMode::Out)],
-        );
-        for c in 0..self.chains {
-            let region = CHAIN_REGION_BASE + c as u64;
-            let level = if c < confidential {
-                SecurityLevel::Enclave
-            } else {
-                SecurityLevel::Public
-            };
-            for d in 0..self.depth {
-                let mut accesses = vec![(region, AccessMode::InOut)];
-                if d == 0 {
-                    accesses.push((SCATTER_REGION, AccessMode::In));
-                }
-                rt.submit(
-                    TaskDescriptor::named("stage")
-                        .with_kind(TaskKind::Inference)
-                        .with_work(self.work)
-                        .with_requirements(Requirements::new().with_security(level)),
-                    accesses,
-                );
-            }
-        }
-        // The gather aggregates every chain's output, so information-flow
-        // discipline requires it to run at the highest level it reads:
-        // enclave-only whenever any chain is confidential. (The original
-        // Public gather was a real leak — enclave plaintext flowing into
-        // an unprotected task — caught by the `confidential-flow` lint in
-        // `legato-analyze` the first time these graphs were verified.)
-        let gather_level = if confidential > 0 {
-            SecurityLevel::Enclave
-        } else {
-            SecurityLevel::Public
-        };
-        rt.submit(
-            TaskDescriptor::named("gather")
-                .with_work(Work::flops(1e9))
-                .with_requirements(Requirements::new().with_security(gather_level)),
-            (0..self.chains as u64)
-                .map(|c| (CHAIN_REGION_BASE + c, AccessMode::In))
-                .collect::<Vec<_>>(),
-        );
+    pub fn fan(&self, percent: u32) -> Fan {
+        Fan::confidential(
+            self.chains,
+            self.depth,
+            self.work,
+            self.confidential_chains(percent),
+        )
     }
 }
 
@@ -208,26 +149,40 @@ pub struct SecureOffloadRow {
     pub security: SecurityStats,
 }
 
-/// Execute `scenario` once at the given confidential `percent` and
-/// crypto class, returning the full report. Deterministic per `seed`.
-/// This is the single definition of a sweep cell: [`sweep`] builds its
-/// rows from it and the `secure_offload` criterion bench times it, so
-/// the recorded overheads and the timed cells can never diverge.
-pub fn run_cell(
+/// `scenario` at the given confidential `percent`, submitted to a
+/// security-configured engine on the `crypto` device mix. Deterministic
+/// per `seed`.
+///
+/// # Errors
+///
+/// Whatever [`EngineConfig::build`] refuses.
+pub fn runtime(
     scenario: Scenario,
     percent: u32,
     crypto: CryptoClass,
     seed: u64,
-) -> legato_runtime::RunReport {
+) -> Result<Runtime, RuntimeError> {
+    let fan = scenario.fan(percent);
+    let sizes = region_sizes(fan.regions(), scenario.region_bytes);
     let mut rt = EngineConfig::new()
         .with_devices(devices(crypto))
         .with_policy(Policy::Performance)
         .with_seed(seed)
-        .with_security(SecurityConfig::new().with_region_sizes(scenario.region_sizes()))
-        .build()
-        .expect("valid engine config");
-    scenario.build(&mut rt, percent);
-    rt.run().expect("devices present")
+        .with_security(SecurityConfig::new().with_region_sizes(sizes))
+        .build()?;
+    super::submit(&mut rt, &fan, seed);
+    Ok(rt)
+}
+
+/// Execute one sweep cell, returning the full report: what the
+/// `secure_offload` criterion bench times, on the same [`runtime`] the
+/// [`sweep`] rows come from, so the recorded overheads and the timed
+/// cells can never diverge.
+pub fn run_cell(scenario: Scenario, percent: u32, crypto: CryptoClass, seed: u64) -> RunReport {
+    runtime(scenario, percent, crypto, seed)
+        .expect("valid engine config")
+        .run()
+        .expect("devices present")
 }
 
 /// The confidential-fraction grid the paper-shaped claim is evaluated
@@ -245,12 +200,14 @@ pub fn sweep(scenario: Scenario, seed: u64) -> Vec<SecureOffloadRow> {
     for crypto in CryptoClass::ALL {
         let mut baseline = None;
         for percent in REFERENCE_PERCENTS {
-            let report = run_cell(scenario, percent, crypto, seed);
+            let mut rt = runtime(scenario, percent, crypto, seed).expect("valid engine config");
+            let tasks = rt.graph().len();
+            let report = rt.run().expect("devices present");
             let baseline = *baseline.get_or_insert(report.makespan);
             rows.push(SecureOffloadRow {
                 percent,
                 crypto: crypto.label(),
-                tasks: scenario.tasks(),
+                tasks,
                 completed: report.placements.len(),
                 makespan: report.makespan,
                 overhead: report.makespan / baseline - 1.0,

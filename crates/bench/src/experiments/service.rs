@@ -22,23 +22,11 @@
 
 use legato_core::task::{AccessMode, TaskDescriptor, Work};
 use legato_core::units::Seconds;
-use legato_hw::device::DeviceSpec;
 use legato_runtime::{EngineConfig, Policy, Service, ServiceConfig, TenantSpec};
+use legato_workloads::fleets;
 
 /// Tasks each tenant streams per cell.
 pub const PER_TENANT: usize = 8;
-
-/// The 64-device service fleet: sixteen of each reference spec.
-#[must_use]
-pub fn service_fleet() -> Vec<DeviceSpec> {
-    let specs = [
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-        DeviceSpec::arm64(),
-    ];
-    (0..64).map(|i| specs[i % specs.len()].clone()).collect()
-}
 
 /// One tenant-count cell of the sweep.
 #[derive(Debug, Clone)]
@@ -60,13 +48,13 @@ pub struct ServiceRow {
     pub rejections: u64,
 }
 
-/// Build the cell's service: `tenants` sessions with shares cycling
-/// 1–4, each streaming [`PER_TENANT`] independent tasks.
+/// Build the cell's service over the 64-device fleet (sixteen of each
+/// reference spec): `tenants` sessions with shares cycling 1–4, each streaming [`PER_TENANT`] independent tasks.
 #[must_use]
 pub fn build_service(tenants: usize, seed: u64) -> Service {
     let mut svc = ServiceConfig::new(
         EngineConfig::new()
-            .with_devices(service_fleet())
+            .with_devices(fleets::cycled(64))
             .with_policy(Policy::Performance)
             .with_seed(seed),
     )

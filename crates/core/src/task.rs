@@ -2,9 +2,8 @@
 //! replication and offload.
 //!
 //! A task is described by a [`TaskDescriptor`] — a name, a workload
-//! characterization used by cost models ([`Work`]), an elasticity range
-//! (XiTAO's "parallel computation with arbitrary (elastic) resources"), and
-//! the non-functional [`Requirements`] bundle.
+//! characterization used by cost models ([`Work`]), and the
+//! non-functional [`Requirements`] bundle.
 //!
 //! [`Requirements`]: crate::requirements::Requirements
 //! Data dependences are *not* stated explicitly; they are derived by the
@@ -182,9 +181,8 @@ impl Work {
 /// let desc = TaskDescriptor::named("saxpy")
 ///     .with_kind(TaskKind::Compute)
 ///     .with_work(Work::new(2.0e6, Bytes::mib(8)))
-///     .with_elasticity(1, 8)
 ///     .with_requirements(Requirements::new().with_criticality(Criticality::High));
-/// assert_eq!(desc.max_width, 8);
+/// assert_eq!(desc.requirements.criticality.replica_count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskDescriptor {
@@ -197,17 +195,13 @@ pub struct TaskDescriptor {
     pub kind: TaskKind,
     /// Workload size.
     pub work: Work,
-    /// Minimum resource width (XiTAO elasticity lower bound), ≥ 1.
-    pub min_width: usize,
-    /// Maximum resource width (XiTAO elasticity upper bound), ≥ `min_width`.
-    pub max_width: usize,
     /// Non-functional requirements.
     pub requirements: Requirements,
 }
 
 impl TaskDescriptor {
     /// A descriptor with the given name and neutral defaults: `Compute`
-    /// kind, empty work, width 1, default requirements. A `&'static str`
+    /// kind, empty work, default requirements. A `&'static str`
     /// name is borrowed, not allocated.
     #[must_use]
     pub fn named(name: impl Into<std::borrow::Cow<'static, str>>) -> Self {
@@ -215,8 +209,6 @@ impl TaskDescriptor {
             name: name.into(),
             kind: TaskKind::default(),
             work: Work::default(),
-            min_width: 1,
-            max_width: 1,
             requirements: Requirements::default(),
         }
     }
@@ -235,31 +227,11 @@ impl TaskDescriptor {
         self
     }
 
-    /// Set the elastic width range `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min == 0` or `min > max`.
-    #[must_use]
-    pub fn with_elasticity(mut self, min: usize, max: usize) -> Self {
-        assert!(min >= 1, "minimum width must be at least 1");
-        assert!(min <= max, "minimum width must not exceed maximum width");
-        self.min_width = min;
-        self.max_width = max;
-        self
-    }
-
     /// Attach non-functional requirements.
     #[must_use]
     pub fn with_requirements(mut self, req: Requirements) -> Self {
         self.requirements = req;
         self
-    }
-
-    /// Whether the task can use more than one resource unit.
-    #[must_use]
-    pub fn is_elastic(&self) -> bool {
-        self.max_width > 1
     }
 }
 
@@ -293,31 +265,16 @@ mod tests {
         let d = TaskDescriptor::named("t");
         assert_eq!(d.name, "t");
         assert_eq!(d.kind, TaskKind::Compute);
-        assert_eq!((d.min_width, d.max_width), (1, 1));
-        assert!(!d.is_elastic());
+        assert_eq!(d.work, Work::default());
     }
 
     #[test]
     fn descriptor_builder() {
         let d = TaskDescriptor::named("nn")
             .with_kind(TaskKind::Inference)
-            .with_elasticity(2, 4)
             .with_requirements(Requirements::new().with_criticality(Criticality::Critical));
         assert_eq!(d.kind, TaskKind::Inference);
-        assert!(d.is_elastic());
         assert_eq!(d.requirements.criticality.replica_count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "minimum width must not exceed maximum width")]
-    fn elasticity_validation() {
-        let _ = TaskDescriptor::named("bad").with_elasticity(4, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "minimum width must be at least 1")]
-    fn elasticity_zero_min() {
-        let _ = TaskDescriptor::named("bad").with_elasticity(0, 2);
     }
 
     #[test]

@@ -151,6 +151,14 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The VC707 at 5 mV (~100 exposures of the largest BRAM array), run
+    /// once for the three tests that read it.
+    fn vc707_5mv() -> &'static [SweepPoint] {
+        static SWEEP: OnceLock<Vec<SweepPoint>> = OnceLock::new();
+        SWEEP.get_or_init(|| undervolt_sweep(FpgaPlatform::vc707(), 5.0, 4))
+    }
 
     #[test]
     fn sweep_covers_three_regions() {
@@ -187,7 +195,7 @@ mod tests {
 
     #[test]
     fn critical_points_show_growing_errors() {
-        let pts = undervolt_sweep(FpgaPlatform::vc707(), 5.0, 4);
+        let pts = vc707_5mv();
         let critical: Vec<_> = pts
             .iter()
             .filter(|p| p.region == VoltageRegion::Critical)
@@ -201,7 +209,7 @@ mod tests {
 
     #[test]
     fn observed_rate_tracks_model_near_crash() {
-        let pts = undervolt_sweep(FpgaPlatform::vc707(), 5.0, 5);
+        let pts = vc707_5mv();
         let last_usable = pts
             .iter()
             .rfind(|p| p.region == VoltageRegion::Critical)
@@ -219,8 +227,7 @@ mod tests {
     #[test]
     fn summary_matches_calibration() {
         let platform = FpgaPlatform::vc707();
-        let pts = undervolt_sweep(platform.clone(), 5.0, 6);
-        let s = SweepSummary::from_points(&platform, &pts);
+        let s = SweepSummary::from_points(&platform, vc707_5mv());
         assert!(s.v_min >= platform.v_min);
         assert!(s.v_crash <= platform.v_crash + Volt(0.005));
         assert!(s.saving_at_crash > 0.88, "saving {}", s.saving_at_crash);

@@ -31,6 +31,9 @@ use crate::request::TaskRequest;
 const LEARNING_NOISE: f64 = 0.02;
 /// Probe workloads per node and task kind during learning.
 const LEARNING_PROBES: usize = 12;
+/// Relative score improvement a migration must deliver (hysteresis
+/// against ping-ponging).
+const MIGRATION_THRESHOLD: f64 = 0.10;
 
 /// A placement made by the scheduling phase.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,9 +91,6 @@ pub struct Heats {
     completed: Vec<CompletedTask>,
     migrations: Vec<Migration>,
     next_id: usize,
-    /// Relative score improvement a migration must deliver (hysteresis
-    /// against ping-ponging).
-    migration_threshold: f64,
     /// Fixed migration cost (stop, transfer, restart).
     migration_overhead: Seconds,
 }
@@ -117,7 +117,6 @@ impl Heats {
             completed: Vec::new(),
             migrations: Vec::new(),
             next_id: 0,
-            migration_threshold: 0.10,
             migration_overhead: Seconds(2.0),
         }
     }
@@ -166,11 +165,6 @@ impl Heats {
     #[must_use]
     pub fn migrations(&self) -> &[Migration] {
         &self.migrations
-    }
-
-    /// Override the migration hysteresis threshold (default 0.10).
-    pub fn set_migration_threshold(&mut self, t: f64) {
-        self.migration_threshold = t.max(0.0);
     }
 
     /// Enqueue a task for the next scheduling phase; returns its id.
@@ -318,7 +312,7 @@ impl Heats {
             let Ok(policy) = Policy::weighted(rem_request.weight) else {
                 continue;
             };
-            if let Some(i) = policy.migrate(&stay, &alternatives, &norm, self.migration_threshold) {
+            if let Some(i) = policy.migrate(&stay, &alternatives, &norm, MIGRATION_THRESHOLD) {
                 let to = candidates[i];
                 let t = alternatives[i].finish;
                 let removed = self.nodes[from].remove(task_id).expect("instance exists");

@@ -1,18 +1,12 @@
 //! # legato-runtime
 //!
-//! Task-based runtime for heterogeneous hardware, combining the two
-//! runtime systems LEGaTO builds on (paper §II-C):
-//!
-//! * **OmpSs-style dataflow execution** — tasks are submitted with
-//!   `in`/`out`/`inout` annotations, dependences are inferred, and ready
-//!   tasks are scheduled onto the most appropriate device by the
-//!   event-driven execution [`engine`] behind [`runtime::Runtime`],
-//!   with streaming submission into a run already in progress;
-//! * **XiTAO-style elastic tasks** — a task is "a parallel computation
-//!   with arbitrary (elastic) resources"; the [`elastic`] module picks the
-//!   resource width that minimizes finish time under Amdahl scaling with
-//!   exclusive core assignment (constructive sharing, interference
-//!   freedom).
+//! Task-based runtime for heterogeneous hardware in the style of the
+//! OmpSs dataflow runtime LEGaTO builds on (paper §II-C): tasks are
+//! submitted with `in`/`out`/`inout` annotations, dependences are
+//! inferred, and ready tasks are scheduled onto the most appropriate
+//! device by the event-driven execution [`engine`] behind
+//! [`runtime::Runtime`], with streaming submission into a run already in
+//! progress.
 //!
 //! On top of scheduling, the runtime implements the fault-tolerance
 //! mechanisms §I assigns to the task model:
@@ -97,7 +91,6 @@ pub mod analyze;
 pub mod churn;
 pub mod ckpt;
 pub mod config;
-pub mod elastic;
 pub mod energy;
 pub mod engine;
 pub mod error;

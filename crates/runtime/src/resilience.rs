@@ -97,12 +97,6 @@ impl ResilienceConfig {
         self
     }
 
-    /// Write checkpoints to the given storage tier.
-    pub fn with_tier(mut self, tier: StorageTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
     /// Declare region sizes for frontier-volume accounting.
     pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
         self.region_sizes = sizes;

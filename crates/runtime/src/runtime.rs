@@ -290,11 +290,6 @@ impl Runtime {
         self.policy
     }
 
-    /// Change the scheduling policy (affects tasks not yet run).
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
-    }
-
     /// Set the per-execution fault probability of device `idx` (silent
     /// data corruption model, e.g. an FPGA run below `Vmin`).
     ///

@@ -101,18 +101,6 @@ impl SecurityConfig {
         self.region_sizes = sizes;
         self
     }
-
-    /// Set the ecall/ocall pairs charged per enclave task.
-    pub fn with_transitions(mut self, pairs: u32) -> Self {
-        self.transitions = pairs;
-        self
-    }
-
-    /// Set the checkpoint sealing throughput.
-    pub fn with_seal_bandwidth(mut self, bw: BytesPerSec) -> Self {
-        self.seal_bandwidth = bw;
-        self
-    }
 }
 
 impl Default for SecurityConfig {

@@ -256,12 +256,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Write session seals to the given storage tier.
-    pub fn with_tier(mut self, tier: StorageTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
     /// Construct the service (builds the wrapped engine).
     ///
     /// # Errors

@@ -11,10 +11,8 @@
 //! absolute numbers live in `BENCH_runtime.json`
 //! (`runtime_engine/analyze/*`).
 
-use legato_core::graph::GraphBuilder;
-use legato_core::task::{AccessMode, TaskDescriptor, Work};
-use legato_hw::device::DeviceSpec;
 use legato_runtime::{EngineConfig, Policy, Runtime};
+use legato_workloads::{chains_batch, fleets};
 
 const TASKS: usize = 100_000;
 
@@ -22,16 +20,8 @@ const TASKS: usize = 100_000;
 /// as the `runtime_engine/scaling` bench rows.
 fn build_graph(rt: &mut Runtime) {
     let width = TASKS / 4;
-    let mut builder = GraphBuilder::with_capacity(TASKS, TASKS).with_region_capacity(width);
-    for i in 0..TASKS {
-        let flops = (1.0 + (i % 997) as f64 / 997.0) * 1.0e12;
-        builder.task(
-            TaskDescriptor::named("t").with_work(Work::flops(flops)),
-            [((i % width) as u64, AccessMode::InOut)],
-        );
-    }
     rt.reserve(TASKS, TASKS - width);
-    rt.submit_batch(builder);
+    rt.submit_batch(chains_batch(TASKS, width));
 }
 
 #[test]
@@ -43,12 +33,7 @@ fn analysis_stays_within_10x_of_graph_construction() {
     use std::time::Instant;
 
     let mut rt = EngineConfig::new()
-        .with_devices(vec![
-            DeviceSpec::xeon_x86(),
-            DeviceSpec::gtx1080(),
-            DeviceSpec::fpga_kintex(),
-            DeviceSpec::arm64(),
-        ])
+        .with_devices(fleets::reference())
         .with_policy(Policy::Performance)
         .with_seed(42)
         .build()

@@ -20,6 +20,7 @@ use legato_hw::device::DeviceSpec;
 use legato_runtime::{
     AnalysisConfig, EngineConfig, LintId, Policy, Runtime, RuntimeError, Severity,
 };
+use legato_workloads::fleets;
 use proptest::prelude::*;
 
 /// Chains → tasks → flops.
@@ -27,15 +28,6 @@ type ChainSpec = Vec<Vec<f64>>;
 
 fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
     prop::collection::vec(prop::collection::vec(1e9f64..8e10, 1..10), 1..8)
-}
-
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-        DeviceSpec::arm64(),
-    ]
 }
 
 /// Chain `c` serializes on its private region `c` through inference —
@@ -53,7 +45,7 @@ fn build_chains(rt: &mut Runtime, chains: &ChainSpec) {
 
 fn analyzed_runtime(seed: u64) -> Runtime {
     EngineConfig::new()
-        .with_devices(devices())
+        .with_devices(fleets::reference())
         .with_policy(Policy::Weighted(0.5))
         .with_seed(seed)
         .with_analysis(AnalysisConfig::new())
@@ -215,7 +207,7 @@ fn enforce_mode_refuses_before_any_event() {
 #[test]
 fn warn_only_mode_attaches_the_report() {
     let mut rt = EngineConfig::new()
-        .with_devices(devices())
+        .with_devices(fleets::reference())
         .with_analysis(AnalysisConfig::new().warn_only())
         .build()
         .expect("valid config");
@@ -233,7 +225,7 @@ fn warn_only_mode_attaches_the_report() {
 /// the layer is strictly pay-for-what-you-use.
 #[test]
 fn analysis_off_attaches_nothing() {
-    let mut rt = Runtime::new(devices(), Policy::Performance, 1);
+    let mut rt = Runtime::new(fleets::reference(), Policy::Performance, 1);
     rt.submit_with_deps(TaskDescriptor::named("a"), [(0u64, AccessMode::Out)], &[])
         .expect("no deps");
     rt.submit_with_deps(TaskDescriptor::named("b"), [(0u64, AccessMode::Out)], &[])

@@ -34,6 +34,7 @@ use legato_hw::device::DeviceSpec;
 use legato_runtime::{
     EngineConfig, Policy, PoolConfig, ResilienceConfig, Runtime, SecurityConfig, TopologyConfig,
 };
+use legato_workloads::fleets;
 use proptest::prelude::*;
 
 /// Chains → tasks → (flops, criticality selector, security selector).
@@ -49,14 +50,7 @@ fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
 /// A 12-device fleet: three of each reference device, so pools of any
 /// size mix fast and slow, TEE and non-TEE hardware.
 fn devices() -> Vec<DeviceSpec> {
-    let mut fleet = Vec::with_capacity(12);
-    for _ in 0..3 {
-        fleet.push(DeviceSpec::xeon_x86());
-        fleet.push(DeviceSpec::gtx1080());
-        fleet.push(DeviceSpec::fpga_kintex());
-        fleet.push(DeviceSpec::arm64());
-    }
-    fleet
+    fleets::cycled(12)
 }
 
 fn criticality(sel: u8) -> Criticality {

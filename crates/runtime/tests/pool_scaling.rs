@@ -13,35 +13,18 @@
 //!   evaluates at least 3× fewer candidates per task than the flat
 //!   O(D) scan, while producing the bit-identical schedule.
 
-use legato_core::task::{AccessMode, TaskDescriptor, Work};
-use legato_hw::device::DeviceSpec;
 use legato_runtime::{EngineConfig, Policy, PoolConfig, Runtime};
+use legato_workloads::{chains, fleets};
 
 const POOL_SIZE: usize = 16;
 const TASKS: usize = 20_000;
 
-/// A fleet of `n` devices cycling through the reference specs — every
-/// 16-device pool holds the same mix of fast and slow hardware.
-fn fleet(n: usize) -> Vec<DeviceSpec> {
-    let specs = [
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-        DeviceSpec::arm64(),
-    ];
-    (0..n).map(|i| specs[i % specs.len()].clone()).collect()
-}
-
 /// `TASKS` independent tasks with varied sizes (so device busy times
-/// diverge and pool bounds separate), each writing its own region.
+/// diverge and pool bounds separate), each on its own region.
 fn submit_wide(rt: &mut Runtime) {
-    for i in 0..TASKS {
-        let flops = (1.0 + (i % 997) as f64 / 997.0) * 1.0e12;
-        rt.submit(
-            TaskDescriptor::named("t").with_work(Work::flops(flops)),
-            [(i as u64, AccessMode::Out)],
-        );
-    }
+    chains(TASKS, TASKS, |descriptor, accesses| {
+        rt.submit(descriptor, accesses.iter().copied());
+    });
 }
 
 /// Run the wide workload on `n` devices and return (evals, makespan).
@@ -52,7 +35,7 @@ fn run_wide(n: usize, pooled: bool) -> (u64, legato_core::units::Seconds) {
 /// Same wide workload under an arbitrary policy.
 fn run_wide_with(policy: Policy, n: usize, pooled: bool) -> (u64, legato_core::units::Seconds) {
     let mut cfg = EngineConfig::new()
-        .with_devices(fleet(n))
+        .with_devices(fleets::cycled(n))
         .with_policy(policy)
         .with_seed(1);
     if pooled {

@@ -24,21 +24,13 @@ use std::collections::{HashMap, VecDeque};
 use legato_core::requirements::{Criticality, Requirements};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, Joule, Seconds};
-use legato_hw::device::{DeviceSpec, OperatingPoint};
+use legato_hw::device::OperatingPoint;
 use legato_runtime::{
     EnergyConfig, EngineConfig, Policy, ResilienceConfig, RunReport, Runtime, RuntimeError,
     Service, ServiceConfig, TenantId, TenantSpec,
 };
+use legato_workloads::fleets;
 use proptest::prelude::*;
-
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-        DeviceSpec::arm64(),
-    ]
-}
 
 fn engine(seed: u64, policy_sel: u8) -> EngineConfig {
     let policy = match policy_sel {
@@ -48,7 +40,7 @@ fn engine(seed: u64, policy_sel: u8) -> EngineConfig {
         _ => Policy::Weighted(0.5),
     };
     EngineConfig::new()
-        .with_devices(devices())
+        .with_devices(fleets::reference())
         .with_policy(policy)
         .with_seed(seed)
 }
@@ -70,7 +62,7 @@ fn descriptor(flops: f64) -> TaskDescriptor {
 /// recovers replicated tasks that exhaust it. (A `Service` owns its
 /// engine, so the fault rate has to come from the configuration.)
 fn rollback_engine(seed: u64, tenants: usize) -> EngineConfig {
-    let mut fleet = devices();
+    let mut fleet = fleets::reference();
     fleet[1] = fleet[1].clone().with_operating_points(vec![
         OperatingPoint::nominal(),
         OperatingPoint::new("critical", 1.0, 1.0, 0.5),
@@ -267,7 +259,7 @@ proptest! {
             sum[t] += p.finish;
             count[t] += 1;
         }
-        let slowest_dev_dur = devices()
+        let slowest_dev_dur = fleets::reference()
             .iter()
             .map(|d| d.time_for(Work::flops(2e12), legato_core::task::TaskKind::Compute))
             .fold(Seconds::ZERO, Seconds::max);
@@ -497,20 +489,9 @@ fn admission_backpressure_is_typed_and_exact() {
 /// bench suite; this pins functional correctness at scale.)
 #[test]
 fn thousand_tenant_smoke() {
-    let fleet: Vec<DeviceSpec> = (0..64)
-        .map(|i| {
-            [
-                DeviceSpec::xeon_x86(),
-                DeviceSpec::gtx1080(),
-                DeviceSpec::fpga_kintex(),
-                DeviceSpec::arm64(),
-            ][i % 4]
-                .clone()
-        })
-        .collect();
     let mut svc = ServiceConfig::new(
         EngineConfig::new()
-            .with_devices(fleet)
+            .with_devices(fleets::cycled(64))
             .with_policy(Policy::Performance)
             .with_seed(3),
     )

@@ -15,21 +15,10 @@
 //!   visits.
 
 use legato_core::task::{AccessMode, TaskDescriptor, Work};
-use legato_hw::device::DeviceSpec;
 use legato_runtime::{EngineConfig, Policy, Service, ServiceConfig, TenantId, TenantSpec};
+use legato_workloads::fleets;
 
 const TENANTS: usize = 1000;
-
-/// The 64-device reference service fleet.
-fn fleet() -> Vec<DeviceSpec> {
-    let specs = [
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-        DeviceSpec::arm64(),
-    ];
-    (0..64).map(|i| specs[i % specs.len()].clone()).collect()
-}
 
 /// Stream `rounds` tasks per tenant through `Service::step` only: every
 /// tenant submits one task, the engine advances `TENANTS` events, and
@@ -37,7 +26,8 @@ fn fleet() -> Vec<DeviceSpec> {
 fn stream(rounds: u64) -> Service {
     let mut svc = ServiceConfig::new(
         EngineConfig::new()
-            .with_devices(fleet())
+            // The 64-device reference service fleet.
+            .with_devices(fleets::cycled(64))
             .with_policy(Policy::Performance)
             .with_seed(3),
     )

@@ -10,7 +10,7 @@
 //! | [`hw`] | `legato-hw` | simulated devices, memory, storage, RECS\|BOX, communicator |
 //! | [`fpga`] | `legato-fpga` | BRAM undervolting model (Fig. 5) |
 //! | [`fti`] | `legato-fti` | multi-level GPU/CPU checkpointing (Fig. 6) |
-//! | [`runtime`] | `legato-runtime` | OmpSs/XiTAO-style runtime, replication, energy-aware offload |
+//! | [`runtime`] | `legato-runtime` | OmpSs-style dataflow runtime, replication, energy-aware offload |
 //! | [`heats`] | `legato-heats` | heterogeneity- and energy-aware cluster scheduler (Fig. 7) |
 //! | [`secure`] | `legato-secure` | enclave simulation, sealing, attestation |
 //! | [`mirror`] | `legato-mirror` | Smart Mirror use case: detection, Kalman, Hungarian, pipeline |

@@ -146,19 +146,19 @@ fn recs_box_modules_feed_the_runtime() {
 /// them. Core ready-queue → engine → scheduler trait, end to end.
 #[test]
 fn event_engine_beats_topological_sweep_on_wide_graphs() {
-    use legato_bench::experiments::engine::Scenario;
-    use legato_bench::experiments::goals::reference_devices;
+    use legato_bench::experiments::engine::runtime;
+    use legato_workloads::Fan;
 
-    let run = |scenario: Scenario, policy, engine_bits: u64, sweep_bits: u64| {
-        let mut rt = Runtime::new(reference_devices(), policy, 42);
-        assert!(scenario.build(&mut rt, 42) >= 1000, "graph too small");
+    let run = |fan: Fan, policy, engine_bits: u64, sweep_bits: u64| {
+        let mut rt = runtime(&fan, policy, 42);
+        assert!(rt.graph().len() >= 1000, "graph too small");
         let engine = rt.run().expect("devices present").makespan.0;
-        assert_eq!(engine.to_bits(), engine_bits, "{scenario:?}: {engine}");
+        assert_eq!(engine.to_bits(), engine_bits, "{policy:?}: {engine}");
         f64::from_bits(sweep_bits) / engine
     };
 
     let wide = run(
-        Scenario::reference_wide(),
+        Fan::reference_wide(),
         Policy::Performance,
         0x402A_2B2E_C2CF_7BC5, // 13.084 s
         0x402A_94A2_A6C7_2D4E, // 13.290 s
@@ -166,7 +166,7 @@ fn event_engine_beats_topological_sweep_on_wide_graphs() {
     assert!(wide > 1.0, "engine must strictly beat the sweep: {wide:.3}");
 
     let straggler = run(
-        Scenario::reference_straggler(),
+        Fan::reference_straggler(),
         Policy::Weighted(0.5),
         0x403E_4C98_02FE_DE19, // 30.299 s
         0x404A_1886_928F_8F5F, // 52.192 s
@@ -222,13 +222,13 @@ fn checkpoint_restart_survives_mtbf_where_retry_only_fails() {
     use legato_bench::experiments::resilience::{run_scenario, CkptMode, Scenario};
 
     let scenario = Scenario::reference();
-    assert!(scenario.tasks() >= 1000, "graph too small");
     let hostile = scenario.mean_task_duration() * 16.0;
 
     let retry = run_scenario(scenario, hostile, CkptMode::RetryOnly, 42);
     let initial = run_scenario(scenario, hostile, CkptMode::Initial, 42);
     let async_ = run_scenario(scenario, hostile, CkptMode::Async, 42);
 
+    assert!(retry.tasks >= 1000, "graph too small");
     // Retry-only: at least one task exhausts its budget and poisons its
     // downstream cone — the run does not complete the graph.
     assert!(
@@ -273,8 +273,9 @@ fn checkpoint_restart_survives_mtbf_where_retry_only_fails() {
 #[test]
 fn enclave_tasks_stay_on_tee_devices_and_hardware_crypto_cuts_the_premium() {
     use legato::core::requirements::SecurityLevel;
-    use legato::runtime::SecurityConfig;
-    use legato_bench::experiments::secure_offload::{devices, sweep, CryptoClass, Scenario};
+    use legato_bench::experiments::secure_offload::{
+        devices, runtime, sweep, CryptoClass, Scenario,
+    };
 
     // Direct placement check on a mixed workload: the GPU wins every
     // unconstrained inference placement, so only the placement rule can
@@ -288,17 +289,11 @@ fn enclave_tasks_stay_on_tee_devices_and_hardware_crypto_cuts_the_premium() {
         .collect();
     assert_eq!(tee.len(), 2, "two TEE CPUs in the reference mix");
     let scenario = Scenario::reference();
-    let mut rt = legato::runtime::EngineConfig::new()
-        .with_devices(specs)
-        .with_policy(Policy::Performance)
-        .with_seed(42)
-        .with_security(SecurityConfig::new().with_region_sizes(scenario.region_sizes()))
-        .build()
-        .expect("valid engine config");
-    scenario.build(&mut rt, 50);
+    let mut rt = runtime(scenario, 50, CryptoClass::Hardware, 42).expect("valid engine config");
+    let tasks = rt.graph().len();
     let confidential_chains = scenario.confidential_chains(50);
     let report = rt.run().expect("devices present");
-    assert_eq!(report.placements.len(), scenario.tasks(), "nothing dropped");
+    assert_eq!(report.placements.len(), tasks, "nothing dropped");
     // Tasks 1..=chains*depth are the chain stages, chain-major; the
     // first `confidential_chains` chains are enclave-only, and the
     // final gather is too (it reads the enclave chains' outputs — the
@@ -307,7 +302,7 @@ fn enclave_tasks_stay_on_tee_devices_and_hardware_crypto_cuts_the_premium() {
         * scenario.depth)
         .map(|i| 1 + i as u64)
         .collect();
-    enclave_task_ids.insert(scenario.tasks() as u64 - 1);
+    enclave_task_ids.insert(tasks as u64 - 1);
     for p in &report.placements {
         if enclave_task_ids.contains(&p.task.0) {
             for &d in &p.devices {
