@@ -190,8 +190,10 @@ impl EngineConfig {
     ///
     /// [`RuntimeError::InvalidWeight`] for an unusable
     /// [`Policy::Weighted`] weight; [`RuntimeError::InvalidParameter`]
-    /// when an energy override names a device or ladder rung that does
-    /// not exist, when a selected rung lies in the crash region (fault
+    /// when a device spec (as derated) has a rate or power the cost
+    /// model cannot price — zero, negative or non-finite — when an
+    /// energy override names a device or ladder rung that does not
+    /// exist, when a selected rung lies in the crash region (fault
     /// probability ≥ 1: the run could never accept a result), or when a
     /// Pareto objective's bound or cap is not a positive finite value.
     pub fn build(self) -> Result<Runtime, RuntimeError> {
@@ -267,6 +269,7 @@ impl EngineConfig {
         };
 
         let mut rt = Runtime::new(devices, policy, seed);
+        rt.classes.check()?;
         if let Some(retries) = max_retries {
             rt.max_retries = retries;
         }
@@ -281,7 +284,7 @@ impl EngineConfig {
             rt.energy = energy_state;
         }
         if let Some(cfg) = pools {
-            rt.pools = Some(DevicePools::new(cfg, &rt.devices)?);
+            rt.pools = Some(DevicePools::new(cfg, &rt.classes)?);
         }
         if let Some(cfg) = topology {
             rt.topology = TopologyState::from_config(cfg);

@@ -29,8 +29,8 @@
 //! The per-event path is engineered to be allocation-free and to touch
 //! as little memory as the simulation semantics allow — event-class
 //! queues exploiting per-class monotonicity, inline replica sets with a
-//! payload slab, per-runtime scratch buffers, single-evaluation
-//! placement plans, and inline dispatch of provably-next ready events.
+//! payload slab, per-runtime scratch buffers, placement priced once
+//! per spec class, and inline dispatch of provably-next ready events.
 //! DESIGN.md §8 ("Hot path and allocation discipline") catalogues what
 //! is allowed to allocate where, and the invariants the equivalence
 //! proptests pin.
@@ -55,7 +55,6 @@ use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REP
 use crate::resilience::{CheckpointRecord, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
 use crate::scheduler::Estimate;
-use crate::security::SecurityState;
 
 /// The devices and per-replica results of one (possibly replicated)
 /// attempt, stored inline in the finish event. `len` is the live prefix
@@ -241,11 +240,9 @@ pub(crate) struct EngineState {
 /// between events; only the capacity is carried.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Placement estimates, one per device (`start_attempt`).
+    /// Placement estimates, sized to the fleet; the flat scan fills a
+    /// prefix, one per candidate (`start_attempt`).
     estimates: Vec<Estimate>,
-    /// Per-device `(start, duration)` plans paired with `estimates`, so
-    /// committing a chosen placement re-evaluates nothing.
-    plans: Vec<(Seconds, Seconds)>,
     /// Candidate device index behind each estimate (security-restricted
     /// tasks skip ineligible devices, so positions ≠ device indices).
     candidates: Vec<usize>,
@@ -449,7 +446,9 @@ impl Runtime {
     ///
     /// [`RuntimeError::NoDevices`] when the runtime has no devices;
     /// [`RuntimeError::InvalidWeight`] for an unusable
-    /// [`Policy::Weighted`] weight (validated up front, never a mid-run
+    /// [`Policy::Weighted`] weight and
+    /// [`RuntimeError::InvalidParameter`] for a device spec the cost
+    /// model cannot price (both validated up front, never a mid-run
     /// panic); [`RuntimeError::AnalysisFailed`] when static analysis is
     /// configured in enforce mode and found error-severity diagnostics
     /// (also up front — no event dispatches on a refused graph).
@@ -466,6 +465,7 @@ impl Runtime {
             return Err(RuntimeError::NoDevices);
         }
         self.policy.validate()?;
+        self.classes.check()?;
         self.ensure_analyzed()?;
         self.plan_resilience()?;
         self.plan_churn();
@@ -492,6 +492,7 @@ impl Runtime {
             return Err(RuntimeError::NoDevices);
         }
         self.policy.validate()?;
+        self.classes.check()?;
         self.ensure_analyzed()?;
         self.plan_resilience()?;
         self.plan_churn();
@@ -923,10 +924,9 @@ impl Runtime {
             .requires_enclave()
             .then(|| self.security.ensure_enclaves(desc.name.as_bytes()));
         if let Some(setup) = enclave_setup {
-            let tee = SecurityState::tee_device_count_available(
-                &self.devices,
-                self.churn.as_ref().map(|c| c.available.as_slice()),
-            );
+            let tee = self
+                .classes
+                .tee_devices_available(self.churn.as_ref().map(|c| c.available.as_slice()));
             match setup {
                 Ok(m) if tee > 0 => {
                     attempt.replicas = attempt.replicas.min(tee);
@@ -974,14 +974,14 @@ impl Runtime {
     /// plan, the energy objective and the pooled search bind all of
     /// them alike.
     ///
-    /// This is the allocation-free half of the hot path: placement
-    /// estimates go into a per-runtime scratch buffer, and device
-    /// selection is the O(D·k)
-    /// [`Scheduler::select_k`](crate::scheduler::Scheduler::select_k) into
-    /// an inline array — no ranking vector, no sort. Confidential tasks
-    /// (and tasks reading sealed regions) first build a per-device
-    /// security plan whose costs are folded into the estimates, so the
-    /// policy ranks TEE and crypto capability like any other dimension.
+    /// This is the allocation-free half of the hot path: the roofline
+    /// runs once per spec class, placement estimates go into a
+    /// per-runtime scratch buffer, and device selection is the O(D·k)
+    /// repeated minimum into an inline array — no ranking vector, no
+    /// sort. Confidential tasks (and tasks reading sealed regions) first
+    /// build a per-class security plan whose costs are folded into the
+    /// estimates, so the policy ranks TEE and crypto capability like any
+    /// other dimension.
     fn start_attempt(&mut self, attempt: Attempt, at: Seconds) -> Result<(), RuntimeError> {
         let Attempt {
             task,
@@ -1004,7 +1004,7 @@ impl Runtime {
         let needs_sec = self.security.active && {
             let accesses = self.graph.accesses(task)?;
             self.security
-                .prepare(&self.devices, accesses, security, measurement)
+                .prepare(&self.classes, accesses, security, measurement)
         };
         // Topology charge for this task: per-pool producer→consumer
         // transfer extras, folded into every estimate before scoring on
@@ -1015,37 +1015,32 @@ impl Runtime {
             self.topology
                 .charge_into(self.graph.accesses(task)?, pool_count);
         }
-        // `rank().take(k)` and `plan_k_devices` are bit-identical
-        // selections (see `sched` / `Policy::plan_k_devices`); the
-        // policy was validated at run/step entry. The selection hands
-        // back each chosen device's `(start, duration)` plan, which is
-        // committed as-is — the roofline model runs once per candidate,
-        // nowhere else.
-        //
-        // With a pool configuration, policy placements — including
-        // `Weighted`, whose global min-max normalization the sharded
-        // search reconstructs exactly from per-shard busy extrema —
-        // route through the bound-and-prune search instead of the flat
-        // O(D) scan: same selection, same plans (proptest-pinned in
-        // `tests/pool_equivalence.rs`). An active security plan
-        // (per-task device exclusions) or a Pareto energy objective
-        // (replaces the scoring) fall back to the flat path, where the
-        // topology extras still apply.
+        // Everything a candidate inherits from its spec is priced here,
+        // once per class; both searches below read it per candidate.
+        self.classes.price(&self.devices, work, kind);
+        // Two searches, one selection: the sharded bound-and-prune
+        // search (`DevicePools::plan_k`) and the flat scan
+        // (`Policy::plan_k_devices`) return the same devices, order and
+        // `(start, duration)` plans (proptest-pinned in
+        // `tests/pool_equivalence.rs`), and the plans are committed
+        // as-is. The sharded search takes every policy placement of a
+        // pooled runtime, `Weighted` included; a security plan
+        // (per-device exceptions) or a Pareto energy objective (replaces
+        // the scoring) takes the flat scan, as does a runtime without
+        // pools. The topology extras apply on both. The policy was
+        // validated at run/step entry.
         let mut planned = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
         let use_pools = self.pools.is_some() && !needs_sec && self.energy.objective.is_none();
-        let k = if use_pools {
+        let (k, evaluated) = if use_pools {
             let extras = topo_active.then_some(self.topology.pool_extras.as_slice());
-            let (k, evaluated) = self.pools.as_mut().expect("checked above").plan_k(
+            self.pools.as_mut().expect("checked above").plan_k(
                 self.policy,
                 &self.devices,
-                work,
-                kind,
+                &self.classes,
                 at,
                 extras,
                 &mut planned[..replicas.min(MAX_REPLICAS)],
-            );
-            self.engine.sched_evals += evaluated;
-            k
+            )
         } else {
             let topo = if topo_active {
                 Some((
@@ -1058,23 +1053,20 @@ impl Runtime {
             } else {
                 None
             };
-            let k = self.policy.plan_k_devices(
+            self.policy.plan_k_devices(
                 &self.devices,
-                work,
-                kind,
+                &self.classes,
                 at,
                 self.churn.as_ref().map(|c| c.available.as_slice()),
                 needs_sec.then_some(&self.security.plan),
                 topo,
                 self.energy.objective.is_some().then_some(&mut self.energy),
                 &mut self.engine.scratch.estimates,
-                &mut self.engine.scratch.plans,
                 &mut self.engine.scratch.candidates,
                 &mut planned[..replicas.min(MAX_REPLICAS)],
-            );
-            self.engine.sched_evals += self.engine.scratch.estimates.len() as u64;
-            k
+            )
         };
+        self.engine.sched_evals += evaluated;
         if k == 0 {
             // Under churn, an empty eligible set means every (capable)
             // device departed: defer rather than refuse. Without churn
@@ -1119,7 +1111,7 @@ impl Runtime {
             // for the costs the plan already priced into the committed
             // durations, and the attestation round on a cache miss.
             for &(d, _, _) in &planned[..k] {
-                self.security.commit(d)?;
+                self.security.commit(d, self.classes.class_of(d))?;
             }
         }
         self.engine.push_finish(
@@ -1341,10 +1333,12 @@ impl Runtime {
     }
 
     /// A device joins mid-run. It is appended at the next free index so
-    /// every positional per-device structure stays aligned, the pool
-    /// shards grow incrementally (spec classes re-deduped, availability
-    /// minima dirtied), the security layer learns the new platform, and
-    /// parked placements get another chance.
+    /// every positional per-device structure stays aligned, the class
+    /// table re-dedupes its spec, the pool shards grow incrementally
+    /// (availability minima dirtied), the security layer learns the new
+    /// platform, and parked placements get another chance. A spec the
+    /// cost model cannot price, or a platform that refuses a known
+    /// enclave image, is an error and the device does not join.
     fn handle_arrival(
         &mut self,
         spec: DeviceSpec,
@@ -1353,7 +1347,11 @@ impl Runtime {
         at: Seconds,
     ) -> Result<(), RuntimeError> {
         let d = self.devices.len();
-        self.devices.push(Device::new(DeviceId(d as u64), spec));
+        let device = Device::new(DeviceId(d as u64), spec);
+        self.classes.vet(&self.devices, &device)?;
+        self.security.device_arrived(&device)?;
+        self.devices.push(device);
+        let class = self.classes.add_device(&self.devices);
         let fp = fault_prob.clamp(0.0, 1.0);
         self.fault_probs.push(fp);
         if !self.energy.op_fault_probs.is_empty() {
@@ -1361,9 +1359,8 @@ impl Runtime {
             // the fleet.
             self.energy.op_fault_probs.push(fp);
         }
-        self.security.device_arrived(&self.devices[d])?;
         if let Some(pools) = &mut self.pools {
-            pools.add_device(d, &self.devices, pool.unwrap_or(d));
+            pools.add_device(d, class, pool.unwrap_or(d));
         }
         let churn = self
             .churn

@@ -90,6 +90,7 @@
 pub mod analyze;
 pub mod churn;
 pub mod ckpt;
+mod classes;
 pub mod config;
 pub mod energy;
 pub mod engine;

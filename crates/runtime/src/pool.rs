@@ -12,13 +12,11 @@
 //! * each shard caches the minimum `busy_until` over its members,
 //!   invalidated only when a member's timeline changes
 //!   (`DevicePools::mark_dirty`) and recomputed lazily;
-//! * static per-shard maxima (best compute rate per [`TaskKind`], best
-//!   memory bandwidth, lowest busy power) give a **lower bound** on any
-//!   member's score under the active [`Policy`] — every term of the
-//!   bound is ≤ the corresponding term of every member's estimate, and
-//!   the pure policies are monotone in (finish, energy), so the bound
-//!   never exceeds a true score. Because a shard's members share one
-//!   spec, the bound degenerates to the score of the shard's least-busy
+//! * a shard's members share one spec class, so the runtime's class
+//!   table (`SpecClasses`) already holds their common duration and
+//!   busy power for the task being placed; with the cached availability
+//!   minimum that gives a **lower bound** on any member's score under
+//!   the active [`Policy`] which is the score of the shard's least-busy
 //!   member — it is *exact*, which is what makes the pruning bite: a
 //!   mixed pool bounded as a whole combines its idlest device with its
 //!   fastest device into a score nothing in the pool can achieve, and
@@ -60,13 +58,14 @@
 
 use std::collections::HashMap;
 
-use legato_core::task::{AccessMode, RegionId, TaskKind, Work};
+use legato_core::task::{AccessMode, RegionId};
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::cluster::NodeSpec;
 use legato_hw::comm::LinkModel;
 use legato_hw::device::{Device, DeviceSpec};
 use legato_hw::recs::RecsBox;
 
+use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
 use crate::replication::MAX_REPLICAS;
 use crate::scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
@@ -145,27 +144,10 @@ impl PoolConfig {
     }
 }
 
-/// Slots of the per-shard best-rate table, one per known [`TaskKind`].
-/// The enum is `#[non_exhaustive]`; an unknown kind falls back to the
-/// shard's raw peak rate (efficiency ≤ 1 keeps the bound valid).
-const KNOWN_KINDS: [(TaskKind, usize); 4] = [
-    (TaskKind::Compute, 0),
-    (TaskKind::Transfer, 1),
-    (TaskKind::Inference, 2),
-    (TaskKind::Io, 3),
-];
-
-fn kind_slot(kind: TaskKind) -> Option<usize> {
-    KNOWN_KINDS
-        .iter()
-        .find(|&&(k, _)| k == kind)
-        .map(|&(_, slot)| slot)
-}
-
 /// Runtime state of the sharded placement layer: pool membership (for
 /// the topology charges), the homogeneous shards each pool splits
-/// into, the lazily maintained per-shard availability minimum, and the
-/// static per-shard maxima the score lower bound is built from.
+/// into, and the lazily maintained per-shard availability extrema.
+/// Everything spec-derived is read from the runtime's [`SpecClasses`].
 #[derive(Debug, Clone)]
 pub(crate) struct DevicePools {
     /// Pool index of each device (the user-visible partition).
@@ -180,17 +162,10 @@ pub(crate) struct DevicePools {
     members: Vec<Vec<usize>>,
     /// Pool each shard belongs to (indexes the topology extras).
     shard_pool: Vec<usize>,
-    /// Spec class of each shard. Shards of one class carry the same
-    /// [`DeviceSpec`] — usually far fewer classes than shards (a 1k
-    /// fleet cycling four reference specs has four classes and hundreds
-    /// of shards), so the per-task roofline runs once per class.
+    /// Spec class ([`SpecClasses`]) of each shard — usually far fewer
+    /// classes than shards (a 1k fleet cycling four reference specs has
+    /// four classes and hundreds of shards).
     class_of: Vec<usize>,
-    /// A representative device index per spec class, kept so arriving
-    /// devices ([`DevicePools::add_device`]) re-dedupe against the
-    /// existing classes instead of growing one class per arrival.
-    /// Departed representatives stay valid: devices are tombstoned, not
-    /// removed from the device vector.
-    class_rep: Vec<usize>,
     /// Whether a member's `busy_until` changed since `min_busy[s]` was
     /// computed.
     dirty: Vec<bool>,
@@ -201,31 +176,20 @@ pub(crate) struct DevicePools {
     /// homogeneous shard contributes to the global min-max
     /// normalization scale-dependent policies (`Weighted`) score under.
     max_busy: Vec<Seconds>,
-    /// Effective compute rate (`peak_flops · efficiency`) per spec
-    /// class per known task kind.
-    max_rate: Vec<[f64; 4]>,
-    /// Raw peak rate per spec class (bound for unknown kinds).
-    max_peak: Vec<f64>,
-    /// Memory bandwidth per spec class, bytes/s.
-    max_bw: Vec<f64>,
-    /// Busy power per spec class, watts.
-    min_power: Vec<f64>,
-    /// Scratch: per-class bound duration for the task being placed.
-    class_dur: Vec<Seconds>,
     /// Scratch: per-shard score lower bound.
     lbs: Vec<f64>,
 }
 
 impl DevicePools {
-    /// Validate `config` against the device fleet, split every pool
-    /// into identical-spec shards, and precompute the static per-shard
-    /// maxima.
+    /// Validate `config` against the classified fleet and split every
+    /// pool into one shard per spec class.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidParameter`] when the membership is not an
     /// exact partition of the device indices.
-    pub(crate) fn new(config: PoolConfig, devices: &[Device]) -> Result<Self, RuntimeError> {
+    pub(crate) fn new(config: PoolConfig, classes: &SpecClasses) -> Result<Self, RuntimeError> {
+        let device_count = classes.class_of_slice().len();
         let mut pools: Vec<Vec<usize>> =
             config.pools.into_iter().filter(|p| !p.is_empty()).collect();
         if pools.is_empty() {
@@ -234,14 +198,14 @@ impl DevicePools {
                 "at least one non-empty pool is required",
             ));
         }
-        let mut pool_of = vec![usize::MAX; devices.len()];
+        let mut pool_of = vec![usize::MAX; device_count];
         for (p, pool) in pools.iter_mut().enumerate() {
             pool.sort_unstable();
             for &d in pool.iter() {
-                if d >= devices.len() {
+                if d >= device_count {
                     return Err(RuntimeError::invalid_parameter(
                         "pools",
-                        format!("device {d} out of range ({} devices)", devices.len()),
+                        format!("device {d} out of range ({device_count} devices)"),
                     ));
                 }
                 if pool_of[d] != usize::MAX {
@@ -259,31 +223,21 @@ impl DevicePools {
                 format!("device {d} belongs to no pool"),
             ));
         }
-        // Split each pool into shards of identical specs, and dedupe
-        // those specs fleet-wide into classes (linear scans — pools and
-        // class counts are small and this runs once at build time).
-        // Shard members stay ascending because each pool was sorted
-        // above and devices append in order.
+        // One shard per (pool, class). Shard members stay ascending
+        // because each pool was sorted above and devices append in
+        // order.
         let pool_count = pools.len();
         let mut members: Vec<Vec<usize>> = Vec::new();
         let mut shard_pool: Vec<usize> = Vec::new();
         let mut class_of: Vec<usize> = Vec::new();
-        let mut class_rep: Vec<usize> = Vec::new();
-        let mut shard_of = vec![0usize; devices.len()];
+        let mut shard_of = vec![0usize; device_count];
         for (p, pool) in pools.iter().enumerate() {
             let first = members.len();
             for &d in pool {
-                let spec = &devices[d].spec;
+                let class = classes.class_of(d);
                 let s = (first..members.len())
-                    .find(|&s| devices[members[s][0]].spec == *spec)
+                    .find(|&s| class_of[s] == class)
                     .unwrap_or_else(|| {
-                        let class = class_rep
-                            .iter()
-                            .position(|&r| devices[r].spec == *spec)
-                            .unwrap_or_else(|| {
-                                class_rep.push(d);
-                                class_rep.len() - 1
-                            });
                         members.push(Vec::new());
                         shard_pool.push(p);
                         class_of.push(class);
@@ -294,35 +248,18 @@ impl DevicePools {
             }
         }
         let n = members.len();
-        let classes = class_rep.len();
-        let mut pools = DevicePools {
+        Ok(DevicePools {
             pool_of,
             pool_count,
             shard_of,
             shard_pool,
             class_of,
-            class_rep: class_rep.clone(),
             dirty: vec![true; n],
             min_busy: vec![Seconds::ZERO; n],
             max_busy: vec![Seconds::ZERO; n],
-            max_rate: vec![[0.0; 4]; classes],
-            max_peak: vec![0.0; classes],
-            max_bw: vec![0.0; classes],
-            min_power: vec![0.0; classes],
-            class_dur: vec![Seconds::ZERO; classes],
             lbs: vec![0.0; n],
             members,
-        };
-        for (c, &rep) in class_rep.iter().enumerate() {
-            let spec = &devices[rep].spec;
-            for &(kind, slot) in &KNOWN_KINDS {
-                pools.max_rate[c][slot] = spec.peak_flops * spec.kind.efficiency(kind);
-            }
-            pools.max_peak[c] = spec.peak_flops;
-            pools.max_bw[c] = spec.mem_bandwidth.0;
-            pools.min_power[c] = spec.busy_power.0;
-        }
-        Ok(pools)
+        })
     }
 
     /// The pool device `d` belongs to.
@@ -346,38 +283,17 @@ impl DevicePools {
         self.dirty[self.shard_of[d]] = true;
     }
 
-    /// Grow the structures for an arriving device `d` (which must be the
-    /// next index, i.e. `devices` already holds it at the end): re-dedupe
-    /// its spec against the existing classes, join an existing
-    /// same-class shard of `pool` or open a new one, and dirty the
-    /// shard's cached availability minimum. `pool` wraps modulo the pool
-    /// count, so round-robin callers need no bounds handling.
-    pub(crate) fn add_device(&mut self, d: usize, devices: &[Device], pool: usize) {
-        debug_assert_eq!(d + 1, devices.len(), "arrivals append at the end");
+    /// Grow the structures for an arriving device `d` (the next index)
+    /// of spec class `class`: join the same-class shard of `pool` or
+    /// open a new one, and dirty the shard's cached availability
+    /// extrema. `pool` wraps modulo the pool count, so round-robin
+    /// callers need no bounds handling.
+    pub(crate) fn add_device(&mut self, d: usize, class: usize, pool: usize) {
+        debug_assert_eq!(d, self.pool_of.len(), "arrivals append at the end");
         let p = pool % self.pool_count;
         self.pool_of.push(p);
-        let spec = &devices[d].spec;
-        let class = self
-            .class_rep
-            .iter()
-            .position(|&r| devices[r].spec == *spec)
-            .unwrap_or_else(|| {
-                self.class_rep.push(d);
-                let mut rates = [0.0; 4];
-                for &(kind, slot) in &KNOWN_KINDS {
-                    rates[slot] = spec.peak_flops * spec.kind.efficiency(kind);
-                }
-                self.max_rate.push(rates);
-                self.max_peak.push(spec.peak_flops);
-                self.max_bw.push(spec.mem_bandwidth.0);
-                self.min_power.push(spec.busy_power.0);
-                self.class_dur.push(Seconds::ZERO);
-                self.class_rep.len() - 1
-            });
-        // One shard per (pool, class) — matching the build-time split,
-        // where a pool never holds two shards of the same spec. Members
-        // stay ascending: the new device's index exceeds every existing
-        // one.
+        // Members stay ascending: the new device's index exceeds every
+        // existing one.
         let s = (0..self.members.len())
             .find(|&s| self.shard_pool[s] == p && self.class_of[s] == class)
             .unwrap_or_else(|| {
@@ -405,29 +321,6 @@ impl DevicePools {
         self.dirty[s] = true;
     }
 
-    /// Bound on a spec class's execution duration: the roofline against
-    /// the class's rates. Every member of a shard of this class runs
-    /// the task in exactly this time (identical specs), so per shard
-    /// the bound is the duration — only the topology extra (exact,
-    /// pool-uniform) is added on top later.
-    fn class_duration(&self, c: usize, work: Work, kind: TaskKind) -> Seconds {
-        let rate = match kind_slot(kind) {
-            Some(slot) => self.max_rate[c][slot],
-            None => self.max_peak[c],
-        };
-        let compute = if work.flops > 0.0 {
-            work.flops / rate
-        } else {
-            0.0
-        };
-        let memory = if work.bytes > Bytes::ZERO {
-            work.bytes.as_f64() / self.max_bw[c]
-        } else {
-            0.0
-        };
-        Seconds(compute.max(memory))
-    }
-
     /// Pooled top-k placement: bit-identical selection and plans to the
     /// flat scan (`Policy::plan_k_devices` with no security plan and no
     /// energy objective), visiting shards in ascending bound order and
@@ -439,13 +332,14 @@ impl DevicePools {
     /// `(device index, start, duration)` triples in selection order;
     /// returns `(filled, devices evaluated)` — the second component is
     /// the sub-linearity observable the scaling guard test pins.
-    #[allow(clippy::too_many_arguments)] // mirrors the flat plan_k_devices signature
+    ///
+    /// `classes` must hold the task's per-class durations
+    /// ([`SpecClasses::price`]).
     pub(crate) fn plan_k(
         &mut self,
         policy: Policy,
         devices: &[Device],
-        work: Work,
-        kind: TaskKind,
+        classes: &SpecClasses,
         ready_at: Seconds,
         extras: Option<&[Seconds]>,
         out: &mut [(usize, Seconds, Seconds)],
@@ -470,11 +364,16 @@ impl DevicePools {
                 self.dirty[s] = false;
             }
         }
-        // Roofline once per spec class — a 1k fleet cycling four
-        // reference specs runs four divisions here, not one per shard.
-        for c in 0..self.class_dur.len() {
-            self.class_dur[c] = self.class_duration(c, work, kind);
-        }
+        // What every member of shard `s` shares: the class's duration
+        // plus the pool-uniform topology extra, and the energy of that
+        // — the flat scan's per-device arithmetic, once per shard.
+        let (shard_pool, class_of) = (&self.shard_pool, &self.class_of);
+        let shared = |s: usize| {
+            let extra = extras.map_or(Seconds::ZERO, |e| e[shard_pool[s]]);
+            let (dur, power) = classes.price_of(class_of[s]);
+            let dur = dur + extra;
+            (dur, power * dur)
+        };
         // Scale-dependent policies (`Weighted`) score under the min-max
         // normalization of the full candidate set. Each shard is
         // spec-homogeneous: every member shares one duration and one
@@ -484,9 +383,7 @@ impl DevicePools {
         // over the non-empty shards is bit-identical to the flat path's
         // fold over per-device estimates (f64 min/max folds are
         // order-independent, and empty shards contribute no flat
-        // candidate either). Note `class_duration` equals
-        // `DeviceSpec::time_for` for every kind in `KNOWN_KINDS`, which
-        // covers the whole (non-exhaustive) enum today.
+        // candidate either).
         let norm = if policy.needs_norm() {
             let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
             let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -494,13 +391,11 @@ impl DevicePools {
                 if self.members[s].is_empty() {
                     continue;
                 }
-                let extra = extras.map_or(Seconds::ZERO, |e| e[self.shard_pool[s]]);
-                let dur = self.class_dur[self.class_of[s]] + extra;
-                let energy = (legato_core::units::Watt(self.min_power[self.class_of[s]]) * dur).0;
+                let (dur, energy) = shared(s);
                 t_lo = t_lo.min((ready_at.max(self.min_busy[s]) + dur).0);
                 t_hi = t_hi.max((ready_at.max(self.max_busy[s]) + dur).0);
-                e_lo = e_lo.min(energy);
-                e_hi = e_hi.max(energy);
+                e_lo = e_lo.min(energy.0);
+                e_hi = e_hi.max(energy.0);
             }
             ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi)
         } else {
@@ -516,13 +411,8 @@ impl DevicePools {
         // worse bounds are skipped.
         let mut seed = 0usize;
         for s in 0..n {
-            let extra = extras.map_or(Seconds::ZERO, |e| e[self.shard_pool[s]]);
-            let c = self.class_of[s];
-            let dur = self.class_dur[c] + extra;
-            let est = Estimate::new(
-                ready_at.max(self.min_busy[s]) + dur,
-                legato_core::units::Watt(self.min_power[c]) * dur,
-            );
+            let (dur, energy) = shared(s);
+            let est = Estimate::new(ready_at.max(self.min_busy[s]) + dur, energy);
             // Under `norm` the bound stays exact: normalization is
             // monotone non-decreasing in each dimension and the shard's
             // energy is a single point, so the least-busy member still
@@ -547,14 +437,11 @@ impl DevicePools {
             if filled == want && self.lbs[s] > scores[want - 1] {
                 continue;
             }
-            let extra = extras.map_or(Seconds::ZERO, |e| e[self.shard_pool[s]]);
+            let (dur, energy) = shared(s);
             for &d in &self.members[s] {
-                let dev = &devices[d];
                 // Identical per-device arithmetic to the flat path.
-                let start = ready_at.max(dev.busy_until());
-                let dur = dev.spec.time_for(work, kind) + extra;
-                let est = Estimate::new(start + dur, dev.spec.busy_power * dur);
-                let score = policy.score(&est, &norm);
+                let start = ready_at.max(devices[d].busy_until());
+                let score = policy.score(&Estimate::new(start + dur, energy), &norm);
                 evaluated += 1;
                 let mut pos = filled.min(want);
                 while pos > 0 {
@@ -707,6 +594,7 @@ impl TopologyState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legato_core::task::{TaskKind, Work};
     use legato_core::units::BytesPerSec;
     use legato_hw::device::DeviceId;
 
@@ -722,6 +610,32 @@ mod tests {
             .collect()
     }
 
+    fn pools_over(config: PoolConfig, devices: &[Device]) -> Result<DevicePools, RuntimeError> {
+        DevicePools::new(config, &SpecClasses::new(devices))
+    }
+
+    /// The class table of `devices`, priced for one task.
+    fn priced(devices: &[Device], work: Work, kind: TaskKind) -> SpecClasses {
+        let mut classes = SpecClasses::new(devices);
+        classes.price(devices, work, kind);
+        classes
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn pooled_plan(
+        pools: &mut DevicePools,
+        policy: Policy,
+        devices: &[Device],
+        work: Work,
+        kind: TaskKind,
+        ready_at: Seconds,
+        extras: Option<&[Seconds]>,
+        out: &mut [(usize, Seconds, Seconds)],
+    ) -> (usize, u64) {
+        let classes = priced(devices, work, kind);
+        pools.plan_k(policy, devices, &classes, ready_at, extras, out)
+    }
+
     fn flat_plan(
         policy: Policy,
         devices: &[Device],
@@ -731,20 +645,17 @@ mod tests {
         k: usize,
     ) -> Vec<(usize, Seconds, Seconds)> {
         let mut estimates = Vec::new();
-        let mut plans = Vec::new();
         let mut candidates = Vec::new();
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let filled = policy.plan_k_devices(
+        let (filled, _) = policy.plan_k_devices(
             devices,
-            work,
-            kind,
+            &priced(devices, work, kind),
             ready_at,
             None,
             None,
             None,
             None,
             &mut estimates,
-            &mut plans,
             &mut candidates,
             &mut out[..k],
         );
@@ -754,7 +665,7 @@ mod tests {
     #[test]
     fn uniform_partition_covers_every_device() {
         let devices = fleet(10);
-        let pools = DevicePools::new(PoolConfig::uniform(10, 4), &devices).expect("valid");
+        let pools = pools_over(PoolConfig::uniform(10, 4), &devices).expect("valid");
         assert_eq!(pools.pool_count(), 3); // 4 + 4 + 2
         let mut seen = [false; 10];
         for (s, shard) in pools.members.iter().enumerate() {
@@ -781,7 +692,7 @@ mod tests {
             (vec![vec![0, 1, 2], vec![2, 3]], "duplicate"),
             (vec![], "empty"),
         ] {
-            let err = DevicePools::new(PoolConfig::from_membership(pools), &devices);
+            let err = pools_over(PoolConfig::from_membership(pools), &devices);
             assert!(err.is_err(), "{what} must be rejected");
         }
     }
@@ -789,7 +700,7 @@ mod tests {
     #[test]
     fn pooled_matches_flat_on_fresh_fleet() {
         let devices = fleet(16);
-        let mut pools = DevicePools::new(PoolConfig::uniform(16, 4), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(16, 4), &devices).expect("valid");
         for policy in [
             Policy::Performance,
             Policy::Energy,
@@ -798,7 +709,8 @@ mod tests {
         ] {
             for k in 1..=3usize {
                 let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-                let (filled, _) = pools.plan_k(
+                let (filled, _) = pooled_plan(
+                    &mut pools,
                     policy,
                     &devices,
                     Work::flops(66e9),
@@ -834,7 +746,7 @@ mod tests {
                 );
             }
         }
-        let mut pools = DevicePools::new(PoolConfig::uniform(12, 3), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(12, 3), &devices).expect("valid");
         for policy in [
             Policy::Performance,
             Policy::Energy,
@@ -842,7 +754,8 @@ mod tests {
             Policy::Weighted(0.7),
         ] {
             let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-            let (filled, _) = pools.plan_k(
+            let (filled, _) = pooled_plan(
+                &mut pools,
                 policy,
                 &devices,
                 Work::new(2e12, Bytes::gib(1)),
@@ -869,9 +782,10 @@ mod tests {
         let devices: Vec<Device> = (0..8)
             .map(|i| Device::new(DeviceId(i), DeviceSpec::arm64()))
             .collect();
-        let mut pools = DevicePools::new(PoolConfig::uniform(8, 2), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(8, 2), &devices).expect("valid");
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let (filled, _) = pools.plan_k(
+        let (filled, _) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e9),
@@ -900,11 +814,12 @@ mod tests {
                 );
             }
         }
-        let mut pools = DevicePools::new(PoolConfig::uniform(12, 4), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(12, 4), &devices).expect("valid");
         for w in [0.0, 0.25, 0.5, 0.75, 1.0] {
             for k in 1..=3usize {
                 let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-                let (filled, _) = pools.plan_k(
+                let (filled, _) = pooled_plan(
+                    &mut pools,
                     Policy::Weighted(w),
                     &devices,
                     Work::new(3e12, Bytes::mib(512)),
@@ -943,10 +858,10 @@ mod tests {
             .enumerate()
             .map(|(i, s)| Device::new(DeviceId(i as u64), s))
             .collect();
-        let mut pools =
-            DevicePools::new(PoolConfig::uniform(devices.len(), 2), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(devices.len(), 2), &devices).expect("valid");
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); 2];
-        let (filled, evaluated) = pools.plan_k(
+        let (filled, evaluated) = pooled_plan(
+            &mut pools,
             Policy::Weighted(0.0),
             &devices,
             Work::flops(1e12),
@@ -979,10 +894,10 @@ mod tests {
             .enumerate()
             .map(|(i, s)| Device::new(DeviceId(i as u64), s))
             .collect();
-        let mut pools =
-            DevicePools::new(PoolConfig::uniform(devices.len(), 2), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(devices.len(), 2), &devices).expect("valid");
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); 2];
-        let (filled, evaluated) = pools.plan_k(
+        let (filled, evaluated) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e12),
@@ -1014,10 +929,10 @@ mod tests {
             .enumerate()
             .map(|(i, s)| Device::new(DeviceId(i as u64), s))
             .collect();
-        let mut pools =
-            DevicePools::new(PoolConfig::uniform(devices.len(), 2), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(devices.len(), 2), &devices).expect("valid");
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); 1];
-        let (filled, evaluated) = pools.plan_k(
+        let (filled, evaluated) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e12),
@@ -1034,9 +949,10 @@ mod tests {
     #[test]
     fn dirty_pool_refresh_tracks_executions() {
         let mut devices = fleet(8);
-        let mut pools = DevicePools::new(PoolConfig::uniform(8, 4), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(8, 4), &devices).expect("valid");
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); 1];
-        let (_, _) = pools.plan_k(
+        let (_, _) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e9),
@@ -1051,7 +967,8 @@ mod tests {
             dev.execute(Seconds::ZERO, Work::flops(5e13), TaskKind::Compute);
             pools.mark_dirty(d);
         }
-        let (filled, _) = pools.plan_k(
+        let (filled, _) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e9),
@@ -1088,7 +1005,7 @@ mod tests {
             .enumerate()
             .map(|(i, s)| Device::new(DeviceId(i as u64), s))
             .collect();
-        let pools = DevicePools::new(cfg, &devices).expect("valid");
+        let pools = pools_over(cfg, &devices).expect("valid");
         assert_eq!(pools.pool_of(0), 0);
         assert_eq!(pools.pool_of(1), 0);
         assert_eq!(pools.pool_of(2), 1);
@@ -1110,7 +1027,7 @@ mod tests {
             .enumerate()
             .map(|(i, s)| Device::new(DeviceId(i as u64), s))
             .collect();
-        let pools = DevicePools::new(cfg, &devices).expect("valid");
+        let pools = pools_over(cfg, &devices).expect("valid");
         assert_eq!(pools.pool_of(1), 0);
         assert_eq!(pools.pool_of(2), 1);
     }
@@ -1140,11 +1057,12 @@ mod tests {
         let devices: Vec<Device> = (0..4)
             .map(|i| Device::new(DeviceId(i), DeviceSpec::arm64()))
             .collect();
-        let mut pools = DevicePools::new(PoolConfig::uniform(4, 2), &devices).expect("valid");
+        let mut pools = pools_over(PoolConfig::uniform(4, 2), &devices).expect("valid");
         let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-4));
         let extras = [Seconds::ZERO, link.transfer_time(Bytes::gib(1))];
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); 2];
-        let (filled, _) = pools.plan_k(
+        let (filled, _) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e9),
@@ -1156,7 +1074,8 @@ mod tests {
         assert_eq!(filled, 2);
         assert_eq!([out[0].0, out[1].0], [0, 1], "both picks in the local pool");
         // Duration on the charged pool's devices includes the transfer.
-        let (filled, _) = pools.plan_k(
+        let (filled, _) = pooled_plan(
+            &mut pools,
             Policy::Performance,
             &devices,
             Work::flops(1e9),

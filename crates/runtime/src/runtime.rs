@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::analyze::{self, AnalysisConfig, AnalysisContext, AnalysisReport, AnalysisState};
 use crate::churn::{ChurnState, ChurnStats};
+use crate::classes::SpecClasses;
 use crate::energy::{EnergyState, EnergyStats};
 use crate::engine::EngineState;
 use crate::error::RuntimeError;
@@ -140,6 +141,9 @@ impl RunReport {
 #[derive(Debug, Clone)]
 pub struct Runtime {
     pub(crate) devices: Vec<Device>,
+    /// The fleet deduplicated by spec: what the flat scan, the pooled
+    /// search and the security plan price once per class.
+    pub(crate) classes: SpecClasses,
     pub(crate) fault_probs: Vec<f64>,
     pub(crate) graph: TaskGraph,
     pub(crate) policy: Policy,
@@ -163,7 +167,11 @@ pub struct Runtime {
 
 impl Runtime {
     /// Create a runtime over `specs` with a scheduling `policy` and a
-    /// deterministic `seed` for the fault model.
+    /// deterministic `seed` for the fault model. A spec the cost model
+    /// cannot price (a zero, negative or non-finite rate or power) is
+    /// reported by [`Runtime::run`] / [`Runtime::step`];
+    /// [`EngineConfig::build`](crate::config::EngineConfig::build)
+    /// refuses it up front.
     #[must_use]
     pub fn new(specs: Vec<DeviceSpec>, policy: Policy, seed: u64) -> Self {
         let devices = specs
@@ -173,6 +181,7 @@ impl Runtime {
             .collect::<Vec<_>>();
         Runtime {
             fault_probs: vec![0.0; devices.len()],
+            classes: SpecClasses::new(&devices),
             devices,
             graph: TaskGraph::new(),
             policy,

@@ -26,6 +26,7 @@ use legato_core::units::{Joule, Seconds};
 use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
+use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
 
 /// Predicted cost of running a task on one candidate execution site.
@@ -91,14 +92,14 @@ impl ScoreNorm {
         }
     }
 
-    /// Min-max normalization from precomputed bounds. The pooled
-    /// scheduler derives the exact candidate-set bounds in O(shards)
-    /// (every shard is spec-homogeneous, so its members share one
-    /// duration and one energy; only the queue delay varies, and the
-    /// shard caches its min/max busy horizon) — this constructor lets it
-    /// build the identical context [`ScoreNorm::from_estimates`] would
-    /// have produced from the flat candidate scan, without materializing
-    /// the estimates.
+    /// Min-max normalization from precomputed bounds: the context
+    /// [`ScoreNorm::from_estimates`] would build, for a caller that
+    /// already knows the candidate set's extremes. The flat scan folds
+    /// them while it writes the estimates; the pooled scheduler derives
+    /// them exactly in O(shards) (every shard is spec-homogeneous, so its
+    /// members share one duration and one energy; only the queue delay
+    /// varies, and the shard caches its min/max busy horizon) without
+    /// materializing the estimates.
     #[must_use]
     pub(crate) fn from_bounds(t_lo: f64, t_hi: f64, e_lo: f64, e_hi: f64) -> Self {
         ScoreNorm {
@@ -297,20 +298,27 @@ impl Policy {
     }
 
     /// Top-k device selection for the engine's hot path: semantically
-    /// identical to [`device_estimates_into`] + [`Scheduler::select_k`], but
-    /// the expensive per-device roofline evaluation (`time_for`, two
-    /// divisions) runs exactly **once** per device: the `(start,
-    /// duration)` plan is computed first, estimates derive from it, and
-    /// the chosen plans are handed back so the caller can commit them
-    /// with [`Device::execute_planned`] — no re-evaluation anywhere.
+    /// identical to [`device_estimates_into`] + [`Scheduler::select_k`],
+    /// but everything a candidate shares with its spec class is read from
+    /// `classes` — the roofline (`time_for`, two divisions) ran once per
+    /// *class* when the engine priced the task
+    /// ([`SpecClasses::price`](crate::classes::SpecClasses::price)). What
+    /// is left per candidate is `start = ready.max(busy_until)`, `finish =
+    /// start + dur[class] + extra` and `energy = power[class] · dur`,
+    /// written into pre-sized scratch, with the [`ScoreNorm`] bounds a
+    /// scale-dependent policy needs folded into the same pass (f64
+    /// min/max folds are order-independent). The `(start, duration)`
+    /// plans of the ≤ 3 chosen devices are recomputed from the same
+    /// arithmetic and handed back so the caller can commit them with
+    /// [`Device::execute_planned`].
     ///
     /// `avail` carries the churn layer's availability mask when the
     /// fleet is malleable: a departed or draining device is excluded
     /// from the candidate set entirely. `None` (a fixed fleet) is the
     /// exact pre-churn arithmetic.
     ///
-    /// `security` carries the per-device security plan of a confidential
-    /// task (or of a task reading sealed regions): an ineligible device
+    /// `security` carries the security plan of a confidential task (or
+    /// of a task reading sealed regions): an ineligible device
     /// (enclave-only task, no TEE) is excluded from the candidate set
     /// entirely, and an eligible device's extra security duration is
     /// folded into its plan *before* scoring, so the estimate the policy
@@ -334,55 +342,115 @@ impl Policy {
     /// objective) is the exact pre-energy arithmetic.
     ///
     /// Fills `out` with `(device index, start, duration)` triples in
-    /// selection order and returns how many slots were filled
-    /// (`min(out.len(), eligible devices)`). The plans are valid until
-    /// the next `execute` on the respective device.
-    #[allow(clippy::too_many_arguments)] // three scratch buffers are the point
+    /// selection order and returns `(slots filled, candidates
+    /// evaluated)`; the first is `min(out.len(), eligible devices)`. The
+    /// plans are valid until the next `execute` on the respective device.
+    #[allow(clippy::too_many_arguments)] // two scratch buffers are the point
     pub(crate) fn plan_k_devices(
         self,
         devices: &[Device],
-        work: Work,
-        kind: TaskKind,
+        classes: &SpecClasses,
         ready_at: Seconds,
         avail: Option<&[bool]>,
         security: Option<&crate::security::SecurePlan>,
         topo: Option<(&[Seconds], &[usize])>,
         energy: Option<&mut crate::energy::EnergyState>,
         estimates: &mut Vec<Estimate>,
-        plans: &mut Vec<(Seconds, Seconds)>,
         candidates: &mut Vec<usize>,
         out: &mut [(usize, Seconds, Seconds)],
-    ) -> usize {
-        let policy = self.sanitized();
-        estimates.clear();
-        plans.clear();
-        candidates.clear();
-        for (i, d) in devices.iter().enumerate() {
-            if avail.is_some_and(|a| !a[i]) {
-                continue; // departed or draining: never a candidate
-            }
-            let mut extra = match security {
-                None => Seconds::ZERO,
-                Some(plan) => match plan.extra(i) {
-                    Some(extra) => extra,
-                    None => continue, // never a candidate
-                },
-            };
-            if let Some((pool_extras, pool_of)) = topo {
-                extra += pool_extras[pool_of[i]];
-            }
-            let start = ready_at.max(d.busy_until());
-            let dur = d.spec.time_for(work, kind) + extra;
-            // `busy_power * dur` is `DeviceSpec::energy_for` with the
-            // roofline evaluated once instead of twice; the crypto time
-            // burns device power like any other busy time.
-            estimates.push(Estimate::new(start + dur, d.spec.busy_power * dur));
-            plans.push((start, dur));
-            candidates.push(i);
+    ) -> (usize, u64) {
+        // The scan is generic over what the layers add to a candidate,
+        // so that a fixed fleet placing a public task — nothing to mask,
+        // nothing to add — compiles to a loop with no option left to
+        // test per candidate. Same source, same arithmetic: `dur + 0.0`.
+        if avail.is_none() && security.is_none() && topo.is_none() {
+            let nothing = |_, _| Some(Seconds::ZERO);
+            return self.scan_k(
+                devices, classes, ready_at, energy, estimates, candidates, out, nothing,
+            );
         }
+        self.scan_k(
+            devices,
+            classes,
+            ready_at,
+            energy,
+            estimates,
+            candidates,
+            out,
+            // Inlined by force: left to itself the optimizer calls this
+            // once per candidate, which costs more than the roofline did.
+            #[inline(always)]
+            |i, c| {
+                if avail.is_some_and(|a| !a[i]) {
+                    return None; // departed or draining
+                }
+                let mut extra = match security {
+                    None => Seconds::ZERO,
+                    Some(plan) => plan.extra(i, c)?,
+                };
+                if let Some((pool_extras, pool_of)) = topo {
+                    extra += pool_extras[pool_of[i]];
+                }
+                Some(extra)
+            },
+        )
+    }
+
+    /// The flat scan behind [`Policy::plan_k_devices`]. `extra_on(i, c)`
+    /// is the extra duration the availability, security and topology
+    /// layers charge device `i` of class `c`, or `None` when it is not a
+    /// candidate.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn scan_k(
+        self,
+        devices: &[Device],
+        classes: &SpecClasses,
+        ready_at: Seconds,
+        energy: Option<&mut crate::energy::EnergyState>,
+        estimates: &mut Vec<Estimate>,
+        candidates: &mut Vec<usize>,
+        out: &mut [(usize, Seconds, Seconds)],
+        extra_on: impl Fn(usize, usize) -> Option<Seconds>,
+    ) -> (usize, u64) {
+        let policy = self.sanitized();
+        let pareto = energy.and_then(|state| state.objective.map(|obj| (state, obj)));
+        let fold_norm = pareto.is_none() && policy.needs_norm();
+        let n = devices.len();
+        if estimates.len() < n {
+            estimates.resize(n, Estimate::new(Seconds::ZERO, Joule::ZERO));
+            candidates.resize(n, 0);
+        }
+        let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut m = 0;
+        for (i, (d, &c)) in devices.iter().zip(classes.class_of_slice()).enumerate() {
+            let Some(extra) = extra_on(i, c as usize) else {
+                continue;
+            };
+            let (dur, power) = classes.price_of(c as usize);
+            let dur = dur + extra;
+            let finish = ready_at.max(d.busy_until()) + dur;
+            // `busy_power * dur` is `DeviceSpec::energy_for` over the
+            // class's one roofline evaluation; the crypto time burns
+            // device power like any other busy time.
+            let energy = power * dur;
+            estimates[m] = Estimate::new(finish, energy);
+            candidates[m] = i;
+            m += 1;
+            if fold_norm {
+                // Compare-select instead of `f64::min`/`max`: no value
+                // here is NaN (specs are validated where classes open).
+                t_lo = if finish.0 < t_lo { finish.0 } else { t_lo };
+                t_hi = if finish.0 > t_hi { finish.0 } else { t_hi };
+                e_lo = if energy.0 < e_lo { energy.0 } else { e_lo };
+                e_hi = if energy.0 > e_hi { energy.0 } else { e_hi };
+            }
+        }
+        let estimates = &estimates[..m];
         let mut chosen = [0usize; crate::replication::MAX_REPLICAS];
         let want = out.len().min(chosen.len());
-        let k = match energy.and_then(|state| state.objective.map(|obj| (state, obj))) {
+        let k = match pareto {
             Some((state, objective)) => pick_k_pareto(
                 objective,
                 state,
@@ -391,12 +459,24 @@ impl Policy {
                 candidates,
                 &mut chosen[..want],
             ),
-            None => policy.select_k(estimates, &mut chosen[..want]),
+            None => {
+                let norm = if fold_norm {
+                    ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi)
+                } else {
+                    ScoreNorm::IDENTITY
+                };
+                let score = |_, e: &Estimate| Some(policy.score(e, &norm));
+                pick_k_by(estimates, score, &mut chosen[..want])
+            }
         };
         for (slot, &c) in chosen[..k].iter().enumerate() {
-            out[slot] = (candidates[c], plans[c].0, plans[c].1);
+            let i = candidates[c];
+            let class = classes.class_of(i);
+            let extra = extra_on(i, class).expect("a chosen device is a candidate");
+            let start = ready_at.max(devices[i].busy_until());
+            out[slot] = (i, start, classes.price_of(class).0 + extra);
         }
-        k
+        (k, m as u64)
     }
 
     /// A copy of the policy with any `Weighted` weight forced into
@@ -699,6 +779,168 @@ mod tests {
                     .filter(|&i| score(i) < policy.score(&stay, &norm));
                 prop_assert_eq!(policy.migrate(&stay, &ests, &norm, 0.0), expected);
             }
+        }
+    }
+
+    proptest! {
+        /// The class-priced scan against the loop it replaced: price
+        /// every device with its own `spec.time_for`, collect estimates,
+        /// plans and candidates, walk them again for the bounds
+        /// (`select_k`) or hand them to the Pareto picker. Same devices,
+        /// same order, same `(start, duration)` bits, same candidate
+        /// count and relaxation counters — over fleets with duplicate
+        /// specs and a singleton class, busy timelines, availability
+        /// masks, security plans (ineligible devices, producer and
+        /// attestation exceptions) and per-pool topology charges.
+        #[test]
+        fn the_scan_matches_a_per_device_reference(
+            seed in any::<u64>(),
+            policy in policy_strategy(),
+            objective in 0u8..3,
+            k in 0usize..4,
+        ) {
+            use crate::energy::{EnergyObjective, EnergyState};
+            use crate::security::{prepare_oracle, SecurityConfig, SecurityState};
+            use legato_core::requirements::SecurityLevel;
+            use legato_core::task::{AccessMode, RegionId};
+            use legato_core::units::{Bytes, Watt};
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Device 0 is alone in its class; the rest draw from ≤ 4 specs.
+            let pool = [
+                DeviceSpec::xeon_x86(),
+                DeviceSpec::gtx1080(),
+                DeviceSpec::arm64(),
+                DeviceSpec::fpga_kintex(),
+            ];
+            let kinds = rng.gen_range(1..=pool.len());
+            let mut devices = vec![Device::new(DeviceId(0), DeviceSpec::jetson_soc())];
+            for i in 1..rng.gen_range(1..=40u64) {
+                devices.push(Device::new(DeviceId(i), pool[rng.gen_range(0..kinds)].clone()));
+            }
+            let n = devices.len();
+            for d in &mut devices {
+                if rng.gen_bool(0.7) {
+                    let backlog = Work::flops(rng.gen_range(1e9..5e11));
+                    d.execute(Seconds::ZERO, backlog, TaskKind::Compute);
+                }
+            }
+            let avail: Option<Vec<bool>> = rng
+                .gen_bool(0.5)
+                .then(|| (0..n).map(|_| rng.gen_bool(0.8)).collect());
+            let topo: Option<(Vec<Seconds>, Vec<usize>)> = rng.gen_bool(0.5).then(|| {
+                let pools = rng.gen_range(1..=4);
+                let charge = Seconds(rng.gen_range(0.0..0.2));
+                (
+                    (0..pools).map(|_| if rng.gen_bool(0.5) { charge } else { Seconds::ZERO }).collect(),
+                    (0..n).map(|_| rng.gen_range(0..pools)).collect(),
+                )
+            });
+            let work = Work::new(rng.gen_range(1e9..1e11), Bytes::mib(rng.gen_range(0..512)));
+            let kind = [TaskKind::Compute, TaskKind::Inference, TaskKind::Io][rng.gen_range(0..3)];
+            let ready_at = Seconds(rng.gen_range(0.0..0.5));
+            let mut classes = SpecClasses::new(&devices);
+            classes.price(&devices, work, kind);
+
+            // A security state with history: attested devices, sealed
+            // regions produced here and there.
+            let mut sec = SecurityState::default();
+            sec.config = SecurityConfig::new().with_region_sizes(
+                (0..4u64)
+                    .map(|r| (RegionId(r), Bytes::mib(8 << r)))
+                    .collect(),
+            );
+            sec.activate(&devices);
+            let m = sec.ensure_enclaves(b"image").expect("one image fits");
+            sec.prepare(&classes, &[], SecurityLevel::Enclave, m);
+            for (d, device) in devices.iter().enumerate() {
+                if device.spec.tee.has_enclave() && rng.gen_bool(0.5) {
+                    sec.commit(d, classes.class_of(d)).expect("attests");
+                }
+            }
+            for r in 0..rng.gen_range(0..4u64) {
+                let wrote = [(RegionId(r), AccessMode::Out)];
+                sec.record_outputs(&wrote, rng.gen_range(0..n), SecurityLevel::Confidential);
+            }
+            let reads: Vec<_> = (0..4u64).map(|r| (RegionId(r), AccessMode::In)).collect();
+            let level = [SecurityLevel::Public, SecurityLevel::Enclave][rng.gen_range(0..2)];
+            let extras = if rng.gen_bool(0.7) {
+                prepare_oracle::extras(&sec, &devices, &reads, level, m)
+            } else {
+                None
+            };
+            let planned = extras.is_some() && sec.prepare(&classes, &reads, level, m);
+            prop_assert_eq!(planned, extras.is_some());
+
+            // The reference: one roofline per device, three buffers.
+            let (mut ests, mut plans, mut cands) = (Vec::new(), Vec::new(), Vec::new());
+            for (i, d) in devices.iter().enumerate() {
+                if avail.as_ref().is_some_and(|a| !a[i]) {
+                    continue;
+                }
+                let mut extra = match &extras {
+                    None => Seconds::ZERO,
+                    Some(extras) => match extras[i] {
+                        Some(extra) => extra,
+                        None => continue,
+                    },
+                };
+                if let Some((pool_extras, pool_of)) = &topo {
+                    extra += pool_extras[pool_of[i]];
+                }
+                let start = ready_at.max(d.busy_until());
+                let dur = d.spec.time_for(work, kind) + extra;
+                ests.push(Estimate::new(start + dur, d.spec.busy_power * dur));
+                plans.push((start, dur));
+                cands.push(i);
+            }
+            let objective = match objective {
+                0 => None,
+                1 => Some(EnergyObjective::MinEnergyWithinMakespan(Seconds(
+                    rng.gen_range(0.0..2.0),
+                ))),
+                _ => Some(EnergyObjective::MinMakespanUnderPowerCap(Watt(
+                    rng.gen_range(5.0..200.0),
+                ))),
+            };
+            let state = EnergyState { objective, ..EnergyState::default() };
+            let (mut expected, mut actual) = (state.clone(), state);
+            let mut chosen = [usize::MAX; 3];
+            let filled = match objective {
+                Some(obj) => {
+                    pick_k_pareto(obj, &mut expected, &devices, &ests, &cands, &mut chosen[..k])
+                }
+                None => policy.sanitized().select_k(&ests, &mut chosen[..k]),
+            };
+
+            let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); 3];
+            let (got, evaluated) = policy.plan_k_devices(
+                &devices,
+                &classes,
+                ready_at,
+                avail.as_deref(),
+                planned.then_some(&sec.plan),
+                topo.as_ref().map(|(extras, pool_of)| (extras.as_slice(), pool_of.as_slice())),
+                objective.is_some().then_some(&mut actual),
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut out[..k],
+            );
+            prop_assert_eq!(got, filled);
+            prop_assert_eq!(evaluated, ests.len() as u64);
+            for (slot, &c) in chosen[..filled].iter().enumerate() {
+                let (d, start, dur) = out[slot];
+                prop_assert_eq!(
+                    (d, start.0.to_bits(), dur.0.to_bits()),
+                    (cands[c], plans[c].0 .0.to_bits(), plans[c].1 .0.to_bits())
+                );
+            }
+            prop_assert_eq!(
+                (actual.bound_relaxations, actual.cap_relaxations),
+                (expected.bound_relaxations, expected.cap_relaxations)
+            );
         }
     }
 

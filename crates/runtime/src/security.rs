@@ -51,6 +51,7 @@ use legato_secure::task::{ExecutionMode, ATTESTATION_TIME};
 use legato_secure::EnclaveId;
 use serde::{Deserialize, Serialize};
 
+use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
 
 /// Configuration of the security layer
@@ -133,8 +134,10 @@ pub struct SecurityStats {
     pub attestations: u64,
 }
 
-/// Per-device security cost of placing the task being scheduled, plus
+/// Security cost of placing the task being scheduled on one device, plus
 /// the facts needed to commit it (stats breakdown, pending attestation).
+/// Derived on demand by [`SecurePlan::cost`] — for the scan's estimate
+/// and for the commit alike — never stored per device.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DeviceSecCost {
     /// Whether the task may run on this device at all (`false` only for
@@ -157,24 +160,115 @@ impl DeviceSecCost {
     }
 }
 
-/// The security plan for the task currently being placed: one
-/// [`DeviceSecCost`] per device, plus the task-level facts. Rebuilt by
-/// [`SecurityState::prepare`] before each placement attempt; buffers are
-/// reused across tasks so steady-state placement stays allocation-free.
+/// What the task being placed costs on any device of one spec class that
+/// produced none of its sealed inputs and already holds a verified quote
+/// — trust and crypto rates are properties of the class.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassSecCost {
+    /// `false` only for an enclave-only task on a class without a TEE.
+    eligible: bool,
+    /// Every sealed input crossing onto this class: seal at its
+    /// producer's rate plus unseal at the class's.
+    seal: Seconds,
+    /// Transitions + boundary crypto (enclave-only tasks).
+    enclave: Seconds,
+    /// The class's crypto rate, to re-price the crossings of a device
+    /// that produced some of the inputs itself.
+    crypto: BytesPerSec,
+}
+
+/// The security plan for the task currently being placed: one price per
+/// spec class, with per-device exceptions only for the (≤ #inputs)
+/// devices that produced a sealed input — those crossings are free there
+/// — and for devices not yet attested for the task's code image. Rebuilt
+/// by [`SecurityState::prepare`] before each placement attempt in
+/// O(classes × inputs), not O(devices); buffers are reused across tasks
+/// so steady-state placement stays allocation-free.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SecurePlan {
     level: SecurityLevel,
     measurement: u64,
-    costs: Vec<DeviceSecCost>,
+    /// Row of `attested` holding `measurement`'s image.
+    image: usize,
+    classes: Vec<ClassSecCost>,
+    /// Sealed inputs of the task as `(producer device, bytes, seal time
+    /// at the producer's crypto rate)`.
+    inputs: Vec<(usize, Bytes, Seconds)>,
+    /// Total bytes of `inputs`.
+    crossed: Bytes,
+    /// Per code image, one bit per device: set once the device holds a
+    /// verified quote for the image ([`SecurityState::commit`]) —
+    /// [`QuoteCache::is_verified`] without the per-device hash probe.
+    /// Words past the end read as zero, so arrivals need no resize.
+    attested: Vec<Vec<u64>>,
 }
 
 impl SecurePlan {
-    /// Extra execution duration on device `i`, or `None` when the task
-    /// must not be placed there.
-    pub(crate) fn extra(&self, i: usize) -> Option<Seconds> {
-        let c = &self.costs[i];
-        c.eligible.then(|| c.total())
+    /// The cost of the prepared task on device `d` of spec class `c`:
+    /// the class price, corrected for what only this device knows.
+    #[inline]
+    fn cost(&self, d: usize, c: usize) -> DeviceSecCost {
+        let class = &self.classes[c];
+        if !class.eligible {
+            return DeviceSecCost::default();
+        }
+        let (seal, crossed) = if self.inputs.iter().any(|&(producer, ..)| producer == d) {
+            self.crossings_onto(d, class.crypto)
+        } else {
+            (class.seal, self.crossed)
+        };
+        let attest = self.level.requires_enclave()
+            && self.attested[self.image]
+                .get(d / 64)
+                .is_none_or(|word| word >> (d % 64) & 1 == 0);
+        let pending = if attest {
+            ATTESTATION_TIME
+        } else {
+            Seconds::ZERO
+        };
+        DeviceSecCost {
+            eligible: true,
+            seal,
+            enclave: class.enclave + pending,
+            crossed,
+            attest,
+        }
     }
+
+    /// Seal time and bytes of the sealed inputs that cross onto device
+    /// `d`, which produced some of them itself: the fold `prepare` ran
+    /// for `d`'s class, minus the inputs that never leave the device.
+    #[inline(never)] // at most #inputs devices per scan; keeps `cost` small enough to inline
+    fn crossings_onto(&self, d: usize, crypto: BytesPerSec) -> (Seconds, Bytes) {
+        let (mut seal, mut crossed) = (Seconds::ZERO, Bytes::ZERO);
+        for &(producer, bytes, at_producer) in &self.inputs {
+            if producer != d {
+                seal += at_producer + bytes.time_at(crypto);
+                crossed += bytes;
+            }
+        }
+        (seal, crossed)
+    }
+
+    /// Extra execution duration on device `d` of spec class `c`, or
+    /// `None` when the task must not be placed there.
+    #[inline]
+    pub(crate) fn extra(&self, d: usize, c: usize) -> Option<Seconds> {
+        let cost = self.cost(d, c);
+        cost.eligible.then(|| cost.total())
+    }
+}
+
+/// An enclave code image the layer has seen.
+#[derive(Debug, Clone)]
+struct Image {
+    code: Vec<u8>,
+    /// Row of [`SecurePlan::attested`] holding this image's bits.
+    slot: usize,
+    /// Every platform hosts an enclave for the image. Set only after a
+    /// provisioning pass *succeeded* — a platform that refused must
+    /// refuse again — and kept true by [`SecurityState::device_arrived`].
+    provisioned: bool,
 }
 
 /// The region-confidentiality state captured by a checkpoint: which
@@ -207,7 +301,7 @@ pub(crate) struct SecurityState {
     /// through [`SecurityState::ensure_enclaves`]. A device that arrives
     /// mid-run (churn) replays these so deferred or re-spread enclave
     /// tasks can commit to it without the task name in hand.
-    codes: HashMap<u64, Vec<u8>>,
+    images: HashMap<u64, Image>,
     /// Verifier-side attestation cache (one attestation per
     /// (enclave, device) pair).
     quotes: QuoteCache,
@@ -217,10 +311,7 @@ pub(crate) struct SecurityState {
     /// Regions whose last completed writer was confidential — sealed at
     /// rest.
     sealed_regions: HashSet<RegionId>,
-    /// Scratch: sealed inputs of the task being placed, as
-    /// `(producer device, bytes)`.
-    scratch_inputs: Vec<(usize, Bytes)>,
-    /// The per-device plan for the task being placed.
+    /// The plan for the task being placed.
     pub(crate) plan: SecurePlan,
     pub stats: SecurityStats,
 }
@@ -232,11 +323,10 @@ impl Default for SecurityState {
             active: false,
             platforms: Vec::new(),
             enclaves: HashMap::new(),
-            codes: HashMap::new(),
+            images: HashMap::new(),
             quotes: QuoteCache::new(),
             producers: HashMap::new(),
             sealed_regions: HashSet::new(),
-            scratch_inputs: Vec::new(),
             plan: SecurePlan::default(),
             stats: SecurityStats::default(),
         }
@@ -265,18 +355,6 @@ impl SecurityState {
             .collect();
     }
 
-    /// Number of devices that can host enclave-only tasks, restricted to
-    /// the churn layer's availability mask: a departed or draining TEE
-    /// device no longer counts toward the secure pool. `None` is the
-    /// fixed-fleet arithmetic.
-    pub(crate) fn tee_device_count_available(devices: &[Device], avail: Option<&[bool]>) -> usize {
-        devices
-            .iter()
-            .enumerate()
-            .filter(|(i, d)| avail.is_none_or(|a| a[*i]) && d.spec.tee.has_enclave())
-            .count()
-    }
-
     /// Grow the per-device platform table for a device that arrived
     /// mid-run (churn), and replay every known code image onto it so
     /// already-analysed enclave tasks (deferred placements, crash
@@ -295,31 +373,38 @@ impl SecurityState {
         if !self.active {
             return Ok(());
         }
-        let d = self.platforms.len();
-        self.platforms.push(device.spec.tee.has_enclave().then(|| {
+        let mut platform = device.spec.tee.has_enclave().then(|| {
             Platform::new(
                 platform_key(device.id.0),
                 device.spec.tee.execution_mode() == ExecutionMode::SecureHardware,
             )
-        }));
-        if let Some(platform) = &mut self.platforms[d] {
+        });
+        let d = self.platforms.len();
+        if let Some(platform) = &mut platform {
             // Sorted by measurement: enclave ids are allocated in
             // creation order, and churn replays must stay bit-identical
-            // across runs of the same seed.
-            let mut measured: Vec<(&u64, &Vec<u8>)> = self.codes.iter().collect();
-            measured.sort_by_key(|&(&m, _)| m);
-            for (&m, code) in measured {
+            // across runs of the same seed. Nothing is recorded until
+            // every image is in, so a refusal leaves the tables aligned
+            // with the fleet.
+            let mut measured: Vec<(u64, &Image)> =
+                self.images.iter().map(|(&m, image)| (m, image)).collect();
+            measured.sort_by_key(|&(m, _)| m);
+            let mut created = Vec::with_capacity(measured.len());
+            for (m, image) in measured {
                 let id = platform
-                    .create_enclave(code)
+                    .create_enclave(&image.code)
                     .map_err(|e| RuntimeError::Security(e.to_string()))?;
-                self.enclaves.insert((d, m), id);
+                created.push(((d, m), id));
             }
+            self.enclaves.extend(created);
         }
+        self.platforms.push(platform);
         Ok(())
     }
 
     /// Ensure every TEE device hosts an enclave for `code` (the task-type
     /// name); returns the code measurement used as the enclave identity.
+    /// O(1) after the first successful pass for an image.
     ///
     /// # Errors
     ///
@@ -327,7 +412,18 @@ impl SecurityState {
     /// (64-enclave limit).
     pub(crate) fn ensure_enclaves(&mut self, code: &[u8]) -> Result<u64, RuntimeError> {
         let m = measure(code);
-        self.codes.entry(m).or_insert_with(|| code.to_vec());
+        let next_slot = self.images.len();
+        let image = self.images.entry(m).or_insert_with(|| Image {
+            code: code.to_vec(),
+            slot: next_slot,
+            provisioned: false,
+        });
+        if image.provisioned {
+            return Ok(m);
+        }
+        if self.plan.attested.len() <= image.slot {
+            self.plan.attested.resize(image.slot + 1, Vec::new());
+        }
         for (d, platform) in self.platforms.iter_mut().enumerate() {
             let Some(platform) = platform else { continue };
             if let std::collections::hash_map::Entry::Vacant(slot) = self.enclaves.entry((d, m)) {
@@ -337,76 +433,70 @@ impl SecurityState {
                 slot.insert(id);
             }
         }
+        image.provisioned = true;
         Ok(m)
     }
 
-    /// Build the per-device [`SecurePlan`] for one placement attempt of a
-    /// task at `level` with the given declared `accesses`. Returns
-    /// whether the plan imposes any cost or restriction — when `false`
-    /// the caller skips the security path entirely (the common case for
-    /// public tasks that touch no sealed data).
+    /// Build the [`SecurePlan`] for one placement attempt of a task at
+    /// `level` with the given declared `accesses`. Returns whether the
+    /// plan imposes any cost or restriction — when `false` the caller
+    /// skips the security path entirely (the common case for public
+    /// tasks that touch no sealed data).
     pub(crate) fn prepare(
         &mut self,
-        devices: &[Device],
+        classes: &SpecClasses,
         accesses: &[(RegionId, AccessMode)],
         level: SecurityLevel,
         measurement: u64,
     ) -> bool {
+        let plan = &mut self.plan;
+        plan.inputs.clear();
         // Sealed inputs: read regions whose last writer was confidential
         // and ran on a known device.
-        self.scratch_inputs.clear();
         let mut boundary_bytes = Bytes::ZERO;
         for &(region, mode) in accesses {
-            let bytes = self.region_bytes(region);
+            let bytes = region_bytes(&self.config, region);
             boundary_bytes += bytes;
             if mode.reads() && self.sealed_regions.contains(&region) {
                 if let Some(&producer) = self.producers.get(&region) {
                     if bytes > Bytes::ZERO {
-                        self.scratch_inputs.push((producer, bytes));
+                        let rate = classes.tees()[classes.class_of(producer)].crypto_bandwidth;
+                        plan.inputs.push((producer, bytes, bytes.time_at(rate)));
                     }
                 }
             }
         }
-        if level == SecurityLevel::Public && self.scratch_inputs.is_empty() {
+        if level == SecurityLevel::Public && plan.inputs.is_empty() {
             return false;
         }
-        self.plan.level = level;
-        self.plan.measurement = measurement;
-        self.plan.costs.clear();
-        self.plan
-            .costs
-            .resize(devices.len(), DeviceSecCost::default());
-        for (i, device) in devices.iter().enumerate() {
-            let cap = &device.spec.tee;
-            let mut cost = DeviceSecCost {
+        plan.level = level;
+        plan.measurement = measurement;
+        if level.requires_enclave() {
+            plan.image = self.images[&measurement].slot;
+        }
+        plan.crossed = plan.inputs.iter().map(|&(_, bytes, _)| bytes).sum();
+        plan.classes.clear();
+        for cap in classes.tees() {
+            if level.requires_enclave() && !cap.has_enclave() {
+                plan.classes.push(ClassSecCost::default()); // ineligible
+                continue;
+            }
+            let mut cost = ClassSecCost {
                 eligible: true,
-                ..DeviceSecCost::default()
+                crypto: cap.crypto_bandwidth,
+                ..ClassSecCost::default()
             };
-            for &(producer, bytes) in &self.scratch_inputs {
-                if producer != i {
-                    // The crossing pays seal at the producer's rate and
-                    // unseal at the consumer's; both gate the task start,
-                    // so both are charged to the consuming placement.
-                    cost.seal += bytes.time_at(devices[producer].spec.tee.crypto_bandwidth)
-                        + bytes.time_at(cap.crypto_bandwidth);
-                    cost.crossed += bytes;
-                }
+            for &(_, bytes, at_producer) in &plan.inputs {
+                // The crossing pays seal at the producer's rate and
+                // unseal at the consumer's; both gate the task start,
+                // so both are charged to the consuming placement.
+                cost.seal += at_producer + bytes.time_at(cap.crypto_bandwidth);
             }
             if level.requires_enclave() {
-                if !cap.has_enclave() {
-                    cost = DeviceSecCost::default(); // ineligible
-                } else {
-                    cost.attest = !self.quotes.is_verified(i as u64, measurement);
-                    cost.enclave = cap.transition_time * (2.0 * f64::from(self.config.transitions))
-                        + boundary_bytes.time_at(cap.crypto_bandwidth)
-                        + if cost.attest {
-                            ATTESTATION_TIME
-                        } else {
-                            Seconds::ZERO
-                        };
-                }
+                cost.enclave = cap.transition_time * (2.0 * f64::from(self.config.transitions))
+                    + boundary_bytes.time_at(cap.crypto_bandwidth);
             }
-            self.plan.costs[i] = cost;
+            plan.classes.push(cost);
         }
         true
     }
@@ -420,8 +510,8 @@ impl SecurityState {
     /// [`RuntimeError::Security`] when attestation fails (it cannot for
     /// enclaves this state created itself, but the error path is kept
     /// honest).
-    pub(crate) fn commit(&mut self, d: usize) -> Result<(), RuntimeError> {
-        let cost = self.plan.costs[d];
+    pub(crate) fn commit(&mut self, d: usize, class: usize) -> Result<(), RuntimeError> {
+        let cost = self.plan.cost(d, class);
         debug_assert!(cost.eligible, "committed placement must be eligible");
         self.stats.seal_time += cost.seal;
         self.stats.sealed_bytes += cost.crossed;
@@ -429,6 +519,11 @@ impl SecurityState {
             SecurityLevel::Enclave => {
                 self.stats.enclave_tasks += 1;
                 self.stats.enclave_time += cost.enclave;
+                debug_assert_eq!(
+                    cost.attest,
+                    !self.quotes.is_verified(d as u64, self.plan.measurement),
+                    "attestation bits mirror the quote cache"
+                );
                 if cost.attest {
                     let platform = self.platforms[d]
                         .as_ref()
@@ -437,6 +532,11 @@ impl SecurityState {
                     self.quotes
                         .attest_once(d as u64, platform, enclave, self.plan.measurement)
                         .map_err(|e| RuntimeError::Security(e.to_string()))?;
+                    let bits = &mut self.plan.attested[self.plan.image];
+                    if bits.len() <= d / 64 {
+                        bits.resize(d / 64 + 1, 0);
+                    }
+                    bits[d / 64] |= 1 << (d % 64);
                     self.stats.attestations += 1;
                 }
             }
@@ -522,14 +622,14 @@ impl SecurityState {
         self.stats.sealed_bytes += bytes;
         time
     }
+}
 
-    fn region_bytes(&self, region: RegionId) -> Bytes {
-        self.config
-            .region_sizes
-            .get(&region)
-            .copied()
-            .unwrap_or(Bytes::ZERO)
-    }
+fn region_bytes(config: &SecurityConfig, region: RegionId) -> Bytes {
+    config
+        .region_sizes
+        .get(&region)
+        .copied()
+        .unwrap_or(Bytes::ZERO)
 }
 
 /// Device-unique platform key (SplitMix64 of the device id), so sealing
@@ -542,10 +642,14 @@ fn platform_key(device_id: u64) -> u64 {
 }
 
 #[cfg(test)]
+pub(crate) mod prepare_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use legato_hw::device::{DeviceId, DeviceSpec};
 
+    /// Three devices of three spec classes: class index = device index.
     fn devices() -> Vec<Device> {
         vec![
             Device::new(DeviceId(0), DeviceSpec::xeon_x86()), // TEE hw
@@ -572,10 +676,15 @@ mod tests {
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
         let accesses = [(RegionId(0), AccessMode::InOut)];
-        assert!(state.prepare(&devices, &accesses, SecurityLevel::Enclave, m));
-        assert!(state.plan.extra(0).is_some(), "xeon hosts enclaves");
-        assert!(state.plan.extra(1).is_none(), "gpu must be ineligible");
-        assert!(state.plan.extra(2).is_some(), "arm hosts enclaves");
+        assert!(state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Enclave,
+            m
+        ));
+        assert!(state.plan.extra(0, 0).is_some(), "xeon hosts enclaves");
+        assert!(state.plan.extra(1, 1).is_none(), "gpu must be ineligible");
+        assert!(state.plan.extra(2, 2).is_some(), "arm hosts enclaves");
     }
 
     #[test]
@@ -585,9 +694,14 @@ mod tests {
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
         let accesses = [(RegionId(0), AccessMode::InOut)];
-        state.prepare(&devices, &accesses, SecurityLevel::Enclave, m);
-        let hw = state.plan.extra(0).unwrap();
-        let sw = state.plan.extra(2).unwrap();
+        state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Enclave,
+            m,
+        );
+        let hw = state.plan.extra(0, 0).unwrap();
+        let sw = state.plan.extra(2, 2).unwrap();
         assert!(
             hw.0 * 4.0 < sw.0,
             "hardware crypto must be far cheaper: {hw} vs {sw}"
@@ -603,7 +717,12 @@ mod tests {
             (RegionId(0), AccessMode::In),
             (RegionId(1), AccessMode::Out),
         ];
-        assert!(!state.prepare(&devices, &accesses, SecurityLevel::Public, 0));
+        assert!(!state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Public,
+            0
+        ));
     }
 
     #[test]
@@ -618,13 +737,18 @@ mod tests {
             SecurityLevel::Confidential,
         );
         let accesses = [(RegionId(0), AccessMode::In)];
-        assert!(state.prepare(&devices, &accesses, SecurityLevel::Public, 0));
+        assert!(state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Public,
+            0
+        ));
         assert_eq!(
-            state.plan.extra(0),
+            state.plan.extra(0, 0),
             Some(Seconds::ZERO),
             "same device: no crossing"
         );
-        let crossing = state.plan.extra(1).unwrap();
+        let crossing = state.plan.extra(1, 1).unwrap();
         assert!(crossing > Seconds::ZERO, "crossing must pay seal/unseal");
         // Seal at producer (hw rate) + unseal at consumer (sw rate).
         let bytes = Bytes::mib(32);
@@ -647,7 +771,12 @@ mod tests {
         // confidential, so readers stop paying seal costs.
         state.record_outputs(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
         let accesses = [(RegionId(0), AccessMode::In)];
-        assert!(!state.prepare(&devices, &accesses, SecurityLevel::Public, 0));
+        assert!(!state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Public,
+            0
+        ));
     }
 
     #[test]
@@ -657,18 +786,93 @@ mod tests {
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
         let accesses = [(RegionId(0), AccessMode::InOut)];
-        state.prepare(&devices, &accesses, SecurityLevel::Enclave, m);
-        state.commit(0).unwrap();
+        state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Enclave,
+            m,
+        );
+        state.commit(0, 0).unwrap();
         assert_eq!(state.stats.attestations, 1);
         // Second placement of the same code on the same device: cache hit.
-        state.prepare(&devices, &accesses, SecurityLevel::Enclave, m);
-        assert!(!state.plan.costs[0].attest);
-        state.commit(0).unwrap();
+        state.prepare(
+            &SpecClasses::new(&devices),
+            &accesses,
+            SecurityLevel::Enclave,
+            m,
+        );
+        assert!(!state.plan.cost(0, 0).attest);
+        state.commit(0, 0).unwrap();
         assert_eq!(state.stats.attestations, 1);
         // A different device is a different (enclave, device) pair.
-        state.commit(2).unwrap();
+        state.commit(2, 2).unwrap();
         assert_eq!(state.stats.attestations, 2);
         assert_eq!(state.stats.enclave_tasks, 3);
+    }
+
+    #[test]
+    fn a_full_platform_refuses_the_same_image_again() {
+        let devices = devices();
+        let mut state = state_with_sizes();
+        state.activate(&devices);
+        // 64 images fill every platform; the 65th is refused — and stays
+        // refused: a failed pass must not mark the image provisioned.
+        let images: Vec<String> = (0..65).map(|i| format!("image-{i}")).collect();
+        for code in &images[..64] {
+            state.ensure_enclaves(code.as_bytes()).expect("fits");
+        }
+        for _ in 0..2 {
+            assert!(matches!(
+                state.ensure_enclaves(images[64].as_bytes()),
+                Err(RuntimeError::Security(_))
+            ));
+        }
+        // The provisioned ones answer from the flag, and still commit.
+        let m = state.ensure_enclaves(images[3].as_bytes()).expect("known");
+        state.prepare(&SpecClasses::new(&devices), &[], SecurityLevel::Enclave, m);
+        state.commit(2, 2).unwrap();
+        assert_eq!(state.stats.attestations, 1);
+    }
+
+    #[test]
+    fn a_device_arriving_after_provisioning_can_be_committed_to() {
+        let mut devices = devices();
+        let mut state = state_with_sizes();
+        state.activate(&devices);
+        let m = state.ensure_enclaves(b"detector").unwrap();
+        let late = Device::new(DeviceId(3), DeviceSpec::xeon_x86());
+        state.device_arrived(&late).expect("one image fits");
+        devices.push(late);
+        let classes = SpecClasses::new(&devices);
+        // O(1) now — the arrival replayed the image onto the newcomer.
+        assert_eq!(state.ensure_enclaves(b"detector"), Ok(m));
+        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        assert!(state.plan.cost(3, 0).attest, "never attested yet");
+        state.commit(3, 0).expect("the newcomer hosts the enclave");
+        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        assert!(!state.plan.cost(3, 0).attest);
+        assert!(state.plan.cost(0, 0).attest, "same class, own quote");
+        assert_eq!(state.stats.attestations, 1);
+    }
+
+    #[test]
+    fn attestation_bits_survive_a_rollback_restore() {
+        let devices = devices();
+        let classes = SpecClasses::new(&devices);
+        let mut state = state_with_sizes();
+        state.activate(&devices);
+        let m = state.ensure_enclaves(b"detector").unwrap();
+        let snap = state.snapshot();
+        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        state.commit(0, 0).unwrap();
+        // Attestations really happened: rewinding region confidentiality
+        // to before the placement does not forget the quote.
+        state.restore(snap.as_ref());
+        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        assert!(!state.plan.cost(0, 0).attest);
+        assert!(state.plan.cost(2, 2).attest);
+        state.commit(0, 0).unwrap();
+        assert_eq!(state.stats.attestations, 1);
     }
 
     #[test]
@@ -706,13 +910,28 @@ mod tests {
         // Region 0 is sealed again (its restored contents are the
         // confidential write), region 1 is not (its write was discarded).
         let reads0 = [(RegionId(0), AccessMode::In)];
-        assert!(state.prepare(&devices, &reads0, SecurityLevel::Public, 0));
-        assert!(state.plan.extra(1).unwrap() > Seconds::ZERO);
+        assert!(state.prepare(
+            &SpecClasses::new(&devices),
+            &reads0,
+            SecurityLevel::Public,
+            0
+        ));
+        assert!(state.plan.extra(1, 1).unwrap() > Seconds::ZERO);
         let reads1 = [(RegionId(1), AccessMode::In)];
-        assert!(!state.prepare(&devices, &reads1, SecurityLevel::Public, 0));
+        assert!(!state.prepare(
+            &SpecClasses::new(&devices),
+            &reads1,
+            SecurityLevel::Public,
+            0
+        ));
         // A pre-activation snapshot restores to the empty state.
         state.restore(None);
-        assert!(!state.prepare(&devices, &reads0, SecurityLevel::Public, 0));
+        assert!(!state.prepare(
+            &SpecClasses::new(&devices),
+            &reads0,
+            SecurityLevel::Public,
+            0
+        ));
     }
 
     #[test]

@@ -1,0 +1,140 @@
+//! Regression pin: steady-state placement must not allocate.
+//!
+//! DESIGN.md §8 promises an allocation-free event path — estimates,
+//! candidates and the security plan live in per-runtime scratch sized by
+//! the first placements — and lists the few amortised growth sites that
+//! remain (the outcome table, the acceptance log, each device meter's
+//! sample series). This binary installs a counting allocator, lets one
+//! wave of placements warm every buffer, and asserts that a second,
+//! equal wave allocates no more than those doublings: a handful per
+//! wave, where a placement that allocated would show up once per task.
+//!
+//! One `#[test]` only: the counter is process-wide, and the harness
+//! runs tests of one binary on parallel threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use legato_core::requirements::{Requirements, SecurityLevel};
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
+use legato_core::units::{Bytes, Seconds};
+use legato_runtime::{
+    ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, DepartureKind, EnergyConfig, EngineConfig,
+    Policy, Runtime, SecurityConfig,
+};
+use legato_workloads::fleets;
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// The counter only increments; deallocations are uninteresting here.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const FLEET: usize = 1024;
+const WAVE: usize = 64;
+/// Doublings a wave may meet: the outcome table, and the meter series of
+/// the one or two devices a serial chain keeps landing on.
+const AMORTISED: usize = 4;
+
+/// One wave: a serial chain over one region, so every task is placed
+/// against an idle fleet and the chain keeps to the same best devices —
+/// whose meters were sized by the wave before.
+fn submit_wave(rt: &mut Runtime, level: SecurityLevel) {
+    for _ in 0..WAVE {
+        rt.submit(
+            TaskDescriptor::named("stage")
+                .with_kind(TaskKind::Inference)
+                .with_work(Work::flops(2e10))
+                .with_requirements(Requirements::new().with_security(level)),
+            [(0u64, AccessMode::InOut)],
+        );
+    }
+}
+
+/// Allocations performed while placing (and completing) a second wave,
+/// and the placement evaluations it took.
+fn second_wave(mut rt: Runtime, level: SecurityLevel) -> (usize, u64) {
+    rt.reserve(2 * WAVE, 2 * WAVE);
+    submit_wave(&mut rt, level);
+    let warm = rt.run().expect("warm-up wave runs");
+    assert_eq!(warm.placements.len(), WAVE);
+    submit_wave(&mut rt, level);
+    let evals = rt.placement_evals();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    // `step`, not `run`: the report `run` returns is a fresh allocation
+    // by design.
+    while rt.step().expect("second wave runs").is_some() {}
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(rt.report().placements.len(), 2 * WAVE);
+    (after - before, rt.placement_evals() - evals)
+}
+
+#[test]
+fn steady_state_placement_is_allocation_free() {
+    let base = || {
+        EngineConfig::new()
+            .with_devices(fleets::cycled(FLEET))
+            .with_policy(Policy::Weighted(0.5))
+            .with_seed(7)
+    };
+    let sizes = [(RegionId(0), Bytes::mib(32))].into_iter().collect();
+    let drain_one = ChurnTrace::from_events(vec![ChurnEvent {
+        at: Seconds::ZERO,
+        kind: ChurnEventKind::Departure {
+            device: 1,
+            kind: DepartureKind::Planned,
+        },
+    }]);
+    let scenarios = [
+        ("plain", base(), SecurityLevel::Public, FLEET),
+        (
+            "churn-masked",
+            base().with_churn(ChurnConfig::new(drain_one)),
+            SecurityLevel::Public,
+            FLEET - 1,
+        ),
+        (
+            "secured",
+            base().with_security(SecurityConfig::new().with_region_sizes(sizes)),
+            SecurityLevel::Enclave,
+            FLEET / 2, // the x86 and arm64 quarters host enclaves
+        ),
+        (
+            "pareto",
+            base().with_energy(EnergyConfig::new().with_makespan_bound(Seconds(0.05))),
+            SecurityLevel::Public,
+            FLEET,
+        ),
+    ];
+    for (name, config, level, candidates) in scenarios {
+        let rt = config.build().expect("valid engine config");
+        let (allocations, evals) = second_wave(rt, level);
+        assert_eq!(
+            evals,
+            (WAVE * candidates) as u64,
+            "{name}: every task scanned the flat candidate set"
+        );
+        assert!(
+            allocations <= AMORTISED,
+            "{name}: placing {WAVE} tasks allocated {allocations} times"
+        );
+    }
+}
