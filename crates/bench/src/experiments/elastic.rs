@@ -73,12 +73,6 @@ impl ChurnMode {
             ChurnMode::CrashOnly | ChurnMode::CrashCkpt => 1.0,
         }
     }
-
-    /// Whether the mode arms the checkpoint/restart layer.
-    #[must_use]
-    fn checkpointed(self) -> bool {
-        matches!(self, ChurnMode::CrashCkpt)
-    }
 }
 
 /// The elastic reference scenario: the resilience graph (64 × 16 chains,
@@ -148,7 +142,7 @@ pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u6
         .with_policy(Policy::Performance)
         .with_seed(seed)
         .with_max_retries(scenario.max_retries);
-    if mode.checkpointed() {
+    if mode == ChurnMode::CrashCkpt {
         cfg = cfg.with_resilience(
             ResilienceConfig::new(scenario.mean_task_duration() * 64.0)
                 .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))

@@ -3,7 +3,7 @@
 //! users to a thousand concurrent sessions.
 //!
 //! Each cell registers `tenants` sessions with mixed QoS shares on one
-//! [`Service`] over a 64-device fleet, streams an equal backlog from
+//! [`Service`](legato_runtime::Service) over a 64-device fleet, streams an equal backlog from
 //! every tenant through the stride dispatcher, runs to quiescence, and
 //! reports:
 //!
@@ -14,15 +14,16 @@
 //!   the tail a tenant actually experiences when a thousand sessions
 //!   compete for the same fleet.
 //!
-//! The shape recorded into `BENCH_service.json`: the sustained rate
-//! holds (the fleet, not the session layer, is the bottleneck) while
-//! p99 grows with the backlog, and every tenant completes its whole
-//! backlog with zero admission rejections — fairness at 1k tenants is
-//! pinned by the runtime's own property tests; this sweep prices it.
+//! The shape the tests below pin: the sustained rate holds (the fleet,
+//! not the session layer, is the bottleneck) while p99 grows with the
+//! backlog, and every tenant completes its whole backlog with zero
+//! admission rejections — fairness at 1k tenants is pinned by the
+//! runtime's own property tests. Host time for the same lifecycle is
+//! what `benchmark/`'s `service-waves` and `service-stream` measure.
 
 use legato_core::task::{AccessMode, TaskDescriptor, Work};
 use legato_core::units::Seconds;
-use legato_runtime::{EngineConfig, Policy, Service, ServiceConfig, TenantSpec};
+use legato_runtime::{EngineConfig, Policy, ServiceConfig, TenantSpec};
 use legato_workloads::fleets;
 
 /// Tasks each tenant streams per cell.
@@ -48,10 +49,13 @@ pub struct ServiceRow {
     pub rejections: u64,
 }
 
-/// Build the cell's service over the 64-device fleet (sixteen of each
-/// reference spec): `tenants` sessions with shares cycling 1–4, each streaming [`PER_TENANT`] independent tasks.
+/// Execute one cell: `tenants` sessions with shares cycling 1–4 on one
+/// service over the 64-device fleet (sixteen of each reference spec),
+/// each streaming [`PER_TENANT`] independent reference-size tasks; run
+/// to quiescence and distill the rate/latency row. Deterministic per
+/// `seed`.
 #[must_use]
-pub fn build_service(tenants: usize, seed: u64) -> Service {
+pub fn run_scenario(tenants: usize, seed: u64) -> ServiceRow {
     let mut svc = ServiceConfig::new(
         EngineConfig::new()
             .with_devices(fleets::cycled(64))
@@ -60,31 +64,16 @@ pub fn build_service(tenants: usize, seed: u64) -> Service {
     )
     .build()
     .expect("valid engine config");
-    for i in 0..tenants {
-        let spec = TenantSpec::new().with_share(1.0 + (i % 4) as f64);
-        svc.register(spec).expect("valid tenant spec");
-    }
-    svc
-}
-
-/// Tenant `t`'s `r`-th task: one reference-size task on its own region.
-fn submit_one(svc: &mut Service, t: usize, r: u64) {
-    svc.submit(
-        legato_runtime::TenantId(t as u32),
-        TaskDescriptor::named("svc").with_work(Work::flops(1e12)),
-        [(r, AccessMode::InOut)],
-    )
-    .expect("backlog fits the default budget");
-}
-
-/// Execute one cell: stream every backlog, run to quiescence, and
-/// distill the rate/latency row. Deterministic per `seed`.
-#[must_use]
-pub fn run_scenario(tenants: usize, seed: u64) -> ServiceRow {
-    let mut svc = build_service(tenants, seed);
     for t in 0..tenants {
+        let spec = TenantSpec::new().with_share(1.0 + (t % 4) as f64);
+        let id = svc.register(spec).expect("valid tenant spec");
         for r in 0..PER_TENANT as u64 {
-            submit_one(&mut svc, t, r);
+            svc.submit(
+                id,
+                TaskDescriptor::named("svc").with_work(Work::flops(1e12)),
+                [(r, AccessMode::InOut)],
+            )
+            .expect("backlog fits the default budget");
         }
     }
     let report = svc.run().expect("devices present");
@@ -111,44 +100,8 @@ pub fn run_scenario(tenants: usize, seed: u64) -> ServiceRow {
     }
 }
 
-/// The same backlogs as [`run_scenario`], streamed: each round every
-/// tenant submits one task and the engine advances `tenants` events
-/// through [`Service::step`] (meters synced after each), then the
-/// backlog drains — never `run()`. Returns the tasks the meters saw
-/// complete.
-#[must_use]
-pub fn run_stream_scenario(tenants: usize, seed: u64) -> u64 {
-    let mut svc = build_service(tenants, seed);
-    for r in 0..PER_TENANT as u64 {
-        for t in 0..tenants {
-            submit_one(&mut svc, t, r);
-        }
-        for _ in 0..tenants {
-            if svc.step().expect("devices present").is_none() {
-                break;
-            }
-        }
-    }
-    while svc.step().expect("devices present").is_some() {}
-    (0..tenants)
-        .map(|t| {
-            svc.tenant_report(legato_runtime::TenantId(t as u32))
-                .tasks_completed
-        })
-        .sum()
-}
-
-/// The reference tenant-count grid with the labels the `service` bench
-/// records them under — the single definition, so `BENCH_service.json`
-/// rows can never drift from the experiment.
-#[must_use]
-pub fn reference_tenant_counts() -> Vec<(&'static str, usize)> {
-    vec![
-        ("tenants_16", 16),
-        ("tenants_256", 256),
-        ("tenants_1000", 1000),
-    ]
-}
+/// The reference tenant-count grid.
+pub const TENANT_COUNTS: [usize; 3] = [16, 256, 1000];
 
 #[cfg(test)]
 mod tests {
@@ -156,17 +109,12 @@ mod tests {
 
     #[test]
     fn every_cell_completes_every_backlog_without_rejections() {
-        for (_, tenants) in reference_tenant_counts() {
+        for tenants in TENANT_COUNTS {
             let row = run_scenario(tenants, 42);
             assert_eq!(row.completed, row.tasks, "lost work at {tenants} tenants");
             assert_eq!(row.rejections, 0, "spurious backpressure at {tenants}");
             assert!(row.sustained_rate > 0.0);
         }
-    }
-
-    #[test]
-    fn streamed_backlogs_complete_like_batched_ones() {
-        assert_eq!(run_stream_scenario(256, 42), (256 * PER_TENANT) as u64);
     }
 
     #[test]

@@ -62,7 +62,9 @@ impl TaskState {
 /// A restore target for [`TaskGraph::rollback_to`]: the set of tasks that
 /// were [`TaskState::Completed`] when [`TaskGraph::frontier`] took it, as
 /// one bit per task. Taking one copies n/64 words; it stays valid as the
-/// graph grows (later submissions are simply not in it).
+/// graph grows (later submissions are simply not in it). A frontier that
+/// accumulates instead — a session's sealed set — starts empty
+/// ([`Frontier::default`]) and grows by [`Frontier::insert`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frontier {
     bits: Vec<u64>,
@@ -71,10 +73,22 @@ pub struct Frontier {
 }
 
 impl Frontier {
-    /// Whether `id` was completed when the frontier was taken.
+    /// Whether `id` is in the frontier.
     #[must_use]
     pub fn contains(&self, id: TaskId) -> bool {
         self.word(id.index() / 64) >> (id.index() % 64) & 1 == 1
+    }
+
+    /// Number of tasks in the frontier.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the frontier holds no task.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
     }
 
     /// Word `w` of the bitmap; zero past the graph size at snapshot time.
@@ -91,9 +105,12 @@ impl Frontier {
         })
     }
 
-    /// Add `id` (no-op if present). The bitmap must already span it.
-    fn insert(&mut self, id: TaskId) {
+    /// Add `id` (no-op if present), growing the bitmap to span it.
+    pub fn insert(&mut self, id: TaskId) {
         let (w, mask) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if w >= self.bits.len() {
+            self.bits.resize(w + 1, 0);
+        }
         self.count += usize::from(self.bits[w] & mask == 0);
         self.bits[w] |= mask;
     }

@@ -5,9 +5,8 @@
 //! single programming model which … allows the developer to specify their
 //! requirements" (paper, §II). This module is that specification surface:
 //! a [`Requirements`] value travels with every task descriptor and is
-//! interpreted by the runtime (replication, checkpointing), by HEATS (the
-//! energy/performance trade-off weight) and by the secure layer (enclave
-//! placement).
+//! interpreted by the runtime: replication from the criticality, enclave
+//! placement and sealing from the security level.
 
 use serde::{Deserialize, Serialize};
 
@@ -99,54 +98,24 @@ impl SecurityLevel {
 /// use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 ///
 /// let req = Requirements::new()
-///     .with_energy_weight(0.8)
 ///     .with_criticality(Criticality::Critical)
 ///     .with_security(SecurityLevel::Enclave);
 /// assert_eq!(req.criticality.replica_count(), 3);
 /// assert!(req.security.requires_enclave());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Requirements {
-    /// Energy/performance trade-off in `[0, 1]`: `0.0` means "pure
-    /// performance", `1.0` means "pure energy efficiency". HEATS calls this
-    /// the customer-demanded weight.
-    pub energy_weight: f64,
     /// Reliability criticality level.
     pub criticality: Criticality,
     /// Confidentiality level.
     pub security: SecurityLevel,
-    /// Whether the task's declared data should be included in application
-    /// level checkpoints ("only the necessary and sufficient data (declared
-    /// at the task entry) will be checkpointed", paper §I).
-    pub checkpointed: bool,
 }
 
 impl Requirements {
-    /// Requirements with all defaults: balanced energy weight, normal
-    /// criticality, public data, no checkpointing.
+    /// Requirements with all defaults: normal criticality, public data.
     #[must_use]
     pub fn new() -> Self {
-        Requirements {
-            energy_weight: 0.5,
-            criticality: Criticality::Normal,
-            security: SecurityLevel::Public,
-            checkpointed: false,
-        }
-    }
-
-    /// Set the energy/performance trade-off weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not in `[0, 1]` or not finite.
-    #[must_use]
-    pub fn with_energy_weight(mut self, w: f64) -> Self {
-        assert!(
-            w.is_finite() && (0.0..=1.0).contains(&w),
-            "energy weight must be in [0, 1], got {w}"
-        );
-        self.energy_weight = w;
-        self
+        Requirements::default()
     }
 
     /// Set the criticality level.
@@ -162,19 +131,6 @@ impl Requirements {
         self.security = s;
         self
     }
-
-    /// Mark the task's declared data for application-level checkpointing.
-    #[must_use]
-    pub fn with_checkpointing(mut self, on: bool) -> Self {
-        self.checkpointed = on;
-        self
-    }
-}
-
-impl Default for Requirements {
-    fn default() -> Self {
-        Requirements::new()
-    }
 }
 
 #[cfg(test)]
@@ -184,10 +140,8 @@ mod tests {
     #[test]
     fn defaults_are_neutral() {
         let r = Requirements::default();
-        assert_eq!(r.energy_weight, 0.5);
         assert_eq!(r.criticality, Criticality::Normal);
         assert_eq!(r.security, SecurityLevel::Public);
-        assert!(!r.checkpointed);
     }
 
     #[test]
@@ -229,19 +183,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "energy weight must be in [0, 1]")]
-    fn rejects_out_of_range_weight() {
-        let _ = Requirements::new().with_energy_weight(1.5);
-    }
-
-    #[test]
     fn builder_chain() {
         let r = Requirements::new()
-            .with_energy_weight(1.0)
             .with_criticality(Criticality::High)
-            .with_checkpointing(true);
-        assert_eq!(r.energy_weight, 1.0);
+            .with_security(SecurityLevel::Confidential);
         assert_eq!(r.criticality, Criticality::High);
-        assert!(r.checkpointed);
+        assert_eq!(r.security, SecurityLevel::Confidential);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use legato_core::units::{Bytes, Seconds};
-use legato_hw::memory::{AddrSpace, MemoryManager, PinMode, RegionHandle};
+use legato_hw::memory::{AddrSpace, MemoryManager, PinMode, RegionHandle, TransferRates};
 use legato_hw::storage::{StorageDevice, StorageTier, WriteMode};
 use legato_hw::time::pipeline_time;
 use serde::{Deserialize, Serialize};
@@ -370,40 +370,11 @@ impl Fti {
     pub fn checkpoint_duration(
         &self,
         mm: &MemoryManager,
-        tier: &legato_hw::storage::StorageTier,
+        tier: &StorageTier,
         strategy: Strategy,
     ) -> Seconds {
-        let (device, uvm, host) = self.bytes_by_space();
-        match strategy {
-            Strategy::Initial => {
-                let copy = mm.pcie_time(device, PinMode::Unpinned) + mm.uvm_migration_time(uvm);
-                let write = tier.write_time(
-                    device + uvm + host,
-                    WriteMode::ChunkSync {
-                        chunk: self.config.initial_chunk,
-                    },
-                );
-                copy + write
-            }
-            Strategy::Async => {
-                let staged = device + uvm;
-                let chunk = self.config.async_chunk;
-                let pipe = if staged > Bytes::ZERO {
-                    let chunks = staged.as_u64().div_ceil(chunk.as_u64());
-                    let copy_stage = mm.pcie_time(chunk.min(staged), PinMode::Pinned);
-                    let write_stage = chunk.min(staged).time_at(tier.write_bw);
-                    pipeline_time(chunks, &[copy_stage, write_stage])
-                } else {
-                    Seconds::ZERO
-                };
-                let host_write = if host > Bytes::ZERO {
-                    host.time_at(tier.write_bw)
-                } else {
-                    Seconds::ZERO
-                };
-                tier.setup_latency + pipe + host_write
-            }
-        }
+        let image = self.bytes_by_space();
+        image_time(Op::Write, &self.config, mm.rates(), tier, strategy, image)
     }
 
     /// Duration of a recovery of the current protected set (the reversed
@@ -413,40 +384,11 @@ impl Fti {
     pub fn recover_duration(
         &self,
         mm: &MemoryManager,
-        tier: &legato_hw::storage::StorageTier,
+        tier: &StorageTier,
         strategy: Strategy,
     ) -> Seconds {
-        let (device, uvm, host) = self.bytes_by_space();
-        match strategy {
-            Strategy::Initial => {
-                let read = tier.read_time(
-                    device + uvm + host,
-                    WriteMode::ChunkSync {
-                        chunk: self.config.initial_chunk,
-                    },
-                );
-                let copy = mm.pcie_time(device, PinMode::Unpinned) + mm.uvm_migration_time(uvm);
-                read + copy
-            }
-            Strategy::Async => {
-                let staged = device + uvm;
-                let chunk = self.config.async_chunk;
-                let pipe = if staged > Bytes::ZERO {
-                    let chunks = staged.as_u64().div_ceil(chunk.as_u64());
-                    let read_stage = chunk.min(staged).time_at(tier.read_bw);
-                    let copy_stage = mm.pcie_time(chunk.min(staged), PinMode::Pinned);
-                    pipeline_time(chunks, &[read_stage, copy_stage])
-                } else {
-                    Seconds::ZERO
-                };
-                let host_read = if host > Bytes::ZERO {
-                    host.time_at(tier.read_bw)
-                } else {
-                    Seconds::ZERO
-                };
-                tier.setup_latency + pipe + host_read
-            }
-        }
+        let image = self.bytes_by_space();
+        image_time(Op::Read, &self.config, mm.rates(), tier, strategy, image)
     }
 
     /// Bytes protected per address-space class: `(device, uvm, host)`.
@@ -508,14 +450,72 @@ impl Fti {
     }
 }
 
+/// Which way a checkpoint image moves between memory and storage.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Write,
+    Read,
+}
+
+/// The timing model of moving a checkpoint image of `(device, uvm, host)`
+/// bytes to (`Op::Write`) or from (`Op::Read`) `tier` — the one
+/// place the arithmetic lives, so [`Fti::checkpoint_duration`],
+/// [`Fti::recover_duration`], [`checkpoint_cost`] and [`restart_cost`]
+/// cannot drift apart.
+fn image_time(
+    op: Op,
+    config: &FtiConfig,
+    rates: &TransferRates,
+    tier: &StorageTier,
+    strategy: Strategy,
+    (device, uvm, host): (Bytes, Bytes, Bytes),
+) -> Seconds {
+    match strategy {
+        Strategy::Initial => {
+            let copy = rates.pcie_time(device, PinMode::Unpinned) + rates.uvm_migration_time(uvm);
+            let mode = WriteMode::ChunkSync {
+                chunk: config.initial_chunk,
+            };
+            let storage = match op {
+                Op::Write => tier.write_time(device + uvm + host, mode),
+                Op::Read => tier.read_time(device + uvm + host, mode),
+            };
+            copy + storage
+        }
+        Strategy::Async => {
+            let bw = match op {
+                Op::Write => tier.write_bw,
+                Op::Read => tier.read_bw,
+            };
+            let staged = device + uvm;
+            let chunk = config.async_chunk;
+            let pipe = if staged > Bytes::ZERO {
+                let chunks = staged.as_u64().div_ceil(chunk.as_u64());
+                let copy_stage = rates.pcie_time(chunk.min(staged), PinMode::Pinned);
+                let storage_stage = chunk.min(staged).time_at(bw);
+                pipeline_time(chunks, &[copy_stage, storage_stage])
+            } else {
+                Seconds::ZERO
+            };
+            let host_stream = if host > Bytes::ZERO {
+                host.time_at(bw)
+            } else {
+                Seconds::ZERO
+            };
+            tier.setup_latency + pipe + host_stream
+        }
+    }
+}
+
 /// Simulated wall-clock cost of writing a checkpoint image of `bytes`
 /// host-resident bytes to `tier` under `strategy` — the cost model the
 /// execution engine in `legato-runtime` charges for each task-frontier
 /// checkpoint. An empty image is free.
 ///
-/// This reuses the exact [`Fti::checkpoint_duration`] timing (chunk sizes
-/// from `config`, bandwidths and latencies from the [`StorageTier`]) via a
-/// phantom region, so the engine's per-checkpoint charge and the Fig. 6
+/// This is [`Fti::checkpoint_duration`] for one host region of that size
+/// at the default [`TransferRates`] (chunk sizes from `config`,
+/// bandwidths and latencies from the [`StorageTier`]): both evaluate the
+/// same function, so the engine's per-checkpoint charge and the Fig. 6
 /// strategy comparison can never drift apart.
 #[must_use]
 pub fn checkpoint_cost(
@@ -524,13 +524,7 @@ pub fn checkpoint_cost(
     strategy: Strategy,
     bytes: Bytes,
 ) -> Seconds {
-    if bytes == Bytes::ZERO {
-        return Seconds::ZERO;
-    }
-    let mut fti = Fti::new(config.clone(), 0);
-    fti.protect_phantom(0, AddrSpace::Host, bytes)
-        .expect("fresh engine has no protected ids");
-    fti.checkpoint_duration(&MemoryManager::new(), tier, strategy)
+    host_image_time(Op::Write, config, tier, strategy, bytes)
 }
 
 /// Simulated wall-clock cost of restoring a checkpoint image of `bytes`
@@ -543,13 +537,21 @@ pub fn restart_cost(
     strategy: Strategy,
     bytes: Bytes,
 ) -> Seconds {
+    host_image_time(Op::Read, config, tier, strategy, bytes)
+}
+
+fn host_image_time(
+    op: Op,
+    config: &FtiConfig,
+    tier: &StorageTier,
+    strategy: Strategy,
+    bytes: Bytes,
+) -> Seconds {
     if bytes == Bytes::ZERO {
         return Seconds::ZERO;
     }
-    let mut fti = Fti::new(config.clone(), 0);
-    fti.protect_phantom(0, AddrSpace::Host, bytes)
-        .expect("fresh engine has no protected ids");
-    fti.recover_duration(&MemoryManager::new(), tier, strategy)
+    let image = (Bytes::ZERO, Bytes::ZERO, bytes);
+    image_time(op, config, &TransferRates::default(), tier, strategy, image)
 }
 
 #[cfg(test)]

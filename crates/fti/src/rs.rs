@@ -7,6 +7,9 @@
 //! a Vandermonde generator matrix made systematic by Gaussian elimination,
 //! and reconstruction via inversion of the surviving rows.
 //!
+//! FTI-model only: reached through [`FtiGroup`](crate::group::FtiGroup)'s
+//! L3 encode, never by `legato-runtime`'s checkpoint store.
+//!
 //! ```
 //! use legato_fti::rs::ReedSolomon;
 //!

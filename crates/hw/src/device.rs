@@ -549,12 +549,6 @@ impl Device {
         (start, finish)
     }
 
-    /// Record idle power between two instants (used by whole-system energy
-    /// accounting).
-    pub fn record_idle(&mut self, duration: Seconds) {
-        self.meter.record(self.spec.idle_power, duration);
-    }
-
     /// The device's energy meter.
     #[must_use]
     pub fn meter(&self) -> &EnergyMeter {
@@ -647,8 +641,7 @@ mod tests {
         let w = Work::flops(80e9 * 0.85);
         d.execute(Seconds::ZERO, w, TaskKind::Compute);
         assert!((d.meter().total().0 - 12.0).abs() < 1e-6); // 12 W × 1 s
-        d.record_idle(Seconds(10.0));
-        assert!((d.meter().total().0 - 42.0).abs() < 1e-6); // + 3 W × 10 s
+        assert!((d.meter().elapsed().0 - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -82,6 +82,29 @@ impl Default for TransferRates {
     }
 }
 
+impl TransferRates {
+    /// PCIe transfer time for `size` bytes under a pinning mode.
+    #[must_use]
+    pub fn pcie_time(&self, size: Bytes, pin: PinMode) -> Seconds {
+        let bw = match pin {
+            PinMode::Pinned => self.pcie_pinned,
+            PinMode::Unpinned => self.pcie_unpinned,
+        };
+        size.time_at(bw)
+    }
+
+    /// UVM migration time: bandwidth-limited transfer plus per-page fault
+    /// latency.
+    #[must_use]
+    pub fn uvm_migration_time(&self, size: Bytes) -> Seconds {
+        if size == Bytes::ZERO {
+            return Seconds::ZERO;
+        }
+        let pages = size.as_u64().div_ceil(self.uvm_page.as_u64());
+        size.time_at(self.pcie_pinned) + self.uvm_fault_latency * pages as f64
+    }
+}
+
 /// Whether a transfer goes through pinned or pageable host memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PinMode {
@@ -265,8 +288,8 @@ impl MemoryManager {
         let size = Bytes(r.data.len() as u64);
         let cost = match r.space {
             AddrSpace::Host => Seconds::ZERO,
-            AddrSpace::Unified => self.uvm_migration_time(size),
-            AddrSpace::Device(_) => self.pcie_time(size, PinMode::Pinned),
+            AddrSpace::Unified => self.rates.uvm_migration_time(size),
+            AddrSpace::Device(_) => self.rates.pcie_time(size, PinMode::Pinned),
         };
         Ok((r.data.clone(), cost))
     }
@@ -295,8 +318,8 @@ impl MemoryManager {
         region.data[..bytes.len()].copy_from_slice(bytes);
         Ok(match space {
             AddrSpace::Host => Seconds::ZERO,
-            AddrSpace::Unified => self.uvm_migration_time(size),
-            AddrSpace::Device(_) => self.pcie_time(size, PinMode::Pinned),
+            AddrSpace::Unified => self.rates.uvm_migration_time(size),
+            AddrSpace::Device(_) => self.rates.pcie_time(size, PinMode::Pinned),
         })
     }
 
@@ -310,27 +333,6 @@ impl MemoryManager {
             .remove(&h.0)
             .map(|_| ())
             .ok_or(HwError::UnknownRegion(h.0))
-    }
-
-    /// PCIe transfer time for `size` bytes under a pinning mode.
-    #[must_use]
-    pub fn pcie_time(&self, size: Bytes, pin: PinMode) -> Seconds {
-        let bw = match pin {
-            PinMode::Pinned => self.rates.pcie_pinned,
-            PinMode::Unpinned => self.rates.pcie_unpinned,
-        };
-        size.time_at(bw)
-    }
-
-    /// UVM migration time: bandwidth-limited transfer plus per-page fault
-    /// latency.
-    #[must_use]
-    pub fn uvm_migration_time(&self, size: Bytes) -> Seconds {
-        if size == Bytes::ZERO {
-            return Seconds::ZERO;
-        }
-        let pages = size.as_u64().div_ceil(self.rates.uvm_page.as_u64());
-        size.time_at(self.rates.pcie_pinned) + self.rates.uvm_fault_latency * pages as f64
     }
 
     /// Host-to-host copy time.
@@ -390,7 +392,7 @@ mod tests {
         let uvm_cost = mm.read_for_host(uvm).unwrap().1;
         assert!(uvm_cost.0 > 0.0);
         // UVM cost exceeds the raw PCIe cost by the fault latencies.
-        assert!(uvm_cost > mm.pcie_time(Bytes::mib(4), PinMode::Pinned));
+        assert!(uvm_cost > mm.rates().pcie_time(Bytes::mib(4), PinMode::Pinned));
     }
 
     #[test]
@@ -427,23 +429,22 @@ mod tests {
 
     #[test]
     fn unpinned_slower_than_pinned() {
-        let mm = MemoryManager::new();
+        let rates = TransferRates::default();
         let s = Bytes::gib(1);
-        assert!(mm.pcie_time(s, PinMode::Unpinned) > mm.pcie_time(s, PinMode::Pinned));
+        assert!(rates.pcie_time(s, PinMode::Unpinned) > rates.pcie_time(s, PinMode::Pinned));
     }
 
     #[test]
     fn pcie_rate_sanity() {
-        let mm = MemoryManager::new();
         // 12 GiB at 12 GiB/s = 1 s.
-        let t = mm.pcie_time(Bytes::gib(12), PinMode::Pinned);
+        let t = TransferRates::default().pcie_time(Bytes::gib(12), PinMode::Pinned);
         assert!((t.0 - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_size_costs_nothing() {
         let mm = MemoryManager::new();
-        assert_eq!(mm.uvm_migration_time(Bytes::ZERO), Seconds::ZERO);
+        assert_eq!(mm.rates().uvm_migration_time(Bytes::ZERO), Seconds::ZERO);
         assert_eq!(mm.host_copy_time(Bytes::ZERO), Seconds::ZERO);
     }
 }

@@ -1,9 +1,9 @@
 //! Energy metering.
 //!
 //! HEATS "monitors … energy (PDU, PowerSpy)" (paper Fig. 7); the simulated
-//! equivalent is an [`EnergyMeter`] every device and node carries. Meters
-//! integrate power over simulated time and keep the sample series so
-//! harnesses can report both totals and traces.
+//! equivalent is an [`EnergyMeter`] every device carries. A meter
+//! integrates power over simulated time and keeps the two totals — joules
+//! and busy seconds — that reports are built from.
 
 use legato_core::units::{Joule, Seconds, Watt};
 use serde::{Deserialize, Serialize};
@@ -19,17 +19,15 @@ use serde::{Deserialize, Serialize};
 /// m.record(Watt(50.0), Seconds(2.0));
 /// assert_eq!(m.total(), Joule(300.0));
 /// assert_eq!(m.elapsed(), Seconds(4.0));
-/// assert_eq!(m.average_power(), Watt(75.0));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
     total: Joule,
     elapsed: Seconds,
-    samples: Vec<(Watt, Seconds)>,
 }
 
 impl EnergyMeter {
-    /// A meter with no recorded samples.
+    /// A meter with nothing recorded.
     #[must_use]
     pub fn new() -> Self {
         EnergyMeter::default()
@@ -51,7 +49,6 @@ impl EnergyMeter {
         );
         self.total += power * duration;
         self.elapsed += duration;
-        self.samples.push((power, duration));
     }
 
     /// Total energy recorded.
@@ -65,34 +62,6 @@ impl EnergyMeter {
     pub fn elapsed(&self) -> Seconds {
         self.elapsed
     }
-
-    /// Time-weighted average power ([`Watt::ZERO`] before any sample).
-    #[must_use]
-    pub fn average_power(&self) -> Watt {
-        if self.elapsed.0 <= 0.0 {
-            Watt::ZERO
-        } else {
-            self.total / self.elapsed
-        }
-    }
-
-    /// The recorded `(power, duration)` samples, in order.
-    #[must_use]
-    pub fn samples(&self) -> &[(Watt, Seconds)] {
-        &self.samples
-    }
-
-    /// Merge another meter's samples into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        self.total += other.total;
-        self.elapsed += other.elapsed;
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Clear all samples.
-    pub fn reset(&mut self) {
-        *self = EnergyMeter::default();
-    }
 }
 
 #[cfg(test)]
@@ -105,33 +74,7 @@ mod tests {
         m.record(Watt(10.0), Seconds(1.0));
         m.record(Watt(20.0), Seconds(0.5));
         assert_eq!(m.total(), Joule(20.0));
-        assert_eq!(m.samples().len(), 2);
-    }
-
-    #[test]
-    fn average_power_empty_is_zero() {
-        assert_eq!(EnergyMeter::new().average_power(), Watt::ZERO);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = EnergyMeter::new();
-        a.record(Watt(5.0), Seconds(2.0));
-        let mut b = EnergyMeter::new();
-        b.record(Watt(10.0), Seconds(1.0));
-        a.merge(&b);
-        assert_eq!(a.total(), Joule(20.0));
-        assert_eq!(a.elapsed(), Seconds(3.0));
-        assert_eq!(a.samples().len(), 2);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut m = EnergyMeter::new();
-        m.record(Watt(5.0), Seconds(2.0));
-        m.reset();
-        assert_eq!(m.total(), Joule::ZERO);
-        assert!(m.samples().is_empty());
+        assert_eq!(m.elapsed(), Seconds(1.5));
     }
 
     #[test]

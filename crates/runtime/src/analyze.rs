@@ -4,9 +4,9 @@
 //! The pillars only help if the submitted graph is actually safe to run:
 //! without this module, the engine discovers structural races (possible
 //! through [`TaskGraph::add_task_with_deps`]), confidentiality leaks and
-//! unsatisfiable placements *dynamically* — or not at all. A
-//! [`GraphLint`] pass runs over a [`TaskGraph`] plus the runtime's
-//! pillar configuration and emits an [`AnalysisReport`] of structured
+//! unsatisfiable placements *dynamically* — or not at all. The lint
+//! passes ([`run_lints`]) run over a [`TaskGraph`] plus the runtime's
+//! pillar configuration and emit an [`AnalysisReport`] of structured
 //! [`Diagnostic`]s; wired in through
 //! [`EngineConfig::with_analysis`](crate::config::EngineConfig::with_analysis),
 //! errors refuse the run ([`RuntimeError::AnalysisFailed`]) before any
@@ -37,12 +37,12 @@
 //!   against the TEE pool, and Pareto objectives whose bound or cap is
 //!   infeasible on the specs the engine will actually schedule against
 //!   (predicting bound/cap relaxations).
-//! * **checkpoint closure** ([`LintId::CheckpointClosure`]) — a
-//!   checkpoint-marked task depending on an unmarked one can never be
-//!   part of a dependence-closed checkpoint frontier
-//!   ([`TaskGraph::rollback`] rejects such frontiers at restore time);
-//!   partially declared region sizes that silently price live regions at
-//!   zero bytes are warned about.
+//! * **checkpoint closure** ([`LintId::CheckpointClosure`]) — the engine
+//!   checkpoints the *completed frontier*, which is closed under
+//!   dependences by construction, so no graph can make a restore fail;
+//!   what a graph can get wrong is the volume: partially declared region
+//!   sizes that silently price live regions at zero bytes are warned
+//!   about.
 //!
 //! A malformed edge set (dependence cycle) short-circuits every lint
 //! into a single [`LintId::GraphCycle`] error naming the cycle path.
@@ -50,7 +50,6 @@
 //! [`SecurityLevel`]: legato_core::requirements::SecurityLevel
 //! [`TaskGraph`]: legato_core::graph::TaskGraph
 //! [`TaskGraph::add_task_with_deps`]: legato_core::graph::TaskGraph::add_task_with_deps
-//! [`TaskGraph::rollback`]: legato_core::graph::TaskGraph::rollback
 //! [`RuntimeError::AnalysisFailed`]: crate::error::RuntimeError::AnalysisFailed
 //! [`RuntimeError::NoSecurePlacement`]: crate::error::RuntimeError::NoSecurePlacement
 
@@ -88,7 +87,7 @@ pub enum LintId {
     ConfidentialFlow,
     /// Placements the device fleet cannot satisfy.
     PlacementFeasibility,
-    /// Checkpoint frontiers that can never be dependence-closed.
+    /// Live regions a checkpoint would price at zero bytes.
     CheckpointClosure,
     /// The dependence edge set contains a cycle (not a lint pass — a
     /// structural precondition every pass needs; reported when
@@ -297,40 +296,12 @@ pub struct AnalysisContext<'a> {
     pub resilience: Option<&'a ResilienceConfig>,
 }
 
-/// One pluggable lint pass. The four built-in passes implement this;
-/// custom passes can be run through [`run_with`].
-pub trait GraphLint {
-    /// Identity of the pass (its diagnostics should carry the same id).
-    fn id(&self) -> LintId;
-    /// Inspect the context and append findings.
-    fn check(&self, cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>);
-}
-
 /// Run the configured default lints over a context.
 ///
 /// A dependence cycle short-circuits: the report carries a single
 /// [`LintId::GraphCycle`] error naming the cycle path and no lint pass
 /// runs (none of them is meaningful on a non-DAG).
 pub fn run_lints(cx: &AnalysisContext<'_>, config: &AnalysisConfig) -> AnalysisReport {
-    let passes: Vec<Box<dyn GraphLint>> = LintId::default_set()
-        .into_iter()
-        .filter(|l| config.lint_enabled(*l))
-        .map(|l| -> Box<dyn GraphLint> {
-            match l {
-                LintId::RegionRace => Box::new(RegionRaceLint),
-                LintId::ConfidentialFlow => Box::new(ConfidentialFlowLint),
-                LintId::PlacementFeasibility => Box::new(PlacementFeasibilityLint),
-                LintId::CheckpointClosure | LintId::GraphCycle => Box::new(CheckpointClosureLint),
-            }
-        })
-        .collect();
-    run_with(cx, &passes)
-}
-
-/// Run an arbitrary set of lint passes over a context (the extension
-/// point for custom passes). The cycle precondition is still checked
-/// first.
-pub fn run_with(cx: &AnalysisContext<'_>, passes: &[Box<dyn GraphLint>]) -> AnalysisReport {
     let mut report = AnalysisReport {
         tasks_analyzed: cx.graph.len(),
         ..AnalysisReport::default()
@@ -352,9 +323,18 @@ pub fn run_with(cx: &AnalysisContext<'_>, passes: &[Box<dyn GraphLint>]) -> Anal
         });
         return report;
     }
-    for pass in passes {
-        report.lints_run.push(pass.id());
-        pass.check(cx, &mut report.diagnostics);
+    for lint in LintId::default_set() {
+        if !config.lint_enabled(lint) {
+            continue;
+        }
+        report.lints_run.push(lint);
+        let out = &mut report.diagnostics;
+        match lint {
+            LintId::RegionRace => region_race(cx, out),
+            LintId::ConfidentialFlow => confidential_flow(cx, out),
+            LintId::PlacementFeasibility => placement_feasibility(cx, out),
+            LintId::CheckpointClosure | LintId::GraphCycle => checkpoint_closure(cx, out),
+        }
     }
     report
 }
@@ -375,78 +355,70 @@ struct RegionWindow {
 /// the last writer and the readers since it — `O(accesses)` pairs in
 /// total, each resolved by a direct-edge probe first and the bitset
 /// closure only for the leftovers.
-struct RegionRaceLint;
-
-impl GraphLint for RegionRaceLint {
-    fn id(&self) -> LintId {
-        LintId::RegionRace
-    }
-
-    fn check(&self, cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = cx.graph;
-        // (earlier, later, region, later-writes): ordering obligations.
-        let mut pairs: Vec<(TaskId, TaskId, RegionId, bool)> = Vec::new();
-        let mut windows: HashMap<RegionId, RegionWindow> = HashMap::new();
-        for i in 0..g.len() {
-            let t = TaskId(i as u64);
-            for &(region, mode) in g.accesses(t).expect("id in range") {
-                let w = windows.entry(region).or_insert(RegionWindow {
-                    last_writer: None,
-                    readers: Vec::new(),
-                });
-                if mode.writes() {
-                    if let Some(prev) = w.last_writer {
-                        pairs.push((prev, t, region, true));
-                    }
-                    // A write also conflicts with every read since the
-                    // last write (WAR) — unless this task is itself one
-                    // of those readers (InOut reads and writes).
-                    for &r in w.readers.iter().filter(|&&r| r != t) {
-                        pairs.push((r, t, region, true));
-                    }
-                    w.last_writer = Some(t);
-                    w.readers.clear();
-                }
-                if mode.reads() && !mode.writes() {
-                    if let Some(prev) = w.last_writer {
-                        pairs.push((prev, t, region, false));
-                    }
-                    w.readers.push(t);
-                }
-            }
-        }
-        // Phase 1: direct dependence edges witness the ordering for free
-        // (every pair on an inference-built graph resolves here).
-        pairs.retain(|&(a, b, _, _)| !has_direct_edge(g, a, b));
-        if pairs.is_empty() {
-            return;
-        }
-        // Phase 2: transitive closure over only the unresolved earlier
-        // tasks.
-        let sources: Vec<TaskId> = pairs.iter().map(|&(a, _, _, _)| a).collect();
-        let reach = Reachability::over(g, &sources).expect("cycle precondition checked by runner");
-        for (a, b, region, later_writes) in pairs {
-            if reach.reaches(a, b) {
-                continue;
-            }
-            let verb = if later_writes {
-                "write the same region"
-            } else {
-                "write and read the same region"
-            };
-            out.push(Diagnostic {
-                lint: LintId::RegionRace,
-                severity: Severity::Error,
-                tasks: vec![a, b],
-                regions: vec![region],
-                path: Vec::new(),
-                message: format!(
-                    "{a} and {b} {verb} {region:?} with no happens-before path between \
-                     them; their execution order (and the region's final value) is \
-                     nondeterministic"
-                ),
+fn region_race(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
+    let g = cx.graph;
+    // (earlier, later, region, later-writes): ordering obligations.
+    let mut pairs: Vec<(TaskId, TaskId, RegionId, bool)> = Vec::new();
+    let mut windows: HashMap<RegionId, RegionWindow> = HashMap::new();
+    for i in 0..g.len() {
+        let t = TaskId(i as u64);
+        for &(region, mode) in g.accesses(t).expect("id in range") {
+            let w = windows.entry(region).or_insert(RegionWindow {
+                last_writer: None,
+                readers: Vec::new(),
             });
+            if mode.writes() {
+                if let Some(prev) = w.last_writer {
+                    pairs.push((prev, t, region, true));
+                }
+                // A write also conflicts with every read since the
+                // last write (WAR) — unless this task is itself one
+                // of those readers (InOut reads and writes).
+                for &r in w.readers.iter().filter(|&&r| r != t) {
+                    pairs.push((r, t, region, true));
+                }
+                w.last_writer = Some(t);
+                w.readers.clear();
+            }
+            if mode.reads() && !mode.writes() {
+                if let Some(prev) = w.last_writer {
+                    pairs.push((prev, t, region, false));
+                }
+                w.readers.push(t);
+            }
         }
+    }
+    // Phase 1: direct dependence edges witness the ordering for free
+    // (every pair on an inference-built graph resolves here).
+    pairs.retain(|&(a, b, _, _)| !has_direct_edge(g, a, b));
+    if pairs.is_empty() {
+        return;
+    }
+    // Phase 2: transitive closure over only the unresolved earlier
+    // tasks.
+    let sources: Vec<TaskId> = pairs.iter().map(|&(a, _, _, _)| a).collect();
+    let reach = Reachability::over(g, &sources).expect("cycle precondition checked by runner");
+    for (a, b, region, later_writes) in pairs {
+        if reach.reaches(a, b) {
+            continue;
+        }
+        let verb = if later_writes {
+            "write the same region"
+        } else {
+            "write and read the same region"
+        };
+        out.push(Diagnostic {
+            lint: LintId::RegionRace,
+            severity: Severity::Error,
+            tasks: vec![a, b],
+            regions: vec![region],
+            path: Vec::new(),
+            message: format!(
+                "{a} and {b} {verb} {region:?} with no happens-before path between \
+                 them; their execution order (and the region's final value) is \
+                 nondeterministic"
+            ),
+        });
     }
 }
 
@@ -467,320 +439,271 @@ struct Taint {
 /// below the taint of a region it reads is flagged, with the writer
 /// chain from the original confidential producer as the evidence path —
 /// the static mirror of the engine's seal-on-cross-device contract.
-struct ConfidentialFlowLint;
-
-impl GraphLint for ConfidentialFlowLint {
-    fn id(&self) -> LintId {
-        LintId::ConfidentialFlow
-    }
-
-    fn check(&self, cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = cx.graph;
-        // Provenance arena: (task, parent entry) — each tainted write
-        // appends one node, so evidence paths reconstruct in O(path).
-        let mut prov: Vec<(TaskId, Option<usize>)> = Vec::new();
-        let mut taints: HashMap<RegionId, Taint> = HashMap::new();
-        for i in 0..g.len() {
-            let t = TaskId(i as u64);
-            let own = g.descriptor(t).expect("id in range").requirements.security;
-            // Join of the input taints (and the strongest one's
-            // provenance, for the evidence chain).
-            let mut in_level = SecurityLevel::Public;
-            let mut in_prov = None;
-            for &(region, mode) in g.accesses(t).expect("id in range") {
-                let Some(&taint) = taints.get(&region) else {
-                    continue;
-                };
-                if mode.reads() {
-                    if taint.level > own {
-                        let mut path: Vec<TaskId> = Vec::new();
-                        let mut at = Some(taint.prov);
-                        while let Some(p) = at {
-                            path.push(prov[p].0);
-                            at = prov[p].1;
-                        }
-                        path.reverse();
-                        let origin = path[0];
-                        path.push(t);
-                        let (severity, consequence) = if taint.level == SecurityLevel::Enclave {
-                            (
-                                Severity::Error,
-                                "enclave-only data must not flow below its level",
-                            )
-                        } else {
-                            (
-                                Severity::Warn,
-                                "the handoff is sealed at rest, so the reader gets \
-                                 ciphertext it has no business unsealing",
-                            )
-                        };
-                        out.push(Diagnostic {
-                            lint: LintId::ConfidentialFlow,
-                            severity,
-                            tasks: vec![origin, t],
-                            regions: vec![region],
-                            message: format!(
-                                "{t} ({own:?}) reads {region:?} carrying {:?}-tainted data \
-                                 originating at {origin}; {consequence}",
-                                taint.level
-                            ),
-                            path,
-                        });
-                    }
-                    if taint.level > in_level {
-                        in_level = taint.level;
-                        in_prov = Some(taint.prov);
-                    }
-                }
-            }
-            let effective = own.max(in_level);
-            if effective == SecurityLevel::Public {
-                // Public writes overwrite any stale taint.
-                for &(region, mode) in g.accesses(t).expect("id in range") {
-                    if mode.writes() {
-                        taints.remove(&region);
-                    }
-                }
+fn confidential_flow(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
+    let g = cx.graph;
+    // Provenance arena: (task, parent entry) — each tainted write
+    // appends one node, so evidence paths reconstruct in O(path).
+    let mut prov: Vec<(TaskId, Option<usize>)> = Vec::new();
+    let mut taints: HashMap<RegionId, Taint> = HashMap::new();
+    for i in 0..g.len() {
+        let t = TaskId(i as u64);
+        let own = g.descriptor(t).expect("id in range").requirements.security;
+        // Join of the input taints (and the strongest one's
+        // provenance, for the evidence chain).
+        let mut in_level = SecurityLevel::Public;
+        let mut in_prov = None;
+        for &(region, mode) in g.accesses(t).expect("id in range") {
+            let Some(&taint) = taints.get(&region) else {
                 continue;
+            };
+            if mode.reads() {
+                if taint.level > own {
+                    let mut path: Vec<TaskId> = Vec::new();
+                    let mut at = Some(taint.prov);
+                    while let Some(p) = at {
+                        path.push(prov[p].0);
+                        at = prov[p].1;
+                    }
+                    path.reverse();
+                    let origin = path[0];
+                    path.push(t);
+                    let (severity, consequence) = if taint.level == SecurityLevel::Enclave {
+                        (
+                            Severity::Error,
+                            "enclave-only data must not flow below its level",
+                        )
+                    } else {
+                        (
+                            Severity::Warn,
+                            "the handoff is sealed at rest, so the reader gets \
+                             ciphertext it has no business unsealing",
+                        )
+                    };
+                    out.push(Diagnostic {
+                        lint: LintId::ConfidentialFlow,
+                        severity,
+                        tasks: vec![origin, t],
+                        regions: vec![region],
+                        message: format!(
+                            "{t} ({own:?}) reads {region:?} carrying {:?}-tainted data \
+                             originating at {origin}; {consequence}",
+                            taint.level
+                        ),
+                        path,
+                    });
+                }
+                if taint.level > in_level {
+                    in_level = taint.level;
+                    in_prov = Some(taint.prov);
+                }
             }
-            let entry = prov.len();
-            let parent = if in_level >= own { in_prov } else { None };
-            prov.push((t, parent));
+        }
+        let effective = own.max(in_level);
+        if effective == SecurityLevel::Public {
+            // Public writes overwrite any stale taint.
             for &(region, mode) in g.accesses(t).expect("id in range") {
                 if mode.writes() {
-                    taints.insert(
-                        region,
-                        Taint {
-                            level: effective,
-                            prov: entry,
-                        },
-                    );
+                    taints.remove(&region);
                 }
+            }
+            continue;
+        }
+        let entry = prov.len();
+        let parent = if in_level >= own { in_prov } else { None };
+        prov.push((t, parent));
+        for &(region, mode) in g.accesses(t).expect("id in range") {
+            if mode.writes() {
+                taints.insert(
+                    region,
+                    Taint {
+                        level: effective,
+                        prov: entry,
+                    },
+                );
             }
         }
     }
 }
 
 /// The placement feasibility check.
-struct PlacementFeasibilityLint;
-
-impl GraphLint for PlacementFeasibilityLint {
-    fn id(&self) -> LintId {
-        LintId::PlacementFeasibility
-    }
-
-    fn check(&self, cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = cx.graph;
-        let tee: Vec<usize> = cx
-            .devices
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.spec.tee.has_enclave())
-            .map(|(i, _)| i)
-            .collect();
-        // Fleet-level facts, hoisted out of the task loop.
-        let cap_ok = match cx.objective {
-            Some(EnergyObjective::MinMakespanUnderPowerCap(cap)) => {
-                cx.devices.iter().any(|d| d.spec.busy_power <= cap)
-            }
-            _ => true,
-        };
-        if !cap_ok && !g.is_empty() {
-            out.push(Diagnostic {
-                lint: LintId::PlacementFeasibility,
-                severity: Severity::Warn,
-                tasks: Vec::new(),
-                regions: Vec::new(),
-                path: Vec::new(),
-                message: "no device's busy power fits under the configured power cap; \
-                          every placement will relax the cap to the lowest-power device"
-                    .into(),
-            });
+fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
+    let g = cx.graph;
+    let tee: Vec<usize> = cx
+        .devices
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.spec.tee.has_enclave())
+        .map(|(i, _)| i)
+        .collect();
+    // Fleet-level facts, hoisted out of the task loop.
+    let cap_ok = match cx.objective {
+        Some(EnergyObjective::MinMakespanUnderPowerCap(cap)) => {
+            cx.devices.iter().any(|d| d.spec.busy_power <= cap)
         }
-        // Enclave-only tasks on a TEE-less fleet: one aggregated error
-        // (the fleet is the cause, the tasks are the witnesses).
-        let mut stranded: Vec<TaskId> = Vec::new();
-        for i in 0..g.len() {
-            let t = TaskId(i as u64);
-            let d = g.descriptor(t).expect("id in range");
-            let req = d.requirements;
-            let eligible: &[usize] = if req.security.requires_enclave() {
-                &tee
-            } else {
-                &[]
-            };
-            if req.security.requires_enclave() {
-                if tee.is_empty() {
-                    stranded.push(t);
-                    continue;
-                }
-                let replicas = req.criticality.replica_count();
-                if replicas > tee.len() {
-                    out.push(Diagnostic {
-                        lint: LintId::PlacementFeasibility,
-                        severity: Severity::Warn,
-                        tasks: vec![t],
-                        regions: Vec::new(),
-                        path: Vec::new(),
-                        message: format!(
-                            "{t} wants {replicas} replicas but only {} TEE-capable \
-                             device(s) exist; its replica set will shrink to the TEE pool",
-                            tee.len()
-                        ),
-                    });
-                }
+        _ => true,
+    };
+    if !cap_ok && !g.is_empty() {
+        out.push(Diagnostic {
+            lint: LintId::PlacementFeasibility,
+            severity: Severity::Warn,
+            tasks: Vec::new(),
+            regions: Vec::new(),
+            path: Vec::new(),
+            message: "no device's busy power fits under the configured power cap; \
+                      every placement will relax the cap to the lowest-power device"
+                .into(),
+        });
+    }
+    // Enclave-only tasks on a TEE-less fleet: one aggregated error
+    // (the fleet is the cause, the tasks are the witnesses).
+    let mut stranded: Vec<TaskId> = Vec::new();
+    for i in 0..g.len() {
+        let t = TaskId(i as u64);
+        let d = g.descriptor(t).expect("id in range");
+        let req = d.requirements;
+        let eligible: &[usize] = if req.security.requires_enclave() {
+            &tee
+        } else {
+            &[]
+        };
+        if req.security.requires_enclave() {
+            if tee.is_empty() {
+                stranded.push(t);
+                continue;
             }
-            // Memory footprint vs every eligible device.
-            let footprint = d.work.bytes;
-            let fits = if req.security.requires_enclave() {
-                eligible
-                    .iter()
-                    .any(|&i| cx.devices[i].spec.mem_capacity >= footprint)
-            } else {
-                cx.devices.iter().any(|d| d.spec.mem_capacity >= footprint)
-            };
-            if !fits && !cx.devices.is_empty() {
+            let replicas = req.criticality.replica_count();
+            if replicas > tee.len() {
                 out.push(Diagnostic {
                     lint: LintId::PlacementFeasibility,
-                    severity: Severity::Error,
+                    severity: Severity::Warn,
                     tasks: vec![t],
                     regions: Vec::new(),
                     path: Vec::new(),
                     message: format!(
-                        "{t}'s declared footprint ({footprint}) exceeds the memory \
-                         capacity of every {}device",
-                        if req.security.requires_enclave() {
-                            "TEE-capable "
-                        } else {
-                            ""
-                        }
+                        "{t} wants {replicas} replicas but only {} TEE-capable \
+                         device(s) exist; its replica set will shrink to the TEE pool",
+                        tee.len()
                     ),
                 });
             }
-            // Makespan bound vs the fastest device the engine will
-            // actually use (specs are already derated to the selected
-            // operating point, so this predicts real relaxations).
-            if let Some(EnergyObjective::MinEnergyWithinMakespan(bound)) = cx.objective {
-                let fastest = cx
-                    .devices
-                    .iter()
-                    .map(|dev| dev.spec.time_for(d.work, d.kind))
-                    .fold(f64::INFINITY, |acc, s| acc.min(s.0));
-                if fastest.is_finite() && fastest > bound.0 {
-                    out.push(Diagnostic {
-                        lint: LintId::PlacementFeasibility,
-                        severity: Severity::Warn,
-                        tasks: vec![t],
-                        regions: Vec::new(),
-                        path: Vec::new(),
-                        message: format!(
-                            "{t} needs at least {fastest:.3}s on the fastest device, \
-                             over the {bound} makespan bound; the bound will be relaxed"
-                        ),
-                    });
-                }
-            }
         }
-        if !stranded.is_empty() {
-            let n = stranded.len();
-            let first = stranded[0];
+        // Memory footprint vs every eligible device.
+        let footprint = d.work.bytes;
+        let fits = if req.security.requires_enclave() {
+            eligible
+                .iter()
+                .any(|&i| cx.devices[i].spec.mem_capacity >= footprint)
+        } else {
+            cx.devices.iter().any(|d| d.spec.mem_capacity >= footprint)
+        };
+        if !fits && !cx.devices.is_empty() {
             out.push(Diagnostic {
                 lint: LintId::PlacementFeasibility,
                 severity: Severity::Error,
-                tasks: stranded,
+                tasks: vec![t],
                 regions: Vec::new(),
                 path: Vec::new(),
                 message: format!(
-                    "{n} enclave-only task(s) (first: {first}) but no device offers a \
-                     TEE; every one would fail with NoSecurePlacement at dispatch"
+                    "{t}'s declared footprint ({footprint}) exceeds the memory \
+                     capacity of every {}device",
+                    if req.security.requires_enclave() {
+                        "TEE-capable "
+                    } else {
+                        ""
+                    }
                 ),
             });
         }
+        // Makespan bound vs the fastest device the engine will
+        // actually use (specs are already derated to the selected
+        // operating point, so this predicts real relaxations).
+        if let Some(EnergyObjective::MinEnergyWithinMakespan(bound)) = cx.objective {
+            let fastest = cx
+                .devices
+                .iter()
+                .map(|dev| dev.spec.time_for(d.work, d.kind))
+                .fold(f64::INFINITY, |acc, s| acc.min(s.0));
+            if fastest.is_finite() && fastest > bound.0 {
+                out.push(Diagnostic {
+                    lint: LintId::PlacementFeasibility,
+                    severity: Severity::Warn,
+                    tasks: vec![t],
+                    regions: Vec::new(),
+                    path: Vec::new(),
+                    message: format!(
+                        "{t} needs at least {fastest:.3}s on the fastest device, \
+                         over the {bound} makespan bound; the bound will be relaxed"
+                    ),
+                });
+            }
+        }
+    }
+    if !stranded.is_empty() {
+        let n = stranded.len();
+        let first = stranded[0];
+        out.push(Diagnostic {
+            lint: LintId::PlacementFeasibility,
+            severity: Severity::Error,
+            tasks: stranded,
+            regions: Vec::new(),
+            path: Vec::new(),
+            message: format!(
+                "{n} enclave-only task(s) (first: {first}) but no device offers a \
+                 TEE; every one would fail with NoSecurePlacement at dispatch"
+            ),
+        });
     }
 }
 
 /// The checkpoint-closure check (active only with a resilience
-/// configuration).
-struct CheckpointClosureLint;
-
-impl GraphLint for CheckpointClosureLint {
-    fn id(&self) -> LintId {
-        LintId::CheckpointClosure
+/// configuration). The frontier the engine checkpoints is the completed
+/// set, closed under dependences whatever the graph; the lint is about
+/// what that frontier is priced at.
+///
+/// Partially declared region sizes: regions that can be live at a
+/// checkpoint (written by one task, read by a later one) but missing
+/// from the declaration are silently priced at zero. An entirely empty
+/// map means volume accounting is off by choice — only a *partial*
+/// declaration is suspicious.
+fn checkpoint_closure(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(res) = cx.resilience else {
+        return;
+    };
+    if res.region_sizes.is_empty() {
+        return;
     }
-
-    fn check(&self, cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(res) = cx.resilience else {
-            return;
-        };
-        let g = cx.graph;
-        let marked = |t: TaskId| {
-            g.descriptor(t)
-                .expect("id in range")
-                .requirements
-                .checkpointed
-        };
-        for i in 0..g.len() {
-            let t = TaskId(i as u64);
-            if !marked(t) {
-                continue;
+    let g = cx.graph;
+    let mut written: HashMap<RegionId, TaskId> = HashMap::new();
+    let mut undeclared: Vec<RegionId> = Vec::new();
+    for i in 0..g.len() {
+        let t = TaskId(i as u64);
+        for &(region, mode) in g.accesses(t).expect("id in range") {
+            let live_window = mode.reads()
+                && written.get(&region).is_some_and(|&w| w != t)
+                && !res.region_sizes.contains_key(&region)
+                && !undeclared.contains(&region);
+            if live_window {
+                undeclared.push(region);
             }
-            for &p in g.predecessors(t).expect("id in range") {
-                if !marked(p) {
-                    out.push(Diagnostic {
-                        lint: LintId::CheckpointClosure,
-                        severity: Severity::Error,
-                        tasks: vec![p, t],
-                        regions: Vec::new(),
-                        path: vec![p, t],
-                        message: format!(
-                            "checkpoint-marked {t} depends on unmarked {p}: the declared \
-                             checkpoint set is not closed under dependences, so no frontier \
-                             containing {t} can ever be checkpointed and restored \
-                             (rollback rejects unclosed frontiers)"
-                        ),
-                    });
-                }
+            if mode.writes() {
+                written.insert(region, t);
             }
         }
-        // Partially declared region sizes: regions that can be live at a
-        // checkpoint (written by one task, read by a later one) but
-        // missing from the declaration are silently priced at zero. An
-        // entirely empty map means volume accounting is off by choice —
-        // only a *partial* declaration is suspicious.
-        if !res.region_sizes.is_empty() {
-            let mut written: HashMap<RegionId, TaskId> = HashMap::new();
-            let mut undeclared: Vec<RegionId> = Vec::new();
-            for i in 0..g.len() {
-                let t = TaskId(i as u64);
-                for &(region, mode) in g.accesses(t).expect("id in range") {
-                    let live_window = mode.reads()
-                        && written.get(&region).is_some_and(|&w| w != t)
-                        && !res.region_sizes.contains_key(&region)
-                        && !undeclared.contains(&region);
-                    if live_window {
-                        undeclared.push(region);
-                    }
-                    if mode.writes() {
-                        written.insert(region, t);
-                    }
-                }
-            }
-            if !undeclared.is_empty() {
-                let n = undeclared.len();
-                out.push(Diagnostic {
-                    lint: LintId::CheckpointClosure,
-                    severity: Severity::Warn,
-                    tasks: Vec::new(),
-                    message: format!(
-                        "{n} region(s) (first: {:?}) can be live at a checkpoint but have \
-                         no declared size; their checkpoint volume is priced as zero bytes",
-                        undeclared[0]
-                    ),
-                    regions: undeclared,
-                    path: Vec::new(),
-                });
-            }
-        }
+    }
+    if !undeclared.is_empty() {
+        let n = undeclared.len();
+        out.push(Diagnostic {
+            lint: LintId::CheckpointClosure,
+            severity: Severity::Warn,
+            tasks: Vec::new(),
+            message: format!(
+                "{n} region(s) (first: {:?}) can be live at a checkpoint but have \
+                 no declared size; their checkpoint volume is priced as zero bytes",
+                undeclared[0]
+            ),
+            regions: undeclared,
+            path: Vec::new(),
+        });
     }
 }
 
@@ -1179,37 +1102,16 @@ mod tests {
 
     // --- checkpoint closure ---
 
-    fn ckpt(name: &'static str, marked: bool) -> TaskDescriptor {
-        desc(name).with_requirements(Requirements::new().with_checkpointing(marked))
-    }
-
-    #[test]
-    fn checkpoint_unmarked_predecessor_is_an_error() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(ckpt("raw", false), [(0u64, AccessMode::Out)]);
-        let b = g.add_task(ckpt("model", true), [(0u64, AccessMode::In)]);
-        let devices = fleet(vec![DeviceSpec::xeon_x86()]);
-        let res = crate::resilience::ResilienceConfig::new(Seconds(500.0));
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: None,
-            resilience: Some(&res),
-        };
-        let report = run_lints(&cx, &AnalysisConfig::new());
-        let cks = only(&report, LintId::CheckpointClosure);
-        assert_eq!(cks.len(), 1, "{report}");
-        assert_eq!(cks[0].severity, Severity::Error);
-        assert_eq!(cks[0].tasks, vec![a, b]);
-    }
-
     #[test]
     fn checkpoint_closed_set_is_clean_and_lint_is_inert_without_resilience() {
+        // A chain with every live region declared: the frontier the
+        // engine checkpoints is closed by construction and fully priced.
         let mut g = TaskGraph::new();
-        g.add_task(ckpt("raw", true), [(0u64, AccessMode::Out)]);
-        g.add_task(ckpt("model", true), [(0u64, AccessMode::In)]);
+        g.add_task(desc("raw"), [(0u64, AccessMode::Out)]);
+        g.add_task(desc("model"), [(0u64, AccessMode::In)]);
         let devices = fleet(vec![DeviceSpec::xeon_x86()]);
-        let res = crate::resilience::ResilienceConfig::new(Seconds(500.0));
+        let res = crate::resilience::ResilienceConfig::new(Seconds(500.0))
+            .with_region_sizes(HashMap::from([(RegionId(0), Bytes::mib(10))]));
         let cx = AnalysisContext {
             graph: &g,
             devices: &devices,
@@ -1222,12 +1124,9 @@ mod tests {
             "{report}"
         );
 
-        // The same violation without a resilience config is not a
-        // finding: nothing will ever checkpoint.
-        let mut g2 = TaskGraph::new();
-        g2.add_task(ckpt("raw", false), [(0u64, AccessMode::Out)]);
-        g2.add_task(ckpt("model", true), [(0u64, AccessMode::In)]);
-        let report = analyze(&g2, &devices);
+        // Without a resilience config nothing is a finding: nothing
+        // will ever checkpoint.
+        let report = analyze(&g, &devices);
         assert!(
             only(&report, LintId::CheckpointClosure).is_empty(),
             "{report}"
@@ -1238,13 +1137,10 @@ mod tests {
     fn checkpoint_partial_region_sizes_warn() {
         let mut g = TaskGraph::new();
         g.add_task(
-            ckpt("p", true),
+            desc("p"),
             [(0u64, AccessMode::Out), (1u64, AccessMode::Out)],
         );
-        g.add_task(
-            ckpt("c", true),
-            [(0u64, AccessMode::In), (1u64, AccessMode::In)],
-        );
+        g.add_task(desc("c"), [(0u64, AccessMode::In), (1u64, AccessMode::In)]);
         let devices = fleet(vec![DeviceSpec::xeon_x86()]);
         // R0 declared, R1 (also live across the edge) missing.
         let res = crate::resilience::ResilienceConfig::new(Seconds(500.0))
@@ -1298,41 +1194,5 @@ mod tests {
         assert!(text.contains("1 error(s)"), "{text}");
         assert_eq!(report.error_count(), 1);
         assert_eq!(report.warning_count(), 0);
-    }
-
-    #[test]
-    fn custom_passes_run_through_the_same_runner() {
-        struct CountTasks;
-        impl GraphLint for CountTasks {
-            fn id(&self) -> LintId {
-                LintId::RegionRace
-            }
-            fn check(&self, cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-                if cx.graph.len() > 1 {
-                    out.push(Diagnostic {
-                        lint: self.id(),
-                        severity: Severity::Warn,
-                        tasks: Vec::new(),
-                        regions: Vec::new(),
-                        path: Vec::new(),
-                        message: "too many tasks for my taste".into(),
-                    });
-                }
-            }
-        }
-        let mut g = TaskGraph::new();
-        g.add_task(desc("a"), [(0u64, AccessMode::Out)]);
-        g.add_task(desc("b"), [(0u64, AccessMode::In)]);
-        let devices = fleet(vec![DeviceSpec::xeon_x86()]);
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: None,
-            resilience: None,
-        };
-        let passes: Vec<Box<dyn GraphLint>> = vec![Box::new(CountTasks)];
-        let report = run_with(&cx, &passes);
-        assert_eq!(report.diagnostics.len(), 1);
-        assert_eq!(report.warning_count(), 1);
     }
 }

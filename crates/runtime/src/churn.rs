@@ -256,18 +256,14 @@ pub struct ChurnStats {
     pub wasted_work: Seconds,
 }
 
-/// One fleet change as the engine executes it. Trace events become ops
-/// when merged; drains and deferral timeouts append ops dynamically.
-#[derive(Debug, Clone)]
+/// One fleet change as the engine executes it. Trace events are named by
+/// index when merged; drains and deferral timeouts append ops
+/// dynamically.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ChurnOp {
-    /// A device joins (see [`ChurnEventKind::Arrival`]).
-    Arrive {
-        spec: DeviceSpec,
-        pool: Option<usize>,
-        fault_prob: f64,
-    },
-    /// A device leaves, by drain or crash.
-    Depart { device: usize, crash: bool },
+    /// Event `event` of the configured trace fires: an arrival or a
+    /// departure, read from the trace itself.
+    Trace { event: usize },
     /// A draining device's committed work has finished: checkpoint the
     /// frontier and remove it.
     DrainComplete { device: usize },
@@ -298,18 +294,15 @@ pub(crate) struct ChurnState {
     ///
     /// [`EventKind::Churn`]: crate::engine — private event kind.
     pub(crate) ops: Vec<ChurnOp>,
-    /// Whether device `d` is still part of the fleet (draining devices
-    /// are alive until their drain completes).
-    pub(crate) alive: Vec<bool>,
-    /// Whether device `d` is draining (alive, finishing committed work,
-    /// closed to new placements).
-    pub(crate) draining: Vec<bool>,
-    /// `alive && !draining` — the mask every placement path consults.
+    /// Neither departed nor draining — the mask every placement path
+    /// consults. (A device that is unavailable but has no departure time
+    /// is draining: still part of the fleet, finishing committed work.)
     pub(crate) available: Vec<bool>,
     /// When device `d` joined the fleet (zero for the initial fleet);
     /// bounds its idle-energy window in the report.
     pub(crate) arrived_at: Vec<Seconds>,
-    /// When device `d` left the fleet, if it has.
+    /// When device `d` left the fleet, if it has (draining devices stay
+    /// until their drain completes).
     pub(crate) departed_at: Vec<Option<Seconds>>,
     /// Placements waiting for a device re-arrival.
     pub(crate) deferred: Vec<DeferredTask>,
@@ -325,8 +318,6 @@ impl ChurnState {
             config,
             merged: false,
             ops: Vec::new(),
-            alive: vec![true; fleet],
-            draining: vec![false; fleet],
             available: vec![true; fleet],
             arrived_at: vec![Seconds::ZERO; fleet],
             departed_at: vec![None; fleet],

@@ -137,6 +137,11 @@ impl SpecClasses {
         self.prices[class]
     }
 
+    /// [`SpecClasses::price_of`] every class, indexed by class.
+    pub(crate) fn prices(&self) -> &[(Seconds, Watt)] {
+        &self.prices
+    }
+
     /// Number of devices that can host enclave-only tasks, restricted to
     /// the churn layer's availability mask: a departed or draining TEE
     /// device no longer counts toward the secure pool. `None` is the

@@ -43,7 +43,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{TaskId, TaskKind, Work};
 use legato_core::units::{Bytes, Joule, Seconds};
-use legato_fti::{checkpoint_cost, restart_cost, Strategy};
 use legato_hw::device::{Device, DeviceId, DeviceSpec};
 use rand::Rng;
 
@@ -52,7 +51,7 @@ use crate::ckpt;
 use crate::error::RuntimeError;
 use crate::pool::DevicePools;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
-use crate::resilience::{CheckpointRecord, RollbackEvent};
+use crate::resilience::{CheckpointRecord, EngineCheckpoint, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
 use crate::scheduler::Estimate;
 
@@ -577,31 +576,43 @@ impl Runtime {
             return Ok(());
         }
         let (interval, _cost) = crate::resilience::plan_interval(
-            &res.config,
+            res,
             &self.devices,
+            &mut self.classes,
             self.policy,
             &self.graph,
             &self.energy.op_fault_probs,
         )?;
-        let security = self.security.snapshot();
         let now = self.engine.now;
-        let res = self.resilience.as_mut().expect("checked above");
-        res.interval = Some(interval);
-        res.last = Some(CheckpointRecord {
-            time: now,
-            frontier: self.graph.frontier(),
-            accepted_mark: self.engine.accepted.len(),
-            bytes: Bytes::ZERO,
-            security,
-        });
+        self.commit_checkpoint(now, Bytes::ZERO, Seconds::ZERO);
+        self.resilience.as_mut().expect("checked above").interval = Some(interval);
         self.engine.push_checkpoint(now + interval);
         Ok(())
     }
 
+    /// Make the completed frontier as it stands the restore target: the
+    /// record of a checkpoint of `bytes` whose write took `cost` and
+    /// completes at `time`, with what a rollback needs beside it.
+    fn commit_checkpoint(&mut self, time: Seconds, bytes: Bytes, cost: Seconds) {
+        let res = self
+            .resilience
+            .as_mut()
+            .expect("checkpoints exist only in resilience mode");
+        res.last = Some(EngineCheckpoint {
+            record: CheckpointRecord {
+                frontier: self.graph.frontier(),
+                bytes,
+                cost,
+            },
+            time,
+            accepted_mark: self.engine.accepted.len(),
+            security: self.security.snapshot(),
+        });
+    }
+
     /// Take a periodic checkpoint at virtual time `at`: snapshot the
-    /// completed frontier, charge the task-aware live-region volume to
-    /// the configured storage tier under the configured FTI strategy,
-    /// and re-arm the next checkpoint.
+    /// completed frontier, write the task-aware live-region volume to
+    /// the checkpoint store, and re-arm the next checkpoint.
     ///
     /// Cost per checkpoint: O(n/64) for the frontier snapshot (a copy of
     /// the completed bitmap) and O(live regions) for the volume — both
@@ -622,44 +633,27 @@ impl Runtime {
     /// leaves (the armed periodic event is untouched). Returns the
     /// checkpoint's finish time.
     fn take_checkpoint(&mut self, at: Seconds) -> Seconds {
-        let security_snapshot = self.security.snapshot();
         let res = self
             .resilience
             .as_mut()
             .expect("checkpoint events exist only in resilience mode");
         let bytes = ckpt::task_declared_volume(&self.graph, &res.config.region_sizes);
-        let mut duration = checkpoint_cost(
-            &res.config.fti,
-            &res.config.tier,
-            res.config.strategy,
-            bytes,
-        );
         // Checkpoints of confidential data route through `seal`: the
         // sealed share of the live frontier pays host-side crypto on top
         // of the FTI write cost, so resilience composes with security.
-        if self.security.active {
+        let seal = if self.security.active {
             let sealed = self
                 .security
                 .sealed_live_bytes(self.graph.live_regions(), &res.config.region_sizes);
-            duration += self.security.charge_checkpoint_seal(sealed);
-        }
-        let (start, finish) = res.storage.occupy(at, duration, bytes);
-        res.last = Some(CheckpointRecord {
-            time: finish,
-            frontier: self.graph.frontier(),
-            accepted_mark: self.engine.accepted.len(),
-            bytes,
-            security: security_snapshot,
-        });
+            self.security.charge_checkpoint_seal(sealed)
+        } else {
+            Seconds::ZERO
+        };
+        let (start, finish) = res.store.write(at, bytes, seal);
         res.stats.checkpoints += 1;
         res.stats.checkpoint_bytes += bytes;
-        // Initial: the synchronous write stalls new placements until it
-        // completes. Async: only the setup latency stalls — the staging
-        // pipeline overlaps with execution (the Fig. 6 distinction).
-        res.blackout_until = match res.config.strategy {
-            Strategy::Initial => finish,
-            Strategy::Async => start + res.config.tier.setup_latency,
-        };
+        res.blackout_until = res.store.stall_after(start, finish);
+        self.commit_checkpoint(finish, bytes, finish - start);
         finish
     }
 
@@ -676,13 +670,13 @@ impl Runtime {
             .resilience
             .as_mut()
             .expect("rollback only in resilience mode");
-        let record = res.last.as_mut().expect("planning seeds the first record");
+        let last = res.last.as_mut().expect("planning seeds the first record");
         // An outcome outside the frontier was accepted after the frontier
         // was taken. Each rollback empties those slots and moves the mark
         // up, so a task appears at most once past it; ascending id order
         // keeps the floating-point sum of `wasted` reproducible.
-        let mut discarded = self.engine.accepted[record.accepted_mark..].to_vec();
-        record.accepted_mark = self.engine.accepted.len();
+        let mut discarded = self.engine.accepted[last.accepted_mark..].to_vec();
+        last.accepted_mark = self.engine.accepted.len();
         res.log_visits += discarded.len() as u64;
         discarded.sort_unstable();
         let mut wasted = Seconds::ZERO;
@@ -694,13 +688,7 @@ impl Runtime {
         // The graph re-arms every failed and poisoned task, whenever it
         // failed: none of them is failed any more.
         self.engine.failed.clear();
-        let restart = restart_cost(
-            &res.config.fti,
-            &res.config.tier,
-            res.config.strategy,
-            record.bytes,
-        );
-        let (_start, resume) = res.storage.occupy_read(at, restart, record.bytes);
+        let resume = res.store.read(at, last.record.bytes);
         // Every queued event is stale after the rollback: in-flight
         // attempts are aborted (their device-time and energy stay spent)
         // and the armed checkpoint is re-based on the restart. Churn
@@ -727,12 +715,12 @@ impl Runtime {
             // timeout events no-op against the emptied list.
             churn.deferred.clear();
         }
-        let ready = self.graph.rollback_to(&record.frontier)?;
+        let ready = self.graph.rollback_to(&last.record.frontier)?;
         // Region confidentiality rewinds with the frontier: discarded
         // post-checkpoint writes must not leave stale sealedness or
         // producer entries behind (the attestation cache stays — those
         // rounds really happened).
-        self.security.restore(record.security.as_ref());
+        self.security.restore(last.security.as_ref());
         for t in ready {
             self.engine.push_ready_at(resume, t);
         }
@@ -1280,24 +1268,8 @@ impl Runtime {
             return;
         }
         churn.merged = true;
-        for i in 0..churn.config.trace.len() {
-            let ev = churn.config.trace.events()[i].clone();
-            let op = match ev.kind {
-                ChurnEventKind::Arrival {
-                    spec,
-                    pool,
-                    fault_prob,
-                } => ChurnOp::Arrive {
-                    spec,
-                    pool,
-                    fault_prob,
-                },
-                ChurnEventKind::Departure { device, kind } => ChurnOp::Depart {
-                    device,
-                    crash: kind == DepartureKind::Crash,
-                },
-            };
-            churn.ops.push(op);
+        for (event, ev) in churn.config.trace.events().iter().enumerate() {
+            churn.ops.push(ChurnOp::Trace { event });
             let slot = (churn.ops.len() - 1) as u32;
             let seq = self.engine.next_seq();
             self.engine.heap.push(Reverse(Event {
@@ -1311,19 +1283,21 @@ impl Runtime {
     /// Apply one fleet change: arrival, departure (planned or crash),
     /// drain completion, or deferral expiry.
     fn handle_churn(&mut self, op: u32, at: Seconds) -> Result<(), RuntimeError> {
-        let op = self
+        let churn = self
             .churn
             .as_ref()
-            .expect("churn events exist only with churn state")
-            .ops[op as usize]
-            .clone();
-        match op {
-            ChurnOp::Arrive {
-                spec,
-                pool,
-                fault_prob,
-            } => self.handle_arrival(spec, pool, fault_prob, at),
-            ChurnOp::Depart { device, crash } => self.handle_departure(device, crash, at),
+            .expect("churn events exist only with churn state");
+        match churn.ops[op as usize] {
+            ChurnOp::Trace { event } => match &churn.config.trace.events()[event].kind {
+                ChurnEventKind::Arrival {
+                    spec,
+                    pool,
+                    fault_prob,
+                } => self.handle_arrival(spec.clone(), *pool, *fault_prob, at),
+                &ChurnEventKind::Departure { device, kind } => {
+                    self.handle_departure(device, kind == DepartureKind::Crash, at)
+                }
+            },
             ChurnOp::DrainComplete { device } => {
                 self.handle_drain_complete(device, at);
                 Ok(())
@@ -1366,8 +1340,6 @@ impl Runtime {
             .churn
             .as_mut()
             .expect("churn events exist only with churn state");
-        churn.alive.push(true);
-        churn.draining.push(false);
         churn.available.push(true);
         churn.arrived_at.push(at);
         churn.departed_at.push(None);
@@ -1387,14 +1359,12 @@ impl Runtime {
         crash: bool,
         at: Seconds,
     ) -> Result<(), RuntimeError> {
-        {
-            let churn = self
-                .churn
-                .as_ref()
-                .expect("churn events exist only with churn state");
-            if device >= churn.alive.len() || !churn.alive[device] || churn.draining[device] {
-                return Ok(());
-            }
+        let churn = self
+            .churn
+            .as_ref()
+            .expect("churn events exist only with churn state");
+        if !churn.available.get(device).is_some_and(|&up| up) {
+            return Ok(());
         }
         if crash {
             self.handle_crash(device, at)
@@ -1418,7 +1388,6 @@ impl Runtime {
             .churn
             .as_mut()
             .expect("churn events exist only with churn state");
-        churn.draining[device] = true;
         churn.available[device] = false;
         churn.epoch += 1;
         churn.stats.departures += 1;
@@ -1442,11 +1411,9 @@ impl Runtime {
                 .churn
                 .as_mut()
                 .expect("churn events exist only with churn state");
-            if !churn.draining[device] {
+            if churn.departed_at[device].is_some() {
                 return;
             }
-            churn.draining[device] = false;
-            churn.alive[device] = false;
             churn.departed_at[device] = Some(at);
         }
         if self
@@ -1473,7 +1440,6 @@ impl Runtime {
                 .churn
                 .as_mut()
                 .expect("churn events exist only with churn state");
-            churn.alive[device] = false;
             churn.available[device] = false;
             churn.departed_at[device] = Some(at);
             churn.epoch += 1;

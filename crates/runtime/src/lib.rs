@@ -104,16 +104,14 @@ pub mod scheduler;
 pub mod security;
 pub mod service;
 
-pub use analyze::{
-    AnalysisConfig, AnalysisMode, AnalysisReport, Diagnostic, GraphLint, LintId, Severity,
-};
+pub use analyze::{AnalysisConfig, AnalysisMode, AnalysisReport, Diagnostic, LintId, Severity};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnStats, ChurnTrace, DepartureKind};
 pub use config::EngineConfig;
 pub use energy::{EnergyConfig, EnergyObjective, EnergyStats};
 pub use error::RuntimeError;
 pub use pool::{PoolConfig, TopologyConfig};
 pub use replication::MAX_REPLICAS;
-pub use resilience::{ResilienceConfig, ResilienceStats, RollbackEvent, SessionCheckpoint};
+pub use resilience::{CheckpointRecord, ResilienceConfig, ResilienceStats, RollbackEvent};
 pub use runtime::{ReplicaDevices, RunReport, Runtime, TaskOutcome};
 pub use scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
 pub use security::{SecurityConfig, SecurityStats};

@@ -344,7 +344,6 @@ impl DevicePools {
         extras: Option<&[Seconds]>,
         out: &mut [(usize, Seconds, Seconds)],
     ) -> (usize, u64) {
-        let policy = policy.sanitized();
         let want = out.len().min(devices.len()).min(MAX_REPLICAS);
         if want == 0 {
             return (0, 0);

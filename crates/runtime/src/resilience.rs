@@ -7,19 +7,19 @@
 //!
 //! * **Interval model** — once per run the engine picks a checkpoint
 //!   interval from Young's formula ([`legato_fti::mtbf`]): the checkpoint
-//!   cost `δ` is estimated from the expected frontier volume and the
-//!   configured storage tier/strategy, the MTBF is configuration, and the
-//!   interval is floored at the mean task duration predicted by the
-//!   scheduler layer's [`Estimate`]s (checkpointing more often than tasks
-//!   complete cannot help).
+//!   cost `δ` is what the [`CheckpointStore`] charges for the expected
+//!   frontier volume, the MTBF is configuration, and the interval is
+//!   floored at the mean task duration predicted by the scheduler
+//!   layer's [`Estimate`]s (checkpointing more often than tasks complete
+//!   cannot help).
 //! * **Checkpoint events** — at each interval the engine emits a
 //!   checkpoint event that snapshots the *completed frontier only* (the
 //!   restore target is the set of tasks completed at snapshot time):
 //!   the bytes are the live-region volume from [`ckpt`](crate::ckpt)
 //!   (task-aware, not full-memory — dead and reproducible regions are
-//!   not written), and the time is [`legato_fti::checkpoint_cost`] on
-//!   the configured [`StorageTier`]. Under [`Strategy::Initial`] the
-//!   checkpoint stalls new task placements until it completes; under
+//!   not written), and the time is [`CheckpointStore::write`] on the
+//!   store's NVMe timeline. Under [`Strategy::Initial`] the checkpoint
+//!   stalls new task placements until it completes; under
 //!   [`Strategy::Async`] only the setup latency stalls (the copy/write
 //!   pipeline overlaps with execution) — the Fig. 6 gap, now visible as
 //!   end-to-end makespan overhead.
@@ -31,23 +31,28 @@
 //!   completed since the checkpoint is counted as wasted (its energy
 //!   stays on the device meters — it really was burned).
 //!
+//! Every checkpoint image in the crate — the engine's periodic and drain
+//! checkpoints, its rollback reads, and the service layer's session
+//! seals — is priced by one [`CheckpointStore`] and held as one
+//! [`CheckpointRecord`].
+//!
 //! [`Estimate`]: crate::scheduler::Estimate
 //! [`Strategy::Initial`]: legato_fti::Strategy::Initial
 //! [`Strategy::Async`]: legato_fti::Strategy::Async
-//! [`StorageTier`]: legato_hw::storage::StorageTier
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use legato_core::graph::{Frontier, TaskGraph};
-use legato_core::task::{RegionId, TaskId};
+use legato_core::task::{RegionId, TaskDescriptor, TaskId};
 use legato_core::units::{Bytes, Seconds};
 use legato_fti::mtbf::young_interval;
-use legato_fti::{checkpoint_cost, FtiConfig, Strategy};
+use legato_fti::{checkpoint_cost, restart_cost, FtiConfig, Strategy};
 use legato_hw::device::Device;
 use legato_hw::storage::{StorageDevice, StorageTier};
 use serde::{Deserialize, Serialize};
 
+use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
 use crate::scheduler::{Estimate, Policy, Scheduler};
 
@@ -61,10 +66,6 @@ pub struct ResilienceConfig {
     pub mtbf: Seconds,
     /// Checkpoint write strategy (the Fig. 6 Initial/Async comparison).
     pub strategy: Strategy,
-    /// Storage tier checkpoints are written to and restarts read from.
-    pub tier: StorageTier,
-    /// Chunk sizes and cadence knobs forwarded to the FTI cost model.
-    pub fti: FtiConfig,
     /// Declared size of each data region, used to price the live-region
     /// frontier volume at every checkpoint. Regions absent from the map
     /// count as zero bytes.
@@ -84,8 +85,6 @@ impl ResilienceConfig {
         ResilienceConfig {
             mtbf,
             strategy: Strategy::Async,
-            tier: StorageTier::local_nvme(),
-            fti: FtiConfig::default(),
             region_sizes: HashMap::new(),
             max_rollbacks: 1024,
         }
@@ -110,64 +109,87 @@ impl ResilienceConfig {
     }
 }
 
-/// The sealed frontier of one tenant session in the service layer
-/// ([`Service`](crate::service::Service)): which session-local tasks the
-/// last seal covers, how many bytes it wrote, and the cumulative FTI
-/// write cost. A restart resumes the session from exactly this record —
-/// sealed tasks are never re-executed, everything else is re-queued.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SessionCheckpoint {
-    /// Session-local indices of every task the seal covers, in seal
-    /// order.
-    pub completed: Vec<u64>,
-    /// Task-aware bytes written across all seals of this session.
+/// What one checkpoint holds: the tasks it covers, the bytes it wrote and
+/// what writing them cost. The engine's restore target is one (the
+/// completed frontier at snapshot time, extended with the engine's own
+/// bookkeeping); a tenant session in the service layer
+/// ([`Service::session`](crate::service::Service::session)) is one that
+/// accumulates — every seal adds the session-local tasks it covers, its
+/// bytes and its cost, and a restart resumes from exactly this record.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CheckpointRecord {
+    /// The tasks the checkpoint covers, one bit per task.
+    pub frontier: Frontier,
+    /// Task-aware bytes written.
     pub bytes: Bytes,
-    /// Cumulative checkpoint write cost ([`legato_fti::checkpoint_cost`]
-    /// on the store's tier and strategy).
-    pub seal_cost: Seconds,
+    /// What writing them cost: for an engine checkpoint the span its
+    /// [`CheckpointStore::write`] held the store (priced cost plus
+    /// sealing), for a session the [`CheckpointStore::write_cost`] of
+    /// every seal so far.
+    pub cost: Seconds,
 }
 
-/// Per-tenant checkpoint namespaces for the service layer: each session
-/// seals its own completed frontier independently through the same FTI
-/// cost model the engine's whole-run checkpoints use, so one tenant's
-/// seal cadence never couples to another's. Keyed by tenant id.
+/// The one checkpoint store: prices every checkpoint image through the
+/// FTI cost model (node-local NVMe, default [`FtiConfig`] — the paper's
+/// L1 configuration) under one write [`Strategy`], and owns the storage
+/// device the engine's checkpoints and restarts serialize on. Session
+/// seals are priced here too but never [`write`](CheckpointStore::write):
+/// their cost lands on the session record only.
 #[derive(Debug, Clone)]
-pub struct SessionStore {
+pub struct CheckpointStore {
     fti: FtiConfig,
-    tier: StorageTier,
     strategy: Strategy,
-    sessions: HashMap<u32, SessionCheckpoint>,
+    storage: StorageDevice,
 }
 
-impl SessionStore {
-    /// A store writing seals to `tier` with the given strategy.
+impl CheckpointStore {
+    /// A store writing to node-local NVMe under `strategy`.
     #[must_use]
-    pub fn new(tier: StorageTier, strategy: Strategy) -> Self {
-        SessionStore {
+    pub fn new(strategy: Strategy) -> Self {
+        CheckpointStore {
             fti: FtiConfig::default(),
-            tier,
             strategy,
-            sessions: HashMap::new(),
+            storage: StorageDevice::new(StorageTier::local_nvme()),
         }
     }
 
-    /// Seal `completed` (session-local task indices, newly completed
-    /// since the last seal) with `bytes` of frontier volume into
-    /// `tenant`'s namespace; returns the priced write cost of this seal.
-    pub fn seal(&mut self, tenant: u32, completed: &[u64], bytes: Bytes) -> Seconds {
-        let cost = checkpoint_cost(&self.fti, &self.tier, self.strategy, bytes);
-        let session = self.sessions.entry(tenant).or_default();
-        session.completed.extend_from_slice(completed);
-        session.bytes += bytes;
-        session.seal_cost += cost;
-        cost
+    /// Time to write an image of `bytes`; an empty image is free.
+    #[must_use]
+    pub fn write_cost(&self, bytes: Bytes) -> Seconds {
+        checkpoint_cost(&self.fti, &self.storage.tier, self.strategy, bytes)
     }
 
-    /// The session's cumulative checkpoint record; `None` before its
-    /// first seal.
+    /// Time to read an image of `bytes` back; an empty image is free.
     #[must_use]
-    pub fn session(&self, tenant: u32) -> Option<&SessionCheckpoint> {
-        self.sessions.get(&tenant)
+    pub fn read_cost(&self, bytes: Bytes) -> Seconds {
+        restart_cost(&self.fti, &self.storage.tier, self.strategy, bytes)
+    }
+
+    /// Write an image of `bytes` from time `at`, `extra` on top of the
+    /// priced cost, behind whatever the device is still busy with.
+    /// Returns `(start, finish)`.
+    pub fn write(&mut self, at: Seconds, bytes: Bytes, extra: Seconds) -> (Seconds, Seconds) {
+        let duration = self.write_cost(bytes) + extra;
+        self.storage.occupy(at, duration, bytes)
+    }
+
+    /// Read an image of `bytes` back from time `at`; returns when the
+    /// restart completes.
+    pub fn read(&mut self, at: Seconds, bytes: Bytes) -> Seconds {
+        let duration = self.read_cost(bytes);
+        self.storage.occupy_read(at, duration, bytes).1
+    }
+
+    /// Until when a write over `(start, finish)` stalls new placements.
+    /// Initial: the synchronous write stalls them until it completes.
+    /// Async: only the setup latency stalls — the staging pipeline
+    /// overlaps with execution (the Fig. 6 distinction).
+    #[must_use]
+    pub fn stall_after(&self, start: Seconds, finish: Seconds) -> Seconds {
+        match self.strategy {
+            Strategy::Initial => finish,
+            Strategy::Async => start + self.storage.tier.setup_latency,
+        }
     }
 }
 
@@ -205,20 +227,20 @@ pub struct RollbackEvent {
     pub wasted: Seconds,
 }
 
-/// The frontier captured by the most recent checkpoint.
+/// The engine's restore target: the most recent checkpoint's record and
+/// what the engine needs beside it to rewind.
 #[derive(Debug, Clone)]
-pub(crate) struct CheckpointRecord {
+pub(crate) struct EngineCheckpoint {
+    /// Tasks completed at snapshot time (a copy of the graph's completed
+    /// bitmap, n/64 words per checkpoint), the bytes written and the
+    /// write's duration.
+    pub record: CheckpointRecord,
     /// Completion time of the checkpoint write.
     pub time: Seconds,
-    /// Tasks completed at snapshot time (the restore target): a copy of
-    /// the graph's completed bitmap, n/64 words per checkpoint.
-    pub frontier: Frontier,
     /// Length of the engine's acceptance log when the frontier was taken
     /// (moved up to the log's end by each rollback): every outcome outside
     /// the frontier was accepted at or after this entry.
     pub accepted_mark: usize,
-    /// Task-aware bytes the checkpoint wrote.
-    pub bytes: Bytes,
     /// Region-confidentiality state at snapshot time (sealed regions and
     /// producers), restored on rollback so security composes with
     /// resilience. `None` when the security layer was inactive.
@@ -230,14 +252,13 @@ pub(crate) struct CheckpointRecord {
 #[derive(Debug, Clone)]
 pub(crate) struct ResilienceState {
     pub config: ResilienceConfig,
-    /// The storage device checkpoints serialize on.
-    pub storage: StorageDevice,
+    pub store: CheckpointStore,
     /// Checkpoint interval for this run; `None` until the first step
     /// plans it from the submitted tasks.
     pub interval: Option<Seconds>,
     /// The last committed checkpoint (set when the interval is planned:
     /// the initial record is the frontier at that moment).
-    pub last: Option<CheckpointRecord>,
+    pub last: Option<EngineCheckpoint>,
     /// New placements may not start before this time (checkpoint stall /
     /// restart barrier).
     pub blackout_until: Seconds,
@@ -250,10 +271,9 @@ pub(crate) struct ResilienceState {
 
 impl ResilienceState {
     pub(crate) fn new(config: ResilienceConfig) -> Self {
-        let storage = StorageDevice::new(config.tier.clone());
         ResilienceState {
+            store: CheckpointStore::new(config.strategy),
             config,
-            storage,
             interval: None,
             last: None,
             blackout_until: Seconds::ZERO,
@@ -281,38 +301,54 @@ impl ResilienceState {
 ///
 /// Returns `(interval, estimated checkpoint cost)`.
 pub(crate) fn plan_interval(
-    config: &ResilienceConfig,
+    res: &ResilienceState,
     devices: &[Device],
+    classes: &mut SpecClasses,
     policy: Policy,
     graph: &TaskGraph,
     op_fault_probs: &[f64],
+) -> Result<(Seconds, Seconds), RuntimeError> {
+    // One estimate per spec class. Every device of a class would get the
+    // class's estimate and classes are numbered by their first device,
+    // so the earliest-index tie-break picks over classes what it picks
+    // over devices.
+    let fleet = devices.len();
+    plan_interval_over(res, fleet, policy, graph, op_fault_probs, |desc, out| {
+        classes.price(devices, desc.work, desc.kind);
+        let prices = classes.prices().iter();
+        out.extend(prices.map(|&(dur, power)| Estimate::new(dur, power * dur)));
+    })
+}
+
+/// [`plan_interval`] over the candidates `estimate` lists for a task:
+/// spec-only estimates (availability-free) of what the scheduler layer
+/// predicts a fresh placement costs.
+fn plan_interval_over(
+    res: &ResilienceState,
+    fleet: usize,
+    policy: Policy,
+    graph: &TaskGraph,
+    op_fault_probs: &[f64],
+    mut estimate: impl FnMut(&TaskDescriptor, &mut Vec<Estimate>),
 ) -> Result<(Seconds, Seconds), RuntimeError> {
     let n = graph.len();
     let mut duration_total = Seconds::ZERO;
     let mut placed = 0u64;
     let mut write_bytes = Bytes::ZERO;
-    // One estimate buffer reused across all n tasks (planning is O(n·D)
-    // but runs once per run; no reason to allocate n times).
-    let mut estimates: Vec<Estimate> = Vec::with_capacity(devices.len());
+    // One estimate buffer reused across all n tasks.
+    let mut estimates: Vec<Estimate> = Vec::new();
     for i in 0..n {
         let id = TaskId(i as u64);
-        let desc = graph.descriptor(id)?;
-        // Spec-only estimates (availability-free): what the scheduler
-        // layer predicts a fresh placement of this task costs.
         estimates.clear();
-        estimates.extend(devices.iter().map(|d| {
-            Estimate::new(
-                d.spec.time_for(desc.work, desc.kind),
-                d.spec.energy_for(desc.work, desc.kind),
-            )
-        }));
+        estimate(graph.descriptor(id)?, &mut estimates);
         if let Some(best) = policy.place(&estimates) {
             duration_total += estimates[best].finish;
             placed += 1;
         }
         for (region, mode) in graph.accesses(id)? {
             if mode.writes() {
-                write_bytes += config
+                write_bytes += res
+                    .config
                     .region_sizes
                     .get(region)
                     .copied()
@@ -329,29 +365,33 @@ pub(crate) fn plan_interval(
     // device count (≈ how many outputs are live at once on a saturated
     // node). A crude but monotone proxy — the actual charge at each
     // checkpoint uses the exact live-region volume.
-    let est_bytes = Bytes((write_bytes.as_u64() / n.max(1) as u64) * devices.len() as u64);
-    let mut delta = checkpoint_cost(&config.fti, &config.tier, config.strategy, est_bytes);
+    let est_bytes = Bytes((write_bytes.as_u64() / n.max(1) as u64) * fleet as u64);
+    let mut delta = res.store.write_cost(est_bytes);
     if delta <= Seconds::ZERO {
         // Empty frontier estimate: even a metadata-only checkpoint pays
         // the tier's setup latency.
-        delta = config.tier.setup_latency.max(Seconds::from_millis(1.0));
+        delta = res.store.storage.tier.setup_latency;
     }
+    let mtbf = res.config.mtbf;
     let extra_rate: f64 = op_fault_probs
         .iter()
         .filter(|&&p| p > 0.0 && mean_task.0 > 0.0)
         .map(|&p| -(1.0 - p.clamp(0.0, 0.999_999)).ln() / mean_task.0)
         .sum();
-    let effective_mtbf = if extra_rate > 0.0 && config.mtbf.0 > 0.0 {
-        Seconds(1.0 / (1.0 / config.mtbf.0 + extra_rate))
+    let effective_mtbf = if extra_rate > 0.0 && mtbf.0 > 0.0 {
+        Seconds(1.0 / (1.0 / mtbf.0 + extra_rate))
     } else {
         // Bit-exact pre-energy path; a non-positive configured MTBF
         // falls through so `young_interval` reports it as the error.
-        config.mtbf
+        mtbf
     };
     let young = young_interval(delta, effective_mtbf)
         .map_err(|e| RuntimeError::Resilience(e.to_string()))?;
     Ok((young.max(mean_task), delta))
 }
+
+#[cfg(test)]
+mod interval_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -364,6 +404,19 @@ mod tests {
             Device::new(DeviceId(0), DeviceSpec::xeon_x86()),
             Device::new(DeviceId(1), DeviceSpec::gtx1080()),
         ]
+    }
+
+    /// [`plan_interval`] for `cfg` on [`devices`].
+    fn plan(
+        cfg: ResilienceConfig,
+        policy: Policy,
+        g: &TaskGraph,
+        probs: &[f64],
+    ) -> Result<(Seconds, Seconds), RuntimeError> {
+        let devices = devices();
+        let mut classes = SpecClasses::new(&devices);
+        let res = ResilienceState::new(cfg);
+        plan_interval(&res, &devices, &mut classes, policy, g, probs)
     }
 
     fn graph_with_sizes() -> (TaskGraph, HashMap<RegionId, Bytes>) {
@@ -381,12 +434,12 @@ mod tests {
     #[test]
     fn interval_shrinks_with_mtbf() {
         let (g, sizes) = graph_with_sizes();
-        let plan = |mtbf| {
+        let at = |mtbf| {
             let cfg = ResilienceConfig::new(mtbf).with_region_sizes(sizes.clone());
-            plan_interval(&cfg, &devices(), Policy::Performance, &g, &[]).unwrap()
+            plan(cfg, Policy::Performance, &g, &[]).unwrap()
         };
-        let (long, _) = plan(Seconds(100_000.0));
-        let (short, _) = plan(Seconds(1_000.0));
+        let (long, _) = at(Seconds(100_000.0));
+        let (short, _) = at(Seconds(1_000.0));
         assert!(short < long, "{short} vs {long}");
     }
 
@@ -395,7 +448,7 @@ mod tests {
         let (g, sizes) = graph_with_sizes();
         // Absurdly small MTBF: Young's interval would be sub-task-length.
         let cfg = ResilienceConfig::new(Seconds(0.05)).with_region_sizes(sizes);
-        let (interval, _) = plan_interval(&cfg, &devices(), Policy::Performance, &g, &[]).unwrap();
+        let (interval, _) = plan(cfg, Policy::Performance, &g, &[]).unwrap();
         // Under the performance policy every task lands on the fastest
         // device, so the mean predicted duration is that device's time.
         let mean = devices()
@@ -412,7 +465,7 @@ mod tests {
     fn non_positive_mtbf_is_an_error_not_a_panic() {
         let (g, sizes) = graph_with_sizes();
         let cfg = ResilienceConfig::new(Seconds::ZERO).with_region_sizes(sizes);
-        let err = plan_interval(&cfg, &devices(), Policy::Performance, &g, &[]).unwrap_err();
+        let err = plan(cfg, Policy::Performance, &g, &[]).unwrap_err();
         assert!(matches!(err, RuntimeError::Resilience(_)), "{err:?}");
     }
 
@@ -420,7 +473,7 @@ mod tests {
     fn zero_sized_regions_still_plan_a_positive_interval() {
         let (g, _) = graph_with_sizes();
         let cfg = ResilienceConfig::new(Seconds(1_000.0)); // no sizes declared
-        let (interval, delta) = plan_interval(&cfg, &devices(), Policy::Energy, &g, &[]).unwrap();
+        let (interval, delta) = plan(cfg, Policy::Energy, &g, &[]).unwrap();
         assert!(delta > Seconds::ZERO);
         assert!(interval > Seconds::ZERO);
     }
@@ -429,23 +482,19 @@ mod tests {
     fn operating_point_faults_shorten_the_interval() {
         let (g, sizes) = graph_with_sizes();
         let cfg = ResilienceConfig::new(Seconds(10_000.0)).with_region_sizes(sizes);
-        let plan = |probs: &[f64]| {
-            plan_interval(&cfg, &devices(), Policy::Performance, &g, probs)
-                .unwrap()
-                .0
-        };
-        let nominal = plan(&[]);
+        let at = |probs: &[f64]| plan(cfg.clone(), Policy::Performance, &g, probs).unwrap().0;
+        let nominal = at(&[]);
         assert_eq!(
             nominal,
-            plan(&[0.0, 0.0]),
+            at(&[0.0, 0.0]),
             "fault-free rungs must be bit-identical to no energy layer"
         );
-        let undervolted = plan(&[0.0, 0.05]);
+        let undervolted = at(&[0.0, 0.05]);
         assert!(
             undervolted < nominal,
             "a faulting rung must shorten the interval: {undervolted} vs {nominal}"
         );
-        let deeper = plan(&[0.05, 0.2]);
+        let deeper = at(&[0.05, 0.2]);
         assert!(deeper < undervolted, "{deeper} vs {undervolted}");
     }
 
@@ -453,8 +502,7 @@ mod tests {
     fn near_certain_op_faults_are_clamped_not_infinite() {
         let (g, sizes) = graph_with_sizes();
         let cfg = ResilienceConfig::new(Seconds(10_000.0)).with_region_sizes(sizes);
-        let (interval, _) =
-            plan_interval(&cfg, &devices(), Policy::Performance, &g, &[1.0]).unwrap();
+        let (interval, _) = plan(cfg, Policy::Performance, &g, &[1.0]).unwrap();
         assert!(
             interval.0.is_finite() && interval > Seconds::ZERO,
             "{interval}"

@@ -413,9 +413,8 @@ impl Policy {
         out: &mut [(usize, Seconds, Seconds)],
         extra_on: impl Fn(usize, usize) -> Option<Seconds>,
     ) -> (usize, u64) {
-        let policy = self.sanitized();
         let pareto = energy.and_then(|state| state.objective.map(|obj| (state, obj)));
-        let fold_norm = pareto.is_none() && policy.needs_norm();
+        let fold_norm = pareto.is_none() && self.needs_norm();
         let n = devices.len();
         if estimates.len() < n {
             estimates.resize(n, Estimate::new(Seconds::ZERO, Joule::ZERO));
@@ -465,7 +464,7 @@ impl Policy {
                 } else {
                     ScoreNorm::IDENTITY
                 };
-                let score = |_, e: &Estimate| Some(policy.score(e, &norm));
+                let score = |_, e: &Estimate| Some(self.score(e, &norm));
                 pick_k_by(estimates, score, &mut chosen[..want])
             }
         };
@@ -477,16 +476,6 @@ impl Policy {
             out[slot] = (i, start, classes.price_of(class).0 + extra);
         }
         (k, m as u64)
-    }
-
-    /// A copy of the policy with any `Weighted` weight forced into
-    /// `[0, 1]` (non-finite weights become balanced `0.5`).
-    pub(crate) fn sanitized(self) -> Self {
-        match self {
-            Policy::Weighted(w) if !w.is_finite() => Policy::Weighted(0.5),
-            Policy::Weighted(w) => Policy::Weighted(w.clamp(0.0, 1.0)),
-            other => other,
-        }
     }
 }
 
@@ -584,10 +573,12 @@ pub fn device_estimates_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use legato_hw::device::{DeviceId, DeviceSpec};
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     fn estimates() -> Vec<Estimate> {
         vec![
@@ -725,7 +716,25 @@ mod tests {
         assert_eq!(norm.energy(3.0), 0.0);
     }
 
-    fn policy_strategy() -> impl Strategy<Value = Policy> {
+    /// 1–40 devices from ≤ 5 specs: device 0 is alone in its class, the
+    /// rest draw (with duplicates) from up to four.
+    pub(crate) fn random_fleet(rng: &mut SmallRng) -> Vec<Device> {
+        let pool = [
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::gtx1080(),
+            DeviceSpec::arm64(),
+            DeviceSpec::fpga_kintex(),
+        ];
+        let kinds = rng.gen_range(1..=pool.len());
+        let mut devices = vec![Device::new(DeviceId(0), DeviceSpec::jetson_soc())];
+        for i in 1..rng.gen_range(1..=40u64) {
+            let spec = pool[rng.gen_range(0..kinds)].clone();
+            devices.push(Device::new(DeviceId(i), spec));
+        }
+        devices
+    }
+
+    pub(crate) fn policy_strategy() -> impl Strategy<Value = Policy> {
         (0u8..6).prop_map(|sel| match sel {
             0 => Policy::Performance,
             1 => Policy::Energy,
@@ -804,22 +813,10 @@ mod tests {
             use legato_core::requirements::SecurityLevel;
             use legato_core::task::{AccessMode, RegionId};
             use legato_core::units::{Bytes, Watt};
-            use rand::rngs::SmallRng;
-            use rand::{Rng, SeedableRng};
+            use rand::SeedableRng;
 
             let mut rng = SmallRng::seed_from_u64(seed);
-            // Device 0 is alone in its class; the rest draw from ≤ 4 specs.
-            let pool = [
-                DeviceSpec::xeon_x86(),
-                DeviceSpec::gtx1080(),
-                DeviceSpec::arm64(),
-                DeviceSpec::fpga_kintex(),
-            ];
-            let kinds = rng.gen_range(1..=pool.len());
-            let mut devices = vec![Device::new(DeviceId(0), DeviceSpec::jetson_soc())];
-            for i in 1..rng.gen_range(1..=40u64) {
-                devices.push(Device::new(DeviceId(i), pool[rng.gen_range(0..kinds)].clone()));
-            }
+            let mut devices = random_fleet(&mut rng);
             let n = devices.len();
             for d in &mut devices {
                 if rng.gen_bool(0.7) {
@@ -912,7 +909,7 @@ mod tests {
                 Some(obj) => {
                     pick_k_pareto(obj, &mut expected, &devices, &ests, &cands, &mut chosen[..k])
                 }
-                None => policy.sanitized().select_k(&ests, &mut chosen[..k]),
+                None => policy.select_k(&ests, &mut chosen[..k]),
             };
 
             let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); 3];
@@ -969,7 +966,6 @@ mod tests {
     /// The policy's first choice for the reference inference task.
     fn best(policy: Policy, devices: &[Device]) -> usize {
         policy
-            .sanitized()
             .place(&inference_estimates(devices))
             .expect("devices present")
     }
@@ -1042,13 +1038,12 @@ mod tests {
     #[test]
     fn out_of_range_weight_no_longer_panics_in_choose() {
         let d = devices();
-        // Clamped to pure energy: same pick as Weighted(1.0).
-        assert_eq!(best(Policy::Weighted(1.5), &d), 2);
-        // Non-finite weights degrade to a balanced trade-off, not a panic.
-        assert_eq!(
-            best(Policy::Weighted(f64::NAN), &d),
-            best(Policy::Weighted(0.5), &d)
-        );
+        // A weight no run would accept (`validate` refuses it before the
+        // first placement) still scores to some device, not a panic.
+        for w in [1.5, f64::NAN] {
+            assert!(Policy::Weighted(w).validate().is_err());
+            assert!(best(Policy::Weighted(w), &d) < d.len());
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   unseal time at the consumer's, charged to the consuming task's
 //!   duration (the transfer cannot complete before both).
 //!   Checkpoints route the same way: the sealed share of the live
-//!   frontier is sealed at [`SecurityConfig::seal_bandwidth`] on top of
+//!   frontier is sealed at the host's software crypto rate on top of
 //!   the FTI write cost, so resilience composes with security.
 //!
 //! The whole layer is pay-for-what-you-use: a run that never submits a
@@ -59,7 +59,7 @@ use crate::error::RuntimeError;
 ///
 /// The layer itself activates automatically when the first non-public
 /// task is submitted; the configuration only tunes its cost model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[must_use = "builder-style configs do nothing unless passed to EngineConfig"]
 pub struct SecurityConfig {
     /// Declared size of each data region, used to price enclave-boundary
@@ -76,37 +76,31 @@ pub struct SecurityConfig {
     /// therefore sealed) as zero bytes by checkpoints, consistently with
     /// the FTI write cost.
     pub region_sizes: HashMap<RegionId, Bytes>,
-    /// ecall/ocall pairs per enclave task execution (each pair is two
-    /// world switches).
-    pub transitions: u32,
-    /// Crypto throughput used when sealing checkpoint data (host-side,
-    /// not tied to any one device). Defaults to the software rate.
-    pub seal_bandwidth: BytesPerSec,
+}
+
+/// ecall/ocall pairs per enclave task execution — one in, one out; each
+/// pair is two world switches of the device's
+/// [`transition_time`](legato_hw::device::TeeCapability::transition_time).
+const ENCLAVE_TRANSITIONS: u32 = 2;
+
+/// Crypto throughput of checkpoint sealing: host-side, not tied to any
+/// one device, so the software rate.
+fn checkpoint_seal_bandwidth() -> BytesPerSec {
+    ExecutionMode::SecureSoftware
+        .crypto_bandwidth()
+        .expect("software mode has a crypto bandwidth")
 }
 
 impl SecurityConfig {
-    /// Defaults: no declared region sizes, one ecall/ocall pair in and
-    /// one out, software-rate checkpoint sealing.
+    /// No declared region sizes.
     pub fn new() -> Self {
-        SecurityConfig {
-            region_sizes: HashMap::new(),
-            transitions: 2,
-            seal_bandwidth: ExecutionMode::SecureSoftware
-                .crypto_bandwidth()
-                .expect("software mode has a crypto bandwidth"),
-        }
+        SecurityConfig::default()
     }
 
     /// Declare region sizes for crypto-traffic accounting.
     pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
         self.region_sizes = sizes;
         self
-    }
-}
-
-impl Default for SecurityConfig {
-    fn default() -> Self {
-        SecurityConfig::new()
     }
 }
 
@@ -493,7 +487,7 @@ impl SecurityState {
                 cost.seal += at_producer + bytes.time_at(cap.crypto_bandwidth);
             }
             if level.requires_enclave() {
-                cost.enclave = cap.transition_time * (2.0 * f64::from(self.config.transitions))
+                cost.enclave = cap.transition_time * (2.0 * f64::from(ENCLAVE_TRANSITIONS))
                     + boundary_bytes.time_at(cap.crypto_bandwidth);
             }
             plan.classes.push(cost);
@@ -612,12 +606,12 @@ impl SecurityState {
     }
 
     /// Charge checkpoint sealing: `bytes` routed through seal at the
-    /// configured host-side bandwidth. Returns the added write time.
+    /// host-side software rate. Returns the added write time.
     pub(crate) fn charge_checkpoint_seal(&mut self, bytes: Bytes) -> Seconds {
         if bytes == Bytes::ZERO {
             return Seconds::ZERO;
         }
-        let time = bytes.time_at(self.config.seal_bandwidth);
+        let time = bytes.time_at(checkpoint_seal_bandwidth());
         self.stats.seal_time += time;
         self.stats.sealed_bytes += bytes;
         time

@@ -58,7 +58,7 @@ pub(crate) fn per_device(
                 cost = DeviceSecCost::default(); // ineligible
             } else {
                 cost.attest = !state.quotes.is_verified(i as u64, measurement);
-                cost.enclave = cap.transition_time * (2.0 * f64::from(state.config.transitions))
+                cost.enclave = cap.transition_time * (2.0 * f64::from(ENCLAVE_TRANSITIONS))
                     + boundary_bytes.time_at(cap.crypto_bandwidth)
                     + if cost.attest {
                         ATTESTATION_TIME

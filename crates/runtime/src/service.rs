@@ -32,9 +32,10 @@
 //!   onto TEE-capable devices unchanged — the service only upgrades the
 //!   requirement, the engine's security machinery does the rest.
 //! * **Restart-surviving sessions** — [`Service::seal`] checkpoints each
-//!   session's completed frontier through the FTI cost model
-//!   ([`SessionStore`]); [`Service::restart`] rebuilds the engine from
-//!   the retained [`EngineConfig`] and re-queues only unsealed work.
+//!   session's completed frontier into its [`CheckpointRecord`], priced
+//!   by the same [`CheckpointStore`] type the engine's checkpoints go
+//!   through; [`Service::restart`] rebuilds the engine from the retained
+//!   [`EngineConfig`] and re-queues only what the record does not cover.
 //!   Sealed tasks are never re-executed; an unsealed task whose sealed
 //!   producer is gone becomes a root (its input is in the checkpoint).
 //!
@@ -42,8 +43,6 @@
 //! a heap pop over the tenants with pending work, the meters read the
 //! engine's acceptance log ([`Runtime::accepted`]) from a cursor, and a
 //! seal visits only what completed since the previous seal.
-//!
-//! [`SessionStore`]: crate::resilience::SessionStore
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -52,12 +51,11 @@ use legato_core::requirements::SecurityLevel;
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
 use legato_core::units::{Bytes, Joule, Seconds};
 use legato_fti::Strategy;
-use legato_hw::storage::StorageTier;
 use serde::{Deserialize, Serialize};
 
 use crate::config::EngineConfig;
 use crate::error::RuntimeError;
-use crate::resilience::{SessionCheckpoint, SessionStore};
+use crate::resilience::{CheckpointRecord, CheckpointStore};
 use crate::runtime::{RunReport, Runtime};
 
 /// A registered tenant, issued by [`Service::register`] in registration
@@ -125,7 +123,6 @@ impl TenantSpec {
 
 /// Per-tenant meter, accumulated across runs and restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[must_use = "meters are the tenant's bill; dropping them unread is a bug"]
 pub struct TenantReport {
     /// Tasks of this tenant that completed (re-executions after a
     /// restart re-meter: the work really was redone).
@@ -161,21 +158,26 @@ struct TenantState {
     pending: VecDeque<u64>,
     /// Every task this session ever admitted, by session-local index.
     log: Vec<LoggedTask>,
-    sealed: Vec<bool>,
+    /// What the session's seals cover — the sealed session-local tasks,
+    /// the bytes written and the priced cost, over all seals so far. The
+    /// only copy: [`Service::restart`] resumes from it.
+    session: CheckpointRecord,
     /// Session-local indices completed since the last seal, in
     /// completion order; [`Service::seal`] drains it.
     unsealed: Vec<u64>,
-    /// Completed count (so the queued-task budget check is O(1)).
-    done: usize,
     /// Sealed tasks metered by the [`Service::absorb`] call in progress
     /// (its premium split weighs tenants by it); zero between calls.
     sealed_fresh: u64,
+    /// `checkpoint_bytes` stays zero here: the session record counts
+    /// them and [`Service::tenant_report`] reads it from there.
     meter: TenantReport,
 }
 
 impl TenantState {
+    /// Admitted but not completed: a completed task is in the session
+    /// record or waiting in `unsealed` for the next seal.
     fn queued(&self) -> usize {
-        self.log.len() - self.done
+        self.log.len() - self.session.frontier.len() - self.unsealed.len()
     }
 }
 
@@ -225,10 +227,6 @@ pub struct ServiceConfig {
     /// Declared size of each *session-local* region, used to price the
     /// frontier volume of session seals. Absent regions count as zero.
     pub region_sizes: HashMap<RegionId, Bytes>,
-    /// Storage tier session seals are written to.
-    pub tier: StorageTier,
-    /// Checkpoint write strategy for session seals.
-    pub strategy: Strategy,
 }
 
 impl ServiceConfig {
@@ -239,8 +237,6 @@ impl ServiceConfig {
             engine,
             default_budget: 1024,
             region_sizes: HashMap::new(),
-            tier: StorageTier::local_nvme(),
-            strategy: Strategy::Async,
         }
     }
 
@@ -263,11 +259,10 @@ impl ServiceConfig {
     /// Whatever [`EngineConfig::build`] reports for the wrapped engine.
     pub fn build(self) -> Result<Service, RuntimeError> {
         let rt = self.engine.clone().build()?;
-        let store = SessionStore::new(self.tier.clone(), self.strategy);
         Ok(Service {
             config: self,
             rt,
-            store,
+            store: CheckpointStore::new(Strategy::Async),
             tenants: Vec::new(),
             turns: BinaryHeap::new(),
             task_of: Vec::new(),
@@ -288,7 +283,9 @@ impl ServiceConfig {
 pub struct Service {
     config: ServiceConfig,
     rt: Runtime,
-    store: SessionStore,
+    /// Prices session seals. They cost time on the session record only:
+    /// nothing is ever written to this store's timeline.
+    store: CheckpointStore,
     tenants: Vec<TenantState>,
     /// Stride order over exactly the tenants with pending work, one
     /// entry each, keyed by the tenant's current virtual time (which
@@ -345,9 +342,8 @@ impl Service {
             vtime: 0.0,
             pending: VecDeque::new(),
             log: Vec::new(),
-            sealed: Vec::new(),
+            session: CheckpointRecord::default(),
             unsealed: Vec::new(),
-            done: 0,
             sealed_fresh: 0,
             meter: TenantReport::default(),
         });
@@ -409,7 +405,6 @@ impl Service {
             descriptor,
             accesses,
         });
-        t.sealed.push(false);
         if t.pending.is_empty() {
             self.turns.push(Reverse(Turn {
                 vtime: t.vtime,
@@ -524,7 +519,6 @@ impl Service {
             let t = &mut self.tenants[tenant as usize];
             t.meter.tasks_completed += 1;
             t.meter.busy_energy += energy;
-            t.done += 1;
             if t.unsealed.is_empty() {
                 self.unsealed_tenants.push(tenant);
             }
@@ -570,10 +564,9 @@ impl Service {
     pub fn seal(&mut self) {
         for tenant in self.unsealed_tenants.drain(..) {
             let t = &mut self.tenants[tenant as usize];
-            t.unsealed.sort_unstable();
             let mut bytes = Bytes::ZERO;
-            for &idx in &t.unsealed {
-                t.sealed[idx as usize] = true;
+            for idx in t.unsealed.drain(..) {
+                t.session.frontier.insert(TaskId(idx));
                 for &(r, m) in &t.log[idx as usize].accesses {
                     if m.writes() {
                         bytes += self
@@ -585,9 +578,8 @@ impl Service {
                     }
                 }
             }
-            self.store.seal(tenant, &t.unsealed, bytes);
-            t.meter.checkpoint_bytes += bytes;
-            t.unsealed.clear();
+            t.session.bytes += bytes;
+            t.session.cost += self.store.write_cost(bytes);
         }
     }
 
@@ -613,14 +605,9 @@ impl Service {
             t.vtime = 0.0;
             t.pending.clear();
             t.unsealed.clear();
-            t.done = 0;
-            for idx in 0..t.log.len() {
-                if t.sealed[idx] {
-                    t.done += 1;
-                } else {
-                    t.pending.push_back(idx as u64);
-                }
-            }
+            let sealed = &t.session.frontier;
+            t.pending
+                .extend((0..t.log.len() as u64).filter(|&idx| !sealed.contains(TaskId(idx))));
             if !t.pending.is_empty() {
                 self.turns.push(Reverse(Turn {
                     vtime: 0.0,
@@ -636,14 +623,25 @@ impl Service {
     /// # Panics
     ///
     /// Panics on an unregistered tenant id.
-    pub fn tenant_report(&self, tenant: TenantId) -> &TenantReport {
-        &self.tenants[tenant.0 as usize].meter
+    #[must_use = "meters are the tenant's bill; dropping them unread is a bug"]
+    pub fn tenant_report(&self, tenant: TenantId) -> TenantReport {
+        let t = &self.tenants[tenant.0 as usize];
+        TenantReport {
+            checkpoint_bytes: t.session.bytes,
+            ..t.meter
+        }
     }
 
-    /// The tenant's session checkpoint; `None` before its first seal.
+    /// The tenant's session checkpoint record: the session-local tasks
+    /// its seals cover (as [`TaskId`]s), the bytes they wrote and their
+    /// cumulative priced cost. Empty before the first seal.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unregistered tenant id.
     #[must_use]
-    pub fn session(&self, tenant: TenantId) -> Option<&SessionCheckpoint> {
-        self.store.session(tenant.0)
+    pub fn session(&self, tenant: TenantId) -> &CheckpointRecord {
+        &self.tenants[tenant.0 as usize].session
     }
 
     /// Admitted-but-uncompleted tasks charged against the tenant's
@@ -838,10 +836,11 @@ mod tests {
         let a = svc.register(TenantSpec::new()).unwrap();
         svc.submit(a, task(), [(0u64, AccessMode::Out)]).unwrap();
         let _ = svc.run().unwrap();
-        let session = svc.session(a).expect("sealed after run").clone();
-        assert_eq!(session.completed, vec![0]);
+        let session = svc.session(a);
+        assert!(session.frontier.contains(TaskId(0)));
+        assert_eq!(session.frontier.len(), 1);
         assert_eq!(session.bytes, Bytes::mib(64));
-        assert!(session.seal_cost > Seconds::ZERO);
+        assert!(session.cost > Seconds::ZERO);
         assert_eq!(svc.tenant_report(a).checkpoint_bytes, Bytes::mib(64));
 
         svc.restart().unwrap();

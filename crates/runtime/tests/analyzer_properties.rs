@@ -16,9 +16,10 @@
 
 use legato_core::requirements::{Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, TaskDescriptor, TaskId, Work};
+use legato_core::units::Seconds;
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    AnalysisConfig, EngineConfig, LintId, Policy, Runtime, RuntimeError, Severity,
+    AnalysisConfig, EngineConfig, LintId, Policy, ResilienceConfig, Runtime, RuntimeError, Severity,
 };
 use legato_workloads::fleets;
 use proptest::prelude::*;
@@ -200,6 +201,41 @@ fn enforce_mode_refuses_before_any_event() {
     // step() refuses identically.
     let err = rt.step().expect_err("step must refuse too");
     assert!(matches!(err, RuntimeError::AnalysisFailed(_)));
+}
+
+/// With resilience on, enforce mode has nothing to refuse on a runnable
+/// chain: the engine checkpoints the completed frontier, which is closed
+/// under dependences whatever the graph declares, so the chain runs to
+/// the schedule it has with analysis off. (A per-task checkpoint mark
+/// the engine never read used to get this chain refused when only its
+/// second task carried it.)
+#[test]
+fn enforce_mode_with_resilience_runs_a_chain_to_the_unanalyzed_schedule() {
+    let resilient = || {
+        EngineConfig::new()
+            .with_devices(fleets::reference())
+            .with_policy(Policy::Performance)
+            .with_seed(1)
+            .with_resilience(ResilienceConfig::new(Seconds(500.0)))
+    };
+    let run = |cfg: EngineConfig| {
+        let mut rt = cfg.build().expect("valid config");
+        rt.submit(
+            TaskDescriptor::named("raw").with_work(Work::flops(1e10)),
+            [(0u64, AccessMode::Out)],
+        );
+        rt.submit(
+            TaskDescriptor::named("model").with_work(Work::flops(1e10)),
+            [(0u64, AccessMode::In)],
+        );
+        rt.run()
+    };
+    let enforced = run(resilient().with_analysis(AnalysisConfig::new()))
+        .expect("a runnable chain is not refused");
+    assert_eq!(enforced.placements.len(), 2);
+    assert!(enforced.analysis.is_some_and(|a| a.is_clean()));
+    let unanalyzed = run(resilient()).expect("analysis off");
+    assert_eq!(enforced.placements, unanalyzed.placements);
 }
 
 /// Warn-only mode runs racy graphs and attaches the report to the

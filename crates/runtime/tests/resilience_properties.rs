@@ -12,7 +12,11 @@ use std::collections::HashMap;
 use legato_core::requirements::{Criticality, Requirements};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
 use legato_core::units::{Bytes, Seconds};
+use legato_fti::{Fti, FtiConfig, Strategy as WriteStrategy};
 use legato_hw::device::DeviceSpec;
+use legato_hw::memory::{AddrSpace, MemoryManager};
+use legato_hw::storage::StorageTier;
+use legato_runtime::resilience::CheckpointStore;
 use legato_runtime::{EngineConfig, Policy, ResilienceConfig, Runtime};
 use proptest::prelude::*;
 
@@ -52,6 +56,32 @@ fn sizes(chains: &ChainSpec) -> HashMap<RegionId, Bytes> {
 }
 
 proptest! {
+    /// The store prices an image at what the FTI engine times for a
+    /// checkpoint — or a recovery — of one phantom host region of that
+    /// size on node-local NVMe, bit for bit, under both strategies; an
+    /// empty image is free, where the engine would still pay the setup
+    /// latency. Sizes from 0 through tens of GiB, small ones as likely
+    /// as large ones.
+    #[test]
+    fn the_store_prices_a_phantom_host_checkpoint(raw in 0u64..(1 << 36), shift in 0u32..40, initial in 0u8..2) {
+        let bytes = Bytes(raw >> shift);
+        let strategy = [WriteStrategy::Async, WriteStrategy::Initial][usize::from(initial)];
+        let store = CheckpointStore::new(strategy);
+        let (write, read) = if bytes == Bytes::ZERO {
+            (Seconds::ZERO, Seconds::ZERO)
+        } else {
+            let mut fti = Fti::new(FtiConfig::default(), 0);
+            fti.protect_phantom(0, AddrSpace::Host, bytes).expect("fresh engine");
+            let (mm, tier) = (MemoryManager::new(), StorageTier::local_nvme());
+            (
+                fti.checkpoint_duration(&mm, &tier, strategy),
+                fti.recover_duration(&mm, &tier, strategy),
+            )
+        };
+        prop_assert_eq!(store.write_cost(bytes).0.to_bits(), write.0.to_bits());
+        prop_assert_eq!(store.read_cost(bytes).0.to_bits(), read.0.to_bits());
+    }
+
     /// Same seed + same graph ⇒ identical report *and* identical
     /// rollback trace, with faults hot enough to exhaust retry budgets.
     #[test]

@@ -278,16 +278,21 @@ proptest! {
         );
     }
 
-    /// Seal mid-stream, lose the engine, restart: sealed work is never
-    /// re-executed, unsealed work is re-queued, and the follow-up run
-    /// finishes the entire workload.
+    /// Seal mid-stream, lose the engine, restart — twice: the session's
+    /// checkpoint record is the only thing that survives, sealed work of
+    /// both seals is never re-executed, unsealed work is re-queued, and
+    /// the follow-up run finishes the entire workload. The record's
+    /// bytes are the tenant's billed checkpoint bytes at every step.
     #[test]
     fn restart_from_checkpoint_loses_no_completed_work(
         tasks in tasks_strategy(),
         seed in 0u64..200,
         steps in 1usize..40,
     ) {
+        let sizes: HashMap<RegionId, Bytes> =
+            (0..6u64).map(|r| (RegionId(r), Bytes::mib(4 + r))).collect();
         let mut svc = ServiceConfig::new(engine(seed, 0))
+            .with_region_sizes(sizes.clone())
             .build()
             .expect("valid config");
         let tenant = svc.register(TenantSpec::new()).expect("valid spec");
@@ -295,34 +300,56 @@ proptest! {
             svc.submit(tenant, descriptor(flops), [(u64::from(r), AccessMode::InOut)])
                 .expect("within default budget");
         }
-        // Advance partway, seal whatever has completed, then keep
-        // going a little so completed-but-unsealed work exists too.
-        for _ in 0..steps {
-            if svc.step().expect("devices present").is_none() {
-                break;
+        let mut sealed = 0;
+        for _ in 0..2 {
+            // Advance partway, seal whatever has completed, then keep
+            // going a little so completed-but-unsealed work exists too.
+            for phase in [steps, steps / 2] {
+                for _ in 0..phase {
+                    if svc.step().expect("devices present").is_none() {
+                        break;
+                    }
+                    prop_assert_eq!(
+                        svc.session(tenant).bytes,
+                        svc.tenant_report(tenant).checkpoint_bytes
+                    );
+                }
+                if phase == steps {
+                    svc.seal();
+                }
             }
-        }
-        svc.seal();
-        for _ in 0..steps / 2 {
-            if svc.step().expect("devices present").is_none() {
-                break;
-            }
-        }
-        let sealed = svc
-            .session(tenant)
-            .map_or(0, |s| s.completed.len());
+            let record = svc.session(tenant).clone();
+            prop_assert!(record.frontier.len() >= sealed, "a seal was lost");
+            sealed = record.frontier.len();
+            prop_assert_eq!(record.bytes, svc.tenant_report(tenant).checkpoint_bytes);
 
-        svc.restart().expect("retained config rebuilds");
+            svc.restart().expect("retained config rebuilds");
+            // The restart resumed from the record and left it alone.
+            prop_assert_eq!(svc.session(tenant), &record);
+            prop_assert_eq!(svc.queued(tenant), tasks.len() - sealed);
+        }
+        let record = svc.session(tenant).clone();
         let report = svc.run().expect("devices present");
 
-        // The sealed frontier survived: the restarted engine only ever
-        // executed the unsealed remainder.
-        prop_assert_eq!(report.placements.len(), tasks.len() - sealed);
+        // The sealed frontier of both seals survived: the last engine
+        // only ever saw the unsealed remainder, in session order.
+        let unsealed: Vec<usize> = (0..tasks.len())
+            .filter(|&idx| !record.frontier.contains(TaskId(idx as u64)))
+            .collect();
+        prop_assert_eq!(report.placements.len(), unsealed.len());
+        for (k, &idx) in unsealed.iter().enumerate() {
+            let resubmitted = svc.engine().graph().descriptor(TaskId(k as u64)).expect("dispatched");
+            prop_assert_eq!(resubmitted.work, Work::flops(tasks[idx].0));
+        }
         prop_assert!(report.failed.is_empty());
         prop_assert_eq!(svc.queued(tenant), 0);
-        // And the service's own ledger agrees the whole workload is done.
-        let done = svc.session(tenant).map_or(0, |s| s.completed.len());
-        prop_assert_eq!(done, tasks.len());
+        // And the service's own ledger agrees the whole workload is
+        // done: every task sealed, each one's output written once.
+        let session = svc.session(tenant);
+        prop_assert_eq!(session.frontier.len(), tasks.len());
+        let written: Bytes = tasks.iter().map(|&(_, r)| sizes[&RegionId(u64::from(r))]).sum();
+        prop_assert_eq!(session.bytes, written);
+        prop_assert_eq!(session.bytes, svc.tenant_report(tenant).checkpoint_bytes);
     }
 
     /// Run-driven metering equals a fold over the final report, bit for
@@ -414,9 +441,9 @@ proptest! {
                 expected.clear();
                 for t in 0..n {
                     vtime[t] = 0.0;
-                    let sealed = svc.session(TenantId(t as u32)).map(|s| s.completed.as_slice());
+                    let sealed = &svc.session(TenantId(t as u32)).frontier;
                     pending[t] = (0..logged[t])
-                        .filter(|idx| !sealed.is_some_and(|s| s.contains(idx)))
+                        .filter(|&idx| !sealed.contains(TaskId(idx)))
                         .collect();
                 }
             }
