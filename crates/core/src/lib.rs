@@ -53,6 +53,6 @@ pub mod units;
 pub use error::CoreError;
 pub use graph::{GraphBuilder, TaskGraph};
 pub use reach::Reachability;
-pub use requirements::{Confidentiality, Criticality, Requirements, SecurityLevel};
+pub use requirements::{Criticality, Requirements, SecurityLevel};
 pub use task::{AccessMode, TaskDescriptor, TaskId, TaskKind};
 pub use units::{Bytes, Joule, Seconds, Volt, Watt};

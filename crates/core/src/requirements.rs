@@ -71,11 +71,6 @@ pub enum SecurityLevel {
     Enclave,
 }
 
-/// Alias naming the requirement after what it declares — the
-/// confidentiality class (public / sealed-io / enclave-only); identical
-/// to [`SecurityLevel`].
-pub type Confidentiality = SecurityLevel;
-
 impl SecurityLevel {
     /// Whether this level forces enclave execution.
     #[must_use]
@@ -177,9 +172,6 @@ mod tests {
         assert!(!SecurityLevel::Public.seals_at_rest());
         assert!(SecurityLevel::Confidential.seals_at_rest());
         assert!(SecurityLevel::Enclave.seals_at_rest());
-        // The confidentiality alias names the same type.
-        let c: Confidentiality = SecurityLevel::Enclave;
-        assert!(c.seals_at_rest());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! These volumes are no longer analysis-only: the engine's
 //! checkpoint/restart mode ([`resilience`](crate::resilience)) charges
-//! [`task_declared_volume`] for every periodic checkpoint event it
+//! the [`task_declared_volume`] for every periodic checkpoint event it
 //! emits, so the frontier analysis directly prices the simulated
 //! checkpoint traffic.
 
@@ -21,32 +21,23 @@ use legato_core::graph::TaskGraph;
 use legato_core::task::RegionId;
 use legato_core::units::Bytes;
 
-/// The set of regions that are *live* at the current execution frontier:
-/// regions last written by a completed task and still to be read by at
-/// least one unfinished task. Only these need checkpointing — everything
-/// else is either dead or reproducible by re-running unfinished tasks.
-///
-/// The graph maintains this set incrementally per state transition
-/// ([`TaskGraph::live_regions`]), so materializing it here is O(live) —
-/// the former implementation re-derived it from a full topological walk
-/// (O(V + E) plus a Kahn pass) on every call, which dominated checkpoint
-/// cost on large graphs.
-#[must_use]
-pub fn live_regions(graph: &TaskGraph) -> HashSet<RegionId> {
-    graph.live_regions().collect()
+/// Declared size of `region`; a region absent from `sizes` counts as
+/// zero bytes.
+pub(crate) fn bytes_of(sizes: &HashMap<RegionId, Bytes>, region: RegionId) -> Bytes {
+    sizes.get(&region).copied().unwrap_or(Bytes::ZERO)
 }
 
-/// Bytes a task-aware checkpoint writes at the current frontier.
+/// Bytes a task-aware checkpoint writes at the current frontier: the
+/// declared sizes of the *live* regions — last written by a completed
+/// task and still to be read by an unfinished one. Everything else is
+/// dead or reproducible by re-running unfinished tasks.
 ///
-/// O(live regions): iterates the graph's incremental live set directly —
-/// this is what the engine charges at every periodic checkpoint event,
-/// so it must not scan the graph.
+/// O(live regions): the graph maintains the live set incrementally per
+/// state transition ([`TaskGraph::live_regions`]), and the engine's
+/// checkpoint event walks the same set.
 #[must_use]
 pub fn task_declared_volume(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>) -> Bytes {
-    graph
-        .live_regions()
-        .map(|r| sizes.get(&r).copied().unwrap_or(Bytes::ZERO))
-        .sum()
+    graph.live_regions().map(|r| bytes_of(sizes, r)).sum()
 }
 
 /// Bytes a task-oblivious (full address space) checkpoint writes: every
@@ -65,9 +56,7 @@ pub fn full_memory_volume(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>) -
             seen.insert(r);
         }
     }
-    seen.into_iter()
-        .map(|r| sizes.get(&r).copied().unwrap_or(Bytes::ZERO))
-        .sum()
+    seen.into_iter().map(|r| bytes_of(sizes, r)).sum()
 }
 
 /// Volume reduction factor of task-aware over full-memory checkpointing
@@ -93,6 +82,10 @@ mod tests {
     use super::*;
     use legato_core::task::{AccessMode, TaskDescriptor};
 
+    fn live(graph: &TaskGraph) -> HashSet<RegionId> {
+        graph.live_regions().collect()
+    }
+
     fn sizes(pairs: &[(u64, u64)]) -> HashMap<RegionId, Bytes> {
         pairs
             .iter()
@@ -114,7 +107,7 @@ mod tests {
         g.complete(a).unwrap();
         g.complete(b).unwrap();
         let s = sizes(&[(0, 100), (1, 10)]);
-        assert_eq!(live_regions(&g), HashSet::from([RegionId(1)]));
+        assert_eq!(live(&g), HashSet::from([RegionId(1)]));
         assert_eq!(task_declared_volume(&g, &s), Bytes::mib(10));
         assert_eq!(full_memory_volume(&g, &s), Bytes::mib(110));
         assert!((reduction_factor(&g, &s).unwrap() - 11.0).abs() < 1e-12);
@@ -131,7 +124,7 @@ mod tests {
         g.complete(a).unwrap();
         let s = sizes(&[(0, 100), (1, 10)]);
         // b still needs r0.
-        assert_eq!(live_regions(&g), HashSet::from([RegionId(0)]));
+        assert_eq!(live(&g), HashSet::from([RegionId(0)]));
         assert_eq!(task_declared_volume(&g, &s), Bytes::mib(100));
     }
 
@@ -140,7 +133,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(TaskDescriptor::named("a"), [(0u64, AccessMode::Out)]);
         let s = sizes(&[(0, 100)]);
-        assert!(live_regions(&g).is_empty());
+        assert!(live(&g).is_empty());
         assert_eq!(task_declared_volume(&g, &s), Bytes::ZERO);
         assert!(reduction_factor(&g, &s).is_none());
     }
@@ -153,7 +146,7 @@ mod tests {
         let a = g.add_task(TaskDescriptor::named("a"), [(0u64, AccessMode::Out)]);
         let _b = g.add_task(TaskDescriptor::named("b"), [(0u64, AccessMode::In)]);
         g.complete(a).unwrap();
-        assert_eq!(live_regions(&g), HashSet::from([RegionId(0)]));
+        assert_eq!(live(&g), HashSet::from([RegionId(0)]));
 
         // Region 0 is live but declared zero-sized.
         let s = sizes(&[(0, 0)]);

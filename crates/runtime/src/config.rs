@@ -40,7 +40,7 @@ use crate::analyze::{AnalysisConfig, AnalysisState};
 use crate::churn::{ChurnConfig, ChurnState};
 use crate::energy::{EnergyConfig, EnergyObjective, EnergyState};
 use crate::error::RuntimeError;
-use crate::pool::{DevicePools, PoolConfig, TopologyConfig, TopologyState};
+use crate::pool::{DevicePools, PoolConfig, TopologyConfig};
 use crate::resilience::{ResilienceConfig, ResilienceState};
 use crate::runtime::Runtime;
 use crate::scheduler::Policy;
@@ -286,9 +286,7 @@ impl EngineConfig {
         if let Some(cfg) = pools {
             rt.pools = Some(DevicePools::new(cfg, &rt.classes)?);
         }
-        if let Some(cfg) = topology {
-            rt.topology = TopologyState::from_config(cfg);
-        }
+        rt.topology = topology;
         if let Some(cfg) = analysis {
             rt.analysis = Some(AnalysisState::new(cfg));
         }
@@ -343,7 +341,7 @@ mod tests {
             .expect("plain build");
         assert_eq!(rt.policy(), Policy::Performance);
         assert_eq!(rt.devices().len(), 3);
-        assert!(!rt.resilience_enabled());
+        assert!(rt.report().resilience.is_none());
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{TaskId, TaskKind, Work};
@@ -47,9 +48,7 @@ use legato_hw::device::{Device, DeviceId, DeviceSpec};
 use rand::Rng;
 
 use crate::churn::{ChurnEventKind, ChurnOp, DeferredTask, DepartureKind};
-use crate::ckpt;
 use crate::error::RuntimeError;
-use crate::pool::DevicePools;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, EngineCheckpoint, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
@@ -247,6 +246,9 @@ struct Scratch {
     candidates: Vec<usize>,
     /// Tasks released by a completion (`handle_finish`).
     released: Vec<TaskId>,
+    /// Topology transfer charge per pool for the task being placed
+    /// (`start_attempt`).
+    pool_extras: Vec<Seconds>,
 }
 
 impl EngineState {
@@ -594,6 +596,9 @@ impl Runtime {
     /// record of a checkpoint of `bytes` whose write took `cost` and
     /// completes at `time`, with what a rollback needs beside it.
     fn commit_checkpoint(&mut self, time: Seconds, bytes: Bytes, cost: Seconds) {
+        let regions = self
+            .tracks_regions()
+            .then(|| Arc::new(self.regions.clone()));
         let res = self
             .resilience
             .as_mut()
@@ -606,8 +611,15 @@ impl Runtime {
             },
             time,
             accepted_mark: self.engine.accepted.len(),
-            security: self.security.snapshot(),
+            regions,
         });
+    }
+
+    /// Whether anything reads the region table — the security layer is
+    /// active or a topology is configured. Only then is it written and
+    /// snapshotted; every other run leaves it empty.
+    fn tracks_regions(&self) -> bool {
+        self.security.active || self.topology.is_some()
     }
 
     /// Take a periodic checkpoint at virtual time `at`: snapshot the
@@ -637,18 +649,12 @@ impl Runtime {
             .resilience
             .as_mut()
             .expect("checkpoint events exist only in resilience mode");
-        let bytes = ckpt::task_declared_volume(&self.graph, &res.config.region_sizes);
         // Checkpoints of confidential data route through `seal`: the
         // sealed share of the live frontier pays host-side crypto on top
         // of the FTI write cost, so resilience composes with security.
-        let seal = if self.security.active {
-            let sealed = self
-                .security
-                .sealed_live_bytes(self.graph.live_regions(), &res.config.region_sizes);
-            self.security.charge_checkpoint_seal(sealed)
-        } else {
-            Seconds::ZERO
-        };
+        let live = self.graph.live_regions();
+        let (bytes, sealed) = self.regions.live_volume(live, &res.config.region_sizes);
+        let seal = self.security.charge_checkpoint_seal(sealed);
         let (start, finish) = res.store.write(at, bytes, seal);
         res.stats.checkpoints += 1;
         res.stats.checkpoint_bytes += bytes;
@@ -716,11 +722,10 @@ impl Runtime {
             churn.deferred.clear();
         }
         let ready = self.graph.rollback_to(&last.record.frontier)?;
-        // Region confidentiality rewinds with the frontier: discarded
-        // post-checkpoint writes must not leave stale sealedness or
-        // producer entries behind (the attestation cache stays — those
-        // rounds really happened).
-        self.security.restore(last.security.as_ref());
+        // Region residency rewinds with the frontier, for every reader
+        // alike: discarded post-checkpoint writes must not leave stale
+        // sealedness or producer entries behind.
+        self.regions.restore(last.regions.as_deref());
         for t in ready {
             self.engine.push_ready_at(resume, t);
         }
@@ -991,17 +996,21 @@ impl Runtime {
         // first attempt already warmed.
         let needs_sec = self.security.active && {
             let accesses = self.graph.accesses(task)?;
-            self.security
-                .prepare(&self.classes, accesses, security, measurement)
+            self.security.prepare(
+                &self.classes,
+                &self.regions,
+                accesses,
+                security,
+                measurement,
+            )
         };
         // Topology charge for this task: per-pool producer→consumer
         // transfer extras, folded into every estimate before scoring on
         // both the pooled and the flat path.
-        let pool_count = self.pools.as_ref().map_or(0, DevicePools::pool_count);
-        let topo_active = self.topology.active() && pool_count > 0;
-        if topo_active {
-            self.topology
-                .charge_into(self.graph.accesses(task)?, pool_count);
+        let topo_active = self.topology.is_some();
+        if let (Some(topology), Some(pools)) = (&self.topology, &self.pools) {
+            let extras = &mut self.engine.scratch.pool_extras;
+            topology.charge_into(&self.regions, pools, self.graph.accesses(task)?, extras);
         }
         // Everything a candidate inherits from its spec is priced here,
         // once per class; both searches below read it per candidate.
@@ -1020,7 +1029,7 @@ impl Runtime {
         let mut planned = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
         let use_pools = self.pools.is_some() && !needs_sec && self.energy.objective.is_none();
         let (k, evaluated) = if use_pools {
-            let extras = topo_active.then_some(self.topology.pool_extras.as_slice());
+            let extras = topo_active.then_some(self.engine.scratch.pool_extras.as_slice());
             self.pools.as_mut().expect("checked above").plan_k(
                 self.policy,
                 &self.devices,
@@ -1030,9 +1039,11 @@ impl Runtime {
                 &mut planned[..replicas.min(MAX_REPLICAS)],
             )
         } else {
+            // A literal `None` arm, not `Option::zip`: it lets the plain
+            // scan's dispatch fold away on this path (4 % of `wide-flat`).
             let topo = if topo_active {
                 Some((
-                    self.topology.pool_extras.as_slice(),
+                    self.engine.scratch.pool_extras.as_slice(),
                     self.pools
                         .as_ref()
                         .expect("topo requires pools")
@@ -1151,26 +1162,15 @@ impl Runtime {
         };
         match accepted {
             Some(correct) => {
-                // Seal-on-cross-device bookkeeping: the task's written
-                // regions now live on the primary replica's device, and
-                // are sealed at rest iff the task was confidential. Must
-                // happen before successors dispatch (the inline fast
-                // path below runs them immediately).
-                if self.security.active {
+                // The task's written regions now live on the primary
+                // replica's device, sealed at rest iff it was confidential:
+                // what seal-on-cross-device and the topology charge read.
+                // Must happen before successors dispatch (the inline
+                // fast path below runs them immediately).
+                if self.tracks_regions() {
                     let accesses = self.graph.accesses(task)?;
-                    self.security
-                        .record_outputs(accesses, replicas.devices[0], attempt.security);
-                }
-                // Topology producer tracking mirrors the security
-                // bookkeeping: the task's written regions now live in
-                // the primary replica's pool, and downstream readers
-                // placed elsewhere will be charged the transfer.
-                if self.topology.active() {
-                    if let Some(pools) = &self.pools {
-                        let pool = pools.pool_of(replicas.devices[0]);
-                        self.topology
-                            .record_outputs(self.graph.accesses(task)?, pool);
-                    }
+                    self.regions
+                        .record(accesses, replicas.devices[0], attempt.security);
                 }
                 // Complete through the scratch buffer: the only per-task
                 // allocation left on the accept path is the outcome's

@@ -97,6 +97,7 @@ pub mod engine;
 pub mod error;
 pub mod lowvolt;
 pub mod pool;
+mod regions;
 pub mod replication;
 pub mod resilience;
 pub mod runtime;

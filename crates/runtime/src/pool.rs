@@ -50,8 +50,9 @@
 //! objective replaces the scoring.
 //!
 //! The same pool structure carries the **topology cost model**
-//! ([`TopologyConfig`]): the pool that produced a region is tracked as
-//! tasks complete, and a consumer placed in a different pool is charged
+//! ([`TopologyConfig`]): the engine's region table records the device
+//! that produced each region, and a consumer placed outside that
+//! device's pool is charged
 //! the link's transfer time for the region — folded into the estimate
 //! *before* scoring on both the pooled and the flat path, so locality
 //! becomes a scheduling dimension like any other.
@@ -67,6 +68,7 @@ use legato_hw::recs::RecsBox;
 
 use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
+use crate::regions::RegionTable;
 use crate::replication::MAX_REPLICAS;
 use crate::scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
 
@@ -478,9 +480,11 @@ impl DevicePools {
 /// locality domains transfers are charged across. When a task reads a
 /// region last produced in another pool, the link's transfer time for
 /// the region's declared size is added to the task's estimated duration
-/// on every device *outside* the producer pool, before scoring. With no
-/// producers recorded yet (or zero-size regions) the charge is zero and
-/// scheduling is bit-identical to a topology-free runtime.
+/// on every device *outside* the producer pool, before scoring. A region
+/// no task has written yet (or a zero-size one) charges nothing, and
+/// scheduling is bit-identical to a topology-free runtime. The producer
+/// is the one whose outcome stands: a checkpoint rollback that discards
+/// a writer discards where it left the region too.
 #[derive(Debug, Clone)]
 #[must_use = "builder-style configs do nothing unless passed to EngineConfig"]
 pub struct TopologyConfig {
@@ -513,78 +517,41 @@ impl TopologyConfig {
         self.default_region_size = bytes;
         self
     }
-}
 
-/// Engine-side topology state: the configuration, the last producer
-/// pool of every region, and the per-task scratch of per-pool charges.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TopologyState {
-    pub(crate) cfg: Option<TopologyConfig>,
-    /// Pool that last (re)produced each region.
-    producers: HashMap<RegionId, usize>,
-    /// Scratch: extra seconds charged to a placement in each pool for
-    /// the task currently being placed.
-    pub(crate) pool_extras: Vec<Seconds>,
-}
-
-impl TopologyState {
-    /// Activate the model with `cfg` (empty producer map, no charges).
-    pub(crate) fn from_config(cfg: TopologyConfig) -> Self {
-        TopologyState {
-            cfg: Some(cfg),
-            ..TopologyState::default()
-        }
-    }
-
-    /// Whether the topology model is configured.
-    pub(crate) fn active(&self) -> bool {
-        self.cfg.is_some()
-    }
-
-    /// Fill [`TopologyState::pool_extras`] for a task about to be
-    /// placed: each region the task reads whose producer pool is known
-    /// charges the link transfer time to every *other* pool. O(pools ×
-    /// read accesses).
-    pub(crate) fn charge_into(&mut self, accesses: &[(RegionId, AccessMode)], pool_count: usize) {
-        self.pool_extras.clear();
-        self.pool_extras.resize(pool_count, Seconds::ZERO);
-        let Some(cfg) = &self.cfg else {
-            return;
-        };
+    /// Fill `pool_extras` for a task about to be placed: each region the
+    /// task reads whose producer is recorded in `regions` charges the
+    /// link transfer time to every pool but the producer device's.
+    /// O(pools × read accesses).
+    pub(crate) fn charge_into(
+        &self,
+        regions: &RegionTable,
+        pools: &DevicePools,
+        accesses: &[(RegionId, AccessMode)],
+        pool_extras: &mut Vec<Seconds>,
+    ) {
+        pool_extras.clear();
+        pool_extras.resize(pools.pool_count(), Seconds::ZERO);
         for &(region, mode) in accesses {
             if !mode.reads() {
                 continue;
             }
-            let Some(&producer) = self.producers.get(&region) else {
+            let Some(producer) = regions.get(region) else {
                 continue;
             };
-            let bytes = cfg
+            let bytes = self
                 .region_sizes
                 .get(&region)
                 .copied()
-                .unwrap_or(cfg.default_region_size);
-            let t = cfg.link.transfer_time(bytes);
+                .unwrap_or(self.default_region_size);
+            let t = self.link.transfer_time(bytes);
             if t <= Seconds::ZERO {
                 continue;
             }
-            for (p, extra) in self.pool_extras.iter_mut().enumerate() {
-                if p != producer {
+            let local = pools.pool_of(producer.device);
+            for (p, extra) in pool_extras.iter_mut().enumerate() {
+                if p != local {
                     *extra += t;
                 }
-            }
-        }
-    }
-
-    /// Record that a task's written regions now live in `pool` (the
-    /// primary replica's pool) — the producer side of the charge,
-    /// mirroring the security layer's seal-on-cross-device tracking.
-    pub(crate) fn record_outputs(&mut self, accesses: &[(RegionId, AccessMode)], pool: usize) {
-        if self.cfg.is_none() {
-            return;
-        }
-        for &(region, mode) in accesses {
-            if mode.writes() {
-                self.producers.insert(region, pool);
             }
         }
     }
@@ -593,6 +560,7 @@ impl TopologyState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legato_core::requirements::SecurityLevel;
     use legato_core::task::{TaskKind, Work};
     use legato_core::units::BytesPerSec;
     use legato_hw::device::DeviceId;
@@ -1034,19 +1002,20 @@ mod tests {
     #[test]
     fn topology_charges_only_foreign_pools() {
         let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-4));
-        let mut topo = TopologyState {
-            cfg: Some(TopologyConfig::new(link).with_region_size(7u64, Bytes::gib(1))),
-            ..TopologyState::default()
-        };
+        let topo = TopologyConfig::new(link).with_region_size(7u64, Bytes::gib(1));
+        let pools = pools_over(PoolConfig::uniform(6, 2), &fleet(6)).expect("valid");
+        // Region 7 was written on device 3, in pool 1.
+        let mut regions = RegionTable::default();
         let wrote = [(RegionId(7), AccessMode::Out)];
-        topo.record_outputs(&wrote, 1);
+        regions.record(&wrote, 3, SecurityLevel::Public);
         let reads = [(RegionId(7), AccessMode::In), (RegionId(9), AccessMode::In)];
-        topo.charge_into(&reads, 3);
-        assert_eq!(topo.pool_extras.len(), 3);
-        assert_eq!(topo.pool_extras[1], Seconds::ZERO, "local read is free");
+        let mut pool_extras = Vec::new();
+        topo.charge_into(&regions, &pools, &reads, &mut pool_extras);
+        assert_eq!(pool_extras.len(), 3);
+        assert_eq!(pool_extras[1], Seconds::ZERO, "local read is free");
         let expect = link.transfer_time(Bytes::gib(1));
-        assert_eq!(topo.pool_extras[0], expect);
-        assert_eq!(topo.pool_extras[2], expect);
+        assert_eq!(pool_extras[0], expect);
+        assert_eq!(pool_extras[2], expect);
     }
 
     #[test]
@@ -1093,10 +1062,17 @@ mod tests {
     }
 
     #[test]
-    fn inactive_topology_charges_nothing() {
-        let mut topo = TopologyState::default();
-        topo.record_outputs(&[(RegionId(1), AccessMode::Out)], 0);
-        topo.charge_into(&[(RegionId(1), AccessMode::In)], 4);
-        assert!(topo.pool_extras.iter().all(|&e| e == Seconds::ZERO));
+    fn unproduced_regions_charge_nothing() {
+        let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-4));
+        let topo = TopologyConfig::new(link).with_default_region_size(Bytes::gib(1));
+        let pools = pools_over(PoolConfig::uniform(8, 2), &fleet(8)).expect("valid");
+        let mut pool_extras = vec![Seconds(1.0)];
+        topo.charge_into(
+            &RegionTable::default(),
+            &pools,
+            &[(RegionId(1), AccessMode::In)],
+            &mut pool_extras,
+        );
+        assert_eq!(pool_extras, [Seconds::ZERO; 4]);
     }
 }

@@ -52,6 +52,7 @@ use legato_hw::device::Device;
 use legato_hw::storage::{StorageDevice, StorageTier};
 use serde::{Deserialize, Serialize};
 
+use crate::ckpt::bytes_of;
 use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
 use crate::scheduler::{Estimate, Policy, Scheduler};
@@ -241,10 +242,10 @@ pub(crate) struct EngineCheckpoint {
     /// (moved up to the log's end by each rollback): every outcome outside
     /// the frontier was accepted at or after this entry.
     pub accepted_mark: usize,
-    /// Region-confidentiality state at snapshot time (sealed regions and
-    /// producers), restored on rollback so security composes with
-    /// resilience. `None` when the security layer was inactive.
-    pub security: Option<Arc<crate::security::SecuritySnapshot>>,
+    /// The region table at snapshot time, restored on rollback so every
+    /// reader of region residency composes with resilience. `None` while
+    /// the table was not being written.
+    pub regions: Option<Arc<crate::regions::RegionTable>>,
 }
 
 /// Live checkpoint/restart state carried by the
@@ -347,12 +348,7 @@ fn plan_interval_over(
         }
         for (region, mode) in graph.accesses(id)? {
             if mode.writes() {
-                write_bytes += res
-                    .config
-                    .region_sizes
-                    .get(region)
-                    .copied()
-                    .unwrap_or(Bytes::ZERO);
+                write_bytes += bytes_of(&res.config.region_sizes, *region);
             }
         }
     }

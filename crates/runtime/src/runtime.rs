@@ -17,7 +17,8 @@ use crate::classes::SpecClasses;
 use crate::energy::{EnergyState, EnergyStats};
 use crate::engine::EngineState;
 use crate::error::RuntimeError;
-use crate::pool::{DevicePools, TopologyState};
+use crate::pool::{DevicePools, TopologyConfig};
+use crate::regions::RegionTable;
 use crate::replication::ReplicationStats;
 use crate::resilience::{ResilienceState, ResilienceStats, RollbackEvent};
 use crate::scheduler::Policy;
@@ -155,8 +156,12 @@ pub struct Runtime {
     pub(crate) energy: EnergyState,
     /// Sharded placement state; `None` = flat O(D) scan per placement.
     pub(crate) pools: Option<DevicePools>,
-    /// Topology cost model (inactive unless configured with pools).
-    pub(crate) topology: TopologyState,
+    /// Topology cost model (configured only together with pools).
+    pub(crate) topology: Option<TopologyConfig>,
+    /// Where each region's contents live and whether they are sealed:
+    /// what the security plan and the topology charge read. Written
+    /// only while one of the two is on (`tracks_regions`).
+    pub(crate) regions: RegionTable,
     /// Static analysis configuration and memoized report; `None` =
     /// analysis off.
     pub(crate) analysis: Option<AnalysisState>,
@@ -192,7 +197,8 @@ impl Runtime {
             security: SecurityState::default(),
             energy: EnergyState::default(),
             pools: None,
-            topology: TopologyState::default(),
+            topology: None,
+            regions: RegionTable::default(),
             analysis: None,
             churn: None,
         }
@@ -239,12 +245,6 @@ impl Runtime {
             resilience: self.resilience.as_ref().map(|r| &r.config),
         };
         analyze::run_lints(&cx, config)
-    }
-
-    /// Whether checkpoint/restart mode is enabled.
-    #[must_use]
-    pub fn resilience_enabled(&self) -> bool {
-        self.resilience.is_some()
     }
 
     /// Security counters accumulated by the engine so far (also part of
@@ -309,11 +309,6 @@ impl Runtime {
         assert!(idx < self.devices.len(), "device {idx} out of range");
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.fault_probs[idx] = p;
-    }
-
-    /// Maximum re-executions after detected faults (default 3).
-    pub fn set_max_retries(&mut self, retries: u32) {
-        self.max_retries = retries;
     }
 
     /// Submit a task with data-access annotations; returns its id.
@@ -841,9 +836,15 @@ mod tests {
     #[test]
     fn resilient_run_is_deterministic() {
         let run = |seed| {
-            let mut rt = resilient_rt(seed, Policy::Weighted(0.5), resilient_config(5.0));
+            let mut rt = crate::config::EngineConfig::new()
+                .with_devices(specs())
+                .with_policy(Policy::Weighted(0.5))
+                .with_seed(seed)
+                .with_max_retries(1)
+                .with_resilience(resilient_config(5.0))
+                .build()
+                .expect("valid engine config");
             rt.set_fault_prob(1, 0.7);
-            rt.set_max_retries(1);
             heavy_chain(&mut rt, 15, Criticality::High);
             let rep = rt.run().unwrap();
             (rep, rt.rollback_trace().to_vec())

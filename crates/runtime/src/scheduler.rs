@@ -809,6 +809,7 @@ pub(crate) mod tests {
             k in 0usize..4,
         ) {
             use crate::energy::{EnergyObjective, EnergyState};
+            use crate::regions::RegionTable;
             use crate::security::{prepare_oracle, SecurityConfig, SecurityState};
             use legato_core::requirements::SecurityLevel;
             use legato_core::task::{AccessMode, RegionId};
@@ -851,7 +852,8 @@ pub(crate) mod tests {
             );
             sec.activate(&devices);
             let m = sec.ensure_enclaves(b"image").expect("one image fits");
-            sec.prepare(&classes, &[], SecurityLevel::Enclave, m);
+            let mut regions = RegionTable::default();
+            sec.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
             for (d, device) in devices.iter().enumerate() {
                 if device.spec.tee.has_enclave() && rng.gen_bool(0.5) {
                     sec.commit(d, classes.class_of(d)).expect("attests");
@@ -859,16 +861,16 @@ pub(crate) mod tests {
             }
             for r in 0..rng.gen_range(0..4u64) {
                 let wrote = [(RegionId(r), AccessMode::Out)];
-                sec.record_outputs(&wrote, rng.gen_range(0..n), SecurityLevel::Confidential);
+                regions.record(&wrote, rng.gen_range(0..n), SecurityLevel::Confidential);
             }
             let reads: Vec<_> = (0..4u64).map(|r| (RegionId(r), AccessMode::In)).collect();
             let level = [SecurityLevel::Public, SecurityLevel::Enclave][rng.gen_range(0..2)];
             let extras = if rng.gen_bool(0.7) {
-                prepare_oracle::extras(&sec, &devices, &reads, level, m)
+                prepare_oracle::extras(&sec, &regions, &devices, &reads, level, m)
             } else {
                 None
             };
-            let planned = extras.is_some() && sec.prepare(&classes, &reads, level, m);
+            let planned = extras.is_some() && sec.prepare(&classes, &regions, &reads, level, m);
             prop_assert_eq!(planned, extras.is_some());
 
             // The reference: one roofline per device, three buffers.

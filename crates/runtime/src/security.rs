@@ -26,7 +26,9 @@
 //!   [`ATTESTATION_TIME`]; later placements of the same (enclave,
 //!   device) pair are cache hits and pay nothing.
 //! * **Seal-on-cross-device** — regions written by a confidential task
-//!   are sealed at rest. When a later task (of *any* level) reads such a
+//!   are sealed at rest; the engine's region table (`regions.rs`) holds
+//!   that bit beside the producing device, and rewinds both with every
+//!   rollback. When a later task (of *any* level) reads such a
 //!   region on a different device than the one that produced it, the
 //!   crossing pays seal time at the producer's crypto bandwidth plus
 //!   unseal time at the consumer's, charged to the consuming task's
@@ -40,7 +42,7 @@
 //! [`RunReport`](crate::runtime::RunReport) to a security-unaware run
 //! (pinned by proptest).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{AccessMode, RegionId};
@@ -51,8 +53,10 @@ use legato_secure::task::{ExecutionMode, ATTESTATION_TIME};
 use legato_secure::EnclaveId;
 use serde::{Deserialize, Serialize};
 
+use crate::ckpt::bytes_of;
 use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
+use crate::regions::RegionTable;
 
 /// Configuration of the security layer
 /// ([`EngineConfig::with_security`](crate::config::EngineConfig::with_security)).
@@ -265,19 +269,6 @@ struct Image {
     provisioned: bool,
 }
 
-/// The region-confidentiality state captured by a checkpoint: which
-/// regions are sealed at rest and where each region was produced, at
-/// snapshot time. Restored together with the graph frontier on
-/// rollback, so post-rollback sealing charges and crossing estimates
-/// reflect the *restored* data, not discarded post-checkpoint writes.
-/// (The quote cache and enclave registry are deliberately *not* rolled
-/// back: attestations really happened, like spent energy.)
-#[derive(Debug, Clone)]
-pub(crate) struct SecuritySnapshot {
-    producers: HashMap<RegionId, usize>,
-    sealed_regions: HashSet<RegionId>,
-}
-
 /// Live security state carried by the
 /// [`Runtime`](crate::runtime::Runtime) alongside the engine.
 #[derive(Debug, Clone)]
@@ -297,14 +288,9 @@ pub(crate) struct SecurityState {
     /// tasks can commit to it without the task name in hand.
     images: HashMap<u64, Image>,
     /// Verifier-side attestation cache (one attestation per
-    /// (enclave, device) pair).
+    /// (enclave, device) pair). A rollback leaves it alone: attestations
+    /// really happened, like spent energy.
     quotes: QuoteCache,
-    /// Device that produced each region (primary replica of its last
-    /// completed writer). Tracked from activation onward.
-    producers: HashMap<RegionId, usize>,
-    /// Regions whose last completed writer was confidential — sealed at
-    /// rest.
-    sealed_regions: HashSet<RegionId>,
     /// The plan for the task being placed.
     pub(crate) plan: SecurePlan,
     pub stats: SecurityStats,
@@ -319,8 +305,6 @@ impl Default for SecurityState {
             enclaves: HashMap::new(),
             images: HashMap::new(),
             quotes: QuoteCache::new(),
-            producers: HashMap::new(),
-            sealed_regions: HashSet::new(),
             plan: SecurePlan::default(),
             stats: SecurityStats::default(),
         }
@@ -432,32 +416,32 @@ impl SecurityState {
     }
 
     /// Build the [`SecurePlan`] for one placement attempt of a task at
-    /// `level` with the given declared `accesses`. Returns whether the
-    /// plan imposes any cost or restriction — when `false` the caller
-    /// skips the security path entirely (the common case for public
-    /// tasks that touch no sealed data).
+    /// `level` with the given declared `accesses`, against the region
+    /// residency in `regions`. Returns whether the plan imposes any cost
+    /// or restriction — when `false` the caller skips the security path
+    /// entirely (the common case for public tasks that touch no sealed
+    /// data).
     pub(crate) fn prepare(
         &mut self,
         classes: &SpecClasses,
+        regions: &RegionTable,
         accesses: &[(RegionId, AccessMode)],
         level: SecurityLevel,
         measurement: u64,
     ) -> bool {
         let plan = &mut self.plan;
         plan.inputs.clear();
-        // Sealed inputs: read regions whose last writer was confidential
-        // and ran on a known device.
+        // Sealed inputs: read regions whose last writer was confidential.
         let mut boundary_bytes = Bytes::ZERO;
         for &(region, mode) in accesses {
-            let bytes = region_bytes(&self.config, region);
+            let bytes = bytes_of(&self.config.region_sizes, region);
             boundary_bytes += bytes;
-            if mode.reads() && self.sealed_regions.contains(&region) {
-                if let Some(&producer) = self.producers.get(&region) {
-                    if bytes > Bytes::ZERO {
-                        let rate = classes.tees()[classes.class_of(producer)].crypto_bandwidth;
-                        plan.inputs.push((producer, bytes, bytes.time_at(rate)));
-                    }
-                }
+            if !mode.reads() || bytes == Bytes::ZERO {
+                continue;
+            }
+            if let Some(at) = regions.get(region).filter(|at| at.sealed) {
+                let rate = classes.tees()[classes.class_of(at.device)].crypto_bandwidth;
+                plan.inputs.push((at.device, bytes, bytes.time_at(rate)));
             }
         }
         if level == SecurityLevel::Public && plan.inputs.is_empty() {
@@ -540,71 +524,6 @@ impl SecurityState {
         Ok(())
     }
 
-    /// Capture the region-confidentiality state for a checkpoint record
-    /// (`None` while the layer is inactive — public-only runs snapshot
-    /// nothing).
-    pub(crate) fn snapshot(&self) -> Option<std::sync::Arc<SecuritySnapshot>> {
-        self.active.then(|| {
-            std::sync::Arc::new(SecuritySnapshot {
-                producers: self.producers.clone(),
-                sealed_regions: self.sealed_regions.clone(),
-            })
-        })
-    }
-
-    /// Restore the region-confidentiality state captured by a
-    /// checkpoint (rollback path). A `None` snapshot means the layer
-    /// was inactive at snapshot time: no region had confidential
-    /// contents yet.
-    pub(crate) fn restore(&mut self, snapshot: Option<&std::sync::Arc<SecuritySnapshot>>) {
-        if !self.active {
-            return;
-        }
-        match snapshot {
-            Some(s) => {
-                self.producers.clone_from(&s.producers);
-                self.sealed_regions.clone_from(&s.sealed_regions);
-            }
-            None => {
-                self.producers.clear();
-                self.sealed_regions.clear();
-            }
-        }
-    }
-
-    /// Record that `task`'s written regions were (re)produced on device
-    /// `d` at confidentiality `level` — the basis of the
-    /// seal-on-cross-device rule.
-    pub(crate) fn record_outputs(
-        &mut self,
-        accesses: &[(RegionId, AccessMode)],
-        d: usize,
-        level: SecurityLevel,
-    ) {
-        for &(region, mode) in accesses {
-            if mode.writes() {
-                self.producers.insert(region, d);
-                if level.seals_at_rest() {
-                    self.sealed_regions.insert(region);
-                } else {
-                    self.sealed_regions.remove(&region);
-                }
-            }
-        }
-    }
-
-    /// Bytes of the live frontier that are sealed at rest (must be
-    /// sealed into any checkpoint), given the checkpoint's region sizes.
-    pub(crate) fn sealed_live_bytes(
-        &self,
-        live: impl Iterator<Item = RegionId>,
-        region_sizes: &HashMap<RegionId, Bytes>,
-    ) -> Bytes {
-        live.filter(|r| self.sealed_regions.contains(r))
-            .map(|r| region_sizes.get(&r).copied().unwrap_or(Bytes::ZERO))
-            .sum()
-    }
-
     /// Charge checkpoint sealing: `bytes` routed through seal at the
     /// host-side software rate. Returns the added write time.
     pub(crate) fn charge_checkpoint_seal(&mut self, bytes: Bytes) -> Seconds {
@@ -616,14 +535,6 @@ impl SecurityState {
         self.stats.sealed_bytes += bytes;
         time
     }
-}
-
-fn region_bytes(config: &SecurityConfig, region: RegionId) -> Bytes {
-    config
-        .region_sizes
-        .get(&region)
-        .copied()
-        .unwrap_or(Bytes::ZERO)
 }
 
 /// Device-unique platform key (SplitMix64 of the device id), so sealing
@@ -672,6 +583,7 @@ mod tests {
         let accesses = [(RegionId(0), AccessMode::InOut)];
         assert!(state.prepare(
             &SpecClasses::new(&devices),
+            &RegionTable::default(),
             &accesses,
             SecurityLevel::Enclave,
             m
@@ -690,6 +602,7 @@ mod tests {
         let accesses = [(RegionId(0), AccessMode::InOut)];
         state.prepare(
             &SpecClasses::new(&devices),
+            &RegionTable::default(),
             &accesses,
             SecurityLevel::Enclave,
             m,
@@ -713,6 +626,7 @@ mod tests {
         ];
         assert!(!state.prepare(
             &SpecClasses::new(&devices),
+            &RegionTable::default(),
             &accesses,
             SecurityLevel::Public,
             0
@@ -725,7 +639,8 @@ mod tests {
         let mut state = state_with_sizes();
         state.activate(&devices);
         // Region 0 was produced by a confidential task on device 0.
-        state.record_outputs(
+        let mut regions = RegionTable::default();
+        regions.record(
             &[(RegionId(0), AccessMode::Out)],
             0,
             SecurityLevel::Confidential,
@@ -733,6 +648,7 @@ mod tests {
         let accesses = [(RegionId(0), AccessMode::In)];
         assert!(state.prepare(
             &SpecClasses::new(&devices),
+            &regions,
             &accesses,
             SecurityLevel::Public,
             0
@@ -756,17 +672,19 @@ mod tests {
         let devices = devices();
         let mut state = state_with_sizes();
         state.activate(&devices);
-        state.record_outputs(
+        let mut regions = RegionTable::default();
+        regions.record(
             &[(RegionId(0), AccessMode::Out)],
             0,
             SecurityLevel::Confidential,
         );
         // A public task overwrites the region: its new contents are not
         // confidential, so readers stop paying seal costs.
-        state.record_outputs(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
+        regions.record(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
         let accesses = [(RegionId(0), AccessMode::In)];
         assert!(!state.prepare(
             &SpecClasses::new(&devices),
+            &regions,
             &accesses,
             SecurityLevel::Public,
             0
@@ -782,6 +700,7 @@ mod tests {
         let accesses = [(RegionId(0), AccessMode::InOut)];
         state.prepare(
             &SpecClasses::new(&devices),
+            &RegionTable::default(),
             &accesses,
             SecurityLevel::Enclave,
             m,
@@ -791,6 +710,7 @@ mod tests {
         // Second placement of the same code on the same device: cache hit.
         state.prepare(
             &SpecClasses::new(&devices),
+            &RegionTable::default(),
             &accesses,
             SecurityLevel::Enclave,
             m,
@@ -823,7 +743,13 @@ mod tests {
         }
         // The provisioned ones answer from the flag, and still commit.
         let m = state.ensure_enclaves(images[3].as_bytes()).expect("known");
-        state.prepare(&SpecClasses::new(&devices), &[], SecurityLevel::Enclave, m);
+        state.prepare(
+            &SpecClasses::new(&devices),
+            &RegionTable::default(),
+            &[],
+            SecurityLevel::Enclave,
+            m,
+        );
         state.commit(2, 2).unwrap();
         assert_eq!(state.stats.attestations, 1);
     }
@@ -840,10 +766,11 @@ mod tests {
         let classes = SpecClasses::new(&devices);
         // O(1) now — the arrival replayed the image onto the newcomer.
         assert_eq!(state.ensure_enclaves(b"detector"), Ok(m));
-        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        let regions = RegionTable::default();
+        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
         assert!(state.plan.cost(3, 0).attest, "never attested yet");
         state.commit(3, 0).expect("the newcomer hosts the enclave");
-        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
         assert!(!state.plan.cost(3, 0).attest);
         assert!(state.plan.cost(0, 0).attest, "same class, own quote");
         assert_eq!(state.stats.attestations, 1);
@@ -856,13 +783,14 @@ mod tests {
         let mut state = state_with_sizes();
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
-        let snap = state.snapshot();
-        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        let mut regions = RegionTable::default();
+        let snap = regions.clone();
+        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
         state.commit(0, 0).unwrap();
-        // Attestations really happened: rewinding region confidentiality
-        // to before the placement does not forget the quote.
-        state.restore(snap.as_ref());
-        state.prepare(&classes, &[], SecurityLevel::Enclave, m);
+        // Attestations really happened: rewinding region residency to
+        // before the placement does not forget the quote.
+        regions.restore(Some(&snap));
+        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
         assert!(!state.plan.cost(0, 0).attest);
         assert!(state.plan.cost(2, 2).attest);
         state.commit(0, 0).unwrap();
@@ -885,27 +813,28 @@ mod tests {
         let mut state = state_with_sizes();
         state.activate(&devices);
         // Checkpoint-time state: region 0 sealed (produced on device 0).
-        state.record_outputs(
+        let mut regions = RegionTable::default();
+        regions.record(
             &[(RegionId(0), AccessMode::Out)],
             0,
             SecurityLevel::Confidential,
         );
-        let snap = state.snapshot();
-        assert!(snap.is_some());
+        let snap = regions.clone();
         // Post-checkpoint (to-be-discarded) writes: region 0 rewritten
         // public on device 1, region 1 newly sealed.
-        state.record_outputs(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
-        state.record_outputs(
+        regions.record(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
+        regions.record(
             &[(RegionId(1), AccessMode::Out)],
             1,
             SecurityLevel::Confidential,
         );
-        state.restore(snap.as_ref());
+        regions.restore(Some(&snap));
         // Region 0 is sealed again (its restored contents are the
         // confidential write), region 1 is not (its write was discarded).
         let reads0 = [(RegionId(0), AccessMode::In)];
         assert!(state.prepare(
             &SpecClasses::new(&devices),
+            &regions,
             &reads0,
             SecurityLevel::Public,
             0
@@ -914,42 +843,20 @@ mod tests {
         let reads1 = [(RegionId(1), AccessMode::In)];
         assert!(!state.prepare(
             &SpecClasses::new(&devices),
+            &regions,
             &reads1,
             SecurityLevel::Public,
             0
         ));
-        // A pre-activation snapshot restores to the empty state.
-        state.restore(None);
+        // A snapshot from before the table was written restores to the
+        // empty state.
+        regions.restore(None);
         assert!(!state.prepare(
             &SpecClasses::new(&devices),
+            &regions,
             &reads0,
             SecurityLevel::Public,
             0
         ));
-    }
-
-    #[test]
-    fn inactive_state_snapshots_nothing() {
-        let state = SecurityState::default();
-        assert!(state.snapshot().is_none());
-    }
-
-    #[test]
-    fn sealed_live_bytes_counts_only_sealed_regions() {
-        let devices = devices();
-        let mut state = SecurityState::default();
-        state.activate(&devices);
-        state.record_outputs(
-            &[(RegionId(0), AccessMode::Out)],
-            0,
-            SecurityLevel::Confidential,
-        );
-        state.record_outputs(&[(RegionId(1), AccessMode::Out)], 0, SecurityLevel::Public);
-        let sizes = sizes();
-        let live = [RegionId(0), RegionId(1)];
-        assert_eq!(
-            state.sealed_live_bytes(live.iter().copied(), &sizes),
-            Bytes::mib(32)
-        );
     }
 }

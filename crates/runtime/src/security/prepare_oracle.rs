@@ -19,6 +19,7 @@ use super::*;
 /// the task needs no plan.
 pub(crate) fn per_device(
     state: &SecurityState,
+    regions: &RegionTable,
     devices: &[Device],
     accesses: &[(RegionId, AccessMode)],
     level: SecurityLevel,
@@ -27,12 +28,12 @@ pub(crate) fn per_device(
     let mut inputs = Vec::new();
     let mut boundary_bytes = Bytes::ZERO;
     for &(region, mode) in accesses {
-        let bytes = region_bytes(&state.config, region);
+        let bytes = bytes_of(&state.config.region_sizes, region);
         boundary_bytes += bytes;
-        if mode.reads() && state.sealed_regions.contains(&region) {
-            if let Some(&producer) = state.producers.get(&region) {
+        if mode.reads() && regions.is_sealed(region) {
+            if let Some(producer) = regions.get(region) {
                 if bytes > Bytes::ZERO {
-                    inputs.push((producer, bytes));
+                    inputs.push((producer.device, bytes));
                 }
             }
         }
@@ -76,12 +77,13 @@ pub(crate) fn per_device(
 /// duration, `None` where the task must not run.
 pub(crate) fn extras(
     state: &SecurityState,
+    regions: &RegionTable,
     devices: &[Device],
     accesses: &[(RegionId, AccessMode)],
     level: SecurityLevel,
     measurement: u64,
 ) -> Option<Vec<Option<Seconds>>> {
-    let costs = per_device(state, devices, accesses, level, measurement)?;
+    let costs = per_device(state, regions, devices, accesses, level, measurement)?;
     Some(
         costs
             .iter()
@@ -148,7 +150,8 @@ proptest! {
             .iter()
             .map(|code| state.ensure_enclaves(code).expect("two images fit"))
             .collect();
-        let mut snapshot = state.snapshot();
+        let mut regions = RegionTable::default();
+        let mut snapshot = regions.clone();
         for _ in 0..40 {
             match rng.gen_range(0..10) {
                 0..=4 => {
@@ -160,8 +163,8 @@ proptest! {
                         .collect();
                     let level = LEVELS[rng.gen_range(0..3)];
                     let m = images[rng.gen_range(0..2)];
-                    let reference = per_device(&state, &devices, &accesses, level, m);
-                    let planned = state.prepare(&classes, &accesses, level, m);
+                    let reference = per_device(&state, &regions, &devices, &accesses, level, m);
+                    let planned = state.prepare(&classes, &regions, &accesses, level, m);
                     prop_assert_eq!(planned, reference.is_some());
                     let Some(reference) = reference else { continue };
                     for (d, &want) in reference.iter().enumerate() {
@@ -182,7 +185,7 @@ proptest! {
                         state.commit(d, classes.class_of(d)).expect("attestation succeeds");
                     }
                 }
-                5..=6 => state.record_outputs(
+                5..=6 => regions.record(
                     &[(RegionId(rng.gen_range(0..7)), AccessMode::Out)],
                     rng.gen_range(0..devices.len()),
                     LEVELS[rng.gen_range(0..3)],
@@ -193,8 +196,8 @@ proptest! {
                     devices.push(device);
                     classes.add_device(&devices);
                 }
-                8 => snapshot = state.snapshot(),
-                _ => state.restore(snapshot.as_ref()),
+                8 => snapshot = regions.clone(),
+                _ => regions.restore(Some(&snapshot)),
             }
         }
     }

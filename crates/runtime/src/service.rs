@@ -53,6 +53,7 @@ use legato_core::units::{Bytes, Joule, Seconds};
 use legato_fti::Strategy;
 use serde::{Deserialize, Serialize};
 
+use crate::ckpt::bytes_of;
 use crate::config::EngineConfig;
 use crate::error::RuntimeError;
 use crate::resilience::{CheckpointRecord, CheckpointStore};
@@ -77,7 +78,7 @@ pub struct TenantSpec {
     /// be positive and finite; validated at registration.
     pub share: f64,
     /// Admitted-but-uncompleted task budget; `None` uses the service's
-    /// [`ServiceConfig::with_default_budget`].
+    /// [`ServiceConfig::default_budget`].
     pub budget: Option<usize>,
     /// Whether every task this tenant submits is upgraded to at least
     /// [`SecurityLevel::Confidential`] (sealed I/O through the security
@@ -238,12 +239,6 @@ impl ServiceConfig {
             default_budget: 1024,
             region_sizes: HashMap::new(),
         }
-    }
-
-    /// Queued-task budget for tenants without an explicit one.
-    pub fn with_default_budget(mut self, budget: usize) -> Self {
-        self.default_budget = budget;
-        self
     }
 
     /// Declare session-local region sizes for seal-volume accounting.
@@ -569,12 +564,7 @@ impl Service {
                 t.session.frontier.insert(TaskId(idx));
                 for &(r, m) in &t.log[idx as usize].accesses {
                     if m.writes() {
-                        bytes += self
-                            .config
-                            .region_sizes
-                            .get(&r)
-                            .copied()
-                            .unwrap_or(Bytes::ZERO);
+                        bytes += bytes_of(&self.config.region_sizes, r);
                     }
                 }
             }

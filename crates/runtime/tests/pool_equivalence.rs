@@ -3,7 +3,8 @@
 //! The device-pool layer ([`legato_runtime::pool`]) is a pure pruning
 //! optimisation: with no topology cost configured it must select the
 //! *bit-identical* replica set the flat O(D) scan selects, for every
-//! policy, pillar combination and pool shape. Four contracts pin that:
+//! policy, pillar combination and pool shape. Four contracts pin that,
+//! and a fifth holds the topology charges themselves to the schedule:
 //!
 //! * **Pooled ≡ flat** — the same workload on the same seed produces a
 //!   bit-identical [`RunReport`] and rollback trace whether the engine
@@ -21,18 +22,22 @@
 //! * **Seeded determinism under topology** — with a real link cost the
 //!   run is a function of the seed alone: two runs agree bit for bit,
 //!   producer tracking and dirty-pool refresh included.
+//! * **Charges follow standing producers** — every transfer charge in
+//!   the final schedule is owed to a producer whose outcome still
+//!   stands, rollbacks included (one rolled-back run is pinned).
 //!
 //! [`RunReport`]: legato_runtime::RunReport
 
 use std::collections::HashMap;
 
 use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, BytesPerSec, Seconds};
 use legato_hw::comm::LinkModel;
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    EngineConfig, Policy, PoolConfig, ResilienceConfig, Runtime, SecurityConfig, TopologyConfig,
+    EngineConfig, Policy, PoolConfig, ResilienceConfig, RunReport, Runtime, SecurityConfig,
+    TopologyConfig,
 };
 use legato_workloads::fleets;
 use proptest::prelude::*;
@@ -123,6 +128,33 @@ fn build(cfg: EngineConfig) -> Runtime {
     let mut rt = cfg.build().expect("valid engine config");
     rt.set_fault_prob(1, 0.4);
     rt
+}
+
+/// Size the topology charges for every region of [`topology_run`].
+const TOPOLOGY_REGION: Bytes = Bytes::mib(64);
+
+fn topology_link() -> LinkModel {
+    LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-3))
+}
+
+/// One `Performance` run over pools of `pool_size` with a real link
+/// cost on every region.
+fn topology_run(
+    chains: &ChainSpec,
+    seed: u64,
+    resilient: bool,
+    pool_size: usize,
+) -> (Runtime, RunReport) {
+    let mut rt = build(
+        config(seed, resilient, Policy::Performance, chains)
+            .with_pools(PoolConfig::uniform(devices().len(), pool_size))
+            .with_topology(
+                TopologyConfig::new(topology_link()).with_default_region_size(TOPOLOGY_REGION),
+            ),
+    );
+    submit_wave(&mut rt, chains);
+    let report = rt.run().expect("devices present");
+    (rt, report)
 }
 
 proptest! {
@@ -231,16 +263,7 @@ proptest! {
         pool_size in 1usize..13,
     ) {
         let run = || {
-            let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-3));
-            let mut rt = build(
-                config(seed, resilient, Policy::Performance, &chains)
-                    .with_pools(PoolConfig::uniform(devices().len(), pool_size))
-                    .with_topology(
-                        TopologyConfig::new(link).with_default_region_size(Bytes::mib(64)),
-                    ),
-            );
-            submit_wave(&mut rt, &chains);
-            let report = rt.run().expect("devices present");
+            let (rt, report) = topology_run(&chains, seed, resilient, pool_size);
             (report, rt.rollback_trace().to_vec())
         };
         let (a, trace_a) = run();
@@ -248,4 +271,99 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(trace_a, trace_b);
     }
+
+    /// Every transfer charge follows a producer that still stands: a
+    /// single-replica placement lasts its roofline time plus one link
+    /// transfer per region it reads whose last writer's accepted outcome
+    /// sits in another pool — across rollbacks, which discard outcomes
+    /// and must discard where they left their regions with them. Tasks
+    /// are all public here, so no security cost joins the duration.
+    #[test]
+    fn topology_charges_follow_standing_producers(
+        chains in chains_strategy(),
+        seed in 0u64..300,
+        resilient in any::<bool>(),
+        pool_size in 1usize..13,
+    ) {
+        let public: ChainSpec = chains
+            .iter()
+            .map(|chain| chain.iter().map(|&(flops, crit, _)| (flops, crit, 0)).collect())
+            .collect();
+        let (rt, _) = topology_run(&public, seed, resilient, pool_size);
+        let pool_of = |device: usize| device / pool_size;
+        let transfer = topology_link().transfer_time(TOPOLOGY_REGION);
+        let mut last_writer: HashMap<RegionId, TaskId> = HashMap::new();
+        for id in (0..rt.graph().len() as u64).map(TaskId) {
+            let accesses = rt.graph().accesses(id).expect("id in range");
+            if let Some(placed) = rt.outcome(id).filter(|o| o.devices.len() == 1) {
+                let desc = rt.graph().descriptor(id).expect("id in range");
+                let device = placed.devices[0];
+                let mut expected = rt.devices()[device].spec.time_for(desc.work, desc.kind);
+                for (region, mode) in accesses {
+                    let producer = last_writer.get(region).and_then(|&w| rt.outcome(w));
+                    if mode.reads()
+                        && producer.is_some_and(|w| pool_of(w.devices[0]) != pool_of(device))
+                    {
+                        expected += transfer;
+                    }
+                }
+                let took = placed.finish - placed.start;
+                prop_assert!(
+                    (took.0 - expected.0).abs() <= 1e-9 * expected.0,
+                    "task {id:?} on device {device} took {took}, expected {expected}"
+                );
+            }
+            for (region, mode) in accesses {
+                if mode.writes() {
+                    last_writer.insert(*region, id);
+                }
+            }
+        }
+    }
+}
+
+/// The `seed = 185, pool_size = 1, resilient` case of
+/// `topology_runs_are_deterministic`: two rollbacks, one of which used
+/// to resume with a producer entry written by work it had discarded
+/// (makespan 21.4634 s and 11 526 J then; 23.5069 s and 12 587 J with
+/// residency rewound).
+#[test]
+fn rolled_back_topology_run_is_pinned() {
+    let chains: ChainSpec = vec![
+        vec![
+            (3333103424900.3174, 2, 0),
+            (1164945938623.7263, 0, 1),
+            (2763274648577.9063, 1, 0),
+            (635474619751.572, 1, 1),
+            (2920028481143.848, 0, 0),
+            (2952718852500.603, 2, 0),
+            (1525080477485.0322, 0, 0),
+        ],
+        vec![
+            (2466110211189.799, 0, 0),
+            (2491148601585.719, 1, 1),
+            (993029064935.115, 0, 2),
+            (2171270391108.1702, 0, 1),
+        ],
+        vec![
+            (533169341837.70215, 1, 0),
+            (2948101950447.1733, 1, 0),
+            (2191990104721.949, 2, 1),
+            (3242174259529.0522, 0, 2),
+            (2976129077677.653, 2, 2),
+            (1953171744032.129, 0, 1),
+            (2070508962623.2034, 1, 0),
+        ],
+        vec![
+            (2041684804200.7087, 2, 0),
+            (2970802166545.9966, 1, 1),
+            (1101339473720.0586, 1, 1),
+            (3715544287096.9443, 1, 0),
+        ],
+        vec![(2716493829309.0093, 2, 0), (1328024820391.2231, 0, 1)],
+    ];
+    let (rt, report) = topology_run(&chains, 185, true, 1);
+    assert_eq!(rt.rollback_trace().len(), 2);
+    assert_eq!(report.makespan.0.to_bits(), 0x4037_81c5_d87e_0404);
+    assert_eq!(report.total_energy.0.to_bits(), 0x40c8_95b7_cbb8_2bd3);
 }
