@@ -5,7 +5,7 @@
 //! ```json
 //! {"id": "group/case", "ns_per_iter": 123.0, "mean_ns_per_iter": 130.1,
 //!  "min_ns_per_iter": 119.8, "iterations": 10,
-//!  "throughput": {"elements_per_iter": 1026}}
+//!  "throughput": {"elements_per_iter": 10000}}
 //! ```
 //!
 //! The `bench_compare` binary (used by the `bench-baseline` CI job)
@@ -16,12 +16,11 @@
 //! so matching its exact shape is the honest scope. Rows are matched by
 //! `id` and reported as per-row percentage deltas, most-regressed first.
 //!
-//! Two kinds of number live in a row. `ns_per_iter` is wall-clock and
-//! noisy: its deltas are reported, never gated. `elements_per_iter` is
-//! what the bench declared as its throughput — tasks completed, makespan
-//! overhead in per-mille — a pure function of the simulated run, so any
-//! difference is a behaviour change: those come first in the report as
-//! [`DeltaRow::Drift`] and make `bench_compare` exit non-zero.
+//! Everything in a baseline is wall-clock, so everything here is
+//! report-only; simulated results are pinned by tier-1 goldens, not
+//! carried in bench rows (DESIGN.md §3). Comparisons run on
+//! `min_ns_per_iter`: the bench bodies are deterministic, so every
+//! nanosecond above the minimum is interference.
 //!
 //! A perf PR records the parent commit's measurement of a case next to
 //! its own, on the same machine, as a second row whose id ends in
@@ -36,24 +35,8 @@ use std::fmt::Write as _;
 pub struct BaselineRow {
     /// Criterion bench id (`group/case`).
     pub id: String,
-    /// Median wall-clock nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Minimum wall-clock nanoseconds per iteration, when the baseline
-    /// recorded one (older baselines predate the field).
-    pub min_ns_per_iter: Option<f64>,
-    /// The deterministic count the bench declared as its throughput
-    /// (`null` in the file when it declared none).
-    pub elements_per_iter: Option<u64>,
-}
-
-impl BaselineRow {
-    /// The number comparisons run on: the minimum when recorded (for a
-    /// deterministic bench body every nanosecond above the minimum is
-    /// interference), the median otherwise.
-    #[must_use]
-    pub fn metric(&self) -> f64 {
-        self.min_ns_per_iter.unwrap_or(self.ns_per_iter)
-    }
+    /// Minimum wall-clock nanoseconds per iteration.
+    pub min_ns_per_iter: f64,
 }
 
 /// Extract the string value of `"key": "…"` from a JSON row line.
@@ -74,8 +57,8 @@ fn number_field(line: &str, key: &str) -> Option<f64> {
 }
 
 /// Parse every measurement row out of a baseline file's contents.
-/// Lines without both an `id` and an `ns_per_iter` are skipped, so the
-/// surrounding `[`/`]` and any future fields are tolerated.
+/// Lines without both an `id` and a `min_ns_per_iter` are skipped, so the
+/// surrounding `[`/`]` and any other fields are tolerated.
 #[must_use]
 pub fn parse_baseline(contents: &str) -> Vec<BaselineRow> {
     contents
@@ -83,9 +66,7 @@ pub fn parse_baseline(contents: &str) -> Vec<BaselineRow> {
         .filter_map(|line| {
             Some(BaselineRow {
                 id: string_field(line, "id")?,
-                ns_per_iter: number_field(line, "ns_per_iter")?,
-                min_ns_per_iter: number_field(line, "min_ns_per_iter"),
-                elements_per_iter: number_field(line, "elements_per_iter").map(|n| n as u64),
+                min_ns_per_iter: number_field(line, "min_ns_per_iter")?,
             })
         })
         .collect()
@@ -94,9 +75,6 @@ pub fn parse_baseline(contents: &str) -> Vec<BaselineRow> {
 /// One row of a baseline comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaRow {
-    /// Present in both files with different declared throughputs:
-    /// `(id, baseline elements, current elements)`. Exact, so gating.
-    Drift(String, Option<u64>, Option<u64>),
     /// Present in both files: `(id, baseline ns, current ns, delta %)`.
     Changed(String, f64, f64, f64),
     /// Only in the current file (new bench case).
@@ -111,73 +89,55 @@ pub enum DeltaRow {
 /// Id suffix of a row that records the parent commit's measurement.
 const PARENT_SUFFIX: &str = "@parent";
 
-/// Diff `current` against `baseline`, matching rows by id. Each side
-/// contributes its [`BaselineRow::metric`] — the minimum when recorded,
-/// the median otherwise. Throughput drift comes first (file order), then
-/// changed rows sorted most-regressed first (largest positive delta);
+/// Diff `current` against `baseline`, matching rows by id. Changed rows
+/// come first, sorted most-regressed first (largest positive delta);
 /// added and removed rows follow in file order, then the baseline's
 /// `@parent` pairs (an `@parent` row with no sibling counts as removed).
 #[must_use]
 pub fn diff_baselines(baseline: &[BaselineRow], current: &[BaselineRow]) -> Vec<DeltaRow> {
-    let mut drift = Vec::new();
     let mut changed = Vec::new();
     let mut added = Vec::new();
     for cur in current {
         match baseline.iter().find(|b| b.id == cur.id) {
             Some(base) => {
-                if base.elements_per_iter != cur.elements_per_iter {
-                    drift.push(DeltaRow::Drift(
-                        cur.id.clone(),
-                        base.elements_per_iter,
-                        cur.elements_per_iter,
-                    ));
-                }
-                let delta = if base.metric() > 0.0 {
-                    (cur.metric() - base.metric()) / base.metric() * 100.0
+                let delta = if base.min_ns_per_iter > 0.0 {
+                    (cur.min_ns_per_iter - base.min_ns_per_iter) / base.min_ns_per_iter * 100.0
                 } else {
                     0.0
                 };
                 changed.push(DeltaRow::Changed(
                     cur.id.clone(),
-                    base.metric(),
-                    cur.metric(),
+                    base.min_ns_per_iter,
+                    cur.min_ns_per_iter,
                     delta,
                 ));
             }
-            None => added.push(DeltaRow::Added(cur.id.clone(), cur.metric())),
+            None => added.push(DeltaRow::Added(cur.id.clone(), cur.min_ns_per_iter)),
         }
     }
     let parent_pair = |b: &BaselineRow| {
         let id = b.id.strip_suffix(PARENT_SUFFIX)?;
-        let now = baseline.iter().find(|row| row.id == id)?.metric();
+        let now = baseline.iter().find(|row| row.id == id)?.min_ns_per_iter;
         Some(DeltaRow::Parent(
             id.to_string(),
-            b.metric(),
+            b.min_ns_per_iter,
             now,
-            b.metric() / now,
+            b.min_ns_per_iter / now,
         ))
     };
     let parents: Vec<DeltaRow> = baseline.iter().filter_map(parent_pair).collect();
     let removed = baseline
         .iter()
         .filter(|b| !current.iter().any(|c| c.id == b.id) && parent_pair(b).is_none())
-        .map(|b| DeltaRow::Removed(b.id.clone(), b.metric()));
+        .map(|b| DeltaRow::Removed(b.id.clone(), b.min_ns_per_iter));
     changed.sort_by(|a, b| match (a, b) {
         (DeltaRow::Changed(_, _, _, da), DeltaRow::Changed(_, _, _, db)) => db.total_cmp(da),
         _ => std::cmp::Ordering::Equal,
     });
-    drift.extend(changed);
-    drift.extend(added);
-    drift.extend(removed);
-    drift.extend(parents);
-    drift
-}
-
-/// Whether a comparison found any [`DeltaRow::Drift`] — the one finding
-/// `bench_compare` fails on.
-#[must_use]
-pub fn has_drift(rows: &[DeltaRow]) -> bool {
-    rows.iter().any(|row| matches!(row, DeltaRow::Drift(..)))
+    changed.extend(added);
+    changed.extend(removed);
+    changed.extend(parents);
+    changed
 }
 
 /// Render a comparison as a GitHub-flavored markdown table (what the CI
@@ -192,17 +152,8 @@ pub fn render_markdown(title: &str, rows: &[DeltaRow]) -> String {
     }
     let _ = writeln!(out, "| bench | baseline ns/iter | current ns/iter | Δ |");
     let _ = writeln!(out, "|---|---:|---:|---:|");
-    let elements = |e: &Option<u64>| e.map_or("—".to_string(), |n| n.to_string());
     for row in rows {
         match row {
-            DeltaRow::Drift(id, base, cur) => {
-                let _ = writeln!(
-                    out,
-                    "| `{id}` elements/iter | {} | {} | **drift** |",
-                    elements(base),
-                    elements(cur)
-                );
-            }
             DeltaRow::Changed(id, base, cur, delta) => {
                 let _ = writeln!(out, "| `{id}` | {base:.1} | {cur:.1} | {delta:+.1}% |");
             }
@@ -228,88 +179,97 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"[
-  {"id": "g/a", "ns_per_iter": 100.0, "mean_ns_per_iter": 110.0, "iterations": 10, "throughput": null},
+  {"id": "g/a", "ns_per_iter": 100.0, "mean_ns_per_iter": 110.0, "min_ns_per_iter": 100.0, "iterations": 10, "throughput": null},
   {"id": "g/b", "ns_per_iter": 250.5, "mean_ns_per_iter": 251.0, "min_ns_per_iter": 240.0, "iterations": 10, "throughput": {"elements_per_iter": 1026}}
 ]"#;
+
+    fn row(id: &str, min_ns_per_iter: f64) -> BaselineRow {
+        BaselineRow {
+            id: id.into(),
+            min_ns_per_iter,
+        }
+    }
 
     #[test]
     fn parses_stub_format() {
         let rows = parse_baseline(SAMPLE);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].id, "g/a");
-        assert!((rows[0].ns_per_iter - 100.0).abs() < 1e-9);
-        assert_eq!(rows[0].min_ns_per_iter, None, "pre-min rows still parse");
-        assert_eq!(rows[1].id, "g/b");
-        assert!((rows[1].ns_per_iter - 250.5).abs() < 1e-9);
-        assert_eq!(rows[1].min_ns_per_iter, Some(240.0));
-        assert_eq!(rows[0].elements_per_iter, None);
-        assert_eq!(rows[1].elements_per_iter, Some(1026));
-    }
-
-    #[test]
-    fn only_throughput_drift_gates() {
-        let base = parse_baseline(SAMPLE);
-        // Timing-only change: every row slower, same declared counts.
-        let mut slower = base.clone();
-        for row in &mut slower {
-            row.ns_per_iter *= 3.0;
-            row.min_ns_per_iter = row.min_ns_per_iter.map(|ns| ns * 3.0);
-        }
-        let delta = diff_baselines(&base, &slower);
-        assert!(!has_drift(&delta), "wall-clock is report-only: {delta:?}");
-
-        // Same timings, one row completed fewer tasks.
-        let mut drifted = base.clone();
-        drifted[1].elements_per_iter = Some(1020);
-        let delta = diff_baselines(&base, &drifted);
-        assert!(has_drift(&delta));
-        assert_eq!(
-            delta[0],
-            DeltaRow::Drift("g/b".into(), Some(1026), Some(1020)),
-            "drift leads the report"
-        );
-        assert_eq!(
-            delta.len(),
-            3,
-            "one drift row on top of the two timing rows"
-        );
-        let md = render_markdown("t", &delta);
-        assert!(
-            md.contains("| `g/b` elements/iter | 1026 | 1020 | **drift** |"),
-            "{md}"
-        );
-    }
-
-    #[test]
-    fn metric_prefers_minimum_over_median() {
-        let rows = parse_baseline(SAMPLE);
-        assert!((rows[0].metric() - 100.0).abs() < 1e-9, "median fallback");
-        assert!((rows[1].metric() - 240.0).abs() < 1e-9, "min preferred");
+        assert_eq!(rows, [row("g/a", 100.0), row("g/b", 240.0)]);
     }
 
     #[test]
     fn tolerates_garbage_lines() {
-        let rows = parse_baseline("[\nnot json\n{\"id\": \"x\"}\n]");
-        assert!(rows.is_empty(), "rows need both id and ns_per_iter");
+        let rows = parse_baseline(
+            "[\nnot json\n{\"id\": \"x\"}\n{\"id\": \"y\", \"ns_per_iter\": 1.0}\n]",
+        );
+        assert!(rows.is_empty(), "rows need both id and min_ns_per_iter");
+    }
+
+    /// The committed `BENCH_*.json` files and the benches that produce
+    /// them. A bench owns the baseline whose name its file stem starts
+    /// with (`runtime_engine.rs` → `BENCH_runtime.json`), so an
+    /// unrecorded bench — or a baseline nothing re-measures — fails here.
+    #[test]
+    fn committed_baselines_are_well_formed_and_every_bench_is_recorded() {
+        let list = |dir: &str, prefix: &str, suffix: &str| {
+            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+            let mut found = Vec::new();
+            for entry in std::fs::read_dir(&dir).expect("directory listable") {
+                let path = entry.expect("entry readable").path();
+                let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8");
+                let stem = name
+                    .strip_prefix(prefix)
+                    .and_then(|n| n.strip_suffix(suffix));
+                if let Some(stem) = stem.map(str::to_string) {
+                    found.push((stem, path));
+                }
+            }
+            found.sort();
+            found
+        };
+        let benches = list("benches", "", ".rs");
+        let baselines = list("../..", "BENCH_", ".json");
+        assert!(!benches.is_empty() && !baselines.is_empty());
+
+        let mut ids = Vec::new();
+        for (name, path) in &baselines {
+            let contents = std::fs::read_to_string(path).expect("baseline readable");
+            let rows = parse_baseline(&contents);
+            assert!(!rows.is_empty(), "BENCH_{name}.json records no row");
+            assert_eq!(
+                rows.len(),
+                contents.matches("\"id\"").count(),
+                "BENCH_{name}.json: a row without min_ns_per_iter"
+            );
+            let owners = benches.iter().filter(|(stem, _)| stem.starts_with(name));
+            assert_eq!(
+                owners.count(),
+                1,
+                "BENCH_{name}.json: not recorded by exactly one bench"
+            );
+            ids.extend(rows.into_iter().map(|r| r.id));
+        }
+        for (stem, _) in &benches {
+            assert!(
+                baselines.iter().any(|(name, _)| stem.starts_with(name)),
+                "benches/{stem}.rs has no committed baseline"
+            );
+        }
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "{id} recorded twice");
+            if let Some(sibling) = id.strip_suffix(PARENT_SUFFIX) {
+                assert!(
+                    ids.iter().any(|other| other == sibling),
+                    "{id} has no sibling row"
+                );
+            }
+        }
     }
 
     #[test]
     fn diff_reports_regressions_first_then_added_and_removed() {
         let base = parse_baseline(SAMPLE);
-        let current = vec![
-            BaselineRow {
-                id: "g/a".into(),
-                ns_per_iter: 150.0, // +50 % regression
-                min_ns_per_iter: None,
-                elements_per_iter: None,
-            },
-            BaselineRow {
-                id: "g/new".into(),
-                ns_per_iter: 10.0,
-                min_ns_per_iter: None,
-                elements_per_iter: None,
-            },
-        ];
+        // `g/a` regressed by 50 %, `g/new` appeared, `g/b` is gone.
+        let current = [row("g/a", 150.0), row("g/new", 10.0)];
         let delta = diff_baselines(&base, &current);
         assert_eq!(delta.len(), 3);
         match &delta[0] {
@@ -328,23 +288,12 @@ mod tests {
     #[test]
     fn parent_rows_pair_with_their_sibling_instead_of_counting_as_removed() {
         let mut base = parse_baseline(SAMPLE);
-        for (id, ns) in [("g/b@parent", 960.0), ("g/gone@parent", 5.0)] {
-            base.push(BaselineRow {
-                id: id.into(),
-                ns_per_iter: 2.0 * ns,
-                min_ns_per_iter: Some(ns),
-                elements_per_iter: None,
-            });
-        }
+        base.extend([row("g/b@parent", 960.0), row("g/gone@parent", 5.0)]);
         let fresh = parse_baseline(SAMPLE);
         let delta = diff_baselines(&base, &fresh);
         assert_eq!(delta.len(), 4, "{delta:?}");
         assert!(matches!(&delta[2], DeltaRow::Removed(id, _) if id == "g/gone@parent"));
-        assert_eq!(
-            delta[3],
-            DeltaRow::Parent("g/b".into(), 960.0, 240.0, 4.0),
-            "min-of-N on both sides"
-        );
+        assert_eq!(delta[3], DeltaRow::Parent("g/b".into(), 960.0, 240.0, 4.0));
         let md = render_markdown("t", &delta);
         assert!(
             md.contains("| `g/b@parent` | 960.0 | 240.0 (baseline) | 4.00× as recorded |"),
@@ -354,34 +303,9 @@ mod tests {
 
     #[test]
     fn changed_rows_sorted_most_regressed_first() {
-        let base = vec![
-            BaselineRow {
-                id: "a".into(),
-                ns_per_iter: 100.0,
-                min_ns_per_iter: None,
-                elements_per_iter: None,
-            },
-            BaselineRow {
-                id: "b".into(),
-                ns_per_iter: 100.0,
-                min_ns_per_iter: None,
-                elements_per_iter: None,
-            },
-        ];
-        let current = vec![
-            BaselineRow {
-                id: "a".into(),
-                ns_per_iter: 50.0, // -50 % improvement
-                min_ns_per_iter: None,
-                elements_per_iter: None,
-            },
-            BaselineRow {
-                id: "b".into(),
-                ns_per_iter: 200.0, // +100 % regression
-                min_ns_per_iter: None,
-                elements_per_iter: None,
-            },
-        ];
+        let base = [row("a", 100.0), row("b", 100.0)];
+        // `a` improved by 50 %, `b` regressed by 100 %.
+        let current = [row("a", 50.0), row("b", 200.0)];
         let delta = diff_baselines(&base, &current);
         assert!(matches!(&delta[0], DeltaRow::Changed(id, _, _, _) if id == "b"));
         assert!(matches!(&delta[1], DeltaRow::Changed(id, _, _, _) if id == "a"));

@@ -1,9 +1,8 @@
 //! CI gate: run the static analyzer over every entry of
-//! [`RECIPES`] — the exact runtimes the criterion benches time and the
-//! sweeps run, each under its own real pillar configuration — and refuse
-//! the build if any of them carries an analysis *error* (a race, an
-//! illegal confidential flow, an infeasible placement, an unclosed
-//! checkpoint frontier). One human-readable report per experiment plus
+//! [`RECIPES`] — the exact runtimes the sweeps run, each under its own
+//! real pillar configuration — and refuse the build if any of them
+//! carries an analysis *error* (a race, an illegal confidential flow, an
+//! infeasible placement, an unclosed checkpoint frontier). One human-readable report per experiment plus
 //! a machine-readable `summary.json` land in the output directory
 //! (first CLI argument, default `analysis-reports/`), which CI uploads
 //! as an artifact.

@@ -4,9 +4,10 @@
 //! task faults).
 //!
 //! A seeded [`ChurnTrace`] removes and replenishes devices while the
-//! graph runs, in four modes:
+//! graph runs. The churn-free run (`none`) is the baseline, and its
+//! makespan is the horizon every trace is drawn over, so the events land
+//! while the graph is in flight. Three churned modes:
 //!
-//! * `none` — churn never configured: the plain engine baseline;
 //! * `drain-only` — every departure is planned: the engine drains the
 //!   device (in-flight work completes, queued work re-plans) and seals
 //!   it with a frontier checkpoint, so *nothing* is wasted;
@@ -17,11 +18,12 @@
 //!   budgets roll back to the last committed frontier instead of
 //!   failing, so the graph completes at a makespan premium.
 //!
-//! The shape this records into `BENCH_elastic.json`: drain-and-checkpoint
-//! completes the full graph at every churn rate where crash-only loses
-//! part of it, and makespan degrades monotonically with churn rate
-//! (the makespan-vs-churn-rate curve lives in the rows' simulated
-//! makespans, the throughput elements carry survival).
+//! The shape (asserted in the module tests; every cell's completed count
+//! and makespan bits pinned in `tests/experiments_goldens.rs`):
+//! drain-and-checkpoint completes the full graph at every churn rate
+//! where crash-only loses part of it, and no churned run beats the fixed
+//! fleet — the makespan-vs-churn-rate curve lives in the same rows as
+//! the survival counts.
 
 use legato_core::units::Seconds;
 use legato_runtime::{
@@ -32,11 +34,9 @@ use legato_workloads::{fleets, region_sizes};
 
 use super::resilience::Scenario;
 
-/// How the fleet churns under the run.
+/// How departures happen in a churned run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnMode {
-    /// No churn layer at all: the fixed-fleet baseline.
-    None,
+enum ChurnMode {
     /// Planned departures only (drain + frontier checkpoint).
     DrainOnly,
     /// Crash departures with no checkpoint layer: losses poison cones.
@@ -46,19 +46,16 @@ pub enum ChurnMode {
 }
 
 impl ChurnMode {
-    /// All four modes, baseline first.
-    pub const ALL: [ChurnMode; 4] = [
-        ChurnMode::None,
+    /// All three modes, in the order `sweep` runs them.
+    const ALL: [ChurnMode; 3] = [
         ChurnMode::DrainOnly,
         ChurnMode::CrashOnly,
         ChurnMode::CrashCkpt,
     ];
 
-    /// Human-readable label (used in bench ids and tables).
-    #[must_use]
-    pub fn label(self) -> &'static str {
+    /// Human-readable label (the row's `mode`).
+    fn label(self) -> &'static str {
         match self {
-            ChurnMode::None => "none",
             ChurnMode::DrainOnly => "drain-only",
             ChurnMode::CrashOnly => "crash-only",
             ChurnMode::CrashCkpt => "crash-ckpt",
@@ -66,10 +63,9 @@ impl ChurnMode {
     }
 
     /// Fraction of departures that crash (the rest drain).
-    #[must_use]
     fn crash_fraction(self) -> f64 {
         match self {
-            ChurnMode::None | ChurnMode::DrainOnly => 0.0,
+            ChurnMode::DrainOnly => 0.0,
             ChurnMode::CrashOnly | ChurnMode::CrashCkpt => 1.0,
         }
     }
@@ -124,17 +120,15 @@ impl ElasticRow {
     }
 }
 
-/// Makespan of the scenario on the fixed reference fleet — the churn
-/// horizon, so every trace's events land while the graph is in flight.
-#[must_use]
-pub fn baseline_makespan(scenario: Scenario) -> Seconds {
-    run_scenario(scenario, ChurnMode::None, 0, 42).makespan
-}
-
-/// Execute `scenario` once under `events` churn events in the given
-/// mode. Deterministic per `seed` (which seeds the trace too).
-#[must_use]
-pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u64) -> ElasticRow {
+/// Execute `scenario` once: on the fixed fleet when `churn` is `None`,
+/// else under `(mode, events, horizon)` — `events` trace events drawn
+/// over `horizon` in the given mode. Deterministic per `seed` (which
+/// seeds the trace too).
+fn run_cell(
+    scenario: Scenario,
+    churn: Option<(ChurnMode, usize, Seconds)>,
+    seed: u64,
+) -> ElasticRow {
     let fleet = fleets::reference();
     let fan = scenario.fan();
     let mut cfg = EngineConfig::new()
@@ -142,15 +136,14 @@ pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u6
         .with_policy(Policy::Performance)
         .with_seed(seed)
         .with_max_retries(scenario.max_retries);
-    if mode == ChurnMode::CrashCkpt {
-        cfg = cfg.with_resilience(
-            ResilienceConfig::new(scenario.mean_task_duration() * 64.0)
-                .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))
-                .with_max_rollbacks(10_000),
-        );
-    }
-    if mode != ChurnMode::None {
-        let horizon = baseline_makespan(scenario);
+    if let Some((mode, events, horizon)) = churn {
+        if mode == ChurnMode::CrashCkpt {
+            cfg = cfg.with_resilience(
+                ResilienceConfig::new(scenario.mean_task_duration() * 64.0)
+                    .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))
+                    .with_max_rollbacks(10_000),
+            );
+        }
         let trace = ChurnTrace::seeded(
             seed,
             fleet.len(),
@@ -164,20 +157,42 @@ pub fn run_scenario(scenario: Scenario, mode: ChurnMode, events: usize, seed: u6
     let mut rt = cfg.build().expect("valid engine config");
     let tasks = super::submit(&mut rt, &fan, seed);
     let report = run_to_quiescence(&mut rt);
-    let churn = report.churn.unwrap_or_default();
+    let stats = report.churn.unwrap_or_default();
     ElasticRow {
-        events,
-        mode: mode.label(),
+        events: churn.map_or(0, |(_, events, _)| events),
+        mode: churn.map_or("none", |(mode, ..)| mode.label()),
         tasks,
         completed: report.placements.len(),
         failed: report.failed.len(),
         makespan: report.makespan,
-        arrivals: churn.arrivals,
-        departures: churn.departures,
-        crashes: churn.crashes,
-        migrations: churn.migrations,
-        wasted: churn.wasted_work,
+        arrivals: stats.arrivals,
+        departures: stats.departures,
+        crashes: stats.crashes,
+        migrations: stats.migrations,
+        wasted: stats.wasted_work,
     }
+}
+
+/// The reference churn-rate grid: trace events over one churn-free
+/// makespan.
+const REFERENCE_RATES: [usize; 3] = [4, 8, 16];
+
+/// Run the full sweep: the churn-free run, then every rate ×
+/// {drain-only, crash-only, crash-ckpt}. The leading cell *is* the
+/// horizon — it runs once and every trace is drawn over its makespan (a
+/// run with no churn and no faults draws nothing from `seed`, so that
+/// horizon is the same at every seed).
+#[must_use]
+pub fn sweep(scenario: Scenario, seed: u64) -> Vec<ElasticRow> {
+    let baseline = run_cell(scenario, None, seed);
+    let horizon = baseline.makespan;
+    let mut rows = vec![baseline];
+    for events in REFERENCE_RATES {
+        for mode in ChurnMode::ALL {
+            rows.push(run_cell(scenario, Some((mode, events, horizon)), seed));
+        }
+    }
+    rows
 }
 
 /// Drive `run()` to quiescence, tolerating per-task churn refusals
@@ -193,24 +208,25 @@ fn run_to_quiescence(rt: &mut Runtime) -> RunReport {
     }
 }
 
-/// The reference churn-rate grid (events over one baseline makespan),
-/// with the labels the `elastic` bench records them under. The single
-/// definition of the grid — the bench iterates it, so
-/// `BENCH_elastic.json` rows can never drift from the experiment.
-#[must_use]
-pub fn reference_rates() -> Vec<(&'static str, usize)> {
-    vec![("churn_4", 4), ("churn_8", 8), ("churn_16", 16)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The reference sweep at seed 42, run once for the tests that read it.
+    fn rows() -> &'static [ElasticRow] {
+        static ROWS: OnceLock<Vec<ElasticRow>> = OnceLock::new();
+        ROWS.get_or_init(|| sweep(reference_scenario(), 42))
+    }
+
+    fn cells(mode: ChurnMode) -> impl Iterator<Item = &'static ElasticRow> {
+        rows().iter().filter(move |r| r.mode == mode.label())
+    }
 
     #[test]
     fn drain_only_wastes_nothing_at_every_rate() {
-        let s = reference_scenario();
-        for (_, events) in reference_rates() {
-            let row = run_scenario(s, ChurnMode::DrainOnly, events, 42);
+        assert_eq!(cells(ChurnMode::DrainOnly).count(), REFERENCE_RATES.len());
+        for row in cells(ChurnMode::DrainOnly) {
             assert!(row.survived(), "planned shrink lost tasks: {row:?}");
             assert_eq!(row.crashes, 0);
             assert_eq!(row.wasted, Seconds::ZERO, "drains must waste nothing");
@@ -219,11 +235,10 @@ mod tests {
 
     #[test]
     fn crash_only_loses_work_where_drain_and_checkpoint_survive() {
-        let s = reference_scenario();
-        let events = 16;
-        let crash = run_scenario(s, ChurnMode::CrashOnly, events, 42);
-        let ckpt = run_scenario(s, ChurnMode::CrashCkpt, events, 42);
-        let drain = run_scenario(s, ChurnMode::DrainOnly, events, 42);
+        let at_16 = |m| cells(m).find(|r| r.events == 16).expect("cell present");
+        let crash = at_16(ChurnMode::CrashOnly);
+        let ckpt = at_16(ChurnMode::CrashCkpt);
+        let drain = at_16(ChurnMode::DrainOnly);
         assert!(
             !crash.survived(),
             "crash-only should poison cones: {crash:?}"
@@ -235,11 +250,10 @@ mod tests {
 
     #[test]
     fn makespan_degrades_with_churn_rate() {
-        let s = reference_scenario();
-        let base = baseline_makespan(s);
+        let base = rows()[0].makespan;
+        assert_eq!(rows()[0].mode, "none", "the sweep leads with the baseline");
         let mut last = base;
-        for (_, events) in reference_rates() {
-            let row = run_scenario(s, ChurnMode::CrashCkpt, events, 42);
+        for row in cells(ChurnMode::CrashCkpt) {
             assert!(
                 row.makespan >= base,
                 "churn cannot beat the fixed fleet: {} vs {base}",

@@ -16,11 +16,11 @@
 //! * each cell records simulated makespan, total energy, and average
 //!   power from the run's [`EnergyStats`].
 //!
-//! The recorded shape (asserted in the module tests, timed by the
-//! `undervolting` criterion bench into `BENCH_undervolting.json`): for a
-//! fixed policy, stepping down the ladder never costs energy and never
-//! saves time — the cells are Pareto-ordered, so the frontier is real
-//! and a deployment can buy energy with makespan at a known rate.
+//! The shape (asserted in the module tests; every cell's joules and
+//! makespan bits pinned in `tests/experiments_goldens.rs`): for a fixed
+//! policy, stepping down the ladder never costs energy and never saves
+//! time — the cells are Pareto-ordered, so the frontier is real and a
+//! deployment can buy energy with makespan at a known rate.
 //!
 //! [`EnergyConfig`]: legato_runtime::EnergyConfig
 //! [`EnergyStats`]: legato_runtime::EnergyStats
@@ -50,10 +50,9 @@ pub struct EnergyFrontierRow {
     pub average_power: Watt,
 }
 
-/// The policy grid the frontier is traced over, with the labels the
-/// bench records them under.
+/// The policy grid the frontier is traced over, with the rows' labels.
 #[must_use]
-pub fn reference_policies() -> Vec<(&'static str, Policy)> {
+fn reference_policies() -> Vec<(&'static str, Policy)> {
     vec![
         ("performance", Policy::Performance),
         ("weighted", Policy::Weighted(0.5)),
@@ -82,17 +81,6 @@ pub fn runtime(fan: &Fan, policy: Policy, step: usize, seed: u64) -> Result<Runt
     Ok(rt)
 }
 
-/// Execute one frontier cell. This is the single definition of a cell:
-/// [`frontier`] builds its rows from it and the `undervolting` criterion
-/// bench times it, so the recorded frontier and the timed cells can
-/// never diverge.
-pub fn run_cell(fan: &Fan, policy: Policy, step: usize, seed: u64) -> legato_runtime::RunReport {
-    runtime(fan, policy, step, seed)
-        .expect("reference devices carry the default ladder")
-        .run()
-        .expect("devices present")
-}
-
 /// Trace the full frontier: every policy × every ladder rung.
 #[must_use]
 pub fn frontier(fan: &Fan, seed: u64) -> Vec<EnergyFrontierRow> {
@@ -100,7 +88,10 @@ pub fn frontier(fan: &Fan, seed: u64) -> Vec<EnergyFrontierRow> {
     let mut rows = Vec::new();
     for (label, policy) in reference_policies() {
         for step in REFERENCE_STEPS {
-            let report = run_cell(fan, policy, step, seed);
+            let report = runtime(fan, policy, step, seed)
+                .expect("reference devices carry the default ladder")
+                .run()
+                .expect("devices present");
             let stats = report.energy.expect("energy layer on");
             rows.push(EnergyFrontierRow {
                 policy: label,

@@ -10,9 +10,9 @@
 //! executor serializes behind the bulk (1.72× under the weighted
 //! trade-off policy).
 //!
-//! The `runtime_engine` criterion bench and `analyze_experiments` reach
-//! these through [`RECIPES`](super::RECIPES); `experiments::energy` runs
-//! the same fans with the energy layer on.
+//! `analyze_experiments` reaches these through
+//! [`RECIPES`](super::RECIPES); `experiments::energy` runs the same fans
+//! with the energy layer on.
 
 use legato_runtime::{Policy, Runtime};
 use legato_workloads::{fleets, Fan};

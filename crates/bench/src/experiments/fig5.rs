@@ -1,6 +1,5 @@
 //! E1/E2 — Fig. 5: FPGA undervolting characterization.
 
-use legato_core::units::Volt;
 use legato_fpga::sweep::SweepSummary;
 use legato_fpga::{undervolt_sweep, FpgaPlatform, SweepPoint, VoltageRegion};
 
@@ -50,17 +49,11 @@ pub fn series(sweep: &PlatformSweep, stride: usize) -> Vec<&SweepPoint> {
         .collect()
 }
 
-/// Check the headline claims against a sweep (used by integration tests
-/// and EXPERIMENTS.md): returns `(saving_at_crash, rate_at_crash)`.
+/// Check the headline claims against a sweep (used by the shape test
+/// DESIGN.md §3 names): returns `(saving_at_crash, rate_at_crash)`.
 #[must_use]
 pub fn headline(sweep: &PlatformSweep) -> (f64, f64) {
     (sweep.summary.saving_at_crash, sweep.summary.rate_at_crash.0)
-}
-
-/// Voltage distance between measured and calibrated `Vmin` (model sanity).
-#[must_use]
-pub fn vmin_error(sweep: &PlatformSweep) -> Volt {
-    (sweep.summary.v_min - sweep.platform.v_min).abs()
 }
 
 #[cfg(test)]
@@ -80,7 +73,9 @@ mod tests {
         assert_eq!(sweeps.len(), 4);
         for s in &sweeps {
             assert!(s.points.len() > 20, "{} too few points", s.platform.name);
-            assert!(vmin_error(s).0 <= 0.011, "{} vmin off", s.platform.name);
+            // Measured vs calibrated `Vmin` (model sanity).
+            let vmin_error = (s.summary.v_min - s.platform.v_min).abs();
+            assert!(vmin_error.0 <= 0.011, "{} vmin off", s.platform.name);
         }
     }
 

@@ -27,7 +27,7 @@ pub struct TradeoffPoint {
 /// The reference heterogeneous cluster: high-performance x86, low-power
 /// ARM, GPU and FPGA nodes (a RECS|BOX-style mix).
 #[must_use]
-pub fn reference_cluster() -> Vec<NodeSpec> {
+fn reference_cluster() -> Vec<NodeSpec> {
     let mut nodes = Vec::new();
     for i in 0..4 {
         nodes.push(NodeSpec::high_perf_x86(format!("x86-{i}")));
@@ -46,7 +46,7 @@ pub fn reference_cluster() -> Vec<NodeSpec> {
 
 /// A mixed batch of `n` tasks (compute-heavy with some inference).
 #[must_use]
-pub fn task_batch(n: usize, weight: f64, seed: u64) -> Vec<TaskRequest> {
+fn task_batch(n: usize, weight: f64, seed: u64) -> Vec<TaskRequest> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
@@ -81,7 +81,7 @@ pub fn task_batch(n: usize, weight: f64, seed: u64) -> Vec<TaskRequest> {
 /// loop — schedule pending tasks, advance to the next completion, reap,
 /// and run the rescheduling (migration) phase.
 #[must_use]
-pub fn run_weight(weight: f64, n_tasks: usize, seed: u64) -> TradeoffPoint {
+fn run_weight(weight: f64, n_tasks: usize, seed: u64) -> TradeoffPoint {
     let mut heats = Heats::new(reference_cluster(), seed);
     for t in task_batch(n_tasks, weight, seed) {
         heats.submit(t);

@@ -1,6 +1,6 @@
 //! Shared experiment implementations used by the `fig*` binaries and the
-//! Criterion benches. Every function here is deterministic given its seed
-//! arguments.
+//! tier-1 shape and golden tests. Every function here is deterministic
+//! given its seed arguments.
 //!
 //! Task graphs and fleets come from `legato-workloads`; an experiment
 //! module only pairs one with an [`EngineConfig`](legato_runtime::EngineConfig)
@@ -42,9 +42,9 @@ pub struct Recipe {
 }
 
 /// Every reference experiment graph, under the pillar configuration its
-/// sweep really runs it with. `analyze_experiments` lints each entry, the
-/// `runtime_engine` bench times the `engine/*` ones, and tier-1 builds,
-/// lints and executes them all — so a new experiment is written once.
+/// sweep really runs it with. `analyze_experiments` lints each entry and
+/// tier-1 builds, lints and executes them all — so a new experiment is
+/// written once.
 pub const RECIPES: &[Recipe] = &[
     Recipe {
         name: "engine/wide_graph_1k",

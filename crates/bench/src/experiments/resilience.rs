@@ -20,8 +20,8 @@
 //! checkpoint/restart keeps completing it — and `Async` pays visibly
 //! less makespan overhead than `Initial` for the same protection, the
 //! Fig. 6 gap surfaced at the application level. `tests/full_stack.rs`
-//! asserts both, and the `resilience` criterion bench records the rows
-//! in `BENCH_resilience.json`.
+//! asserts both, and `tests/experiments_goldens.rs` pins every cell's
+//! completed count and makespan bits.
 
 use legato_core::task::{TaskKind, Work};
 use legato_core::units::{Bytes, Seconds};
@@ -44,7 +44,7 @@ impl CkptMode {
     /// All three modes, retry-only first.
     pub const ALL: [CkptMode; 3] = [CkptMode::RetryOnly, CkptMode::Initial, CkptMode::Async];
 
-    /// Human-readable label (used in bench ids and tables).
+    /// Human-readable label (used in row ids and tables).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -107,7 +107,7 @@ impl Scenario {
 /// for tasks of mean duration `mean_task`: the exponential failure law
 /// `p = 1 − exp(−t̄ / MTBF)`.
 #[must_use]
-pub fn fault_prob_for_mtbf(mtbf: Seconds, mean_task: Seconds) -> f64 {
+fn fault_prob_for_mtbf(mtbf: Seconds, mean_task: Seconds) -> f64 {
     (1.0 - (-mean_task.0 / mtbf.0.max(1e-12)).exp()).clamp(0.0, 1.0)
 }
 
@@ -208,10 +208,8 @@ pub fn run_scenario(scenario: Scenario, mtbf: Seconds, mode: CkptMode, seed: u64
 }
 
 /// The reference MTBF grid, generous → hostile, in units of the mean
-/// task duration (`t̄ × {256, 64, 16}`), with the labels the `resilience`
-/// bench records them under. This is the single definition of the grid —
-/// the bench iterates it, so `BENCH_resilience.json` rows can never
-/// drift from the experiment.
+/// task duration (`t̄ × {256, 64, 16}`), with the labels the goldens
+/// pin them under.
 #[must_use]
 pub fn reference_mtbfs(scenario: Scenario) -> Vec<(&'static str, Seconds)> {
     let t = scenario.mean_task_duration();

@@ -25,16 +25,15 @@
 //!   end-to-end price, attestations and sealing included.
 //!
 //! Expected shape (asserted in the module tests and
-//! `tests/full_stack.rs`, recorded in `BENCH_secure.json`): overhead
-//! grows with the confidential fraction, and hardware crypto pays
-//! measurably less than software at every non-zero fraction.
+//! `tests/full_stack.rs`; every cell's overhead in ‰ and makespan bits
+//! pinned in `tests/experiments_goldens.rs`): overhead grows with the
+//! confidential fraction, and hardware crypto pays measurably less than
+//! software at every non-zero fraction.
 
 use legato_core::task::Work;
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::{DeviceSpec, TeeCapability};
-use legato_runtime::{
-    EngineConfig, Policy, RunReport, Runtime, RuntimeError, SecurityConfig, SecurityStats,
-};
+use legato_runtime::{EngineConfig, Policy, Runtime, RuntimeError, SecurityConfig, SecurityStats};
 use legato_workloads::{region_sizes, Fan};
 
 /// Which crypto class the TEE-capable devices carry.
@@ -50,7 +49,7 @@ impl CryptoClass {
     /// Both classes, software first.
     pub const ALL: [CryptoClass; 2] = [CryptoClass::Software, CryptoClass::Hardware];
 
-    /// Label used in bench ids and tables.
+    /// Label used in row ids and tables.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -172,17 +171,6 @@ pub fn runtime(
         .build()?;
     super::submit(&mut rt, &fan, seed);
     Ok(rt)
-}
-
-/// Execute one sweep cell, returning the full report: what the
-/// `secure_offload` criterion bench times, on the same [`runtime`] the
-/// [`sweep`] rows come from, so the recorded overheads and the timed
-/// cells can never diverge.
-pub fn run_cell(scenario: Scenario, percent: u32, crypto: CryptoClass, seed: u64) -> RunReport {
-    runtime(scenario, percent, crypto, seed)
-        .expect("valid engine config")
-        .run()
-        .expect("devices present")
 }
 
 /// The confidential-fraction grid the paper-shaped claim is evaluated

@@ -2,10 +2,11 @@
 //!
 //! Experiment harnesses regenerating every quantitative artefact of the
 //! LEGaTO paper. Each `fig*` binary prints the rows/series the paper
-//! reports; the Criterion benches in `benches/` measure the underlying
-//! kernels. The mapping from paper artefact to harness lives in
-//! `DESIGN.md` §3, and measured-vs-published numbers are recorded in
-//! `EXPERIMENTS.md`.
+//! reports, and the root package's `tests/experiments_{shapes,goldens}.rs`
+//! pin their shape and their simulated values. The mapping from paper
+//! artefact to harness, and which instrument owns which number, lives in
+//! `DESIGN.md` §3; the two criterion benches in `benches/` time only what
+//! no `benchmark/` workload varies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

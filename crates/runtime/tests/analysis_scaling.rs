@@ -8,8 +8,8 @@
 //! for conflict pairs that have no direct dependence edge — zero on an
 //! inference-built graph). This test pins that design point with a
 //! wall-clock ratio generous enough to be robust under CI noise; the
-//! absolute numbers live in `BENCH_runtime.json`
-//! (`runtime_engine/analyze/*`).
+//! absolute numbers are `benchmark/`'s traced `graph.build_ns_per_task`
+//! and `analyze.ns_per_task`.
 
 use legato_runtime::{EngineConfig, Policy, Runtime};
 use legato_workloads::{chains_batch, fleets};

@@ -27,6 +27,10 @@
 //!   only ever land on TEE devices, and an all-public workload on a
 //!   security-configured runtime is bit-identical to one on a runtime
 //!   that never heard of security (the layer is pay-for-what-you-use).
+//! * **Linearity in work** — a metamorphic relation with no reference
+//!   implementation behind it: on a bare engine, doubling every task's
+//!   work keeps every placement and doubles every time and joule, bit
+//!   for bit, under each policy.
 //!
 //! [`RunReport`]: legato_runtime::RunReport
 //! [`SecurityStats`]: legato_runtime::SecurityStats
@@ -328,6 +332,45 @@ proptest! {
         prop_assert_eq!(&plain_report, &configured_report);
         prop_assert_eq!(plain.rollback_trace(), configured.rollback_trace());
         prop_assert_eq!(configured_report.security, None);
+    }
+
+    /// A bare engine (no pillar, zero fault probabilities) is linear in
+    /// `Work`: doubling every task's work moves no task to another
+    /// device and doubles every start, finish and joule *exactly*, under
+    /// each policy. `DeviceSpec::time_for` is a pure roofline with no
+    /// fixed-latency term for any `TaskKind`, and a power-of-two scale
+    /// commutes with f64 rounding, so the equality is on bits. It holds
+    /// by construction — there is no second implementation to agree with.
+    #[test]
+    fn doubling_every_work_doubles_the_schedule(
+        chains in public_chains_strategy(),
+        seed in 0u64..300,
+    ) {
+        let doubled: ChainSpec = chains
+            .iter()
+            .map(|chain| chain.iter().map(|&(flops, crit, sec)| (2.0 * flops, crit, sec)).collect())
+            .collect();
+        for policy in [Policy::Performance, Policy::Energy, Policy::Edp, Policy::Weighted(0.5)] {
+            let run = |chains: &ChainSpec| {
+                let mut rt = Runtime::new(devices(), policy, seed);
+                submit_wave(&mut rt, chains);
+                rt.run().expect("devices present")
+            };
+            let (once, twice) = (run(&chains), run(&doubled));
+            // Every compared pair leads with the policy, so a failure names it.
+            let twice_of = |x: f64| (policy, (2.0 * x).to_bits());
+            let bits = |x: f64| (policy, x.to_bits());
+            prop_assert_eq!(once.placements.len(), twice.placements.len());
+            for (a, b) in once.placements.iter().zip(&twice.placements) {
+                prop_assert_eq!((policy, a.task, &a.devices), (policy, b.task, &b.devices));
+                prop_assert_eq!(twice_of(a.start.0), bits(b.start.0));
+                prop_assert_eq!(twice_of(a.finish.0), bits(b.finish.0));
+            }
+            prop_assert_eq!(twice_of(once.makespan.0), bits(twice.makespan.0));
+            prop_assert_eq!(twice_of(once.busy_energy.0), bits(twice.busy_energy.0));
+            prop_assert_eq!(twice_of(once.total_energy.0), bits(twice.total_energy.0));
+            prop_assert!(once.failed.is_empty() && twice.failed.is_empty());
+        }
     }
 }
 

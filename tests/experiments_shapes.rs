@@ -1,6 +1,6 @@
 //! Integration tests pinning the *shape* of every paper artefact: who
 //! wins, by roughly what factor, where the regions fall. These are the
-//! executable form of EXPERIMENTS.md.
+//! executable form of the experiment index in DESIGN.md §3.
 
 use legato::core::units::{Bytes, Seconds, Watt};
 use legato::fti::fti::Strategy;

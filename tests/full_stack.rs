@@ -269,7 +269,8 @@ fn checkpoint_restart_survives_mtbf_where_retry_only_fails() {
 /// reports non-zero `SecurityStats`, and hardware-assisted crypto pays
 /// a measurably lower end-to-end premium than software crypto — the
 /// paper's "energy-efficient security-by-design" lever, reproduced at
-/// the application level (`BENCH_secure.json` records the same rows).
+/// the application level (`tests/experiments_goldens.rs` pins the same
+/// rows).
 #[test]
 fn enclave_tasks_stay_on_tee_devices_and_hardware_crypto_cuts_the_premium() {
     use legato::core::requirements::SecurityLevel;
@@ -342,7 +343,7 @@ fn enclave_tasks_stay_on_tee_devices_and_hardware_crypto_cuts_the_premium() {
         Err(legato::runtime::RuntimeError::NoSecurePlacement(_))
     ));
 
-    // The BENCH_secure.json claim shape: overhead grows with the
+    // The claim's shape: overhead grows with the
     // confidential fraction, and hardware crypto is measurably cheaper
     // than software at every non-zero fraction.
     let rows = sweep(scenario, 42);
