@@ -14,7 +14,7 @@
 //!   dependence edges backwards from a poisoned task to the failed
 //!   ancestors that explain it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -169,7 +169,7 @@ struct RegionHistory {
     readers_since_write: Vec<TaskId>,
 }
 
-/// Per-region liveness counters, maintained incrementally on every task
+/// Per-slot liveness counters, maintained incrementally on every task
 /// state transition. A region is *live* — must be checkpointed at the
 /// current frontier — iff `writers_done ≥ 1` (a completed task produced
 /// it) and `readers_outstanding ≥ 1` (an unfinished task still needs it).
@@ -198,7 +198,15 @@ pub struct TaskGraph {
     states: Vec<TaskState>,
     /// Outstanding-dependence count per task (parallel to `nodes`).
     unmet: Vec<usize>,
-    regions: HashMap<RegionId, RegionHistory>,
+    /// Region interner: the dense slot each region was given when a task
+    /// first declared it. The graph's one `RegionId`-keyed table, probed
+    /// once per access at submission and never on a state transition.
+    slot_of: HashMap<RegionId, u32>,
+    /// Region of each slot (the inverse of `slot_of`), in
+    /// first-declaration order.
+    slot_region: Vec<RegionId>,
+    /// Dependence-inference history per slot.
+    history: Vec<RegionHistory>,
     edge_count: usize,
     /// Bitmap over task ids of tasks currently in
     /// [`TaskState::Completed`]. O(1) per transition — crucially,
@@ -218,13 +226,17 @@ pub struct TaskGraph {
     ready_bits: Vec<u64>,
     /// Number of set bits in `ready_bits`.
     ready_count: usize,
-    /// Per-region liveness refcounts (see [`RegionLiveness`]), updated on
+    /// Liveness refcounts per slot (see [`RegionLiveness`]), updated on
     /// every state transition.
-    liveness: HashMap<RegionId, RegionLiveness>,
-    /// Regions whose counters currently satisfy [`RegionLiveness::is_live`]
-    /// — the incremental mirror of the frontier-liveness analysis, so
-    /// checkpoint volume queries are O(live) instead of O(V + E).
-    live_set: HashSet<RegionId>,
+    liveness: Vec<RegionLiveness>,
+    /// Bitmap over slots whose counters currently satisfy
+    /// [`RegionLiveness::is_live`] — the incremental mirror of the
+    /// frontier-liveness analysis, so checkpoint volume queries are
+    /// O(regions/64 + live) instead of O(V + E). Grows a word per 64
+    /// slots at interning, never on a transition.
+    live_bits: Vec<u64>,
+    /// Number of set bits in `live_bits`.
+    live_count: usize,
     /// Flat predecessor arena (CSR): each task's predecessors occupy a
     /// contiguous [`Span`], fixed at submission time (dependences never
     /// change after inference).
@@ -235,6 +247,9 @@ pub struct TaskGraph {
     succ_arena: Vec<TaskId>,
     /// Flat `(region, mode)` declaration arena.
     access_arena: Vec<(RegionId, AccessMode)>,
+    /// Slot of each `access_arena` entry (parallel to it), so the state
+    /// transitions index the per-slot arrays instead of hashing.
+    access_slots: Vec<u32>,
     /// Reusable scratch for dependence inference (avoids a heap
     /// allocation per submitted task).
     pred_scratch: Vec<TaskId>,
@@ -251,9 +266,9 @@ impl TaskGraph {
 
     /// An empty graph pre-sized for `tasks` tasks and roughly `edges`
     /// dependence edges, so a large build never regrows its dense arrays
-    /// mid-stream. Region tables are *not* pre-sized here (see
+    /// mid-stream. Per-region tables are *not* pre-sized here (see
     /// [`TaskGraph::reserve_regions`]): region counts are usually far
-    /// below task counts, and blanket-reserving the maps for a 1M-task
+    /// below task counts, and blanket-reserving them for a 1M-task
     /// graph would waste memory.
     #[must_use]
     pub fn with_capacity(tasks: usize, edges: usize) -> Self {
@@ -278,6 +293,7 @@ impl TaskGraph {
         g.pred_arena.reserve(pred_cap);
         g.succ_arena.reserve(succ_cap);
         g.access_arena.reserve(access_cap);
+        g.access_slots.reserve(access_cap);
         g
     }
 
@@ -297,14 +313,20 @@ impl TaskGraph {
         self.pred_arena.reserve(edges);
         self.succ_arena.reserve(edges);
         self.access_arena.reserve(tasks * 2);
+        self.access_slots.reserve(tasks * 2);
     }
 
-    /// Pre-size the region-history and liveness tables for `regions`
-    /// distinct regions, so dependence inference never rehashes.
+    /// Pre-size the region interner and the per-slot history, liveness
+    /// and live-bitmap arrays for `regions` more distinct regions, so
+    /// submission never rehashes the interner or regrows a slot array.
     pub fn reserve_regions(&mut self, regions: usize) {
-        self.regions.reserve(regions);
+        let words = (self.slot_region.len() + regions).div_ceil(64);
+        self.slot_of.reserve(regions);
+        self.slot_region.reserve(regions);
+        self.history.reserve(regions);
         self.liveness.reserve(regions);
-        self.live_set.reserve(regions);
+        self.live_bits
+            .reserve(words.saturating_sub(self.live_bits.len()));
     }
 
     /// Number of tasks ever submitted.
@@ -357,19 +379,21 @@ impl TaskGraph {
     /// unfinished tasks.
     ///
     /// Maintained incrementally per state transition (O(accesses) per
-    /// transition), so iterating here is O(live) — the property the
-    /// engine's per-checkpoint volume pricing relies on. Iteration order
-    /// is unspecified; callers that need determinism must aggregate
-    /// order-independently (sums, set building).
+    /// transition, no hashing), so iterating here walks a bitmap over
+    /// regions: O(regions/64 + live) — the property the engine's
+    /// per-checkpoint volume pricing relies on. Regions come in
+    /// first-declaration order: the order in which submitted tasks first
+    /// declared them (submission order, then declaration order within a
+    /// task).
     pub fn live_regions(&self) -> impl Iterator<Item = RegionId> + '_ {
-        self.live_set.iter().copied()
+        set_bits(&self.live_bits).map(|slot| self.slot_region[slot])
     }
 
     /// Number of regions currently live at the frontier, without
     /// iterating.
     #[must_use]
     pub fn live_region_count(&self) -> usize {
-        self.live_set.len()
+        self.live_count
     }
 
     /// Submit a task with its data-access declarations, returning its id.
@@ -503,6 +527,30 @@ impl TaskGraph {
         }
     }
 
+    /// Give every access in the (collapsed) window `acc` its region's
+    /// slot in `access_slots` — the one place the graph hashes a region.
+    /// A region declared for the first time takes the next slot, which
+    /// extends every per-slot array.
+    fn intern(&mut self, acc: Span) {
+        self.access_slots.resize(self.access_arena.len(), 0);
+        for a in acc.range() {
+            let region = self.access_arena[a].0;
+            self.access_slots[a] = match self.slot_of.entry(region) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let slot = self.slot_region.len();
+                    if slot / 64 == self.live_bits.len() {
+                        self.live_bits.push(0);
+                    }
+                    self.slot_region.push(region);
+                    self.history.push(RegionHistory::default());
+                    self.liveness.push(RegionLiveness::default());
+                    *e.insert(u32::try_from(slot).expect("fewer than 2^32 regions"))
+                }
+            };
+        }
+    }
+
     /// Shared tail of task submission: predecessors either inferred from
     /// the access declarations (`explicit == None`) or taken verbatim
     /// from the caller (`Some`, already validated, sorted and deduped).
@@ -513,6 +561,7 @@ impl TaskGraph {
         explicit: Option<&[TaskId]>,
     ) -> TaskId {
         let id = TaskId(self.nodes.len() as u64);
+        self.intern(acc);
 
         let mut preds = std::mem::take(&mut self.pred_scratch);
         preds.clear();
@@ -520,8 +569,8 @@ impl TaskGraph {
             preds.extend_from_slice(deps);
         } else {
             for a in acc.range() {
-                let (region, mode) = self.access_arena[a];
-                let hist = self.regions.entry(region).or_default();
+                let mode = self.access_arena[a].1;
+                let hist = &self.history[self.access_slots[a] as usize];
                 if mode.reads() {
                     if let Some(w) = hist.last_writer {
                         preds.push(w);
@@ -567,8 +616,8 @@ impl TaskGraph {
 
         // Update region histories *after* computing dependences.
         for a in acc.range() {
-            let (region, mode) = self.access_arena[a];
-            let hist = self.regions.entry(region).or_default();
+            let mode = self.access_arena[a].1;
+            let hist = &mut self.history[self.access_slots[a] as usize];
             if mode.writes() {
                 hist.last_writer = Some(id);
                 hist.readers_since_write.clear();
@@ -579,9 +628,8 @@ impl TaskGraph {
         }
         // The new task is pending or ready: its reads are outstanding.
         for a in acc.range() {
-            let (region, mode) = self.access_arena[a];
-            if mode.reads() {
-                self.update_liveness(region, |l| l.readers_outstanding += 1);
+            if self.access_arena[a].1.reads() {
+                self.update_liveness(self.access_slots[a], |l| l.readers_outstanding += 1);
             }
         }
 
@@ -815,8 +863,8 @@ impl TaskGraph {
         // The task's reads are settled; its writes are now produced by a
         // completed task. Both can flip region liveness.
         for a in self.nodes[id.index()].accesses.range() {
-            let (region, mode) = self.access_arena[a];
-            self.update_liveness(region, |l| {
+            let mode = self.access_arena[a].1;
+            self.update_liveness(self.access_slots[a], |l| {
                 if mode.reads() {
                     l.readers_outstanding -= 1;
                 }
@@ -882,27 +930,27 @@ impl TaskGraph {
     /// outstanding.
     fn retire_reads(&mut self, id: TaskId) {
         for a in self.nodes[id.index()].accesses.range() {
-            let (region, mode) = self.access_arena[a];
-            if mode.reads() {
-                self.update_liveness(region, |l| l.readers_outstanding -= 1);
+            if self.access_arena[a].1.reads() {
+                self.update_liveness(self.access_slots[a], |l| l.readers_outstanding -= 1);
             }
         }
     }
 
-    /// Apply `mutate` to a region's liveness counters and maintain the
-    /// live set on liveness *transitions* only — one hash lookup per
-    /// access in steady state (a region goes live once and dies once, so
-    /// the set update is amortized away on the completion hot path).
-    fn update_liveness(&mut self, region: RegionId, mutate: impl FnOnce(&mut RegionLiveness)) {
-        let counters = self.liveness.entry(region).or_default();
+    /// Apply `mutate` to a slot's liveness counters and flip its live
+    /// bit on liveness *transitions* — two indexed loads and no hashing
+    /// per access, and no allocation: the bitmap grew when the slot was
+    /// interned.
+    fn update_liveness(&mut self, slot: u32, mutate: impl FnOnce(&mut RegionLiveness)) {
+        let slot = slot as usize;
+        let counters = &mut self.liveness[slot];
         let was_live = counters.is_live();
         mutate(counters);
-        let is_live = counters.is_live();
-        if was_live != is_live {
-            if is_live {
-                self.live_set.insert(region);
+        if counters.is_live() != was_live {
+            self.live_bits[slot / 64] ^= 1 << (slot % 64);
+            if was_live {
+                self.live_count -= 1;
             } else {
-                self.live_set.remove(&region);
+                self.live_count += 1;
             }
         }
     }
@@ -1063,8 +1111,8 @@ impl TaskGraph {
     fn shift_liveness(&mut self, id: TaskId, readers: isize, writers: isize) {
         const MIRROR: &str = "liveness counters mirror task states";
         for a in self.nodes[id.index()].accesses.range() {
-            let (region, mode) = self.access_arena[a];
-            self.update_liveness(region, |l| {
+            let mode = self.access_arena[a].1;
+            self.update_liveness(self.access_slots[a], |l| {
                 if mode.reads() {
                     l.readers_outstanding = l
                         .readers_outstanding
@@ -1331,15 +1379,22 @@ impl TaskGraph {
 /// number of set bits, used to pre-size the output).
 fn collect_bits(words: &[u64], count: usize) -> Vec<TaskId> {
     let mut out = Vec::with_capacity(count);
-    for (w, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as u64;
-            out.push(TaskId((w as u64) * 64 + b));
-            bits &= bits - 1;
-        }
-    }
+    out.extend(set_bits(words).map(|i| TaskId(i as u64)));
     out
+}
+
+/// Indices of the set bits of a word-packed bitmap, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// Bulk construction of a [`TaskGraph`].
@@ -1407,7 +1462,7 @@ impl GraphBuilder {
     }
 
     /// Hint the number of distinct regions the graph will touch, so the
-    /// dependence-inference hash tables are sized once up front.
+    /// region interner and the per-slot arrays are sized once up front.
     #[must_use]
     pub fn with_region_capacity(mut self, regions: usize) -> Self {
         self.region_capacity = regions;
@@ -1547,6 +1602,8 @@ mod rollback_oracle;
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::task::TaskDescriptor;
 

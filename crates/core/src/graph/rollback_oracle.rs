@@ -1,8 +1,8 @@
 //! Differential rollback ≡ from-scratch rollback.
 //!
 //! [`rebuild`] is the whole-graph rollback `TaskGraph::rollback` used to
-//! be — clear every state, count, bitmap and liveness counter, then
-//! recompute all of them from the kept set — kept here as the reference
+//! be — clear every state, count, bitmap and per-slot liveness counter,
+//! then recompute all of them from the kept set — kept here as the reference
 //! the differential [`TaskGraph::rollback_to`] is compared against.
 
 use std::collections::HashSet;
@@ -30,8 +30,9 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
     g.ready_count = 0;
     g.completed_bits.iter_mut().for_each(|w| *w = 0);
     g.completed_count = 0;
-    g.liveness.clear();
-    g.live_set.clear();
+    g.liveness.fill(RegionLiveness::default());
+    g.live_bits.fill(0);
+    g.live_count = 0;
     let mut ready = Vec::new();
     for i in 0..g.nodes.len() {
         let id = TaskId(i as u64);
@@ -51,8 +52,9 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
         }
     }
     for (node, &completed) in g.nodes.iter().zip(&keep) {
-        for &(region, mode) in &g.access_arena[node.accesses.range()] {
-            let live = g.liveness.entry(region).or_default();
+        for a in node.accesses.range() {
+            let mode = g.access_arena[a].1;
+            let live = &mut g.liveness[g.access_slots[a] as usize];
             if completed && mode.writes() {
                 live.writers_done += 1;
             }
@@ -61,13 +63,12 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
             }
         }
     }
-    let live_now: Vec<RegionId> = g
-        .liveness
-        .iter()
-        .filter(|(_, l)| l.is_live())
-        .map(|(&r, _)| r)
-        .collect();
-    g.live_set.extend(live_now);
+    for (slot, l) in g.liveness.iter().enumerate() {
+        if l.is_live() {
+            g.live_bits[slot / 64] |= 1 << (slot % 64);
+            g.live_count += 1;
+        }
+    }
     Ok(ready)
 }
 
@@ -81,7 +82,7 @@ struct Observed {
     ready: Vec<TaskId>,
     completed: Vec<TaskId>,
     counts: (usize, usize, usize),
-    live: HashSet<RegionId>,
+    live: Vec<RegionId>,
 }
 
 fn observe(g: &TaskGraph) -> Observed {

@@ -2,11 +2,14 @@
 //!
 //! These encode the contracts every downstream crate relies on: the graph is
 //! acyclic, dependences only point backwards in submission order, executing
-//! in ready order always drains the graph, and RAW serialization holds for
-//! every region.
+//! in ready order always drains the graph, RAW serialization holds for
+//! every region, and the incremental live-region view matches a
+//! from-scratch recomputation through any lifetime.
 
-use legato_core::graph::{TaskGraph, TaskState};
-use legato_core::task::{AccessMode, TaskDescriptor, TaskId};
+use std::collections::HashSet;
+
+use legato_core::graph::{Frontier, GraphBuilder, TaskGraph, TaskState};
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
 use proptest::prelude::*;
 
 /// A random access declaration: small region space to force conflicts.
@@ -149,6 +152,155 @@ proptest! {
             prop_assert!(g.predecessors(w[1]).unwrap().contains(&w[0]));
         }
     }
+
+    /// Through any interleaving of submissions (inferred, explicit,
+    /// bulk-appended, with duplicate declarations), completions,
+    /// failures and rollbacks, `live_regions()` is exactly the regions a
+    /// from-scratch pass finds live, in first-declaration order, and
+    /// `live_region_count()` is its length.
+    #[test]
+    fn live_regions_match_a_naive_recompute(
+        initial in graph_strategy(),
+        ops in prop::collection::vec(op_strategy(), 0..60),
+    ) {
+        let mut g = build(&initial);
+        let mut snapshot = g.frontier();
+        for op in &ops {
+            apply(&mut g, op, &mut snapshot);
+            let (got, want) = (g.live_regions().collect::<Vec<_>>(), naive_live(&g));
+            prop_assert!(got == want, "after {op:?}: live {got:?}, naive {want:?}");
+            prop_assert_eq!(g.live_region_count(), want.len());
+        }
+    }
+}
+
+/// One step of a graph's lifetime; indices pick among the tasks a step
+/// applies to.
+#[derive(Debug, Clone)]
+enum Op {
+    Submit(Vec<(u64, AccessMode)>),
+    /// Explicit predecessors instead of inferred ones.
+    SubmitWithDeps(Vec<(u64, AccessMode)>, Vec<usize>),
+    /// Every declaration twice, the copy with a rotated mode.
+    SubmitDuplicated(Vec<(u64, AccessMode)>),
+    /// Bulk-append through `GraphBuilder::build_into`.
+    Build(Vec<Vec<(u64, AccessMode)>>),
+    Complete(usize),
+    Fail(usize),
+    Snapshot,
+    /// Back to the last snapshot.
+    Rollback,
+    /// To these tasks as listed: often not closed, hence refused.
+    RollbackRaw(Vec<usize>),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let picks = || prop::collection::vec(0usize..64, 0..6);
+    prop_oneof![
+        accesses_strategy().prop_map(Op::Submit),
+        (accesses_strategy(), picks()).prop_map(|(a, d)| Op::SubmitWithDeps(a, d)),
+        accesses_strategy().prop_map(Op::SubmitDuplicated),
+        prop::collection::vec(accesses_strategy(), 0..6).prop_map(Op::Build),
+        (0usize..64).prop_map(Op::Complete),
+        (0usize..64).prop_map(Op::Complete),
+        (0usize..64).prop_map(Op::Complete),
+        (0usize..64).prop_map(Op::Fail),
+        Just(Op::Snapshot),
+        Just(Op::Rollback),
+        picks().prop_map(Op::RollbackRaw),
+    ]
+}
+
+fn in_state(g: &TaskGraph, wanted: &[TaskState]) -> Vec<TaskId> {
+    (0..g.len() as u64)
+        .map(TaskId)
+        .filter(|&id| wanted.contains(&g.state(id).unwrap()))
+        .collect()
+}
+
+fn apply(g: &mut TaskGraph, op: &Op, snapshot: &mut Frontier) {
+    use TaskState::{Pending, Ready, Running};
+    let task = || TaskDescriptor::named("t");
+    let pick = |from: Vec<TaskId>, i: usize| (!from.is_empty()).then(|| from[i % from.len()]);
+    match op {
+        Op::Submit(acc) => {
+            g.add_task(task(), acc.iter().copied());
+        }
+        Op::SubmitWithDeps(acc, picks) => {
+            let deps: Vec<TaskId> = picks
+                .iter()
+                .map(|&p| TaskId((p % g.len()) as u64))
+                .collect();
+            g.add_task_with_deps(task(), acc.iter().copied(), &deps)
+                .unwrap();
+        }
+        Op::SubmitDuplicated(acc) => {
+            let rotate = |m| match m {
+                AccessMode::In => AccessMode::Out,
+                AccessMode::Out => AccessMode::InOut,
+                AccessMode::InOut => AccessMode::In,
+            };
+            let copy = acc.iter().rev().map(|&(r, m)| (r, rotate(m)));
+            g.add_task(task(), acc.iter().copied().chain(copy));
+        }
+        Op::Build(tasks) => {
+            let mut b = GraphBuilder::new();
+            for acc in tasks {
+                b.task(task(), acc.iter().copied());
+            }
+            b.build_into(g);
+        }
+        Op::Complete(i) => {
+            if let Some(id) = pick(in_state(g, &[Ready, Running]), *i) {
+                g.complete(id).unwrap();
+            }
+        }
+        Op::Fail(i) => {
+            if let Some(id) = pick(in_state(g, &[Pending, Ready, Running]), *i) {
+                g.fail(id).unwrap();
+            }
+        }
+        Op::Snapshot => *snapshot = g.frontier(),
+        Op::Rollback => {
+            // Refused when an explicit task completed past a failed
+            // dependence: the frontier is then not closed.
+            let _ = g.rollback_to(snapshot);
+        }
+        Op::RollbackRaw(picks) => {
+            let listed: Vec<TaskId> = picks
+                .iter()
+                .map(|&p| TaskId((p % g.len()) as u64))
+                .collect();
+            let _ = g.rollback(&listed);
+        }
+    }
+}
+
+/// The live regions by definition — written by a completed task and read
+/// by a pending, ready or running one — in the order tasks first declared
+/// them.
+fn naive_live(g: &TaskGraph) -> Vec<RegionId> {
+    let mut order = Vec::new();
+    let (mut written, mut read) = (HashSet::new(), HashSet::new());
+    for i in 0..g.len() as u64 {
+        let state = g.state(TaskId(i)).unwrap();
+        for &(r, m) in g.accesses(TaskId(i)).unwrap() {
+            if !order.contains(&r) {
+                order.push(r);
+            }
+            match state {
+                TaskState::Completed if m.writes() => {
+                    written.insert(r);
+                }
+                TaskState::Pending | TaskState::Ready | TaskState::Running if m.reads() => {
+                    read.insert(r);
+                }
+                _ => {}
+            }
+        }
+    }
+    order.retain(|r| written.contains(r) && read.contains(r));
+    order
 }
 
 fn reachable_set(g: &TaskGraph, from: TaskId) -> std::collections::HashSet<TaskId> {

@@ -34,24 +34,24 @@ pub enum Verdict {
     /// single corrupted replica yields a *silently wrong* accept — the
     /// cost of not replicating.
     Accept(ReplicaResult),
-    /// Replicas disagree with no majority: a fault was *detected* but
-    /// cannot be masked; the task must re-execute.
+    /// Replicas disagree with no majority, or none produced a value: a
+    /// fault was *detected* but cannot be masked; the task must
+    /// re-execute.
     Retry,
     /// A strict majority agrees: the fault is *masked* and the majority
     /// value accepted.
     Masked(ReplicaResult),
 }
 
-/// Compare replica results and issue a verdict.
-///
-/// # Panics
-///
-/// Panics on an empty result slice.
+/// Compare replica results and issue a verdict. No result at all is a
+/// [`Verdict::Retry`]: no replica produced a value, so the task must
+/// re-execute.
 #[must_use]
 pub fn vote(results: &[ReplicaResult]) -> Verdict {
-    assert!(!results.is_empty(), "vote requires at least one replica");
-    if results.len() == 1 {
-        return Verdict::Accept(results[0]);
+    match results {
+        [] => return Verdict::Retry,
+        [only] => return Verdict::Accept(*only),
+        _ => {}
     }
     // Count agreement classes in place — this runs once per finish event
     // on the engine's hot path, and replica sets are tiny (≤ 3), so the
@@ -166,9 +166,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one replica")]
-    fn empty_vote_panics() {
-        let _ = vote(&[]);
+    fn empty_vote_retries() {
+        assert_eq!(vote(&[]), Verdict::Retry);
     }
 
     #[test]
