@@ -33,9 +33,10 @@
 //! * **placement feasibility** ([`LintId::PlacementFeasibility`]) —
 //!   enclave-only tasks against the TEE-capable fleet (predicting
 //!   [`RuntimeError::NoSecurePlacement`] at build time), per-task memory
-//!   footprint against every eligible device's capacity, replica demand
-//!   against the TEE pool, and Pareto objectives whose bound or cap is
-//!   infeasible on the specs the engine will actually schedule against
+//!   footprint against every eligible device's capacity (a warning only:
+//!   the engine does not model capacity), replica demand against the TEE
+//!   pool, and Pareto objectives whose bound or cap is infeasible on the
+//!   eligible devices' specs as the engine will schedule against them
 //!   (predicting bound/cap relaxations).
 //! * **checkpoint closure** ([`LintId::CheckpointClosure`]) — the engine
 //!   checkpoints the *completed frontier*, which is closed under
@@ -535,6 +536,7 @@ fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
         .filter(|(_, d)| d.spec.tee.has_enclave())
         .map(|(i, _)| i)
         .collect();
+    let all: Vec<usize> = (0..cx.devices.len()).collect();
     // Fleet-level facts, hoisted out of the task loop.
     let cap_ok = match cx.objective {
         Some(EnergyObjective::MinMakespanUnderPowerCap(cap)) => {
@@ -561,10 +563,11 @@ fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
         let t = TaskId(i as u64);
         let d = g.descriptor(t).expect("id in range");
         let req = d.requirements;
-        let eligible: &[usize] = if req.security.requires_enclave() {
-            &tee
+        // The devices the engine may place this task on.
+        let (eligible, which): (&[usize], &str) = if req.security.requires_enclave() {
+            (&tee, "TEE-capable ")
         } else {
-            &[]
+            (&all, "")
         };
         if req.security.requires_enclave() {
             if tee.is_empty() {
@@ -587,41 +590,34 @@ fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
                 });
             }
         }
-        // Memory footprint vs every eligible device.
+        // Memory footprint vs every eligible device. A warning: the
+        // engine has no capacity dimension (DESIGN.md §6) and runs the
+        // task anyway, so refusing the graph would refuse a runnable run.
         let footprint = d.work.bytes;
-        let fits = if req.security.requires_enclave() {
-            eligible
-                .iter()
-                .any(|&i| cx.devices[i].spec.mem_capacity >= footprint)
-        } else {
-            cx.devices.iter().any(|d| d.spec.mem_capacity >= footprint)
-        };
-        if !fits && !cx.devices.is_empty() {
+        let fits = eligible
+            .iter()
+            .any(|&i| cx.devices[i].spec.mem_capacity >= footprint);
+        if !fits && !eligible.is_empty() {
             out.push(Diagnostic {
                 lint: LintId::PlacementFeasibility,
-                severity: Severity::Error,
+                severity: Severity::Warn,
                 tasks: vec![t],
                 regions: Vec::new(),
                 path: Vec::new(),
                 message: format!(
                     "{t}'s declared footprint ({footprint}) exceeds the memory \
-                     capacity of every {}device",
-                    if req.security.requires_enclave() {
-                        "TEE-capable "
-                    } else {
-                        ""
-                    }
+                     capacity of every {which}device; the engine does not model \
+                     capacity and will run it anyway"
                 ),
             });
         }
-        // Makespan bound vs the fastest device the engine will
-        // actually use (specs are already derated to the selected
+        // Makespan bound vs the fastest device the engine may place
+        // this task on (specs are already derated to the selected
         // operating point, so this predicts real relaxations).
         if let Some(EnergyObjective::MinEnergyWithinMakespan(bound)) = cx.objective {
-            let fastest = cx
-                .devices
+            let fastest = eligible
                 .iter()
-                .map(|dev| dev.spec.time_for(d.work, d.kind))
+                .map(|&i| cx.devices[i].spec.time_for(d.work, d.kind))
                 .fold(f64::INFINITY, |acc, s| acc.min(s.0));
             if fastest.is_finite() && fastest > bound.0 {
                 out.push(Diagnostic {
@@ -631,7 +627,7 @@ fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
                     regions: Vec::new(),
                     path: Vec::new(),
                     message: format!(
-                        "{t} needs at least {fastest:.3}s on the fastest device, \
+                        "{t} needs at least {fastest:.3}s on the fastest {which}device, \
                          over the {bound} makespan bound; the bound will be relaxed"
                     ),
                 });
@@ -1006,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_oversized_footprint_is_an_error() {
+    fn feasibility_oversized_footprint_warns() {
         let mut g = TaskGraph::new();
         g.add_task(
             desc("huge").with_work(Work::bytes(Bytes::gib(1024))),
@@ -1018,8 +1014,10 @@ mod tests {
         );
         let feas = only(&report, LintId::PlacementFeasibility);
         assert_eq!(feas.len(), 1, "{report}");
-        assert_eq!(feas[0].severity, Severity::Error);
+        assert_eq!(feas[0].severity, Severity::Warn);
         assert!(feas[0].message.contains("exceeds"), "{}", feas[0]);
+        assert!(feas[0].message.contains("does not model"), "{}", feas[0]);
+        assert!(!report.has_errors(), "{report}");
     }
 
     #[test]
@@ -1076,6 +1074,48 @@ mod tests {
         assert_eq!(feas.len(), 1, "{report}");
         assert_eq!(feas[0].severity, Severity::Warn);
         assert!(feas[0].message.contains("bound"), "{}", feas[0]);
+    }
+
+    #[test]
+    fn feasibility_bound_for_an_enclave_task_uses_the_fastest_tee_device() {
+        // The GPU is the fleet's fastest device but has no TEE; the bound
+        // sits between its time and the x86's, so only a task the GPU may
+        // run meets it.
+        let work = Work::flops(1.0e12);
+        let (gpu, x86) = (DeviceSpec::gtx1080(), DeviceSpec::xeon_x86());
+        let kind = desc("probe").kind;
+        let (fast, tee) = (gpu.time_for(work, kind), x86.time_for(work, kind));
+        assert!(fast < tee && !gpu.tee.has_enclave() && x86.tee.has_enclave());
+        let bound = Seconds((fast.0 + tee.0) / 2.0);
+        let devices = fleet(vec![gpu, x86]);
+        let verdict = |level: SecurityLevel| {
+            let mut g = TaskGraph::new();
+            g.add_task(
+                secure("t", level).with_work(work),
+                [(0u64, AccessMode::Out)],
+            );
+            let cx = AnalysisContext {
+                graph: &g,
+                devices: &devices,
+                objective: Some(EnergyObjective::MinEnergyWithinMakespan(bound)),
+                resilience: None,
+            };
+            run_lints(&cx, &AnalysisConfig::new())
+        };
+        let public = verdict(SecurityLevel::Public);
+        assert!(
+            only(&public, LintId::PlacementFeasibility).is_empty(),
+            "{public}"
+        );
+        let enclave = verdict(SecurityLevel::Enclave);
+        let feas = only(&enclave, LintId::PlacementFeasibility);
+        assert_eq!(feas.len(), 1, "{enclave}");
+        assert_eq!(feas[0].severity, Severity::Warn);
+        assert!(
+            feas[0].message.contains("fastest TEE-capable device"),
+            "{}",
+            feas[0]
+        );
     }
 
     #[test]

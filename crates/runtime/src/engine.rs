@@ -238,8 +238,9 @@ pub(crate) struct EngineState {
 /// between events; only the capacity is carried.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Placement estimates, sized to the fleet; the flat scan fills a
-    /// prefix, one per candidate (`start_attempt`).
+    /// Placement estimates, sized to the fleet; the flat scan's
+    /// `Weighted` pass fills a prefix, one per candidate
+    /// (`start_attempt`). Every other selection keeps its top-k inline.
     estimates: Vec<Estimate>,
     /// Candidate device index behind each estimate (security-restricted
     /// tasks skip ineligible devices, so positions ≠ device indices).
@@ -968,10 +969,12 @@ impl Runtime {
     /// them alike.
     ///
     /// This is the allocation-free half of the hot path: the roofline
-    /// runs once per spec class, placement estimates go into a
-    /// per-runtime scratch buffer, and device selection is the O(D·k)
-    /// repeated minimum into an inline array — no ranking vector, no
-    /// sort. Confidential tasks (and tasks reading sealed regions) first
+    /// runs once per spec class, and the flat scan selects in the same
+    /// O(D) pass that prices, keeping the ≤ 3 best plans in an inline
+    /// accumulator — no ranking vector, no sort, no second walk. Only
+    /// `Weighted`, whose min-max norm needs every candidate first, writes
+    /// its estimates into a per-runtime scratch buffer and selects from
+    /// it afterwards. Confidential tasks (and tasks reading sealed regions) first
     /// build a per-class security plan whose costs are folded into the
     /// estimates, so the policy ranks TEE and crypto capability like any
     /// other dimension.

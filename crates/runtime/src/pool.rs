@@ -70,7 +70,7 @@ use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
 use crate::regions::RegionTable;
 use crate::replication::MAX_REPLICAS;
-use crate::scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
+use crate::scheduler::{Estimate, Plan, Policy, Scheduler, ScoreNorm, TopK};
 
 /// How the device fleet is partitioned into pools.
 ///
@@ -344,7 +344,7 @@ impl DevicePools {
         classes: &SpecClasses,
         ready_at: Seconds,
         extras: Option<&[Seconds]>,
-        out: &mut [(usize, Seconds, Seconds)],
+        out: &mut [Plan],
     ) -> (usize, u64) {
         let want = out.len().min(devices.len()).min(MAX_REPLICAS);
         if want == 0 {
@@ -424,18 +424,17 @@ impl DevicePools {
             }
         }
 
-        // Top-k kept sorted by (score, device index) — the lexicographic
-        // order the flat repeated-minimum selection produces.
-        let mut scores = [f64::INFINITY; MAX_REPLICAS];
-        let mut best = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let mut filled = 0usize;
+        // Top-k by (score, device index) — the order the flat scan's
+        // selection produces; shards arrive out of index order, which
+        // the accumulator's index tie-break absorbs.
+        let mut best = TopK::new(want);
         let mut evaluated = 0u64;
         for s in std::iter::once(seed).chain((0..n).filter(|&s| s != seed)) {
             // Strict inequality: a shard whose bound *ties* the k-th
             // score may still hold the tie-break winner, so it is
             // evaluated; only strictly-worse shards are pruned, which
             // is what makes the selection exact.
-            if filled == want && self.lbs[s] > scores[want - 1] {
+            if best.bar().is_some_and(|bar| self.lbs[s] > bar) {
                 continue;
             }
             let (dur, energy) = shared(s);
@@ -444,31 +443,10 @@ impl DevicePools {
                 let start = ready_at.max(devices[d].busy_until());
                 let score = policy.score(&Estimate::new(start + dur, energy), &norm);
                 evaluated += 1;
-                let mut pos = filled.min(want);
-                while pos > 0 {
-                    let ps = scores[pos - 1];
-                    let pd = best[pos - 1].0;
-                    if score < ps || (score == ps && d < pd) {
-                        pos -= 1;
-                    } else {
-                        break;
-                    }
-                }
-                if pos >= want {
-                    continue;
-                }
-                let end = if filled < want { filled } else { want - 1 };
-                for j in (pos..end).rev() {
-                    scores[j + 1] = scores[j];
-                    best[j + 1] = best[j];
-                }
-                scores[pos] = score;
-                best[pos] = (d, start, dur);
-                filled = (filled + 1).min(want);
+                best.offer(score, (d, start, dur));
             }
         }
-        out[..filled].copy_from_slice(&best[..filled]);
-        (filled, evaluated)
+        (best.write(out), evaluated)
     }
 }
 

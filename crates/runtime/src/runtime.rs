@@ -304,7 +304,10 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range or `p` not in `[0, 1]`.
+    /// Panics if `idx` is out of range or `p` not in `[0, 1]`. This one
+    /// still panics rather than returning a [`RuntimeError`] because the
+    /// benchmark package calls it as is; it moves to `Result` together
+    /// with those callers.
     pub fn set_fault_prob(&mut self, idx: usize, p: f64) {
         assert!(idx < self.devices.len(), "device {idx} out of range");
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");

@@ -22,12 +22,13 @@
 //!   HEATS' node placement and migration phases.
 
 use legato_core::task::{TaskKind, Work};
-use legato_core::units::{Joule, Seconds};
+use legato_core::units::{Joule, Seconds, Watt};
 use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
 use crate::classes::SpecClasses;
 use crate::error::RuntimeError;
+use crate::replication::MAX_REPLICAS;
 
 /// Predicted cost of running a task on one candidate execution site.
 ///
@@ -168,13 +169,11 @@ pub trait Scheduler {
     /// `out.len()` best candidates, best first, and return how many were
     /// filled (`min(out.len(), estimates.len())`).
     ///
-    /// This is the replicated-placement fast path: choosing `k` devices
-    /// out of `D` candidates costs O(D·k) comparisons and no allocation,
-    /// and `k` is bounded by the replica cap (≤ 3). The result is the
-    /// first `k` entries of a stable sort by score: repeated minimum
-    /// selection with strict `<` picks the earliest index among score
-    /// ties.
-    #[inline] // into `plan_k_devices`, where `k` and the policy are known
+    /// Choosing `k` candidates out of `D` costs O(D·k) comparisons and no
+    /// allocation. The result is the first `k` entries of a stable sort
+    /// by score: repeated minimum selection with strict `<` picks the
+    /// earliest index among score ties.
+    #[inline]
     fn select_k(&self, estimates: &[Estimate], out: &mut [usize]) -> usize {
         let norm = if self.needs_norm() {
             ScoreNorm::from_estimates(estimates)
@@ -211,10 +210,11 @@ pub trait Scheduler {
 /// Repeated-minimum top-k over `items`: position `c` competes with the
 /// key `key(c, &items[c])`, or not at all when that is `None`; lowest key
 /// first, ties toward the earliest position (strict `<`). Fills `out` best
-/// first and returns how many slots were filled. The one selection loop of
-/// the crate — [`Scheduler::place`], [`Scheduler::select_k`],
-/// [`Scheduler::migrate`] and the Pareto objectives all pick through it,
-/// so constrained and unconstrained selections are directly comparable.
+/// first and returns how many slots were filled. [`Scheduler::place`],
+/// [`Scheduler::select_k`] and [`Scheduler::migrate`] pick through it,
+/// and so does the engine's `Weighted` placement, whose min-max norm needs
+/// every candidate before the first can be scored. Every other engine
+/// placement selects with [`TopK`], in the pass that prices.
 #[inline] // each caller's key folds into the loop
 fn pick_k_by<T>(items: &[T], key: impl Fn(usize, &T) -> Option<f64>, out: &mut [usize]) -> usize {
     let mut filled = 0;
@@ -234,6 +234,76 @@ fn pick_k_by<T>(items: &[T], key: impl Fn(usize, &T) -> Option<f64>, out: &mut [
         filled += 1;
     }
     filled
+}
+
+/// One placement: `(device index, start, duration)`.
+pub(crate) type Plan = (usize, Seconds, Seconds);
+
+/// The best `want` ≤ [`MAX_REPLICAS`] plans offered so far, kept sorted
+/// by `(key, device index)`: lowest key first, ties to the lowest device.
+/// That is the first `want` entries of a stable sort by key over an
+/// index-ordered candidate list — exactly what [`pick_k_by`] selects —
+/// but built in one pass: a candidate that cannot enter costs one
+/// comparison against the worst plan held. The flat scan offers every
+/// candidate as it prices it; the pooled search offers the members of
+/// the shards it does not prune, in any order.
+#[derive(Debug)]
+pub(crate) struct TopK {
+    keys: [f64; MAX_REPLICAS],
+    plans: [Plan; MAX_REPLICAS],
+    want: usize,
+    len: usize,
+}
+
+impl TopK {
+    /// An empty accumulator that will keep `want` plans (capped at the
+    /// replica limit).
+    pub(crate) fn new(want: usize) -> Self {
+        TopK {
+            keys: [0.0; MAX_REPLICAS],
+            plans: [(0, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS],
+            want: want.min(MAX_REPLICAS),
+            len: 0,
+        }
+    }
+
+    /// The key a candidate must beat once `want` plans are held (`None`
+    /// until then): the pooled search prunes a shard whose bound is
+    /// strictly above it.
+    pub(crate) fn bar(&self) -> Option<f64> {
+        (self.len == self.want && self.len > 0).then(|| self.keys[self.len - 1])
+    }
+
+    /// Offer one candidate plan under `key` (lower is better).
+    #[inline(always)]
+    pub(crate) fn offer(&mut self, key: f64, plan: Plan) {
+        let mut pos = self.len;
+        while pos > 0 {
+            let held = self.keys[pos - 1];
+            if key < held || (key == held && plan.0 < self.plans[pos - 1].0) {
+                pos -= 1;
+            } else {
+                break;
+            }
+        }
+        if pos >= self.want {
+            return;
+        }
+        let last = self.len.min(self.want - 1);
+        for j in (pos..last).rev() {
+            self.keys[j + 1] = self.keys[j];
+            self.plans[j + 1] = self.plans[j];
+        }
+        self.keys[pos] = key;
+        self.plans[pos] = plan;
+        self.len = (self.len + 1).min(self.want);
+    }
+
+    /// Copy the held plans into `out`, best first; returns how many.
+    pub(crate) fn write(&self, out: &mut [Plan]) -> usize {
+        out[..self.len].copy_from_slice(&self.plans[..self.len]);
+        self.len
+    }
 }
 
 fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
@@ -304,13 +374,18 @@ impl Policy {
     /// *class* when the engine priced the task
     /// ([`SpecClasses::price`](crate::classes::SpecClasses::price)). What
     /// is left per candidate is `start = ready.max(busy_until)`, `finish =
-    /// start + dur[class] + extra` and `energy = power[class] · dur`,
-    /// written into pre-sized scratch, with the [`ScoreNorm`] bounds a
-    /// scale-dependent policy needs folded into the same pass (f64
-    /// min/max folds are order-independent). The `(start, duration)`
-    /// plans of the ≤ 3 chosen devices are recomputed from the same
-    /// arithmetic and handed back so the caller can commit them with
-    /// [`Device::execute_planned`].
+    /// start + dur[class] + extra` and `energy = power[class] · dur`.
+    ///
+    /// Selection happens in the same O(D) pass: each candidate is scored
+    /// and offered to a [`TopK`] of ≤ 3 plans, which keeps exactly the
+    /// prefix of the stable sort by score that the O(D·k) repeated
+    /// minimum would pick. `Weighted` is the one exception. Its min-max
+    /// norm needs every candidate first, so its pass writes estimates
+    /// into pre-sized scratch and folds the [`ScoreNorm`] bounds (f64
+    /// min/max folds are order-independent), and the repeated minimum
+    /// selects from the scratch afterwards. Either way the chosen
+    /// devices' `(start, duration)` plans come back for the caller to
+    /// commit with [`Device::execute_planned`].
     ///
     /// `avail` carries the churn layer's availability mask when the
     /// fleet is malleable: a departed or draining device is excluded
@@ -336,10 +411,23 @@ impl Policy {
     ///
     /// `energy` carries the energy layer's state when a Pareto
     /// [`EnergyObjective`](crate::energy::EnergyObjective) is in force:
-    /// the objective *replaces* this policy's scoring for the selection
-    /// (see [`pick_k_pareto`]), and a placement that had to relax its
-    /// bound or cap bumps the state's relaxation counter. `None` (no
-    /// objective) is the exact pre-energy arithmetic.
+    /// the objective *replaces* this policy's scoring for the selection,
+    /// and a placement that had to relax its bound or cap bumps the
+    /// state's relaxation counter. The pass keeps two [`TopK`]s and a
+    /// feasible count:
+    ///
+    /// * **Min energy within a makespan bound**: the `k` cheapest in
+    ///   energy among candidates predicted to finish by the bound, and
+    ///   the `k` earliest finishers overall. The first wins when at least
+    ///   `k` candidates meet the bound; otherwise the second does and the
+    ///   bound counts one relaxation (the engine never refuses to place
+    ///   work).
+    /// * **Min makespan under a power cap**: the `k` earliest finishers
+    ///   among candidates whose busy draw respects the cap, and the `k`
+    ///   lowest-power candidates overall, chosen the same way (one cap
+    ///   relaxation on fallback).
+    ///
+    /// `None` (no objective) is the exact pre-energy arithmetic.
     ///
     /// Fills `out` with `(device index, start, duration)` triples in
     /// selection order and returns `(slots filled, candidates
@@ -357,7 +445,7 @@ impl Policy {
         energy: Option<&mut crate::energy::EnergyState>,
         estimates: &mut Vec<Estimate>,
         candidates: &mut Vec<usize>,
-        out: &mut [(usize, Seconds, Seconds)],
+        out: &mut [Plan],
     ) -> (usize, u64) {
         // The scan is generic over what the layers add to a candidate,
         // so that a fixed fleet placing a public task — nothing to mask,
@@ -410,11 +498,94 @@ impl Policy {
         energy: Option<&mut crate::energy::EnergyState>,
         estimates: &mut Vec<Estimate>,
         candidates: &mut Vec<usize>,
-        out: &mut [(usize, Seconds, Seconds)],
+        out: &mut [Plan],
         extra_on: impl Fn(usize, usize) -> Option<Seconds>,
     ) -> (usize, u64) {
-        let pareto = energy.and_then(|state| state.objective.map(|obj| (state, obj)));
-        let fold_norm = pareto.is_none() && self.needs_norm();
+        use crate::energy::EnergyObjective::{MinEnergyWithinMakespan, MinMakespanUnderPowerCap};
+        let want = out.len().min(MAX_REPLICAS);
+        match energy.and_then(|state| state.objective.map(|obj| (state, obj))) {
+            None if self.needs_norm() => self.weighted_k(
+                devices, classes, ready_at, estimates, candidates, out, &extra_on,
+            ),
+            None => {
+                let mut best = TopK::new(want);
+                let m = price_each(devices, classes, ready_at, &extra_on, &mut |plan, e, _| {
+                    best.offer(self.score(&e, &ScoreNorm::IDENTITY), plan);
+                });
+                (best.write(out), m)
+            }
+            Some((state, MinEnergyWithinMakespan(bound))) => {
+                let (mut cheapest, mut fastest) = (TopK::new(want), TopK::new(want));
+                let mut feasible = 0;
+                let m = price_each(devices, classes, ready_at, &extra_on, &mut |plan, e, _| {
+                    if e.finish.0 <= bound.0 {
+                        feasible += 1;
+                        cheapest.offer(e.energy.0, plan);
+                    }
+                    // The fallback is dead once `want` candidates meet
+                    // the bound: the feasible count only grows.
+                    if feasible < want {
+                        fastest.offer(e.finish.0, plan);
+                    }
+                });
+                let pick = if feasible >= want.min(m as usize) {
+                    cheapest
+                } else {
+                    state.bound_relaxations += 1;
+                    fastest
+                };
+                (pick.write(out), m)
+            }
+            Some((state, MinMakespanUnderPowerCap(cap))) => {
+                let (mut capped, mut frugal) = (TopK::new(want), TopK::new(want));
+                let mut feasible = 0;
+                let m = price_each(
+                    devices,
+                    classes,
+                    ready_at,
+                    &extra_on,
+                    &mut |plan, e, power| {
+                        if power.0 <= cap.0 {
+                            feasible += 1;
+                            capped.offer(e.finish.0, plan);
+                        }
+                        if feasible < want {
+                            frugal.offer(power.0, plan);
+                        }
+                    },
+                );
+                let pick = if feasible >= want.min(m as usize) {
+                    capped
+                } else {
+                    state.cap_relaxations += 1;
+                    frugal
+                };
+                (pick.write(out), m)
+            }
+        }
+    }
+
+    /// `Weighted` placement, the one fold-then-select scan: the min-max
+    /// norm needs every candidate before the first can be scored, so the
+    /// pass writes the estimates into `estimates`/`candidates` and folds
+    /// the bounds, and the repeated minimum selects afterwards. The
+    /// chosen devices' plans are recomputed from the same arithmetic.
+    ///
+    /// Kept out of line on purpose: inlined into `scan_k` beside the
+    /// one-pass arms, the same loop ran `wide-flat` ~20 % slower (2-core
+    /// Xeon VM).
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn weighted_k(
+        self,
+        devices: &[Device],
+        classes: &SpecClasses,
+        ready_at: Seconds,
+        estimates: &mut Vec<Estimate>,
+        candidates: &mut Vec<usize>,
+        out: &mut [Plan],
+        extra_on: &impl Fn(usize, usize) -> Option<Seconds>,
+    ) -> (usize, u64) {
         let n = devices.len();
         if estimates.len() < n {
             estimates.resize(n, Estimate::new(Seconds::ZERO, Joule::ZERO));
@@ -423,51 +594,29 @@ impl Policy {
         let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut m = 0;
-        for (i, (d, &c)) in devices.iter().zip(classes.class_of_slice()).enumerate() {
-            let Some(extra) = extra_on(i, c as usize) else {
-                continue;
-            };
-            let (dur, power) = classes.price_of(c as usize);
-            let dur = dur + extra;
-            let finish = ready_at.max(d.busy_until()) + dur;
-            // `busy_power * dur` is `DeviceSpec::energy_for` over the
-            // class's one roofline evaluation; the crypto time burns
-            // device power like any other busy time.
-            let energy = power * dur;
-            estimates[m] = Estimate::new(finish, energy);
-            candidates[m] = i;
-            m += 1;
-            if fold_norm {
-                // Compare-select instead of `f64::min`/`max`: no value
-                // here is NaN (specs are validated where classes open).
-                t_lo = if finish.0 < t_lo { finish.0 } else { t_lo };
-                t_hi = if finish.0 > t_hi { finish.0 } else { t_hi };
-                e_lo = if energy.0 < e_lo { energy.0 } else { e_lo };
-                e_hi = if energy.0 > e_hi { energy.0 } else { e_hi };
-            }
-        }
-        let estimates = &estimates[..m];
-        let mut chosen = [0usize; crate::replication::MAX_REPLICAS];
-        let want = out.len().min(chosen.len());
-        let k = match pareto {
-            Some((state, objective)) => pick_k_pareto(
-                objective,
-                state,
-                devices,
-                estimates,
-                candidates,
-                &mut chosen[..want],
-            ),
-            None => {
-                let norm = if fold_norm {
-                    ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi)
-                } else {
-                    ScoreNorm::IDENTITY
-                };
-                let score = |_, e: &Estimate| Some(self.score(e, &norm));
-                pick_k_by(estimates, score, &mut chosen[..want])
-            }
-        };
+        price_each(
+            devices,
+            classes,
+            ready_at,
+            extra_on,
+            &mut |(i, _, _), e, _| {
+                estimates[m] = e;
+                candidates[m] = i;
+                m += 1;
+                // Compare-select instead of `f64::min`/`max`: no value here
+                // is NaN (specs are validated where classes open).
+                let (finish, energy) = (e.finish.0, e.energy.0);
+                t_lo = if finish < t_lo { finish } else { t_lo };
+                t_hi = if finish > t_hi { finish } else { t_hi };
+                e_lo = if energy < e_lo { energy } else { e_lo };
+                e_hi = if energy > e_hi { energy } else { e_hi };
+            },
+        );
+        let norm = ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi);
+        let mut chosen = [0usize; MAX_REPLICAS];
+        let want = out.len().min(MAX_REPLICAS);
+        let score = |_, e: &Estimate| Some(self.score(e, &norm));
+        let k = pick_k_by(&estimates[..m], score, &mut chosen[..want]);
         for (slot, &c) in chosen[..k].iter().enumerate() {
             let i = candidates[c];
             let class = classes.class_of(i);
@@ -477,6 +626,38 @@ impl Policy {
         }
         (k, m as u64)
     }
+}
+
+/// Price every candidate of the flat scan, in device-index order: hand
+/// `visit` its plan, its estimate and its class's busy power, and return
+/// how many candidates there were.
+#[inline(always)]
+fn price_each(
+    devices: &[Device],
+    classes: &SpecClasses,
+    ready_at: Seconds,
+    extra_on: &impl Fn(usize, usize) -> Option<Seconds>,
+    visit: &mut impl FnMut(Plan, Estimate, Watt),
+) -> u64 {
+    let mut m = 0;
+    for (i, (d, &c)) in devices.iter().zip(classes.class_of_slice()).enumerate() {
+        let Some(extra) = extra_on(i, c as usize) else {
+            continue;
+        };
+        let (dur, power) = classes.price_of(c as usize);
+        let dur = dur + extra;
+        let start = ready_at.max(d.busy_until());
+        // `busy_power * dur` is `DeviceSpec::energy_for` over the class's
+        // one roofline evaluation; the crypto time burns device power
+        // like any other busy time.
+        visit(
+            (i, start, dur),
+            Estimate::new(start + dur, power * dur),
+            power,
+        );
+        m += 1;
+    }
+    m
 }
 
 impl Scheduler for Policy {
@@ -495,59 +676,6 @@ impl Scheduler for Policy {
         // Only the weighted trade-off mixes the two dimensions and needs
         // them on a common scale; the pure policies are scale-free.
         matches!(self, Policy::Weighted(_))
-    }
-}
-
-/// Constrained top-k selection for a Pareto
-/// [`EnergyObjective`](crate::energy::EnergyObjective), replacing the
-/// policy's scoring when the energy layer imposes one:
-///
-/// * **Min energy within a makespan bound** — when at least `k`
-///   candidates are predicted to finish by the bound, pick the `k`
-///   cheapest of them in energy; otherwise fall back to the `k`
-///   earliest finishers over *all* candidates and count one bound
-///   relaxation (the engine never refuses to place work).
-/// * **Min makespan under a power cap** — when at least `k` candidates'
-///   busy draw respects the cap, pick the `k` earliest finishers among
-///   them; otherwise fall back to the `k` lowest-power candidates and
-///   count one cap relaxation.
-///
-/// Selection is the allocation-free repeated minimum
-/// [`Scheduler::select_k`] uses (`pick_k_by`), with the same
-/// earliest-index tie-breaking, so Pareto runs stay exactly as
-/// deterministic as policy runs.
-fn pick_k_pareto(
-    objective: crate::energy::EnergyObjective,
-    state: &mut crate::energy::EnergyState,
-    devices: &[Device],
-    estimates: &[Estimate],
-    candidates: &[usize],
-    out: &mut [usize],
-) -> usize {
-    use crate::energy::EnergyObjective::{MinEnergyWithinMakespan, MinMakespanUnderPowerCap};
-    let want = out.len().min(estimates.len());
-    match objective {
-        MinEnergyWithinMakespan(bound) => {
-            let in_bound = |e: &Estimate| e.finish.0 <= bound.0;
-            let feasible = estimates.iter().filter(|e| in_bound(e)).count();
-            if feasible >= want {
-                pick_k_by(estimates, |_, e| in_bound(e).then_some(e.energy.0), out)
-            } else {
-                state.bound_relaxations += 1;
-                pick_k_by(estimates, |_, e| Some(e.finish.0), out)
-            }
-        }
-        MinMakespanUnderPowerCap(cap) => {
-            let power = |c: usize| devices[candidates[c]].spec.busy_power.0;
-            let feasible = (0..estimates.len()).filter(|&c| power(c) <= cap.0).count();
-            if feasible >= want {
-                let capped_finish = |c, e: &Estimate| (power(c) <= cap.0).then_some(e.finish.0);
-                pick_k_by(estimates, capped_finish, out)
-            } else {
-                state.cap_relaxations += 1;
-                pick_k_by(estimates, |c, _| Some(power(c)), out)
-            }
-        }
     }
 }
 
@@ -746,10 +874,11 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// `place`, `select_k`, `migrate` and the Pareto picker are one
-        /// loop: on random estimates drawn from a 4 × 4 grid (so exact
-        /// score ties are the norm, not the exception) each of them agrees
-        /// with the stable-sort reference ranking.
+        /// `place`, `select_k` and `migrate` are one loop, and the
+        /// one-pass `TopK` keeps its prefix: on random estimates drawn
+        /// from a 4 × 4 grid (so exact score ties are the norm, not the
+        /// exception) each of them agrees with the stable-sort reference
+        /// ranking.
         #[test]
         fn every_selection_agrees_with_the_stable_sort_reference(
             grid in prop::collection::vec((1u8..5, 1u8..5), 0..12),
@@ -779,6 +908,24 @@ pub(crate) mod tests {
             prop_assert_eq!(keyed, want);
             prop_assert_eq!(&picked, &selected);
 
+            // The one-pass accumulator keeps the same prefix, whether the
+            // candidates arrive in index order (the flat scan) or not
+            // (the pooled search visits shards out of order).
+            let kept = want.min(MAX_REPLICAS);
+            for reversed in [false, true] {
+                let mut top = TopK::new(k);
+                let mut offer = |i: usize| top.offer(score(i), (i, Seconds::ZERO, Seconds::ZERO));
+                if reversed {
+                    (0..ests.len()).rev().for_each(&mut offer);
+                } else {
+                    (0..ests.len()).for_each(&mut offer);
+                }
+                let mut plans = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
+                prop_assert_eq!(top.write(&mut plans), kept);
+                let ids: Vec<usize> = plans[..kept].iter().map(|p| p.0).collect();
+                prop_assert_eq!(&ids[..], &reference[..kept]);
+            }
+
             // Hysteresis 0: move to `place`'s pick exactly when it scores
             // strictly below staying.
             for &(t, e) in &[(0.5, 0.5), (2.0, 2.0), (9.0, 9.0)] {
@@ -791,11 +938,62 @@ pub(crate) mod tests {
         }
     }
 
+    /// Constrained top-k selection for a Pareto
+    /// [`EnergyObjective`](crate::energy::EnergyObjective) over a written-out
+    /// candidate list, the reference the flat scan's one-pass selection is
+    /// checked against (`the_scan_matches_a_per_device_reference`):
+    ///
+    /// * **Min energy within a makespan bound** — when at least `k`
+    ///   candidates are predicted to finish by the bound, pick the `k`
+    ///   cheapest of them in energy; otherwise fall back to the `k`
+    ///   earliest finishers over *all* candidates and count one bound
+    ///   relaxation.
+    /// * **Min makespan under a power cap** — when at least `k` candidates'
+    ///   busy draw respects the cap, pick the `k` earliest finishers among
+    ///   them; otherwise fall back to the `k` lowest-power candidates and
+    ///   count one cap relaxation.
+    ///
+    /// A count pass, then one repeated minimum (`pick_k_by`) per slot.
+    fn pick_k_pareto(
+        objective: crate::energy::EnergyObjective,
+        state: &mut crate::energy::EnergyState,
+        devices: &[Device],
+        estimates: &[Estimate],
+        candidates: &[usize],
+        out: &mut [usize],
+    ) -> usize {
+        use crate::energy::EnergyObjective::{MinEnergyWithinMakespan, MinMakespanUnderPowerCap};
+        let want = out.len().min(estimates.len());
+        match objective {
+            MinEnergyWithinMakespan(bound) => {
+                let in_bound = |e: &Estimate| e.finish.0 <= bound.0;
+                let feasible = estimates.iter().filter(|e| in_bound(e)).count();
+                if feasible >= want {
+                    pick_k_by(estimates, |_, e| in_bound(e).then_some(e.energy.0), out)
+                } else {
+                    state.bound_relaxations += 1;
+                    pick_k_by(estimates, |_, e| Some(e.finish.0), out)
+                }
+            }
+            MinMakespanUnderPowerCap(cap) => {
+                let power = |c: usize| devices[candidates[c]].spec.busy_power.0;
+                let feasible = (0..estimates.len()).filter(|&c| power(c) <= cap.0).count();
+                if feasible >= want {
+                    let capped_finish = |c, e: &Estimate| (power(c) <= cap.0).then_some(e.finish.0);
+                    pick_k_by(estimates, capped_finish, out)
+                } else {
+                    state.cap_relaxations += 1;
+                    pick_k_by(estimates, |c, _| Some(power(c)), out)
+                }
+            }
+        }
+    }
+
     proptest! {
-        /// The class-priced scan against the loop it replaced: price
-        /// every device with its own `spec.time_for`, collect estimates,
-        /// plans and candidates, walk them again for the bounds
-        /// (`select_k`) or hand them to the Pareto picker. Same devices,
+        /// The class-priced, one-pass scan against the loops it replaced:
+        /// price every device with its own `spec.time_for`, collect
+        /// estimates, plans and candidates, then walk them again for the
+        /// bounds (`select_k`) or hand them to `pick_k_pareto`. Same devices,
         /// same order, same `(start, duration)` bits, same candidate
         /// count and relaxation counters — over fleets with duplicate
         /// specs and a singleton class, busy timelines, availability

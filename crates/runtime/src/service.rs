@@ -612,7 +612,10 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics on an unregistered tenant id.
+    /// Panics on an unregistered tenant id. This one still panics
+    /// rather than returning a [`RuntimeError`] because the benchmark
+    /// package calls it as is; it moves to `Result` together with those
+    /// callers.
     #[must_use = "meters are the tenant's bill; dropping them unread is a bug"]
     pub fn tenant_report(&self, tenant: TenantId) -> TenantReport {
         let t = &self.tenants[tenant.0 as usize];
@@ -626,23 +629,21 @@ impl Service {
     /// its seals cover (as [`TaskId`]s), the bytes they wrote and their
     /// cumulative priced cost. Empty before the first seal.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unregistered tenant id.
-    #[must_use]
-    pub fn session(&self, tenant: TenantId) -> &CheckpointRecord {
-        &self.tenants[tenant.0 as usize].session
+    /// [`RuntimeError::InvalidParameter`] for an unregistered tenant id.
+    pub fn session(&self, tenant: TenantId) -> Result<&CheckpointRecord, RuntimeError> {
+        Ok(&self.tenant(tenant)?.session)
     }
 
     /// Admitted-but-uncompleted tasks charged against the tenant's
     /// budget.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unregistered tenant id.
-    #[must_use]
-    pub fn queued(&self, tenant: TenantId) -> usize {
-        self.tenants[tenant.0 as usize].queued()
+    /// [`RuntimeError::InvalidParameter`] for an unregistered tenant id.
+    pub fn queued(&self, tenant: TenantId) -> Result<usize, RuntimeError> {
+        Ok(self.tenant(tenant)?.queued())
     }
 
     /// Registered tenant count.
@@ -669,10 +670,16 @@ impl Service {
         self.visits
     }
 
-    fn budget_of(&self, tenant: TenantId) -> Result<usize, RuntimeError> {
-        let t = self.tenants.get(tenant.0 as usize).ok_or_else(|| {
+    /// The state of a registered tenant; an unregistered id is a typed
+    /// error on every entry point that takes one.
+    fn tenant(&self, tenant: TenantId) -> Result<&TenantState, RuntimeError> {
+        self.tenants.get(tenant.0 as usize).ok_or_else(|| {
             RuntimeError::invalid_parameter("tenant", format!("{tenant} is not registered"))
-        })?;
+        })
+    }
+
+    fn budget_of(&self, tenant: TenantId) -> Result<usize, RuntimeError> {
+        let t = self.tenant(tenant)?;
         Ok(t.spec.budget.unwrap_or(self.config.default_budget))
     }
 }
@@ -727,7 +734,7 @@ mod tests {
         assert_eq!(svc.tenant_report(a).admission_rejections, 1);
         // Draining the queue re-opens the gate.
         let _ = svc.run().unwrap();
-        assert_eq!(svc.queued(a), 0);
+        assert_eq!(svc.queued(a).unwrap(), 0);
         svc.submit(a, task(), [(2u64, AccessMode::Out)]).unwrap();
     }
 
@@ -826,7 +833,7 @@ mod tests {
         let a = svc.register(TenantSpec::new()).unwrap();
         svc.submit(a, task(), [(0u64, AccessMode::Out)]).unwrap();
         let _ = svc.run().unwrap();
-        let session = svc.session(a);
+        let session = svc.session(a).unwrap();
         assert!(session.frontier.contains(TaskId(0)));
         assert_eq!(session.frontier.len(), 1);
         assert_eq!(session.bytes, Bytes::mib(64));
@@ -859,7 +866,7 @@ mod tests {
                 matches!(err, RuntimeError::InvalidParameter { name: "region", .. }),
                 "{err:?}"
             );
-            assert_eq!(svc.queued(t), 0);
+            assert_eq!(svc.queued(t).unwrap(), 0);
         }
         let report = svc.run().unwrap();
         assert!(
@@ -885,5 +892,28 @@ mod tests {
             .register(TenantSpec::new().with_share(f64::NAN))
             .is_err());
         assert!(svc.register(TenantSpec::new().with_budget(0)).is_err());
+    }
+
+    fn is_unregistered(err: &RuntimeError) -> bool {
+        matches!(err, RuntimeError::InvalidParameter { name: "tenant", .. })
+    }
+
+    #[test]
+    fn session_of_an_unregistered_tenant_is_a_typed_error() {
+        let mut svc = ServiceConfig::new(engine()).build().unwrap();
+        assert!(is_unregistered(&svc.session(TenantId(0)).unwrap_err()));
+        let a = svc.register(TenantSpec::new()).unwrap();
+        assert!(svc.session(a).unwrap().frontier.is_empty());
+        assert!(is_unregistered(&svc.session(TenantId(1)).unwrap_err()));
+    }
+
+    #[test]
+    fn queued_of_an_unregistered_tenant_is_a_typed_error() {
+        let mut svc = ServiceConfig::new(engine()).build().unwrap();
+        assert!(is_unregistered(&svc.queued(TenantId(0)).unwrap_err()));
+        let a = svc.register(TenantSpec::new()).unwrap();
+        svc.submit(a, task(), [(0u64, AccessMode::Out)]).unwrap();
+        assert_eq!(svc.queued(a).unwrap(), 1);
+        assert!(is_unregistered(&svc.queued(TenantId(1)).unwrap_err()));
     }
 }

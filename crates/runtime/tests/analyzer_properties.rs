@@ -16,7 +16,7 @@
 
 use legato_core::requirements::{Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, TaskDescriptor, TaskId, Work};
-use legato_core::units::Seconds;
+use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
     AnalysisConfig, EngineConfig, LintId, Policy, ResilienceConfig, Runtime, RuntimeError, Severity,
@@ -236,6 +236,46 @@ fn enforce_mode_with_resilience_runs_a_chain_to_the_unanalyzed_schedule() {
     assert!(enforced.analysis.is_some_and(|a| a.is_clean()));
     let unanalyzed = run(resilient()).expect("analysis off");
     assert_eq!(enforced.placements, unanalyzed.placements);
+}
+
+/// A task whose declared footprint exceeds every device's memory
+/// capacity runs to completion with analysis off: the engine has no
+/// capacity dimension (DESIGN.md §6). Enforce mode therefore runs it to
+/// the same schedule, and the footprint finding is attached as a warning
+/// rather than refusing the run. (It used to be an error, so Enforce
+/// refused a graph the engine completes.)
+#[test]
+fn enforce_mode_runs_an_oversized_footprint_the_engine_completes() {
+    let fleet = || {
+        EngineConfig::new()
+            .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()])
+            .with_policy(Policy::Performance)
+            .with_seed(1)
+    };
+    let run = |cfg: EngineConfig| {
+        let mut rt = cfg.build().expect("valid config");
+        rt.submit(
+            TaskDescriptor::named("huge").with_work(Work::new(1e10, Bytes::gib(1024))),
+            [(0u64, AccessMode::Out)],
+        );
+        rt.run()
+    };
+    let unanalyzed = run(fleet()).expect("the engine never reads mem_capacity");
+    assert_eq!(unanalyzed.placements.len(), 1);
+    let enforced = run(fleet().with_analysis(AnalysisConfig::new()))
+        .expect("Enforce must not refuse a graph the engine completes");
+    assert_eq!(enforced.placements, unanalyzed.placements);
+    let analysis = enforced.analysis.expect("report attached");
+    assert!(!analysis.has_errors(), "{analysis}");
+    assert!(
+        analysis
+            .diagnostics
+            .iter()
+            .any(|d| d.lint == LintId::PlacementFeasibility
+                && d.severity == Severity::Warn
+                && d.message.contains("capacity")),
+        "{analysis}"
+    );
 }
 
 /// Warn-only mode runs racy graphs and attaches the report to the

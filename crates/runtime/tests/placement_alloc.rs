@@ -1,6 +1,7 @@
 //! Regression pin: steady-state placement must not allocate.
 //!
-//! DESIGN.md §8 promises an allocation-free event path — estimates,
+//! DESIGN.md §8 promises an allocation-free event path — the one-pass
+//! selections keep their top-k inline, and `Weighted`'s estimates and
 //! candidates and the security plan live in per-runtime scratch sized by
 //! the first placements — and lists the few amortised growth sites that
 //! remain (the outcome table, the acceptance log). This binary installs
@@ -12,7 +13,7 @@
 mod common;
 
 use common::{allocations, CountingAlloc};
-use legato_core::requirements::{Requirements, SecurityLevel};
+use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_runtime::{
@@ -31,13 +32,13 @@ const AMORTISED: usize = 2;
 
 /// One wave: a serial chain over one region, so every task is placed
 /// against an idle fleet.
-fn submit_wave(rt: &mut Runtime, level: SecurityLevel) {
+fn submit_wave(rt: &mut Runtime, requirements: Requirements) {
     for _ in 0..WAVE {
         rt.submit(
             TaskDescriptor::named("stage")
                 .with_kind(TaskKind::Inference)
                 .with_work(Work::flops(2e10))
-                .with_requirements(Requirements::new().with_security(level)),
+                .with_requirements(requirements),
             [(0u64, AccessMode::InOut)],
         );
     }
@@ -45,19 +46,22 @@ fn submit_wave(rt: &mut Runtime, level: SecurityLevel) {
 
 /// Allocations performed while placing (and completing) a second wave,
 /// and the placement evaluations it took.
-fn second_wave(mut rt: Runtime, level: SecurityLevel) -> (usize, u64) {
+fn second_wave(mut rt: Runtime, requirements: Requirements) -> (usize, u64) {
     rt.reserve(2 * WAVE, 2 * WAVE);
-    submit_wave(&mut rt, level);
+    submit_wave(&mut rt, requirements);
     let warm = rt.run().expect("warm-up wave runs");
     assert_eq!(warm.placements.len(), WAVE);
-    submit_wave(&mut rt, level);
+    submit_wave(&mut rt, requirements);
     let evals = rt.placement_evals();
     let before = allocations();
     // `step`, not `run`: the report `run` returns is a fresh allocation
     // by design.
     while rt.step().expect("second wave runs").is_some() {}
     let after = allocations();
-    assert_eq!(rt.report().placements.len(), 2 * WAVE);
+    let report = rt.report();
+    assert_eq!(report.placements.len(), 2 * WAVE);
+    let k = requirements.criticality.replica_count();
+    assert!(report.placements.iter().all(|p| p.devices.len() == k));
     (after - before, rt.placement_evals() - evals)
 }
 
@@ -77,30 +81,45 @@ fn steady_state_placement_is_allocation_free() {
             kind: DepartureKind::Planned,
         },
     }]);
+    let public = Requirements::new();
+    let enclave = Requirements::new().with_security(SecurityLevel::Enclave);
+    // Dual replicas (k = 2): the one-pass selection keeps two plans per
+    // accumulator, and the Pareto bound keeps two accumulators.
+    let replicated = Requirements::new().with_criticality(Criticality::High);
+    let bounded = || EnergyConfig::new().with_makespan_bound(Seconds(0.05));
     let scenarios = [
-        ("plain", base(), SecurityLevel::Public, FLEET),
+        ("plain", base(), public, FLEET),
         (
             "churn-masked",
-            base().with_churn(ChurnConfig::new(drain_one)),
-            SecurityLevel::Public,
+            base().with_churn(ChurnConfig::new(drain_one.clone())),
+            public,
             FLEET - 1,
         ),
         (
             "secured",
             base().with_security(SecurityConfig::new().with_region_sizes(sizes)),
-            SecurityLevel::Enclave,
+            enclave,
             FLEET / 2, // the x86 and arm64 quarters host enclaves
         ),
+        ("pareto", base().with_energy(bounded()), public, FLEET),
         (
-            "pareto",
-            base().with_energy(EnergyConfig::new().with_makespan_bound(Seconds(0.05))),
-            SecurityLevel::Public,
+            "replicated-churn-masked",
+            base()
+                .with_policy(Policy::Performance)
+                .with_churn(ChurnConfig::new(drain_one)),
+            replicated,
+            FLEET - 1,
+        ),
+        (
+            "replicated-pareto",
+            base().with_energy(bounded()),
+            replicated,
             FLEET,
         ),
     ];
-    for (name, config, level, candidates) in scenarios {
+    for (name, config, requirements, candidates) in scenarios {
         let rt = config.build().expect("valid engine config");
-        let (allocations, evals) = second_wave(rt, level);
+        let (allocations, evals) = second_wave(rt, requirements);
         assert_eq!(
             evals,
             (WAVE * candidates) as u64,

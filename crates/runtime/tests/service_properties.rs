@@ -310,7 +310,7 @@ proptest! {
                         break;
                     }
                     prop_assert_eq!(
-                        svc.session(tenant).bytes,
+                        svc.session(tenant).expect("registered").bytes,
                         svc.tenant_report(tenant).checkpoint_bytes
                     );
                 }
@@ -318,17 +318,17 @@ proptest! {
                     svc.seal();
                 }
             }
-            let record = svc.session(tenant).clone();
+            let record = svc.session(tenant).expect("registered").clone();
             prop_assert!(record.frontier.len() >= sealed, "a seal was lost");
             sealed = record.frontier.len();
             prop_assert_eq!(record.bytes, svc.tenant_report(tenant).checkpoint_bytes);
 
             svc.restart().expect("retained config rebuilds");
             // The restart resumed from the record and left it alone.
-            prop_assert_eq!(svc.session(tenant), &record);
-            prop_assert_eq!(svc.queued(tenant), tasks.len() - sealed);
+            prop_assert_eq!(svc.session(tenant).expect("registered"), &record);
+            prop_assert_eq!(svc.queued(tenant).expect("registered"), tasks.len() - sealed);
         }
-        let record = svc.session(tenant).clone();
+        let record = svc.session(tenant).expect("registered").clone();
         let report = svc.run().expect("devices present");
 
         // The sealed frontier of both seals survived: the last engine
@@ -342,10 +342,10 @@ proptest! {
             prop_assert_eq!(resubmitted.work, Work::flops(tasks[idx].0));
         }
         prop_assert!(report.failed.is_empty());
-        prop_assert_eq!(svc.queued(tenant), 0);
+        prop_assert_eq!(svc.queued(tenant).expect("registered"), 0);
         // And the service's own ledger agrees the whole workload is
         // done: every task sealed, each one's output written once.
-        let session = svc.session(tenant);
+        let session = svc.session(tenant).expect("registered");
         prop_assert_eq!(session.frontier.len(), tasks.len());
         let written: Bytes = tasks.iter().map(|&(_, r)| sizes[&RegionId(u64::from(r))]).sum();
         prop_assert_eq!(session.bytes, written);
@@ -441,7 +441,7 @@ proptest! {
                 expected.clear();
                 for t in 0..n {
                     vtime[t] = 0.0;
-                    let sealed = &svc.session(TenantId(t as u32)).frontier;
+                    let sealed = &svc.session(TenantId(t as u32)).expect("registered").frontier;
                     pending[t] = (0..logged[t])
                         .filter(|&idx| !sealed.contains(TaskId(idx)))
                         .collect();
