@@ -1092,8 +1092,8 @@ impl Runtime {
         for (slot, &(d, plan_start, plan_dur)) in planned[..k].iter().enumerate() {
             let (s, f) = self.devices[d].execute_planned(plan_start, plan_dur);
             if let Some(pools) = &mut self.pools {
-                // The device's timeline moved: its pool's cached
-                // availability minimum is stale.
+                // The device's timeline moved: its shard's leaf in the
+                // class tree is stale.
                 pools.mark_dirty(d);
             }
             devices[slot] = d;
@@ -1312,8 +1312,9 @@ impl Runtime {
     /// A device joins mid-run. It is appended at the next free index so
     /// every positional per-device structure stays aligned, the class
     /// table re-dedupes its spec, the pool shards grow incrementally
-    /// (availability minima dirtied), the security layer learns the new
-    /// platform, and parked placements get another chance. A spec the
+    /// (the shard's leaf queued, a new class's tree opened), the
+    /// security layer learns the new platform, and parked placements get
+    /// another chance. A spec the
     /// cost model cannot price, or a platform that refuses a known
     /// enclave image, is an error and the device does not join.
     fn handle_arrival(

@@ -9,24 +9,30 @@
 //! identically-specced devices, turning placement into a
 //! bound-and-prune search over shards:
 //!
-//! * each shard caches the minimum `busy_until` over its members,
-//!   invalidated only when a member's timeline changes
-//!   (`DevicePools::mark_dirty`) and recomputed lazily;
-//! * a shard's members share one spec class, so the runtime's class
-//!   table (`SpecClasses`) already holds their common duration and
-//!   busy power for the task being placed; with the cached availability
-//!   minimum that gives a **lower bound** on any member's score under
-//!   the active [`Policy`] which is the score of the shard's least-busy
-//!   member — it is *exact*, which is what makes the pruning bite: a
-//!   mixed pool bounded as a whole combines its idlest device with its
-//!   fastest device into a score nothing in the pool can achieve, and
-//!   such a bound almost never exceeds the incumbent;
-//! * shards are visited in ascending bound order and fully evaluated
-//!   with the *identical* per-device arithmetic the flat path uses;
-//!   once `k` candidates are held and the next shard's bound is
-//!   **strictly** worse than the current k-th best score, every
-//!   remaining device is strictly worse than the k-th final score and
-//!   the scan stops.
+//! * the shards of one spec class are the leaves of that class's
+//!   *tournament tree*, and every node caches the least and the greatest
+//!   `busy_until` of the members below it. A member's timeline change
+//!   queues its shard once (`DevicePools::mark_dirty`); the next
+//!   placement recomputes each queued leaf and re-folds its path to the
+//!   root, and shards that did not change cost nothing;
+//! * a class's members share one spec, so the runtime's class table
+//!   (`SpecClasses`) already holds their common duration and busy power
+//!   for the task being placed; with a node's cached availability
+//!   minimum that gives a **lower bound** on the score of every member
+//!   below it under the active [`Policy`]. At a leaf the bound is the
+//!   score of the shard's least-busy member — *exact*, which is what
+//!   makes the pruning bite: a mixed pool bounded as a whole combines
+//!   its idlest device with its fastest device into a score nothing in
+//!   the pool can achieve, and such a bound almost never exceeds the
+//!   incumbent;
+//! * the search walks every class's tree depth-first, the
+//!   least-bounded class and the better-bounded child first, so its
+//!   first leaf is a least-bounded one. Leaves are evaluated with the
+//!   *identical* per-device arithmetic the flat path uses, and a subtree
+//!   is skipped once `k` candidates are held and its bound is
+//!   **strictly** worse than the current k-th best score: every device
+//!   below it is strictly worse than the k-th final score. A placement
+//!   touches O(classes + k · log shards) nodes, not every shard.
 //!
 //! Because pruning only skips devices that are *strictly* worse than
 //! the k-th selected score, and ties among evaluated devices break
@@ -37,14 +43,14 @@
 //!
 //! The pooled path covers every [`Policy`], including
 //! [`Policy::Weighted`]: the global min-max normalization a weighted
-//! score needs is derived **exactly** in O(shards) rather than O(D) —
-//! a shard's members share one spec, so their durations and energies
-//! coincide and only the queue delay varies, which means the shard's
-//! extreme finish times are `ready.max(min_busy) + dur` and
-//! `ready.max(max_busy) + dur` over its cached busy horizons. Folding
-//! those per-shard extremes reproduces, bit for bit, the
-//! [`ScoreNorm::from_estimates`] context the flat scan would have
-//! computed from all candidates (f64 min/max folds are
+//! score needs is derived **exactly** from the class roots in
+//! O(classes) rather than O(D) — a class's members share one spec, so
+//! their durations and energies coincide and only the queue delay
+//! varies, which means the class's extreme finish times are
+//! `ready.max(min_busy) + dur` and `ready.max(max_busy) + dur` over its
+//! root's busy extrema. Folding those per-class extremes reproduces,
+//! bit for bit, the [`ScoreNorm::from_estimates`] context the flat scan
+//! would have computed from all candidates (f64 min/max folds are
 //! order-independent). The engine falls back to the flat scan only
 //! when a security plan excludes devices per task or a Pareto energy
 //! objective replaces the scoring.
@@ -55,7 +61,14 @@
 //! device's pool is charged
 //! the link's transfer time for the region — folded into the estimate
 //! *before* scoring on both the pooled and the flat path, so locality
-//! becomes a scheduling dimension like any other.
+//! becomes a scheduling dimension like any other. A charge varies
+//! across the leaves of one tree, so the same search bounds an internal
+//! node under the task's smallest pool charge (still a lower bound) and
+//! each leaf under its own pool's. Below a root the bounds are then
+//! loose, so a branch and bound finds the least-bounded leaf before the
+//! walk starts, and the weighted normalization descends below a root
+//! only into subtrees whose charge range could still move one of its
+//! four extremes.
 
 use std::collections::HashMap;
 
@@ -99,7 +112,11 @@ impl PoolConfig {
     /// has no chassis or node grouping. A zero `pool_size` yields a
     /// single pool.
     pub fn uniform(device_count: usize, pool_size: usize) -> Self {
-        let size = pool_size.max(1).min(device_count.max(1));
+        let size = match pool_size {
+            0 => device_count,
+            size => size,
+        }
+        .clamp(1, device_count.max(1));
         let pools = (0..device_count)
             .collect::<Vec<_>>()
             .chunks(size)
@@ -146,10 +163,105 @@ impl PoolConfig {
     }
 }
 
+/// The least and the greatest `busy_until` over a set of shard members:
+/// what a tree node caches. A set with no member is `(+∞, −∞)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    lo: Seconds,
+    hi: Seconds,
+}
+
+impl Span {
+    const EMPTY: Span = Span {
+        lo: Seconds(f64::INFINITY),
+        hi: Seconds(f64::NEG_INFINITY),
+    };
+
+    fn join(self, other: Span) -> Span {
+        Span {
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
+        }
+    }
+
+    fn is_empty(self) -> bool {
+        self.lo > self.hi
+    }
+}
+
+/// One spec class's tournament tree over its shards. Node `n` joins the
+/// spans of its children `2n` and `2n + 1`; the root is node 1, and leaf
+/// `i` (node `width + i`) is the class's `i`-th shard in ascending index
+/// order. Leaves past the last shard stay empty.
+#[derive(Debug, Clone, Default)]
+struct Tree {
+    /// The shard at each leaf.
+    shards: Vec<usize>,
+    /// Node spans, heap-ordered; index 0 is unused.
+    spans: Vec<Span>,
+}
+
+impl Tree {
+    /// Width of the leaf row, a power of two: nodes at or past it are
+    /// leaves.
+    fn width(&self) -> usize {
+        self.spans.len() / 2
+    }
+
+    /// Append `shard` as the next leaf, empty until refreshed, and return
+    /// its leaf slot. A full leaf row doubles and re-folds; after build
+    /// time only an arrival that opens a shard gets here.
+    fn push(&mut self, shard: usize) -> usize {
+        let slot = self.shards.len();
+        self.shards.push(shard);
+        let old = self.width();
+        if slot == old {
+            let width = (2 * old).max(1);
+            let mut spans = vec![Span::EMPTY; 2 * width];
+            spans[width..width + old].copy_from_slice(&self.spans[old..]);
+            for n in (1..width).rev() {
+                spans[n] = spans[2 * n].join(spans[2 * n + 1]);
+            }
+            self.spans = spans;
+        }
+        slot
+    }
+
+    /// Set leaf `slot`'s span and re-fold its ancestors, stopping at the
+    /// first one the change leaves as it was.
+    fn set(&mut self, slot: usize, span: Span) {
+        let mut n = self.width() + slot;
+        self.spans[n] = span;
+        while n > 1 {
+            n /= 2;
+            let joined = self.spans[2 * n].join(self.spans[2 * n + 1]);
+            if self.spans[n] == joined {
+                break;
+            }
+            self.spans[n] = joined;
+        }
+    }
+}
+
+/// What one placement prices a tree node with.
+struct Query<'a> {
+    policy: Policy,
+    /// Per-class durations of the task and busy powers.
+    classes: &'a SpecClasses,
+    ready_at: Seconds,
+    /// Per-pool topology charge, `None` with the topology model off.
+    extras: Option<&'a [Seconds]>,
+    /// The smallest and the largest pool charge: an internal node is
+    /// bounded under the first (zero without topology).
+    charge: (Seconds, Seconds),
+    norm: ScoreNorm,
+}
+
 /// Runtime state of the sharded placement layer: pool membership (for
 /// the topology charges), the homogeneous shards each pool splits
-/// into, and the lazily maintained per-shard availability extrema.
-/// Everything spec-derived is read from the runtime's [`SpecClasses`].
+/// into, and one tournament tree of cached availability extrema per
+/// spec class. Everything spec-derived is read from the runtime's
+/// [`SpecClasses`].
 #[derive(Debug, Clone)]
 pub(crate) struct DevicePools {
     /// Pool index of each device (the user-visible partition).
@@ -168,18 +280,17 @@ pub(crate) struct DevicePools {
     /// classes than shards (a 1k fleet cycling four reference specs has
     /// four classes and hundreds of shards).
     class_of: Vec<usize>,
-    /// Whether a member's `busy_until` changed since `min_busy[s]` was
-    /// computed.
-    dirty: Vec<bool>,
-    /// Cached `min(busy_until)` over the shard's members.
-    min_busy: Vec<Seconds>,
-    /// Cached `max(busy_until)` over the shard's members — the other
-    /// extreme of the shard's finish-time range, which is all a
-    /// homogeneous shard contributes to the global min-max
-    /// normalization scale-dependent policies (`Weighted`) score under.
-    max_busy: Vec<Seconds>,
-    /// Scratch: per-shard score lower bound.
-    lbs: Vec<f64>,
+    /// Leaf slot of each shard in its class's tree.
+    slot_of: Vec<usize>,
+    /// One tree per spec class, indexed by class.
+    trees: Vec<Tree>,
+    /// Shards whose members' timelines changed since their leaf was
+    /// last computed, each listed once.
+    stale: Vec<usize>,
+    /// Whether a shard is on `stale`.
+    queued: Vec<bool>,
+    /// Scratch: each class root's bound for the placement in flight.
+    roots: Vec<Option<f64>>,
 }
 
 impl DevicePools {
@@ -250,18 +361,43 @@ impl DevicePools {
             }
         }
         let n = members.len();
-        Ok(DevicePools {
+        let mut built = DevicePools {
             pool_of,
             pool_count,
             shard_of,
             shard_pool,
             class_of,
-            dirty: vec![true; n],
-            min_busy: vec![Seconds::ZERO; n],
-            max_busy: vec![Seconds::ZERO; n],
-            lbs: vec![0.0; n],
             members,
-        })
+            slot_of: Vec::with_capacity(n),
+            trees: Vec::new(),
+            stale: Vec::with_capacity(n),
+            queued: Vec::with_capacity(n),
+            roots: Vec::new(),
+        };
+        for s in 0..n {
+            built.plant(s);
+        }
+        Ok(built)
+    }
+
+    /// Give the newest shard `s` a leaf in its class's tree, opening the
+    /// tree if no shard carried the class yet, and queue the leaf.
+    fn plant(&mut self, s: usize) {
+        let class = self.class_of[s];
+        if class >= self.trees.len() {
+            self.trees.resize_with(class + 1, Tree::default);
+        }
+        self.slot_of.push(self.trees[class].push(s));
+        self.queued.push(true);
+        self.stale.push(s);
+    }
+
+    /// Queue shard `s`'s leaf for recomputation, once.
+    fn touch(&mut self, s: usize) {
+        if !self.queued[s] {
+            self.queued[s] = true;
+            self.stale.push(s);
+        }
     }
 
     /// The pool device `d` belongs to.
@@ -279,55 +415,67 @@ impl DevicePools {
         self.pool_count
     }
 
-    /// Device `d`'s timeline changed: its shard's cached availability
-    /// minimum is stale.
+    /// Device `d`'s timeline changed: its shard's leaf is stale.
     pub(crate) fn mark_dirty(&mut self, d: usize) {
-        self.dirty[self.shard_of[d]] = true;
+        self.touch(self.shard_of[d]);
     }
 
     /// Grow the structures for an arriving device `d` (the next index)
     /// of spec class `class`: join the same-class shard of `pool` or
-    /// open a new one, and dirty the shard's cached availability
-    /// extrema. `pool` wraps modulo the pool count, so round-robin
-    /// callers need no bounds handling.
+    /// open a new one (and a new tree for a class no shard carried), and
+    /// queue the shard's leaf. `pool` wraps modulo the pool count, so
+    /// round-robin callers need no bounds handling.
     pub(crate) fn add_device(&mut self, d: usize, class: usize, pool: usize) {
         debug_assert_eq!(d, self.pool_of.len(), "arrivals append at the end");
         let p = pool % self.pool_count;
         self.pool_of.push(p);
+        let shard_pool = &self.shard_pool;
+        let joined = self
+            .trees
+            .get(class)
+            .and_then(|tree| tree.shards.iter().copied().find(|&s| shard_pool[s] == p));
+        let s = joined.unwrap_or_else(|| {
+            self.members.push(Vec::new());
+            self.shard_pool.push(p);
+            self.class_of.push(class);
+            let s = self.members.len() - 1;
+            self.plant(s);
+            s
+        });
         // Members stay ascending: the new device's index exceeds every
         // existing one.
-        let s = (0..self.members.len())
-            .find(|&s| self.shard_pool[s] == p && self.class_of[s] == class)
-            .unwrap_or_else(|| {
-                self.members.push(Vec::new());
-                self.shard_pool.push(p);
-                self.class_of.push(class);
-                self.dirty.push(true);
-                self.min_busy.push(Seconds::ZERO);
-                self.max_busy.push(Seconds::ZERO);
-                self.lbs.push(0.0);
-                self.members.len() - 1
-            });
         self.members[s].push(d);
         self.shard_of.push(s);
-        self.dirty[s] = true;
+        self.touch(s);
     }
 
     /// Remove a departed device from its shard. The shard itself stays
-    /// (possibly empty — its refreshed availability minimum folds to
-    /// infinity, so the bound self-prunes), which keeps every stored
-    /// shard index valid.
+    /// (possibly empty — its leaf then folds to an empty span, which the
+    /// search never enters), which keeps every stored shard index valid.
     pub(crate) fn remove_device(&mut self, d: usize) {
         let s = self.shard_of[d];
         self.members[s].retain(|&m| m != d);
-        self.dirty[s] = true;
+        self.touch(s);
+    }
+
+    /// Recompute every queued leaf from its members' timelines and
+    /// re-fold its path to the root.
+    fn refresh(&mut self, devices: &[Device]) {
+        while let Some(s) = self.stale.pop() {
+            self.queued[s] = false;
+            let span = self.members[s].iter().fold(Span::EMPTY, |span, &d| {
+                let busy = devices[d].busy_until();
+                span.join(Span { lo: busy, hi: busy })
+            });
+            self.trees[self.class_of[s]].set(self.slot_of[s], span);
+        }
     }
 
     /// Pooled top-k placement: bit-identical selection and plans to the
     /// flat scan (`Policy::plan_k_devices` with no security plan and no
-    /// energy objective), visiting shards in ascending bound order and
-    /// pruning those whose bound is strictly worse than the k-th best
-    /// score found so far.
+    /// energy objective), walking the class trees and pruning every
+    /// subtree whose bound is strictly worse than the k-th best score
+    /// found so far.
     ///
     /// `extras` carries the per-pool topology charge for the task (or
     /// `None` when the topology model is off). Fills `out` with
@@ -350,103 +498,227 @@ impl DevicePools {
         if want == 0 {
             return (0, 0);
         }
-        let n = self.members.len();
-        // Refresh stale availability extrema (O(shard) per dirty shard).
-        for s in 0..n {
-            if self.dirty[s] {
-                self.min_busy[s] = self.members[s]
-                    .iter()
-                    .map(|&d| devices[d].busy_until())
-                    .fold(Seconds(f64::INFINITY), Seconds::min);
-                self.max_busy[s] = self.members[s]
-                    .iter()
-                    .map(|&d| devices[d].busy_until())
-                    .fold(Seconds(f64::NEG_INFINITY), Seconds::max);
-                self.dirty[s] = false;
-            }
-        }
-        // What every member of shard `s` shares: the class's duration
-        // plus the pool-uniform topology extra, and the energy of that
-        // — the flat scan's per-device arithmetic, once per shard.
-        let (shard_pool, class_of) = (&self.shard_pool, &self.class_of);
-        let shared = |s: usize| {
-            let extra = extras.map_or(Seconds::ZERO, |e| e[shard_pool[s]]);
-            let (dur, power) = classes.price_of(class_of[s]);
-            let dur = dur + extra;
-            (dur, power * dur)
+        self.refresh(devices);
+        let charge = extras.map_or((Seconds::ZERO, Seconds::ZERO), |extras| {
+            let none = (Seconds(f64::INFINITY), Seconds(f64::NEG_INFINITY));
+            extras
+                .iter()
+                .fold(none, |(lo, hi), &x| (lo.min(x), hi.max(x)))
+        });
+        let mut q = Query {
+            policy,
+            classes,
+            ready_at,
+            extras,
+            charge,
+            norm: ScoreNorm::IDENTITY,
         };
-        // Scale-dependent policies (`Weighted`) score under the min-max
-        // normalization of the full candidate set. Each shard is
-        // spec-homogeneous: every member shares one duration and one
-        // energy, so the shard's candidates span exactly
-        // [ready.max(min_busy)+dur, ready.max(max_busy)+dur] in time and
-        // a single point in energy. Folding those per-shard extremes
-        // over the non-empty shards is bit-identical to the flat path's
-        // fold over per-device estimates (f64 min/max folds are
-        // order-independent, and empty shards contribute no flat
-        // candidate either).
-        let norm = if policy.needs_norm() {
-            let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for s in 0..n {
-                if self.members[s].is_empty() {
-                    continue;
+        if policy.needs_norm() {
+            q.norm = self.norm(&q);
+        }
+        self.roots.clear();
+        for c in 0..self.trees.len() {
+            let lb = self.bound(&q, c, 1);
+            self.roots.push(lb);
+        }
+        let roots = &self.roots;
+        let least = roots
+            .iter()
+            .enumerate()
+            .filter_map(|(c, &lb)| Some((c, lb?)));
+        let Some((first, _)) = least.min_by(|a, b| a.1.total_cmp(&b.1)) else {
+            return (0, 0); // every shard is empty
+        };
+        // Classes least-bounded first, then in index order.
+        let order = std::iter::once(first).chain((0..roots.len()).filter(move |&c| c != first));
+
+        // The walk takes the better-bounded child first, so with exact
+        // bounds its first leaf is a least-bounded one: evaluating it
+        // makes the k-th key tight at once, and with k = 1 every later
+        // subtree not tied with it is pruned — exactly the shards bounded
+        // at the minimum are evaluated. Under uneven pool charges a bound
+        // below a root is loose, so a branch and bound finds that leaf
+        // first (the seed) and the walk starts from it.
+        let mut seed: Option<(f64, usize)> = None;
+        if charge.0 != charge.1 {
+            let mut seek = |lb: f64, leaf: Option<usize>| {
+                let better = seed.is_none_or(|(held, _)| lb < held);
+                if let (true, Some(s)) = (better, leaf) {
+                    seed = Some((lb, s));
                 }
-                let (dur, energy) = shared(s);
-                t_lo = t_lo.min((ready_at.max(self.min_busy[s]) + dur).0);
-                t_hi = t_hi.max((ready_at.max(self.max_busy[s]) + dur).0);
-                e_lo = e_lo.min(energy.0);
-                e_hi = e_hi.max(energy.0);
-            }
-            ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi)
-        } else {
-            ScoreNorm::IDENTITY
-        };
-        // Score bound per shard — exactly the score of the shard's
-        // least-busy member (one spec per shard; the topology extra is
-        // pool-uniform). Track the best-bounded shard to seed the scan:
-        // evaluating it first makes the incumbent k-th score final-tight
-        // immediately, so the remaining shards need no sorting — any
-        // visit order prunes the same set, because selection by
-        // (score, device index) is a total order and only strictly
-        // worse bounds are skipped.
-        let mut seed = 0usize;
-        for s in 0..n {
-            let (dur, energy) = shared(s);
-            let est = Estimate::new(ready_at.max(self.min_busy[s]) + dur, energy);
-            // Under `norm` the bound stays exact: normalization is
-            // monotone non-decreasing in each dimension and the shard's
-            // energy is a single point, so the least-busy member still
-            // realizes the shard's minimum score.
-            self.lbs[s] = policy.score(&est, &norm);
-            if self.lbs[s] < self.lbs[seed] {
-                seed = s;
+                better
+            };
+            for c in order.clone() {
+                if let Some(lb) = roots[c] {
+                    self.walk(&q, c, 1, lb, &mut seek);
+                }
             }
         }
+        let seed = seed.map(|(_, s)| s);
 
         // Top-k by (score, device index) — the order the flat scan's
-        // selection produces; shards arrive out of index order, which
-        // the accumulator's index tie-break absorbs.
+        // selection produces; leaves arrive out of index order, which
+        // the accumulator's index tie-break absorbs. Strict inequality:
+        // a subtree whose bound *ties* the k-th score may still hold the
+        // tie-break winner, so it is entered; only strictly worse ones
+        // are pruned, which is what makes the selection exact.
         let mut best = TopK::new(want);
-        let mut evaluated = 0u64;
-        for s in std::iter::once(seed).chain((0..n).filter(|&s| s != seed)) {
-            // Strict inequality: a shard whose bound *ties* the k-th
-            // score may still hold the tie-break winner, so it is
-            // evaluated; only strictly-worse shards are pruned, which
-            // is what makes the selection exact.
-            if best.bar().is_some_and(|bar| self.lbs[s] > bar) {
-                continue;
+        let mut evaluated = seed.map_or(0, |s| self.evaluate(&q, devices, s, &mut best));
+        let mut gather = |lb: f64, leaf: Option<usize>| {
+            if best.bar().is_some_and(|bar| lb > bar) {
+                return false;
             }
-            let (dur, energy) = shared(s);
-            for &d in &self.members[s] {
-                // Identical per-device arithmetic to the flat path.
-                let start = ready_at.max(devices[d].busy_until());
-                let score = policy.score(&Estimate::new(start + dur, energy), &norm);
-                evaluated += 1;
-                best.offer(score, (d, start, dur));
+            if let Some(s) = leaf.filter(|&s| Some(s) != seed) {
+                evaluated += self.evaluate(&q, devices, s, &mut best);
+            }
+            true
+        };
+        for c in order {
+            if let Some(lb) = roots[c] {
+                self.walk(&q, c, 1, lb, &mut gather);
             }
         }
         (best.write(out), evaluated)
+    }
+
+    /// The charge shard `s`'s pool adds to the task.
+    fn extra(&self, q: &Query, s: usize) -> Seconds {
+        q.extras.map_or(Seconds::ZERO, |e| e[self.shard_pool[s]])
+    }
+
+    /// A lower bound on the score of every member below node `node` of
+    /// class `c`'s tree: the score of a member as idle as the node's
+    /// least-busy one, charged the smallest pool charge. At a leaf the
+    /// charge is the leaf's own and the bound is exact; so it is at every
+    /// node when all pools are charged alike. Normalization is monotone
+    /// non-decreasing in each dimension, so the bound holds under `norm`
+    /// too. `None` for a node with no member below.
+    fn bound(&self, q: &Query, c: usize, node: usize) -> Option<f64> {
+        let tree = &self.trees[c];
+        let span = *tree.spans.get(node)?;
+        if span.is_empty() {
+            return None;
+        }
+        let width = tree.width();
+        let extra = match q.extras {
+            Some(extras) if node >= width => extras[self.shard_pool[tree.shards[node - width]]],
+            _ => q.charge.0,
+        };
+        let (dur, power) = q.classes.price_of(c);
+        let dur = dur + extra;
+        let est = Estimate::new(q.ready_at.max(span.lo) + dur, power * dur);
+        Some(q.policy.score(&est, &q.norm))
+    }
+
+    /// Depth-first over the subtree at `node` of class `c`'s tree, whose
+    /// bound is `lb`, the better-bounded child first. `step(lb, leaf)`
+    /// sees every non-empty node it reaches: a leaf with its shard, an
+    /// internal node with `None` and an answer saying whether to
+    /// descend.
+    fn walk(
+        &self,
+        q: &Query,
+        c: usize,
+        node: usize,
+        lb: f64,
+        step: &mut impl FnMut(f64, Option<usize>) -> bool,
+    ) {
+        let tree = &self.trees[c];
+        let width = tree.width();
+        if node >= width {
+            step(lb, Some(tree.shards[node - width]));
+            return;
+        }
+        if !step(lb, None) {
+            return;
+        }
+        let (l, r) = (2 * node, 2 * node + 1);
+        match (self.bound(q, c, l), self.bound(q, c, r)) {
+            (Some(a), Some(b)) if b < a => {
+                self.walk(q, c, r, b, step);
+                self.walk(q, c, l, a, step);
+            }
+            (Some(a), Some(b)) => {
+                self.walk(q, c, l, a, step);
+                self.walk(q, c, r, b, step);
+            }
+            (Some(a), None) => self.walk(q, c, l, a, step),
+            (None, Some(b)) => self.walk(q, c, r, b, step),
+            (None, None) => {}
+        }
+    }
+
+    /// Offer every member of shard `s` to `best`, priced with the flat
+    /// scan's per-device arithmetic; returns how many were priced.
+    fn evaluate(&self, q: &Query, devices: &[Device], s: usize, best: &mut TopK) -> u64 {
+        let (dur, power) = q.classes.price_of(self.class_of[s]);
+        let dur = dur + self.extra(q, s);
+        let energy = power * dur;
+        for &d in &self.members[s] {
+            let start = q.ready_at.max(devices[d].busy_until());
+            let score = q.policy.score(&Estimate::new(start + dur, energy), &q.norm);
+            best.offer(score, (d, start, dur));
+        }
+        self.members[s].len() as u64
+    }
+
+    /// The min-max normalization the flat scan folds over every
+    /// candidate, read off the trees. A class's members share one
+    /// duration and one energy, so a node's candidates span
+    /// `[ready.max(lo) + dur, ready.max(hi) + dur]` in time and one
+    /// point in energy: exact at every root when all pools are charged
+    /// alike, which makes the fold O(classes) and bit-identical to the
+    /// flat one (f64 min/max folds are order-independent; an empty node
+    /// has no flat candidate either). Under uneven charges a node's
+    /// range is widened to the charge range, and the fold descends only
+    /// where that range could still move one of the four extremes.
+    fn norm(&self, q: &Query) -> ScoreNorm {
+        let mut fold = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for c in 0..self.trees.len() {
+            self.fold_norm(q, c, 1, &mut fold);
+        }
+        let [t_lo, t_hi, e_lo, e_hi] = fold;
+        ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi)
+    }
+
+    /// Fold node `node` of class `c`'s tree into `[t_lo, t_hi, e_lo,
+    /// e_hi]` (see [`DevicePools::norm`]).
+    fn fold_norm(&self, q: &Query, c: usize, node: usize, fold: &mut [f64; 4]) {
+        let tree = &self.trees[c];
+        let Some(&span) = tree.spans.get(node) else {
+            return;
+        };
+        if span.is_empty() {
+            return;
+        }
+        let width = tree.width();
+        let (lo, hi) = if node >= width {
+            let x = self.extra(q, tree.shards[node - width]);
+            (x, x)
+        } else {
+            q.charge
+        };
+        let (dur, power) = q.classes.price_of(c);
+        let (fast, slow) = (dur + lo, dur + hi);
+        let t = (
+            (q.ready_at.max(span.lo) + fast).0,
+            (q.ready_at.max(span.hi) + slow).0,
+        );
+        let e = ((power * fast).0, (power * slow).0);
+        if lo == hi {
+            fold[0] = fold[0].min(t.0);
+            fold[1] = fold[1].max(t.1);
+            fold[2] = fold[2].min(e.0);
+            fold[3] = fold[3].max(e.1);
+        } else if t.0 < fold[0] || t.1 > fold[1] || e.0 < fold[2] || e.1 > fold[3] {
+            self.fold_norm(q, c, 2 * node, fold);
+            self.fold_norm(q, c, 2 * node + 1, fold);
+        }
     }
 }
 
@@ -542,6 +814,8 @@ mod tests {
     use legato_core::task::{TaskKind, Work};
     use legato_core::units::BytesPerSec;
     use legato_hw::device::DeviceId;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn fleet(n: usize) -> Vec<Device> {
         let specs = [
@@ -626,6 +900,14 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn a_zero_pool_size_is_one_pool_of_every_device() {
+        let config = PoolConfig::uniform(10, 0);
+        assert_eq!(config.pool_count(), 1);
+        assert_eq!(config.pools[0], (0..10).collect::<Vec<_>>());
+        assert_eq!(PoolConfig::uniform(0, 0).pool_count(), 0);
     }
 
     #[test]
@@ -1052,5 +1334,180 @@ mod tests {
             &mut pool_extras,
         );
         assert_eq!(pool_extras, [Seconds::ZERO; 4]);
+    }
+
+    /// Every leaf spans its shard's members, every internal node joins
+    /// its children, and every shard sits at its slot in its class's
+    /// tree, in ascending order.
+    fn check_trees(pools: &DevicePools, devices: &[Device]) -> Result<(), TestCaseError> {
+        prop_assert!(pools.stale.is_empty(), "a placement refreshes every leaf");
+        for (s, members) in pools.members.iter().enumerate() {
+            let tree = &pools.trees[pools.class_of[s]];
+            prop_assert_eq!(tree.shards[pools.slot_of[s]], s);
+            let span = members.iter().fold(Span::EMPTY, |span, &d| {
+                let busy = devices[d].busy_until();
+                span.join(Span { lo: busy, hi: busy })
+            });
+            prop_assert_eq!(tree.spans[tree.width() + pools.slot_of[s]], span);
+        }
+        for tree in &pools.trees {
+            let width = tree.width();
+            prop_assert!(tree.shards.windows(2).all(|w| w[0] < w[1]));
+            for slot in tree.shards.len()..width {
+                prop_assert_eq!(tree.spans[width + slot], Span::EMPTY);
+            }
+            for n in 1..width {
+                prop_assert_eq!(tree.spans[n], tree.spans[2 * n].join(tree.spans[2 * n + 1]));
+            }
+        }
+        Ok(())
+    }
+
+    /// What a k = 1 search must evaluate: every member of every shard
+    /// whose exact bound, under the flat scan's normalization, ties the
+    /// least one.
+    fn tied_members(
+        pools: &DevicePools,
+        devices: &[Device],
+        classes: &SpecClasses,
+        policy: Policy,
+        ready_at: Seconds,
+        extras: Option<&[Seconds]>,
+    ) -> u64 {
+        let extra = |pool: usize| extras.map_or(Seconds::ZERO, |e| e[pool]);
+        let estimate = |class: usize, pool: usize, busy: Seconds| {
+            let (dur, power) = classes.price_of(class);
+            let dur = dur + extra(pool);
+            Estimate::new(ready_at.max(busy) + dur, power * dur)
+        };
+        let live: Vec<usize> = pools.members.iter().flatten().copied().collect();
+        let candidates: Vec<Estimate> = live
+            .iter()
+            .map(|&d| {
+                estimate(
+                    classes.class_of(d),
+                    pools.pool_of(d),
+                    devices[d].busy_until(),
+                )
+            })
+            .collect();
+        let norm = if policy.needs_norm() {
+            ScoreNorm::from_estimates(&candidates)
+        } else {
+            ScoreNorm::IDENTITY
+        };
+        let bounds: Vec<(f64, u64)> = (0..pools.members.len())
+            .filter(|&s| !pools.members[s].is_empty())
+            .map(|s| {
+                let members = &pools.members[s];
+                let least = members.iter().map(|&d| devices[d].busy_until());
+                let least = least.fold(Seconds(f64::INFINITY), Seconds::min);
+                let est = estimate(pools.class_of[s], pools.shard_pool[s], least);
+                (policy.score(&est, &norm), members.len() as u64)
+            })
+            .collect();
+        let min = bounds.iter().map(|b| b.0).fold(f64::INFINITY, f64::min);
+        bounds.iter().filter(|b| b.0 == min).map(|b| b.1).sum()
+    }
+
+    proptest! {
+        /// The trees against brute force, through timelines that move,
+        /// devices that leave and arrivals — some of a spec no shard
+        /// carries yet, which opens a class tree mid-run. After every
+        /// search the trees hold their invariants, the selection and
+        /// plans are the flat scan's bit for bit, and a k = 1 search
+        /// evaluates exactly the shards whose bound ties the minimum;
+        /// with topology charges drawn per pool, all of it still holds.
+        #[test]
+        fn trees_match_brute_force_under_churn(
+            n in 1usize..20,
+            pool_size in 1usize..6,
+            policy_sel in 0usize..4,
+            k in 2usize..=MAX_REPLICAS,
+            ops in prop::collection::vec((0u8..4, 0usize..64, 0.0f64..4.0), 1..24),
+            levels in prop::collection::vec(0u8..3, 1..8),
+            charged in any::<bool>(),
+        ) {
+            let specs = [
+                DeviceSpec::xeon_x86(),
+                DeviceSpec::gtx1080(),
+                DeviceSpec::fpga_kintex(),
+                DeviceSpec::arm64(),
+                DeviceSpec::jetson_soc(),
+            ];
+            let policy = [
+                Policy::Performance,
+                Policy::Energy,
+                Policy::Edp,
+                Policy::Weighted(0.5),
+            ][policy_sel];
+            let mut devices: Vec<Device> = (0..n)
+                .map(|i| Device::new(DeviceId(i as u64), specs[i % 4].clone()))
+                .collect();
+            let mut classes = SpecClasses::new(&devices);
+            let mut pools = pools_over(PoolConfig::uniform(n, pool_size), &devices).expect("valid");
+            let mut avail = vec![true; n];
+            let (mut estimates, mut candidates) = (Vec::new(), Vec::new());
+            for (step, &(op, pick, x)) in ops.iter().enumerate() {
+                let live: Vec<usize> = (0..devices.len()).filter(|&d| avail[d]).collect();
+                let picked = (!live.is_empty()).then(|| live[pick % live.len()]);
+                match (op, picked) {
+                    (0, Some(d)) => {
+                        devices[d].execute(Seconds(x), Work::flops(1e12 * x), TaskKind::Compute);
+                        pools.mark_dirty(d);
+                    }
+                    (1, _) => {
+                        let d = devices.len();
+                        devices.push(Device::new(DeviceId(d as u64), specs[pick % 5].clone()));
+                        let class = classes.add_device(&devices);
+                        pools.add_device(d, class, pick);
+                        avail.push(true);
+                    }
+                    (2, Some(d)) => {
+                        avail[d] = false;
+                        pools.remove_device(d);
+                    }
+                    _ => {}
+                }
+                let extras: Option<Vec<Seconds>> = charged.then(|| {
+                    (0..pools.pool_count())
+                        .map(|p| Seconds(0.25 * f64::from(levels[(p + step) % levels.len()])))
+                        .collect()
+                });
+                let extras = extras.as_deref();
+                let ready_at = Seconds(x);
+                classes.price(&devices, Work::new(1e12 + 1e12 * x, Bytes::mib(64)), TaskKind::Compute);
+                for want in [1, k] {
+                    let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
+                    let (filled, evaluated) =
+                        pools.plan_k(policy, &devices, &classes, ready_at, extras, &mut out[..want]);
+                    check_trees(&pools, &devices)?;
+                    let mut flat = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
+                    let (flat_filled, _) = policy.plan_k_devices(
+                        &devices,
+                        &classes,
+                        ready_at,
+                        Some(&avail),
+                        None,
+                        extras.map(|e| (e, pools.pool_of_slice())),
+                        None,
+                        &mut estimates,
+                        &mut candidates,
+                        &mut flat[..want],
+                    );
+                    prop_assert_eq!(&out[..filled], &flat[..flat_filled]);
+                    if want == 1 {
+                        let tied = tied_members(&pools, &devices, &classes, policy, ready_at, extras);
+                        prop_assert_eq!(evaluated, tied);
+                    }
+                    if op == 3 && want == k {
+                        for &(d, start, dur) in &out[..filled] {
+                            devices[d].execute_planned(start, dur);
+                            pools.mark_dirty(d);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -417,7 +417,7 @@ impl Runtime {
     /// roofline estimate plus scoring). The flat path evaluates every
     /// eligible device per attempt; the pooled path
     /// ([`EngineConfig::with_pools`](crate::config::EngineConfig::with_pools))
-    /// prunes pools whose score lower bound cannot reach the top-k, so
+    /// prunes shards whose score lower bound cannot reach the top-k, so
     /// this counter is the sub-linearity observable — deliberately kept
     /// out of [`RunReport`] so pooled and flat reports stay comparable
     /// bit for bit.

@@ -97,10 +97,11 @@ impl ScoreNorm {
     /// [`ScoreNorm::from_estimates`] would build, for a caller that
     /// already knows the candidate set's extremes. The flat scan folds
     /// them while it writes the estimates; the pooled scheduler derives
-    /// them exactly in O(shards) (every shard is spec-homogeneous, so its
-    /// members share one duration and one energy; only the queue delay
-    /// varies, and the shard caches its min/max busy horizon) without
-    /// materializing the estimates.
+    /// them exactly from its per-class trees, in O(classes) without
+    /// topology charges (a class's members share one duration and one
+    /// energy; only the queue delay varies, and each tree root caches
+    /// the class's min/max busy horizon), without materializing the
+    /// estimates.
     #[must_use]
     pub(crate) fn from_bounds(t_lo: f64, t_hi: f64, e_lo: f64, e_hi: f64) -> Self {
         ScoreNorm {
@@ -246,7 +247,7 @@ pub(crate) type Plan = (usize, Seconds, Seconds);
 /// but built in one pass: a candidate that cannot enter costs one
 /// comparison against the worst plan held. The flat scan offers every
 /// candidate as it prices it; the pooled search offers the members of
-/// the shards it does not prune, in any order.
+/// the shards it does not prune, in tree order.
 #[derive(Debug)]
 pub(crate) struct TopK {
     keys: [f64; MAX_REPLICAS],
@@ -268,8 +269,8 @@ impl TopK {
     }
 
     /// The key a candidate must beat once `want` plans are held (`None`
-    /// until then): the pooled search prunes a shard whose bound is
-    /// strictly above it.
+    /// until then): the pooled search prunes a subtree of shards whose
+    /// bound is strictly above it.
     pub(crate) fn bar(&self) -> Option<f64> {
         (self.len == self.want && self.len > 0).then(|| self.keys[self.len - 1])
     }

@@ -16,7 +16,8 @@
 //! * **Pooled ≡ flat under churn** — crash migrations take the same
 //!   launcher as every other attempt, so with a pool configuration they
 //!   reach the sharded search: same report as the flat scan, never more
-//!   placement evaluations.
+//!   placement evaluations — also when an arrival brings a spec the
+//!   build-time fleet lacks and the search opens a class tree mid-run.
 
 use std::collections::HashMap;
 
@@ -25,8 +26,8 @@ use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    ChurnConfig, ChurnTrace, EngineConfig, Policy, PoolConfig, ResilienceConfig, Runtime,
-    RuntimeError,
+    ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, EngineConfig, Policy, PoolConfig,
+    ResilienceConfig, Runtime, RuntimeError,
 };
 use proptest::prelude::*;
 
@@ -263,6 +264,66 @@ proptest! {
         let (flat, flat_refused, flat_evals) = run(None);
         let (pooled, pooled_refused, pooled_evals) =
             run(Some(PoolConfig::uniform(devices().len(), 2)));
+        prop_assert_eq!(&pooled, &flat);
+        prop_assert_eq!(pooled_refused, flat_refused);
+        prop_assert!(
+            pooled_evals <= flat_evals,
+            "pooled search evaluated {} candidates, flat scan {}", pooled_evals, flat_evals
+        );
+    }
+
+    /// An arrival of a spec no build-time device carries (a Jetson
+    /// among x86, GPU and FPGA) opens a new spec class mid-run, and with
+    /// it a new shard and class tree in the sharded search: the report
+    /// stays bit-identical to the flat scan's, and pruning never
+    /// evaluates more candidates than the scan does.
+    #[test]
+    fn pooled_placement_stays_bit_identical_when_a_new_class_arrives(
+        chains in prop::collection::vec(
+            prop::collection::vec((5e11f64..4e12, 0u8..3), 1..4),
+            8..20,
+        ),
+        seed in 0u64..300,
+        trace_seed in 0u64..300,
+        events in 0usize..6,
+        arrive_at in 0.0f64..2.0,
+        crash_fraction in 0.0f64..1.0,
+        resilient in any::<bool>(),
+    ) {
+        let mut arrivals = devices();
+        arrivals.push(DeviceSpec::jetson_soc());
+        let seeded = ChurnTrace::seeded(
+            trace_seed,
+            devices().len(),
+            Seconds(20.0),
+            events,
+            &arrivals,
+            crash_fraction,
+        );
+        let mut trace = seeded.events().to_vec();
+        trace.push(ChurnEvent {
+            at: Seconds(arrive_at),
+            kind: ChurnEventKind::Arrival {
+                spec: DeviceSpec::jetson_soc(),
+                pool: None,
+                fault_prob: 0.0,
+            },
+        });
+        let run = |pools: Option<PoolConfig>| {
+            let churn = ChurnConfig::new(ChurnTrace::from_events(trace.clone()));
+            let mut cfg = config(seed, resilient, Some(churn), &chains);
+            if let Some(pools) = pools {
+                cfg = cfg.with_pools(pools);
+            }
+            let mut rt = build(cfg);
+            submit_wave(&mut rt, &chains);
+            let (report, refused) = run_to_quiescence(&mut rt);
+            (report, refused, rt.placement_evals())
+        };
+        let (flat, flat_refused, flat_evals) = run(None);
+        let (pooled, pooled_refused, pooled_evals) =
+            run(Some(PoolConfig::uniform(devices().len(), 2)));
+        prop_assert!(flat.churn.is_some_and(|c| c.arrivals >= 1), "the Jetson arrived");
         prop_assert_eq!(&pooled, &flat);
         prop_assert_eq!(pooled_refused, flat_refused);
         prop_assert!(

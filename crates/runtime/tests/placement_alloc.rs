@@ -3,7 +3,9 @@
 //! DESIGN.md §8 promises an allocation-free event path — the one-pass
 //! selections keep their top-k inline, and `Weighted`'s estimates and
 //! candidates and the security plan live in per-runtime scratch sized by
-//! the first placements — and lists the few amortised growth sites that
+//! the first placements, and the sharded search's trees and stale list
+//! are sized when the pools are built — and lists the few amortised
+//! growth sites that
 //! remain (the outcome table, the acceptance log). This binary installs
 //! a counting allocator, lets one wave of placements warm every buffer,
 //! and asserts that a second, equal wave allocates no more than those
@@ -18,7 +20,7 @@ use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_runtime::{
     ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, DepartureKind, EnergyConfig, EngineConfig,
-    Policy, Runtime, SecurityConfig,
+    Policy, PoolConfig, Runtime, SecurityConfig,
 };
 use legato_workloads::fleets;
 
@@ -116,6 +118,15 @@ fn steady_state_placement_is_allocation_free() {
             replicated,
             FLEET,
         ),
+        // The sharded search: on a fleet the chain leaves idle, the
+        // best class's shards all tie at its bound, so each task prices
+        // that class's quarter of the fleet and prunes the rest.
+        (
+            "pooled",
+            base().with_pools(PoolConfig::uniform(FLEET, 16)),
+            public,
+            FLEET / 4,
+        ),
     ];
     for (name, config, requirements, candidates) in scenarios {
         let rt = config.build().expect("valid engine config");
@@ -123,7 +134,7 @@ fn steady_state_placement_is_allocation_free() {
         assert_eq!(
             evals,
             (WAVE * candidates) as u64,
-            "{name}: every task scanned the flat candidate set"
+            "{name}: every task priced exactly its candidate set"
         );
         assert!(
             allocations <= AMORTISED,
