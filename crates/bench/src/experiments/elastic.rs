@@ -135,12 +135,12 @@ fn run_cell(
         .with_devices(fleet.clone())
         .with_policy(Policy::Performance)
         .with_seed(seed)
-        .with_max_retries(scenario.max_retries);
+        .with_max_retries(scenario.max_retries)
+        .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes));
     if let Some((mode, events, horizon)) = churn {
         if mode == ChurnMode::CrashCkpt {
             cfg = cfg.with_resilience(
                 ResilienceConfig::new(scenario.mean_task_duration() * 64.0)
-                    .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))
                     .with_max_rollbacks(10_000),
             );
         }

@@ -162,7 +162,8 @@ pub fn runtime(
         .with_devices(fleets::reference())
         .with_policy(Policy::Performance)
         .with_seed(seed)
-        .with_max_retries(scenario.max_retries);
+        .with_max_retries(scenario.max_retries)
+        .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes));
     let strategy = match mode {
         CkptMode::RetryOnly => None,
         CkptMode::Initial => Some(Strategy::Initial),
@@ -172,7 +173,6 @@ pub fn runtime(
         cfg = cfg.with_resilience(
             ResilienceConfig::new(mtbf)
                 .with_strategy(strategy)
-                .with_region_sizes(region_sizes(fan.regions(), scenario.region_bytes))
                 .with_max_rollbacks(10_000),
         );
     }

@@ -33,7 +33,7 @@
 use legato_core::task::Work;
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::{DeviceSpec, TeeCapability};
-use legato_runtime::{EngineConfig, Policy, Runtime, RuntimeError, SecurityConfig, SecurityStats};
+use legato_runtime::{EngineConfig, Policy, Runtime, RuntimeError, SecurityStats};
 use legato_workloads::{region_sizes, Fan};
 
 /// Which crypto class the TEE-capable devices carry.
@@ -167,7 +167,7 @@ pub fn runtime(
         .with_devices(devices(crypto))
         .with_policy(Policy::Performance)
         .with_seed(seed)
-        .with_security(SecurityConfig::new().with_region_sizes(sizes))
+        .with_region_sizes(sizes)
         .build()?;
     super::submit(&mut rt, &fan, seed);
     Ok(rt)

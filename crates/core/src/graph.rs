@@ -386,7 +386,13 @@ impl TaskGraph {
     /// declared them (submission order, then declaration order within a
     /// task).
     pub fn live_regions(&self) -> impl Iterator<Item = RegionId> + '_ {
-        set_bits(&self.live_bits).map(|slot| self.slot_region[slot])
+        self.live_slots()
+            .map(|slot| self.slot_region[slot as usize])
+    }
+
+    /// The slots of [`TaskGraph::live_regions`], in the same order.
+    pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.live_bits).map(|slot| slot as u32)
     }
 
     /// Number of regions currently live at the frontier, without
@@ -739,6 +745,28 @@ impl TaskGraph {
     pub fn accesses(&self, id: TaskId) -> Result<&[(RegionId, AccessMode)], CoreError> {
         let s = self.node(id)?.accesses;
         Ok(&self.access_arena[s.range()])
+    }
+
+    /// The dense slot of each of a task's declarations, parallel to
+    /// [`TaskGraph::accesses`]: slot `s` is region
+    /// [`regions()[s]`](TaskGraph::regions). A table indexed by slot
+    /// reads a region's facts with no hashing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
+    #[inline]
+    pub fn access_slots(&self, id: TaskId) -> Result<&[u32], CoreError> {
+        let s = self.node(id)?.accesses;
+        Ok(&self.access_slots[s.range()])
+    }
+
+    /// Every region ever declared, indexed by slot: slots are handed out
+    /// in first-declaration order when a task is submitted and never
+    /// change, so a slot-indexed table only ever grows at its end.
+    #[must_use]
+    pub fn regions(&self) -> &[RegionId] {
+        &self.slot_region
     }
 
     /// All tasks currently in [`TaskState::Ready`], in submission order.
@@ -1875,6 +1903,37 @@ mod tests {
         let mut g = TaskGraph::new();
         let a = g.add_task(desc("a"), [(7u64, AccessMode::InOut)]);
         assert_eq!(g.accesses(a).unwrap(), &[(RegionId(7), AccessMode::InOut)]);
+    }
+
+    #[test]
+    fn access_slots_index_the_region_table() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task(
+            desc("a"),
+            [(7u64, AccessMode::Out), (3u64, AccessMode::Out)],
+        );
+        // A duplicate collapses before interning; a known region keeps
+        // its slot.
+        let b = g.add_task(
+            desc("b"),
+            [
+                (9u64, AccessMode::In),
+                (3u64, AccessMode::In),
+                (9u64, AccessMode::Out),
+            ],
+        );
+        assert_eq!(g.regions(), &[RegionId(7), RegionId(3), RegionId(9)]);
+        assert_eq!(g.access_slots(a).unwrap(), &[0, 1]);
+        assert_eq!(g.access_slots(b).unwrap(), &[2, 1]);
+        for id in [a, b] {
+            let slots = g.access_slots(id).unwrap();
+            for (&(region, _), &slot) in g.accesses(id).unwrap().iter().zip(slots) {
+                assert_eq!(g.regions()[slot as usize], region);
+            }
+        }
+        g.complete(a).unwrap();
+        assert_eq!(g.live_slots().collect::<Vec<_>>(), [1]);
+        assert!(g.access_slots(TaskId(2)).is_err());
     }
 
     #[test]

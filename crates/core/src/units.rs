@@ -267,13 +267,16 @@ impl Div<Watt> for Joule {
 /// A data size in bytes.
 ///
 /// Stored as an exact `u64`; the humanized `Display` implementation is for
-/// reporting only.
+/// reporting only. Sums and products saturate at `u64::MAX` instead of
+/// panicking or wrapping: sizes are caller-declared, and a volume summed
+/// over many huge regions must stay a (capped) volume.
 ///
 /// ```
 /// use legato_core::units::Bytes;
 /// let ckpt = Bytes::gib(16);
 /// assert_eq!(ckpt.as_u64(), 16 * 1024 * 1024 * 1024);
 /// assert_eq!(ckpt.to_string(), "16.00 GiB");
+/// assert_eq!(Bytes(u64::MAX) + ckpt, Bytes(u64::MAX));
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -347,13 +350,13 @@ impl Bytes {
 impl Add for Bytes {
     type Output = Bytes;
     fn add(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0 + rhs.0)
+        Bytes(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Bytes {
     fn add_assign(&mut self, rhs: Bytes) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -367,13 +370,13 @@ impl Sub for Bytes {
 impl Mul<u64> for Bytes {
     type Output = Bytes;
     fn mul(self, rhs: u64) -> Bytes {
-        Bytes(self.0 * rhs)
+        Bytes(self.0.saturating_mul(rhs))
     }
 }
 
 impl Sum for Bytes {
     fn sum<I: Iterator<Item = Bytes>>(iter: I) -> Bytes {
-        Bytes(iter.map(|b| b.0).sum())
+        iter.fold(Bytes::ZERO, Add::add)
     }
 }
 
@@ -510,6 +513,18 @@ mod tests {
         assert_eq!(total, Joule(3.5));
         let total: Bytes = [Bytes(10), Bytes(20)].into_iter().sum();
         assert_eq!(total, Bytes(30));
+    }
+
+    #[test]
+    fn byte_arithmetic_saturates() {
+        let near = Bytes(u64::MAX - 1);
+        assert_eq!(near + Bytes(5), Bytes(u64::MAX));
+        let mut acc = near;
+        acc += near;
+        assert_eq!(acc, Bytes(u64::MAX));
+        assert_eq!(near * 3, Bytes(u64::MAX));
+        let total: Bytes = [near, near, Bytes(1)].into_iter().sum();
+        assert_eq!(total, Bytes(u64::MAX));
     }
 
     #[test]

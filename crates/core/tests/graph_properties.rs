@@ -172,6 +172,35 @@ proptest! {
             prop_assert_eq!(g.live_region_count(), want.len());
         }
     }
+
+    /// Through the same lifetimes, every declaration's slot names its
+    /// region in `regions()`, each region holds exactly one slot, and
+    /// `live_slots()` names `live_regions()` — what a table indexed by
+    /// slot relies on.
+    #[test]
+    fn access_slots_index_the_region_table(
+        initial in graph_strategy(),
+        ops in prop::collection::vec(op_strategy(), 0..60),
+    ) {
+        let mut g = build(&initial);
+        let mut snapshot = g.frontier();
+        for op in &ops {
+            apply(&mut g, op, &mut snapshot);
+            let regions = g.regions();
+            let distinct: HashSet<RegionId> = regions.iter().copied().collect();
+            prop_assert!(distinct.len() == regions.len(), "after {op:?}: {regions:?}");
+            for id in (0..g.len() as u64).map(TaskId) {
+                let slots = g.access_slots(id).unwrap();
+                let accesses = g.accesses(id).unwrap();
+                prop_assert_eq!(slots.len(), accesses.len());
+                for (&(region, _), &slot) in accesses.iter().zip(slots) {
+                    prop_assert!(regions[slot as usize] == region, "after {op:?}: {id} {region}");
+                }
+            }
+            let live: Vec<RegionId> = g.live_slots().map(|s| regions[s as usize]).collect();
+            prop_assert_eq!(live, g.live_regions().collect::<Vec<_>>());
+        }
+    }
 }
 
 /// One step of a graph's lifetime; indices pick among the tasks a step

@@ -61,11 +61,11 @@ use legato_core::graph::TaskGraph;
 use legato_core::reach::{has_direct_edge, Reachability};
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{RegionId, TaskId};
+use legato_core::units::Bytes;
 use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyObjective;
-use crate::resilience::ResilienceConfig;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -293,8 +293,10 @@ pub struct AnalysisContext<'a> {
     pub devices: &'a [Device],
     /// The active Pareto objective, if any.
     pub objective: Option<EnergyObjective>,
-    /// The checkpoint/restart configuration, when resilience mode is on.
-    pub resilience: Option<&'a ResilienceConfig>,
+    /// The engine's declared region sizes
+    /// ([`EngineConfig::with_region_sizes`](crate::config::EngineConfig::with_region_sizes)),
+    /// when resilience mode is on and checkpoints are priced with them.
+    pub region_sizes: Option<&'a HashMap<RegionId, Bytes>>,
 }
 
 /// Run the configured default lints over a context.
@@ -662,28 +664,25 @@ fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
 /// map means volume accounting is off by choice — only a *partial*
 /// declaration is suspicious.
 fn checkpoint_closure(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(res) = cx.resilience else {
+    let Some(sizes) = cx.region_sizes.filter(|s| !s.is_empty()) else {
         return;
     };
-    if res.region_sizes.is_empty() {
-        return;
-    }
     let g = cx.graph;
-    let mut written: HashMap<RegionId, TaskId> = HashMap::new();
+    // Per slot: whether an earlier task wrote the region, and whether it
+    // is already reported.
+    let mut written = vec![false; g.regions().len()];
+    let mut reported = written.clone();
     let mut undeclared: Vec<RegionId> = Vec::new();
     for i in 0..g.len() {
         let t = TaskId(i as u64);
-        for &(region, mode) in g.accesses(t).expect("id in range") {
-            let live_window = mode.reads()
-                && written.get(&region).is_some_and(|&w| w != t)
-                && !res.region_sizes.contains_key(&region)
-                && !undeclared.contains(&region);
-            if live_window {
+        let slots = g.access_slots(t).expect("id in range");
+        for (&(region, mode), &slot) in g.accesses(t).expect("id in range").iter().zip(slots) {
+            let s = slot as usize;
+            if mode.reads() && written[s] && !reported[s] && !sizes.contains_key(&region) {
+                reported[s] = true;
                 undeclared.push(region);
             }
-            if mode.writes() {
-                written.insert(region, t);
-            }
+            written[s] |= mode.writes();
         }
     }
     if !undeclared.is_empty() {
@@ -754,7 +753,7 @@ mod tests {
             graph,
             devices,
             objective: None,
-            resilience: None,
+            region_sizes: None,
         };
         run_lints(&cx, &AnalysisConfig::new())
     }
@@ -1067,7 +1066,7 @@ mod tests {
             graph: &g,
             devices: &devices,
             objective: Some(EnergyObjective::MinEnergyWithinMakespan(Seconds(1.0e-3))),
-            resilience: None,
+            region_sizes: None,
         };
         let report = run_lints(&cx, &AnalysisConfig::new());
         let feas = only(&report, LintId::PlacementFeasibility);
@@ -1098,7 +1097,7 @@ mod tests {
                 graph: &g,
                 devices: &devices,
                 objective: Some(EnergyObjective::MinEnergyWithinMakespan(bound)),
-                resilience: None,
+                region_sizes: None,
             };
             run_lints(&cx, &AnalysisConfig::new())
         };
@@ -1128,7 +1127,7 @@ mod tests {
             graph: &g,
             devices: &devices,
             objective: Some(EnergyObjective::MinMakespanUnderPowerCap(Watt(1.0))),
-            resilience: None,
+            region_sizes: None,
         };
         let report = run_lints(&cx, &AnalysisConfig::new());
         let feas = only(&report, LintId::PlacementFeasibility);
@@ -1150,13 +1149,12 @@ mod tests {
         g.add_task(desc("raw"), [(0u64, AccessMode::Out)]);
         g.add_task(desc("model"), [(0u64, AccessMode::In)]);
         let devices = fleet(vec![DeviceSpec::xeon_x86()]);
-        let res = crate::resilience::ResilienceConfig::new(Seconds(500.0))
-            .with_region_sizes(HashMap::from([(RegionId(0), Bytes::mib(10))]));
+        let sizes = HashMap::from([(RegionId(0), Bytes::mib(10))]);
         let cx = AnalysisContext {
             graph: &g,
             devices: &devices,
             objective: None,
-            resilience: Some(&res),
+            region_sizes: Some(&sizes),
         };
         let report = run_lints(&cx, &AnalysisConfig::new());
         assert!(
@@ -1164,8 +1162,8 @@ mod tests {
             "{report}"
         );
 
-        // Without a resilience config nothing is a finding: nothing
-        // will ever checkpoint.
+        // Without resilience (no sizes in the context) nothing is a
+        // finding: nothing will ever checkpoint.
         let report = analyze(&g, &devices);
         assert!(
             only(&report, LintId::CheckpointClosure).is_empty(),
@@ -1183,13 +1181,12 @@ mod tests {
         g.add_task(desc("c"), [(0u64, AccessMode::In), (1u64, AccessMode::In)]);
         let devices = fleet(vec![DeviceSpec::xeon_x86()]);
         // R0 declared, R1 (also live across the edge) missing.
-        let res = crate::resilience::ResilienceConfig::new(Seconds(500.0))
-            .with_region_sizes(HashMap::from([(RegionId(0), Bytes::mib(10))]));
+        let sizes = HashMap::from([(RegionId(0), Bytes::mib(10))]);
         let cx = AnalysisContext {
             graph: &g,
             devices: &devices,
             objective: None,
-            resilience: Some(&res),
+            region_sizes: Some(&sizes),
         };
         let report = run_lints(&cx, &AnalysisConfig::new());
         let cks = only(&report, LintId::CheckpointClosure);
@@ -1212,7 +1209,7 @@ mod tests {
             graph: &g,
             devices: &devices,
             objective: None,
-            resilience: None,
+            region_sizes: None,
         };
         let config = AnalysisConfig::new().without_lint(LintId::RegionRace);
         let report = run_lints(&cx, &config);

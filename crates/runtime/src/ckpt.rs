@@ -9,26 +9,21 @@
 //! graph, versus the full memory footprint a task-oblivious checkpointer
 //! would write.
 //!
-//! These volumes are no longer analysis-only: the engine's
-//! checkpoint/restart mode ([`resilience`](crate::resilience)) charges
-//! the [`task_declared_volume`] for every periodic checkpoint event it
-//! emits, so the frontier analysis directly prices the simulated
-//! checkpoint traffic.
+//! The engine's checkpoint/restart mode ([`resilience`](crate::resilience))
+//! charges the same [`task_declared_volume`] at every checkpoint, but
+//! reads sizes by slot ([`TaskGraph::live_slots`]) from its region table,
+//! where the one declaration
+//! ([`EngineConfig::with_region_sizes`](crate::config::EngineConfig::with_region_sizes))
+//! sits beside residency, so one walk also counts the sealed share.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use legato_core::graph::TaskGraph;
 use legato_core::task::RegionId;
 use legato_core::units::Bytes;
 
-/// Declared size of `region`; a region absent from `sizes` counts as
-/// zero bytes.
-pub(crate) fn bytes_of(sizes: &HashMap<RegionId, Bytes>, region: RegionId) -> Bytes {
-    sizes.get(&region).copied().unwrap_or(Bytes::ZERO)
-}
-
 /// Bytes a task-aware checkpoint writes at the current frontier: the
-/// declared sizes of the *live* regions — last written by a completed
+/// declared sizes (absent: zero bytes) of the *live* regions — last written by a completed
 /// task and still to be read by an unfinished one. Everything else is
 /// dead or reproducible by re-running unfinished tasks.
 ///
@@ -37,26 +32,24 @@ pub(crate) fn bytes_of(sizes: &HashMap<RegionId, Bytes>, region: RegionId) -> By
 /// checkpoint event walks the same set.
 #[must_use]
 pub fn task_declared_volume(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>) -> Bytes {
-    graph.live_regions().map(|r| bytes_of(sizes, r)).sum()
+    graph
+        .live_regions()
+        .filter_map(|r| sizes.get(&r))
+        .copied()
+        .sum()
 }
 
 /// Bytes a task-oblivious (full address space) checkpoint writes: every
-/// region ever touched.
+/// region ever touched — each once, as the graph's region table lists
+/// them.
 #[must_use]
 pub fn full_memory_volume(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>) -> Bytes {
-    // Task ids are dense, so a direct index walk enumerates every task —
-    // no need for the Kahn `try_topological_order()` (O(V+E) plus an
-    // allocation) the original implementation built just to list ids.
-    let mut seen: HashSet<RegionId> = HashSet::new();
-    for id in 0..graph.len() {
-        for &(r, _) in graph
-            .accesses(legato_core::task::TaskId(id as u64))
-            .expect("id in range")
-        {
-            seen.insert(r);
-        }
-    }
-    seen.into_iter().map(|r| bytes_of(sizes, r)).sum()
+    graph
+        .regions()
+        .iter()
+        .filter_map(|r| sizes.get(r))
+        .copied()
+        .sum()
 }
 
 /// Volume reduction factor of task-aware over full-memory checkpointing
@@ -81,6 +74,7 @@ pub fn reduction_factor(graph: &TaskGraph, sizes: &HashMap<RegionId, Bytes>) -> 
 mod tests {
     use super::*;
     use legato_core::task::{AccessMode, TaskDescriptor};
+    use std::collections::HashSet;
 
     fn live(graph: &TaskGraph) -> HashSet<RegionId> {
         graph.live_regions().collect()

@@ -34,6 +34,10 @@
 //! engine's silent-fault draws and the effective MTBF the resilience
 //! layer plans checkpoints against.
 
+use std::collections::HashMap;
+
+use legato_core::task::RegionId;
+use legato_core::units::Bytes;
 use legato_hw::device::DeviceSpec;
 
 use crate::analyze::{AnalysisConfig, AnalysisState};
@@ -46,6 +50,9 @@ use crate::runtime::Runtime;
 use crate::scheduler::Policy;
 use crate::security::SecurityConfig;
 
+/// Declared size of each data region, by region id.
+pub(crate) type RegionSizes = HashMap<RegionId, Bytes>;
+
 /// Builder for a fully configured [`Runtime`]: devices, policy, seed,
 /// and the three pillars (resilience, security, energy) in one place.
 #[derive(Debug, Clone, Default)]
@@ -55,6 +62,7 @@ pub struct EngineConfig {
     policy: Option<Policy>,
     seed: u64,
     max_retries: Option<u32>,
+    region_sizes: RegionSizes,
     resilience: Option<ResilienceConfig>,
     security: Option<SecurityConfig>,
     energy: Option<EnergyConfig>,
@@ -102,6 +110,16 @@ impl EngineConfig {
         self
     }
 
+    /// Declare each region's size, keyed by the id tasks submit it under
+    /// (a [`Service`](crate::service::Service) tenant `t`'s region `r` is
+    /// `(t << 32) | r`); undeclared regions are zero bytes. Checkpoints,
+    /// seals, enclave crypto, topology transfers and the analyzer all
+    /// price a region at this one size.
+    pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
+        self.region_sizes = sizes;
+        self
+    }
+
     /// Enable checkpoint/restart mode (see
     /// [`resilience`](crate::resilience)).
     pub fn with_resilience(mut self, config: ResilienceConfig) -> Self {
@@ -109,9 +127,9 @@ impl EngineConfig {
         self
     }
 
-    /// Tune the security layer's cost model (see
-    /// [`security`](crate::security); the layer still activates only
-    /// when a confidential task is submitted).
+    /// Configure the security layer (see [`security`](crate::security);
+    /// the layer activates when the first confidential task is
+    /// submitted, configured or not).
     pub fn with_security(mut self, config: SecurityConfig) -> Self {
         self.security = Some(config);
         self
@@ -194,14 +212,17 @@ impl EngineConfig {
     /// model cannot price — zero, negative or non-finite — when an
     /// energy override names a device or ladder rung that does not
     /// exist, when a selected rung lies in the crash region (fault
-    /// probability ≥ 1: the run could never accept a result), or when a
-    /// Pareto objective's bound or cap is not a positive finite value.
+    /// probability ≥ 1: the run could never accept a result), when a
+    /// Pareto objective's bound or cap is not a positive finite value, or
+    /// when two size declarations ([`EngineConfig::with_region_sizes`]
+    /// and its aliases) give one region different sizes.
     pub fn build(self) -> Result<Runtime, RuntimeError> {
         let EngineConfig {
             devices,
             policy,
             seed,
             max_retries,
+            mut region_sizes,
             resilience,
             security,
             energy,
@@ -273,12 +294,14 @@ impl EngineConfig {
         if let Some(retries) = max_retries {
             rt.max_retries = retries;
         }
-        if let Some(cfg) = resilience {
+        if let Some(mut cfg) = resilience {
+            declare(&mut region_sizes, std::mem::take(&mut cfg.sizes))?;
             rt.resilience = Some(ResilienceState::new(cfg));
         }
         if let Some(cfg) = security {
-            rt.security.config = cfg;
+            declare(&mut region_sizes, cfg.sizes)?;
         }
+        rt.region_sizes = region_sizes;
         if energy_state.active {
             rt.fault_probs.copy_from_slice(&energy_state.op_fault_probs);
             rt.energy = energy_state;
@@ -317,6 +340,42 @@ fn validate_objective(objective: Option<EnergyObjective>) -> Result<(), RuntimeE
             ))
         }
         _ => Ok(()),
+    }
+}
+
+/// Join an alias's declaration into the engine's: a region declared in
+/// both must agree on its size, and the lowest clashing region is named.
+fn declare(sizes: &mut RegionSizes, alias: RegionSizes) -> Result<(), RuntimeError> {
+    let clash = alias
+        .into_iter()
+        .filter_map(|(region, bytes)| {
+            let declared = *sizes.entry(region).or_insert(bytes);
+            (declared != bytes).then_some((region, declared, bytes))
+        })
+        .min();
+    clash.map_or(Ok(()), |(region, a, b)| {
+        let reason = format!("region {region} is declared as {} B and as {} B", a.0, b.0);
+        Err(RuntimeError::invalid_parameter("region_sizes", reason))
+    })
+}
+
+impl SecurityConfig {
+    /// Alias of [`EngineConfig::with_region_sizes`]: joins the engine's
+    /// one declaration at [`EngineConfig::build`], which refuses a
+    /// region declared twice with two sizes.
+    pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
+        self.sizes = sizes;
+        self
+    }
+}
+
+impl ResilienceConfig {
+    /// Alias of [`EngineConfig::with_region_sizes`]: joins the engine's
+    /// one declaration at [`EngineConfig::build`], which refuses a
+    /// region declared twice with two sizes.
+    pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
+        self.sizes = sizes;
+        self
     }
 }
 

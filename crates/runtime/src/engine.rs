@@ -39,7 +39,6 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{TaskId, TaskKind, Work};
@@ -49,6 +48,7 @@ use rand::Rng;
 
 use crate::churn::{ChurnEventKind, ChurnOp, DeferredTask, DepartureKind};
 use crate::error::RuntimeError;
+use crate::regions::slot_accesses;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, EngineCheckpoint, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
@@ -459,18 +459,10 @@ impl Runtime {
     /// [`Policy::Weighted`]: crate::scheduler::Policy::Weighted
     pub fn run(&mut self) -> Result<RunReport, RuntimeError> {
         // Same semantics as `while self.step()?.is_some() {}`, with the
-        // per-event entry checks (empty device list, policy weight,
-        // resilience planning) hoisted out of the loop: they are
-        // invariant while the loop owns the runtime, and the loop runs
-        // 2–3 events per simulated task.
-        if self.devices.is_empty() {
-            return Err(RuntimeError::NoDevices);
-        }
-        self.policy.validate()?;
-        self.classes.check()?;
-        self.ensure_analyzed()?;
-        self.plan_resilience()?;
-        self.plan_churn();
+        // per-event entry work hoisted out of the loop: it is invariant
+        // while the loop owns the runtime, and the loop runs 2–3 events
+        // per simulated task.
+        self.enter()?;
         while let Some(event) = self.next_event() {
             self.dispatch(event)?;
         }
@@ -490,14 +482,7 @@ impl Runtime {
     ///
     /// Same conditions as [`Runtime::run`].
     pub fn step(&mut self) -> Result<Option<Seconds>, RuntimeError> {
-        if self.devices.is_empty() {
-            return Err(RuntimeError::NoDevices);
-        }
-        self.policy.validate()?;
-        self.classes.check()?;
-        self.ensure_analyzed()?;
-        self.plan_resilience()?;
-        self.plan_churn();
+        self.enter()?;
         match self.next_event() {
             Some(event) => {
                 self.dispatch(event)?;
@@ -508,6 +493,23 @@ impl Runtime {
                 Ok(None)
             }
         }
+    }
+
+    /// The checks and lazy set-up every [`Runtime::run`] and
+    /// [`Runtime::step`] starts with; sizes resolve only for a reader.
+    fn enter(&mut self) -> Result<(), RuntimeError> {
+        if self.devices.is_empty() {
+            return Err(RuntimeError::NoDevices);
+        }
+        self.policy.validate()?;
+        self.classes.check()?;
+        self.ensure_analyzed()?;
+        if self.security.active || self.resilience.is_some() || self.topology.is_some() {
+            self.resolve_sizes();
+        }
+        self.plan_resilience()?;
+        self.plan_churn();
+        Ok(())
     }
 
     /// Pop the next live event — the `(time, seq)` minimum across every
@@ -580,6 +582,7 @@ impl Runtime {
         }
         let (interval, _cost) = crate::resilience::plan_interval(
             res,
+            &self.regions,
             &self.devices,
             &mut self.classes,
             self.policy,
@@ -597,9 +600,6 @@ impl Runtime {
     /// record of a checkpoint of `bytes` whose write took `cost` and
     /// completes at `time`, with what a rollback needs beside it.
     fn commit_checkpoint(&mut self, time: Seconds, bytes: Bytes, cost: Seconds) {
-        let regions = self
-            .tracks_regions()
-            .then(|| Arc::new(self.regions.clone()));
         let res = self
             .resilience
             .as_mut()
@@ -612,15 +612,9 @@ impl Runtime {
             },
             time,
             accepted_mark: self.engine.accepted.len(),
-            regions,
+            // Empty, and free to copy, while no reader writes residency.
+            residency: self.regions.residency.clone(),
         });
-    }
-
-    /// Whether anything reads the region table — the security layer is
-    /// active or a topology is configured. Only then is it written and
-    /// snapshotted; every other run leaves it empty.
-    fn tracks_regions(&self) -> bool {
-        self.security.active || self.topology.is_some()
     }
 
     /// Take a periodic checkpoint at virtual time `at`: snapshot the
@@ -653,8 +647,7 @@ impl Runtime {
         // Checkpoints of confidential data route through `seal`: the
         // sealed share of the live frontier pays host-side crypto on top
         // of the FTI write cost, so resilience composes with security.
-        let live = self.graph.live_regions();
-        let (bytes, sealed) = self.regions.live_volume(live, &res.config.region_sizes);
+        let (bytes, sealed) = self.regions.live_volume(self.graph.live_slots());
         let seal = self.security.charge_checkpoint_seal(sealed);
         let (start, finish) = res.store.write(at, bytes, seal);
         res.stats.checkpoints += 1;
@@ -726,7 +719,7 @@ impl Runtime {
         // Region residency rewinds with the frontier, for every reader
         // alike: discarded post-checkpoint writes must not leave stale
         // sealedness or producer entries behind.
-        self.regions.restore(last.regions.as_deref());
+        self.regions.residency.clone_from(&last.residency);
         for t in ready {
             self.engine.push_ready_at(resume, t);
         }
@@ -998,7 +991,7 @@ impl Runtime {
         // Re-prepared per attempt: retries see the attestation cache the
         // first attempt already warmed.
         let needs_sec = self.security.active && {
-            let accesses = self.graph.accesses(task)?;
+            let accesses = slot_accesses(&self.graph, task)?;
             self.security.prepare(
                 &self.classes,
                 &self.regions,
@@ -1012,8 +1005,9 @@ impl Runtime {
         // both the pooled and the flat path.
         let topo_active = self.topology.is_some();
         if let (Some(topology), Some(pools)) = (&self.topology, &self.pools) {
+            let accesses = slot_accesses(&self.graph, task)?;
             let extras = &mut self.engine.scratch.pool_extras;
-            topology.charge_into(&self.regions, pools, self.graph.accesses(task)?, extras);
+            topology.charge_into(&self.regions, pools, accesses, extras);
         }
         // Everything a candidate inherits from its spec is priced here,
         // once per class; both searches below read it per candidate.
@@ -1167,11 +1161,12 @@ impl Runtime {
             Some(correct) => {
                 // The task's written regions now live on the primary
                 // replica's device, sealed at rest iff it was confidential:
-                // what seal-on-cross-device and the topology charge read.
-                // Must happen before successors dispatch (the inline
-                // fast path below runs them immediately).
-                if self.tracks_regions() {
-                    let accesses = self.graph.accesses(task)?;
+                // what seal-on-cross-device and the topology charge read,
+                // so it is written only while one of them is on. Must
+                // happen before successors dispatch (the inline fast path
+                // below runs them immediately).
+                if self.security.active || self.topology.is_some() {
+                    let accesses = slot_accesses(&self.graph, task)?;
                     self.regions
                         .record(accesses, replicas.devices[0], attempt.security);
                 }

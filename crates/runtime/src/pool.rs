@@ -57,9 +57,9 @@
 //!
 //! The same pool structure carries the **topology cost model**
 //! ([`TopologyConfig`]): the engine's region table records the device
-//! that produced each region, and a consumer placed outside that
-//! device's pool is charged
-//! the link's transfer time for the region — folded into the estimate
+//! that produced each region beside its declared size, both by slot,
+//! and a consumer placed outside that device's pool is charged the
+//! link's transfer time for the region — folded into the estimate
 //! *before* scoring on both the pooled and the flat path, so locality
 //! becomes a scheduling dimension like any other. A charge varies
 //! across the leaves of one tree, so the same search bounds an internal
@@ -70,10 +70,8 @@
 //! only into subtrees whose charge range could still move one of its
 //! four extremes.
 
-use std::collections::HashMap;
-
-use legato_core::task::{AccessMode, RegionId};
-use legato_core::units::{Bytes, Seconds};
+use legato_core::task::AccessMode;
+use legato_core::units::Seconds;
 use legato_hw::cluster::NodeSpec;
 use legato_hw::comm::LinkModel;
 use legato_hw::device::{Device, DeviceSpec};
@@ -729,71 +727,47 @@ impl DevicePools {
 /// [`EngineConfig`](crate::config::EngineConfig) — pools define the
 /// locality domains transfers are charged across. When a task reads a
 /// region last produced in another pool, the link's transfer time for
-/// the region's declared size is added to the task's estimated duration
-/// on every device *outside* the producer pool, before scoring. A region
-/// no task has written yet (or a zero-size one) charges nothing, and
-/// scheduling is bit-identical to a topology-free runtime. The producer
-/// is the one whose outcome stands: a checkpoint rollback that discards
-/// a writer discards where it left the region too.
+/// the region's size (declared once, on the engine) is added to the
+/// task's estimated duration on every device *outside* the producer
+/// pool, before scoring. A region no task has written yet (or an
+/// undeclared, zero-size one) charges nothing, and scheduling is
+/// bit-identical to a topology-free runtime. The producer is the one
+/// whose outcome stands: a checkpoint rollback that discards a writer
+/// discards where it left the region too.
 #[derive(Debug, Clone)]
 #[must_use = "builder-style configs do nothing unless passed to EngineConfig"]
 pub struct TopologyConfig {
     pub(crate) link: LinkModel,
-    pub(crate) region_sizes: HashMap<RegionId, Bytes>,
-    pub(crate) default_region_size: Bytes,
 }
 
 impl TopologyConfig {
     /// A topology model over `link` (e.g.
-    /// [`LinkModel::compute_network`]) with no declared region sizes:
-    /// transfers are free until sizes are declared.
+    /// [`LinkModel::compute_network`]).
     pub fn new(link: LinkModel) -> Self {
-        TopologyConfig {
-            link,
-            region_sizes: HashMap::new(),
-            default_region_size: Bytes::ZERO,
-        }
-    }
-
-    /// Declared size of one region (overrides the default).
-    pub fn with_region_size(mut self, region: impl Into<RegionId>, bytes: Bytes) -> Self {
-        self.region_sizes.insert(region.into(), bytes);
-        self
-    }
-
-    /// Size assumed for regions without a declared size (default zero:
-    /// undeclared regions transfer for free).
-    pub fn with_default_region_size(mut self, bytes: Bytes) -> Self {
-        self.default_region_size = bytes;
-        self
+        TopologyConfig { link }
     }
 
     /// Fill `pool_extras` for a task about to be placed: each region the
-    /// task reads whose producer is recorded in `regions` charges the
-    /// link transfer time to every pool but the producer device's.
-    /// O(pools × read accesses).
+    /// task reads (`accesses`, by slot) whose producer is recorded in
+    /// `regions` charges the link transfer time of its declared size to
+    /// every pool but the producer device's. O(pools × read accesses).
     pub(crate) fn charge_into(
         &self,
         regions: &RegionTable,
         pools: &DevicePools,
-        accesses: &[(RegionId, AccessMode)],
+        accesses: impl IntoIterator<Item = (u32, AccessMode)>,
         pool_extras: &mut Vec<Seconds>,
     ) {
         pool_extras.clear();
         pool_extras.resize(pools.pool_count(), Seconds::ZERO);
-        for &(region, mode) in accesses {
+        for (slot, mode) in accesses {
             if !mode.reads() {
                 continue;
             }
-            let Some(producer) = regions.get(region) else {
+            let Some(producer) = regions.get(slot) else {
                 continue;
             };
-            let bytes = self
-                .region_sizes
-                .get(&region)
-                .copied()
-                .unwrap_or(self.default_region_size);
-            let t = self.link.transfer_time(bytes);
+            let t = self.link.transfer_time(regions.bytes(slot));
             if t <= Seconds::ZERO {
                 continue;
             }
@@ -812,7 +786,7 @@ mod tests {
     use super::*;
     use legato_core::requirements::SecurityLevel;
     use legato_core::task::{TaskKind, Work};
-    use legato_core::units::BytesPerSec;
+    use legato_core::units::{Bytes, BytesPerSec};
     use legato_hw::device::DeviceId;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -1262,15 +1236,16 @@ mod tests {
     #[test]
     fn topology_charges_only_foreign_pools() {
         let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-4));
-        let topo = TopologyConfig::new(link).with_region_size(7u64, Bytes::gib(1));
+        let topo = TopologyConfig::new(link);
         let pools = pools_over(PoolConfig::uniform(6, 2), &fleet(6)).expect("valid");
-        // Region 7 was written on device 3, in pool 1.
-        let mut regions = RegionTable::default();
-        let wrote = [(RegionId(7), AccessMode::Out)];
-        regions.record(&wrote, 3, SecurityLevel::Public);
-        let reads = [(RegionId(7), AccessMode::In), (RegionId(9), AccessMode::In)];
+        // Slot 0 is 1 GiB, written on device 3, in pool 1; slot 1 is
+        // undeclared.
+        let mut regions = RegionTable::sized(&[Bytes::gib(1)]);
+        regions.record([(0, AccessMode::Out)], 3, SecurityLevel::Public);
+        regions.record([(1, AccessMode::Out)], 3, SecurityLevel::Public);
+        let reads = [(0, AccessMode::In), (1, AccessMode::In)];
         let mut pool_extras = Vec::new();
-        topo.charge_into(&regions, &pools, &reads, &mut pool_extras);
+        topo.charge_into(&regions, &pools, reads, &mut pool_extras);
         assert_eq!(pool_extras.len(), 3);
         assert_eq!(pool_extras[1], Seconds::ZERO, "local read is free");
         let expect = link.transfer_time(Bytes::gib(1));
@@ -1324,13 +1299,13 @@ mod tests {
     #[test]
     fn unproduced_regions_charge_nothing() {
         let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-4));
-        let topo = TopologyConfig::new(link).with_default_region_size(Bytes::gib(1));
+        let topo = TopologyConfig::new(link);
         let pools = pools_over(PoolConfig::uniform(8, 2), &fleet(8)).expect("valid");
         let mut pool_extras = vec![Seconds(1.0)];
         topo.charge_into(
-            &RegionTable::default(),
+            &RegionTable::sized(&[Bytes::gib(1); 2]),
             &pools,
-            &[(RegionId(1), AccessMode::In)],
+            [(1, AccessMode::In)],
             &mut pool_extras,
         );
         assert_eq!(pool_extras, [Seconds::ZERO; 4]);

@@ -1,98 +1,94 @@
-//! The region table: where each region's contents live and whether they
-//! are sealed at rest.
-//!
-//! One fact, kept once. The security layer reads it to price
-//! seal-on-cross-device hops and checkpoint sealing, the topology model
-//! to price cross-pool transfers; the engine writes it when a writer is
-//! accepted, snapshots it with every checkpoint and rewinds it with
-//! every rollback, so no reader ever sees a region left behind by work
-//! a rollback discarded.
-//!
-//! The table is written only while one of its readers is on (the
-//! security layer is active or a topology is configured): every other
-//! run leaves it empty and never hashes into it.
+//! The region table: each region's size (declared once, on the
+//! [`EngineConfig`](crate::config::EngineConfig)), where its contents
+//! live and whether they are sealed at rest, indexed by the slot the
+//! task graph gives a region when a task first declares it
+//! ([`TaskGraph::access_slots`]), so no reader hashes a region.
+//! Residency is written when a writer is accepted, copied flat into
+//! every checkpoint and back by every rollback: it is an acceptance-order
+//! fact the graph does not hold (DESIGN.md §7). Both columns stay empty
+//! while nothing reads them.
 
-use std::collections::HashMap;
-
+use legato_core::error::CoreError;
+use legato_core::graph::TaskGraph;
 use legato_core::requirements::SecurityLevel;
-use legato_core::task::{AccessMode, RegionId};
+use legato_core::task::{AccessMode, TaskId};
 use legato_core::units::Bytes;
-
-use crate::ckpt::bytes_of;
 
 /// Where a region's current contents were produced, and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Residency {
-    /// Device of the primary replica of the region's last accepted
-    /// writer.
+    /// Primary replica's device of the region's last accepted writer.
     pub(crate) device: usize,
-    /// Whether that writer was confidential: the contents are sealed at
-    /// rest, and a public rewrite clears the bit.
+    /// Whether that writer sealed the contents at rest (confidential).
     pub(crate) sealed: bool,
 }
 
-/// Residency of every region written since the table's readers came on.
-/// A checkpoint's snapshot of it is a clone.
+/// Declared size and residency of every region, by slot. A slot past
+/// the end of either column reads as zero bytes or no residency.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RegionTable {
-    residency: HashMap<RegionId, Residency>,
+    pub(crate) sizes: Vec<Bytes>,
+    pub(crate) residency: Vec<Option<Residency>>,
+}
+
+/// `task`'s declarations as `(slot, mode)` pairs.
+pub(crate) fn slot_accesses(
+    graph: &TaskGraph,
+    task: TaskId,
+) -> Result<impl Iterator<Item = (u32, AccessMode)> + '_, CoreError> {
+    let modes = graph.accesses(task)?.iter().map(|&(_, mode)| mode);
+    Ok(graph.access_slots(task)?.iter().copied().zip(modes))
 }
 
 impl RegionTable {
-    /// The residency of `region`; `None` when no tracked writer has
-    /// produced it.
+    /// The declared size of `slot`'s region.
     #[inline]
-    pub(crate) fn get(&self, region: RegionId) -> Option<Residency> {
-        self.residency.get(&region).copied()
+    pub(crate) fn bytes(&self, slot: u32) -> Bytes {
+        self.sizes.get(slot as usize).copied().unwrap_or_default()
     }
 
-    /// Whether `region`'s contents are sealed at rest.
-    pub(crate) fn is_sealed(&self, region: RegionId) -> bool {
-        self.get(region).is_some_and(|r| r.sealed)
+    /// The residency of `slot`'s region; `None` when no tracked writer
+    /// has produced it.
+    #[inline]
+    pub(crate) fn get(&self, slot: u32) -> Option<Residency> {
+        self.residency.get(slot as usize).copied().flatten()
     }
 
-    /// Declared bytes of the `live` regions — what a checkpoint of that
-    /// frontier writes — and the sealed share of them, which it must
-    /// seal on the way, in one walk.
-    pub(crate) fn live_volume(
-        &self,
-        live: impl Iterator<Item = RegionId>,
-        sizes: &HashMap<RegionId, Bytes>,
-    ) -> (Bytes, Bytes) {
+    /// Declared bytes of the `live` slots — what a checkpoint of that
+    /// frontier writes — and the sealed share it must seal, in one walk.
+    pub(crate) fn live_volume(&self, live: impl Iterator<Item = u32>) -> (Bytes, Bytes) {
         let (mut declared, mut sealed) = (Bytes::ZERO, Bytes::ZERO);
-        for region in live {
-            let bytes = bytes_of(sizes, region);
+        for slot in live {
+            let bytes = self.bytes(slot);
             declared += bytes;
-            if self.is_sealed(region) {
+            if self.get(slot).is_some_and(|r| r.sealed) {
                 sealed += bytes;
             }
         }
         (declared, sealed)
     }
 
-    /// An accepted task at confidentiality `level` (re)produced its
-    /// written regions on `device`.
+    /// Declared bytes of the regions `accesses` write.
+    pub(crate) fn written(&self, accesses: impl IntoIterator<Item = (u32, AccessMode)>) -> Bytes {
+        let writes = accesses.into_iter().filter(|&(_, mode)| mode.writes());
+        writes.map(|(slot, _)| self.bytes(slot)).sum()
+    }
+
+    /// An accepted task at confidentiality `level` (re)produced the
+    /// regions it writes on `device`.
     pub(crate) fn record(
         &mut self,
-        accesses: &[(RegionId, AccessMode)],
+        accesses: impl IntoIterator<Item = (u32, AccessMode)>,
         device: usize,
         level: SecurityLevel,
     ) {
         let sealed = level.seals_at_rest();
-        for &(region, mode) in accesses {
-            if mode.writes() {
-                self.residency.insert(region, Residency { device, sealed });
+        for (slot, _) in accesses.into_iter().filter(|&(_, mode)| mode.writes()) {
+            let slot = slot as usize;
+            if slot >= self.residency.len() {
+                self.residency.resize(slot + 1, None);
             }
-        }
-    }
-
-    /// Rewind to a checkpoint's snapshot. `None` is a checkpoint taken
-    /// before the table was being written: no region had tracked
-    /// contents yet.
-    pub(crate) fn restore(&mut self, snapshot: Option<&RegionTable>) {
-        match snapshot {
-            Some(s) => self.residency.clone_from(&s.residency),
-            None => self.residency.clear(),
+            self.residency[slot] = Some(Residency { device, sealed });
         }
     }
 }
@@ -103,34 +99,43 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::pool::{PoolConfig, TopologyConfig};
     use crate::resilience::ResilienceConfig;
-    use legato_core::task::{TaskDescriptor, Work};
+    use legato_core::task::{RegionId, TaskDescriptor, Work};
     use legato_core::units::{BytesPerSec, Seconds};
     use legato_hw::comm::LinkModel;
     use legato_hw::device::DeviceSpec;
 
+    impl RegionTable {
+        /// A table whose slot `s` is declared `sizes[s]`.
+        pub(crate) fn sized(sizes: &[Bytes]) -> Self {
+            RegionTable {
+                sizes: sizes.to_vec(),
+                residency: Vec::new(),
+            }
+        }
+    }
+
     #[test]
     fn live_volume_counts_the_sealed_share_apart() {
-        let mut table = RegionTable::default();
-        let wrote = |r| [(RegionId(r), AccessMode::Out)];
-        table.record(&wrote(0), 0, SecurityLevel::Confidential);
-        table.record(&wrote(1), 0, SecurityLevel::Public);
-        table.record(&[(RegionId(2), AccessMode::In)], 0, SecurityLevel::Enclave);
-        assert_eq!(table.get(RegionId(2)), None, "a read produces nothing");
-        let sizes = (0..3u64).map(|r| (RegionId(r), Bytes::mib(32))).collect();
-        let live = || (0..4u64).map(RegionId);
+        let mut table = RegionTable::sized(&[Bytes::mib(32); 3]);
+        let wrote = |slot| [(slot, AccessMode::Out)];
+        table.record(wrote(0), 0, SecurityLevel::Confidential);
+        table.record(wrote(1), 0, SecurityLevel::Public);
+        table.record([(2, AccessMode::In)], 0, SecurityLevel::Enclave);
+        assert_eq!(table.get(2), None, "a read produces nothing");
+        let live = || 0..4u32;
         assert_eq!(
-            table.live_volume(live(), &sizes),
+            table.live_volume(live()),
             (Bytes::mib(96), Bytes::mib(32)),
             "three sized regions live, one of them sealed"
         );
         // A public rewrite moves the region and unseals it.
-        table.record(&wrote(0), 1, SecurityLevel::Public);
+        table.record(wrote(0), 1, SecurityLevel::Public);
         let rewritten = Residency {
             device: 1,
             sealed: false,
         };
-        assert_eq!(table.get(RegionId(0)), Some(rewritten));
-        assert_eq!(table.live_volume(live(), &sizes).1, Bytes::ZERO);
+        assert_eq!(table.get(0), Some(rewritten));
+        assert_eq!(table.live_volume(live()).1, Bytes::ZERO);
     }
 
     /// A resilient run of one chain under `config` that takes at least
@@ -156,8 +161,9 @@ mod tests {
     fn untracked_runs_snapshot_nothing() {
         let rt = checkpointed(EngineConfig::new());
         let last = rt.resilience.as_ref().and_then(|r| r.last.as_ref());
-        assert!(last.expect("checkpointed").regions.is_none());
+        assert!(last.expect("checkpointed").residency.is_empty());
         assert!(rt.regions.residency.is_empty());
+        assert!(rt.regions.sizes.is_empty(), "nothing declared");
 
         let link = LinkModel::new(BytesPerSec::gib_per_sec(1.0), Seconds(1e-3));
         let rt = checkpointed(
@@ -166,7 +172,35 @@ mod tests {
                 .with_topology(TopologyConfig::new(link)),
         );
         let last = rt.resilience.as_ref().and_then(|r| r.last.as_ref());
-        let snapshot = last.expect("checkpointed").regions.as_ref();
-        assert!(snapshot.is_some_and(|s| s.get(RegionId(0)).is_some()));
+        let snapshot = &last.expect("checkpointed").residency;
+        assert!(snapshot.first().copied().flatten().is_some());
+    }
+
+    #[test]
+    fn sizes_resolve_by_slot_in_first_declaration_order() {
+        let sizes = (0..10u64).map(|r| (RegionId(r), Bytes::mib(r))).collect();
+        let mut rt = EngineConfig::new()
+            .with_device(DeviceSpec::xeon_x86())
+            .with_region_sizes(sizes)
+            .build()
+            .expect("valid engine config");
+        let t = rt.submit(
+            TaskDescriptor::named("t"),
+            [(9u64, AccessMode::Out), (4u64, AccessMode::In)],
+        );
+        rt.resolve_sizes();
+        assert_eq!(rt.regions.sizes, [Bytes::mib(9), Bytes::mib(4)]);
+        assert_eq!(rt.regions.bytes(2), Bytes::ZERO, "not interned yet");
+        let accesses = slot_accesses(&rt.graph, t).expect("submitted");
+        assert_eq!(rt.regions.written(accesses), Bytes::mib(9));
+        // A later resolve sizes only the slots interned since, and an
+        // undeclared region is zero bytes.
+        rt.submit(
+            TaskDescriptor::named("u"),
+            [(2u64, AccessMode::Out), (77u64, AccessMode::Out)],
+        );
+        rt.resolve_sizes();
+        let want = [Bytes::mib(9), Bytes::mib(4), Bytes::mib(2), Bytes::ZERO];
+        assert_eq!(rt.regions.sizes, want);
     }
 }

@@ -15,10 +15,10 @@
 //! * **Checkpoint events** — at each interval the engine emits a
 //!   checkpoint event that snapshots the *completed frontier only* (the
 //!   restore target is the set of tasks completed at snapshot time):
-//!   the bytes are the live-region volume from [`ckpt`](crate::ckpt)
+//!   the bytes are the live-region volume [`ckpt`](crate::ckpt) defines
 //!   (task-aware, not full-memory — dead and reproducible regions are
-//!   not written), and the time is [`CheckpointStore::write`] on the
-//!   store's NVMe timeline. Under [`Strategy::Initial`] the checkpoint
+//!   not written) at the engine's declared sizes, and the time is
+//!   [`CheckpointStore::write`] on the store's NVMe timeline. Under [`Strategy::Initial`] the checkpoint
 //!   stalls new task placements until it completes; under
 //!   [`Strategy::Async`] only the setup latency stalls (the copy/write
 //!   pipeline overlaps with execution) — the Fig. 6 gap, now visible as
@@ -40,11 +40,8 @@
 //! [`Strategy::Initial`]: legato_fti::Strategy::Initial
 //! [`Strategy::Async`]: legato_fti::Strategy::Async
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use legato_core::graph::{Frontier, TaskGraph};
-use legato_core::task::{RegionId, TaskDescriptor, TaskId};
+use legato_core::task::{TaskDescriptor, TaskId};
 use legato_core::units::{Bytes, Seconds};
 use legato_fti::mtbf::young_interval;
 use legato_fti::{checkpoint_cost, restart_cost, FtiConfig, Strategy};
@@ -52,9 +49,10 @@ use legato_hw::device::Device;
 use legato_hw::storage::{StorageDevice, StorageTier};
 use serde::{Deserialize, Serialize};
 
-use crate::ckpt::bytes_of;
 use crate::classes::SpecClasses;
+use crate::config::RegionSizes;
 use crate::error::RuntimeError;
+use crate::regions::{slot_accesses, RegionTable, Residency};
 use crate::scheduler::{Estimate, Policy, Scheduler};
 
 /// Configuration of the engine's checkpoint/restart mode
@@ -67,16 +65,15 @@ pub struct ResilienceConfig {
     pub mtbf: Seconds,
     /// Checkpoint write strategy (the Fig. 6 Initial/Async comparison).
     pub strategy: Strategy,
-    /// Declared size of each data region, used to price the live-region
-    /// frontier volume at every checkpoint. Regions absent from the map
-    /// count as zero bytes.
-    pub region_sizes: HashMap<RegionId, Bytes>,
     /// Total rollbacks permitted across the whole run before the engine
     /// stops recovering and falls back to fail-and-poison (a run-global
     /// budget guarding against a fault so hot that restarting can never
     /// make progress). Size it to the workload: large graphs under
     /// hostile fault rates legitimately roll back many times.
     pub max_rollbacks: u32,
+    /// What the size-declaring alias setter declared, moved into the
+    /// engine's one declaration at build.
+    pub(crate) sizes: RegionSizes,
 }
 
 impl ResilienceConfig {
@@ -86,20 +83,14 @@ impl ResilienceConfig {
         ResilienceConfig {
             mtbf,
             strategy: Strategy::Async,
-            region_sizes: HashMap::new(),
             max_rollbacks: 1024,
+            sizes: RegionSizes::new(),
         }
     }
 
     /// Use the given checkpoint write strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Declare region sizes for frontier-volume accounting.
-    pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
-        self.region_sizes = sizes;
         self
     }
 
@@ -242,10 +233,9 @@ pub(crate) struct EngineCheckpoint {
     /// (moved up to the log's end by each rollback): every outcome outside
     /// the frontier was accepted at or after this entry.
     pub accepted_mark: usize,
-    /// The region table at snapshot time, restored on rollback so every
-    /// reader of region residency composes with resilience. `None` while
-    /// the table was not being written.
-    pub regions: Option<Arc<crate::regions::RegionTable>>,
+    /// A flat copy of the region table's residency at snapshot time,
+    /// restored on rollback (empty while nothing wrote residency).
+    pub residency: Vec<Option<Residency>>,
 }
 
 /// Live checkpoint/restart state carried by the
@@ -303,6 +293,7 @@ impl ResilienceState {
 /// Returns `(interval, estimated checkpoint cost)`.
 pub(crate) fn plan_interval(
     res: &ResilienceState,
+    regions: &RegionTable,
     devices: &[Device],
     classes: &mut SpecClasses,
     policy: Policy,
@@ -314,11 +305,19 @@ pub(crate) fn plan_interval(
     // so the earliest-index tie-break picks over classes what it picks
     // over devices.
     let fleet = devices.len();
-    plan_interval_over(res, fleet, policy, graph, op_fault_probs, |desc, out| {
-        classes.price(devices, desc.work, desc.kind);
-        let prices = classes.prices().iter();
-        out.extend(prices.map(|&(dur, power)| Estimate::new(dur, power * dur)));
-    })
+    plan_interval_over(
+        res,
+        regions,
+        fleet,
+        policy,
+        graph,
+        op_fault_probs,
+        |desc, out| {
+            classes.price(devices, desc.work, desc.kind);
+            let prices = classes.prices().iter();
+            out.extend(prices.map(|&(dur, power)| Estimate::new(dur, power * dur)));
+        },
+    )
 }
 
 /// [`plan_interval`] over the candidates `estimate` lists for a task:
@@ -326,6 +325,7 @@ pub(crate) fn plan_interval(
 /// predicts a fresh placement costs.
 fn plan_interval_over(
     res: &ResilienceState,
+    regions: &RegionTable,
     fleet: usize,
     policy: Policy,
     graph: &TaskGraph,
@@ -346,11 +346,7 @@ fn plan_interval_over(
             duration_total += estimates[best].finish;
             placed += 1;
         }
-        for (region, mode) in graph.accesses(id)? {
-            if mode.writes() {
-                write_bytes += bytes_of(&res.config.region_sizes, *region);
-            }
-        }
+        write_bytes += regions.written(slot_accesses(graph, id)?);
     }
     let mean_task = if placed > 0 {
         duration_total / placed as f64
@@ -361,7 +357,7 @@ fn plan_interval_over(
     // device count (≈ how many outputs are live at once on a saturated
     // node). A crude but monotone proxy — the actual charge at each
     // checkpoint uses the exact live-region volume.
-    let est_bytes = Bytes((write_bytes.as_u64() / n.max(1) as u64) * fleet as u64);
+    let est_bytes = Bytes(write_bytes.as_u64() / n.max(1) as u64) * fleet as u64;
     let mut delta = res.store.write_cost(est_bytes);
     if delta <= Seconds::ZERO {
         // Empty frontier estimate: even a metadata-only checkpoint pays
@@ -402,20 +398,36 @@ mod tests {
         ]
     }
 
-    /// [`plan_interval`] for `cfg` on [`devices`].
+    /// [`plan_interval`] for an `mtbf` on [`devices`] over [`graph`],
+    /// every region 32 MiB when `sized`.
     fn plan(
-        cfg: ResilienceConfig,
+        mtbf: Seconds,
+        sized: bool,
         policy: Policy,
-        g: &TaskGraph,
         probs: &[f64],
     ) -> Result<(Seconds, Seconds), RuntimeError> {
         let devices = devices();
         let mut classes = SpecClasses::new(&devices);
-        let res = ResilienceState::new(cfg);
-        plan_interval(&res, &devices, &mut classes, policy, g, probs)
+        let res = ResilienceState::new(ResilienceConfig::new(mtbf));
+        let sizes = if sized {
+            vec![Bytes::mib(32); 8]
+        } else {
+            Vec::new()
+        };
+        let regions = RegionTable::sized(&sizes);
+        plan_interval(
+            &res,
+            &regions,
+            &devices,
+            &mut classes,
+            policy,
+            &graph(),
+            probs,
+        )
     }
 
-    fn graph_with_sizes() -> (TaskGraph, HashMap<RegionId, Bytes>) {
+    /// Eight tasks, each writing its own region.
+    fn graph() -> TaskGraph {
         let mut g = TaskGraph::new();
         for i in 0..8u64 {
             g.add_task(
@@ -423,17 +435,12 @@ mod tests {
                 [(i, AccessMode::Out)],
             );
         }
-        let sizes = (0..8u64).map(|i| (RegionId(i), Bytes::mib(32))).collect();
-        (g, sizes)
+        g
     }
 
     #[test]
     fn interval_shrinks_with_mtbf() {
-        let (g, sizes) = graph_with_sizes();
-        let at = |mtbf| {
-            let cfg = ResilienceConfig::new(mtbf).with_region_sizes(sizes.clone());
-            plan(cfg, Policy::Performance, &g, &[]).unwrap()
-        };
+        let at = |mtbf| plan(mtbf, true, Policy::Performance, &[]).unwrap();
         let (long, _) = at(Seconds(100_000.0));
         let (short, _) = at(Seconds(1_000.0));
         assert!(short < long, "{short} vs {long}");
@@ -441,10 +448,8 @@ mod tests {
 
     #[test]
     fn interval_floored_at_mean_task_duration() {
-        let (g, sizes) = graph_with_sizes();
         // Absurdly small MTBF: Young's interval would be sub-task-length.
-        let cfg = ResilienceConfig::new(Seconds(0.05)).with_region_sizes(sizes);
-        let (interval, _) = plan(cfg, Policy::Performance, &g, &[]).unwrap();
+        let (interval, _) = plan(Seconds(0.05), true, Policy::Performance, &[]).unwrap();
         // Under the performance policy every task lands on the fastest
         // device, so the mean predicted duration is that device's time.
         let mean = devices()
@@ -459,26 +464,25 @@ mod tests {
 
     #[test]
     fn non_positive_mtbf_is_an_error_not_a_panic() {
-        let (g, sizes) = graph_with_sizes();
-        let cfg = ResilienceConfig::new(Seconds::ZERO).with_region_sizes(sizes);
-        let err = plan(cfg, Policy::Performance, &g, &[]).unwrap_err();
+        let err = plan(Seconds::ZERO, true, Policy::Performance, &[]).unwrap_err();
         assert!(matches!(err, RuntimeError::Resilience(_)), "{err:?}");
     }
 
     #[test]
     fn zero_sized_regions_still_plan_a_positive_interval() {
-        let (g, _) = graph_with_sizes();
-        let cfg = ResilienceConfig::new(Seconds(1_000.0)); // no sizes declared
-        let (interval, delta) = plan(cfg, Policy::Energy, &g, &[]).unwrap();
+        // No sizes declared.
+        let (interval, delta) = plan(Seconds(1_000.0), false, Policy::Energy, &[]).unwrap();
         assert!(delta > Seconds::ZERO);
         assert!(interval > Seconds::ZERO);
     }
 
     #[test]
     fn operating_point_faults_shorten_the_interval() {
-        let (g, sizes) = graph_with_sizes();
-        let cfg = ResilienceConfig::new(Seconds(10_000.0)).with_region_sizes(sizes);
-        let at = |probs: &[f64]| plan(cfg.clone(), Policy::Performance, &g, probs).unwrap().0;
+        let at = |probs: &[f64]| {
+            plan(Seconds(10_000.0), true, Policy::Performance, probs)
+                .unwrap()
+                .0
+        };
         let nominal = at(&[]);
         assert_eq!(
             nominal,
@@ -496,9 +500,7 @@ mod tests {
 
     #[test]
     fn near_certain_op_faults_are_clamped_not_infinite() {
-        let (g, sizes) = graph_with_sizes();
-        let cfg = ResilienceConfig::new(Seconds(10_000.0)).with_region_sizes(sizes);
-        let (interval, _) = plan(cfg, Policy::Performance, &g, &[1.0]).unwrap();
+        let (interval, _) = plan(Seconds(10_000.0), true, Policy::Performance, &[1.0]).unwrap();
         assert!(
             interval.0.is_finite() && interval > Seconds::ZERO,
             "{interval}"

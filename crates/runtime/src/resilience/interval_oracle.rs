@@ -15,20 +15,29 @@ use legato_core::task::{AccessMode, TaskKind, Work};
 
 fn per_device(
     res: &ResilienceState,
+    regions: &RegionTable,
     devices: &[Device],
     policy: Policy,
     graph: &TaskGraph,
     op_fault_probs: &[f64],
 ) -> Result<(Seconds, Seconds), RuntimeError> {
     let fleet = devices.len();
-    plan_interval_over(res, fleet, policy, graph, op_fault_probs, |desc, out| {
-        out.extend(devices.iter().map(|d| {
-            Estimate::new(
-                d.spec.time_for(desc.work, desc.kind),
-                d.spec.energy_for(desc.work, desc.kind),
-            )
-        }));
-    })
+    plan_interval_over(
+        res,
+        regions,
+        fleet,
+        policy,
+        graph,
+        op_fault_probs,
+        |desc, out| {
+            out.extend(devices.iter().map(|d| {
+                Estimate::new(
+                    d.spec.time_for(desc.work, desc.kind),
+                    d.spec.energy_for(desc.work, desc.kind),
+                )
+            }));
+        },
+    )
 }
 
 proptest! {
@@ -53,23 +62,22 @@ proptest! {
                 [(rng.gen_range(0..6u64), mode)],
             );
         }
-        let sizes = (0..rng.gen_range(0..6u64))
-            .map(|r| (RegionId(r), Bytes::mib(rng.gen_range(0..64))))
+        let sizes: Vec<Bytes> = (0..rng.gen_range(0..6))
+            .map(|_| Bytes::mib(rng.gen_range(0..64)))
             .collect();
+        let regions = RegionTable::sized(&sizes);
         let strategy = [legato_fti::Strategy::Async, legato_fti::Strategy::Initial][rng.gen_range(0..2)];
         let res = ResilienceState::new(
-            ResilienceConfig::new(Seconds(rng.gen_range(1.0..1e5)))
-                .with_region_sizes(sizes)
-                .with_strategy(strategy),
+            ResilienceConfig::new(Seconds(rng.gen_range(1.0..1e5))).with_strategy(strategy),
         );
         // None (no energy layer), or one per device: zero on most rungs.
         let probs: Vec<f64> = (0..rng.gen_range(0..2) * devices.len())
             .map(|_| rng.gen_range(-0.4..0.2f64).max(0.0))
             .collect();
         let mut classes = SpecClasses::new(&devices);
-        let got = plan_interval(&res, &devices, &mut classes, policy, &graph, &probs)
+        let got = plan_interval(&res, &regions, &devices, &mut classes, policy, &graph, &probs)
             .expect("a positive MTBF plans");
-        let want = per_device(&res, &devices, policy, &graph, &probs)
+        let want = per_device(&res, &regions, &devices, policy, &graph, &probs)
             .expect("a positive MTBF plans");
         prop_assert_eq!(
             (got.0 .0.to_bits(), got.1 .0.to_bits()),

@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::analyze::{self, AnalysisConfig, AnalysisContext, AnalysisReport, AnalysisState};
 use crate::churn::{ChurnState, ChurnStats};
 use crate::classes::SpecClasses;
+use crate::config::RegionSizes;
 use crate::energy::{EnergyState, EnergyStats};
 use crate::engine::EngineState;
 use crate::error::RuntimeError;
@@ -158,9 +159,10 @@ pub struct Runtime {
     pub(crate) pools: Option<DevicePools>,
     /// Topology cost model (configured only together with pools).
     pub(crate) topology: Option<TopologyConfig>,
-    /// Where each region's contents live and whether they are sealed:
-    /// what the security plan and the topology charge read. Written
-    /// only while one of the two is on (`tracks_regions`).
+    /// The one size declaration; read by [`Runtime::resolve_sizes`] and
+    /// the analyzer only.
+    pub(crate) region_sizes: RegionSizes,
+    /// Every region's size and residency, by slot.
     pub(crate) regions: RegionTable,
     /// Static analysis configuration and memoized report; `None` =
     /// analysis off.
@@ -198,6 +200,7 @@ impl Runtime {
             energy: EnergyState::default(),
             pools: None,
             topology: None,
+            region_sizes: RegionSizes::new(),
             regions: RegionTable::default(),
             analysis: None,
             churn: None,
@@ -242,7 +245,7 @@ impl Runtime {
             graph: &self.graph,
             devices,
             objective: self.energy.objective,
-            resilience: self.resilience.as_ref().map(|r| &r.config),
+            region_sizes: self.resilience.is_some().then_some(&self.region_sizes),
         };
         analyze::run_lints(&cx, config)
     }
@@ -413,6 +416,18 @@ impl Runtime {
         n0 as u64..self.graph.len() as u64
     }
 
+    /// Copy the declared size of each region interned since the last
+    /// call into the region table by slot — the one lookup by region id,
+    /// made only where a size reader is about to read.
+    pub(crate) fn resolve_sizes(&mut self) {
+        let (sizes, known) = (&self.region_sizes, self.regions.sizes.len());
+        if !sizes.is_empty() {
+            let fresh = self.graph.regions()[known..].iter();
+            let bytes = fresh.map(|r| sizes.get(r).copied().unwrap_or_default());
+            self.regions.sizes.extend(bytes);
+        }
+    }
+
     /// Per-device placement evaluations performed so far (each is one
     /// roofline estimate plus scoring). The flat path evaluates every
     /// eligible device per attempt; the pooled path
@@ -459,6 +474,7 @@ mod tests {
     use super::*;
     use legato_core::requirements::{Criticality, Requirements};
     use legato_core::task::{TaskKind, Work};
+    use legato_core::units::Bytes;
 
     fn specs() -> Vec<DeviceSpec> {
         vec![
@@ -717,11 +733,15 @@ mod tests {
     }
 
     fn resilient_config(mtbf: f64) -> crate::resilience::ResilienceConfig {
-        use legato_core::units::Bytes;
-        let sizes = (0..64u64)
-            .map(|r| (legato_core::task::RegionId(r), Bytes::mib(16)))
-            .collect();
-        crate::resilience::ResilienceConfig::new(Seconds(mtbf)).with_region_sizes(sizes)
+        crate::resilience::ResilienceConfig::new(Seconds(mtbf))
+    }
+
+    /// [`specs`] with 64 regions of 16 MiB declared.
+    fn sized_engine() -> crate::config::EngineConfig {
+        let sizes = (0..64u64).map(|r| (RegionId(r), Bytes::mib(16))).collect();
+        crate::config::EngineConfig::new()
+            .with_devices(specs())
+            .with_region_sizes(sizes)
     }
 
     fn resilient_rt(
@@ -729,8 +749,7 @@ mod tests {
         policy: Policy,
         config: crate::resilience::ResilienceConfig,
     ) -> Runtime {
-        crate::config::EngineConfig::new()
-            .with_devices(specs())
+        sized_engine()
             .with_policy(policy)
             .with_seed(seed)
             .with_resilience(config)
@@ -775,8 +794,7 @@ mod tests {
     #[test]
     fn exhausted_retries_roll_back_and_complete_instead_of_poisoning() {
         let build = |resilient: bool| {
-            let mut cfg = crate::config::EngineConfig::new()
-                .with_devices(specs())
+            let mut cfg = sized_engine()
                 .with_policy(Policy::Performance)
                 .with_seed(11)
                 .with_max_retries(1);
@@ -839,8 +857,7 @@ mod tests {
     #[test]
     fn resilient_run_is_deterministic() {
         let run = |seed| {
-            let mut rt = crate::config::EngineConfig::new()
-                .with_devices(specs())
+            let mut rt = sized_engine()
                 .with_policy(Policy::Weighted(0.5))
                 .with_seed(seed)
                 .with_max_retries(1)
@@ -883,7 +900,6 @@ mod tests {
     mod security {
         use super::*;
         use crate::resilience::ResilienceConfig;
-        use crate::security::SecurityConfig;
         use legato_core::requirements::SecurityLevel;
         use legato_core::units::Bytes;
         use legato_hw::device::TeeCapability;
@@ -908,7 +924,7 @@ mod tests {
                 .with_devices(specs())
                 .with_policy(Policy::Performance)
                 .with_seed(seed)
-                .with_security(SecurityConfig::new().with_region_sizes(sizes()))
+                .with_region_sizes(sizes())
                 .build()
                 .expect("valid engine config")
         }
@@ -1040,8 +1056,8 @@ mod tests {
                     .with_devices(specs())
                     .with_policy(Policy::Performance)
                     .with_seed(9)
-                    .with_security(SecurityConfig::new().with_region_sizes(sizes()))
-                    .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_region_sizes(sizes()))
+                    .with_region_sizes(sizes())
+                    .with_resilience(ResilienceConfig::new(Seconds(5.0)))
                     .build()
                     .expect("valid engine config");
                 let level = if confidential {
@@ -1083,7 +1099,7 @@ mod tests {
                     ])
                     .with_policy(Policy::Performance)
                     .with_seed(11)
-                    .with_security(SecurityConfig::new().with_region_sizes(sizes()))
+                    .with_region_sizes(sizes())
                     .build()
                     .expect("valid engine config");
                 for i in 0..8u64 {

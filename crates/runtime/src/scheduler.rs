@@ -1009,9 +1009,9 @@ pub(crate) mod tests {
         ) {
             use crate::energy::{EnergyObjective, EnergyState};
             use crate::regions::RegionTable;
-            use crate::security::{prepare_oracle, SecurityConfig, SecurityState};
+            use crate::security::{prepare_oracle, SecurityState};
             use legato_core::requirements::SecurityLevel;
-            use legato_core::task::{AccessMode, RegionId};
+            use legato_core::task::AccessMode;
             use legato_core::units::{Bytes, Watt};
             use rand::SeedableRng;
 
@@ -1044,32 +1044,29 @@ pub(crate) mod tests {
             // A security state with history: attested devices, sealed
             // regions produced here and there.
             let mut sec = SecurityState::default();
-            sec.config = SecurityConfig::new().with_region_sizes(
-                (0..4u64)
-                    .map(|r| (RegionId(r), Bytes::mib(8 << r)))
-                    .collect(),
-            );
+            let sizes: Vec<Bytes> = (0..4).map(|r| Bytes::mib(8 << r)).collect();
             sec.activate(&devices);
             let m = sec.ensure_enclaves(b"image").expect("one image fits");
-            let mut regions = RegionTable::default();
-            sec.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
+            let mut regions = RegionTable::sized(&sizes);
+            sec.prepare(&classes, &regions, [], SecurityLevel::Enclave, m);
             for (d, device) in devices.iter().enumerate() {
                 if device.spec.tee.has_enclave() && rng.gen_bool(0.5) {
                     sec.commit(d, classes.class_of(d)).expect("attests");
                 }
             }
-            for r in 0..rng.gen_range(0..4u64) {
-                let wrote = [(RegionId(r), AccessMode::Out)];
-                regions.record(&wrote, rng.gen_range(0..n), SecurityLevel::Confidential);
+            for slot in 0..rng.gen_range(0..4u64) {
+                let wrote = [(slot as u32, AccessMode::Out)];
+                regions.record(wrote, rng.gen_range(0..n), SecurityLevel::Confidential);
             }
-            let reads: Vec<_> = (0..4u64).map(|r| (RegionId(r), AccessMode::In)).collect();
+            let reads: Vec<_> = (0..4).map(|slot| (slot, AccessMode::In)).collect();
             let level = [SecurityLevel::Public, SecurityLevel::Enclave][rng.gen_range(0..2)];
             let extras = if rng.gen_bool(0.7) {
                 prepare_oracle::extras(&sec, &regions, &devices, &reads, level, m)
             } else {
                 None
             };
-            let planned = extras.is_some() && sec.prepare(&classes, &regions, &reads, level, m);
+            let planned =
+                extras.is_some() && sec.prepare(&classes, &regions, reads.iter().copied(), level, m);
             prop_assert_eq!(planned, extras.is_some());
 
             // The reference: one roofline per device, three buffers.

@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 
 use legato_core::requirements::SecurityLevel;
-use legato_core::task::{AccessMode, RegionId};
+use legato_core::task::AccessMode;
 use legato_core::units::{Bytes, BytesPerSec, Seconds};
 use legato_hw::device::Device;
 use legato_secure::enclave::{measure, Platform, QuoteCache};
@@ -53,33 +53,24 @@ use legato_secure::task::{ExecutionMode, ATTESTATION_TIME};
 use legato_secure::EnclaveId;
 use serde::{Deserialize, Serialize};
 
-use crate::ckpt::bytes_of;
 use crate::classes::SpecClasses;
+use crate::config::RegionSizes;
 use crate::error::RuntimeError;
 use crate::regions::RegionTable;
 
 /// Configuration of the security layer
 /// ([`EngineConfig::with_security`](crate::config::EngineConfig::with_security)).
 ///
-/// The layer itself activates automatically when the first non-public
-/// task is submitted; the configuration only tunes its cost model.
+/// The layer itself activates when the first non-public task is
+/// submitted. Crypto and seal traffic is priced at the engine's declared
+/// region sizes, the size checkpoints write and seal; an undeclared
+/// region costs no crypto, but placement rules still apply.
 #[derive(Debug, Clone, Default)]
 #[must_use = "builder-style configs do nothing unless passed to EngineConfig"]
 pub struct SecurityConfig {
-    /// Declared size of each data region, used to price enclave-boundary
-    /// crypto and cross-device seal traffic. Regions absent from the map
-    /// count as zero bytes (no crypto cost, but placement rules still
-    /// apply).
-    ///
-    /// Checkpoint sealing is the one security cost **not** priced from
-    /// this map: a checkpoint seals the bytes it actually writes, and
-    /// those come from the resilience layer's own declaration
-    /// ([`ResilienceConfig::region_sizes`](crate::resilience::ResilienceConfig)).
-    /// Declare the same sizes in both configs for a resilient
-    /// confidential run — a region declared only here is written (and
-    /// therefore sealed) as zero bytes by checkpoints, consistently with
-    /// the FTI write cost.
-    pub region_sizes: HashMap<RegionId, Bytes>,
+    /// What the size-declaring alias setter declared, moved into the
+    /// engine's one declaration at build.
+    pub(crate) sizes: RegionSizes,
 }
 
 /// ecall/ocall pairs per enclave task execution — one in, one out; each
@@ -96,15 +87,9 @@ fn checkpoint_seal_bandwidth() -> BytesPerSec {
 }
 
 impl SecurityConfig {
-    /// No declared region sizes.
+    /// The security layer with no sizes declared beside it.
     pub fn new() -> Self {
         SecurityConfig::default()
-    }
-
-    /// Declare region sizes for crypto-traffic accounting.
-    pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
-        self.region_sizes = sizes;
-        self
     }
 }
 
@@ -271,9 +256,8 @@ struct Image {
 
 /// Live security state carried by the
 /// [`Runtime`](crate::runtime::Runtime) alongside the engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SecurityState {
-    pub config: SecurityConfig,
     /// Set when the first non-public task is submitted; every security
     /// code path is gated on it, so all-public runs never pay.
     pub active: bool,
@@ -294,21 +278,6 @@ pub(crate) struct SecurityState {
     /// The plan for the task being placed.
     pub(crate) plan: SecurePlan,
     pub stats: SecurityStats,
-}
-
-impl Default for SecurityState {
-    fn default() -> Self {
-        SecurityState {
-            config: SecurityConfig::new(),
-            active: false,
-            platforms: Vec::new(),
-            enclaves: HashMap::new(),
-            images: HashMap::new(),
-            quotes: QuoteCache::new(),
-            plan: SecurePlan::default(),
-            stats: SecurityStats::default(),
-        }
-    }
 }
 
 impl SecurityState {
@@ -416,16 +385,16 @@ impl SecurityState {
     }
 
     /// Build the [`SecurePlan`] for one placement attempt of a task at
-    /// `level` with the given declared `accesses`, against the region
-    /// residency in `regions`. Returns whether the plan imposes any cost
-    /// or restriction — when `false` the caller skips the security path
-    /// entirely (the common case for public tasks that touch no sealed
-    /// data).
+    /// `level` with the given declared `accesses` (by slot), against the
+    /// region sizes and residency in `regions`. Returns whether the plan
+    /// imposes any cost or restriction — when `false` the caller skips
+    /// the security path entirely (the common case for public tasks that
+    /// touch no sealed data).
     pub(crate) fn prepare(
         &mut self,
         classes: &SpecClasses,
         regions: &RegionTable,
-        accesses: &[(RegionId, AccessMode)],
+        accesses: impl IntoIterator<Item = (u32, AccessMode)>,
         level: SecurityLevel,
         measurement: u64,
     ) -> bool {
@@ -433,13 +402,13 @@ impl SecurityState {
         plan.inputs.clear();
         // Sealed inputs: read regions whose last writer was confidential.
         let mut boundary_bytes = Bytes::ZERO;
-        for &(region, mode) in accesses {
-            let bytes = bytes_of(&self.config.region_sizes, region);
+        for (slot, mode) in accesses {
+            let bytes = regions.bytes(slot);
             boundary_bytes += bytes;
             if !mode.reads() || bytes == Bytes::ZERO {
                 continue;
             }
-            if let Some(at) = regions.get(region).filter(|at| at.sealed) {
+            if let Some(at) = regions.get(slot).filter(|at| at.sealed) {
                 let rate = classes.tees()[classes.class_of(at.device)].crypto_bandwidth;
                 plan.inputs.push((at.device, bytes, bytes.time_at(rate)));
             }
@@ -563,28 +532,22 @@ mod tests {
         ]
     }
 
-    fn sizes() -> HashMap<RegionId, Bytes> {
-        (0..8u64).map(|r| (RegionId(r), Bytes::mib(32))).collect()
-    }
-
-    fn state_with_sizes() -> SecurityState {
-        SecurityState {
-            config: SecurityConfig::new().with_region_sizes(sizes()),
-            ..SecurityState::default()
-        }
+    /// Eight 32 MiB regions, slot `s` = region `s`.
+    fn sized() -> RegionTable {
+        RegionTable::sized(&[Bytes::mib(32); 8])
     }
 
     #[test]
     fn enclave_tasks_are_ineligible_on_non_tee_devices() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
-        let accesses = [(RegionId(0), AccessMode::InOut)];
+        let accesses = [(0, AccessMode::InOut)];
         assert!(state.prepare(
             &SpecClasses::new(&devices),
-            &RegionTable::default(),
-            &accesses,
+            &sized(),
+            accesses,
             SecurityLevel::Enclave,
             m
         ));
@@ -596,14 +559,14 @@ mod tests {
     #[test]
     fn hardware_crypto_is_cheaper_than_software() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
-        let accesses = [(RegionId(0), AccessMode::InOut)];
+        let accesses = [(0, AccessMode::InOut)];
         state.prepare(
             &SpecClasses::new(&devices),
-            &RegionTable::default(),
-            &accesses,
+            &sized(),
+            accesses,
             SecurityLevel::Enclave,
             m,
         );
@@ -618,16 +581,13 @@ mod tests {
     #[test]
     fn public_task_with_no_sealed_inputs_has_no_plan() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
-        let accesses = [
-            (RegionId(0), AccessMode::In),
-            (RegionId(1), AccessMode::Out),
-        ];
+        let accesses = [(0, AccessMode::In), (1, AccessMode::Out)];
         assert!(!state.prepare(
             &SpecClasses::new(&devices),
-            &RegionTable::default(),
-            &accesses,
+            &sized(),
+            accesses,
             SecurityLevel::Public,
             0
         ));
@@ -636,20 +596,16 @@ mod tests {
     #[test]
     fn sealed_crossing_charged_only_when_devices_differ() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         // Region 0 was produced by a confidential task on device 0.
-        let mut regions = RegionTable::default();
-        regions.record(
-            &[(RegionId(0), AccessMode::Out)],
-            0,
-            SecurityLevel::Confidential,
-        );
-        let accesses = [(RegionId(0), AccessMode::In)];
+        let mut regions = sized();
+        regions.record([(0, AccessMode::Out)], 0, SecurityLevel::Confidential);
+        let accesses = [(0, AccessMode::In)];
         assert!(state.prepare(
             &SpecClasses::new(&devices),
             &regions,
-            &accesses,
+            accesses,
             SecurityLevel::Public,
             0
         ));
@@ -670,22 +626,18 @@ mod tests {
     #[test]
     fn public_rewrite_unseals_a_region() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
-        let mut regions = RegionTable::default();
-        regions.record(
-            &[(RegionId(0), AccessMode::Out)],
-            0,
-            SecurityLevel::Confidential,
-        );
+        let mut regions = sized();
+        regions.record([(0, AccessMode::Out)], 0, SecurityLevel::Confidential);
         // A public task overwrites the region: its new contents are not
         // confidential, so readers stop paying seal costs.
-        regions.record(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
-        let accesses = [(RegionId(0), AccessMode::In)];
+        regions.record([(0, AccessMode::Out)], 1, SecurityLevel::Public);
+        let accesses = [(0, AccessMode::In)];
         assert!(!state.prepare(
             &SpecClasses::new(&devices),
             &regions,
-            &accesses,
+            accesses,
             SecurityLevel::Public,
             0
         ));
@@ -694,14 +646,14 @@ mod tests {
     #[test]
     fn commit_counts_attestation_once_per_device() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
-        let accesses = [(RegionId(0), AccessMode::InOut)];
+        let accesses = [(0, AccessMode::InOut)];
         state.prepare(
             &SpecClasses::new(&devices),
-            &RegionTable::default(),
-            &accesses,
+            &sized(),
+            accesses,
             SecurityLevel::Enclave,
             m,
         );
@@ -710,8 +662,8 @@ mod tests {
         // Second placement of the same code on the same device: cache hit.
         state.prepare(
             &SpecClasses::new(&devices),
-            &RegionTable::default(),
-            &accesses,
+            &sized(),
+            accesses,
             SecurityLevel::Enclave,
             m,
         );
@@ -727,7 +679,7 @@ mod tests {
     #[test]
     fn a_full_platform_refuses_the_same_image_again() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         // 64 images fill every platform; the 65th is refused — and stays
         // refused: a failed pass must not mark the image provisioned.
@@ -745,8 +697,8 @@ mod tests {
         let m = state.ensure_enclaves(images[3].as_bytes()).expect("known");
         state.prepare(
             &SpecClasses::new(&devices),
-            &RegionTable::default(),
-            &[],
+            &sized(),
+            [],
             SecurityLevel::Enclave,
             m,
         );
@@ -757,7 +709,7 @@ mod tests {
     #[test]
     fn a_device_arriving_after_provisioning_can_be_committed_to() {
         let mut devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
         let late = Device::new(DeviceId(3), DeviceSpec::xeon_x86());
@@ -766,11 +718,11 @@ mod tests {
         let classes = SpecClasses::new(&devices);
         // O(1) now — the arrival replayed the image onto the newcomer.
         assert_eq!(state.ensure_enclaves(b"detector"), Ok(m));
-        let regions = RegionTable::default();
-        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
+        let regions = sized();
+        state.prepare(&classes, &regions, [], SecurityLevel::Enclave, m);
         assert!(state.plan.cost(3, 0).attest, "never attested yet");
         state.commit(3, 0).expect("the newcomer hosts the enclave");
-        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
+        state.prepare(&classes, &regions, [], SecurityLevel::Enclave, m);
         assert!(!state.plan.cost(3, 0).attest);
         assert!(state.plan.cost(0, 0).attest, "same class, own quote");
         assert_eq!(state.stats.attestations, 1);
@@ -780,17 +732,17 @@ mod tests {
     fn attestation_bits_survive_a_rollback_restore() {
         let devices = devices();
         let classes = SpecClasses::new(&devices);
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         let m = state.ensure_enclaves(b"detector").unwrap();
-        let mut regions = RegionTable::default();
-        let snap = regions.clone();
-        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
+        let mut regions = sized();
+        let snap = regions.residency.clone();
+        state.prepare(&classes, &regions, [], SecurityLevel::Enclave, m);
         state.commit(0, 0).unwrap();
         // Attestations really happened: rewinding region residency to
         // before the placement does not forget the quote.
-        regions.restore(Some(&snap));
-        state.prepare(&classes, &regions, &[], SecurityLevel::Enclave, m);
+        regions.residency.clone_from(&snap);
+        state.prepare(&classes, &regions, [], SecurityLevel::Enclave, m);
         assert!(!state.plan.cost(0, 0).attest);
         assert!(state.plan.cost(2, 2).attest);
         state.commit(0, 0).unwrap();
@@ -810,53 +762,28 @@ mod tests {
     #[test]
     fn snapshot_restore_rewinds_region_confidentiality() {
         let devices = devices();
-        let mut state = state_with_sizes();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         // Checkpoint-time state: region 0 sealed (produced on device 0).
-        let mut regions = RegionTable::default();
-        regions.record(
-            &[(RegionId(0), AccessMode::Out)],
-            0,
-            SecurityLevel::Confidential,
-        );
-        let snap = regions.clone();
+        let mut regions = sized();
+        regions.record([(0, AccessMode::Out)], 0, SecurityLevel::Confidential);
+        let snap = regions.residency.clone();
         // Post-checkpoint (to-be-discarded) writes: region 0 rewritten
         // public on device 1, region 1 newly sealed.
-        regions.record(&[(RegionId(0), AccessMode::Out)], 1, SecurityLevel::Public);
-        regions.record(
-            &[(RegionId(1), AccessMode::Out)],
-            1,
-            SecurityLevel::Confidential,
-        );
-        regions.restore(Some(&snap));
+        regions.record([(0, AccessMode::Out)], 1, SecurityLevel::Public);
+        regions.record([(1, AccessMode::Out)], 1, SecurityLevel::Confidential);
+        regions.residency.clone_from(&snap);
         // Region 0 is sealed again (its restored contents are the
         // confidential write), region 1 is not (its write was discarded).
-        let reads0 = [(RegionId(0), AccessMode::In)];
-        assert!(state.prepare(
-            &SpecClasses::new(&devices),
-            &regions,
-            &reads0,
-            SecurityLevel::Public,
-            0
-        ));
+        let classes = SpecClasses::new(&devices);
+        let reads0 = [(0, AccessMode::In)];
+        assert!(state.prepare(&classes, &regions, reads0, SecurityLevel::Public, 0));
         assert!(state.plan.extra(1, 1).unwrap() > Seconds::ZERO);
-        let reads1 = [(RegionId(1), AccessMode::In)];
-        assert!(!state.prepare(
-            &SpecClasses::new(&devices),
-            &regions,
-            &reads1,
-            SecurityLevel::Public,
-            0
-        ));
-        // A snapshot from before the table was written restores to the
+        let reads1 = [(1, AccessMode::In)];
+        assert!(!state.prepare(&classes, &regions, reads1, SecurityLevel::Public, 0));
+        // A snapshot from before anything was written restores to the
         // empty state.
-        regions.restore(None);
-        assert!(!state.prepare(
-            &SpecClasses::new(&devices),
-            &regions,
-            &reads0,
-            SecurityLevel::Public,
-            0
-        ));
+        regions.residency.clear();
+        assert!(!state.prepare(&classes, &regions, reads0, SecurityLevel::Public, 0));
     }
 }

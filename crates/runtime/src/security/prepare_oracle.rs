@@ -21,20 +21,18 @@ pub(crate) fn per_device(
     state: &SecurityState,
     regions: &RegionTable,
     devices: &[Device],
-    accesses: &[(RegionId, AccessMode)],
+    accesses: &[(u32, AccessMode)],
     level: SecurityLevel,
     measurement: u64,
 ) -> Option<Vec<DeviceSecCost>> {
     let mut inputs = Vec::new();
     let mut boundary_bytes = Bytes::ZERO;
-    for &(region, mode) in accesses {
-        let bytes = bytes_of(&state.config.region_sizes, region);
+    for &(slot, mode) in accesses {
+        let bytes = regions.bytes(slot);
         boundary_bytes += bytes;
-        if mode.reads() && regions.is_sealed(region) {
-            if let Some(producer) = regions.get(region) {
-                if bytes > Bytes::ZERO {
-                    inputs.push((producer.device, bytes));
-                }
+        if let Some(producer) = regions.get(slot).filter(|p| p.sealed) {
+            if mode.reads() && bytes > Bytes::ZERO {
+                inputs.push((producer.device, bytes));
             }
         }
     }
@@ -79,7 +77,7 @@ pub(crate) fn extras(
     state: &SecurityState,
     regions: &RegionTable,
     devices: &[Device],
-    accesses: &[(RegionId, AccessMode)],
+    accesses: &[(u32, AccessMode)],
     level: SecurityLevel,
     measurement: u64,
 ) -> Option<Vec<Option<Seconds>>> {
@@ -138,33 +136,29 @@ proptest! {
             .map(|i| Device::new(DeviceId(i), spec(&mut rng)))
             .collect();
         let mut classes = SpecClasses::new(&devices);
-        let sizes = (0..6u64)
-            .map(|r| (RegionId(r), Bytes::mib(rng.gen_range(0..40))))
-            .collect();
-        let mut state = SecurityState {
-            config: SecurityConfig::new().with_region_sizes(sizes),
-            ..SecurityState::default()
-        };
+        // Six declared slots; a seventh is read and written undeclared.
+        let sizes: Vec<Bytes> = (0..6).map(|_| Bytes::mib(rng.gen_range(0..40))).collect();
+        let mut state = SecurityState::default();
         state.activate(&devices);
         let images: Vec<u64> = [b"detect".as_slice(), b"track"]
             .iter()
             .map(|code| state.ensure_enclaves(code).expect("two images fit"))
             .collect();
-        let mut regions = RegionTable::default();
-        let mut snapshot = regions.clone();
+        let mut regions = RegionTable::sized(&sizes);
+        let mut snapshot = Vec::new();
         for _ in 0..40 {
             match rng.gen_range(0..10) {
                 0..=4 => {
-                    let accesses: Vec<(RegionId, AccessMode)> = (0..rng.gen_range(0..5))
+                    let accesses: Vec<(u32, AccessMode)> = (0..rng.gen_range(0..5))
                         .map(|_| {
                             let mode = [AccessMode::In, AccessMode::Out, AccessMode::InOut];
-                            (RegionId(rng.gen_range(0..7)), mode[rng.gen_range(0..3)])
+                            (rng.gen_range(0..7), mode[rng.gen_range(0..3)])
                         })
                         .collect();
                     let level = LEVELS[rng.gen_range(0..3)];
                     let m = images[rng.gen_range(0..2)];
                     let reference = per_device(&state, &regions, &devices, &accesses, level, m);
-                    let planned = state.prepare(&classes, &regions, &accesses, level, m);
+                    let planned = state.prepare(&classes, &regions, accesses, level, m);
                     prop_assert_eq!(planned, reference.is_some());
                     let Some(reference) = reference else { continue };
                     for (d, &want) in reference.iter().enumerate() {
@@ -186,7 +180,7 @@ proptest! {
                     }
                 }
                 5..=6 => regions.record(
-                    &[(RegionId(rng.gen_range(0..7)), AccessMode::Out)],
+                    [(rng.gen_range(0..7), AccessMode::Out)],
                     rng.gen_range(0..devices.len()),
                     LEVELS[rng.gen_range(0..3)],
                 ),
@@ -196,8 +190,8 @@ proptest! {
                     devices.push(device);
                     classes.add_device(&devices);
                 }
-                8 => snapshot = regions.clone(),
-                _ => regions.restore(Some(&snapshot)),
+                8 => snapshot.clone_from(&regions.residency),
+                _ => regions.residency.clone_from(&snapshot),
             }
         }
     }

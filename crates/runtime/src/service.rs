@@ -24,6 +24,7 @@
 //!   `(t << 32) | r` in the engine, so two tenants naming the same
 //!   region id never serialize on each other (tenant 0 maps
 //!   identically, which is what makes single-tenant runs bit-identical).
+//!   Region sizes are declared once, on the engine, under those ids.
 //! * **Metering** — per-tenant [`TenantReport`]: tasks completed, busy
 //!   joules of every replica the tenant's tasks ran, its proportional
 //!   share of the security layer's enclave/seal premium, and the bytes
@@ -45,7 +46,7 @@
 //! seal visits only what completed since the previous seal.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
@@ -53,9 +54,9 @@ use legato_core::units::{Bytes, Joule, Seconds};
 use legato_fti::Strategy;
 use serde::{Deserialize, Serialize};
 
-use crate::ckpt::bytes_of;
 use crate::config::EngineConfig;
 use crate::error::RuntimeError;
+use crate::regions::slot_accesses;
 use crate::resilience::{CheckpointRecord, CheckpointStore};
 use crate::runtime::{RunReport, Runtime};
 
@@ -163,9 +164,9 @@ struct TenantState {
     /// the bytes written and the priced cost, over all seals so far. The
     /// only copy: [`Service::restart`] resumes from it.
     session: CheckpointRecord,
-    /// Session-local indices completed since the last seal, in
+    /// Engine ids of the tasks completed since the last seal, in
     /// completion order; [`Service::seal`] drains it.
-    unsealed: Vec<u64>,
+    unsealed: Vec<TaskId>,
     /// Sealed tasks metered by the [`Service::absorb`] call in progress
     /// (its premium split weighs tenants by it); zero between calls.
     sealed_fresh: u64,
@@ -225,26 +226,19 @@ pub struct ServiceConfig {
     /// Queued-task budget for tenants that do not set their own
     /// (default 1024).
     pub default_budget: usize,
-    /// Declared size of each *session-local* region, used to price the
-    /// frontier volume of session seals. Absent regions count as zero.
-    pub region_sizes: HashMap<RegionId, Bytes>,
 }
 
 impl ServiceConfig {
     /// Service over `engine` with a 1024-task default budget, sealing
-    /// sessions to node-local NVMe asynchronously.
+    /// sessions to node-local NVMe asynchronously. Seals are priced at
+    /// the engine's one size declaration
+    /// ([`EngineConfig::with_region_sizes`]), keyed by engine region id:
+    /// tenant `t`'s session-local region `r` is `(t << 32) | r`.
     pub fn new(engine: EngineConfig) -> Self {
         ServiceConfig {
             engine,
             default_budget: 1024,
-            region_sizes: HashMap::new(),
         }
-    }
-
-    /// Declare session-local region sizes for seal-volume accounting.
-    pub fn with_region_sizes(mut self, sizes: HashMap<RegionId, Bytes>) -> Self {
-        self.region_sizes = sizes;
-        self
     }
 
     /// Construct the service (builds the wrapped engine).
@@ -517,7 +511,7 @@ impl Service {
             if t.unsealed.is_empty() {
                 self.unsealed_tenants.push(tenant);
             }
-            t.unsealed.push(idx);
+            t.unsealed.push(id);
             if t.log[idx as usize]
                 .descriptor
                 .requirements
@@ -551,22 +545,23 @@ impl Service {
     /// Seal every session's completed-but-unsealed frontier through the
     /// FTI checkpoint layer: the seal's byte volume is the declared size
     /// of the regions those tasks wrote
-    /// ([`ServiceConfig::with_region_sizes`]), and the priced write cost
-    /// accumulates on the session record. Called by [`Service::run`];
-    /// public so stream-style drivers ([`Service::step`]) can checkpoint
-    /// at their own cadence. Costs the completions since the last seal,
-    /// not the session logs.
+    /// ([`EngineConfig::with_region_sizes`], read by slot from the
+    /// engine's region table), and the priced write cost accumulates on
+    /// the session record. Called by [`Service::run`]; public so
+    /// stream-style drivers ([`Service::step`]) can checkpoint at their
+    /// own cadence. Costs the completions since the last seal, not the
+    /// session logs.
     pub fn seal(&mut self) {
+        self.rt.resolve_sizes();
         for tenant in self.unsealed_tenants.drain(..) {
             let t = &mut self.tenants[tenant as usize];
             let mut bytes = Bytes::ZERO;
-            for idx in t.unsealed.drain(..) {
-                t.session.frontier.insert(TaskId(idx));
-                for &(r, m) in &t.log[idx as usize].accesses {
-                    if m.writes() {
-                        bytes += bytes_of(&self.config.region_sizes, r);
-                    }
-                }
+            for id in t.unsealed.drain(..) {
+                t.session
+                    .frontier
+                    .insert(TaskId(self.task_of[id.index()].1));
+                let accesses = slot_accesses(&self.rt.graph, id).expect("a completed task");
+                bytes += self.rt.regions.written(accesses);
             }
             t.session.bytes += bytes;
             t.session.cost += self.store.write_cost(bytes);
@@ -826,8 +821,7 @@ mod tests {
     #[test]
     fn sessions_seal_and_survive_restart() {
         let sizes = [(RegionId(0), Bytes::mib(64))].into_iter().collect();
-        let mut svc = ServiceConfig::new(engine())
-            .with_region_sizes(sizes)
+        let mut svc = ServiceConfig::new(engine().with_region_sizes(sizes))
             .build()
             .unwrap();
         let a = svc.register(TenantSpec::new()).unwrap();

@@ -83,13 +83,10 @@ fn config(
         .with_devices(devices())
         .with_policy(Policy::Weighted(0.5))
         .with_seed(seed)
-        .with_max_retries(1);
+        .with_max_retries(1)
+        .with_region_sizes(sizes(chains));
     if resilient {
-        cfg = cfg.with_resilience(
-            ResilienceConfig::new(Seconds(5.0))
-                .with_region_sizes(sizes(chains))
-                .with_max_rollbacks(10_000),
-        );
+        cfg = cfg.with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
     }
     if let Some(churn) = churn {
         cfg = cfg.with_churn(churn);

@@ -118,11 +118,8 @@ fn migration_during_a_checkpoint_blackout_waits_for_it_to_end() {
         let mut rt = EngineConfig::new()
             .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::xeon_x86()])
             .with_policy(Policy::Performance)
-            .with_resilience(
-                ResilienceConfig::new(Seconds(10.0))
-                    .with_strategy(Strategy::Initial)
-                    .with_region_sizes(HashMap::from([(RegionId(0), Bytes::gib(16))])),
-            )
+            .with_region_sizes(HashMap::from([(RegionId(0), Bytes::gib(16))]))
+            .with_resilience(ResilienceConfig::new(Seconds(10.0)).with_strategy(Strategy::Initial))
             .with_churn(ChurnConfig::new(trace))
             .build()
             .expect("valid engine config");

@@ -27,6 +27,8 @@
 //!   only ever land on TEE devices, and an all-public workload on a
 //!   security-configured runtime is bit-identical to one on a runtime
 //!   that never heard of security (the layer is pay-for-what-you-use).
+//! * **Declared sizes are free without a reader** — declaring every
+//!   region's size changes nothing while no pillar reads sizes.
 //! * **Linearity in work** — a metamorphic relation with no reference
 //!   implementation behind it: on a bare engine, doubling every task's
 //!   work keeps every placement and doubles every time and joule, bit
@@ -116,13 +118,10 @@ fn runtime(seed: u64, resilient: bool, chains: &ChainSpec) -> Runtime {
         .with_policy(Policy::Weighted(0.5))
         .with_seed(seed)
         .with_max_retries(1)
-        .with_security(SecurityConfig::new().with_region_sizes(sizes(chains)));
+        .with_region_sizes(sizes(chains))
+        .with_security(SecurityConfig::new());
     if resilient {
-        cfg = cfg.with_resilience(
-            ResilienceConfig::new(Seconds(5.0))
-                .with_region_sizes(sizes(chains))
-                .with_max_rollbacks(10_000),
-        );
+        cfg = cfg.with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
     }
     let mut rt = cfg.build().expect("valid engine config");
     rt.set_fault_prob(1, 0.4);
@@ -314,11 +313,9 @@ proptest! {
             .with_seed(seed)
             .with_max_retries(1);
         if resilient {
-            plain_cfg = plain_cfg.with_resilience(
-                ResilienceConfig::new(Seconds(5.0))
-                    .with_region_sizes(sizes(&chains))
-                    .with_max_rollbacks(10_000),
-            );
+            plain_cfg = plain_cfg
+                .with_region_sizes(sizes(&chains))
+                .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
         }
         let mut plain = plain_cfg.build().expect("valid engine config");
         plain.set_fault_prob(1, 0.4);
@@ -332,6 +329,33 @@ proptest! {
         prop_assert_eq!(&plain_report, &configured_report);
         prop_assert_eq!(plain.rollback_trace(), configured.rollback_trace());
         prop_assert_eq!(configured_report.security, None);
+    }
+
+    /// Declaring region sizes costs nothing while no size reader is on:
+    /// with no confidential task, no resilience and no topology, a
+    /// runtime given every region's size is bit-identical — report and
+    /// rollback trace — to one given none.
+    #[test]
+    fn declared_sizes_without_a_reader_are_bit_identical_to_none(
+        chains in public_chains_strategy(),
+        seed in 0u64..300,
+    ) {
+        let run = |declared: bool| {
+            let mut cfg = EngineConfig::new()
+                .with_devices(devices())
+                .with_policy(Policy::Weighted(0.5))
+                .with_seed(seed)
+                .with_max_retries(1);
+            if declared {
+                cfg = cfg.with_region_sizes(sizes(&chains));
+            }
+            let mut rt = cfg.build().expect("valid engine config");
+            rt.set_fault_prob(1, 0.4);
+            submit_wave(&mut rt, &chains);
+            let report = rt.run().expect("devices present");
+            (report, rt.rollback_trace().to_vec())
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 
     /// A bare engine (no pillar, zero fault probabilities) is linear in

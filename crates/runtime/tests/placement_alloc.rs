@@ -20,7 +20,7 @@ use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_runtime::{
     ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, DepartureKind, EnergyConfig, EngineConfig,
-    Policy, PoolConfig, Runtime, SecurityConfig,
+    Policy, PoolConfig, Runtime,
 };
 use legato_workloads::fleets;
 
@@ -99,7 +99,7 @@ fn steady_state_placement_is_allocation_free() {
         ),
         (
             "secured",
-            base().with_security(SecurityConfig::new().with_region_sizes(sizes)),
+            base().with_region_sizes(sizes),
             enclave,
             FLEET / 2, // the x86 and arm64 quarters host enclaves
         ),

@@ -92,9 +92,8 @@ proptest! {
                 .with_policy(Policy::Performance)
                 .with_seed(seed)
                 .with_max_retries(1)
-                .with_resilience(
-                    ResilienceConfig::new(Seconds(5.0)).with_region_sizes(sizes(&chains)),
-                )
+                .with_region_sizes(sizes(&chains))
+                .with_resilience(ResilienceConfig::new(Seconds(5.0)))
                 .build()
                 .expect("valid engine config");
             rt.set_fault_prob(1, 0.6);
@@ -118,11 +117,8 @@ proptest! {
             .with_policy(Policy::Performance)
             .with_seed(seed)
             .with_max_retries(1)
-            .with_resilience(
-                ResilienceConfig::new(Seconds(5.0))
-                    .with_region_sizes(sizes(&chains))
-                    .with_max_rollbacks(10_000),
-            )
+            .with_region_sizes(sizes(&chains))
+            .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000))
             .build()
             .expect("valid engine config");
         rt.set_fault_prob(1, 0.5);

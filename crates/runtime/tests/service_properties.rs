@@ -76,11 +76,8 @@ fn rollback_engine(seed: u64, tenants: usize) -> EngineConfig {
         .with_seed(seed)
         .with_max_retries(1)
         .with_energy(EnergyConfig::new().with_device_point(1, 1))
-        .with_resilience(
-            ResilienceConfig::new(Seconds(5.0))
-                .with_region_sizes(sizes)
-                .with_max_rollbacks(10_000),
-        )
+        .with_region_sizes(sizes)
+        .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000))
 }
 
 /// `tenants` sessions (every other one confidential, so the premium
@@ -291,8 +288,7 @@ proptest! {
     ) {
         let sizes: HashMap<RegionId, Bytes> =
             (0..6u64).map(|r| (RegionId(r), Bytes::mib(4 + r))).collect();
-        let mut svc = ServiceConfig::new(engine(seed, 0))
-            .with_region_sizes(sizes.clone())
+        let mut svc = ServiceConfig::new(engine(seed, 0).with_region_sizes(sizes.clone()))
             .build()
             .expect("valid config");
         let tenant = svc.register(TenantSpec::new()).expect("valid spec");

@@ -426,11 +426,8 @@ fn undervolting_shortens_the_planned_checkpoint_interval() {
             ])
             .with_policy(Policy::Performance)
             .with_seed(7)
-            .with_resilience(
-                ResilienceConfig::new(Seconds(10_000.0))
-                    .with_region_sizes(sizes)
-                    .with_max_rollbacks(10_000),
-            )
+            .with_region_sizes(sizes)
+            .with_resilience(ResilienceConfig::new(Seconds(10_000.0)).with_max_rollbacks(10_000))
             .with_energy(EnergyConfig::new().with_device_point(1, rung))
             .build()
             .expect("valid engine config");
