@@ -884,6 +884,35 @@ mod tests {
         assert_eq!(PoolConfig::uniform(0, 0).pool_count(), 0);
     }
 
+    /// A uniform rule whose device count is not the fleet's is a typed
+    /// refusal at `build`, with the messages an explicit membership of
+    /// the same shape gets — never a panic or a fleet-sized-by-the-count
+    /// allocation inside `uniform` (`usize::MAX` overflowed capacity
+    /// there; `1 << 40` would have asked for 8 TiB).
+    #[test]
+    fn a_uniform_count_that_is_not_the_fleet_is_refused_before_it_allocates() {
+        use crate::config::EngineConfig;
+        let specs: Vec<DeviceSpec> = fleet(4).into_iter().map(|d| d.spec).collect();
+        for (count, expected) in [
+            (usize::MAX, "device 4 out of range (4 devices)"),
+            (1 << 40, "device 4 out of range (4 devices)"),
+            (5, "device 4 out of range (4 devices)"),
+            (3, "device 3 belongs to no pool"),
+            (0, "at least one non-empty pool is required"),
+        ] {
+            let built = EngineConfig::new()
+                .with_devices(specs.clone())
+                .with_pools(PoolConfig::uniform(count, 1))
+                .build();
+            match built {
+                Err(RuntimeError::InvalidParameter { name, reason }) => {
+                    assert_eq!((name, reason.as_str()), ("pools", expected), "count {count}");
+                }
+                other => panic!("count {count}: expected a refusal, got {:?}", other.err()),
+            }
+        }
+    }
+
     #[test]
     fn invalid_memberships_are_rejected() {
         let devices = fleet(4);
