@@ -52,7 +52,7 @@ use crate::regions::slot_accesses;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, EngineCheckpoint, RollbackEvent};
 use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
-use crate::scheduler::Estimate;
+use crate::scheduler::{Anchors, Estimate, Plan};
 
 /// The devices and per-replica results of one (possibly replicated)
 /// attempt, stored inline in the finish event. `len` is the live prefix
@@ -238,13 +238,13 @@ pub(crate) struct EngineState {
 /// between events; only the capacity is carried.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Placement estimates, sized to the fleet; the flat scan's
-    /// `Weighted` pass fills a prefix, one per candidate
-    /// (`start_attempt`). Every other selection keeps its top-k inline.
-    estimates: Vec<Estimate>,
-    /// Candidate device index behind each estimate (security-restricted
-    /// tasks skip ineligible devices, so positions ≠ device indices).
-    candidates: Vec<usize>,
+    /// The flat scan's `Weighted` survivors, each candidate's plan beside
+    /// its estimate, with capacity for the whole fleet (`start_attempt`).
+    /// Every other selection keeps its top-k inline.
+    survivors: Vec<(Plan, Estimate)>,
+    /// The `Weighted` prune's anchors, one inline set per spec class;
+    /// grown only when a class opens.
+    anchors: Vec<Anchors>,
     /// Tasks released by a completion (`handle_finish`).
     released: Vec<TaskId>,
     /// Topology transfer charge per pool for the task being placed
@@ -965,9 +965,10 @@ impl Runtime {
     /// runs once per spec class, and the flat scan selects in the same
     /// O(D) pass that prices, keeping the ≤ 3 best plans in an inline
     /// accumulator — no ranking vector, no sort, no second walk. Only
-    /// `Weighted`, whose min-max norm needs every candidate first, writes
-    /// its estimates into a per-runtime scratch buffer and selects from
-    /// it afterwards. Confidential tasks (and tasks reading sealed regions) first
+    /// `Weighted`, whose min-max norm needs every candidate first, keeps
+    /// the candidates no earlier member of their class dominates in
+    /// per-runtime scratch and scores those few once the pass has folded
+    /// the norm. Confidential tasks (and tasks reading sealed regions) first
     /// build a per-class security plan whose costs are folded into the
     /// estimates, so the policy ranks TEE and crypto capability like any
     /// other dimension.
@@ -1057,8 +1058,8 @@ impl Runtime {
                 needs_sec.then_some(&self.security.plan),
                 topo,
                 self.energy.objective.is_some().then_some(&mut self.energy),
-                &mut self.engine.scratch.estimates,
-                &mut self.engine.scratch.candidates,
+                &mut self.engine.scratch.survivors,
+                &mut self.engine.scratch.anchors,
                 &mut planned[..replicas.min(MAX_REPLICAS)],
             )
         };

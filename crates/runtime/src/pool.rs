@@ -96,31 +96,42 @@ use crate::scheduler::{Estimate, Plan, Policy, Scheduler, ScoreNorm, TopK};
 #[must_use = "builder-style configs do nothing unless passed to EngineConfig"]
 pub struct PoolConfig {
     pools: Vec<Vec<usize>>,
+    /// [`PoolConfig::uniform`]'s rule, `(device_count, pool_size)`:
+    /// expanded into `pools` only once the fleet has vouched for the
+    /// count ([`DevicePools::new`]).
+    uniform: Option<(usize, usize)>,
 }
 
 impl PoolConfig {
     /// An explicit partition: `pools[p]` lists the device indices of
     /// pool `p`. Empty pools are dropped.
     pub fn from_membership(pools: Vec<Vec<usize>>) -> Self {
-        PoolConfig { pools }
+        PoolConfig {
+            pools,
+            uniform: None,
+        }
     }
 
     /// Partition `device_count` devices into consecutive chunks of (at
     /// most) `pool_size` — the structure-free fallback when the fleet
     /// has no chassis or node grouping. A zero `pool_size` yields a
-    /// single pool.
+    /// single pool. The rule is recorded, not expanded: a count that is
+    /// not the fleet's size is refused when the runtime is built, the
+    /// way an explicit membership of that shape would be.
     pub fn uniform(device_count: usize, pool_size: usize) -> Self {
-        let size = match pool_size {
+        PoolConfig {
+            pools: Vec::new(),
+            uniform: Some((device_count, pool_size)),
+        }
+    }
+
+    /// The rule's chunk size: `pool_size`, a zero meaning every device.
+    fn chunk(device_count: usize, pool_size: usize) -> usize {
+        match pool_size {
             0 => device_count,
             size => size,
         }
-        .clamp(1, device_count.max(1));
-        let pools = (0..device_count)
-            .collect::<Vec<_>>()
-            .chunks(size)
-            .map(<[usize]>::to_vec)
-            .collect();
-        PoolConfig { pools }
+        .clamp(1, device_count.max(1))
     }
 
     /// One pool per cluster node: returns the flattened device specs
@@ -135,7 +146,7 @@ impl PoolConfig {
             specs.extend(node.devices.iter().cloned());
             pools.push((start..specs.len()).collect());
         }
-        (specs, PoolConfig { pools })
+        (specs, PoolConfig::from_membership(pools))
     }
 
     /// One pool per RECS|BOX carrier: returns the flattened device
@@ -151,13 +162,16 @@ impl PoolConfig {
             specs.extend(carrier.microservers().iter().map(|m| m.device.clone()));
             pools.push((start..specs.len()).collect());
         }
-        (specs, PoolConfig { pools })
+        (specs, PoolConfig::from_membership(pools))
     }
 
     /// Number of (declared, possibly empty) pools.
     #[must_use]
     pub fn pool_count(&self) -> usize {
-        self.pools.len()
+        match self.uniform {
+            Some((count, size)) => count.div_ceil(Self::chunk(count, size)),
+            None => self.pools.len(),
+        }
     }
 }
 
@@ -298,11 +312,33 @@ impl DevicePools {
     /// # Errors
     ///
     /// [`RuntimeError::InvalidParameter`] when the membership is not an
-    /// exact partition of the device indices.
+    /// exact partition of the device indices. A uniform rule is checked
+    /// against the fleet before it is expanded, so a count of any size
+    /// is refused without allocating for it.
     pub(crate) fn new(config: PoolConfig, classes: &SpecClasses) -> Result<Self, RuntimeError> {
         let device_count = classes.class_of_slice().len();
-        let mut pools: Vec<Vec<usize>> =
-            config.pools.into_iter().filter(|p| !p.is_empty()).collect();
+        let out_of_range = |d: usize| {
+            RuntimeError::invalid_parameter(
+                "pools",
+                format!("device {d} out of range ({device_count} devices)"),
+            )
+        };
+        let unassigned = |d: usize| {
+            RuntimeError::invalid_parameter("pools", format!("device {d} belongs to no pool"))
+        };
+        let pools = match config.uniform {
+            None => config.pools,
+            // The first device a too-long rule names is the fleet size;
+            // the first a too-short one misses is its count.
+            Some((count, _)) if count > device_count => return Err(out_of_range(device_count)),
+            Some((count, _)) if count > 0 && count < device_count => return Err(unassigned(count)),
+            Some((count, size)) => (0..count)
+                .collect::<Vec<_>>()
+                .chunks(PoolConfig::chunk(count, size))
+                .map(<[usize]>::to_vec)
+                .collect(),
+        };
+        let mut pools: Vec<Vec<usize>> = pools.into_iter().filter(|p| !p.is_empty()).collect();
         if pools.is_empty() {
             return Err(RuntimeError::invalid_parameter(
                 "pools",
@@ -314,10 +350,7 @@ impl DevicePools {
             pool.sort_unstable();
             for &d in pool.iter() {
                 if d >= device_count {
-                    return Err(RuntimeError::invalid_parameter(
-                        "pools",
-                        format!("device {d} out of range ({device_count} devices)"),
-                    ));
+                    return Err(out_of_range(d));
                 }
                 if pool_of[d] != usize::MAX {
                     return Err(RuntimeError::invalid_parameter(
@@ -329,10 +362,7 @@ impl DevicePools {
             }
         }
         if let Some(d) = pool_of.iter().position(|&p| p == usize::MAX) {
-            return Err(RuntimeError::invalid_parameter(
-                "pools",
-                format!("device {d} belongs to no pool"),
-            ));
+            return Err(unassigned(d));
         }
         // One shard per (pool, class). Shard members stay ascending
         // because each pool was sorted above and devices append in
@@ -837,8 +867,8 @@ mod tests {
         ready_at: Seconds,
         k: usize,
     ) -> Vec<(usize, Seconds, Seconds)> {
-        let mut estimates = Vec::new();
-        let mut candidates = Vec::new();
+        let mut survivors = Vec::new();
+        let mut anchors = Vec::new();
         let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
         let (filled, _) = policy.plan_k_devices(
             devices,
@@ -848,8 +878,8 @@ mod tests {
             None,
             None,
             None,
-            &mut estimates,
-            &mut candidates,
+            &mut survivors,
+            &mut anchors,
             &mut out[..k],
         );
         out[..filled].to_vec()
@@ -880,7 +910,9 @@ mod tests {
     fn a_zero_pool_size_is_one_pool_of_every_device() {
         let config = PoolConfig::uniform(10, 0);
         assert_eq!(config.pool_count(), 1);
-        assert_eq!(config.pools[0], (0..10).collect::<Vec<_>>());
+        let pools = pools_over(config, &fleet(10)).expect("valid");
+        assert_eq!(pools.pool_count(), 1);
+        assert!((0..10).all(|d| pools.pool_of(d) == 0));
         assert_eq!(PoolConfig::uniform(0, 0).pool_count(), 0);
     }
 
@@ -906,7 +938,11 @@ mod tests {
                 .build();
             match built {
                 Err(RuntimeError::InvalidParameter { name, reason }) => {
-                    assert_eq!((name, reason.as_str()), ("pools", expected), "count {count}");
+                    assert_eq!(
+                        (name, reason.as_str()),
+                        ("pools", expected),
+                        "count {count}"
+                    );
                 }
                 other => panic!("count {count}: expected a refusal, got {:?}", other.err()),
             }
@@ -1451,7 +1487,7 @@ mod tests {
             let mut classes = SpecClasses::new(&devices);
             let mut pools = pools_over(PoolConfig::uniform(n, pool_size), &devices).expect("valid");
             let mut avail = vec![true; n];
-            let (mut estimates, mut candidates) = (Vec::new(), Vec::new());
+            let (mut survivors, mut anchors) = (Vec::new(), Vec::new());
             for (step, &(op, pick, x)) in ops.iter().enumerate() {
                 let live: Vec<usize> = (0..devices.len()).filter(|&d| avail[d]).collect();
                 let picked = (!live.is_empty()).then(|| live[pick % live.len()]);
@@ -1495,8 +1531,8 @@ mod tests {
                         None,
                         extras.map(|e| (e, pools.pool_of_slice())),
                         None,
-                        &mut estimates,
-                        &mut candidates,
+                        &mut survivors,
+                        &mut anchors,
                         &mut flat[..want],
                     );
                     prop_assert_eq!(&out[..filled], &flat[..flat_filled]);

@@ -518,6 +518,25 @@ mod tests {
         let mut rt = Runtime::new(specs(), Policy::Weighted(2.0), 1);
         chain(&mut rt, 2, Criticality::Normal);
         assert_eq!(rt.run(), Err(RuntimeError::InvalidWeight(2.0)));
+        // Both entry points refuse before the first placement, whose
+        // `Weighted` prune is exact only for a weight in [0, 1]; NaN too.
+        for w in [2.0, -0.5, f64::NAN] {
+            for stepped in [false, true] {
+                let mut rt = Runtime::new(specs(), Policy::Weighted(w), 1);
+                chain(&mut rt, 2, Criticality::Normal);
+                let refused = if stepped {
+                    rt.step().map(|_| ())
+                } else {
+                    rt.run().map(|_| ())
+                };
+                assert!(
+                    matches!(refused, Err(RuntimeError::InvalidWeight(got)) if got.to_bits() == w.to_bits()),
+                    "w {w}, stepped {stepped}: {refused:?}"
+                );
+                assert_eq!(rt.placement_evals(), 0, "w {w}: nothing was placed");
+                assert!(rt.report().placements.is_empty());
+            }
+        }
     }
 
     #[test]

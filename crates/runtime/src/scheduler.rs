@@ -212,10 +212,8 @@ pub trait Scheduler {
 /// key `key(c, &items[c])`, or not at all when that is `None`; lowest key
 /// first, ties toward the earliest position (strict `<`). Fills `out` best
 /// first and returns how many slots were filled. [`Scheduler::place`],
-/// [`Scheduler::select_k`] and [`Scheduler::migrate`] pick through it,
-/// and so does the engine's `Weighted` placement, whose min-max norm needs
-/// every candidate before the first can be scored. Every other engine
-/// placement selects with [`TopK`], in the pass that prices.
+/// [`Scheduler::select_k`] and [`Scheduler::migrate`] pick through it;
+/// no engine placement does — each selects with [`TopK`].
 #[inline] // each caller's key folds into the loop
 fn pick_k_by<T>(items: &[T], key: impl Fn(usize, &T) -> Option<f64>, out: &mut [usize]) -> usize {
     let mut filled = 0;
@@ -246,8 +244,9 @@ pub(crate) type Plan = (usize, Seconds, Seconds);
 /// index-ordered candidate list — exactly what [`pick_k_by`] selects —
 /// but built in one pass: a candidate that cannot enter costs one
 /// comparison against the worst plan held. The flat scan offers every
-/// candidate as it prices it; the pooled search offers the members of
-/// the shards it does not prune, in tree order.
+/// candidate as it prices it (`Weighted`: every survivor of its prune,
+/// once the norm is known); the pooled search offers the members of the
+/// shards it does not prune, in tree order.
 #[derive(Debug)]
 pub(crate) struct TopK {
     keys: [f64; MAX_REPLICAS],
@@ -304,6 +303,74 @@ impl TopK {
     pub(crate) fn write(&self, out: &mut [Plan]) -> usize {
         out[..self.len].copy_from_slice(&self.plans[..self.len]);
         self.len
+    }
+}
+
+/// One spec class's anchors for the `Weighted` prune: up to `want`
+/// earlier survivors of the class, the earliest finishers so far, kept
+/// sorted by finish (ties in arrival order). A candidate that `want`
+/// anchors dominate — finish and energy both ≤ its own — has `want`
+/// candidates ahead of it in the stable order by any `Weighted` score,
+/// so it cannot be chosen (see [`Policy::plan_k_devices`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Anchors {
+    /// Once `want` anchors are held, their latest finish and greatest
+    /// energy: a candidate at or past both is dominated by every anchor,
+    /// and no other candidate is dominated by `want` of them. `+∞`
+    /// until then (nothing is dropped), `−∞` when nothing is wanted.
+    bar: (f64, f64),
+    held: [Estimate; MAX_REPLICAS],
+    len: usize,
+}
+
+impl Anchors {
+    /// A class no candidate has reached yet in this placement.
+    pub(crate) fn empty(want: usize) -> Self {
+        let bar = if want == 0 {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
+        Anchors {
+            bar: (bar, bar),
+            held: [Estimate::new(Seconds::ZERO, Joule::ZERO); MAX_REPLICAS],
+            len: 0,
+        }
+    }
+
+    /// Whether `e` survives: fewer than `want` anchors dominate it. A
+    /// survivor becomes an anchor when fewer than `want` are held or it
+    /// finishes strictly before the last of them, which it displaces.
+    ///
+    /// Inlined by force: called out of line, the register saves around
+    /// the call cost the whole loop more than the rare update inlined.
+    #[inline(always)]
+    fn admit(&mut self, e: Estimate, want: usize) -> bool {
+        let (finish, energy) = (e.finish.0, e.energy.0);
+        if finish >= self.bar.0 && energy >= self.bar.1 {
+            return false;
+        }
+        if self.len == want {
+            if finish >= self.held[want - 1].finish.0 {
+                return true;
+            }
+            self.len -= 1;
+        }
+        let mut pos = self.len;
+        while pos > 0 && finish < self.held[pos - 1].finish.0 {
+            self.held[pos] = self.held[pos - 1];
+            pos -= 1;
+        }
+        self.held[pos] = e;
+        self.len += 1;
+        if self.len == want {
+            let held = &self.held[..want];
+            let energy = held
+                .iter()
+                .fold(f64::NEG_INFINITY, |hi, a| hi.max(a.energy.0));
+            self.bar = (held[want - 1].finish.0, energy);
+        }
+        true
     }
 }
 
@@ -380,13 +447,20 @@ impl Policy {
     /// Selection happens in the same O(D) pass: each candidate is scored
     /// and offered to a [`TopK`] of ≤ 3 plans, which keeps exactly the
     /// prefix of the stable sort by score that the O(D·k) repeated
-    /// minimum would pick. `Weighted` is the one exception. Its min-max
-    /// norm needs every candidate first, so its pass writes estimates
-    /// into pre-sized scratch and folds the [`ScoreNorm`] bounds (f64
-    /// min/max folds are order-independent), and the repeated minimum
-    /// selects from the scratch afterwards. Either way the chosen
-    /// devices' `(start, duration)` plans come back for the caller to
-    /// commit with [`Device::execute_planned`].
+    /// minimum would pick. `Weighted` is the one exception: its min-max
+    /// norm needs every candidate before the first can be scored. Its
+    /// pass prices every candidate and folds the [`ScoreNorm`] bounds
+    /// over all of them (f64 min/max folds are order-independent), but
+    /// writes to `survivors` only a candidate that fewer than `k` earlier
+    /// survivors of its spec class dominate (finish and energy both ≤;
+    /// per class, the ≤ `k` earliest-finishing survivors are kept in
+    /// `anchors` to test against). For `w ∈ [0, 1]` the score is
+    /// non-decreasing in finish and in energy, rounding included, so a
+    /// dropped candidate has `k` candidates ahead of it in the stable
+    /// order and the top `k` of the survivors — scored in index order
+    /// into the same [`TopK`] once the norm is known — is the top `k` of
+    /// all. Either way the chosen devices' `(start, duration)` plans come
+    /// back for the caller to commit with [`Device::execute_planned`].
     ///
     /// `avail` carries the churn layer's availability mask when the
     /// fleet is malleable: a departed or draining device is excluded
@@ -432,8 +506,9 @@ impl Policy {
     ///
     /// Fills `out` with `(device index, start, duration)` triples in
     /// selection order and returns `(slots filled, candidates
-    /// evaluated)`; the first is `min(out.len(), eligible devices)`. The
-    /// plans are valid until the next `execute` on the respective device.
+    /// evaluated)`; the first is `min(out.len(), eligible devices)`, the
+    /// second counts every candidate priced, pruned or not. The plans
+    /// are valid until the next `execute` on the respective device.
     #[allow(clippy::too_many_arguments)] // two scratch buffers are the point
     pub(crate) fn plan_k_devices(
         self,
@@ -444,8 +519,8 @@ impl Policy {
         security: Option<&crate::security::SecurePlan>,
         topo: Option<(&[Seconds], &[usize])>,
         energy: Option<&mut crate::energy::EnergyState>,
-        estimates: &mut Vec<Estimate>,
-        candidates: &mut Vec<usize>,
+        survivors: &mut Vec<(Plan, Estimate)>,
+        anchors: &mut Vec<Anchors>,
         out: &mut [Plan],
     ) -> (usize, u64) {
         // The scan is generic over what the layers add to a candidate,
@@ -455,7 +530,7 @@ impl Policy {
         if avail.is_none() && security.is_none() && topo.is_none() {
             let nothing = |_, _| Some(Seconds::ZERO);
             return self.scan_k(
-                devices, classes, ready_at, energy, estimates, candidates, out, nothing,
+                devices, classes, ready_at, energy, survivors, anchors, out, nothing,
             );
         }
         self.scan_k(
@@ -463,8 +538,8 @@ impl Policy {
             classes,
             ready_at,
             energy,
-            estimates,
-            candidates,
+            survivors,
+            anchors,
             out,
             // Inlined by force: left to itself the optimizer calls this
             // once per candidate, which costs more than the roofline did.
@@ -497,8 +572,8 @@ impl Policy {
         classes: &SpecClasses,
         ready_at: Seconds,
         energy: Option<&mut crate::energy::EnergyState>,
-        estimates: &mut Vec<Estimate>,
-        candidates: &mut Vec<usize>,
+        survivors: &mut Vec<(Plan, Estimate)>,
+        anchors: &mut Vec<Anchors>,
         out: &mut [Plan],
         extra_on: impl Fn(usize, usize) -> Option<Seconds>,
     ) -> (usize, u64) {
@@ -506,29 +581,41 @@ impl Policy {
         let want = out.len().min(MAX_REPLICAS);
         match energy.and_then(|state| state.objective.map(|obj| (state, obj))) {
             None if self.needs_norm() => self.weighted_k(
-                devices, classes, ready_at, estimates, candidates, out, &extra_on,
+                devices, classes, ready_at, survivors, anchors, out, &extra_on,
             ),
             None => {
                 let mut best = TopK::new(want);
-                let m = price_each(devices, classes, ready_at, &extra_on, &mut |plan, e, _| {
-                    best.offer(self.score(&e, &ScoreNorm::IDENTITY), plan);
-                });
+                let m = price_each(
+                    devices,
+                    classes,
+                    ready_at,
+                    &extra_on,
+                    &mut |plan, e, _, _| {
+                        best.offer(self.score(&e, &ScoreNorm::IDENTITY), plan);
+                    },
+                );
                 (best.write(out), m)
             }
             Some((state, MinEnergyWithinMakespan(bound))) => {
                 let (mut cheapest, mut fastest) = (TopK::new(want), TopK::new(want));
                 let mut feasible = 0;
-                let m = price_each(devices, classes, ready_at, &extra_on, &mut |plan, e, _| {
-                    if e.finish.0 <= bound.0 {
-                        feasible += 1;
-                        cheapest.offer(e.energy.0, plan);
-                    }
-                    // The fallback is dead once `want` candidates meet
-                    // the bound: the feasible count only grows.
-                    if feasible < want {
-                        fastest.offer(e.finish.0, plan);
-                    }
-                });
+                let m = price_each(
+                    devices,
+                    classes,
+                    ready_at,
+                    &extra_on,
+                    &mut |plan, e, _, _| {
+                        if e.finish.0 <= bound.0 {
+                            feasible += 1;
+                            cheapest.offer(e.energy.0, plan);
+                        }
+                        // The fallback is dead once `want` candidates meet
+                        // the bound: the feasible count only grows.
+                        if feasible < want {
+                            fastest.offer(e.finish.0, plan);
+                        }
+                    },
+                );
                 let pick = if feasible >= want.min(m as usize) {
                     cheapest
                 } else {
@@ -545,7 +632,7 @@ impl Policy {
                     classes,
                     ready_at,
                     &extra_on,
-                    &mut |plan, e, power| {
+                    &mut |plan, e, power, _| {
                         if power.0 <= cap.0 {
                             feasible += 1;
                             capped.offer(e.finish.0, plan);
@@ -566,44 +653,46 @@ impl Policy {
         }
     }
 
-    /// `Weighted` placement, the one fold-then-select scan: the min-max
-    /// norm needs every candidate before the first can be scored, so the
-    /// pass writes the estimates into `estimates`/`candidates` and folds
-    /// the bounds, and the repeated minimum selects afterwards. The
-    /// chosen devices' plans are recomputed from the same arithmetic.
-    ///
-    /// Kept out of line on purpose: inlined into `scan_k` beside the
-    /// one-pass arms, the same loop ran `wide-flat` ~20 % slower (2-core
-    /// Xeon VM).
-    #[inline(never)]
+    /// `Weighted` placement: price, prune, then score. The pass prices
+    /// every candidate and folds the min-max bounds over all of them,
+    /// but keeps a candidate's plan and estimate in `survivors` only when
+    /// fewer than `k` of its class's `anchors` dominate it
+    /// ([`Policy::plan_k_devices`] has why that drops no winner). Once
+    /// the norm is known, the survivors — a handful per class on a fleet
+    /// whose classes share one energy — are scored in index order into a
+    /// [`TopK`]. The anchors are sized to the class count, so their
+    /// buffer grows only when a class opens; the survivors' to the fleet.
     #[allow(clippy::too_many_arguments)]
     fn weighted_k(
         self,
         devices: &[Device],
         classes: &SpecClasses,
         ready_at: Seconds,
-        estimates: &mut Vec<Estimate>,
-        candidates: &mut Vec<usize>,
+        survivors: &mut Vec<(Plan, Estimate)>,
+        anchors: &mut Vec<Anchors>,
         out: &mut [Plan],
         extra_on: &impl Fn(usize, usize) -> Option<Seconds>,
     ) -> (usize, u64) {
-        let n = devices.len();
-        if estimates.len() < n {
-            estimates.resize(n, Estimate::new(Seconds::ZERO, Joule::ZERO));
-            candidates.resize(n, 0);
-        }
+        // The prune's precondition: the score is monotone in finish and
+        // energy only for a weight in [0, 1] (`Runtime` validates it at
+        // run and step entry).
+        debug_assert!(
+            matches!(self, Policy::Weighted(w) if (0.0..=1.0).contains(&w)),
+            "{self:?} is not a validated weighted policy"
+        );
+        let want = out.len().min(MAX_REPLICAS);
+        survivors.clear();
+        survivors.reserve(devices.len());
+        anchors.clear();
+        anchors.resize(classes.prices().len(), Anchors::empty(want));
         let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut m = 0;
-        price_each(
+        let m = price_each(
             devices,
             classes,
             ready_at,
             extra_on,
-            &mut |(i, _, _), e, _| {
-                estimates[m] = e;
-                candidates[m] = i;
-                m += 1;
+            &mut |plan, e, _, class| {
                 // Compare-select instead of `f64::min`/`max`: no value here
                 // is NaN (specs are validated where classes open).
                 let (finish, energy) = (e.finish.0, e.energy.0);
@@ -611,43 +700,44 @@ impl Policy {
                 t_hi = if finish > t_hi { finish } else { t_hi };
                 e_lo = if energy < e_lo { energy } else { e_lo };
                 e_hi = if energy > e_hi { energy } else { e_hi };
+                if anchors[class].admit(e, want) {
+                    survivors.push((plan, e));
+                }
             },
         );
         let norm = ScoreNorm::from_bounds(t_lo, t_hi, e_lo, e_hi);
-        let mut chosen = [0usize; MAX_REPLICAS];
-        let want = out.len().min(MAX_REPLICAS);
-        let score = |_, e: &Estimate| Some(self.score(e, &norm));
-        let k = pick_k_by(&estimates[..m], score, &mut chosen[..want]);
-        for (slot, &c) in chosen[..k].iter().enumerate() {
-            let i = candidates[c];
-            let class = classes.class_of(i);
-            let extra = extra_on(i, class).expect("a chosen device is a candidate");
-            let start = ready_at.max(devices[i].busy_until());
-            out[slot] = (i, start, classes.price_of(class).0 + extra);
+        let mut best = TopK::new(want);
+        for (plan, e) in survivors.iter() {
+            best.offer(self.score(e, &norm), *plan);
         }
-        (k, m as u64)
+        (best.write(out), m)
     }
 }
 
 /// Price every candidate of the flat scan, in device-index order: hand
-/// `visit` its plan, its estimate and its class's busy power, and return
-/// how many candidates there were.
+/// `visit` its plan, its estimate, its class's busy power and its class,
+/// and return how many candidates there were.
 #[inline(always)]
 fn price_each(
     devices: &[Device],
     classes: &SpecClasses,
     ready_at: Seconds,
     extra_on: &impl Fn(usize, usize) -> Option<Seconds>,
-    visit: &mut impl FnMut(Plan, Estimate, Watt),
+    visit: &mut impl FnMut(Plan, Estimate, Watt, usize),
 ) -> u64 {
     let mut m = 0;
     for (i, (d, &c)) in devices.iter().zip(classes.class_of_slice()).enumerate() {
-        let Some(extra) = extra_on(i, c as usize) else {
+        let c = c as usize;
+        let Some(extra) = extra_on(i, c) else {
             continue;
         };
-        let (dur, power) = classes.price_of(c as usize);
+        let (dur, power) = classes.price_of(c);
         let dur = dur + extra;
-        let start = ready_at.max(d.busy_until());
+        // Compare-select instead of `Seconds::max`: virtual times are
+        // never NaN or −0, so the bits are the same and the NaN fix-up
+        // leaves the loop.
+        let busy = d.busy_until();
+        let start = if busy > ready_at { busy } else { ready_at };
         // `busy_power * dur` is `DeviceSpec::energy_for` over the class's
         // one roofline evaluation; the crypto time burns device power
         // like any other busy time.
@@ -655,6 +745,7 @@ fn price_each(
             (i, start, dur),
             Estimate::new(start + dur, power * dur),
             power,
+            c,
         );
         m += 1;
     }
@@ -1166,6 +1257,142 @@ pub(crate) mod tests {
         policy
             .place(&inference_estimates(devices))
             .expect("devices present")
+    }
+
+    /// `policy`'s flat placement of the reference inference task on
+    /// `devices` (ready at zero), held to the reference: `select_k` over
+    /// the per-device estimates picks the same devices in the same order,
+    /// each plan is the device's own `(max(0, busy_until), time_for)`,
+    /// and every device is counted as evaluated. Returns the chosen
+    /// devices and how many candidates survived the `Weighted` prune.
+    fn weighted_against_select_k(
+        policy: Policy,
+        devices: &[Device],
+        k: usize,
+    ) -> (Vec<usize>, usize) {
+        let (work, kind) = (Work::flops(66e9), TaskKind::Inference);
+        let mut classes = SpecClasses::new(devices);
+        classes.price(devices, work, kind);
+        let mut reference = [usize::MAX; MAX_REPLICAS];
+        let filled = policy.select_k(&inference_estimates(devices), &mut reference[..k]);
+        let mut survivors = Vec::new();
+        let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
+        let (got, evaluated) = policy.plan_k_devices(
+            devices,
+            &classes,
+            Seconds::ZERO,
+            None,
+            None,
+            None,
+            None,
+            &mut survivors,
+            &mut Vec::new(),
+            &mut out[..k],
+        );
+        assert_eq!(got, filled, "{policy:?}, k {k}");
+        assert_eq!(evaluated, devices.len() as u64);
+        for (&(d, start, dur), &expected) in out[..got].iter().zip(&reference) {
+            assert_eq!(d, expected, "{policy:?}, k {k}: {:?}", &out[..got]);
+            let plan = (
+                devices[d].busy_until(),
+                devices[d].spec.time_for(work, kind),
+            );
+            assert_eq!(
+                (start.0.to_bits(), dur.0.to_bits()),
+                (plan.0 .0.to_bits(), plan.1 .0.to_bits())
+            );
+        }
+        (out[..got].iter().map(|p| p.0).collect(), survivors.len())
+    }
+
+    /// A device of `spec` busy until `at` (zero-length work planned there).
+    fn busy_until(id: u64, spec: DeviceSpec, at: f64) -> Device {
+        let mut d = Device::new(DeviceId(id), spec);
+        d.execute_planned(Seconds(at), Seconds::ZERO);
+        d
+    }
+
+    const WEIGHTS: [f64; 4] = [0.0, 0.3, 0.5, 1.0];
+
+    /// The prune's worst case: in one class, each device frees up before
+    /// every earlier one, so no candidate is dominated by an earlier one
+    /// and all of them survive — the selection is still the reference's.
+    #[test]
+    fn falling_horizons_keep_every_candidate() {
+        let devices: Vec<Device> = (0..8u64)
+            .map(|i| busy_until(i, DeviceSpec::arm64(), (8 - i) as f64 * 0.05))
+            .collect();
+        for w in WEIGHTS {
+            for k in 1..=3 {
+                let (_, kept) = weighted_against_select_k(Policy::Weighted(w), &devices, k);
+                assert_eq!(kept, devices.len(), "w {w}, k {k}");
+            }
+        }
+    }
+
+    /// The prune's best case: on an idle fleet a class's members tie on
+    /// finish and energy, so the first `k` of each class survive and
+    /// nothing else — and the second and third replicas still come from
+    /// the best class when it has them.
+    #[test]
+    fn an_idle_fleet_keeps_the_first_k_of_each_class() {
+        let specs = [
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::gtx1080(),
+            DeviceSpec::fpga_kintex(),
+            DeviceSpec::arm64(),
+        ];
+        let devices: Vec<Device> = (0..12u64)
+            .map(|i| Device::new(DeviceId(i), specs[i as usize % 4].clone()))
+            .collect();
+        for w in WEIGHTS {
+            for k in 1..=3 {
+                let (chosen, kept) = weighted_against_select_k(Policy::Weighted(w), &devices, k);
+                assert_eq!(kept, 4 * k, "w {w}, k {k}");
+                let class = chosen[0] % 4;
+                assert!(
+                    chosen.iter().all(|d| d % 4 == class),
+                    "w {w}, k {k}: {chosen:?}"
+                );
+            }
+        }
+    }
+
+    /// Two frugal devices whose distinct finishes round to one
+    /// `Weighted(0.3)` score: the lower index, which finishes later, must
+    /// win. Neither dominates the other in index order, so both survive,
+    /// and the survivors are scored exactly with ties to the lower index.
+    /// The pair of horizons is found by search (a fast, hungry idle GPU
+    /// sets the finish floor and a busy FPGA the ceiling).
+    #[test]
+    fn a_later_finish_that_scores_the_same_wins_on_index() {
+        let policy = Policy::Weighted(0.3);
+        let fleet = |b0: f64, b1: f64| {
+            vec![
+                busy_until(0, DeviceSpec::fpga_kintex(), b0),
+                busy_until(1, DeviceSpec::fpga_kintex(), b1),
+                Device::new(DeviceId(2), DeviceSpec::gtx1080()),
+                busy_until(3, DeviceSpec::fpga_kintex(), 10.0),
+            ]
+        };
+        let (b0, b1) = (1..=100u64)
+            .flat_map(|s| {
+                let b0 = s as f64 * 0.01;
+                (1..=64).map(move |ulps| (b0, f64::from_bits(b0.to_bits() - ulps)))
+            })
+            .find(|&(b0, b1)| {
+                let ests = inference_estimates(&fleet(b0, b1));
+                let norm = ScoreNorm::from_estimates(&ests);
+                let score = |e| policy.score(e, &norm).to_bits();
+                ests[0].finish.0 > ests[1].finish.0 && score(&ests[0]) == score(&ests[1])
+            })
+            .expect("two horizons whose finishes differ but score the same");
+        let devices = fleet(b0, b1);
+        for k in 1..=3 {
+            let (chosen, _) = weighted_against_select_k(policy, &devices, k);
+            let pair = k.min(2);
+            assert_eq!(chosen[..pair], [0, 1][..pair], "k {k}: {chosen:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Regression pin: steady-state placement must not allocate.
 //!
 //! DESIGN.md §8 promises an allocation-free event path — the one-pass
-//! selections keep their top-k inline, and `Weighted`'s estimates and
-//! candidates and the security plan live in per-runtime scratch sized by
-//! the first placements, and the sharded search's trees and stale list
-//! are sized when the pools are built — and lists the few amortised
-//! growth sites that
-//! remain (the outcome table, the acceptance log). This binary installs
+//! selections keep their top-k inline; `Weighted`'s survivors (sized to
+//! the fleet) and per-class anchors (sized when a class opens) and the
+//! security plan live in per-runtime scratch sized by the first
+//! placements; and the sharded search's trees and stale list are sized
+//! when the pools are built — and lists the few amortised growth sites
+//! that remain (the outcome table, the acceptance log). This binary installs
 //! a counting allocator, lets one wave of placements warm every buffer,
 //! and asserts that a second, equal wave allocates no more than those
 //! doublings: a handful per wave, where a placement that allocated would
@@ -118,6 +118,9 @@ fn steady_state_placement_is_allocation_free() {
             replicated,
             FLEET,
         ),
+        // `Weighted` with two replicas: every class holds two anchors,
+        // and every candidate is still priced.
+        ("replicated-weighted", base(), replicated, FLEET),
         // The sharded search: on a fleet the chain leaves idle, the
         // best class's shards all tie at its bound, so each task prices
         // that class's quarter of the fleet and prunes the rest.
