@@ -14,12 +14,14 @@
 //!   feasibility lint finds no error on a confidential graph, the engine
 //!   never fails a placement for lack of a TEE at runtime.
 
-use legato_core::requirements::{Requirements, SecurityLevel};
+use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, TaskDescriptor, TaskId, Work};
-use legato_core::units::{Bytes, Seconds};
+use legato_core::units::{Bytes, Seconds, Watt};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    AnalysisConfig, EngineConfig, LintId, Policy, ResilienceConfig, Runtime, RuntimeError, Severity,
+    AnalysisConfig, AnalysisReport, ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace,
+    Diagnostic, EnergyConfig, EngineConfig, LintId, Policy, ResilienceConfig, Runtime,
+    RuntimeError, Severity,
 };
 use legato_workloads::fleets;
 use proptest::prelude::*;
@@ -276,6 +278,113 @@ fn enforce_mode_runs_an_oversized_footprint_the_engine_completes() {
                 && d.message.contains("capacity")),
         "{analysis}"
     );
+}
+
+fn enclave_task() -> TaskDescriptor {
+    TaskDescriptor::named("sgx")
+        .with_work(Work::flops(1e10))
+        .with_requirements(Requirements::new().with_security(SecurityLevel::Enclave))
+}
+
+fn feasibility(report: &AnalysisReport) -> Vec<&Diagnostic> {
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| d.lint == LintId::PlacementFeasibility)
+        .collect()
+}
+
+/// Under churn an empty TEE pool defers instead of refusing, and a TEE
+/// arrival hosts the deferred tasks: the run completes with analysis
+/// off, so Enforce must run it too and predict the deferral as a
+/// warning. (It used to refuse the graph with a `NoSecurePlacement`
+/// error the engine never raises under churn.)
+#[test]
+fn enforce_mode_runs_enclave_tasks_a_tee_arrival_will_host() {
+    let config = || {
+        let arrival = ChurnEvent {
+            at: Seconds(1.0),
+            kind: ChurnEventKind::Arrival {
+                spec: DeviceSpec::xeon_x86(),
+                pool: None,
+                fault_prob: 0.0,
+            },
+        };
+        EngineConfig::new()
+            .with_devices(vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()])
+            .with_churn(ChurnConfig::new(ChurnTrace::from_events(vec![arrival])))
+    };
+    let run = |cfg: EngineConfig| {
+        let mut rt = cfg.build().expect("valid config");
+        for r in 0..4u64 {
+            rt.submit(enclave_task(), [(r, AccessMode::Out)]);
+        }
+        rt.run()
+    };
+    let unanalyzed = run(config()).expect("the arrival hosts every deferred task");
+    assert_eq!(unanalyzed.placements.len(), 4);
+    assert!(unanalyzed.failed.is_empty());
+    let enforced = run(config().with_analysis(AnalysisConfig::new()))
+        .expect("Enforce must not refuse a graph the engine completes");
+    assert_eq!(enforced.placements, unanalyzed.placements);
+    let analysis = enforced.analysis.expect("report attached");
+    let feas = feasibility(&analysis);
+    assert_eq!(feas.len(), 1, "{analysis}");
+    assert_eq!(feas[0].severity, Severity::Warn);
+    assert_eq!(feas[0].tasks.len(), 4);
+    assert!(feas[0].message.contains("defer"), "{}", feas[0]);
+}
+
+/// The power cap is checked against the devices a task may use: an
+/// enclave task on a fleet whose only device under the cap has no TEE
+/// relaxes the cap on every placement, and the lint names every one of
+/// those tasks. (It used to check the cap against the whole fleet and
+/// stay silent.)
+#[test]
+fn power_cap_is_checked_against_the_eligible_devices() {
+    let mut rt = EngineConfig::new()
+        .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::fpga_kintex()])
+        .with_energy(EnergyConfig::new().with_power_cap(Watt(50.0)))
+        .with_analysis(AnalysisConfig::new().warn_only())
+        .build()
+        .expect("valid config");
+    let tasks: Vec<TaskId> = (0..4u64)
+        .map(|r| rt.submit(enclave_task(), [(r, AccessMode::Out)]))
+        .collect();
+    let report = rt.run().expect("the xeon hosts every enclave task");
+    assert_eq!(report.energy.expect("energy on").cap_relaxations, 4);
+    let analysis = report.analysis.expect("report attached");
+    let feas = feasibility(&analysis);
+    assert_eq!(feas.len(), 1, "{analysis}");
+    assert_eq!(feas[0].severity, Severity::Warn);
+    assert_eq!(feas[0].tasks, tasks);
+    assert!(feas[0].message.contains("power cap"), "{}", feas[0]);
+}
+
+/// A critical public task wants three replicas; on a two-device fleet
+/// its replica set shrinks to two, and the lint says so. (It used to
+/// check replica demand for enclave tasks only.)
+#[test]
+fn replica_shrink_is_predicted_for_public_tasks() {
+    let mut rt = EngineConfig::new()
+        .with_devices(vec![DeviceSpec::xeon_x86(), DeviceSpec::fpga_kintex()])
+        .with_analysis(AnalysisConfig::new().warn_only())
+        .build()
+        .expect("valid config");
+    let t = rt.submit(
+        TaskDescriptor::named("critical")
+            .with_work(Work::flops(1e10))
+            .with_requirements(Requirements::new().with_criticality(Criticality::Critical)),
+        [(0u64, AccessMode::Out)],
+    );
+    let report = rt.run().expect("two replicas run");
+    assert_eq!(report.placements[0].devices.len(), 2);
+    let analysis = report.analysis.expect("report attached");
+    let feas = feasibility(&analysis);
+    assert_eq!(feas.len(), 1, "{analysis}");
+    assert_eq!(feas[0].severity, Severity::Warn);
+    assert_eq!(feas[0].tasks, vec![t]);
+    assert!(feas[0].message.contains("replica"), "{}", feas[0]);
 }
 
 /// Warn-only mode runs racy graphs and attaches the report to the
