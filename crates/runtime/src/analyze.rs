@@ -5,15 +5,15 @@
 //! without this module, the engine discovers structural races (possible
 //! through [`TaskGraph::add_task_with_deps`]), confidentiality leaks and
 //! unsatisfiable placements *dynamically* — or not at all. The lint
-//! passes ([`run_lints`]) run over a [`TaskGraph`] plus the runtime's
-//! pillar configuration and emit an [`AnalysisReport`] of structured
-//! [`Diagnostic`]s; wired in through
+//! passes ([`Runtime::analyze`]) run over a [`TaskGraph`] plus the
+//! runtime's pillar configuration and emit an [`AnalysisReport`] of
+//! structured [`Diagnostic`]s; wired in through
 //! [`EngineConfig::with_analysis`](crate::config::EngineConfig::with_analysis),
 //! errors refuse the run ([`RuntimeError::AnalysisFailed`]) before any
 //! event dispatches, while warn-only mode attaches the report to
 //! [`RunReport`](crate::runtime::RunReport).
 //!
-//! Four lints ship by default:
+//! Four lints run on every analysis:
 //!
 //! * **region race** ([`LintId::RegionRace`]) — conflicting accesses
 //!   (write/write or write/read) to one region between tasks with no
@@ -30,14 +30,15 @@
 //!   sealed-io taint reaching a public reader is a warning (the data is
 //!   sealed at rest — the engine's seal-on-cross-device contract makes
 //!   the handoff priced, but it is almost certainly a graph bug).
-//! * **placement feasibility** ([`LintId::PlacementFeasibility`]) —
-//!   enclave-only tasks against the TEE-capable fleet (predicting
-//!   [`RuntimeError::NoSecurePlacement`] at build time), per-task memory
-//!   footprint against every eligible device's capacity (a warning only:
-//!   the engine does not model capacity), replica demand against the TEE
-//!   pool, and Pareto objectives whose bound or cap is infeasible on the
-//!   eligible devices' specs as the engine will schedule against them
-//!   (predicting bound/cap relaxations).
+//! * **placement feasibility** ([`LintId::PlacementFeasibility`]) — the
+//!   engine's own eligibility rule, read per spec class, and each
+//!   finding a prediction of what the engine will do: tasks no available
+//!   device may host ([`RuntimeError::NoSecurePlacement`] on a fixed
+//!   fleet; under churn a deferral, or [`RuntimeError::DeferralExpired`]
+//!   when no arrival in the trace can host them), replica sets that
+//!   shrink to the eligible pool, and placements that relax the power
+//!   cap or the makespan bound on the specs the engine schedules
+//!   against.
 //! * **checkpoint closure** ([`LintId::CheckpointClosure`]) — the engine
 //!   checkpoints the *completed frontier*, which is closed under
 //!   dependences by construction, so no graph can make a restore fail;
@@ -53,6 +54,8 @@
 //! [`TaskGraph::add_task_with_deps`]: legato_core::graph::TaskGraph::add_task_with_deps
 //! [`RuntimeError::AnalysisFailed`]: crate::error::RuntimeError::AnalysisFailed
 //! [`RuntimeError::NoSecurePlacement`]: crate::error::RuntimeError::NoSecurePlacement
+//! [`RuntimeError::DeferralExpired`]: crate::error::RuntimeError::DeferralExpired
+//! [`Runtime::analyze`]: crate::runtime::Runtime::analyze
 
 use std::collections::HashMap;
 use std::fmt;
@@ -61,10 +64,11 @@ use legato_core::graph::TaskGraph;
 use legato_core::reach::{has_direct_edge, Reachability};
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{RegionId, TaskId};
-use legato_core::units::Bytes;
-use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
+use crate::churn::{ChurnEventKind, ChurnState};
+use crate::classes::{self, SpecClasses};
+use crate::config::RegionSizes;
 use crate::energy::EnergyObjective;
 
 /// How bad a finding is.
@@ -110,17 +114,6 @@ impl LintId {
             LintId::CheckpointClosure => "checkpoint-closure",
             LintId::GraphCycle => "graph-cycle",
         }
-    }
-
-    /// The four default lint passes, in the order they run.
-    #[must_use]
-    pub fn default_set() -> [LintId; 4] {
-        [
-            LintId::RegionRace,
-            LintId::ConfidentialFlow,
-            LintId::PlacementFeasibility,
-            LintId::CheckpointClosure,
-        ]
     }
 }
 
@@ -171,9 +164,6 @@ impl fmt::Display for Diagnostic {
 pub struct AnalysisReport {
     /// Every finding, in lint order then discovery order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Lints that ran (disabled lints are absent; a graph cycle
-    /// short-circuits the list to `[GraphCycle]`).
-    pub lints_run: Vec<LintId>,
     /// Tasks in the graph when the analysis ran.
     pub tasks_analyzed: usize,
 }
@@ -251,9 +241,6 @@ pub enum AnalysisMode {
 pub struct AnalysisConfig {
     /// Enforce (refuse on errors) or warn-only.
     pub mode: AnalysisMode,
-    /// Lints excluded from the run ([`LintId::GraphCycle`] cannot be
-    /// disabled — it is a structural precondition, not a pass).
-    pub disabled: Vec<LintId>,
 }
 
 impl AnalysisConfig {
@@ -267,50 +254,38 @@ impl AnalysisConfig {
         self.mode = AnalysisMode::WarnOnly;
         self
     }
-
-    /// Disable one lint pass.
-    pub fn without_lint(mut self, lint: LintId) -> Self {
-        if !self.disabled.contains(&lint) {
-            self.disabled.push(lint);
-        }
-        self
-    }
-
-    /// Whether a lint pass is enabled.
-    #[must_use]
-    pub fn lint_enabled(&self, lint: LintId) -> bool {
-        !self.disabled.contains(&lint)
-    }
 }
 
 /// Everything a lint pass may inspect: the graph and the runtime's
 /// pillar configuration, borrowed for the duration of the pass.
-pub struct AnalysisContext<'a> {
+pub(crate) struct AnalysisContext<'a> {
     /// The dataflow graph under analysis.
-    pub graph: &'a TaskGraph,
-    /// The device fleet, with the specs the engine will actually
-    /// schedule against (operating-point derating already applied).
-    pub devices: &'a [Device],
+    pub(crate) graph: &'a TaskGraph,
+    /// The engine's class table: the specs it schedules against
+    /// (operating-point derating already applied) and its eligibility
+    /// rule.
+    pub(crate) classes: &'a SpecClasses,
+    /// The churn layer's availability mask and trace, when churn is on.
+    pub(crate) churn: Option<&'a ChurnState>,
     /// The active Pareto objective, if any.
-    pub objective: Option<EnergyObjective>,
+    pub(crate) objective: Option<EnergyObjective>,
     /// The engine's declared region sizes
     /// ([`EngineConfig::with_region_sizes`](crate::config::EngineConfig::with_region_sizes)),
     /// when resilience mode is on and checkpoints are priced with them.
-    pub region_sizes: Option<&'a HashMap<RegionId, Bytes>>,
+    pub(crate) region_sizes: Option<&'a RegionSizes>,
 }
 
-/// Run the configured default lints over a context.
+/// Run every lint over a context.
 ///
 /// A dependence cycle short-circuits: the report carries a single
 /// [`LintId::GraphCycle`] error naming the cycle path and no lint pass
 /// runs (none of them is meaningful on a non-DAG).
-pub fn run_lints(cx: &AnalysisContext<'_>, config: &AnalysisConfig) -> AnalysisReport {
+pub(crate) fn run_lints(cx: &AnalysisContext<'_>) -> AnalysisReport {
     let mut report = AnalysisReport {
         tasks_analyzed: cx.graph.len(),
         ..AnalysisReport::default()
     };
     if let Err(cycle) = cx.graph.try_topological_order() {
-        report.lints_run.push(LintId::GraphCycle);
         report.diagnostics.push(Diagnostic {
             lint: LintId::GraphCycle,
             severity: Severity::Error,
@@ -326,19 +301,11 @@ pub fn run_lints(cx: &AnalysisContext<'_>, config: &AnalysisConfig) -> AnalysisR
         });
         return report;
     }
-    for lint in LintId::default_set() {
-        if !config.lint_enabled(lint) {
-            continue;
-        }
-        report.lints_run.push(lint);
-        let out = &mut report.diagnostics;
-        match lint {
-            LintId::RegionRace => region_race(cx, out),
-            LintId::ConfidentialFlow => confidential_flow(cx, out),
-            LintId::PlacementFeasibility => placement_feasibility(cx, out),
-            LintId::CheckpointClosure | LintId::GraphCycle => checkpoint_closure(cx, out),
-        }
-    }
+    let out = &mut report.diagnostics;
+    region_race(cx, out);
+    confidential_flow(cx, out);
+    placement_feasibility(cx, out);
+    checkpoint_closure(cx, out);
     report
 }
 
@@ -528,128 +495,135 @@ fn confidential_flow(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The placement feasibility check.
+/// The placement feasibility check, per spec class: eligibility is the
+/// engine's own ([`SpecClasses::admits`],
+/// [`SpecClasses::eligible_devices`]), so a task costs O(classes), and
+/// every finding names the engine outcome it predicts.
 fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-    let g = cx.graph;
-    let tee: Vec<usize> = cx
-        .devices
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.spec.tee.has_enclave())
-        .map(|(i, _)| i)
-        .collect();
-    let all: Vec<usize> = (0..cx.devices.len()).collect();
-    // Fleet-level facts, hoisted out of the task loop.
-    let cap_ok = match cx.objective {
-        Some(EnergyObjective::MinMakespanUnderPowerCap(cap)) => {
-            cx.devices.iter().any(|d| d.spec.busy_power <= cap)
-        }
-        _ => true,
-    };
-    if !cap_ok && !g.is_empty() {
-        out.push(Diagnostic {
-            lint: LintId::PlacementFeasibility,
-            severity: Severity::Warn,
-            tasks: Vec::new(),
-            regions: Vec::new(),
-            path: Vec::new(),
-            message: "no device's busy power fits under the configured power cap; \
-                      every placement will relax the cap to the lowest-power device"
-                .into(),
-        });
+    use EnergyObjective::{MinEnergyWithinMakespan, MinMakespanUnderPowerCap};
+    let (g, classes) = (cx.graph, cx.classes);
+    let avail = cx.churn.map(|c| c.available.as_slice());
+    // Per class: the devices placements may target now.
+    let mut live = vec![0usize; classes.tees().len()];
+    for (d, &c) in classes.class_of_slice().iter().enumerate() {
+        live[c as usize] += usize::from(avail.is_none_or(|a| a[d]));
     }
-    // Enclave-only tasks on a TEE-less fleet: one aggregated error
-    // (the fleet is the cause, the tasks are the witnesses).
-    let mut stranded: Vec<TaskId> = Vec::new();
+    let cap = match cx.objective {
+        Some(MinMakespanUnderPowerCap(cap)) => Some(cap),
+        _ => None,
+    };
+    // Per security level: the eligible devices, how many of them draw
+    // within the cap, and whether an arrival in the churn trace may
+    // host the level.
+    let pool = classes::LEVELS.map(|level| {
+        let eligible = classes.eligible_devices(level, avail);
+        let under_cap = cap.map_or(eligible, |cap| {
+            (0..live.len())
+                .filter(|&c| classes.admits(c, level) && classes.spec(c).busy_power <= cap)
+                .map(|c| live[c])
+                .sum()
+        });
+        let arrives = cx.churn.is_some_and(|churn| {
+            churn.config.trace.events().iter().any(|e| {
+                matches!(&e.kind, ChurnEventKind::Arrival { spec, .. }
+                    if classes::admits(spec.tee, level))
+            })
+        });
+        (eligible, under_cap, arrives)
+    });
+    // Tasks no available device may host: parked until an arrival that
+    // can, or failed (NoSecurePlacement / DeferralExpired).
+    let (mut deferred, mut stranded, mut capped) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..g.len() {
         let t = TaskId(i as u64);
         let d = g.descriptor(t).expect("id in range");
-        let req = d.requirements;
-        // The devices the engine may place this task on.
-        let (eligible, which): (&[usize], &str) = if req.security.requires_enclave() {
-            (&tee, "TEE-capable ")
-        } else {
-            (&all, "")
-        };
-        if req.security.requires_enclave() {
-            if tee.is_empty() {
+        let level = d.requirements.security;
+        let (eligible, under_cap, arrives) = pool[level as usize];
+        if eligible == 0 {
+            if arrives {
+                deferred.push(t);
+            } else {
                 stranded.push(t);
-                continue;
             }
-            let replicas = req.criticality.replica_count();
-            if replicas > tee.len() {
-                out.push(Diagnostic {
-                    lint: LintId::PlacementFeasibility,
-                    severity: Severity::Warn,
-                    tasks: vec![t],
-                    regions: Vec::new(),
-                    path: Vec::new(),
-                    message: format!(
-                        "{t} wants {replicas} replicas but only {} TEE-capable \
-                         device(s) exist; its replica set will shrink to the TEE pool",
-                        tee.len()
-                    ),
-                });
-            }
+            continue;
         }
-        // Memory footprint vs every eligible device. A warning: the
-        // engine has no capacity dimension (DESIGN.md §6) and runs the
-        // task anyway, so refusing the graph would refuse a runnable run.
-        let footprint = d.work.bytes;
-        let fits = eligible
-            .iter()
-            .any(|&i| cx.devices[i].spec.mem_capacity >= footprint);
-        if !fits && !eligible.is_empty() {
-            out.push(Diagnostic {
-                lint: LintId::PlacementFeasibility,
-                severity: Severity::Warn,
-                tasks: vec![t],
-                regions: Vec::new(),
-                path: Vec::new(),
-                message: format!(
-                    "{t}'s declared footprint ({footprint}) exceeds the memory \
-                     capacity of every {which}device; the engine does not model \
-                     capacity and will run it anyway"
+        let wanted = d.requirements.criticality.replica_count();
+        if wanted > eligible {
+            out.push(finding(
+                Severity::Warn,
+                vec![t],
+                format!(
+                    "{t} wants {wanted} replicas but only {eligible} device(s) may host \
+                     it; its replica set will shrink to {eligible}"
                 ),
-            });
+            ));
         }
-        // Makespan bound vs the fastest device the engine may place
-        // this task on (specs are already derated to the selected
-        // operating point, so this predicts real relaxations).
-        if let Some(EnergyObjective::MinEnergyWithinMakespan(bound)) = cx.objective {
-            let fastest = eligible
-                .iter()
-                .map(|&i| cx.devices[i].spec.time_for(d.work, d.kind))
-                .fold(f64::INFINITY, |acc, s| acc.min(s.0));
-            if fastest.is_finite() && fastest > bound.0 {
-                out.push(Diagnostic {
-                    lint: LintId::PlacementFeasibility,
-                    severity: Severity::Warn,
-                    tasks: vec![t],
-                    regions: Vec::new(),
-                    path: Vec::new(),
-                    message: format!(
-                        "{t} needs at least {fastest:.3}s on the fastest {which}device, \
-                         over the {bound} makespan bound; the bound will be relaxed"
+        // The engine relaxes the cap when fewer candidates draw within
+        // it than replicas it places.
+        if under_cap < wanted.min(eligible) {
+            capped.push(t);
+        }
+        // Every candidate finishes no earlier than the task's duration
+        // on its class, so a bound below the fastest eligible class's
+        // duration relaxes every placement.
+        if let Some(MinEnergyWithinMakespan(bound)) = cx.objective {
+            let fastest = (0..live.len())
+                .filter(|&c| live[c] > 0 && classes.admits(c, level))
+                .map(|c| classes.spec(c).time_for(d.work, d.kind).0)
+                .fold(f64::INFINITY, f64::min);
+            if fastest > bound.0 {
+                out.push(finding(
+                    Severity::Warn,
+                    vec![t],
+                    format!(
+                        "{t} needs at least {fastest:.3}s on the fastest device it may \
+                         use, over the {bound} makespan bound; the bound will be relaxed"
                     ),
-                });
+                ));
             }
         }
     }
-    if !stranded.is_empty() {
-        let n = stranded.len();
-        let first = stranded[0];
-        out.push(Diagnostic {
-            lint: LintId::PlacementFeasibility,
-            severity: Severity::Error,
-            tasks: stranded,
-            regions: Vec::new(),
-            path: Vec::new(),
-            message: format!(
-                "{n} enclave-only task(s) (first: {first}) but no device offers a \
-                 TEE; every one would fail with NoSecurePlacement at dispatch"
+    let mut aggregate = |tasks: Vec<TaskId>, severity: Severity, fate: &str| {
+        if let Some(&first) = tasks.first() {
+            let message = format!("{} task(s) (first: {first}) {fate}", tasks.len());
+            out.push(finding(severity, tasks, message));
+        }
+    };
+    if let Some(cap) = cap {
+        aggregate(
+            capped,
+            Severity::Warn,
+            &format!(
+                "have fewer eligible devices under the {cap} power cap than replicas to \
+                 place; each placement will relax the cap"
             ),
-        });
+        );
+    }
+    aggregate(
+        deferred,
+        Severity::Warn,
+        "have no available device that may host them; each will defer until an \
+         arrival in the churn trace can",
+    );
+    let fate = if cx.churn.is_some() {
+        "have no available device that may host them, and no arrival in the churn \
+         trace can; each deferral would expire with DeferralExpired"
+    } else {
+        "have no device that may host them (enclave-only tasks need a TEE); every \
+         one would fail with NoSecurePlacement at dispatch"
+    };
+    aggregate(stranded, Severity::Error, fate);
+}
+
+/// A placement-feasibility finding about `tasks`.
+fn finding(severity: Severity, tasks: Vec<TaskId>, message: String) -> Diagnostic {
+    Diagnostic {
+        lint: LintId::PlacementFeasibility,
+        severity,
+        tasks,
+        regions: Vec::new(),
+        path: Vec::new(),
+        message,
     }
 }
 
@@ -734,28 +708,43 @@ impl AnalysisState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
+    use crate::energy::EnergyConfig;
     use legato_core::graph::TaskGraph;
     use legato_core::requirements::{Criticality, Requirements};
     use legato_core::task::{AccessMode, TaskDescriptor, Work};
     use legato_core::units::{Bytes, Seconds, Watt};
     use legato_hw::device::{Device, DeviceId, DeviceSpec};
 
-    fn fleet(specs: Vec<DeviceSpec>) -> Vec<Device> {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| Device::new(DeviceId(i as u64), s))
-            .collect()
+    /// Lint `graph` on a one-device fleet, with `region_sizes` declared
+    /// when resilience would price checkpoints with them.
+    fn lint(graph: &TaskGraph, region_sizes: Option<&RegionSizes>) -> AnalysisReport {
+        let classes = SpecClasses::new(&[Device::new(DeviceId(0), DeviceSpec::xeon_x86())]);
+        run_lints(&AnalysisContext {
+            graph,
+            classes: &classes,
+            churn: None,
+            objective: None,
+            region_sizes,
+        })
     }
 
-    fn analyze(graph: &TaskGraph, devices: &[Device]) -> AnalysisReport {
-        let cx = AnalysisContext {
-            graph,
-            devices,
-            objective: None,
-            region_sizes: None,
-        };
-        run_lints(&cx, &AnalysisConfig::new())
+    /// `Runtime::analyze` over `tasks` (each writing its own region) on
+    /// a runtime built from `specs` and an optional energy config.
+    fn analyze_on(
+        specs: Vec<DeviceSpec>,
+        energy: Option<EnergyConfig>,
+        tasks: Vec<TaskDescriptor>,
+    ) -> AnalysisReport {
+        let mut config = EngineConfig::new().with_devices(specs);
+        if let Some(energy) = energy {
+            config = config.with_energy(energy);
+        }
+        let mut rt = config.build().expect("valid config");
+        for (r, task) in tasks.into_iter().enumerate() {
+            rt.submit(task, [(r as u64, AccessMode::Out)]);
+        }
+        rt.analyze()
     }
 
     fn desc(name: &'static str) -> TaskDescriptor {
@@ -785,7 +774,7 @@ mod tests {
         let b = g
             .add_task_with_deps(desc("b"), [(0u64, AccessMode::Out)], &[])
             .unwrap();
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         let races = only(&report, LintId::RegionRace);
         assert_eq!(races.len(), 1, "{report}");
         assert_eq!(races[0].severity, Severity::Error);
@@ -808,7 +797,7 @@ mod tests {
         let w2 = g
             .add_task_with_deps(desc("w2"), [(0u64, AccessMode::Out)], &[a])
             .unwrap();
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         let races = only(&report, LintId::RegionRace);
         assert_eq!(races.len(), 1, "{report}");
         assert_eq!(races[0].tasks, vec![r, w2]);
@@ -821,10 +810,9 @@ mod tests {
         g.add_task(desc("c1"), [(0u64, AccessMode::In)]);
         g.add_task(desc("c2"), [(0u64, AccessMode::In)]);
         g.add_task(desc("w"), [(0u64, AccessMode::InOut)]);
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.tasks_analyzed, 4);
-        assert_eq!(report.lints_run.len(), 4);
     }
 
     #[test]
@@ -841,7 +829,7 @@ mod tests {
         let _c = g
             .add_task_with_deps(desc("c"), [(0u64, AccessMode::Out)], &[b])
             .unwrap();
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         assert!(only(&report, LintId::RegionRace).is_empty(), "{report}");
     }
 
@@ -858,7 +846,7 @@ mod tests {
             secure("log", SecurityLevel::Public),
             [(0u64, AccessMode::In)],
         );
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         let flows = only(&report, LintId::ConfidentialFlow);
         assert_eq!(flows.len(), 1, "{report}");
         assert_eq!(flows[0].severity, Severity::Error);
@@ -885,7 +873,7 @@ mod tests {
             secure("sink", SecurityLevel::Public),
             [(1u64, AccessMode::In)],
         );
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         let flows = only(&report, LintId::ConfidentialFlow);
         // Two findings: the relay itself reads above its level, and the
         // sink reads the relayed taint.
@@ -909,7 +897,7 @@ mod tests {
             secure("sink", SecurityLevel::Public),
             [(0u64, AccessMode::In)],
         );
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         let flows = only(&report, LintId::ConfidentialFlow);
         assert_eq!(flows.len(), 1, "{report}");
         assert_eq!(flows[0].severity, Severity::Warn);
@@ -932,7 +920,7 @@ mod tests {
             secure("other", SecurityLevel::Public),
             [(1u64, AccessMode::Out)],
         );
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         assert!(
             only(&report, LintId::ConfidentialFlow).is_empty(),
             "{report}"
@@ -956,7 +944,7 @@ mod tests {
             secure("sink", SecurityLevel::Public),
             [(0u64, AccessMode::In)],
         );
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         assert!(
             only(&report, LintId::ConfidentialFlow).is_empty(),
             "{report}"
@@ -967,66 +955,25 @@ mod tests {
 
     #[test]
     fn feasibility_enclave_tasks_on_tee_less_fleet_is_an_error() {
-        let mut g = TaskGraph::new();
-        let t = g.add_task(
-            secure("sgx", SecurityLevel::Enclave),
-            [(0u64, AccessMode::Out)],
-        );
-        let report = analyze(
-            &g,
-            &fleet(vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()]),
+        let report = analyze_on(
+            vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()],
+            None,
+            vec![secure("sgx", SecurityLevel::Enclave)],
         );
         let feas = only(&report, LintId::PlacementFeasibility);
         assert_eq!(feas.len(), 1, "{report}");
         assert_eq!(feas[0].severity, Severity::Error);
-        assert_eq!(feas[0].tasks, vec![t]);
+        assert_eq!(feas[0].tasks, vec![TaskId(0)]);
         assert!(feas[0].message.contains("NoSecurePlacement"), "{}", feas[0]);
     }
 
     #[test]
     fn feasibility_enclave_task_with_a_tee_device_is_clean() {
-        let mut g = TaskGraph::new();
-        g.add_task(
-            secure("sgx", SecurityLevel::Enclave),
-            [(0u64, AccessMode::Out)],
+        let report = analyze_on(
+            vec![DeviceSpec::gtx1080(), DeviceSpec::xeon_x86()],
+            None,
+            vec![secure("sgx", SecurityLevel::Enclave)],
         );
-        let report = analyze(
-            &g,
-            &fleet(vec![DeviceSpec::gtx1080(), DeviceSpec::xeon_x86()]),
-        );
-        assert!(
-            only(&report, LintId::PlacementFeasibility).is_empty(),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn feasibility_oversized_footprint_warns() {
-        let mut g = TaskGraph::new();
-        g.add_task(
-            desc("huge").with_work(Work::bytes(Bytes::gib(1024))),
-            [(0u64, AccessMode::Out)],
-        );
-        let report = analyze(
-            &g,
-            &fleet(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()]),
-        );
-        let feas = only(&report, LintId::PlacementFeasibility);
-        assert_eq!(feas.len(), 1, "{report}");
-        assert_eq!(feas[0].severity, Severity::Warn);
-        assert!(feas[0].message.contains("exceeds"), "{}", feas[0]);
-        assert!(feas[0].message.contains("does not model"), "{}", feas[0]);
-        assert!(!report.has_errors(), "{report}");
-    }
-
-    #[test]
-    fn feasibility_footprint_within_capacity_is_clean() {
-        let mut g = TaskGraph::new();
-        g.add_task(
-            desc("fits").with_work(Work::bytes(Bytes::gib(2))),
-            [(0u64, AccessMode::Out)],
-        );
-        let report = analyze(&g, &fleet(vec![DeviceSpec::fpga_kintex()]));
         assert!(
             only(&report, LintId::PlacementFeasibility).is_empty(),
             "{report}"
@@ -1035,18 +982,14 @@ mod tests {
 
     #[test]
     fn feasibility_replica_demand_above_tee_pool_warns() {
-        let mut g = TaskGraph::new();
-        g.add_task(
-            desc("critical").with_requirements(
+        let report = analyze_on(
+            vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()],
+            None,
+            vec![desc("critical").with_requirements(
                 Requirements::new()
                     .with_security(SecurityLevel::Enclave)
                     .with_criticality(Criticality::Critical),
-            ),
-            [(0u64, AccessMode::Out)],
-        );
-        let report = analyze(
-            &g,
-            &fleet(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()]),
+            )],
         );
         let feas = only(&report, LintId::PlacementFeasibility);
         assert_eq!(feas.len(), 1, "{report}");
@@ -1056,19 +999,11 @@ mod tests {
 
     #[test]
     fn feasibility_unreachable_makespan_bound_warns() {
-        let mut g = TaskGraph::new();
-        g.add_task(
-            desc("heavy").with_work(Work::flops(1.0e15)),
-            [(0u64, AccessMode::Out)],
+        let report = analyze_on(
+            vec![DeviceSpec::xeon_x86()],
+            Some(EnergyConfig::new().with_makespan_bound(Seconds(1.0e-3))),
+            vec![desc("heavy").with_work(Work::flops(1.0e15))],
         );
-        let devices = fleet(vec![DeviceSpec::xeon_x86()]);
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: Some(EnergyObjective::MinEnergyWithinMakespan(Seconds(1.0e-3))),
-            region_sizes: None,
-        };
-        let report = run_lints(&cx, &AnalysisConfig::new());
         let feas = only(&report, LintId::PlacementFeasibility);
         assert_eq!(feas.len(), 1, "{report}");
         assert_eq!(feas[0].severity, Severity::Warn);
@@ -1086,20 +1021,12 @@ mod tests {
         let (fast, tee) = (gpu.time_for(work, kind), x86.time_for(work, kind));
         assert!(fast < tee && !gpu.tee.has_enclave() && x86.tee.has_enclave());
         let bound = Seconds((fast.0 + tee.0) / 2.0);
-        let devices = fleet(vec![gpu, x86]);
         let verdict = |level: SecurityLevel| {
-            let mut g = TaskGraph::new();
-            g.add_task(
-                secure("t", level).with_work(work),
-                [(0u64, AccessMode::Out)],
-            );
-            let cx = AnalysisContext {
-                graph: &g,
-                devices: &devices,
-                objective: Some(EnergyObjective::MinEnergyWithinMakespan(bound)),
-                region_sizes: None,
-            };
-            run_lints(&cx, &AnalysisConfig::new())
+            analyze_on(
+                vec![gpu.clone(), x86.clone()],
+                Some(EnergyConfig::new().with_makespan_bound(bound)),
+                vec![secure("t", level).with_work(work)],
+            )
         };
         let public = verdict(SecurityLevel::Public);
         assert!(
@@ -1110,32 +1037,24 @@ mod tests {
         let feas = only(&enclave, LintId::PlacementFeasibility);
         assert_eq!(feas.len(), 1, "{enclave}");
         assert_eq!(feas[0].severity, Severity::Warn);
-        assert!(
-            feas[0].message.contains("fastest TEE-capable device"),
-            "{}",
-            feas[0]
-        );
+        let secs = format!("{:.3}s", tee.0);
+        assert!(feas[0].message.contains(&secs), "{}", feas[0]);
     }
 
     #[test]
     fn feasibility_unreachable_power_cap_warns_once() {
-        let mut g = TaskGraph::new();
-        g.add_task(desc("a"), [(0u64, AccessMode::Out)]);
-        g.add_task(desc("b"), [(1u64, AccessMode::Out)]);
-        let devices = fleet(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()]);
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: Some(EnergyObjective::MinMakespanUnderPowerCap(Watt(1.0))),
-            region_sizes: None,
-        };
-        let report = run_lints(&cx, &AnalysisConfig::new());
+        let report = analyze_on(
+            vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()],
+            Some(EnergyConfig::new().with_power_cap(Watt(1.0))),
+            vec![desc("a"), desc("b")],
+        );
         let feas = only(&report, LintId::PlacementFeasibility);
         assert_eq!(
             feas.len(),
             1,
-            "one fleet-level warning, not per task: {report}"
+            "one warning naming every task, not one per task: {report}"
         );
+        assert_eq!(feas[0].tasks, vec![TaskId(0), TaskId(1)]);
         assert!(feas[0].message.contains("power"), "{}", feas[0]);
     }
 
@@ -1148,15 +1067,8 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(desc("raw"), [(0u64, AccessMode::Out)]);
         g.add_task(desc("model"), [(0u64, AccessMode::In)]);
-        let devices = fleet(vec![DeviceSpec::xeon_x86()]);
         let sizes = HashMap::from([(RegionId(0), Bytes::mib(10))]);
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: None,
-            region_sizes: Some(&sizes),
-        };
-        let report = run_lints(&cx, &AnalysisConfig::new());
+        let report = lint(&g, Some(&sizes));
         assert!(
             only(&report, LintId::CheckpointClosure).is_empty(),
             "{report}"
@@ -1164,7 +1076,7 @@ mod tests {
 
         // Without resilience (no sizes in the context) nothing is a
         // finding: nothing will ever checkpoint.
-        let report = analyze(&g, &devices);
+        let report = lint(&g, None);
         assert!(
             only(&report, LintId::CheckpointClosure).is_empty(),
             "{report}"
@@ -1179,44 +1091,16 @@ mod tests {
             [(0u64, AccessMode::Out), (1u64, AccessMode::Out)],
         );
         g.add_task(desc("c"), [(0u64, AccessMode::In), (1u64, AccessMode::In)]);
-        let devices = fleet(vec![DeviceSpec::xeon_x86()]);
         // R0 declared, R1 (also live across the edge) missing.
         let sizes = HashMap::from([(RegionId(0), Bytes::mib(10))]);
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: None,
-            region_sizes: Some(&sizes),
-        };
-        let report = run_lints(&cx, &AnalysisConfig::new());
+        let report = lint(&g, Some(&sizes));
         let cks = only(&report, LintId::CheckpointClosure);
         assert_eq!(cks.len(), 1, "{report}");
         assert_eq!(cks[0].severity, Severity::Warn);
         assert_eq!(cks[0].regions, vec![RegionId(1)]);
     }
 
-    // --- config & report plumbing ---
-
-    #[test]
-    fn disabled_lints_do_not_run() {
-        let mut g = TaskGraph::new();
-        g.add_task_with_deps(desc("a"), [(0u64, AccessMode::Out)], &[])
-            .unwrap();
-        g.add_task_with_deps(desc("b"), [(0u64, AccessMode::Out)], &[])
-            .unwrap();
-        let devices = fleet(vec![DeviceSpec::xeon_x86()]);
-        let cx = AnalysisContext {
-            graph: &g,
-            devices: &devices,
-            objective: None,
-            region_sizes: None,
-        };
-        let config = AnalysisConfig::new().without_lint(LintId::RegionRace);
-        let report = run_lints(&cx, &config);
-        assert!(report.is_clean(), "{report}");
-        assert!(!report.lints_run.contains(&LintId::RegionRace));
-        assert_eq!(report.lints_run.len(), 3);
-    }
+    // --- report plumbing ---
 
     #[test]
     fn report_renders_severity_lint_and_counts() {
@@ -1225,7 +1109,7 @@ mod tests {
             .unwrap();
         g.add_task_with_deps(desc("b"), [(0u64, AccessMode::Out)], &[])
             .unwrap();
-        let report = analyze(&g, &fleet(vec![DeviceSpec::xeon_x86()]));
+        let report = lint(&g, None);
         let text = report.to_string();
         assert!(text.contains("error[region-race]"), "{text}");
         assert!(text.contains("1 error(s)"), "{text}");

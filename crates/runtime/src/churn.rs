@@ -326,11 +326,6 @@ impl ChurnState {
             stats: ChurnStats::default(),
         }
     }
-
-    /// Number of devices placements may currently target.
-    pub(crate) fn available_count(&self) -> usize {
-        self.available.iter().filter(|&&a| a).count()
-    }
 }
 
 #[cfg(test)]

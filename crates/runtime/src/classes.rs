@@ -8,6 +8,7 @@
 //! the pooled search and the security plan price a class once per task
 //! and read the price per candidate.
 
+use legato_core::requirements::SecurityLevel;
 use legato_core::task::{TaskKind, Work};
 use legato_core::units::{Seconds, Watt};
 use legato_hw::device::{Device, DeviceSpec, TeeCapability};
@@ -19,18 +20,17 @@ use crate::error::RuntimeError;
 pub(crate) struct SpecClasses {
     /// Class of each device.
     class_of: Vec<u32>,
-    /// A representative device index per class. Departed representatives
-    /// stay valid: devices are tombstoned, never removed from the device
-    /// vector.
-    rep: Vec<usize>,
+    /// The spec every member of a class carries.
+    specs: Vec<DeviceSpec>,
     /// Per class: the roofline duration of the task being placed — a
     /// scratch [`SpecClasses::price`] rewrites per task — beside the
     /// class's busy power.
     prices: Vec<(Seconds, Watt)>,
     /// TEE capability per class.
     tee: Vec<TeeCapability>,
-    /// Devices whose class hosts enclaves.
-    tee_devices: usize,
+    /// Per security level (`level as usize`): the devices whose class
+    /// admits it, departed ones included.
+    eligible: [usize; LEVELS.len()],
     /// The first spec of the build-time fleet the cost model cannot
     /// price; [`Runtime::run`](crate::runtime::Runtime::run) refuses to
     /// start on it.
@@ -44,13 +44,10 @@ impl SpecClasses {
     pub(crate) fn new(devices: &[Device]) -> Self {
         let mut classes = SpecClasses::default();
         for (d, device) in devices.iter().enumerate() {
-            let class = classes.find(devices, &device.spec).unwrap_or_else(|| {
-                if classes.invalid.is_none() {
-                    classes.invalid = validate(d, &device.spec).err();
-                }
-                classes.open(d, &device.spec)
-            });
-            classes.push_device(class);
+            let opens = classes.specs.len();
+            if classes.add_device(&device.spec) == opens && classes.invalid.is_none() {
+                classes.invalid = validate(d, &device.spec).err();
+            }
         }
         classes
     }
@@ -60,7 +57,7 @@ impl SpecClasses {
         self.invalid.clone().map_or(Ok(()), Err)
     }
 
-    /// Whether `new`, about to join `devices`, may: a spec no class
+    /// Whether `new`, about to join the fleet, may: a spec no class
     /// carries yet must be one the cost model can price. Checked before
     /// the arrival changes anything.
     ///
@@ -68,39 +65,31 @@ impl SpecClasses {
     ///
     /// [`RuntimeError::InvalidParameter`] naming the device and the
     /// field.
-    pub(crate) fn vet(&self, devices: &[Device], new: &Device) -> Result<(), RuntimeError> {
-        match self.find(devices, &new.spec) {
+    pub(crate) fn vet(&self, new: &Device) -> Result<(), RuntimeError> {
+        match self.find(&new.spec) {
             Some(_) => Ok(()),
             None => validate(new.id.0 as usize, &new.spec),
         }
     }
 
-    /// Classify the device that just joined at the end of `devices`,
-    /// re-deduping its spec against the existing classes.
-    pub(crate) fn add_device(&mut self, devices: &[Device]) -> usize {
-        let d = self.class_of.len();
-        let spec = &devices[d].spec;
-        let class = self
-            .find(devices, spec)
-            .unwrap_or_else(|| self.open(d, spec));
-        self.push_device(class);
+    /// Classify the device that joins next, re-deduping its spec against
+    /// the existing classes; returns its class.
+    pub(crate) fn add_device(&mut self, spec: &DeviceSpec) -> usize {
+        let class = self.find(spec).unwrap_or_else(|| {
+            self.specs.push(spec.clone());
+            self.prices.push((Seconds::ZERO, spec.busy_power));
+            self.tee.push(spec.tee);
+            self.specs.len() - 1
+        });
+        self.class_of.push(class as u32);
+        for (n, &level) in self.eligible.iter_mut().zip(&LEVELS) {
+            *n += usize::from(admits(self.tee[class], level));
+        }
         class
     }
 
-    fn push_device(&mut self, class: usize) {
-        self.class_of.push(class as u32);
-        self.tee_devices += usize::from(self.tee[class].has_enclave());
-    }
-
-    fn find(&self, devices: &[Device], spec: &DeviceSpec) -> Option<usize> {
-        self.rep.iter().position(|&r| devices[r].spec == *spec)
-    }
-
-    fn open(&mut self, rep: usize, spec: &DeviceSpec) -> usize {
-        self.rep.push(rep);
-        self.prices.push((Seconds::ZERO, spec.busy_power));
-        self.tee.push(spec.tee);
-        self.rep.len() - 1
+    fn find(&self, spec: &DeviceSpec) -> Option<usize> {
+        self.specs.iter().position(|s| s == spec)
     }
 
     /// Class of every device, indexed by device.
@@ -115,18 +104,22 @@ impl SpecClasses {
         self.class_of[d] as usize
     }
 
+    /// The spec of every member of `class`.
+    pub(crate) fn spec(&self, class: usize) -> &DeviceSpec {
+        &self.specs[class]
+    }
+
     /// TEE capability of every class, indexed by class.
     pub(crate) fn tees(&self) -> &[TeeCapability] {
         &self.tee
     }
 
-    /// Run the roofline once per class for the task about to be placed.
-    /// Every member of a class carries the representative's spec, so
-    /// [`SpecClasses::price_of`] is bit for bit what `spec.time_for`
-    /// returns on any of them.
-    pub(crate) fn price(&mut self, devices: &[Device], work: Work, kind: TaskKind) {
-        for (price, &rep) in self.prices.iter_mut().zip(&self.rep) {
-            price.0 = devices[rep].spec.time_for(work, kind);
+    /// Run the roofline once per class for the task about to be placed,
+    /// so [`SpecClasses::price_of`] is bit for bit what `spec.time_for`
+    /// returns on any member.
+    pub(crate) fn price(&mut self, work: Work, kind: TaskKind) {
+        for (price, spec) in self.prices.iter_mut().zip(&self.specs) {
+            price.0 = spec.time_for(work, kind);
         }
     }
 
@@ -142,21 +135,45 @@ impl SpecClasses {
         &self.prices
     }
 
-    /// Number of devices that can host enclave-only tasks, restricted to
-    /// the churn layer's availability mask: a departed or draining TEE
-    /// device no longer counts toward the secure pool. `None` is the
-    /// fixed fleet, answered from a counter.
-    pub(crate) fn tee_devices_available(&self, avail: Option<&[bool]>) -> usize {
+    /// Whether a task at `level` may run on a device of `class` — the
+    /// one feasibility rule the engine places by and the analyzer
+    /// predicts with.
+    #[inline]
+    pub(crate) fn admits(&self, class: usize, level: SecurityLevel) -> bool {
+        admits(self.tee[class], level)
+    }
+
+    /// Number of devices a task at `level` may be placed on, restricted
+    /// to the churn layer's availability mask: a departed or draining
+    /// device no longer counts. `None` is the fixed fleet, answered from
+    /// a counter, as is a level every device admits under churn.
+    pub(crate) fn eligible_devices(&self, level: SecurityLevel, avail: Option<&[bool]>) -> usize {
+        let fleet = self.eligible[level as usize];
         match avail {
-            None => self.tee_devices,
+            None => fleet,
+            Some(avail) if fleet == avail.len() => avail.iter().filter(|&&up| up).count(),
             Some(avail) => self
                 .class_of
                 .iter()
                 .zip(avail)
-                .filter(|&(&c, &up)| up && self.tee[c as usize].has_enclave())
+                .filter(|&(&c, &up)| up && self.admits(c as usize, level))
                 .count(),
         }
     }
+}
+
+/// Every security level, in `level as usize` order.
+pub(crate) const LEVELS: [SecurityLevel; 3] = [
+    SecurityLevel::Public,
+    SecurityLevel::Confidential,
+    SecurityLevel::Enclave,
+];
+
+/// The rule behind [`SpecClasses::admits`], for a capability no class
+/// carries yet (a churn arrival): an enclave-only task needs a device
+/// that hosts enclaves, and every other task may use any device.
+pub(crate) fn admits(tee: TeeCapability, level: SecurityLevel) -> bool {
+    !level.requires_enclave() || tee.has_enclave()
 }
 
 /// The cost model divides by the rates and meters the powers: a zero,
@@ -193,7 +210,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::runtime::Runtime;
     use crate::scheduler::Policy;
-    use legato_core::requirements::{Requirements, SecurityLevel};
+    use legato_core::requirements::Requirements;
     use legato_core::task::{AccessMode, TaskDescriptor};
     use legato_core::units::BytesPerSec;
     use legato_hw::device::DeviceId;
@@ -329,24 +346,31 @@ mod tests {
             (classes.tees().len(), classes.class_of_slice().len()),
             (2, 4)
         );
-        assert_eq!(classes.tee_devices_available(None), 2);
+        let enclave = SecurityLevel::Enclave;
+        assert_eq!(classes.eligible_devices(enclave, None), 2);
+        let avail = [false, true, true, true];
+        assert_eq!(classes.eligible_devices(enclave, Some(&avail)), 1);
         assert_eq!(
-            classes.tee_devices_available(Some(&[false, true, true, true])),
-            1
+            classes.eligible_devices(SecurityLevel::Public, Some(&avail)),
+            3
         );
         for (spec, class) in [(DeviceSpec::gtx1080(), 1), (DeviceSpec::arm64(), 2)] {
             let device = Device::new(DeviceId(devices.len() as u64), spec);
-            classes.vet(&devices, &device).expect("valid spec");
+            classes.vet(&device).expect("valid spec");
+            assert_eq!(classes.add_device(&device.spec), class);
             devices.push(device);
-            assert_eq!(classes.add_device(&devices), class);
         }
         assert_eq!(
             (classes.tees().len(), classes.class_of_slice().len()),
             (3, 6)
         );
-        assert_eq!(classes.tee_devices_available(None), 3);
+        assert_eq!(classes.eligible_devices(enclave, None), 3);
+        assert_eq!(
+            classes.eligible_devices(SecurityLevel::Confidential, None),
+            6
+        );
         let work = Work::flops(3e9);
-        classes.price(&devices, work, TaskKind::Inference);
+        classes.price(work, TaskKind::Inference);
         for (d, device) in devices.iter().enumerate() {
             let (dur, power) = classes.price_of(classes.class_of(d));
             assert_eq!(dur, device.spec.time_for(work, TaskKind::Inference));

@@ -879,51 +879,45 @@ impl Runtime {
         let Some(desc) = self.graph.try_claim(task)? else {
             return Ok(());
         };
+        // Replicas spread over the devices the task may use: the
+        // surviving fleet under churn, the TEE pool for an enclave-only
+        // task. Under churn `.max(1)` keeps the attempt alive through a
+        // transiently empty pool — the k == 0 deferral in
+        // `start_attempt` owns that case.
+        let security = desc.requirements.security;
+        let wanted = desc.requirements.criticality.replica_count();
+        let avail = self.churn.as_ref().map(|c| c.available.as_slice());
+        let eligible = self.classes.eligible_devices(security, avail);
         let mut attempt = Attempt {
             task,
             work: desc.work,
             kind: desc.kind,
-            security: desc.requirements.security,
+            security,
             measurement: 0,
-            replicas: desc
-                .requirements
-                .criticality
-                .replica_count()
-                .min(self.devices.len()),
+            replicas: wanted.min(eligible).max(usize::from(avail.is_some())),
             attempt: 0,
         };
-        if let Some(churn) = &self.churn {
-            // Replicas spread over the *surviving* fleet. `.max(1)` keeps
-            // the attempt alive through a transiently empty pool — the
-            // k == 0 deferral in `start_attempt` owns that case.
-            attempt.replicas = attempt.replicas.min(churn.available_count()).max(1);
-        }
-        // Enclave-only tasks are restricted to TEE-capable devices: the
-        // replica budget shrinks to that pool, and an empty pool is a
-        // hard error — the engine never degrades confidentiality. The
-        // enclave setup result is held (not `?`-propagated) so the
-        // error paths below can fail the claimed task first: without
-        // that, the task would be stuck `Running` forever and a
-        // follow-up `run()` would silently drop it and its cone from
-        // both `placements` and `failed`.
-        let enclave_setup = attempt
-            .security
+        // An empty TEE pool is a hard error for an enclave-only task —
+        // the engine never degrades confidentiality. The enclave setup
+        // result is held (not `?`-propagated) so the error paths below
+        // can fail the claimed task first: without that, the task would
+        // be stuck `Running` forever and a follow-up `run()` would
+        // silently drop it and its cone from both `placements` and
+        // `failed`.
+        let enclave_setup = security
             .requires_enclave()
             .then(|| self.security.ensure_enclaves(desc.name.as_bytes()));
         if let Some(setup) = enclave_setup {
-            let tee = self
-                .classes
-                .tee_devices_available(self.churn.as_ref().map(|c| c.available.as_slice()));
             match setup {
-                Ok(m) if tee > 0 => {
-                    attempt.replicas = attempt.replicas.min(tee);
-                    attempt.measurement = m;
-                }
+                Ok(m) if eligible > 0 => attempt.measurement = m,
                 Ok(m) => {
                     // Under churn an empty TEE pool is (possibly) transient:
                     // park the task for a bounded wait instead of refusing —
-                    // a re-arrival re-spreads it, the deadline fails it.
-                    if self.churn.is_some() {
+                    // a re-arrival re-spreads it, the deadline fails it. It
+                    // parks with the surviving fleet's replica budget.
+                    if avail.is_some() {
+                        let fleet = self.classes.eligible_devices(SecurityLevel::Public, avail);
+                        attempt.replicas = wanted.min(fleet).max(1);
                         attempt.measurement = m;
                         self.defer_placement(attempt, at);
                         return Ok(());
@@ -1012,7 +1006,7 @@ impl Runtime {
         }
         // Everything a candidate inherits from its spec is priced here,
         // once per class; both searches below read it per candidate.
-        self.classes.price(&self.devices, work, kind);
+        self.classes.price(work, kind);
         // Two searches, one selection: the sharded bound-and-prune
         // search (`DevicePools::plan_k`) and the flat scan
         // (`Policy::plan_k_devices`) return the same devices, order and
@@ -1322,10 +1316,10 @@ impl Runtime {
     ) -> Result<(), RuntimeError> {
         let d = self.devices.len();
         let device = Device::new(DeviceId(d as u64), spec);
-        self.classes.vet(&self.devices, &device)?;
+        self.classes.vet(&device)?;
         self.security.device_arrived(&device)?;
+        let class = self.classes.add_device(&device.spec);
         self.devices.push(device);
-        let class = self.classes.add_device(&self.devices);
         let fp = fault_prob.clamp(0.0, 1.0);
         self.fault_probs.push(fp);
         if !self.energy.op_fault_probs.is_empty() {

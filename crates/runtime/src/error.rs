@@ -206,7 +206,6 @@ mod tests {
                 path: Vec::new(),
                 message: "T1 and T2 write the same region".into(),
             }],
-            lints_run: vec![LintId::RegionRace],
             tasks_analyzed: 3,
         };
         let e = RuntimeError::AnalysisFailed(Box::new(report));

@@ -840,7 +840,7 @@ mod tests {
     /// The class table of `devices`, priced for one task.
     fn priced(devices: &[Device], work: Work, kind: TaskKind) -> SpecClasses {
         let mut classes = SpecClasses::new(devices);
-        classes.price(devices, work, kind);
+        classes.price(work, kind);
         classes
     }
 
@@ -1499,7 +1499,7 @@ mod tests {
                     (1, _) => {
                         let d = devices.len();
                         devices.push(Device::new(DeviceId(d as u64), specs[pick % 5].clone()));
-                        let class = classes.add_device(&devices);
+                        let class = classes.add_device(&devices[d].spec);
                         pools.add_device(d, class, pick);
                         avail.push(true);
                     }
@@ -1516,7 +1516,7 @@ mod tests {
                 });
                 let extras = extras.as_deref();
                 let ready_at = Seconds(x);
-                classes.price(&devices, Work::new(1e12 + 1e12 * x, Bytes::mib(64)), TaskKind::Compute);
+                classes.price(Work::new(1e12 + 1e12 * x, Bytes::mib(64)), TaskKind::Compute);
                 for want in [1, k] {
                     let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
                     let (filled, evaluated) =

@@ -313,7 +313,7 @@ pub(crate) fn plan_interval(
         graph,
         op_fault_probs,
         |desc, out| {
-            classes.price(devices, desc.work, desc.kind);
+            classes.price(desc.work, desc.kind);
             let prices = classes.prices().iter();
             out.extend(prices.map(|&(dur, power)| Estimate::new(dur, power * dur)));
         },

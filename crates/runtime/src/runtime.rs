@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::analyze::{self, AnalysisConfig, AnalysisContext, AnalysisReport, AnalysisState};
+use crate::analyze::{self, AnalysisContext, AnalysisReport, AnalysisState};
 use crate::churn::{ChurnState, ChurnStats};
 use crate::classes::SpecClasses;
 use crate::config::RegionSizes;
@@ -117,7 +117,7 @@ pub struct RunReport {
     /// ([`EngineConfig::with_energy`](crate::config::EngineConfig::with_energy)).
     pub energy: Option<EnergyStats>,
     /// The static analysis report; `Some` exactly when the runtime was
-    /// built with an [`AnalysisConfig`]
+    /// built with an [`AnalysisConfig`](crate::analyze::AnalysisConfig)
     /// ([`EngineConfig::with_analysis`](crate::config::EngineConfig::with_analysis))
     /// and the run started. In warn-only mode this is where findings
     /// surface; in enforce mode a report that reaches a `RunReport` is
@@ -209,45 +209,21 @@ impl Runtime {
 
     /// Run the static analyzer over the current graph and pillar
     /// configuration, returning the report without touching engine
-    /// state. Uses the configured [`AnalysisConfig`] when the runtime
-    /// was built with one
+    /// state. Works whether or not the runtime was built with an
+    /// [`AnalysisConfig`](crate::analyze::AnalysisConfig)
     /// ([`EngineConfig::with_analysis`](crate::config::EngineConfig::with_analysis)),
-    /// the default config otherwise — so ad-hoc callers (benches, CI
-    /// drivers) can lint any runtime.
+    /// so ad-hoc callers (benches, CI drivers) can lint any runtime.
+    /// Placement feasibility is judged on the fleet as it stands: under
+    /// churn, the devices available now and the arrivals its trace
+    /// holds.
     pub fn analyze(&self) -> AnalysisReport {
-        let default_config;
-        let config = match &self.analysis {
-            Some(state) => &state.config,
-            None => {
-                default_config = AnalysisConfig::default();
-                &default_config
-            }
-        };
-        // Under churn, lint against the devices that are actually
-        // available now, not the build-time fleet (satellite of the
-        // placement-feasibility staleness fix). Churn is rare enough
-        // that the clone is acceptable.
-        let surviving;
-        let devices: &[Device] = match &self.churn {
-            Some(churn) if churn.available.iter().any(|&a| !a) => {
-                surviving = self
-                    .devices
-                    .iter()
-                    .zip(&churn.available)
-                    .filter(|(_, &a)| a)
-                    .map(|(d, _)| d.clone())
-                    .collect::<Vec<_>>();
-                &surviving
-            }
-            _ => &self.devices,
-        };
-        let cx = AnalysisContext {
+        analyze::run_lints(&AnalysisContext {
             graph: &self.graph,
-            devices,
+            classes: &self.classes,
+            churn: self.churn.as_ref(),
             objective: self.energy.objective,
             region_sizes: self.resilience.is_some().then_some(&self.region_sizes),
-        };
-        analyze::run_lints(&cx, config)
+        })
     }
 
     /// Security counters accumulated by the engine so far (also part of

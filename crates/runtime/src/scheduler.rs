@@ -1130,7 +1130,7 @@ pub(crate) mod tests {
             let kind = [TaskKind::Compute, TaskKind::Inference, TaskKind::Io][rng.gen_range(0..3)];
             let ready_at = Seconds(rng.gen_range(0.0..0.5));
             let mut classes = SpecClasses::new(&devices);
-            classes.price(&devices, work, kind);
+            classes.price(work, kind);
 
             // A security state with history: attested devices, sealed
             // regions produced here and there.
@@ -1272,7 +1272,7 @@ pub(crate) mod tests {
     ) -> (Vec<usize>, usize) {
         let (work, kind) = (Work::flops(66e9), TaskKind::Inference);
         let mut classes = SpecClasses::new(devices);
-        classes.price(devices, work, kind);
+        classes.price(work, kind);
         let mut reference = [usize::MAX; MAX_REPLICAS];
         let filled = policy.select_k(&inference_estimates(devices), &mut reference[..k]);
         let mut survivors = Vec::new();

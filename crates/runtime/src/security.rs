@@ -423,8 +423,8 @@ impl SecurityState {
         }
         plan.crossed = plan.inputs.iter().map(|&(_, bytes, _)| bytes).sum();
         plan.classes.clear();
-        for cap in classes.tees() {
-            if level.requires_enclave() && !cap.has_enclave() {
+        for (c, cap) in classes.tees().iter().enumerate() {
+            if !classes.admits(c, level) {
                 plan.classes.push(ClassSecCost::default()); // ineligible
                 continue;
             }

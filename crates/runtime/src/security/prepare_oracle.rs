@@ -187,8 +187,8 @@ proptest! {
                 7 => {
                     let device = Device::new(DeviceId(devices.len() as u64), spec(&mut rng));
                     state.device_arrived(&device).expect("two images fit");
+                    classes.add_device(&device.spec);
                     devices.push(device);
-                    classes.add_device(&devices);
                 }
                 8 => snapshot.clone_from(&regions.residency),
                 _ => regions.residency.clone_from(&snapshot),

@@ -10,9 +10,11 @@
 //! * **Injected race ⇒ reported with the right witness** — submitting an
 //!   unordered writer pair through the explicit-deps API is always
 //!   caught, naming exactly the two writers and the region.
-//! * **Feasibility-clean ⇒ no `NoSecurePlacement`** — when the
-//!   feasibility lint finds no error on a confidential graph, the engine
-//!   never fails a placement for lack of a TEE at runtime.
+//! * **Every feasibility diagnostic is a prediction** — on random
+//!   fleets, levels, criticalities, objectives and churn traces, the
+//!   engine does what each placement-feasibility finding says it will:
+//!   fail with the named refusal, defer, shrink a replica set, or relax
+//!   the makespan bound or the power cap.
 
 use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, TaskDescriptor, TaskId, Work};
@@ -126,55 +128,114 @@ proptest! {
         }
     }
 
-    /// Contract 3: when the feasibility lint has no error on a
-    /// confidential graph, the engine never raises `NoSecurePlacement`.
+    /// Contract 3: every feasibility diagnostic is a prediction the
+    /// engine confirms. Random preset fleets (some TEE-less), random
+    /// levels and criticality on independent tasks, no objective / a
+    /// makespan bound / a power cap, and no churn / a TEE arrival / a
+    /// TEE-less arrival at t = 1 s; each graph then runs with analysis
+    /// off:
+    ///
+    /// * a stranded error holds exactly when the run fails with the
+    ///   refusal it names (`NoSecurePlacement`, or `DeferralExpired`
+    ///   under churn);
+    /// * the run defers a placement exactly when a deferral warning or a
+    ///   `DeferralExpired` error says it will;
+    /// * a replica warning ⇒ the task ran on every eligible device;
+    /// * bound warnings ⇒ at least one bound relaxation per task named;
+    /// * on a completed run without deferrals, the replica warnings name
+    ///   exactly the tasks placed on fewer devices than they want, and
+    ///   the cap relaxations are exactly the placements of the tasks the
+    ///   cap warning names.
     #[test]
     fn feasibility_clean_never_hits_no_secure_placement(
-        levels in prop::collection::vec(0u8..3, 1..20),
-        with_tee in any::<bool>(),
+        fleet in prop::collection::vec(0usize..6, 1..5),
+        tee_less in any::<bool>(),
+        tasks in prop::collection::vec((0usize..3, 0usize..4, 1e9f64..1e11), 1..12),
+        (objective, bound, cap) in (0u8..3, 1e-3f64..0.2, 10.0f64..200.0),
+        churn in 0u8..3,
         seed in 0u64..500,
     ) {
-        let mut specs = vec![DeviceSpec::gtx1080(), DeviceSpec::fpga_kintex()];
-        if with_tee {
-            specs.push(DeviceSpec::xeon_x86());
+        let presets = [
+            DeviceSpec::gtx1080(),
+            DeviceSpec::fpga_kintex(),
+            DeviceSpec::maxeler_dfe(),
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::arm64(),
+            DeviceSpec::jetson_soc(),
+        ];
+        let modulus = if tee_less { 3 } else { presets.len() };
+        let specs: Vec<DeviceSpec> = fleet.iter().map(|&i| presets[i % modulus].clone()).collect();
+        let mut config = EngineConfig::new().with_devices(specs.clone()).with_seed(seed);
+        match objective {
+            1 => config = config.with_energy(EnergyConfig::new().with_makespan_bound(Seconds(bound))),
+            2 => config = config.with_energy(EnergyConfig::new().with_power_cap(Watt(cap))),
+            _ => {}
         }
-        let mut rt = EngineConfig::new()
-            .with_devices(specs)
-            .with_seed(seed)
-            // Warn-only: the run must proceed so the claim is about the
-            // engine, not the analyzer's refusal.
-            .with_analysis(AnalysisConfig::new().warn_only())
-            .build()
-            .expect("valid config");
-        for (i, &l) in levels.iter().enumerate() {
-            let level = match l {
-                0 => SecurityLevel::Public,
-                1 => SecurityLevel::Confidential,
-                _ => SecurityLevel::Enclave,
+        if churn > 0 {
+            let spec = if churn == 1 { DeviceSpec::xeon_x86() } else { DeviceSpec::gtx1080() };
+            let arrival = ChurnEvent {
+                at: Seconds(1.0),
+                kind: ChurnEventKind::Arrival { spec, pool: None, fault_prob: 0.0 },
             };
+            config = config.with_churn(ChurnConfig::new(ChurnTrace::from_events(vec![arrival])));
+        }
+        let mut rt = config.build().expect("valid config");
+        let levels = [SecurityLevel::Public, SecurityLevel::Confidential, SecurityLevel::Enclave];
+        let crits = [Criticality::Low, Criticality::Normal, Criticality::High, Criticality::Critical];
+        for (r, &(level, crit, flops)) in tasks.iter().enumerate() {
             rt.submit(
                 TaskDescriptor::named("t")
-                    .with_work(Work::flops(1e9))
-                    .with_requirements(Requirements::new().with_security(level)),
-                [(i as u64, AccessMode::Out)],
+                    .with_work(Work::flops(flops))
+                    .with_requirements(
+                        Requirements::new().with_security(levels[level]).with_criticality(crits[crit]),
+                    ),
+                [(r as u64, AccessMode::Out)],
             );
         }
-        let feasibility_clean = !rt
-            .analyze()
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == LintId::PlacementFeasibility && d.severity == Severity::Error);
+        let analysis = rt.analyze();
+        let feas = feasibility(&analysis);
+        let named = |needle: &str| -> Vec<TaskId> {
+            feas.iter().filter(|d| d.message.contains(needle)).flat_map(|d| d.tasks.clone()).collect()
+        };
+        let predicted = feas.iter().find(|d| d.severity == Severity::Error).map(|d| {
+            d.message.contains("DeferralExpired")
+        });
         let result = rt.run();
-        if feasibility_clean {
+        let report = rt.report();
+        match (predicted, &result) {
+            (None, Ok(_))
+            | (Some(false), Err(RuntimeError::NoSecurePlacement(_)))
+            | (Some(true), Err(RuntimeError::DeferralExpired(_))) => {}
+            _ => prop_assert!(false, "lint predicted {predicted:?}, engine said {result:?}: {analysis}"),
+        }
+        let deferred = report.churn.map_or(0, |c| c.deferred_placements);
+        let defers = !named("defer until").is_empty() || predicted == Some(true);
+        prop_assert!((deferred >= 1) == defers, "{deferred} deferrals: {analysis}");
+        let Ok(run) = result else { return Ok(()) };
+        let energy = run.energy.unwrap_or_default();
+        let shrunk = named("replica set will shrink");
+        for t in &shrunk {
+            let level = levels[tasks[t.index()].0];
+            let eligible = specs.iter().filter(|s| !level.requires_enclave() || s.tee.has_enclave()).count();
+            let placed = run.placements.iter().find(|p| p.task == *t).expect("placed");
+            prop_assert!(placed.devices.len() == eligible, "{t} on {:?}: {analysis}", placed.devices);
+        }
+        prop_assert!(
+            energy.bound_relaxations >= named("makespan bound").len() as u64,
+            "{} relaxations: {}", energy.bound_relaxations, analysis
+        );
+        if deferred == 0 {
+            for p in &run.placements {
+                let wanted = crits[tasks[p.task.index()].1].replica_count();
+                prop_assert!(
+                    (p.devices.len() < wanted) == shrunk.contains(&p.task),
+                    "{} on {:?}: {analysis}", p.task, p.devices
+                );
+            }
+            let capped = named("power cap").len() as u64;
             prop_assert!(
-                !matches!(result, Err(RuntimeError::NoSecurePlacement(_))),
-                "lint said feasible, engine said {result:?}"
-            );
-        } else {
-            // The lint predicted exactly this failure.
-            prop_assert!(
-                matches!(result, Err(RuntimeError::NoSecurePlacement(_))),
-                "lint predicted NoSecurePlacement, engine said {result:?}"
+                energy.cap_relaxations == capped,
+                "{} relaxations, {capped} predicted: {analysis}", energy.cap_relaxations
             );
         }
     }
@@ -243,9 +304,9 @@ fn enforce_mode_with_resilience_runs_a_chain_to_the_unanalyzed_schedule() {
 /// A task whose declared footprint exceeds every device's memory
 /// capacity runs to completion with analysis off: the engine has no
 /// capacity dimension (DESIGN.md §6). Enforce mode therefore runs it to
-/// the same schedule, and the footprint finding is attached as a warning
-/// rather than refusing the run. (It used to be an error, so Enforce
-/// refused a graph the engine completes.)
+/// the same schedule. (The footprint finding used to be an error, so
+/// Enforce refused a graph the engine completes; it predicted nothing a
+/// run does, and is gone.)
 #[test]
 fn enforce_mode_runs_an_oversized_footprint_the_engine_completes() {
     let fleet = || {
@@ -269,15 +330,6 @@ fn enforce_mode_runs_an_oversized_footprint_the_engine_completes() {
     assert_eq!(enforced.placements, unanalyzed.placements);
     let analysis = enforced.analysis.expect("report attached");
     assert!(!analysis.has_errors(), "{analysis}");
-    assert!(
-        analysis
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == LintId::PlacementFeasibility
-                && d.severity == Severity::Warn
-                && d.message.contains("capacity")),
-        "{analysis}"
-    );
 }
 
 fn enclave_task() -> TaskDescriptor {
