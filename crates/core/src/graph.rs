@@ -1224,84 +1224,6 @@ impl TaskGraph {
         Ok(causes)
     }
 
-    /// A topological order of all tasks, computed by indegree counting
-    /// (Kahn's algorithm) with a smallest-id frontier — or the tasks of a
-    /// dependence cycle when one exists.
-    ///
-    /// Because dependence edges always point from an earlier submission to
-    /// a later one, the order coincides with submission order — but it is
-    /// *derived* from the edges rather than assumed, so it stays correct
-    /// for any acyclic edge set and doubles as a structural self-check
-    /// (a cycle is impossible through the public API, which only creates
-    /// forward edges). The static analyzer uses it to turn a malformed
-    /// edge set into a diagnostic instead of an abort.
-    ///
-    /// # Errors
-    ///
-    /// `Err(path)` when the edge set is not a DAG: `path` names tasks
-    /// `t₀ → t₁ → … → t₀` where each task depends on the previous one and
-    /// the first depends on the last — non-empty and closed.
-    pub fn try_topological_order(&self) -> Result<Vec<TaskId>, Vec<TaskId>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let n = self.nodes.len();
-        let mut indegree: Vec<usize> = vec![0; n];
-        for i in 0..n {
-            for s in self.succs_of(i) {
-                indegree[s.index()] += 1;
-            }
-        }
-        let mut frontier: BinaryHeap<Reverse<TaskId>> = indegree
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| Reverse(TaskId(i as u64)))
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(Reverse(id)) = frontier.pop() {
-            order.push(id);
-            for &s in self.succs_of(id.index()) {
-                indegree[s.index()] -= 1;
-                if indegree[s.index()] == 0 {
-                    frontier.push(Reverse(s));
-                }
-            }
-        }
-        if order.len() == n {
-            return Ok(order);
-        }
-        // Kahn stalled: every unprocessed task has an unprocessed
-        // predecessor, so walking predecessors within the unprocessed set
-        // must revisit a task — that revisit closes a cycle.
-        let mut seen_at: Vec<Option<usize>> = vec![None; n];
-        let start = indegree
-            .iter()
-            .position(|&d| d > 0)
-            .expect("order is short, so some task kept indegree > 0");
-        let mut walk = vec![TaskId(start as u64)];
-        seen_at[start] = Some(0);
-        loop {
-            let at = walk.last().expect("walk starts non-empty").index();
-            let next = self
-                .preds_of(at)
-                .iter()
-                .copied()
-                .find(|p| indegree[p.index()] > 0)
-                .expect("unprocessed tasks keep an unprocessed predecessor");
-            if let Some(first) = seen_at[next.index()] {
-                // Revisited: walk[first..] closed the loop. It was
-                // discovered backwards (each step is "depends on"), so
-                // reverse it to read in dependence order.
-                let mut cycle = walk.split_off(first);
-                cycle.reverse();
-                return Err(cycle);
-            }
-            seen_at[next.index()] = Some(walk.len());
-            walk.push(next);
-        }
-    }
-
     /// Critical path under a per-task cost function: returns the total cost
     /// and the path itself (source → sink).
     ///
@@ -1731,35 +1653,6 @@ mod tests {
     }
 
     #[test]
-    fn try_topological_order_names_a_cycle() {
-        // Cycles are impossible through the public API; forge one by
-        // rewiring arenas directly to prove the diagnostic path works.
-        let mut g = TaskGraph::new();
-        let a = g.add_task(desc("a"), [(0u64, AccessMode::Out)]);
-        let _b = g.add_task(desc("b"), [(0u64, AccessMode::InOut)]);
-        let c = g.add_task(desc("c"), [(0u64, AccessMode::InOut)]);
-        // Existing edges: a → b → c. Add the back edge c → a.
-        let pred_start = g.pred_arena.len();
-        g.pred_arena.push(c);
-        g.nodes[a.index()].preds = Span {
-            start: pred_start,
-            len: 1,
-        };
-        g.succ_push(c.index(), a);
-        let cycle = g.try_topological_order().unwrap_err();
-        assert_eq!(cycle.len(), 3, "{cycle:?}");
-        // Closed in dependence order: each task depends on the previous
-        // one, and the first depends on the last.
-        for pair in cycle.windows(2) {
-            assert!(g.predecessors(pair[1]).unwrap().contains(&pair[0]));
-        }
-        assert!(g
-            .predecessors(cycle[0])
-            .unwrap()
-            .contains(cycle.last().unwrap()));
-    }
-
-    #[test]
     fn independent_readers_run_in_parallel() {
         let mut g = TaskGraph::new();
         let w = g.add_task(desc("w"), [(0u64, AccessMode::Out)]);
@@ -1972,24 +1865,6 @@ mod tests {
         let b = g.add_task(desc("b"), [(1u64, AccessMode::Out)]);
         g.fail(a).unwrap();
         assert_eq!(g.ready(), vec![b]);
-    }
-
-    #[test]
-    fn topological_order_matches_submission_order() {
-        let mut g = TaskGraph::new();
-        for i in 0..50u64 {
-            g.add_task(desc("t"), [(i % 7, AccessMode::InOut)]);
-        }
-        let order = g.try_topological_order().expect("forward edges only");
-        assert_eq!(order, (0..50).map(TaskId).collect::<Vec<_>>());
-        // And it is a genuine topological order: preds before succs.
-        let pos: Vec<usize> = order.iter().map(|t| t.index()).collect();
-        for i in 0..g.len() {
-            let id = TaskId(i as u64);
-            for &p in g.predecessors(id).unwrap() {
-                assert!(pos[p.index()] < pos[id.index()]);
-            }
-        }
     }
 
     #[test]

@@ -1,25 +1,20 @@
 //! Happens-before reachability over a [`TaskGraph`] — the oracle behind
-//! the static race and information-flow lints in `legato-runtime`.
+//! the static race lint in `legato-runtime`.
 //!
 //! The oracle answers "does task *a* happen before task *b*?" for a
 //! chosen set of *source* tasks. It is a bitset transitive closure
-//! computed in one pass over the existing Kahn order: every task carries
-//! one bit per source, and a task's row is the union of its
-//! predecessors' rows plus the predecessors that are themselves sources.
-//! With `S` sources the pass costs `O(E · S / 64)` word operations and
-//! `O(V · S / 64)` memory — querying *all* pairs is available by passing
-//! every task as a source, but the analyzer deliberately narrows `S` to
-//! the tasks that actually need transitive resolution (conflicting
-//! accessors whose ordering is not witnessed by a direct edge), so on
+//! computed in one pass in id order: every task carries one bit per
+//! source, and a task's row is the union of its predecessors' rows plus
+//! the predecessors that are themselves sources. Dependence edges always
+//! point from an earlier submission to a later one, so id order is a
+//! topological order, and no task before the smallest source can be
+//! reached: the pass starts there. With `S` sources it costs
+//! `O(E · S / 64)` word operations and `O(V · S / 64)` memory over the
+//! tasks from the smallest source on. The analyzer narrows `S` to the
+//! tasks that actually need transitive resolution (conflicting accessors
+//! whose ordering is not witnessed by a direct edge), so on
 //! inference-built graphs, where every conflict has a direct edge, the
-//! closure degenerates to the free `S = 0` case and analysis stays
-//! linear in the graph.
-//!
-//! Dependence edges always point from an earlier submission to a later
-//! one, so submission id order *is* a topological order; the oracle
-//! still derives its walk from [`TaskGraph::try_topological_order`] so a
-//! malformed edge set surfaces as a named cycle instead of a wrong
-//! answer.
+//! closure is never built and analysis stays linear in the graph.
 
 use crate::graph::TaskGraph;
 use crate::task::TaskId;
@@ -34,9 +29,13 @@ use crate::task::TaskId;
 pub struct Reachability {
     /// Words per row: `ceil(sources / 64)`.
     words: usize,
-    /// `n · words` bit matrix, row `t` = sources that happen before `t`.
+    /// The smallest source: rows and columns start at this task.
+    first: usize,
+    /// `(n - first) · words` bit matrix, row `t - first` = sources that
+    /// happen before `t`.
     bits: Vec<u64>,
-    /// Column index of each source task; `u32::MAX` = not a source.
+    /// Column index of each task from `first` on; `u32::MAX` = not a
+    /// source.
     column: Vec<u32>,
 }
 
@@ -45,35 +44,37 @@ const NOT_A_SOURCE: u32 = u32::MAX;
 impl Reachability {
     /// Compute the closure of `sources` over `graph`.
     ///
-    /// Duplicate sources collapse to one column. The pass walks tasks in
-    /// topological (= submission) order, so each row is final when
+    /// Duplicate sources collapse to one column; sources outside the
+    /// graph are ignored. The pass walks tasks in id (= topological)
+    /// order from the smallest source, so each row is final when
     /// visited.
-    ///
-    /// # Errors
-    ///
-    /// `Err(cycle)` when the edge set is not a DAG — the closed cycle
-    /// path from [`TaskGraph::try_topological_order`], for diagnostics.
-    pub fn over(graph: &TaskGraph, sources: &[TaskId]) -> Result<Self, Vec<TaskId>> {
-        let order = graph.try_topological_order()?;
+    #[must_use]
+    pub fn over(graph: &TaskGraph, sources: &[TaskId]) -> Self {
         let n = graph.len();
-        let mut column = vec![NOT_A_SOURCE; n];
+        let first = sources.iter().map(|s| s.index()).min().unwrap_or(n).min(n);
+        let mut column = vec![NOT_A_SOURCE; n - first];
         let mut cols = 0u32;
-        for &s in sources {
-            if s.index() < n && column[s.index()] == NOT_A_SOURCE {
-                column[s.index()] = cols;
+        for s in sources.iter().filter(|s| s.index() < n) {
+            let c = &mut column[s.index() - first];
+            if *c == NOT_A_SOURCE {
+                *c = cols;
                 cols += 1;
             }
         }
         let words = (cols as usize).div_ceil(64);
-        let mut bits = vec![0u64; n * words];
+        let mut bits = vec![0u64; column.len() * words];
         if words > 0 {
-            for &t in &order {
-                let i = t.index();
-                for p in 0..graph.preds_of(i).len() {
-                    let pred = graph.preds_of(i)[p].index();
+            for i in first..n {
+                let hi = (i - first) * words;
+                // Predecessors before `first` reach no source.
+                for pred in graph
+                    .preds_of(i)
+                    .iter()
+                    .filter_map(|p| p.index().checked_sub(first))
+                {
                     // Row union: everything reaching a predecessor
                     // reaches this task.
-                    let (lo, hi) = (pred * words, i * words);
+                    let lo = pred * words;
                     for w in 0..words {
                         bits[hi + w] |= bits[lo + w];
                     }
@@ -84,11 +85,12 @@ impl Reachability {
                 }
             }
         }
-        Ok(Reachability {
+        Reachability {
             words,
+            first,
             bits,
             column,
-        })
+        }
     }
 
     /// Whether `from` (a source) happens strictly before `to`: a
@@ -97,53 +99,20 @@ impl Reachability {
     /// `from == to`.
     #[must_use]
     pub fn reaches(&self, from: TaskId, to: TaskId) -> bool {
-        let Some(&col) = self.column.get(from.index()) else {
+        let (Some(from), Some(to)) = (
+            from.index().checked_sub(self.first),
+            to.index().checked_sub(self.first),
+        ) else {
             return false;
         };
-        if col == NOT_A_SOURCE || to.index() * self.words >= self.bits.len() {
+        let Some(&col) = self.column.get(from) else {
+            return false;
+        };
+        if col == NOT_A_SOURCE || to >= self.column.len() {
             return false;
         }
-        let word = self.bits[to.index() * self.words + (col as usize) / 64];
+        let word = self.bits[to * self.words + (col as usize) / 64];
         word & (1u64 << (col % 64)) != 0
-    }
-
-    /// Whether two tasks are ordered either way (`a` before `b` or `b`
-    /// before `a`). Both directions require the respective task to be a
-    /// source.
-    #[must_use]
-    pub fn ordered(&self, a: TaskId, b: TaskId) -> bool {
-        self.reaches(a, b) || self.reaches(b, a)
-    }
-
-    /// Reconstruct one happens-before path `from → … → to` as evidence
-    /// for a diagnostic, or `None` when `from` does not reach `to`.
-    ///
-    /// Walks predecessor lists backwards from `to`, at each step picking
-    /// the first predecessor that is `from` or is reached by `from` —
-    /// `O(path · max degree)` queries against the closure.
-    #[must_use]
-    pub fn happens_before_path(
-        &self,
-        graph: &TaskGraph,
-        from: TaskId,
-        to: TaskId,
-    ) -> Option<Vec<TaskId>> {
-        if !self.reaches(from, to) {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut at = to;
-        while at != from {
-            let step = graph
-                .preds_of(at.index())
-                .iter()
-                .copied()
-                .find(|&p| p == from || self.reaches(from, p))?;
-            path.push(step);
-            at = step;
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -178,19 +147,18 @@ mod tests {
     #[test]
     fn transitive_closure_over_diamond() {
         let (g, [a, b, c, d]) = diamond();
-        let r = Reachability::over(&g, &[a, b, c, d]).expect("acyclic");
+        let r = Reachability::over(&g, &[a, b, c, d]);
         assert!(r.reaches(a, b) && r.reaches(a, c) && r.reaches(a, d));
         assert!(r.reaches(b, d) && r.reaches(c, d));
         assert!(!r.reaches(b, c) && !r.reaches(c, b));
         assert!(!r.reaches(d, a));
         assert!(!r.reaches(a, a), "happens-before is strict");
-        assert!(r.ordered(a, d) && !r.ordered(b, c));
     }
 
     #[test]
     fn non_sources_never_reach() {
         let (g, [a, _, _, d]) = diamond();
-        let r = Reachability::over(&g, &[a]).expect("acyclic");
+        let r = Reachability::over(&g, &[a]);
         assert!(r.reaches(a, d));
         assert!(!r.reaches(d, a), "d was not a source");
         assert!(!r.reaches(TaskId(99), a), "out of range");
@@ -199,25 +167,8 @@ mod tests {
     #[test]
     fn empty_source_set_is_free_and_inert() {
         let (g, [a, _, _, d]) = diamond();
-        let r = Reachability::over(&g, &[]).expect("acyclic");
+        let r = Reachability::over(&g, &[]);
         assert!(!r.reaches(a, d));
-    }
-
-    #[test]
-    fn path_reconstruction_witnesses_the_order() {
-        let (g, [a, b, c, d]) = diamond();
-        let r = Reachability::over(&g, &[a, b]).expect("acyclic");
-        let path = r.happens_before_path(&g, a, d).expect("a reaches d");
-        assert_eq!(path.first(), Some(&a));
-        assert_eq!(path.last(), Some(&d));
-        assert_eq!(path.len(), 3, "a → (b|c) → d");
-        for pair in path.windows(2) {
-            assert!(
-                has_direct_edge(&g, pair[0], pair[1]),
-                "{pair:?} must be an edge"
-            );
-        }
-        assert!(r.happens_before_path(&g, b, c).is_none());
     }
 
     #[test]
@@ -241,9 +192,28 @@ mod tests {
         let c = g
             .add_task_with_deps(desc("c"), [(0u64, AccessMode::In)], &[a])
             .expect("a exists");
-        let r = Reachability::over(&g, &[a, b]).expect("acyclic");
+        let r = Reachability::over(&g, &[a, b]);
         assert!(r.reaches(a, c));
-        assert!(!r.ordered(a, b), "the two writers race");
+        assert!(!r.reaches(a, b) && !r.reaches(b, a), "the two writers race");
         assert!(!r.reaches(b, c));
+    }
+
+    #[test]
+    fn the_pass_starts_at_the_smallest_source() {
+        // A chain 0 → 1 → … → 99, every task from 10 on a source: more
+        // than one word per row, and no row before task 10.
+        let mut g = TaskGraph::new();
+        for _ in 0..100 {
+            g.add_task(desc("t"), [(0u64, AccessMode::InOut)]);
+        }
+        let sources: Vec<TaskId> = (10..100).map(TaskId).collect();
+        let r = Reachability::over(&g, &sources);
+        for i in 10..100 {
+            for j in 0..100 {
+                assert_eq!(r.reaches(TaskId(i), TaskId(j)), i < j, "{i} -> {j}");
+            }
+        }
+        assert!(!r.reaches(TaskId(3), TaskId(50)), "3 was not a source");
+        assert!(!r.reaches(TaskId(10), TaskId(100)), "out of range");
     }
 }

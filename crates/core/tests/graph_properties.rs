@@ -157,7 +157,9 @@ proptest! {
     /// bulk-appended, with duplicate declarations), completions,
     /// failures and rollbacks, `live_regions()` is exactly the regions a
     /// from-scratch pass finds live, in first-declaration order, and
-    /// `live_region_count()` is its length.
+    /// `live_region_count()` is its length. Every task a submission adds
+    /// depends only on earlier ids, so id order stays an execution order
+    /// (what the static analyzer's single pass relies on).
     #[test]
     fn live_regions_match_a_naive_recompute(
         initial in graph_strategy(),
@@ -167,6 +169,15 @@ proptest! {
         let mut snapshot = g.frontier();
         for op in &ops {
             apply(&mut g, op, &mut snapshot);
+            let submits = matches!(
+                op,
+                Op::Submit(_) | Op::SubmitWithDeps(..) | Op::SubmitDuplicated(_) | Op::Build(_)
+            );
+            for id in (0..g.len() as u64).filter(|_| submits).map(TaskId) {
+                for &p in g.predecessors(id).unwrap() {
+                    prop_assert!(p < id, "after {op:?}: predecessor {p} of {id} is not earlier");
+                }
+            }
             let (got, want) = (g.live_regions().collect::<Vec<_>>(), naive_live(&g));
             prop_assert!(got == want, "after {op:?}: live {got:?}, naive {want:?}");
             prop_assert_eq!(g.live_region_count(), want.len());

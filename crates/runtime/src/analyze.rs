@@ -46,8 +46,17 @@
 //!   sizes that silently price live regions at zero bytes are warned
 //!   about.
 //!
-//! A malformed edge set (dependence cycle) short-circuits every lint
-//! into a single [`LintId::GraphCycle`] error naming the cycle path.
+//! Every dependence edge points from an earlier submission to a later
+//! one, so submission order is an execution order and each lint is one
+//! scan in id order. The scans are a fold: the analysis state keeps each
+//! lint's scan state and findings, and extending it visits only the
+//! tasks submitted since. Race, flow and checkpoint verdicts for a task
+//! read only the tasks up to it, so they fold from the suffix;
+//! feasibility reads the fleet, so a moved fleet epoch drops its
+//! findings and re-folds them over the whole graph, at O(classes) per
+//! task. [`Runtime::analyze`] folds a fresh state from task 0, and an
+//! analysed runtime extends its own state at every `run` / `step` entry,
+//! so a streamed graph costs the same per task as one submitted whole.
 //!
 //! [`SecurityLevel`]: legato_core::requirements::SecurityLevel
 //! [`TaskGraph`]: legato_core::graph::TaskGraph
@@ -57,13 +66,13 @@
 //! [`RuntimeError::DeferralExpired`]: crate::error::RuntimeError::DeferralExpired
 //! [`Runtime::analyze`]: crate::runtime::Runtime::analyze
 
-use std::collections::HashMap;
 use std::fmt;
 
 use legato_core::graph::TaskGraph;
 use legato_core::reach::{has_direct_edge, Reachability};
 use legato_core::requirements::SecurityLevel;
-use legato_core::task::{RegionId, TaskId};
+use legato_core::task::{AccessMode, RegionId, TaskId};
+use legato_core::units::Watt;
 use serde::{Deserialize, Serialize};
 
 use crate::churn::{ChurnEventKind, ChurnState};
@@ -94,12 +103,6 @@ pub enum LintId {
     PlacementFeasibility,
     /// Live regions a checkpoint would price at zero bytes.
     CheckpointClosure,
-    /// The dependence edge set contains a cycle (not a lint pass — a
-    /// structural precondition every pass needs; reported when
-    /// [`TaskGraph::try_topological_order`] fails).
-    ///
-    /// [`TaskGraph::try_topological_order`]: legato_core::graph::TaskGraph::try_topological_order
-    GraphCycle,
 }
 
 impl LintId {
@@ -112,7 +115,6 @@ impl LintId {
             LintId::ConfidentialFlow => "confidential-flow",
             LintId::PlacementFeasibility => "placement-feasibility",
             LintId::CheckpointClosure => "checkpoint-closure",
-            LintId::GraphCycle => "graph-cycle",
         }
     }
 }
@@ -129,9 +131,9 @@ pub struct Diagnostic {
     pub tasks: Vec<TaskId>,
     /// The witness regions, when the finding is about data.
     pub regions: Vec<RegionId>,
-    /// Evidence: a happens-before / dataflow path or a cycle, task by
-    /// task. Empty when the evidence is the *absence* of a path (a
-    /// race counterexample) or fleet-level (feasibility).
+    /// Evidence: a dataflow path, task by task. Empty when the evidence
+    /// is the *absence* of a path (a race counterexample) or fleet-level
+    /// (feasibility).
     pub path: Vec<TaskId>,
     /// Human-readable explanation.
     pub message: String,
@@ -265,7 +267,8 @@ pub(crate) struct AnalysisContext<'a> {
     /// (operating-point derating already applied) and its eligibility
     /// rule.
     pub(crate) classes: &'a SpecClasses,
-    /// The churn layer's availability mask and trace, when churn is on.
+    /// The churn layer's availability mask, trace and fleet epoch, when
+    /// churn is on.
     pub(crate) churn: Option<&'a ChurnState>,
     /// The active Pareto objective, if any.
     pub(crate) objective: Option<EnergyObjective>,
@@ -275,158 +278,239 @@ pub(crate) struct AnalysisContext<'a> {
     pub(crate) region_sizes: Option<&'a RegionSizes>,
 }
 
-/// Run every lint over a context.
-///
-/// A dependence cycle short-circuits: the report carries a single
-/// [`LintId::GraphCycle`] error naming the cycle path and no lint pass
-/// runs (none of them is meaningful on a non-DAG).
-pub(crate) fn run_lints(cx: &AnalysisContext<'_>) -> AnalysisReport {
-    let mut report = AnalysisReport {
-        tasks_analyzed: cx.graph.len(),
-        ..AnalysisReport::default()
-    };
-    if let Err(cycle) = cx.graph.try_topological_order() {
-        report.diagnostics.push(Diagnostic {
-            lint: LintId::GraphCycle,
-            severity: Severity::Error,
-            tasks: cycle.clone(),
-            regions: Vec::new(),
-            message: format!(
-                "dependence edges form a cycle through {} task(s) starting at {}; \
-                 no execution order exists",
-                cycle.len(),
-                cycle[0]
-            ),
-            path: cycle,
-        });
-        return report;
-    }
-    let out = &mut report.diagnostics;
-    region_race(cx, out);
-    confidential_flow(cx, out);
-    placement_feasibility(cx, out);
-    checkpoint_closure(cx, out);
-    report
+/// The analyzer as a fold over the graph in id order: each lint's scan
+/// state and its findings over the first `analyzed_len` tasks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AnalysisState {
+    pub(crate) config: AnalysisConfig,
+    /// Tasks folded so far.
+    analyzed_len: usize,
+    race: RaceScan,
+    flow: FlowScan,
+    /// `None` before the first fold; rebuilt when the fleet epoch moves.
+    feasibility: Option<FeasibilityScan>,
+    checkpoint: CheckpointScan,
+    /// Tasks folded per lint, indexed by `LintId as usize`.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) visits: [usize; 4],
 }
 
-/// Per-region accessor scan state shared by the race lint.
+/// The race lint's scan state: per region slot, the last writer and the
+/// readers since it.
+#[derive(Debug, Clone, Default)]
+struct RaceScan {
+    windows: Vec<RegionWindow>,
+    found: Vec<Diagnostic>,
+}
+
+#[derive(Debug, Clone, Default)]
 struct RegionWindow {
     last_writer: Option<TaskId>,
     readers: Vec<TaskId>,
 }
 
-/// The region race detector.
-///
-/// Task ids ascend along every dependence edge, so id order is a
-/// topological order and any happens-before path between two
-/// conflicting accessors can only run from the smaller id to the
-/// larger. Scanning each region's accessors in id order therefore
-/// reduces race freedom to ordering each access against the *window* of
-/// the last writer and the readers since it — `O(accesses)` pairs in
-/// total, each resolved by a direct-edge probe first and the bitset
-/// closure only for the leftovers.
-fn region_race(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-    let g = cx.graph;
-    // (earlier, later, region, later-writes): ordering obligations.
-    let mut pairs: Vec<(TaskId, TaskId, RegionId, bool)> = Vec::new();
-    let mut windows: HashMap<RegionId, RegionWindow> = HashMap::new();
-    for i in 0..g.len() {
-        let t = TaskId(i as u64);
-        for &(region, mode) in g.accesses(t).expect("id in range") {
-            let w = windows.entry(region).or_insert(RegionWindow {
-                last_writer: None,
-                readers: Vec::new(),
-            });
-            if mode.writes() {
-                if let Some(prev) = w.last_writer {
-                    pairs.push((prev, t, region, true));
-                }
-                // A write also conflicts with every read since the
-                // last write (WAR) — unless this task is itself one
-                // of those readers (InOut reads and writes).
-                for &r in w.readers.iter().filter(|&&r| r != t) {
-                    pairs.push((r, t, region, true));
-                }
-                w.last_writer = Some(t);
-                w.readers.clear();
-            }
-            if mode.reads() && !mode.writes() {
-                if let Some(prev) = w.last_writer {
-                    pairs.push((prev, t, region, false));
-                }
-                w.readers.push(t);
-            }
-        }
-    }
-    // Phase 1: direct dependence edges witness the ordering for free
-    // (every pair on an inference-built graph resolves here).
-    pairs.retain(|&(a, b, _, _)| !has_direct_edge(g, a, b));
-    if pairs.is_empty() {
-        return;
-    }
-    // Phase 2: transitive closure over only the unresolved earlier
-    // tasks.
-    let sources: Vec<TaskId> = pairs.iter().map(|&(a, _, _, _)| a).collect();
-    let reach = Reachability::over(g, &sources).expect("cycle precondition checked by runner");
-    for (a, b, region, later_writes) in pairs {
-        if reach.reaches(a, b) {
-            continue;
-        }
-        let verb = if later_writes {
-            "write the same region"
-        } else {
-            "write and read the same region"
-        };
-        out.push(Diagnostic {
-            lint: LintId::RegionRace,
-            severity: Severity::Error,
-            tasks: vec![a, b],
-            regions: vec![region],
-            path: Vec::new(),
-            message: format!(
-                "{a} and {b} {verb} {region:?} with no happens-before path between \
-                 them; their execution order (and the region's final value) is \
-                 nondeterministic"
-            ),
-        });
-    }
+/// The flow lint's scan state.
+#[derive(Debug, Clone, Default)]
+struct FlowScan {
+    /// Provenance arena: (task, parent entry) — each tainted write
+    /// appends one node, so evidence paths reconstruct in O(path).
+    prov: Vec<(TaskId, Option<usize>)>,
+    /// Per region slot: the taint its current contents carry.
+    taints: Vec<Option<Taint>>,
+    found: Vec<Diagnostic>,
+    /// Error-severity findings among `found`.
+    errors: usize,
 }
 
 /// Taint of one region: the confidentiality level its current contents
 /// carry and a link into the provenance chain that produced them.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Taint {
     level: SecurityLevel,
     prov: usize,
 }
 
-/// The confidentiality flow check.
-///
-/// Walks tasks in dataflow (id) order, propagating each region's taint:
-/// a task's *effective* level is the join of its own declared level and
-/// the taints of everything it reads, and every region it writes takes
-/// that effective level. A reader whose declared level sits strictly
-/// below the taint of a region it reads is flagged, with the writer
-/// chain from the original confidential producer as the evidence path —
-/// the static mirror of the engine's seal-on-cross-device contract.
-fn confidential_flow(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-    let g = cx.graph;
-    // Provenance arena: (task, parent entry) — each tainted write
-    // appends one node, so evidence paths reconstruct in O(path).
-    let mut prov: Vec<(TaskId, Option<usize>)> = Vec::new();
-    let mut taints: HashMap<RegionId, Taint> = HashMap::new();
-    for i in 0..g.len() {
-        let t = TaskId(i as u64);
-        let own = g.descriptor(t).expect("id in range").requirements.security;
-        // Join of the input taints (and the strongest one's
-        // provenance, for the evidence chain).
-        let mut in_level = SecurityLevel::Public;
-        let mut in_prov = None;
-        for &(region, mode) in g.accesses(t).expect("id in range") {
-            let Some(&taint) = taints.get(&region) else {
+/// The feasibility lint's state, valid for one fleet epoch.
+#[derive(Debug, Clone)]
+struct FeasibilityScan {
+    epoch: u64,
+    churn: bool,
+    cap: Option<Watt>,
+    /// Per class: the devices placements may target now.
+    live: Vec<usize>,
+    /// Per security level: the eligible devices, how many of them draw
+    /// within the cap, and whether an arrival in the churn trace may
+    /// host the level.
+    pool: [(usize, usize, bool); classes::LEVELS.len()],
+    found: Vec<Diagnostic>,
+    capped: Vec<TaskId>,
+    deferred: Vec<TaskId>,
+    stranded: Vec<TaskId>,
+}
+
+/// The checkpoint lint's scan state.
+#[derive(Debug, Clone, Default)]
+struct CheckpointScan {
+    /// Per slot: whether an earlier task wrote the region, and whether
+    /// it is already reported.
+    written: Vec<bool>,
+    reported: Vec<bool>,
+    undeclared: Vec<RegionId>,
+}
+
+impl AnalysisState {
+    pub(crate) fn new(config: AnalysisConfig) -> Self {
+        AnalysisState {
+            config,
+            ..AnalysisState::default()
+        }
+    }
+
+    /// Fold the tasks submitted since the last call (every task, on a
+    /// fresh state).
+    pub(crate) fn extend(&mut self, cx: &AnalysisContext<'_>) {
+        let from = self.analyzed_len;
+        self.region_race(cx.graph, from);
+        self.confidential_flow(cx.graph, from);
+        self.placement_feasibility(cx, from);
+        self.checkpoint_closure(cx, from);
+        self.analyzed_len = cx.graph.len();
+    }
+
+    /// Whether the report holds an error, without assembling it: every
+    /// race is one, and feasibility's only one is the stranded task list.
+    pub(crate) fn has_errors(&self) -> bool {
+        !self.race.found.is_empty()
+            || self.flow.errors > 0
+            || self
+                .feasibility
+                .as_ref()
+                .is_some_and(|f| !f.stranded.is_empty())
+    }
+
+    /// The report over the folded tasks, in lint order then discovery
+    /// order, each lint's aggregates last; `None` before the first fold.
+    pub(crate) fn report(&self) -> Option<AnalysisReport> {
+        let feasibility = self.feasibility.as_ref()?;
+        let mut diagnostics: Vec<Diagnostic> =
+            [&self.race.found, &self.flow.found, &feasibility.found]
+                .into_iter()
+                .flatten()
+                .cloned()
+                .collect();
+        feasibility.aggregate(&mut diagnostics);
+        self.checkpoint.aggregate(&mut diagnostics);
+        Some(AnalysisReport {
+            diagnostics,
+            tasks_analyzed: self.analyzed_len,
+        })
+    }
+
+    /// The region race detector.
+    ///
+    /// Task ids ascend along every dependence edge, so any
+    /// happens-before path between two conflicting accessors can only
+    /// run from the smaller id to the larger. Scanning each region's
+    /// accessors in id order therefore reduces race freedom to ordering
+    /// each access against the *window* of the last writer and the
+    /// readers since it — `O(accesses)` pairs in total, each resolved by
+    /// a direct-edge probe first and the bitset closure only for the
+    /// leftovers.
+    fn region_race(&mut self, g: &TaskGraph, from: usize) {
+        // (earlier, later, region, later-writes): ordering obligations.
+        let mut pairs: Vec<(TaskId, TaskId, RegionId, bool)> = Vec::new();
+        let windows = &mut self.race.windows;
+        windows.resize_with(g.regions().len(), RegionWindow::default);
+        for i in from..g.len() {
+            self.visits[LintId::RegionRace as usize] += 1;
+            let t = TaskId(i as u64);
+            for (region, mode, slot) in declarations(g, t) {
+                let w = &mut windows[slot];
+                if mode.writes() {
+                    if let Some(prev) = w.last_writer {
+                        pairs.push((prev, t, region, true));
+                    }
+                    // A write also conflicts with every read since the
+                    // last write (WAR) — unless this task is itself one
+                    // of those readers (InOut reads and writes).
+                    for &r in w.readers.iter().filter(|&&r| r != t) {
+                        pairs.push((r, t, region, true));
+                    }
+                    w.last_writer = Some(t);
+                    w.readers.clear();
+                }
+                if mode.reads() && !mode.writes() {
+                    if let Some(prev) = w.last_writer {
+                        pairs.push((prev, t, region, false));
+                    }
+                    w.readers.push(t);
+                }
+            }
+        }
+        // Phase 1: direct dependence edges witness the ordering for free
+        // (every pair on an inference-built graph resolves here).
+        pairs.retain(|&(a, b, _, _)| !has_direct_edge(g, a, b));
+        if pairs.is_empty() {
+            return;
+        }
+        // Phase 2: transitive closure over only the unresolved earlier
+        // tasks.
+        let sources: Vec<TaskId> = pairs.iter().map(|&(a, _, _, _)| a).collect();
+        let reach = Reachability::over(g, &sources);
+        for (a, b, region, later_writes) in pairs {
+            if reach.reaches(a, b) {
                 continue;
+            }
+            let verb = if later_writes {
+                "write the same region"
+            } else {
+                "write and read the same region"
             };
-            if mode.reads() {
+            self.race.found.push(Diagnostic {
+                lint: LintId::RegionRace,
+                severity: Severity::Error,
+                tasks: vec![a, b],
+                regions: vec![region],
+                path: Vec::new(),
+                message: format!(
+                    "{a} and {b} {verb} {region:?} with no happens-before path between \
+                     them; their execution order (and the region's final value) is \
+                     nondeterministic"
+                ),
+            });
+        }
+    }
+
+    /// The confidentiality flow check.
+    ///
+    /// Walks tasks in dataflow (id) order, propagating each region's
+    /// taint: a task's *effective* level is the join of its own declared
+    /// level and the taints of everything it reads, and every region it
+    /// writes takes that effective level. A reader whose declared level
+    /// sits strictly below the taint of a region it reads is flagged,
+    /// with the writer chain from the original confidential producer as
+    /// the evidence path — the static mirror of the engine's
+    /// seal-on-cross-device contract.
+    fn confidential_flow(&mut self, g: &TaskGraph, from: usize) {
+        let FlowScan {
+            prov,
+            taints,
+            found,
+            errors,
+        } = &mut self.flow;
+        taints.resize(g.regions().len(), None);
+        for i in from..g.len() {
+            self.visits[LintId::ConfidentialFlow as usize] += 1;
+            let t = TaskId(i as u64);
+            let own = g.descriptor(t).expect("id in range").requirements.security;
+            // Join of the input taints (and the strongest one's
+            // provenance, for the evidence chain).
+            let mut in_level = SecurityLevel::Public;
+            let mut in_prov = None;
+            for (region, mode, slot) in declarations(g, t) {
+                let Some(taint) = taints[slot].filter(|_| mode.reads()) else {
+                    continue;
+                };
                 if taint.level > own {
                     let mut path: Vec<TaskId> = Vec::new();
                     let mut at = Some(taint.prov);
@@ -438,6 +522,7 @@ fn confidential_flow(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
                     let origin = path[0];
                     path.push(t);
                     let (severity, consequence) = if taint.level == SecurityLevel::Enclave {
+                        *errors += 1;
                         (
                             Severity::Error,
                             "enclave-only data must not flow below its level",
@@ -449,7 +534,7 @@ fn confidential_flow(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
                              ciphertext it has no business unsealing",
                         )
                     };
-                    out.push(Diagnostic {
+                    found.push(Diagnostic {
                         lint: LintId::ConfidentialFlow,
                         severity,
                         tasks: vec![origin, t],
@@ -467,152 +552,235 @@ fn confidential_flow(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
                     in_prov = Some(taint.prov);
                 }
             }
-        }
-        let effective = own.max(in_level);
-        if effective == SecurityLevel::Public {
-            // Public writes overwrite any stale taint.
-            for &(region, mode) in g.accesses(t).expect("id in range") {
+            // A public write overwrites any stale taint.
+            let effective = own.max(in_level);
+            let written = (effective != SecurityLevel::Public).then(|| {
+                prov.push((t, if in_level >= own { in_prov } else { None }));
+                Taint {
+                    level: effective,
+                    prov: prov.len() - 1,
+                }
+            });
+            for (_, mode, slot) in declarations(g, t) {
                 if mode.writes() {
-                    taints.remove(&region);
+                    taints[slot] = written;
                 }
             }
-            continue;
         }
-        let entry = prov.len();
-        let parent = if in_level >= own { in_prov } else { None };
-        prov.push((t, parent));
-        for &(region, mode) in g.accesses(t).expect("id in range") {
-            if mode.writes() {
-                taints.insert(
-                    region,
-                    Taint {
-                        level: effective,
-                        prov: entry,
-                    },
-                );
+    }
+
+    /// The placement feasibility check, per spec class: eligibility is
+    /// the engine's own ([`SpecClasses::admits`],
+    /// [`SpecClasses::eligible_devices`]), so a task costs O(classes),
+    /// and every finding names the engine outcome it predicts. Its
+    /// verdicts hold for one fleet: a moved epoch re-folds from task 0.
+    fn placement_feasibility(&mut self, cx: &AnalysisContext<'_>, from: usize) {
+        use EnergyObjective::MinEnergyWithinMakespan;
+        let (g, classes) = (cx.graph, cx.classes);
+        let epoch = cx.churn.map_or(0, |c| c.epoch);
+        let (f, from) = match &mut self.feasibility {
+            Some(f) if f.epoch == epoch => (f, from),
+            slot => (slot.insert(FeasibilityScan::new(cx, epoch)), 0),
+        };
+        for i in from..g.len() {
+            self.visits[LintId::PlacementFeasibility as usize] += 1;
+            let t = TaskId(i as u64);
+            let d = g.descriptor(t).expect("id in range");
+            let level = d.requirements.security;
+            let (eligible, under_cap, arrives) = f.pool[level as usize];
+            // Tasks no available device may host: parked until an
+            // arrival that can, or failed (NoSecurePlacement /
+            // DeferralExpired).
+            if eligible == 0 {
+                if arrives {
+                    f.deferred.push(t);
+                } else {
+                    f.stranded.push(t);
+                }
+                continue;
+            }
+            let wanted = d.requirements.criticality.replica_count();
+            if wanted > eligible {
+                f.found.push(finding(
+                    Severity::Warn,
+                    vec![t],
+                    format!(
+                        "{t} wants {wanted} replicas but only {eligible} device(s) may host \
+                         it; its replica set will shrink to {eligible}"
+                    ),
+                ));
+            }
+            // The engine relaxes the cap when fewer candidates draw
+            // within it than replicas it places.
+            if under_cap < wanted.min(eligible) {
+                f.capped.push(t);
+            }
+            // Every candidate finishes no earlier than the task's
+            // duration on its class, so a bound below the fastest
+            // eligible class's duration relaxes every placement.
+            if let Some(MinEnergyWithinMakespan(bound)) = cx.objective {
+                let fastest = (0..f.live.len())
+                    .filter(|&c| f.live[c] > 0 && classes.admits(c, level))
+                    .map(|c| classes.spec(c).time_for(d.work, d.kind).0)
+                    .fold(f64::INFINITY, f64::min);
+                if fastest > bound.0 {
+                    f.found.push(finding(
+                        Severity::Warn,
+                        vec![t],
+                        format!(
+                            "{t} needs at least {fastest:.3}s on the fastest device it may \
+                             use, over the {bound} makespan bound; the bound will be relaxed"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// The checkpoint-closure check (active only with a resilience
+    /// configuration). The frontier the engine checkpoints is the
+    /// completed set, closed under dependences whatever the graph; the
+    /// lint is about what that frontier is priced at.
+    ///
+    /// Partially declared region sizes: regions that can be live at a
+    /// checkpoint (written by one task, read by a later one) but missing
+    /// from the declaration are silently priced at zero. An entirely
+    /// empty map means volume accounting is off by choice — only a
+    /// *partial* declaration is suspicious.
+    fn checkpoint_closure(&mut self, cx: &AnalysisContext<'_>, from: usize) {
+        let Some(sizes) = cx.region_sizes.filter(|s| !s.is_empty()) else {
+            return;
+        };
+        let g = cx.graph;
+        let CheckpointScan {
+            written,
+            reported,
+            undeclared,
+        } = &mut self.checkpoint;
+        written.resize(g.regions().len(), false);
+        reported.resize(g.regions().len(), false);
+        for i in from..g.len() {
+            self.visits[LintId::CheckpointClosure as usize] += 1;
+            for (region, mode, s) in declarations(g, TaskId(i as u64)) {
+                if mode.reads() && written[s] && !reported[s] && !sizes.contains_key(&region) {
+                    reported[s] = true;
+                    undeclared.push(region);
+                }
+                written[s] |= mode.writes();
             }
         }
     }
 }
 
-/// The placement feasibility check, per spec class: eligibility is the
-/// engine's own ([`SpecClasses::admits`],
-/// [`SpecClasses::eligible_devices`]), so a task costs O(classes), and
-/// every finding names the engine outcome it predicts.
-fn placement_feasibility(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-    use EnergyObjective::{MinEnergyWithinMakespan, MinMakespanUnderPowerCap};
-    let (g, classes) = (cx.graph, cx.classes);
-    let avail = cx.churn.map(|c| c.available.as_slice());
-    // Per class: the devices placements may target now.
-    let mut live = vec![0usize; classes.tees().len()];
-    for (d, &c) in classes.class_of_slice().iter().enumerate() {
-        live[c as usize] += usize::from(avail.is_none_or(|a| a[d]));
-    }
-    let cap = match cx.objective {
-        Some(MinMakespanUnderPowerCap(cap)) => Some(cap),
-        _ => None,
-    };
-    // Per security level: the eligible devices, how many of them draw
-    // within the cap, and whether an arrival in the churn trace may
-    // host the level.
-    let pool = classes::LEVELS.map(|level| {
-        let eligible = classes.eligible_devices(level, avail);
-        let under_cap = cap.map_or(eligible, |cap| {
-            (0..live.len())
-                .filter(|&c| classes.admits(c, level) && classes.spec(c).busy_power <= cap)
-                .map(|c| live[c])
-                .sum()
-        });
-        let arrives = cx.churn.is_some_and(|churn| {
-            churn.config.trace.events().iter().any(|e| {
-                matches!(&e.kind, ChurnEventKind::Arrival { spec, .. }
-                    if classes::admits(spec.tee, level))
-            })
-        });
-        (eligible, under_cap, arrives)
-    });
-    // Tasks no available device may host: parked until an arrival that
-    // can, or failed (NoSecurePlacement / DeferralExpired).
-    let (mut deferred, mut stranded, mut capped) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..g.len() {
-        let t = TaskId(i as u64);
-        let d = g.descriptor(t).expect("id in range");
-        let level = d.requirements.security;
-        let (eligible, under_cap, arrives) = pool[level as usize];
-        if eligible == 0 {
-            if arrives {
-                deferred.push(t);
-            } else {
-                stranded.push(t);
-            }
-            continue;
+impl FeasibilityScan {
+    /// The per-class and per-level tables for the fleet as it stands.
+    fn new(cx: &AnalysisContext<'_>, epoch: u64) -> Self {
+        let classes = cx.classes;
+        let avail = cx.churn.map(|c| c.available.as_slice());
+        let mut live = vec![0usize; classes.tees().len()];
+        for (d, &c) in classes.class_of_slice().iter().enumerate() {
+            live[c as usize] += usize::from(avail.is_none_or(|a| a[d]));
         }
-        let wanted = d.requirements.criticality.replica_count();
-        if wanted > eligible {
-            out.push(finding(
+        let cap = match cx.objective {
+            Some(EnergyObjective::MinMakespanUnderPowerCap(cap)) => Some(cap),
+            _ => None,
+        };
+        let pool = classes::LEVELS.map(|level| {
+            let eligible = classes.eligible_devices(level, avail);
+            let under_cap = cap.map_or(eligible, |cap| {
+                (0..live.len())
+                    .filter(|&c| classes.admits(c, level) && classes.spec(c).busy_power <= cap)
+                    .map(|c| live[c])
+                    .sum()
+            });
+            let arrives = cx.churn.is_some_and(|churn| {
+                churn.config.trace.events().iter().any(|e| {
+                    matches!(&e.kind, ChurnEventKind::Arrival { spec, .. }
+                        if classes::admits(spec.tee, level))
+                })
+            });
+            (eligible, under_cap, arrives)
+        });
+        FeasibilityScan {
+            epoch,
+            churn: cx.churn.is_some(),
+            cap,
+            live,
+            pool,
+            found: Vec::new(),
+            capped: Vec::new(),
+            deferred: Vec::new(),
+            stranded: Vec::new(),
+        }
+    }
+
+    /// One finding per task list: capped, deferred, stranded.
+    fn aggregate(&self, out: &mut Vec<Diagnostic>) {
+        let mut aggregate = |tasks: &[TaskId], severity: Severity, fate: &str| {
+            if let Some(&first) = tasks.first() {
+                let message = format!("{} task(s) (first: {first}) {fate}", tasks.len());
+                out.push(finding(severity, tasks.to_vec(), message));
+            }
+        };
+        if let Some(cap) = self.cap {
+            aggregate(
+                &self.capped,
                 Severity::Warn,
-                vec![t],
-                format!(
-                    "{t} wants {wanted} replicas but only {eligible} device(s) may host \
-                     it; its replica set will shrink to {eligible}"
+                &format!(
+                    "have fewer eligible devices under the {cap} power cap than replicas to \
+                     place; each placement will relax the cap"
                 ),
-            ));
+            );
         }
-        // The engine relaxes the cap when fewer candidates draw within
-        // it than replicas it places.
-        if under_cap < wanted.min(eligible) {
-            capped.push(t);
-        }
-        // Every candidate finishes no earlier than the task's duration
-        // on its class, so a bound below the fastest eligible class's
-        // duration relaxes every placement.
-        if let Some(MinEnergyWithinMakespan(bound)) = cx.objective {
-            let fastest = (0..live.len())
-                .filter(|&c| live[c] > 0 && classes.admits(c, level))
-                .map(|c| classes.spec(c).time_for(d.work, d.kind).0)
-                .fold(f64::INFINITY, f64::min);
-            if fastest > bound.0 {
-                out.push(finding(
-                    Severity::Warn,
-                    vec![t],
-                    format!(
-                        "{t} needs at least {fastest:.3}s on the fastest device it may \
-                         use, over the {bound} makespan bound; the bound will be relaxed"
-                    ),
-                ));
-            }
-        }
-    }
-    let mut aggregate = |tasks: Vec<TaskId>, severity: Severity, fate: &str| {
-        if let Some(&first) = tasks.first() {
-            let message = format!("{} task(s) (first: {first}) {fate}", tasks.len());
-            out.push(finding(severity, tasks, message));
-        }
-    };
-    if let Some(cap) = cap {
         aggregate(
-            capped,
+            &self.deferred,
             Severity::Warn,
-            &format!(
-                "have fewer eligible devices under the {cap} power cap than replicas to \
-                 place; each placement will relax the cap"
-            ),
+            "have no available device that may host them; each will defer until an \
+             arrival in the churn trace can",
         );
+        let fate = if self.churn {
+            "have no available device that may host them, and no arrival in the churn \
+             trace can; each deferral would expire with DeferralExpired"
+        } else {
+            "have no device that may host them (enclave-only tasks need a TEE); every \
+             one would fail with NoSecurePlacement at dispatch"
+        };
+        aggregate(&self.stranded, Severity::Error, fate);
     }
-    aggregate(
-        deferred,
-        Severity::Warn,
-        "have no available device that may host them; each will defer until an \
-         arrival in the churn trace can",
-    );
-    let fate = if cx.churn.is_some() {
-        "have no available device that may host them, and no arrival in the churn \
-         trace can; each deferral would expire with DeferralExpired"
-    } else {
-        "have no device that may host them (enclave-only tasks need a TEE); every \
-         one would fail with NoSecurePlacement at dispatch"
-    };
-    aggregate(stranded, Severity::Error, fate);
+}
+
+impl CheckpointScan {
+    /// One finding naming every undeclared live region.
+    fn aggregate(&self, out: &mut Vec<Diagnostic>) {
+        let Some(&first) = self.undeclared.first() else {
+            return;
+        };
+        out.push(Diagnostic {
+            lint: LintId::CheckpointClosure,
+            severity: Severity::Warn,
+            tasks: Vec::new(),
+            message: format!(
+                "{} region(s) (first: {first:?}) can be live at a checkpoint but have \
+                 no declared size; their checkpoint volume is priced as zero bytes",
+                self.undeclared.len()
+            ),
+            regions: self.undeclared.clone(),
+            path: Vec::new(),
+        });
+    }
+}
+
+/// Task `t`'s declarations, each beside its region slot.
+fn declarations(
+    g: &TaskGraph,
+    t: TaskId,
+) -> impl Iterator<Item = (RegionId, AccessMode, usize)> + '_ {
+    let slots = g.access_slots(t).expect("id in range");
+    g.accesses(t)
+        .expect("id in range")
+        .iter()
+        .zip(slots)
+        .map(|(&(region, mode), &slot)| (region, mode, slot as usize))
 }
 
 /// A placement-feasibility finding about `tasks`.
@@ -627,106 +795,35 @@ fn finding(severity: Severity, tasks: Vec<TaskId>, message: String) -> Diagnosti
     }
 }
 
-/// The checkpoint-closure check (active only with a resilience
-/// configuration). The frontier the engine checkpoints is the completed
-/// set, closed under dependences whatever the graph; the lint is about
-/// what that frontier is priced at.
-///
-/// Partially declared region sizes: regions that can be live at a
-/// checkpoint (written by one task, read by a later one) but missing
-/// from the declaration are silently priced at zero. An entirely empty
-/// map means volume accounting is off by choice — only a *partial*
-/// declaration is suspicious.
-fn checkpoint_closure(cx: &AnalysisContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(sizes) = cx.region_sizes.filter(|s| !s.is_empty()) else {
-        return;
-    };
-    let g = cx.graph;
-    // Per slot: whether an earlier task wrote the region, and whether it
-    // is already reported.
-    let mut written = vec![false; g.regions().len()];
-    let mut reported = written.clone();
-    let mut undeclared: Vec<RegionId> = Vec::new();
-    for i in 0..g.len() {
-        let t = TaskId(i as u64);
-        let slots = g.access_slots(t).expect("id in range");
-        for (&(region, mode), &slot) in g.accesses(t).expect("id in range").iter().zip(slots) {
-            let s = slot as usize;
-            if mode.reads() && written[s] && !reported[s] && !sizes.contains_key(&region) {
-                reported[s] = true;
-                undeclared.push(region);
-            }
-            written[s] |= mode.writes();
-        }
-    }
-    if !undeclared.is_empty() {
-        let n = undeclared.len();
-        out.push(Diagnostic {
-            lint: LintId::CheckpointClosure,
-            severity: Severity::Warn,
-            tasks: Vec::new(),
-            message: format!(
-                "{n} region(s) (first: {:?}) can be live at a checkpoint but have \
-                 no declared size; their checkpoint volume is priced as zero bytes",
-                undeclared[0]
-            ),
-            regions: undeclared,
-            path: Vec::new(),
-        });
-    }
-}
-
-/// Per-runtime analysis state: the configuration plus memoization of the
-/// last pass, so streaming submission re-analyzes only when the graph
-/// has grown — or the fleet has changed.
-#[derive(Debug, Clone)]
-pub(crate) struct AnalysisState {
-    pub(crate) config: AnalysisConfig,
-    /// Graph length at the last pass; a longer graph re-triggers.
-    pub(crate) analyzed_len: usize,
-    /// Fleet epoch at the last pass (churn bumps the epoch on every
-    /// arrival and departure). Lint verdicts — placement feasibility in
-    /// particular — are computed against a concrete fleet, so a grown or
-    /// shrunk fleet must re-lint before the next dispatch; a memo keyed
-    /// on graph length alone would keep serving stale verdicts.
-    pub(crate) analyzed_epoch: u64,
-    /// The last pass's report (attached to `RunReport`).
-    pub(crate) report: Option<AnalysisReport>,
-}
-
-impl AnalysisState {
-    pub(crate) fn new(config: AnalysisConfig) -> Self {
-        AnalysisState {
-            config,
-            analyzed_len: 0,
-            analyzed_epoch: 0,
-            report: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::{ChurnConfig, ChurnEvent, ChurnTrace};
     use crate::config::EngineConfig;
     use crate::energy::EnergyConfig;
+    use crate::runtime::Runtime;
+    use crate::scheduler::Policy;
     use legato_core::graph::TaskGraph;
     use legato_core::requirements::{Criticality, Requirements};
-    use legato_core::task::{AccessMode, TaskDescriptor, Work};
-    use legato_core::units::{Bytes, Seconds, Watt};
+    use legato_core::task::{TaskDescriptor, Work};
+    use legato_core::units::{Bytes, Seconds};
     use legato_hw::device::{Device, DeviceId, DeviceSpec};
+    use legato_workloads::fleets;
+    use std::collections::HashMap;
 
     /// Lint `graph` on a one-device fleet, with `region_sizes` declared
     /// when resilience would price checkpoints with them.
     fn lint(graph: &TaskGraph, region_sizes: Option<&RegionSizes>) -> AnalysisReport {
         let classes = SpecClasses::new(&[Device::new(DeviceId(0), DeviceSpec::xeon_x86())]);
-        run_lints(&AnalysisContext {
+        let mut state = AnalysisState::default();
+        state.extend(&AnalysisContext {
             graph,
             classes: &classes,
             churn: None,
             objective: None,
             region_sizes,
-        })
+        });
+        state.report().expect("folded once")
     }
 
     /// `Runtime::analyze` over `tasks` (each writing its own region) on
@@ -1098,6 +1195,63 @@ mod tests {
         assert_eq!(cks.len(), 1, "{report}");
         assert_eq!(cks[0].severity, Severity::Warn);
         assert_eq!(cks[0].regions, vec![RegionId(1)]);
+    }
+
+    // --- the fold ---
+
+    /// Stream `n` pairs of one `submit` and one `step` into `config`
+    /// (with analysis on), and return the tasks folded per lint plus
+    /// how many tasks had been folded when the fleet epoch moved.
+    fn stream(config: EngineConfig, n: usize) -> ([usize; 4], Option<usize>) {
+        let mut rt: Runtime = config
+            .with_devices(fleets::reference())
+            .with_policy(Policy::Performance)
+            .with_analysis(AnalysisConfig::new())
+            .build()
+            .expect("valid config");
+        let epoch = |rt: &Runtime| rt.churn.as_ref().map_or(0, |c| c.epoch);
+        let mut moved_at = None;
+        for i in 0..n {
+            rt.submit(
+                desc("t").with_work(Work::flops(1e9)),
+                [((i % 64) as u64, AccessMode::InOut)],
+            );
+            let before = epoch(&rt);
+            rt.step().expect("clean stream");
+            if epoch(&rt) != before {
+                assert!(moved_at.is_none(), "one fleet change expected");
+                moved_at = Some(rt.graph.len());
+            }
+        }
+        (rt.analysis.expect("analysis on").visits, moved_at)
+    }
+
+    #[test]
+    fn a_stream_folds_each_task_once_per_lint() {
+        let n = 4096;
+        // Checkpoint closure runs only with resilience on.
+        let (visits, _) = stream(EngineConfig::new(), n);
+        assert_eq!(visits, [n, n, n, 0]);
+    }
+
+    #[test]
+    fn a_fleet_change_refolds_feasibility_once() {
+        let n = 4096;
+        let arrival = ChurnEvent {
+            // The stream covers ~0.5 s of virtual time.
+            at: Seconds(0.25),
+            kind: ChurnEventKind::Arrival {
+                spec: DeviceSpec::xeon_x86(),
+                pool: None,
+                fault_prob: 0.0,
+            },
+        };
+        let churn = ChurnConfig::new(ChurnTrace::from_events(vec![arrival]));
+        let (visits, moved_at) = stream(EngineConfig::new().with_churn(churn), n);
+        let folded = moved_at.expect("the arrival lands inside the stream");
+        assert!(folded > 1 && folded < n, "{folded}");
+        // The next entry re-folds the tasks folded before the arrival.
+        assert_eq!(visits, [n, n, n + folded, 0]);
     }
 
     // --- report plumbing ---

@@ -46,6 +46,7 @@ use legato_core::units::{Bytes, Joule, Seconds};
 use legato_hw::device::{Device, DeviceId, DeviceSpec};
 use rand::Rng;
 
+use crate::analyze::{AnalysisMode, AnalysisState};
 use crate::churn::{ChurnEventKind, ChurnOp, DeferredTask, DepartureKind};
 use crate::error::RuntimeError;
 use crate::regions::slot_accesses;
@@ -791,7 +792,7 @@ impl Runtime {
                 .energy
                 .active
                 .then(|| self.energy.stats(busy_energy, idle_energy, makespan)),
-            analysis: self.analysis.as_ref().and_then(|s| s.report.clone()),
+            analysis: self.analysis.as_ref().and_then(AnalysisState::report),
             churn: self.churn.as_ref().map(|c| c.stats),
         }
     }
@@ -816,45 +817,25 @@ impl Runtime {
         self.engine.outcomes.get(task.index())?.as_ref()
     }
 
-    /// Run the static analyzer if it is configured and the graph has
-    /// grown since the last pass (streaming submission re-triggers). In
-    /// [`AnalysisMode::Enforce`](crate::analyze::AnalysisMode::Enforce)
-    /// error-severity findings refuse the run here — before any event is
-    /// dispatched; warn-only findings are memoized for
-    /// [`Runtime::report`].
+    /// Fold the tasks submitted since the last entry into the analysis
+    /// state, when analysis is configured. In [`AnalysisMode::Enforce`]
+    /// error-severity findings refuse the run here — before any event
+    /// is dispatched — and at every later entry while they stand.
     fn ensure_analyzed(&mut self) -> Result<(), RuntimeError> {
-        let Some(state) = &self.analysis else {
+        let Some(mut state) = self.analysis.take() else {
             return Ok(());
         };
-        // The memo binds to a *fleet* as well as a graph: placement
-        // feasibility verdicts are computed against the devices, so any
-        // churn (arrival or departure) invalidates them.
-        let fleet_epoch = self.churn.as_ref().map_or(0, |c| c.epoch);
-        if self.graph.len() <= state.analyzed_len && fleet_epoch == state.analyzed_epoch {
-            // The graph has not grown since the last pass — but the
-            // memoized verdict still binds: the graph is append-only, so
-            // a refused graph can never have become clean.
-            if state.config.mode == crate::analyze::AnalysisMode::Enforce {
-                if let Some(report) = &state.report {
-                    if report.has_errors() {
-                        return Err(RuntimeError::AnalysisFailed(Box::new(report.clone())));
-                    }
-                }
-            }
-            return Ok(());
-        }
-        // `analyze` borrows the runtime immutably, so compute first and
-        // write the memo back after.
-        let report = self.analyze();
-        let state = self.analysis.as_mut().expect("checked above");
-        state.analyzed_len = report.tasks_analyzed;
-        state.analyzed_epoch = fleet_epoch;
-        let enforce = state.config.mode == crate::analyze::AnalysisMode::Enforce;
-        state.report = Some(report.clone());
-        if enforce && report.has_errors() {
-            return Err(RuntimeError::AnalysisFailed(Box::new(report)));
-        }
-        Ok(())
+        state.extend(&self.analysis_context());
+        let enforce = state.config.mode == AnalysisMode::Enforce;
+        let refusal = if enforce && state.has_errors() {
+            state.report()
+        } else {
+            None
+        };
+        self.analysis = Some(state);
+        refusal.map_or(Ok(()), |report| {
+            Err(RuntimeError::AnalysisFailed(Box::new(report)))
+        })
     }
 
     /// Current virtual time of the engine (the time of the last processed

@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::analyze::{self, AnalysisContext, AnalysisReport, AnalysisState};
+use crate::analyze::{AnalysisContext, AnalysisReport, AnalysisState};
 use crate::churn::{ChurnState, ChurnStats};
 use crate::classes::SpecClasses;
 use crate::config::RegionSizes;
@@ -164,8 +164,8 @@ pub struct Runtime {
     pub(crate) region_sizes: RegionSizes,
     /// Every region's size and residency, by slot.
     pub(crate) regions: RegionTable,
-    /// Static analysis configuration and memoized report; `None` =
-    /// analysis off.
+    /// Static analysis configuration and the fold over the graph so far;
+    /// `None` = analysis off.
     pub(crate) analysis: Option<AnalysisState>,
     /// Churn trace, live masks and deferred placements; `None` = the
     /// fleet is fixed for the runtime's lifetime.
@@ -217,13 +217,20 @@ impl Runtime {
     /// churn, the devices available now and the arrivals its trace
     /// holds.
     pub fn analyze(&self) -> AnalysisReport {
-        analyze::run_lints(&AnalysisContext {
+        let mut fresh = AnalysisState::default();
+        fresh.extend(&self.analysis_context());
+        fresh.report().expect("a folded state has a report")
+    }
+
+    /// What the analyzer reads of this runtime.
+    pub(crate) fn analysis_context(&self) -> AnalysisContext<'_> {
+        AnalysisContext {
             graph: &self.graph,
             classes: &self.classes,
             churn: self.churn.as_ref(),
             objective: self.energy.objective,
             region_sizes: self.resilience.is_some().then_some(&self.region_sizes),
-        })
+        }
     }
 
     /// Security counters accumulated by the engine so far (also part of

@@ -15,15 +15,23 @@
 //!   engine does what each placement-feasibility finding says it will:
 //!   fail with the named refusal, defer, shrink a replica set, or relax
 //!   the makespan bound or the power cap.
+//!
+//! And one about the analyzer itself: **a streamed analysis is the batch
+//! analysis** — whatever interleaving of submissions, steps and fleet
+//! changes reaches an entry, the report it attaches (or refuses with) is
+//! a from-scratch `Runtime::analyze` of the graph and fleet at that
+//! entry.
 
 use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, TaskDescriptor, TaskId, Work};
+use std::collections::HashMap;
+
+use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, Seconds, Watt};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
     AnalysisConfig, AnalysisReport, ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace,
-    Diagnostic, EnergyConfig, EngineConfig, LintId, Policy, ResilienceConfig, Runtime,
-    RuntimeError, Severity,
+    DepartureKind, Diagnostic, EnergyConfig, EngineConfig, LintId, Policy, ResilienceConfig,
+    Runtime, RuntimeError, Severity,
 };
 use legato_workloads::fleets;
 use proptest::prelude::*;
@@ -488,4 +496,157 @@ fn streaming_submission_reanalyzes_grown_graphs() {
         .expect("no deps");
     let err = rt.run().expect_err("grown graph re-analyzed");
     assert!(matches!(err, RuntimeError::AnalysisFailed(_)), "{err}");
+}
+
+/// Region, access mode, security level and criticality of a task.
+type TaskSpec = (u64, usize, usize, usize);
+
+/// One step of a streamed session.
+#[derive(Debug, Clone)]
+enum Entry {
+    Submit(TaskSpec),
+    /// `submit_with_deps` naming tasks picked among those so far: an
+    /// ordering the regions do not imply, and often a race.
+    SubmitWithDeps(TaskSpec, Vec<usize>),
+    Step,
+}
+
+fn entry_strategy() -> impl Strategy<Value = Entry> {
+    let task = || (0u64..6, 0usize..3, 0usize..3, 0usize..4);
+    prop_oneof![
+        task().prop_map(Entry::Submit),
+        task().prop_map(Entry::Submit),
+        (task(), prop::collection::vec(0usize..64, 0..3))
+            .prop_map(|(t, deps)| Entry::SubmitWithDeps(t, deps)),
+        Just(Entry::Step),
+        Just(Entry::Step),
+        Just(Entry::Step),
+    ]
+}
+
+/// A TEE arrival, a TEE-less arrival, a drain or a crash.
+fn churn_strategy() -> impl Strategy<Value = ChurnEvent> {
+    (0.0f64..0.2, 0u8..4, 0usize..6).prop_map(|(at, kind, device)| ChurnEvent {
+        at: Seconds(at),
+        kind: match kind {
+            0 | 1 => ChurnEventKind::Arrival {
+                spec: if kind == 0 {
+                    DeviceSpec::xeon_x86()
+                } else {
+                    DeviceSpec::gtx1080()
+                },
+                pool: None,
+                fault_prob: 0.0,
+            },
+            _ => ChurnEventKind::Departure {
+                device,
+                kind: if kind == 2 {
+                    DepartureKind::Planned
+                } else {
+                    DepartureKind::Crash
+                },
+            },
+        },
+    })
+}
+
+proptest! {
+    /// The analysis every `step` (and a closing `run`) attaches, or
+    /// refuses with, equals a from-scratch `Runtime::analyze` taken just
+    /// before that entry, on random fleets (some TEE-less), objectives,
+    /// resilience with a partial size declaration, churn traces and
+    /// interleavings of `submit`, racing `submit_with_deps` and `step`,
+    /// in both modes.
+    #[test]
+    fn streamed_analysis_equals_a_from_scratch_pass(
+        fleet in prop::collection::vec(0usize..6, 1..4),
+        entries in prop::collection::vec(entry_strategy(), 1..48),
+        churn in prop::collection::vec(churn_strategy(), 0..5),
+        (objective, warn_only, resilient) in (0u8..3, any::<bool>(), any::<bool>()),
+        seed in 0u64..500,
+    ) {
+        let presets = [
+            DeviceSpec::gtx1080(),
+            DeviceSpec::fpga_kintex(),
+            DeviceSpec::maxeler_dfe(),
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::arm64(),
+            DeviceSpec::jetson_soc(),
+        ];
+        let analysis = if warn_only {
+            AnalysisConfig::new().warn_only()
+        } else {
+            AnalysisConfig::new()
+        };
+        let mut config = EngineConfig::new()
+            .with_devices(fleet.iter().map(|&i| presets[i].clone()).collect())
+            .with_policy(Policy::Performance)
+            .with_seed(seed)
+            .with_churn(ChurnConfig::new(ChurnTrace::from_events(churn)))
+            .with_analysis(analysis);
+        match objective {
+            1 => config = config.with_energy(EnergyConfig::new().with_makespan_bound(Seconds(0.01))),
+            2 => config = config.with_energy(EnergyConfig::new().with_power_cap(Watt(100.0))),
+            _ => {}
+        }
+        if resilient {
+            config = config
+                .with_resilience(ResilienceConfig::new(Seconds(0.05)))
+                .with_region_sizes(HashMap::from([(RegionId(0), Bytes::mib(1))]));
+        }
+        let mut rt = config.build().expect("valid config");
+        let levels = [SecurityLevel::Public, SecurityLevel::Confidential, SecurityLevel::Enclave];
+        let crits = [Criticality::Low, Criticality::Normal, Criticality::High, Criticality::Critical];
+        let modes = [AccessMode::In, AccessMode::Out, AccessMode::InOut];
+        let task = |&(region, mode, level, crit): &TaskSpec| {
+            let descriptor = TaskDescriptor::named("t")
+                .with_work(Work::flops(1e9 * (1 + region) as f64))
+                .with_requirements(
+                    Requirements::new().with_security(levels[level]).with_criticality(crits[crit]),
+                );
+            (descriptor, [(region, modes[mode])])
+        };
+        // An entry refuses exactly when Enforce meets an error, and what
+        // it refuses with or attaches is the scratch pass taken before it.
+        let check = |rt: &Runtime, scratch: AnalysisReport, result: Result<(), RuntimeError>| {
+            let refused = match result {
+                Err(RuntimeError::AnalysisFailed(report)) => Some(*report),
+                _ => None,
+            };
+            prop_assert!(
+                refused.is_some() == (!warn_only && scratch.has_errors()),
+                "refused: {refused:?}\nscratch {scratch}"
+            );
+            let seen = refused.or_else(|| rt.report().analysis);
+            prop_assert!(seen.as_ref() == Some(&scratch), "seen {seen:?}\nscratch {scratch}");
+            Ok(())
+        };
+        for entry in &entries {
+            match entry {
+                Entry::Submit(t) => {
+                    let (descriptor, accesses) = task(t);
+                    rt.submit(descriptor, accesses);
+                }
+                Entry::SubmitWithDeps(t, picks) => {
+                    let n = rt.graph().len();
+                    let deps: Vec<TaskId> = picks
+                        .iter()
+                        .filter(|_| n > 0)
+                        .map(|&p| TaskId((p % n) as u64))
+                        .collect();
+                    let (descriptor, accesses) = task(t);
+                    rt.submit_with_deps(descriptor, accesses, &deps)
+                        .expect("deps name earlier tasks");
+                }
+                Entry::Step => {
+                    let scratch = rt.analyze();
+                    let result = rt.step().map(|_| ());
+                    check(&rt, scratch, result)?;
+                }
+            }
+        }
+        let scratch = rt.analyze();
+        let result = rt.run().map(|_| ());
+        check(&rt, scratch, result)?;
+    }
 }
