@@ -10,7 +10,7 @@
 //! executor serializes behind the bulk (1.72× under the weighted
 //! trade-off policy).
 //!
-//! `analyze_experiments` reaches these through
+//! `legato-exp analyze` reaches these through
 //! [`RECIPES`](super::RECIPES); `experiments::energy` runs the same fans
 //! with the energy layer on.
 

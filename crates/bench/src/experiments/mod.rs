@@ -1,6 +1,6 @@
-//! Shared experiment implementations used by the `fig*` binaries and the
-//! tier-1 shape and golden tests. Every function here is deterministic
-//! given its seed arguments.
+//! Shared experiment implementations behind the printed [`FIGURES`] and
+//! the tier-1 shape and golden tests. Every function here is
+//! deterministic given its seed arguments.
 //!
 //! Task graphs and fleets come from `legato-workloads`; an experiment
 //! module only pairs one with an [`EngineConfig`](legato_runtime::EngineConfig)
@@ -15,6 +15,7 @@ pub mod energy;
 pub mod engine;
 pub mod fig5;
 pub mod fig6;
+mod figures;
 pub mod goals;
 pub mod heats;
 pub mod mirror;
@@ -23,6 +24,8 @@ pub mod resilience;
 pub mod secure;
 pub mod secure_offload;
 pub mod service;
+
+pub use figures::{select, Figure, FIGURES};
 
 /// Submit `fan` into `rt` and return the number of tasks submitted.
 /// Deterministic per `seed`.
@@ -42,7 +45,7 @@ pub struct Recipe {
 }
 
 /// Every reference experiment graph, under the pillar configuration its
-/// sweep really runs it with. `analyze_experiments` lints each entry and
+/// sweep really runs it with. `legato-exp analyze` lints each entry and
 /// tier-1 builds, lints and executes them all — so a new experiment is
 /// written once.
 pub const RECIPES: &[Recipe] = &[

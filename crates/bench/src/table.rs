@@ -18,23 +18,10 @@ impl Table {
     }
 
     /// Append a row (padded/truncated to the header width).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
+    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
         let mut cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         cells.resize(self.header.len(), String::new());
         self.rows.push(cells);
-        self
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with aligned columns.
@@ -96,7 +83,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("name"));
         assert!(lines[2].starts_with("x"));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -109,7 +95,6 @@ mod tests {
     #[test]
     fn empty_table() {
         let t = Table::new(vec!["a"]);
-        assert!(t.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 }

@@ -266,9 +266,9 @@ impl TaskGraph {
 
     /// An empty graph pre-sized for `tasks` tasks and roughly `edges`
     /// dependence edges, so a large build never regrows its dense arrays
-    /// mid-stream. Per-region tables are *not* pre-sized here (see
-    /// [`TaskGraph::reserve_regions`]): region counts are usually far
-    /// below task counts, and blanket-reserving them for a 1M-task
+    /// mid-stream. Per-region tables are *not* pre-sized here (a
+    /// [`GraphBuilder`] given a region count pre-sizes them): region
+    /// counts are usually far below task counts, and blanket-reserving them for a 1M-task
     /// graph would waste memory.
     #[must_use]
     pub fn with_capacity(tasks: usize, edges: usize) -> Self {
@@ -319,7 +319,7 @@ impl TaskGraph {
     /// Pre-size the region interner and the per-slot history, liveness
     /// and live-bitmap arrays for `regions` more distinct regions, so
     /// submission never rehashes the interner or regrows a slot array.
-    pub fn reserve_regions(&mut self, regions: usize) {
+    fn reserve_regions(&mut self, regions: usize) {
         let words = (self.slot_region.len() + regions).div_ceil(64);
         self.slot_of.reserve(regions);
         self.slot_region.reserve(regions);

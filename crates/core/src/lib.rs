@@ -5,7 +5,7 @@
 //! dataflow [`graph`] that OmpSs-style runtimes derive from those
 //! annotations, non-functional [`requirements`] (energy, reliability,
 //! security), and small numeric [`stats`] helpers shared by the schedulers
-//! and the experiment harnesses.
+//! and the hardware models.
 //!
 //! LEGaTO's central bet is that *"optimization opportunities for low-energy
 //! computing can be maximized through the task abstraction"* (paper, §I).

@@ -42,7 +42,15 @@ impl Criticality {
         }
     }
 
-    /// Whether results of replicas must be voted on.
+    /// Whether results of replicas must be voted on: only triple
+    /// replicas can mask a fault by majority; dual replicas detect a
+    /// mismatch and retry.
+    ///
+    /// ```
+    /// use legato_core::requirements::Criticality;
+    /// assert!(Criticality::Critical.requires_voting());
+    /// assert!(!Criticality::High.requires_voting()); // two replicas: detect only
+    /// ```
     #[must_use]
     pub fn requires_voting(self) -> bool {
         matches!(self, Criticality::Critical)

@@ -1,9 +1,9 @@
-//! Small numeric helpers shared by schedulers, models and harnesses.
+//! Small numeric helpers shared by schedulers and models.
 //!
 //! HEATS learns per-node performance/energy models from profiling samples
-//! (paper §V: "Software probing (workloads), Learning phase"); the
-//! experiment harnesses summarize series. Both use these routines, so they
-//! live here rather than being duplicated.
+//! (paper §V: "Software probing (workloads), Learning phase") with
+//! [`linear_fit`], and the FPGA model checks that undervolting fault rates
+//! grow exponentially with [`exponential_fit`].
 
 /// Arithmetic mean. Returns `0.0` for an empty slice.
 ///
@@ -16,40 +16,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population variance. Returns `0.0` for slices shorter than 2.
-#[must_use]
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-#[must_use]
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Geometric mean of strictly positive values. Returns `0.0` for an empty
-/// slice.
-///
-/// # Panics
-///
-/// Panics if any value is not strictly positive.
-#[must_use]
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    assert!(
-        xs.iter().all(|&x| x > 0.0),
-        "geometric mean requires strictly positive values"
-    );
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// Linear interpolation percentile (`p` in `[0, 100]`) of an unsorted slice.
@@ -159,52 +125,6 @@ pub fn exponential_fit(points: &[(f64, f64)]) -> Option<(f64, f64, f64)> {
     Some((fit.intercept.exp(), fit.slope, fit.r_squared))
 }
 
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Summarize a sample. Returns all-zero summary for an empty slice.
-    #[must_use]
-    pub fn from_slice(xs: &[f64]) -> Self {
-        if xs.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                stddev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                median: 0.0,
-                p95: 0.0,
-            };
-        }
-        Summary {
-            count: xs.len(),
-            mean: mean(xs),
-            stddev: stddev(xs),
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            median: percentile(xs, 50.0),
-            p95: percentile(xs, 95.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,26 +134,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[4.0]), 4.0);
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn variance_and_stddev() {
-        assert_eq!(variance(&[5.0]), 0.0);
-        let v = variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((v - 4.0).abs() < 1e-12);
-        assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_basic() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly positive")]
-    fn geomean_rejects_nonpositive() {
-        let _ = geomean(&[1.0, 0.0]);
     }
 
     #[test]
@@ -283,17 +183,5 @@ mod tests {
     #[test]
     fn exponential_fit_rejects_nonpositive_y() {
         assert!(exponential_fit(&[(0.0, 1.0), (1.0, 0.0)]).is_none());
-    }
-
-    #[test]
-    fn summary_from_slice() {
-        let s = Summary::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        let empty = Summary::from_slice(&[]);
-        assert_eq!(empty.count, 0);
     }
 }

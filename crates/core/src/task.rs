@@ -157,7 +157,17 @@ impl Work {
         Work { flops, bytes }
     }
 
-    /// Arithmetic intensity in flops/byte (`None` when no bytes move).
+    /// Arithmetic intensity in flops/byte (`None` when no bytes move):
+    /// the roofline's x-axis. A task whose intensity is above a device's
+    /// ridge point (peak flop/s ÷ memory bandwidth) is compute-bound there,
+    /// which is the `max` that `DeviceSpec::time_for` takes.
+    ///
+    /// ```
+    /// use legato_core::task::Work;
+    /// use legato_core::units::Bytes;
+    /// assert_eq!(Work::new(200.0, Bytes(100)).intensity(), Some(2.0));
+    /// assert_eq!(Work::flops(1e9).intensity(), None);
+    /// ```
     #[must_use]
     pub fn intensity(&self) -> Option<f64> {
         if self.bytes == Bytes::ZERO {

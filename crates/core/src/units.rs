@@ -210,12 +210,6 @@ impl Seconds {
     pub fn from_micros(us: f64) -> Self {
         Seconds(us / 1e6)
     }
-
-    /// Value in milliseconds.
-    #[must_use]
-    pub fn millis(self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 impl Hertz {
@@ -315,12 +309,6 @@ impl Bytes {
     #[must_use]
     pub fn as_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Size in mebibytes as a float.
-    #[must_use]
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
     }
 
     /// Size in megabits, the denominator of [`FaultsPerMbit`].

@@ -86,8 +86,7 @@ use crate::scheduler::{Estimate, Plan, Policy, Scheduler, ScoreNorm, TopK};
 /// How the device fleet is partitioned into pools.
 ///
 /// Build one from chassis or cluster structure
-/// ([`PoolConfig::from_recs`], [`PoolConfig::from_nodes`]), from an
-/// explicit membership list ([`PoolConfig::from_membership`]), or by
+/// ([`PoolConfig::from_recs`], [`PoolConfig::from_nodes`]) or by
 /// uniform chunking ([`PoolConfig::uniform`]), and hand it to
 /// [`EngineConfig::with_pools`](crate::config::EngineConfig::with_pools).
 /// Every device must belong to exactly one pool; membership is
@@ -105,7 +104,7 @@ pub struct PoolConfig {
 impl PoolConfig {
     /// An explicit partition: `pools[p]` lists the device indices of
     /// pool `p`. Empty pools are dropped.
-    pub fn from_membership(pools: Vec<Vec<usize>>) -> Self {
+    fn from_membership(pools: Vec<Vec<usize>>) -> Self {
         PoolConfig {
             pools,
             uniform: None,
@@ -138,6 +137,17 @@ impl PoolConfig {
     /// (node order, then the node's device order) and the matching
     /// partition, ready for
     /// [`EngineConfig::with_devices`](crate::config::EngineConfig::with_devices).
+    ///
+    /// ```
+    /// use legato_hw::cluster::NodeSpec;
+    /// use legato_runtime::{EngineConfig, PoolConfig};
+    ///
+    /// let nodes = [NodeSpec::gpu_node("g0"), NodeSpec::low_power_arm("a0")];
+    /// let (specs, pools) = PoolConfig::from_nodes(&nodes);
+    /// assert_eq!(pools.pool_count(), 2);
+    /// let rt = EngineConfig::new().with_devices(specs).with_pools(pools).build();
+    /// assert!(rt.is_ok());
+    /// ```
     pub fn from_nodes(nodes: &[NodeSpec]) -> (Vec<DeviceSpec>, PoolConfig) {
         let mut specs = Vec::new();
         let mut pools = Vec::with_capacity(nodes.len());
@@ -154,6 +164,22 @@ impl PoolConfig {
     /// partition. Devices on one carrier share the chassis backplane,
     /// which is exactly the locality boundary the topology cost model
     /// charges transfers across.
+    ///
+    /// ```
+    /// use legato_hw::device::DeviceSpec;
+    /// use legato_hw::recs::RecsBox;
+    /// use legato_runtime::{EngineConfig, PoolConfig};
+    ///
+    /// let chassis = RecsBox::builder("box")
+    ///     .high_performance_carrier(vec![DeviceSpec::xeon_x86(), DeviceSpec::gtx1080()])
+    ///     .low_power_carrier(vec![DeviceSpec::arm64(), DeviceSpec::jetson_soc()])
+    ///     .build()
+    ///     .expect("valid chassis");
+    /// let (specs, pools) = PoolConfig::from_recs(&chassis);
+    /// assert_eq!((specs.len(), pools.pool_count()), (4, 2));
+    /// let rt = EngineConfig::new().with_devices(specs).with_pools(pools).build();
+    /// assert!(rt.is_ok());
+    /// ```
     pub fn from_recs(chassis: &RecsBox) -> (Vec<DeviceSpec>, PoolConfig) {
         let mut specs = Vec::new();
         let mut pools = Vec::with_capacity(chassis.carriers.len());

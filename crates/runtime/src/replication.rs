@@ -7,16 +7,17 @@
 //! where only the most reliability-critical tasks will be replicated"
 //! (paper §I).
 //!
-//! The mechanics: a task's [`Criticality`] decides its replica count
-//! (1/2/3); replicas are placed on *distinct* devices when possible
-//! (diversity defends against device-correlated faults); dual replicas
-//! give detection (mismatch → retry), triple replicas give masking
-//! (majority vote).
+//! The mechanics: a task's
+//! [`Criticality`](legato_core::requirements::Criticality) decides its
+//! replica count (1/2/3); replicas are placed on *distinct* devices when
+//! possible (diversity defends against device-correlated faults); dual
+//! replicas give detection (mismatch → retry), triple replicas give
+//! masking (majority vote).
 
-use legato_core::requirements::Criticality;
 use serde::{Deserialize, Serialize};
 
-/// Upper bound on replicas per attempt: [`Criticality::replica_count`]
+/// Upper bound on replicas per attempt:
+/// [`Criticality::replica_count`](legato_core::requirements::Criticality::replica_count)
 /// tops out at 3 (`Critical`). The engine relies on this to store
 /// replica sets inline — in event-heap entries and in
 /// [`TaskOutcome`](crate::runtime::TaskOutcome) device lists — instead
@@ -80,13 +81,6 @@ pub fn vote(results: &[ReplicaResult]) -> Verdict {
     } else {
         Verdict::Retry
     }
-}
-
-/// How many replicas a task of the given criticality receives — the
-/// "selective" in selective replication.
-#[must_use]
-pub fn replicas_for(criticality: Criticality) -> usize {
-    criticality.replica_count()
 }
 
 /// Replication statistics accumulated over a run.
@@ -159,10 +153,17 @@ mod tests {
 
     #[test]
     fn replica_counts_follow_criticality() {
-        assert_eq!(replicas_for(Criticality::Low), 1);
-        assert_eq!(replicas_for(Criticality::Normal), 1);
-        assert_eq!(replicas_for(Criticality::High), 2);
-        assert_eq!(replicas_for(Criticality::Critical), 3);
+        use legato_core::requirements::Criticality;
+        let levels = [
+            Criticality::Low,
+            Criticality::Normal,
+            Criticality::High,
+            Criticality::Critical,
+        ];
+        let counts = levels.map(Criticality::replica_count);
+        assert_eq!(counts, [1, 1, 2, 3]);
+        // The engine's inline replica sets are sized by this bound.
+        assert_eq!(counts.into_iter().max(), Some(MAX_REPLICAS));
     }
 
     #[test]
