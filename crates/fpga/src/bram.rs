@@ -34,12 +34,6 @@ impl BramArray {
         }
     }
 
-    /// Number of 36 Kb blocks.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Total capacity in bytes.
     #[must_use]
     pub fn capacity(&self) -> Bytes {
@@ -190,10 +184,9 @@ mod tests {
     #[test]
     fn capacity_rounds_to_blocks() {
         let b = BramArray::with_capacity(Bytes(1));
-        assert_eq!(b.block_count(), 1);
         assert_eq!(b.capacity(), Bytes(BLOCK_BYTES as u64));
         let b = BramArray::with_capacity(Bytes((BLOCK_BYTES + 1) as u64));
-        assert_eq!(b.block_count(), 2);
+        assert_eq!(b.capacity(), Bytes(2 * BLOCK_BYTES as u64));
     }
 
     #[test]

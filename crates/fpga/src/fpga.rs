@@ -59,7 +59,24 @@ impl UndervoltFpga {
         self.platform.region_at(self.vccbram)
     }
 
-    /// Whether the DONE pin is set (device responding).
+    /// Whether the DONE pin is set (device responding): the signal the
+    /// paper reads to find `Vcrash`. It drops when the rail enters the
+    /// crash region and stays down until [`UndervoltFpga::reprogram`].
+    ///
+    /// ```
+    /// use legato_core::units::Volt;
+    /// use legato_fpga::{FpgaPlatform, UndervoltFpga};
+    ///
+    /// let mut fpga = UndervoltFpga::new(FpgaPlatform::vc707(), 1);
+    /// fpga.set_vccbram(Volt(0.58)).unwrap(); // critical: still responds
+    /// assert!(fpga.done_pin());
+    /// fpga.set_vccbram(Volt(0.50)).unwrap(); // below Vcrash = 0.54 V
+    /// assert!(!fpga.done_pin());
+    /// fpga.set_vccbram(Volt(1.0)).unwrap(); // a safe rail alone does not revive it
+    /// assert!(!fpga.done_pin());
+    /// fpga.reprogram(Volt(1.0)).unwrap();
+    /// assert!(fpga.done_pin());
+    /// ```
     #[must_use]
     pub fn done_pin(&self) -> bool {
         self.done_pin

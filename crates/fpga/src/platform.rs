@@ -14,6 +14,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::voltage::VoltageRegion;
 
+/// Fault density right at the top of the critical region (just under
+/// `Vmin`), in faults/Mbit: the first sporadic flips.
+const ONSET_RATE: f64 = 0.05;
+
 /// Static description of one FPGA board's undervolting behaviour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FpgaPlatform {
@@ -78,6 +82,15 @@ impl FpgaPlatform {
 
     /// KC705 evaluation board, sample B — an "identical" part whose
     /// margins nevertheless differ from sample A (process variation).
+    ///
+    /// ```
+    /// use legato_fpga::FpgaPlatform;
+    ///
+    /// let (a, b) = (FpgaPlatform::kc705_a(), FpgaPlatform::kc705_b());
+    /// assert_eq!(a.family, b.family);
+    /// assert!(b.v_min < a.v_min, "sample B undervolts further before faults");
+    /// assert!(b.faults_at_crash.0 < a.faults_at_crash.0);
+    /// ```
     #[must_use]
     pub fn kc705_b() -> Self {
         FpgaPlatform {
@@ -162,7 +175,8 @@ impl FpgaPlatform {
     /// Expected fault density at rail voltage `v`.
     ///
     /// Zero through the guardband; within the critical region the rate
-    /// grows exponentially from [`Self::onset_rate`] at `Vmin` to
+    /// grows exponentially from 0.05 faults/Mbit (the first sporadic
+    /// flips) at `Vmin` to
     /// `faults_at_crash` at `Vcrash` (paper: "the fault rate exponentially
     /// increases by further undervolting within the critical region").
     /// The crash region reports the crash-point density (the device is
@@ -177,20 +191,21 @@ impl FpgaPlatform {
                 // Normalized depth into the critical region: 0 at Vmin, 1
                 // at Vcrash.
                 let depth = (self.v_min.0 - v.0) / span;
-                let k = (self.faults_at_crash.0 / Self::onset_rate()).ln();
-                FaultsPerMbit(Self::onset_rate() * (k * depth).exp())
+                let k = (self.faults_at_crash.0 / ONSET_RATE).ln();
+                FaultsPerMbit(ONSET_RATE * (k * depth).exp())
             }
         }
     }
 
-    /// Fault density right at the top of the critical region (just under
-    /// `Vmin`): the first sporadic flips.
-    #[must_use]
-    pub fn onset_rate() -> f64 {
-        0.05
-    }
-
-    /// Width of the vendor guardband in volts.
+    /// Width of the vendor guardband in volts: how far below nominal the
+    /// rail goes before the first fault (Fig. 5's headline margin).
+    ///
+    /// ```
+    /// use legato_fpga::FpgaPlatform;
+    ///
+    /// let vc707 = FpgaPlatform::vc707();
+    /// assert!((vc707.guardband_width().0 - 0.39).abs() < 1e-9);
+    /// ```
     #[must_use]
     pub fn guardband_width(&self) -> Volt {
         self.v_nominal - self.v_min

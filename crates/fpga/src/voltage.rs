@@ -17,20 +17,6 @@ pub enum VoltageRegion {
     Crash,
 }
 
-impl VoltageRegion {
-    /// Whether the device still answers requests in this region.
-    #[must_use]
-    pub fn is_operational(self) -> bool {
-        !matches!(self, VoltageRegion::Crash)
-    }
-
-    /// Whether stored data is guaranteed intact in this region.
-    #[must_use]
-    pub fn is_reliable(self) -> bool {
-        matches!(self, VoltageRegion::Guardband)
-    }
-}
-
 impl fmt::Display for VoltageRegion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -45,16 +31,6 @@ impl fmt::Display for VoltageRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn operational_and_reliable_flags() {
-        assert!(VoltageRegion::Guardband.is_operational());
-        assert!(VoltageRegion::Guardband.is_reliable());
-        assert!(VoltageRegion::Critical.is_operational());
-        assert!(!VoltageRegion::Critical.is_reliable());
-        assert!(!VoltageRegion::Crash.is_operational());
-        assert!(!VoltageRegion::Crash.is_reliable());
-    }
 
     #[test]
     fn display() {

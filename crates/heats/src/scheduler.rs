@@ -121,12 +121,6 @@ impl Heats {
         }
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Name of node `idx`.
     ///
     /// # Panics

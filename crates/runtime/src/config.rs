@@ -70,6 +70,7 @@ pub struct EngineConfig {
     topology: Option<TopologyConfig>,
     analysis: Option<AnalysisConfig>,
     churn: Option<ChurnConfig>,
+    trace: bool,
 }
 
 impl EngineConfig {
@@ -196,6 +197,14 @@ impl EngineConfig {
         self
     }
 
+    /// Keep the engine's event trace (see [`trace`](crate::trace)),
+    /// read through [`Runtime::trace`]. Every simulated value is the same
+    /// with the trace on or off; off, the engine writes nothing.
+    pub fn with_trace(mut self) -> Self {
+        self.trace = true;
+        self
+    }
+
     /// Construct the runtime.
     ///
     /// With an [`EnergyConfig`], every device spec is derated to its
@@ -230,6 +239,7 @@ impl EngineConfig {
             topology,
             analysis,
             churn,
+            trace,
         } = self;
         if topology.is_some() && pools.is_none() {
             return Err(RuntimeError::invalid_parameter(
@@ -316,6 +326,9 @@ impl EngineConfig {
         if let Some(cfg) = churn {
             let fleet = rt.devices.len();
             rt.churn = Some(ChurnState::new(cfg, fleet));
+        }
+        if trace {
+            rt.engine.trace = Some(Vec::new());
         }
         Ok(rt)
     }

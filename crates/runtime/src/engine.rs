@@ -50,10 +50,11 @@ use crate::analyze::{AnalysisMode, AnalysisState};
 use crate::churn::{ChurnEventKind, ChurnOp, DeferredTask, DepartureKind};
 use crate::error::RuntimeError;
 use crate::regions::slot_accesses;
-use crate::replication::{vote, ReplicaResult, ReplicationStats, Verdict, MAX_REPLICAS};
+use crate::replication::{vote, ReplicaResult, ReplicationStats, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, EngineCheckpoint, RollbackEvent};
-use crate::runtime::{golden_value, RunReport, Runtime, TaskOutcome};
+use crate::runtime::{golden_value, Placements, ReplicaDevices, RunReport, Runtime, TaskOutcome};
 use crate::scheduler::{Anchors, Estimate, Plan};
+use crate::trace::{FinishVerdict, Record, RecordKind};
 
 /// The devices and per-replica results of one (possibly replicated)
 /// attempt, stored inline in the finish event. `len` is the live prefix
@@ -206,11 +207,15 @@ pub(crate) struct EngineState {
     ckpt_armed: bool,
     seq: u64,
     now: Seconds,
-    /// Accepted outcomes indexed by task id — always sorted by
-    /// construction, so building a report is a sequential scan with no
-    /// sort (tasks have at most one accepted outcome; `None` = not
-    /// executed, or discarded by a rollback).
-    outcomes: Vec<Option<TaskOutcome>>,
+    /// The outcome table: one slot per submitted task, indexed by task
+    /// id, so it is sorted by construction. A slot is vacant
+    /// ([`TaskOutcome::VACANT`]) until its task's outcome is accepted,
+    /// and again after a rollback discards it. Slots are added at
+    /// submission only, never on the accept path. A report whose every
+    /// slot is filled shares this buffer (see [`Placements`]).
+    outcomes: Placements,
+    /// Filled slots of `outcomes`.
+    filled: usize,
     /// Every acceptance in the order it happened: the id of each outcome
     /// written to `outcomes`, appended and never truncated. A rollback
     /// clears outcome slots but leaves this log alone, so an id whose
@@ -233,6 +238,10 @@ pub(crate) struct EngineState {
     /// [`RunReport`]: pooled and flat runs must stay bit-identical
     /// there.
     pub(crate) sched_evals: u64,
+    /// The event trace; `None` (and never written) unless the runtime
+    /// was built with
+    /// [`EngineConfig::with_trace`](crate::config::EngineConfig::with_trace).
+    pub(crate) trace: Option<Vec<Record>>,
 }
 
 /// Per-runtime scratch buffers for the hot path. Contents are dead
@@ -410,19 +419,56 @@ impl EngineState {
         Some(event)
     }
 
-    /// Record an accepted outcome under its task id.
+    /// Record an accepted outcome in its task's slot.
     fn record_outcome(&mut self, outcome: TaskOutcome) {
-        let idx = outcome.task.index();
-        if idx >= self.outcomes.len() {
-            self.outcomes.resize(idx + 1, None);
-        }
-        self.outcomes[idx] = Some(outcome);
+        let slot = &mut self.outcomes.make_mut(0)[outcome.task.index()];
+        debug_assert!(slot.is_vacant(), "one accepted outcome per task");
+        *slot = outcome;
+        self.filled += 1;
         self.accepted.push(outcome.task);
     }
 
-    /// Pre-size the acceptance log for `tasks` more tasks.
+    /// Vacate `task`'s slot, returning the outcome it held.
+    fn discard_outcome(&mut self, task: TaskId) -> Option<TaskOutcome> {
+        if self.outcomes[task.index()].is_vacant() {
+            return None;
+        }
+        self.filled -= 1;
+        let slot = &mut self.outcomes.make_mut(0)[task.index()];
+        Some(std::mem::replace(slot, TaskOutcome::VACANT))
+    }
+
+    /// Give the outcome table one slot per submitted task, `tasks` in
+    /// all.
+    pub(crate) fn grow_outcomes(&mut self, tasks: usize) {
+        let fresh = tasks - self.outcomes.len();
+        self.outcomes
+            .make_mut(fresh)
+            .resize(tasks, TaskOutcome::VACANT);
+    }
+
+    /// Pre-size the outcome table and the acceptance log for `tasks`
+    /// more tasks.
     pub(crate) fn reserve(&mut self, tasks: usize) {
+        self.outcomes.make_mut(tasks);
         self.accepted.reserve(tasks);
+    }
+
+    /// A report's placements: the table itself when every slot is
+    /// filled, an exactly sized compaction of it otherwise.
+    fn placements(&self) -> Placements {
+        if self.filled == self.outcomes.len() {
+            self.outcomes.clone()
+        } else {
+            self.outcomes.compact(self.filled)
+        }
+    }
+
+    /// Append a record to the trace when it is on.
+    fn record(&mut self, at: Seconds, task: TaskId, kind: RecordKind) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(Record { at, task, kind });
+        }
     }
 }
 
@@ -444,6 +490,12 @@ impl Runtime {
     /// virtual timeline where it left off, and a subsequent `run` extends
     /// the same report. For single-stepped streaming execution see
     /// [`Runtime::step`].
+    ///
+    /// The returned report is [`Runtime::report`] at quiescence, a
+    /// snapshot: when every task completed, its placements share the
+    /// engine's outcome table instead of copying it, and the engine
+    /// copies the table only if the report is still alive at its next
+    /// submission.
     ///
     /// # Errors
     ///
@@ -679,10 +731,17 @@ impl Runtime {
         let mut discarded = self.engine.accepted[last.accepted_mark..].to_vec();
         last.accepted_mark = self.engine.accepted.len();
         res.log_visits += discarded.len() as u64;
+        self.engine.record(
+            at,
+            task,
+            RecordKind::Rollback {
+                discarded: discarded.len(),
+            },
+        );
         discarded.sort_unstable();
         let mut wasted = Seconds::ZERO;
         for id in discarded {
-            if let Some(o) = self.engine.outcomes[id.index()].take() {
+            if let Some(o) = self.engine.discard_outcome(id) {
                 wasted += o.finish - o.start;
             }
         }
@@ -740,10 +799,18 @@ impl Runtime {
 
     /// The cumulative run report: every outcome, failure and statistic
     /// accumulated by the engine so far, plus whole-system energy.
+    ///
+    /// The report is a snapshot: nothing the runtime does afterwards
+    /// changes it. Its [`placements`](RunReport::placements) are the
+    /// engine's outcome table itself, uncopied, when every submitted task
+    /// has an accepted outcome (a run that drained without failures), and
+    /// an exactly sized copy of the accepted outcomes otherwise. A shared
+    /// table is copied once, by the engine's next write to it, and only
+    /// if the report (or a clone of its placements) is still alive then.
     pub fn report(&self) -> RunReport {
-        // The outcome log is indexed by task id: the placement list falls
-        // out sorted without sorting.
-        let placements: Vec<TaskOutcome> = self.engine.outcomes.iter().filter_map(|o| *o).collect();
+        // The outcome table is indexed by task id: the placement list
+        // falls out sorted without sorting.
+        let placements = self.engine.placements();
         let mut failed = self.engine.failed.clone();
         failed.sort_unstable();
         let makespan = placements
@@ -814,7 +881,16 @@ impl Runtime {
     /// yet redone.
     #[must_use]
     pub fn outcome(&self, task: TaskId) -> Option<&TaskOutcome> {
-        self.engine.outcomes.get(task.index())?.as_ref()
+        let slot = self.engine.outcomes.get(task.index())?;
+        (!slot.is_vacant()).then_some(slot)
+    }
+
+    /// The event trace recorded so far, in the order the engine wrote it;
+    /// empty unless the runtime was built with
+    /// [`EngineConfig::with_trace`](crate::config::EngineConfig::with_trace).
+    #[must_use]
+    pub fn trace(&self) -> &[Record] {
+        self.engine.trace.as_deref().unwrap_or_default()
     }
 
     /// Fold the tasks submitted since the last entry into the analysis
@@ -860,6 +936,7 @@ impl Runtime {
         let Some(desc) = self.graph.try_claim(task)? else {
             return Ok(());
         };
+        self.engine.record(at, task, RecordKind::Ready);
         // Replicas spread over the devices the task may use: the
         // surviving fleet under churn, the TEE pool for an enclave-only
         // task. Under churn `.max(1)` keeps the attempt alive through a
@@ -1086,6 +1163,15 @@ impl Runtime {
                 self.security.commit(d, self.classes.class_of(d))?;
             }
         }
+        self.engine.record(
+            start,
+            task,
+            RecordKind::Place {
+                devices: ReplicaDevices::from_raw(devices, k as u8),
+                evaluated,
+                pooled: use_pools,
+            },
+        );
         self.engine.push_finish(
             finish,
             FinishPayload {
@@ -1119,21 +1205,15 @@ impl Runtime {
             crashed: _,
         } = payload;
         let task = attempt.task;
-        let accepted = match vote(replicas.results()) {
-            Verdict::Accept(v) => {
-                let correct = v.0 == golden;
-                if !correct {
-                    self.engine.stats.silent_corruptions += 1;
-                }
-                Some(correct)
-            }
-            Verdict::Masked(v) => {
-                self.engine.stats.masked += 1;
-                Some(v.0 == golden)
-            }
-            Verdict::Retry => None,
-        };
-        match accepted {
+        let verdict = FinishVerdict::judge(vote(replicas.results()), golden);
+        match verdict {
+            FinishVerdict::Accepted { correct: false } => self.engine.stats.silent_corruptions += 1,
+            FinishVerdict::Masked { .. } => self.engine.stats.masked += 1,
+            FinishVerdict::Accepted { correct: true } | FinishVerdict::Retry => {}
+        }
+        self.engine
+            .record(finish, task, RecordKind::Finish { verdict });
+        match verdict.accepted() {
             Some(correct) => {
                 // The task's written regions now live on the primary
                 // replica's device, sealed at rest iff it was confidential:

@@ -104,6 +104,7 @@ pub mod runtime;
 pub mod scheduler;
 pub mod security;
 pub mod service;
+pub mod trace;
 
 pub use analyze::{AnalysisConfig, AnalysisMode, AnalysisReport, Diagnostic, LintId, Severity};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnEventKind, ChurnStats, ChurnTrace, DepartureKind};
@@ -113,7 +114,8 @@ pub use error::RuntimeError;
 pub use pool::{PoolConfig, TopologyConfig};
 pub use replication::MAX_REPLICAS;
 pub use resilience::{CheckpointRecord, ResilienceConfig, ResilienceStats, RollbackEvent};
-pub use runtime::{ReplicaDevices, RunReport, Runtime, TaskOutcome};
+pub use runtime::{Placements, ReplicaDevices, RunReport, Runtime, TaskOutcome};
 pub use scheduler::{Estimate, Policy, Scheduler, ScoreNorm};
 pub use security::{SecurityConfig, SecurityStats};
 pub use service::{Service, ServiceConfig, TenantId, TenantReport, TenantSpec};
+pub use trace::{FinishVerdict, Record, RecordKind};

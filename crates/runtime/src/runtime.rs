@@ -3,6 +3,8 @@
 //! Execution is driven by the event-driven engine in
 //! [`engine`](crate::engine) — the one executor.
 
+use std::sync::Arc;
+
 use legato_core::graph::{TaskGraph, TaskState};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId};
 use legato_core::units::{Joule, Seconds};
@@ -70,7 +72,7 @@ impl<'a> IntoIterator for &'a ReplicaDevices {
 /// Outcome of one task's (possibly replicated) execution.
 ///
 /// `Copy`: with the device list inline, outcome records are plain 64-byte
-/// values, so cloning the placement vector for a report is one `memcpy`.
+/// values, so copying the outcome table is one `memcpy`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TaskOutcome {
     /// The task.
@@ -86,6 +88,98 @@ pub struct TaskOutcome {
     pub correct: bool,
 }
 
+impl TaskOutcome {
+    /// The engine's outcome-table slot of a task with no accepted
+    /// outcome: an accepted attempt ran on at least one device, so an
+    /// empty device list marks the slot vacant.
+    pub(crate) const VACANT: TaskOutcome = TaskOutcome {
+        task: TaskId(0),
+        devices: ReplicaDevices {
+            devices: [0; crate::replication::MAX_REPLICAS],
+            len: 0,
+        },
+        start: Seconds::ZERO,
+        finish: Seconds::ZERO,
+        correct: false,
+    };
+
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.devices.len == 0
+    }
+}
+
+/// Accepted outcomes in task-id order, one per task that completed
+/// (failed, poisoned and not yet executed tasks are absent).
+///
+/// A snapshot: what a [`RunReport`] holds never changes after
+/// [`Runtime::report`] returned it, whatever the runtime does next. It
+/// dereferences to `[TaskOutcome]`, so it reads like the slice it is, and
+/// cloning it shares the buffer. The engine keeps its outcome table in
+/// this same type: a report of a runtime where every submitted task has
+/// an accepted outcome hands that table out uncopied, and the engine
+/// copies it once, at its next write (a submission, an acceptance or a
+/// rollback), only if such a snapshot is still alive then.
+#[derive(Clone, Default)]
+pub struct Placements(Arc<Vec<TaskOutcome>>);
+
+impl Placements {
+    /// The buffer for writing, with room for `additional` more slots. A
+    /// buffer a snapshot still shares is copied first, keeping its
+    /// capacity, so a write never changes what a snapshot reads.
+    pub(crate) fn make_mut(&mut self, additional: usize) -> &mut Vec<TaskOutcome> {
+        // No `Weak` to the buffer is ever made, so one strong count
+        // means unshared: a plain load, which keeps the hot path to the
+        // one atomic exchange in `Arc::get_mut`.
+        if Arc::strong_count(&self.0) > 1 {
+            let capacity = self.0.capacity().max(self.0.len() + additional);
+            let mut own = Vec::with_capacity(capacity);
+            own.extend_from_slice(&self.0);
+            self.0 = Arc::new(own);
+        }
+        let table = Arc::get_mut(&mut self.0).expect("unshared after the copy");
+        table.reserve(additional);
+        table
+    }
+
+    /// The filled slots of an outcome table, `filled` of them, in an
+    /// exactly sized buffer of their own.
+    pub(crate) fn compact(&self, filled: usize) -> Placements {
+        let mut own = Vec::with_capacity(filled);
+        own.extend(self.0.iter().filter(|o| !o.is_vacant()));
+        debug_assert_eq!(own.len(), filled);
+        Placements(Arc::new(own))
+    }
+}
+
+impl std::ops::Deref for Placements {
+    type Target = [TaskOutcome];
+
+    fn deref(&self) -> &[TaskOutcome] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Placements {
+    type Item = &'a TaskOutcome;
+    type IntoIter = std::slice::Iter<'a, TaskOutcome>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq for Placements {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl std::fmt::Debug for Placements {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Result of a full run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[must_use = "a run report carries the outcome of every task; dropping it unread discards the run"]
@@ -97,8 +191,11 @@ pub struct RunReport {
     /// Busy energy plus idle draw of every device over the makespan.
     pub total_energy: Joule,
     /// Per-task outcomes in submission order (skipped/poisoned tasks are
-    /// absent).
-    pub placements: Vec<TaskOutcome>,
+    /// absent), as they stood when the report was taken: a snapshot
+    /// that later runs, submissions and rollbacks leave as it is. Taking
+    /// it copies nothing when every submitted task has an accepted
+    /// outcome; see [`Placements`] for when a copy happens.
+    pub placements: Placements,
     /// Replication statistics.
     pub stats: ReplicationStats,
     /// Tasks that exhausted their retry budget (their dependents were
@@ -319,6 +416,7 @@ impl Runtime {
             self.security.activate(&self.devices);
         }
         let id = self.graph.add_task(descriptor, accesses);
+        self.engine.grow_outcomes(self.graph.len());
         if self.graph.state(id) == Ok(TaskState::Ready) {
             self.engine.push_ready(id);
         }
@@ -354,6 +452,7 @@ impl Runtime {
             self.security.activate(&self.devices);
         }
         let id = self.graph.add_task_with_deps(descriptor, accesses, deps)?;
+        self.engine.grow_outcomes(self.graph.len());
         if self.graph.state(id) == Ok(TaskState::Ready) {
             self.engine.push_ready(id);
         }
@@ -361,10 +460,10 @@ impl Runtime {
     }
 
     /// Pre-size the graph for a workload of known scale: reserves node
-    /// and edge storage (and the engine's acceptance log) so a large
-    /// streaming submission (100k–1M tasks) does not pay amortized
-    /// regrowth. Purely an optimization — the
-    /// resulting schedule is identical with or without the call.
+    /// and edge storage (and the engine's outcome table and acceptance
+    /// log) so a large streaming submission (100k–1M tasks) does not pay
+    /// amortized regrowth. Purely an optimization — the resulting
+    /// schedule is identical with or without the call.
     pub fn reserve(&mut self, tasks: usize, edges: usize) {
         self.graph.reserve(tasks, edges);
         self.engine.reserve(tasks);
@@ -390,6 +489,7 @@ impl Runtime {
         }
         let n0 = self.graph.len();
         builder.build_into(&mut self.graph);
+        self.engine.grow_outcomes(self.graph.len());
         for i in n0..self.graph.len() {
             let id = TaskId(i as u64);
             if self.graph.state(id) == Ok(TaskState::Ready) {

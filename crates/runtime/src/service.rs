@@ -438,7 +438,10 @@ impl Service {
     /// meters are brought up to date and every session's completed
     /// frontier is sealed. The report is the engine's cumulative
     /// [`RunReport`] — with a single tenant it is bit-identical to a
-    /// bare [`Runtime::run`] over the same submissions.
+    /// bare [`Runtime::run`] over the same submissions — and a snapshot
+    /// (see [`Runtime::report`]): a report kept across the next wave's
+    /// submissions makes the engine copy its outcome table once, at the
+    /// first of them; one dropped before costs no copy.
     ///
     /// # Errors
     ///

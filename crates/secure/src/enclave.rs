@@ -62,12 +62,6 @@ impl Platform {
         }
     }
 
-    /// Number of live enclaves.
-    #[must_use]
-    pub fn enclave_count(&self) -> usize {
-        self.enclaves.len()
-    }
-
     /// Create an enclave from its code image; the measurement is a hash
     /// of the image, and the sealing key is derived from platform key and
     /// measurement (so the same code on the same platform can unseal its
@@ -93,7 +87,27 @@ impl Platform {
         Ok(EnclaveId(id))
     }
 
-    /// Destroy an enclave.
+    /// Destroy an enclave. Its sealing key goes with it, and a
+    /// [`QuoteCache`] verdict about it must be
+    /// [`invalidated`](QuoteCache::invalidate): a new instance of the
+    /// same code is a new enclave and attests afresh.
+    ///
+    /// ```
+    /// use legato_secure::{Platform, QuoteCache};
+    ///
+    /// let mut platform = Platform::new(7, true);
+    /// let enclave = platform.create_enclave(b"kernel").unwrap();
+    /// let m = platform.measurement(enclave).unwrap();
+    /// let mut cache = QuoteCache::new();
+    /// assert_eq!(cache.attest_once(0, &platform, enclave, m), Ok(true));
+    ///
+    /// platform.destroy_enclave(enclave).unwrap();
+    /// assert!(platform.seal(enclave, b"secret").is_err());
+    /// assert!(cache.invalidate(0, m));
+    ///
+    /// let successor = platform.create_enclave(b"kernel").unwrap();
+    /// assert_eq!(cache.attest_once(0, &platform, successor, m), Ok(true));
+    /// ```
     ///
     /// # Errors
     ///
@@ -212,19 +226,6 @@ impl QuoteCache {
         self.verified.contains(&(platform_tag, measurement))
     }
 
-    /// Number of `(platform, measurement)` pairs currently verified.
-    #[must_use]
-    pub fn verified_count(&self) -> usize {
-        self.verified.len()
-    }
-
-    /// Total attestation rounds performed (cache misses; each consumed a
-    /// fresh nonce).
-    #[must_use]
-    pub fn attestations_performed(&self) -> u64 {
-        self.issued
-    }
-
     /// Attest `enclave` on `platform` under a fresh nonce unless
     /// `(platform_tag, measurement)` is already verified.
     ///
@@ -258,8 +259,22 @@ impl QuoteCache {
     }
 
     /// Drop the cached verdict for `(platform_tag, measurement)` —
-    /// required when the attested enclave is destroyed. Returns whether an
-    /// entry was present.
+    /// required when the attested enclave is destroyed (see
+    /// [`Platform::destroy_enclave`] for the lifecycle). Returns whether
+    /// an entry was present.
+    ///
+    /// ```
+    /// use legato_secure::{Platform, QuoteCache};
+    ///
+    /// let mut platform = Platform::new(7, true);
+    /// let enclave = platform.create_enclave(b"kernel").unwrap();
+    /// let m = platform.measurement(enclave).unwrap();
+    /// let mut cache = QuoteCache::new();
+    /// cache.attest_once(0, &platform, enclave, m).unwrap();
+    /// assert!(cache.invalidate(0, m));
+    /// assert!(!cache.is_verified(0, m));
+    /// assert!(!cache.invalidate(0, m), "nothing left to drop");
+    /// ```
     pub fn invalidate(&mut self, platform_tag: u64, measurement: u64) -> bool {
         self.verified.remove(&(platform_tag, measurement))
     }
@@ -374,7 +389,7 @@ mod tests {
         let e = p.create_enclave(b"m").unwrap();
         p.destroy_enclave(e).unwrap();
         assert_eq!(p.seal(e, b"x"), Err(SecureError::UnknownEnclave(e.0)));
-        assert_eq!(p.enclave_count(), 0);
+        assert!(p.enclaves.is_empty());
     }
 
     #[test]
@@ -389,8 +404,8 @@ mod tests {
         assert!(cache.is_verified(0, m));
         // A different platform tag (another device) is a separate pair.
         assert_eq!(cache.attest_once(1, &p, e, m), Ok(true));
-        assert_eq!(cache.verified_count(), 2);
-        assert_eq!(cache.attestations_performed(), 2);
+        assert_eq!(cache.verified.len(), 2);
+        assert_eq!(cache.issued, 2);
     }
 
     #[test]
@@ -415,7 +430,7 @@ mod tests {
         let e2 = p.create_enclave(b"other").unwrap();
         let m2 = p.measurement(e2).unwrap();
         cache.attest_once(0, &p, e2, m2).unwrap();
-        assert_eq!(cache.attestations_performed(), 2);
+        assert_eq!(cache.issued, 2);
     }
 
     #[test]
@@ -429,7 +444,7 @@ mod tests {
             cache.attest_once(0, &p, e, wrong),
             Err(SecureError::BadQuote)
         );
-        assert_eq!(cache.verified_count(), 0, "failure must cache nothing");
+        assert!(cache.verified.is_empty(), "failure must cache nothing");
         assert!(!cache.is_verified(0, wrong));
         // The correct measurement still attests cleanly afterwards.
         assert_eq!(cache.attest_once(0, &p, e, m), Ok(true));
@@ -455,7 +470,7 @@ mod tests {
         // A recreated instance of the same code re-attests from scratch.
         let e2 = p.create_enclave(b"module").unwrap();
         assert_eq!(cache.attest_once(0, &p, e2, m), Ok(true));
-        assert_eq!(cache.attestations_performed(), 2);
+        assert_eq!(cache.issued, 2);
     }
 
     #[test]
