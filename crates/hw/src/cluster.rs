@@ -123,8 +123,7 @@ impl NodeSpec {
     }
 
     /// Best (fastest) execution time for `work` across the node's devices.
-    #[must_use]
-    pub fn best_time(&self, work: Work, kind: TaskKind) -> Seconds {
+    fn best_time(&self, work: Work, kind: TaskKind) -> Seconds {
         self.devices
             .iter()
             .map(|d| d.time_for(work, kind))
@@ -138,23 +137,15 @@ impl NodeSpec {
         self.busy_power * self.best_time(work, kind)
     }
 
-    /// Whether the node carries a device of `kind`.
-    #[must_use]
-    pub fn has_device(&self, kind: DeviceKind) -> bool {
-        self.devices.iter().any(|d| d.kind == kind)
-    }
-
     /// The node's CPU device (the host processor), if any.
-    #[must_use]
-    pub fn cpu_device(&self) -> Option<&DeviceSpec> {
+    fn cpu_device(&self) -> Option<&DeviceSpec> {
         self.devices
             .iter()
             .find(|d| matches!(d.kind, DeviceKind::CpuX86 | DeviceKind::CpuArm))
     }
 
     /// The node's best accelerator for `kind`, if any.
-    #[must_use]
-    pub fn accelerator_for(&self, work: Work, kind: TaskKind) -> Option<&DeviceSpec> {
+    fn accelerator_for(&self, work: Work, kind: TaskKind) -> Option<&DeviceSpec> {
         self.devices
             .iter()
             .filter(|d| !matches!(d.kind, DeviceKind::CpuX86 | DeviceKind::CpuArm))
@@ -242,14 +233,6 @@ mod tests {
         let w = Work::flops(5e9);
         assert!(arm.energy_for(w, TaskKind::Compute).0 < x86.energy_for(w, TaskKind::Compute).0);
         assert!(arm.best_time(w, TaskKind::Compute) > x86.best_time(w, TaskKind::Compute));
-    }
-
-    #[test]
-    fn device_inventory() {
-        let f = NodeSpec::fpga_node("f");
-        assert!(f.has_device(DeviceKind::Fpga));
-        assert!(f.has_device(DeviceKind::CpuArm));
-        assert!(!f.has_device(DeviceKind::Gpu));
     }
 
     #[test]

@@ -142,6 +142,19 @@ impl Endpoint {
 
     /// Sum-allreduce a scalar across the group.
     ///
+    /// ```
+    /// use legato_hw::comm::Group;
+    ///
+    /// let ranks: Vec<_> = Group::endpoints(3)
+    ///     .into_iter()
+    ///     .map(|ep| std::thread::spawn(move || ep.allreduce_sum(ep.rank() as f64)))
+    ///     .collect();
+    /// for rank in ranks {
+    ///     assert_eq!(rank.join().unwrap()?, 3.0);
+    /// }
+    /// # Ok::<(), legato_hw::HwError>(())
+    /// ```
+    ///
     /// # Errors
     ///
     /// [`HwError::Comm`] if any peer hangs up mid-collective.
@@ -172,6 +185,19 @@ impl Endpoint {
     /// The bytes are converted into a shared [`Payload`] once on the
     /// root; each peer then receives a refcounted handle to the same
     /// buffer — no per-hop byte clone.
+    ///
+    /// ```
+    /// use legato_hw::comm::Group;
+    ///
+    /// let ranks: Vec<_> = Group::endpoints(3)
+    ///     .into_iter()
+    ///     .map(|ep| std::thread::spawn(move || ep.broadcast(1, vec![ep.rank() as u8])))
+    ///     .collect();
+    /// for rank in ranks {
+    ///     assert_eq!(&rank.join().unwrap()?[..], &[1]);
+    /// }
+    /// # Ok::<(), legato_hw::HwError>(())
+    /// ```
     ///
     /// # Errors
     ///

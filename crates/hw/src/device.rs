@@ -478,13 +478,6 @@ impl DeviceSpec {
     pub fn energy_for(&self, work: Work, task: TaskKind) -> Joule {
         self.busy_power * self.time_for(work, task)
     }
-
-    /// Energy-delay product, a common energy-efficiency figure of merit.
-    #[must_use]
-    pub fn edp_for(&self, work: Work, task: TaskKind) -> f64 {
-        let t = self.time_for(work, task);
-        (self.energy_for(work, task).0) * t.0
-    }
 }
 
 /// A device instance: a spec plus mutable execution state (energy meter,
@@ -642,14 +635,6 @@ mod tests {
         d.execute(Seconds::ZERO, w, TaskKind::Compute);
         assert!((d.meter().total().0 - 12.0).abs() < 1e-6); // 12 W × 1 s
         assert!((d.meter().elapsed().0 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edp_prefers_balanced_devices() {
-        let w = Work::flops(1e12);
-        let gpu = DeviceSpec::gtx1080();
-        let edp = gpu.edp_for(w, TaskKind::Inference);
-        assert!(edp > 0.0);
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub enum AddrSpace {
 impl AddrSpace {
     /// Whether host code can dereference pointers into this space without
     /// an explicit transfer.
-    #[must_use]
-    pub fn host_accessible(self) -> bool {
+    fn host_accessible(self) -> bool {
         !matches!(self, AddrSpace::Device(_))
     }
 }
@@ -62,8 +61,6 @@ pub struct TransferRates {
     /// Device ↔ host over PCIe through pageable (unpinned) host memory —
     /// the slow path the *initial* FTI implementation used.
     pub pcie_unpinned: BytesPerSec,
-    /// Host-to-host `memcpy` bandwidth.
-    pub host_copy: BytesPerSec,
     /// UVM page size for migration accounting.
     pub uvm_page: Bytes,
     /// Per-page fault/migration latency for UVM.
@@ -75,7 +72,6 @@ impl Default for TransferRates {
         TransferRates {
             pcie_pinned: BytesPerSec::gib_per_sec(12.0),
             pcie_unpinned: BytesPerSec::gib_per_sec(3.0),
-            host_copy: BytesPerSec::gib_per_sec(20.0),
             uvm_page: Bytes::mib(2),
             uvm_fault_latency: Seconds::from_micros(10.0),
         }
@@ -156,14 +152,8 @@ impl MemoryManager {
     /// Manager with [`TransferRates::default`].
     #[must_use]
     pub fn new() -> Self {
-        MemoryManager::with_rates(TransferRates::default())
-    }
-
-    /// Manager with explicit rates.
-    #[must_use]
-    pub fn with_rates(rates: TransferRates) -> Self {
         MemoryManager {
-            rates,
+            rates: TransferRates::default(),
             regions: HashMap::new(),
             next_id: 0,
         }
@@ -193,12 +183,6 @@ impl MemoryManager {
             },
         );
         Ok(RegionHandle(id))
-    }
-
-    /// Number of live regions.
-    #[must_use]
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// Size of a region.
@@ -258,24 +242,6 @@ impl MemoryManager {
         Ok(&r.data)
     }
 
-    /// Mutable view of a host-accessible region's bytes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MemoryManager::data`].
-    pub fn data_mut(&mut self, h: RegionHandle) -> Result<&mut [u8], HwError> {
-        let r = self
-            .regions
-            .get_mut(&h.0)
-            .ok_or(HwError::UnknownRegion(h.0))?;
-        if !r.space.host_accessible() {
-            return Err(HwError::Comm(format!(
-                "region {h} lives in device memory; stage it with read_for_host"
-            )));
-        }
-        Ok(&mut r.data)
-    }
-
     /// Copy a region's content to the host, paying the appropriate
     /// simulated cost: zero for host regions, UVM migration for unified
     /// regions, a pinned PCIe transfer for device regions.
@@ -333,15 +299,6 @@ impl MemoryManager {
             .remove(&h.0)
             .map(|_| ())
             .ok_or(HwError::UnknownRegion(h.0))
-    }
-
-    /// Host-to-host copy time.
-    #[must_use]
-    pub fn host_copy_time(&self, size: Bytes) -> Seconds {
-        if size == Bytes::ZERO {
-            return Seconds::ZERO;
-        }
-        size.time_at(self.rates.host_copy)
     }
 
     fn region(&self, h: RegionHandle) -> Result<&Region, HwError> {
@@ -424,7 +381,7 @@ mod tests {
         mm.free(h).unwrap();
         assert_eq!(mm.free(h), Err(HwError::UnknownRegion(h.0)));
         assert!(mm.data(h).is_err());
-        assert_eq!(mm.region_count(), 0);
+        assert!(mm.regions.is_empty());
     }
 
     #[test]
@@ -445,6 +402,5 @@ mod tests {
     fn zero_size_costs_nothing() {
         let mm = MemoryManager::new();
         assert_eq!(mm.rates().uvm_migration_time(Bytes::ZERO), Seconds::ZERO);
-        assert_eq!(mm.host_copy_time(Bytes::ZERO), Seconds::ZERO);
     }
 }

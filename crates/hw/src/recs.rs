@@ -15,7 +15,7 @@
 use legato_core::units::{BytesPerSec, Watt};
 use serde::{Deserialize, Serialize};
 
-use crate::device::{DeviceKind, DeviceSpec};
+use crate::device::DeviceSpec;
 use crate::error::HwError;
 
 /// Maximum carriers on one backplane.
@@ -171,18 +171,27 @@ impl RecsBox {
         self.carriers.iter().map(|c| c.microservers().len()).sum()
     }
 
-    /// Microservers whose device matches `kind` (lazy, allocation-free).
-    pub fn modules_of_kind(&self, kind: DeviceKind) -> impl Iterator<Item = &Microserver> {
-        self.microservers().filter(move |m| m.device.kind == kind)
-    }
-
     /// Chassis idle power: sum of module idle draws.
     #[must_use]
     pub fn idle_power(&self) -> Watt {
         self.microservers().map(|m| m.device.idle_power).sum()
     }
 
-    /// Chassis peak power: sum of module busy draws.
+    /// Chassis peak power: sum of module busy draws. With
+    /// [`RecsBox::idle_power`] it bounds what the chassis draws.
+    ///
+    /// ```
+    /// use legato_core::units::Watt;
+    /// use legato_hw::device::DeviceSpec;
+    /// use legato_hw::recs::RecsBox;
+    ///
+    /// let recs = RecsBox::builder("edge")
+    ///     .low_power_carrier(vec![DeviceSpec::arm64(); 4])
+    ///     .build()?;
+    /// assert_eq!(recs.peak_power(), Watt(48.0));
+    /// assert!(recs.idle_power() < recs.peak_power());
+    /// # Ok::<(), legato_hw::HwError>(())
+    /// ```
     #[must_use]
     pub fn peak_power(&self) -> Watt {
         self.microservers().map(|m| m.device.busy_power).sum()
@@ -283,6 +292,7 @@ impl RecsBoxBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceKind;
 
     #[test]
     fn builds_mixed_chassis() {
@@ -293,8 +303,13 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(recs.module_count(), 20);
-        assert_eq!(recs.modules_of_kind(DeviceKind::Gpu).count(), 1);
-        assert_eq!(recs.modules_of_kind(DeviceKind::CpuArm).count(), 16);
+        let of_kind = |kind| {
+            recs.microservers()
+                .filter(|m| m.device.kind == kind)
+                .count()
+        };
+        assert_eq!(of_kind(DeviceKind::Gpu), 1);
+        assert_eq!(of_kind(DeviceKind::CpuArm), 16);
     }
 
     #[test]

@@ -154,7 +154,21 @@ impl StorageDevice {
         self.busy_until
     }
 
-    /// Total bytes written through this device.
+    /// Total bytes written through this device. With
+    /// [`StorageDevice::bytes_read`] it is the device's traffic ledger:
+    /// `write` and `occupy` add to one, `read` and `occupy_read` to the
+    /// other, and `reset` clears both.
+    ///
+    /// ```
+    /// use legato_core::units::{Bytes, Seconds};
+    /// use legato_hw::storage::{StorageDevice, StorageTier, WriteMode};
+    ///
+    /// let mut nvme = StorageDevice::new(StorageTier::local_nvme());
+    /// nvme.write(Seconds::ZERO, Bytes::gib(2), WriteMode::Streaming);
+    /// nvme.occupy_read(Seconds::ZERO, Seconds(1.0), Bytes::gib(1));
+    /// assert_eq!(nvme.bytes_written(), Bytes::gib(2));
+    /// assert_eq!(nvme.bytes_read(), Bytes::gib(1));
+    /// ```
     #[must_use]
     pub fn bytes_written(&self) -> Bytes {
         self.bytes_written

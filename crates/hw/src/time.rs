@@ -47,7 +47,18 @@ impl SimClock {
         self.now += dt;
     }
 
-    /// Advance the clock to an absolute time not before the present.
+    /// Advance the clock to an absolute time not before the present: the
+    /// step of a discrete-event loop, which jumps to its next event.
+    ///
+    /// ```
+    /// use legato_hw::time::SimClock;
+    /// use legato_core::units::Seconds;
+    ///
+    /// let mut clk = SimClock::new();
+    /// clk.advance_to(Seconds(4.0));
+    /// clk.advance_to(Seconds(4.0));
+    /// assert_eq!(clk.now(), Seconds(4.0));
+    /// ```
     ///
     /// # Panics
     ///

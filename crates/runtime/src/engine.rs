@@ -210,8 +210,8 @@ pub(crate) struct EngineState {
     /// The outcome table: one slot per submitted task, indexed by task
     /// id, so it is sorted by construction. A slot is vacant
     /// ([`TaskOutcome::VACANT`]) until its task's outcome is accepted,
-    /// and again after a rollback discards it. Slots are added at
-    /// submission only, never on the accept path. A report whose every
+    /// and again after a rollback discards it. Slots are added when a
+    /// run or step starts, never on the accept path. A report whose every
     /// slot is filled shares this buffer (see [`Placements`]).
     outcomes: Placements,
     /// Filled slots of `outcomes`.
@@ -439,12 +439,14 @@ impl EngineState {
     }
 
     /// Give the outcome table one slot per submitted task, `tasks` in
-    /// all.
-    pub(crate) fn grow_outcomes(&mut self, tasks: usize) {
+    /// all; a table that long already is left alone.
+    fn grow_outcomes(&mut self, tasks: usize) {
         let fresh = tasks - self.outcomes.len();
-        self.outcomes
-            .make_mut(fresh)
-            .resize(tasks, TaskOutcome::VACANT);
+        if fresh > 0 {
+            self.outcomes
+                .make_mut(fresh)
+                .resize(tasks, TaskOutcome::VACANT);
+        }
     }
 
     /// Pre-size the outcome table and the acceptance log for `tasks`
@@ -557,6 +559,7 @@ impl Runtime {
         self.policy.validate()?;
         self.classes.check()?;
         self.ensure_analyzed()?;
+        self.engine.grow_outcomes(self.graph.len());
         if self.security.active || self.resilience.is_some() || self.topology.is_some() {
             self.resolve_sizes();
         }

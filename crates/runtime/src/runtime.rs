@@ -115,9 +115,9 @@ impl TaskOutcome {
 /// [`Runtime::report`] returned it, whatever the runtime does next. It
 /// dereferences to `[TaskOutcome]`, so it reads like the slice it is, and
 /// cloning it shares the buffer. The engine keeps its outcome table in
-/// this same type: a report of a runtime where every submitted task has
-/// an accepted outcome hands that table out uncopied, and the engine
-/// copies it once, at its next write (a submission, an acceptance or a
+/// this same type: a report taken while every slot of the table is
+/// filled hands that table out uncopied, and the engine copies it once,
+/// at its next write (growth at a run or step, an acceptance or a
 /// rollback), only if such a snapshot is still alive then.
 #[derive(Clone, Default)]
 pub struct Placements(Arc<Vec<TaskOutcome>>);
@@ -409,17 +409,9 @@ impl Runtime {
         I: IntoIterator<Item = (R, AccessMode)>,
         R: Into<RegionId>,
     {
-        // The first non-public task activates the security layer
-        // (platforms on TEE devices, producer tracking). All-public runs
-        // never reach any security code path.
-        if descriptor.requirements.security.seals_at_rest() {
-            self.security.activate(&self.devices);
-        }
+        let seals = descriptor.requirements.security.seals_at_rest();
         let id = self.graph.add_task(descriptor, accesses);
-        self.engine.grow_outcomes(self.graph.len());
-        if self.graph.state(id) == Ok(TaskState::Ready) {
-            self.engine.push_ready(id);
-        }
+        self.admit(seals, id.index());
         id
     }
 
@@ -448,14 +440,9 @@ impl Runtime {
         I: IntoIterator<Item = (R, AccessMode)>,
         R: Into<RegionId>,
     {
-        if descriptor.requirements.security.seals_at_rest() {
-            self.security.activate(&self.devices);
-        }
+        let seals = descriptor.requirements.security.seals_at_rest();
         let id = self.graph.add_task_with_deps(descriptor, accesses, deps)?;
-        self.engine.grow_outcomes(self.graph.len());
-        if self.graph.state(id) == Ok(TaskState::Ready) {
-            self.engine.push_ready(id);
-        }
+        self.admit(seals, id.index());
         Ok(id)
     }
 
@@ -480,23 +467,30 @@ impl Runtime {
         &mut self,
         builder: legato_core::graph::GraphBuilder,
     ) -> std::ops::Range<u64> {
-        if builder
+        let seals = builder
             .descriptors()
             .iter()
-            .any(|d| d.requirements.security.seals_at_rest())
-        {
+            .any(|d| d.requirements.security.seals_at_rest());
+        let first = self.graph.len();
+        builder.build_into(&mut self.graph);
+        self.admit(seals, first)
+    }
+
+    /// The tail of every submission, for the tasks from `first` on: a
+    /// task that `seals` at rest activates the security layer (platforms
+    /// on TEE devices, producer tracking; all-public runs never reach
+    /// it), and each ready task joins the ready queue.
+    fn admit(&mut self, seals: bool, first: usize) -> std::ops::Range<u64> {
+        if seals {
             self.security.activate(&self.devices);
         }
-        let n0 = self.graph.len();
-        builder.build_into(&mut self.graph);
-        self.engine.grow_outcomes(self.graph.len());
-        for i in n0..self.graph.len() {
+        for i in first..self.graph.len() {
             let id = TaskId(i as u64);
             if self.graph.state(id) == Ok(TaskState::Ready) {
                 self.engine.push_ready(id);
             }
         }
-        n0 as u64..self.graph.len() as u64
+        first as u64..self.graph.len() as u64
     }
 
     /// Copy the declared size of each region interned since the last

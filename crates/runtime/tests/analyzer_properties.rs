@@ -22,9 +22,12 @@
 //! a from-scratch `Runtime::analyze` of the graph and fleet at that
 //! entry.
 
-use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use std::collections::HashMap;
 
+mod common;
+
+use common::gen;
+use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, Seconds, Watt};
 use legato_hw::device::DeviceSpec;
@@ -35,26 +38,6 @@ use legato_runtime::{
 };
 use legato_workloads::fleets;
 use proptest::prelude::*;
-
-/// Chains → tasks → flops.
-type ChainSpec = Vec<Vec<f64>>;
-
-fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(prop::collection::vec(1e9f64..8e10, 1..10), 1..8)
-}
-
-/// Chain `c` serializes on its private region `c` through inference —
-/// by construction race-free.
-fn build_chains(rt: &mut Runtime, chains: &ChainSpec) {
-    for (c, chain) in chains.iter().enumerate() {
-        for &flops in chain {
-            rt.submit(
-                TaskDescriptor::named("t").with_work(Work::flops(flops)),
-                [(c as u64, AccessMode::InOut)],
-            );
-        }
-    }
-}
 
 fn analyzed_runtime(seed: u64) -> Runtime {
     EngineConfig::new()
@@ -72,10 +55,12 @@ proptest! {
     /// execution — identical reports across runs, consumers never start
     /// before their producers finish.
     #[test]
-    fn race_clean_graphs_run_deterministically(chains in chains_strategy(), seed in 0u64..500) {
+    fn race_clean_graphs_run_deterministically(chains in gen::chains_strategy(), seed in 0u64..500) {
         let run = || {
             let mut rt = analyzed_runtime(seed);
-            build_chains(&mut rt, &chains);
+            // Chain `c` serializes on its private region `c` through
+            // inference: by construction race-free.
+            gen::submit(&mut rt, &chains, gen::plain);
             let verdict = rt.analyze();
             prop_assert!(verdict.is_clean(), "inference-built graph flagged: {verdict}");
             Ok(rt.run().expect("clean graph must not be refused"))
@@ -106,11 +91,11 @@ proptest! {
     /// the contested region as the witness.
     #[test]
     fn injected_writer_races_are_always_caught(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         region in 9000u64..9100,
     ) {
         let mut rt = analyzed_runtime(7);
-        build_chains(&mut rt, &chains);
+        gen::submit(&mut rt, &chains, gen::plain);
         // Two writers to a region no chain uses, with no ordering.
         let a = rt
             .submit_with_deps(TaskDescriptor::named("wa"), [(region, AccessMode::Out)], &[])

@@ -22,7 +22,7 @@
 //! | predecessor arena (one per access), successor arena (7,500 edges) | 10,000 × 8 + 7,500 × 8 | 140,000 |
 //! | region tables: history, liveness, slot→region, region→slot map | 2,500 × (40 + 16 + 8) + 69,648 | 229,648 |
 //! | ready/completed/live bitmaps | (157 + 157 + 40) words × 8 | 2,832 |
-//! | engine outcome table (`TaskOutcome`, one slot per submitted task, sized at submission) | 10,000 × 64 | 640,000 |
+//! | engine outcome table (`TaskOutcome`, one slot per submitted task, sized when the run starts) | 10,000 × 64 | 640,000 |
 //! | engine acceptance log, ready queue (`Event`) | 16,384 × 8 + 4,096 × 32 | 262,144 |
 //! | finish slab and its free list, deferred finishes, event heap | 4,096 × (128 + 4) + 2,816 × 32 + 256 × 32 | 638,976 |
 //! | report placements (the outcome table, shared: every slot is filled) | 0 | 0 |

@@ -19,59 +19,16 @@
 //!   placement evaluations — also when an arrival brings a spec the
 //!   build-time fleet lacks and the search opens a class tree mid-run.
 
-use std::collections::HashMap;
+mod common;
 
-use legato_core::requirements::{Criticality, Requirements};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
+use common::gen::{self, ChainSpec};
 use legato_core::units::{Bytes, Seconds};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, EngineConfig, Policy, PoolConfig,
-    ResilienceConfig, Runtime, RuntimeError,
+    ChurnConfig, ChurnEvent, ChurnEventKind, ChurnTrace, EngineConfig, PoolConfig, Runtime,
 };
+use legato_workloads::region_sizes;
 use proptest::prelude::*;
-
-/// Chains → tasks → (flops, criticality selector).
-type ChainSpec = Vec<Vec<(f64, u8)>>;
-
-fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(prop::collection::vec((5e11f64..4e12, 0u8..3), 1..8), 1..6)
-}
-
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-    ]
-}
-
-fn criticality(sel: u8) -> Criticality {
-    match sel {
-        0 => Criticality::Normal,
-        1 => Criticality::High,
-        _ => Criticality::Critical,
-    }
-}
-
-fn submit_wave(rt: &mut Runtime, chains: &ChainSpec) {
-    for (c, chain) in chains.iter().enumerate() {
-        for &(flops, crit) in chain {
-            rt.submit(
-                TaskDescriptor::named("t")
-                    .with_work(Work::flops(flops))
-                    .with_requirements(Requirements::new().with_criticality(criticality(crit))),
-                [(c as u64, AccessMode::InOut)],
-            );
-        }
-    }
-}
-
-fn sizes(chains: &ChainSpec) -> HashMap<RegionId, Bytes> {
-    (0..chains.len() as u64)
-        .map(|c| (RegionId(c), Bytes::mib(16)))
-        .collect()
-}
 
 fn config(
     seed: u64,
@@ -79,14 +36,9 @@ fn config(
     churn: Option<ChurnConfig>,
     chains: &ChainSpec,
 ) -> EngineConfig {
-    let mut cfg = EngineConfig::new()
-        .with_devices(devices())
-        .with_policy(Policy::Weighted(0.5))
-        .with_seed(seed)
-        .with_max_retries(1)
-        .with_region_sizes(sizes(chains));
+    let mut cfg = gen::config(seed).with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)));
     if resilient {
-        cfg = cfg.with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
+        cfg = cfg.with_resilience(gen::checkpointing());
     }
     if let Some(churn) = churn {
         cfg = cfg.with_churn(churn);
@@ -94,28 +46,8 @@ fn config(
     cfg
 }
 
-fn build(cfg: EngineConfig) -> Runtime {
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
-}
-
 fn runtime(seed: u64, resilient: bool, churn: Option<ChurnConfig>, chains: &ChainSpec) -> Runtime {
-    build(config(seed, resilient, churn, chains))
-}
-
-/// Drive `run()` to quiescence, tolerating per-task churn refusals: an
-/// expired deferral fails one task and poisons its cone, after which the
-/// rest of the graph keeps executing.
-fn run_to_quiescence(rt: &mut Runtime) -> (legato_runtime::RunReport, Vec<u64>) {
-    let mut refused = Vec::new();
-    loop {
-        match rt.run() {
-            Ok(report) => return (report, refused),
-            Err(RuntimeError::DeferralExpired(task)) => refused.push(task.0),
-            Err(e) => panic!("only deferral expiry is a legal churn refusal, got {e}"),
-        }
-    }
+    gen::faulty(config(seed, resilient, churn, chains))
 }
 
 proptest! {
@@ -124,17 +56,17 @@ proptest! {
     /// and the churn stats stay all-zero.
     #[test]
     fn zero_churn_runs_are_bit_identical_to_churn_free_runs(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
     ) {
         let mut plain = runtime(seed, resilient, None, &chains);
-        submit_wave(&mut plain, &chains);
+        gen::submit(&mut plain, &chains, gen::public);
         let plain_report = plain.run().expect("devices present");
 
         let churn = ChurnConfig::new(ChurnTrace::new());
         let mut armed = runtime(seed, resilient, Some(churn), &chains);
-        submit_wave(&mut armed, &chains);
+        gen::submit(&mut armed, &chains, gen::public);
         let mut armed_report = armed.run().expect("devices present");
 
         let churn_stats = armed_report.churn.take().expect("churn was configured");
@@ -148,7 +80,7 @@ proptest! {
     /// reports, refusal lists and rollback traces.
     #[test]
     fn equal_seeds_yield_bit_identical_churn_runs(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         trace_seed in 0u64..300,
         events in 0usize..8,
@@ -158,15 +90,15 @@ proptest! {
         let run = |()| {
             let trace = ChurnTrace::seeded(
                 trace_seed,
-                devices().len(),
+                gen::devices().len(),
                 Seconds(60.0),
                 events,
-                &devices(),
+                &gen::devices(),
                 crash_fraction,
             );
             let mut rt = runtime(seed, resilient, Some(ChurnConfig::new(trace)), &chains);
-            submit_wave(&mut rt, &chains);
-            let (report, refused) = run_to_quiescence(&mut rt);
+            gen::submit(&mut rt, &chains, gen::public);
+            let (report, refused) = gen::run_past_expiries(&mut rt);
             (report, refused, rt.rollback_trace().to_vec())
         };
         let (a, refused_a, trace_a) = run(());
@@ -182,7 +114,7 @@ proptest! {
     /// the submitted graph.
     #[test]
     fn churn_runs_complete_or_refuse_cleanly(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         trace_seed in 0u64..300,
         events in 0usize..8,
@@ -191,15 +123,15 @@ proptest! {
     ) {
         let trace = ChurnTrace::seeded(
             trace_seed,
-            devices().len(),
+            gen::devices().len(),
             Seconds(60.0),
             events,
-            &devices(),
+            &gen::devices(),
             crash_fraction,
         );
         let mut rt = runtime(seed, resilient, Some(ChurnConfig::new(trace)), &chains);
-        submit_wave(&mut rt, &chains);
-        let (report, refused) = run_to_quiescence(&mut rt);
+        gen::submit(&mut rt, &chains, gen::public);
+        let (report, refused) = gen::run_past_expiries(&mut rt);
 
         let total: usize = chains.iter().map(Vec::len).sum();
         for pair in report.placements.windows(2) {
@@ -214,7 +146,7 @@ proptest! {
         prop_assert!(report.placements.len() + report.failed.len() <= total);
         // Every typed refusal surfaced by the loop names a failed task.
         for t in &refused {
-            prop_assert!(report.failed.iter().any(|f| f.0 == *t));
+            prop_assert!(report.failed.contains(t));
         }
         let stats = report.churn.expect("churn was configured");
         prop_assert!(stats.crashes <= stats.departures);
@@ -227,13 +159,10 @@ proptest! {
     /// never evaluates more candidates than the scan does.
     #[test]
     fn pooled_placement_stays_bit_identical_under_churn(
-        // Many short chains of `Normal` tasks (selector 0: one replica):
+        // Many short chains, submitted as `Normal` tasks (one replica):
         // more ready tasks than devices, so attempts queue behind one
         // another and an early crash finds some to migrate.
-        chains in prop::collection::vec(
-            prop::collection::vec((5e11f64..4e12, 0u8..1), 1..4),
-            8..20,
-        ),
+        chains in gen::chains(1..4, 8..20),
         seed in 0u64..300,
         trace_seed in 0u64..300,
         events in 1usize..8,
@@ -243,24 +172,24 @@ proptest! {
         let run = |pools: Option<PoolConfig>| {
             let trace = ChurnTrace::seeded(
                 trace_seed,
-                devices().len(),
+                gen::devices().len(),
                 Seconds(20.0),
                 events,
-                &devices(),
+                &gen::devices(),
                 crash_fraction,
             );
             let mut cfg = config(seed, resilient, Some(ChurnConfig::new(trace)), &chains);
             if let Some(pools) = pools {
                 cfg = cfg.with_pools(pools);
             }
-            let mut rt = build(cfg);
-            submit_wave(&mut rt, &chains);
-            let (report, refused) = run_to_quiescence(&mut rt);
+            let mut rt = gen::faulty(cfg);
+            gen::submit(&mut rt, &chains, gen::plain);
+            let (report, refused) = gen::run_past_expiries(&mut rt);
             (report, refused, rt.placement_evals())
         };
         let (flat, flat_refused, flat_evals) = run(None);
         let (pooled, pooled_refused, pooled_evals) =
-            run(Some(PoolConfig::uniform(devices().len(), 2)));
+            run(Some(PoolConfig::uniform(gen::devices().len(), 2)));
         prop_assert_eq!(&pooled, &flat);
         prop_assert_eq!(pooled_refused, flat_refused);
         prop_assert!(
@@ -276,10 +205,7 @@ proptest! {
     /// evaluates more candidates than the scan does.
     #[test]
     fn pooled_placement_stays_bit_identical_when_a_new_class_arrives(
-        chains in prop::collection::vec(
-            prop::collection::vec((5e11f64..4e12, 0u8..3), 1..4),
-            8..20,
-        ),
+        chains in gen::chains(1..4, 8..20),
         seed in 0u64..300,
         trace_seed in 0u64..300,
         events in 0usize..6,
@@ -287,11 +213,11 @@ proptest! {
         crash_fraction in 0.0f64..1.0,
         resilient in any::<bool>(),
     ) {
-        let mut arrivals = devices();
+        let mut arrivals = gen::devices();
         arrivals.push(DeviceSpec::jetson_soc());
         let seeded = ChurnTrace::seeded(
             trace_seed,
-            devices().len(),
+            gen::devices().len(),
             Seconds(20.0),
             events,
             &arrivals,
@@ -312,14 +238,14 @@ proptest! {
             if let Some(pools) = pools {
                 cfg = cfg.with_pools(pools);
             }
-            let mut rt = build(cfg);
-            submit_wave(&mut rt, &chains);
-            let (report, refused) = run_to_quiescence(&mut rt);
+            let mut rt = gen::faulty(cfg);
+            gen::submit(&mut rt, &chains, gen::public);
+            let (report, refused) = gen::run_past_expiries(&mut rt);
             (report, refused, rt.placement_evals())
         };
         let (flat, flat_refused, flat_evals) = run(None);
         let (pooled, pooled_refused, pooled_evals) =
-            run(Some(PoolConfig::uniform(devices().len(), 2)));
+            run(Some(PoolConfig::uniform(gen::devices().len(), 2)));
         prop_assert!(flat.churn.is_some_and(|c| c.arrivals >= 1), "the Jetson arrived");
         prop_assert_eq!(&pooled, &flat);
         prop_assert_eq!(pooled_refused, flat_refused);

@@ -6,6 +6,10 @@
 
 use std::collections::HashMap;
 
+mod common;
+
+use common::gen;
+
 use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskKind, Work};
 use legato_core::units::{Bytes, Seconds, Watt};
@@ -320,13 +324,7 @@ fn rolled_back_deferrals(trace: ChurnTrace) -> (Runtime, legato_runtime::RunRepo
             );
         }
     }
-    let report = loop {
-        match rt.run() {
-            Ok(report) => break report,
-            Err(RuntimeError::DeferralExpired(_)) => {}
-            Err(e) => panic!("unexpected refusal: {e}"),
-        }
-    };
+    let (report, _) = gen::run_past_expiries(&mut rt);
     (rt, report)
 }
 

@@ -1,12 +1,20 @@
-//! A counting global allocator for the allocation pins. A binary that
-//! installs it (`#[global_allocator] static GLOBAL: CountingAlloc`) and
-//! reads [`allocations`] holds one `#[test]` only: that counter is
-//! process-wide, and the harness runs the tests of one binary on
-//! parallel threads. Live and peak bytes are counted per thread, so the
-//! harness's own bookkeeping and other tests stay out of them, and a
-//! binary that reads only them may hold several tests. Each binary reads the counters it pins, so the others go
-//! unused there.
+//! Setup shared by the runtime's integration tests: each binary that
+//! declares `mod common;` compiles all of it and uses what it needs.
+//!
+//! [`gen`] holds what the property tests draw and build from: the chain
+//! strategy, the three-device fleet, the criticality, security and
+//! policy selectors, and the submit, build and run loops over them.
+//!
+//! This file holds a counting global allocator for the allocation pins.
+//! A binary that installs it (`#[global_allocator] static GLOBAL:
+//! CountingAlloc`) and reads [`allocations`] holds one `#[test]` only:
+//! that counter is process-wide, and the harness runs the tests of one
+//! binary on parallel threads. Live and peak bytes are counted per
+//! thread, so the harness's own bookkeeping and other tests stay out of
+//! them, and a binary that reads only them may hold several tests.
 #![allow(dead_code)]
+
+pub mod gen;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -24,58 +24,34 @@
 //! [`EnergyConfig`]: legato_runtime::EnergyConfig
 //! [`EnergyStats`]: legato_runtime::EnergyStats
 
+mod common;
+
+use common::gen;
 use legato_core::task::{AccessMode, TaskDescriptor, Work};
 use legato_core::units::{Seconds, Watt};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{EnergyConfig, EngineConfig, Policy, Runtime};
 use proptest::prelude::*;
 
-/// Chains → tasks → flops.
-type ChainSpec = Vec<Vec<f64>>;
-
-fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(prop::collection::vec(5e11f64..4e12, 1..8), 1..6)
-}
-
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-    ]
-}
-
-/// Submit every chain task; chain `c` serializes on its private region.
-fn submit(rt: &mut Runtime, chains: &ChainSpec) {
-    for (c, chain) in chains.iter().enumerate() {
-        for &flops in chain {
-            rt.submit(
-                TaskDescriptor::named("t").with_work(Work::flops(flops)),
-                [(c as u64, AccessMode::InOut)],
-            );
-        }
-    }
-}
-
 proptest! {
     /// No [`EnergyConfig`] ⇒ the builder is a pure repackaging of
     /// `Runtime::new`: bit-identical report, and no energy stats.
     #[test]
     fn builder_without_energy_matches_runtime_new(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
     ) {
-        let mut plain = Runtime::new(devices(), Policy::Performance, seed);
-        submit(&mut plain, &chains);
+        let mut plain = Runtime::new(gen::devices(), Policy::Performance, seed);
+        gen::submit(&mut plain, &chains, gen::plain);
         let plain_report = plain.run().expect("devices present");
 
         let mut built = EngineConfig::new()
-            .with_devices(devices())
+            .with_devices(gen::devices())
             .with_policy(Policy::Performance)
             .with_seed(seed)
             .build()
             .expect("valid engine config");
-        submit(&mut built, &chains);
+        gen::submit(&mut built, &chains, gen::plain);
         let built_report = built.run().expect("devices present");
 
         prop_assert!(built_report.energy.is_none());
@@ -89,18 +65,18 @@ proptest! {
     /// energy/time trade moves along the frontier.
     #[test]
     fn stepping_down_the_ladder_never_costs_energy_or_saves_time(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
     ) {
         let run = |step: usize| {
             let mut rt = EngineConfig::new()
-                .with_devices(devices())
+                .with_devices(gen::devices())
                 .with_policy(Policy::Performance)
                 .with_seed(seed)
                 .with_energy(EnergyConfig::new().with_uniform_step(step))
                 .build()
                 .expect("default ladders carry three rungs");
-            submit(&mut rt, &chains);
+            gen::submit(&mut rt, &chains, gen::plain);
             rt.run().expect("devices present")
         };
         let rungs = [run(0), run(1), run(2)];
@@ -128,7 +104,7 @@ proptest! {
     /// [`EnergyStats`] included — under an active fault model too.
     #[test]
     fn seeded_energy_objective_runs_are_deterministic(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         cap in any::<bool>(),
     ) {
@@ -139,7 +115,7 @@ proptest! {
                 EnergyConfig::new().with_uniform_step(1).with_makespan_bound(Seconds(30.0))
             };
             let mut rt = EngineConfig::new()
-                .with_devices(devices())
+                .with_devices(gen::devices())
                 .with_policy(Policy::Performance)
                 .with_seed(seed)
                 .with_max_retries(1)
@@ -147,7 +123,7 @@ proptest! {
                 .build()
                 .expect("valid engine config");
             rt.set_fault_prob(1, 0.3);
-            submit(&mut rt, &chains);
+            gen::submit(&mut rt, &chains, gen::plain);
             rt.run().expect("devices present")
         };
         let a = run();

@@ -37,95 +37,23 @@
 //! [`RunReport`]: legato_runtime::RunReport
 //! [`SecurityStats`]: legato_runtime::SecurityStats
 
-use std::collections::HashMap;
+mod common;
 
-use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
-use legato_core::units::{Bytes, Seconds};
-use legato_hw::device::DeviceSpec;
-use legato_runtime::{EngineConfig, Policy, ResilienceConfig, RunReport, Runtime, SecurityConfig};
+use common::gen::{self, ChainSpec};
+use legato_core::requirements::SecurityLevel;
+use legato_core::units::Bytes;
+use legato_runtime::{Policy, RunReport, Runtime, SecurityConfig};
+use legato_workloads::region_sizes;
 use proptest::prelude::*;
 
-/// Chains → tasks → (flops, criticality selector, security selector).
-type ChainSpec = Vec<Vec<(f64, u8, u8)>>;
-
-fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(
-        prop::collection::vec((5e11f64..4e12, 0u8..3, 0u8..3), 1..8),
-        1..6,
-    )
-}
-
-/// Like [`chains_strategy`] but every task is public.
-fn public_chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(
-        prop::collection::vec((5e11f64..4e12, 0u8..3, Just(0u8)), 1..8),
-        1..6,
-    )
-}
-
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-    ]
-}
-
-fn criticality(sel: u8) -> Criticality {
-    match sel {
-        0 => Criticality::Normal,
-        1 => Criticality::High,
-        _ => Criticality::Critical,
-    }
-}
-
-fn security(sel: u8) -> SecurityLevel {
-    match sel {
-        0 => SecurityLevel::Public,
-        1 => SecurityLevel::Confidential,
-        _ => SecurityLevel::Enclave,
-    }
-}
-
-/// Submit every chain task; chain `c` serializes on its private region.
-fn submit_wave(rt: &mut Runtime, chains: &ChainSpec) {
-    for (c, chain) in chains.iter().enumerate() {
-        for &(flops, crit, sec) in chain {
-            rt.submit(
-                TaskDescriptor::named("t")
-                    .with_work(Work::flops(flops))
-                    .with_requirements(
-                        Requirements::new()
-                            .with_criticality(criticality(crit))
-                            .with_security(security(sec)),
-                    ),
-                [(c as u64, AccessMode::InOut)],
-            );
-        }
-    }
-}
-
-fn sizes(chains: &ChainSpec) -> HashMap<RegionId, Bytes> {
-    (0..chains.len() as u64)
-        .map(|c| (RegionId(c), Bytes::mib(16)))
-        .collect()
-}
-
 fn runtime(seed: u64, resilient: bool, chains: &ChainSpec) -> Runtime {
-    let mut cfg = EngineConfig::new()
-        .with_devices(devices())
-        .with_policy(Policy::Weighted(0.5))
-        .with_seed(seed)
-        .with_max_retries(1)
-        .with_region_sizes(sizes(chains))
+    let mut cfg = gen::config(seed)
+        .with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)))
         .with_security(SecurityConfig::new());
     if resilient {
-        cfg = cfg.with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
+        cfg = cfg.with_resilience(gen::checkpointing());
     }
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
+    gen::faulty(cfg)
 }
 
 /// Split one chain spec into two submission waves at `split` tasks.
@@ -162,7 +90,7 @@ proptest! {
     /// batched interface, resilience included.
     #[test]
     fn streaming_equals_batched(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         split_frac in 0.0f64..1.0,
         seed in 0u64..300,
         resilient in any::<bool>(),
@@ -172,15 +100,15 @@ proptest! {
         let (wave1, wave2) = waves(&chains, split);
 
         let mut batched = runtime(seed, resilient, &chains);
-        submit_wave(&mut batched, &wave1);
+        gen::submit(&mut batched, &wave1, gen::mixed);
         let _ = batched.run().expect("devices present");
-        submit_wave(&mut batched, &wave2);
+        gen::submit(&mut batched, &wave2, gen::mixed);
         let batched_report = batched.run().expect("devices present");
 
         let mut streamed = runtime(seed, resilient, &chains);
-        submit_wave(&mut streamed, &wave1);
+        gen::submit(&mut streamed, &wave1, gen::mixed);
         while streamed.step().expect("devices present").is_some() {}
-        submit_wave(&mut streamed, &wave2);
+        gen::submit(&mut streamed, &wave2, gen::mixed);
         while streamed.step().expect("devices present").is_some() {}
         let streamed_report = streamed.report();
 
@@ -193,10 +121,10 @@ proptest! {
     /// Same seed + same graph ⇒ identical `RunReport`, with the fault
     /// model and replication voting active.
     #[test]
-    fn engine_is_deterministic(chains in public_chains_strategy(), seed in 0u64..1000) {
+    fn engine_is_deterministic(chains in gen::chains_strategy(), seed in 0u64..1000) {
         let run = || {
             let mut rt = runtime(seed, false, &chains);
-            submit_wave(&mut rt, &chains);
+            gen::submit(&mut rt, &chains, gen::public);
             rt.run().expect("devices present")
         };
         prop_assert_eq!(run(), run());
@@ -209,13 +137,13 @@ proptest! {
     /// enclave-only tasks only ever run on TEE-capable devices.
     #[test]
     fn confidential_runs_are_deterministic_and_respect_placement(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
     ) {
         let run = |seed| {
             let mut rt = runtime(seed, resilient, &chains);
-            submit_wave(&mut rt, &chains);
+            gen::submit(&mut rt, &chains, gen::mixed);
             let report = rt.run().expect("devices present");
             (report, rt.rollback_trace().to_vec())
         };
@@ -228,7 +156,7 @@ proptest! {
         // Placement rule: enclave-only tasks stay on TEE devices.
         let rt = {
             let mut rt = runtime(seed, resilient, &chains);
-            submit_wave(&mut rt, &chains);
+            gen::submit(&mut rt, &chains, gen::mixed);
             rt
         };
         let tee: Vec<usize> = rt
@@ -241,7 +169,7 @@ proptest! {
         let mut flat = Vec::new();
         for chain in &chains {
             for &(_, _, sec) in chain {
-                flat.push(security(sec));
+                flat.push(gen::security(sec));
             }
         }
         let mut enclave_ran = 0u64;
@@ -270,7 +198,7 @@ proptest! {
     /// over the same waves.
     #[test]
     fn streaming_equals_batched_with_security(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         split_frac in 0.0f64..1.0,
         seed in 0u64..300,
     ) {
@@ -279,15 +207,15 @@ proptest! {
         let (wave1, wave2) = waves(&chains, split);
 
         let mut batched = runtime(seed, false, &chains);
-        submit_wave(&mut batched, &wave1);
+        gen::submit(&mut batched, &wave1, gen::mixed);
         let _ = batched.run().expect("devices present");
-        submit_wave(&mut batched, &wave2);
+        gen::submit(&mut batched, &wave2, gen::mixed);
         let batched_report = batched.run().expect("devices present");
 
         let mut streamed = runtime(seed, false, &chains);
-        submit_wave(&mut streamed, &wave1);
+        gen::submit(&mut streamed, &wave1, gen::mixed);
         while streamed.step().expect("devices present").is_some() {}
-        submit_wave(&mut streamed, &wave2);
+        gen::submit(&mut streamed, &wave2, gen::mixed);
         while streamed.step().expect("devices present").is_some() {}
         let streamed_report = streamed.report();
 
@@ -302,28 +230,23 @@ proptest! {
     /// task exists.
     #[test]
     fn all_public_runs_are_bit_identical_to_security_unaware_runs(
-        chains in public_chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
     ) {
         // `runtime()` configures security; this twin never does.
-        let mut plain_cfg = EngineConfig::new()
-            .with_devices(devices())
-            .with_policy(Policy::Weighted(0.5))
-            .with_seed(seed)
-            .with_max_retries(1);
+        let mut plain_cfg = gen::config(seed);
         if resilient {
             plain_cfg = plain_cfg
-                .with_region_sizes(sizes(&chains))
-                .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
+                .with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)))
+                .with_resilience(gen::checkpointing());
         }
-        let mut plain = plain_cfg.build().expect("valid engine config");
-        plain.set_fault_prob(1, 0.4);
-        submit_wave(&mut plain, &chains);
+        let mut plain = gen::faulty(plain_cfg);
+        gen::submit(&mut plain, &chains, gen::public);
         let plain_report = plain.run().expect("devices present");
 
         let mut configured = runtime(seed, resilient, &chains);
-        submit_wave(&mut configured, &chains);
+        gen::submit(&mut configured, &chains, gen::public);
         let configured_report = configured.run().expect("devices present");
 
         prop_assert_eq!(&plain_report, &configured_report);
@@ -337,21 +260,16 @@ proptest! {
     /// rollback trace — to one given none.
     #[test]
     fn declared_sizes_without_a_reader_are_bit_identical_to_none(
-        chains in public_chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
     ) {
         let run = |declared: bool| {
-            let mut cfg = EngineConfig::new()
-                .with_devices(devices())
-                .with_policy(Policy::Weighted(0.5))
-                .with_seed(seed)
-                .with_max_retries(1);
+            let mut cfg = gen::config(seed);
             if declared {
-                cfg = cfg.with_region_sizes(sizes(&chains));
+                cfg = cfg.with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)));
             }
-            let mut rt = cfg.build().expect("valid engine config");
-            rt.set_fault_prob(1, 0.4);
-            submit_wave(&mut rt, &chains);
+            let mut rt = gen::faulty(cfg);
+            gen::submit(&mut rt, &chains, gen::public);
             let report = rt.run().expect("devices present");
             (report, rt.rollback_trace().to_vec())
         };
@@ -367,7 +285,7 @@ proptest! {
     /// by construction — there is no second implementation to agree with.
     #[test]
     fn doubling_every_work_doubles_the_schedule(
-        chains in public_chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
     ) {
         let doubled: ChainSpec = chains
@@ -376,8 +294,8 @@ proptest! {
             .collect();
         for policy in [Policy::Performance, Policy::Energy, Policy::Edp, Policy::Weighted(0.5)] {
             let run = |chains: &ChainSpec| {
-                let mut rt = Runtime::new(devices(), policy, seed);
-                submit_wave(&mut rt, chains);
+                let mut rt = Runtime::new(gen::devices(), policy, seed);
+                gen::submit(&mut rt, chains, gen::public);
                 rt.run().expect("devices present")
             };
             let (once, twice) = (run(&chains), run(&doubled));
@@ -428,7 +346,7 @@ const SWEEP_GOLDENS: [SweepGolden; 10] = [
 ];
 
 /// The fixed public serial chain of golden `case`: 1–15 tasks with work
-/// and criticality from an LCG, inside the ranges [`chains_strategy`]
+/// and criticality from an LCG, inside the ranges [`gen::chains_strategy`]
 /// draws from.
 fn golden_chain(case: u64) -> Vec<(f64, u8, u8)> {
     let mut state = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -473,7 +391,7 @@ fn engine_matches_sweep_on_serial_chains() {
     for (case, golden) in SWEEP_GOLDENS.iter().enumerate() {
         let chains = vec![golden_chain(case as u64)];
         let mut rt = runtime(golden.seed, false, &chains);
-        submit_wave(&mut rt, &chains);
+        gen::submit(&mut rt, &chains, gen::public);
         let engine = rt.run().expect("devices present");
 
         assert_eq!(

@@ -12,12 +12,15 @@
 //! The constants were generated from the code at commit 18bb543. When a
 //! row moves, the failure prints the whole table as it now reads.
 
+mod common;
+
+use common::gen;
 use legato_core::task::Work;
 use legato_core::units::{Bytes, Seconds, Watt};
 use legato_hw::device::DeviceSpec;
 use legato_runtime::{
     ChurnConfig, ChurnTrace, EnergyConfig, EngineConfig, Policy, PoolConfig, RunReport,
-    RuntimeError, SecurityConfig,
+    SecurityConfig,
 };
 use legato_workloads::{fleets, region_sizes, Fan};
 
@@ -95,14 +98,7 @@ fn run(fan: &Fan, specs: &[DeviceSpec], path: Path, pooled: bool) -> RunReport {
     fan.emit(SEED, |descriptor, accesses| {
         rt.submit(descriptor, accesses.iter().copied());
     });
-    loop {
-        // An expired deferral fails one task and the run goes on.
-        match rt.run() {
-            Ok(report) => return report,
-            Err(RuntimeError::DeferralExpired(_)) => {}
-            Err(e) => panic!("only deferral expiry is a legal refusal, got {e}"),
-        }
-    }
+    gen::run_past_expiries(&mut rt).0
 }
 
 /// FNV-1a over every placement's task, devices and start/finish bits,

@@ -30,81 +30,21 @@
 
 use std::collections::HashMap;
 
-use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
+mod common;
+
+use common::gen::{self, ChainSpec};
+use legato_core::task::{RegionId, TaskId};
 use legato_core::units::{Bytes, BytesPerSec, Seconds};
 use legato_hw::comm::LinkModel;
 use legato_hw::device::DeviceSpec;
-use legato_runtime::{
-    EngineConfig, Policy, PoolConfig, ResilienceConfig, RunReport, Runtime, TopologyConfig,
-};
-use legato_workloads::fleets;
+use legato_runtime::{EngineConfig, Policy, PoolConfig, RunReport, Runtime, TopologyConfig};
+use legato_workloads::{fleets, region_sizes};
 use proptest::prelude::*;
-
-/// Chains → tasks → (flops, criticality selector, security selector).
-type ChainSpec = Vec<Vec<(f64, u8, u8)>>;
-
-fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(
-        prop::collection::vec((5e11f64..4e12, 0u8..3, 0u8..3), 1..8),
-        1..6,
-    )
-}
 
 /// A 12-device fleet: three of each reference device, so pools of any
 /// size mix fast and slow, TEE and non-TEE hardware.
-fn devices() -> Vec<DeviceSpec> {
+fn fleet() -> Vec<DeviceSpec> {
     fleets::cycled(12)
-}
-
-fn criticality(sel: u8) -> Criticality {
-    match sel {
-        0 => Criticality::Normal,
-        1 => Criticality::High,
-        _ => Criticality::Critical,
-    }
-}
-
-fn security(sel: u8) -> SecurityLevel {
-    match sel {
-        0 => SecurityLevel::Public,
-        1 => SecurityLevel::Confidential,
-        _ => SecurityLevel::Enclave,
-    }
-}
-
-fn policy(sel: u8) -> Policy {
-    match sel {
-        0 => Policy::Performance,
-        1 => Policy::Energy,
-        2 => Policy::Edp,
-        _ => Policy::Weighted(0.5),
-    }
-}
-
-/// Submit every chain task; chain `c` serializes on its private region.
-fn submit_wave(rt: &mut Runtime, chains: &ChainSpec) {
-    for (c, chain) in chains.iter().enumerate() {
-        for &(flops, crit, sec) in chain {
-            rt.submit(
-                TaskDescriptor::named("t")
-                    .with_work(Work::flops(flops))
-                    .with_requirements(
-                        Requirements::new()
-                            .with_criticality(criticality(crit))
-                            .with_security(security(sec)),
-                    ),
-                [(c as u64, AccessMode::InOut)],
-            );
-        }
-    }
-}
-
-/// Every chain's region declared `region` bytes.
-fn sizes(chains: &ChainSpec, region: Bytes) -> HashMap<RegionId, Bytes> {
-    (0..chains.len() as u64)
-        .map(|c| (RegionId(c), region))
-        .collect()
 }
 
 /// 16 MiB regions, the size every run but [`topology_run`] declares.
@@ -118,21 +58,15 @@ fn config(
     region: Bytes,
 ) -> EngineConfig {
     let mut cfg = EngineConfig::new()
-        .with_devices(devices())
+        .with_devices(fleet())
         .with_policy(pol)
         .with_seed(seed)
         .with_max_retries(1)
-        .with_region_sizes(sizes(chains, region));
+        .with_region_sizes(region_sizes(chains.len(), region));
     if resilient {
-        cfg = cfg.with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000));
+        cfg = cfg.with_resilience(gen::checkpointing());
     }
     cfg
-}
-
-fn build(cfg: EngineConfig) -> Runtime {
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
 }
 
 /// The size of every region of [`topology_run`], which its topology
@@ -151,7 +85,7 @@ fn topology_run(
     resilient: bool,
     pool_size: usize,
 ) -> (Runtime, RunReport) {
-    let mut rt = build(
+    let mut rt = gen::faulty(
         config(
             seed,
             resilient,
@@ -159,10 +93,10 @@ fn topology_run(
             chains,
             TOPOLOGY_REGION,
         )
-        .with_pools(PoolConfig::uniform(devices().len(), pool_size))
+        .with_pools(PoolConfig::uniform(fleet().len(), pool_size))
         .with_topology(TopologyConfig::new(topology_link())),
     );
-    submit_wave(&mut rt, chains);
+    gen::submit(&mut rt, chains, gen::mixed);
     let report = rt.run().expect("devices present");
     (rt, report)
 }
@@ -174,23 +108,23 @@ proptest! {
     /// setting, and it never evaluates more candidates doing it.
     #[test]
     fn pooled_equals_flat_without_topology(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
         policy_sel in 0u8..4,
         pool_size in 1usize..13,
     ) {
-        let pol = policy(policy_sel);
+        let pol = gen::policy(policy_sel);
 
-        let mut flat = build(config(seed, resilient, pol, &chains, REGION));
-        submit_wave(&mut flat, &chains);
+        let mut flat = gen::faulty(config(seed, resilient, pol, &chains, REGION));
+        gen::submit(&mut flat, &chains, gen::mixed);
         let flat_report = flat.run().expect("devices present");
 
-        let mut pooled = build(
+        let mut pooled = gen::faulty(
             config(seed, resilient, pol, &chains, REGION)
-                .with_pools(PoolConfig::uniform(devices().len(), pool_size)),
+                .with_pools(PoolConfig::uniform(fleet().len(), pool_size)),
         );
-        submit_wave(&mut pooled, &chains);
+        gen::submit(&mut pooled, &chains, gen::mixed);
         let pooled_report = pooled.run().expect("devices present");
 
         prop_assert_eq!(&flat_report, &pooled_report);
@@ -209,22 +143,22 @@ proptest! {
     /// mid-run submission.
     #[test]
     fn streaming_equals_batched_with_pools(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         pool_size in 1usize..13,
     ) {
-        let pools = || PoolConfig::uniform(devices().len(), pool_size);
+        let pools = || PoolConfig::uniform(fleet().len(), pool_size);
 
-        let mut batched = build(
+        let mut batched = gen::faulty(
             config(seed, false, Policy::Performance, &chains, REGION).with_pools(pools()),
         );
-        submit_wave(&mut batched, &chains);
+        gen::submit(&mut batched, &chains, gen::mixed);
         let batched_report = batched.run().expect("devices present");
 
-        let mut streamed = build(
+        let mut streamed = gen::faulty(
             config(seed, false, Policy::Performance, &chains, REGION).with_pools(pools()),
         );
-        submit_wave(&mut streamed, &chains);
+        gen::submit(&mut streamed, &chains, gen::mixed);
         while streamed.step().expect("devices present").is_some() {}
         let streamed_report = streamed.report();
 
@@ -236,24 +170,24 @@ proptest! {
     /// to a flat engine that never heard of pools or topology.
     #[test]
     fn zero_cost_topology_is_bit_identical_to_flat(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         pool_size in 1usize..13,
         policy_sel in 0u8..4,
     ) {
-        let pol = policy(policy_sel);
+        let pol = gen::policy(policy_sel);
         let link = LinkModel::new(BytesPerSec(f64::INFINITY), Seconds::ZERO);
 
-        let mut flat = build(config(seed, false, pol, &chains, REGION));
-        submit_wave(&mut flat, &chains);
+        let mut flat = gen::faulty(config(seed, false, pol, &chains, REGION));
+        gen::submit(&mut flat, &chains, gen::mixed);
         let flat_report = flat.run().expect("devices present");
 
-        let mut pooled = build(
+        let mut pooled = gen::faulty(
             config(seed, false, pol, &chains, REGION)
-                .with_pools(PoolConfig::uniform(devices().len(), pool_size))
+                .with_pools(PoolConfig::uniform(fleet().len(), pool_size))
                 .with_topology(TopologyConfig::new(link)),
         );
-        submit_wave(&mut pooled, &chains);
+        gen::submit(&mut pooled, &chains, gen::mixed);
         let pooled_report = pooled.run().expect("devices present");
 
         prop_assert_eq!(&flat_report, &pooled_report);
@@ -265,7 +199,7 @@ proptest! {
     /// refresh all replay identically.
     #[test]
     fn topology_runs_are_deterministic(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
         pool_size in 1usize..13,
@@ -288,7 +222,7 @@ proptest! {
     /// are all public here, so no security cost joins the duration.
     #[test]
     fn topology_charges_follow_standing_producers(
-        chains in chains_strategy(),
+        chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
         pool_size in 1usize..13,

@@ -22,15 +22,18 @@
 
 use std::collections::HashMap;
 
+mod common;
+
+use common::gen;
 use legato_core::graph::GraphBuilder;
-use legato_core::requirements::{Criticality, Requirements};
+use legato_core::requirements::Requirements;
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, Seconds};
-use legato_hw::device::DeviceSpec;
 use legato_runtime::{
-    ChurnConfig, ChurnTrace, EngineConfig, Policy, Record, RecordKind, ResilienceConfig, RunReport,
-    Runtime, RuntimeError, TaskOutcome,
+    ChurnConfig, ChurnTrace, Record, RecordKind, ResilienceConfig, RunReport, Runtime,
+    RuntimeError, TaskOutcome,
 };
+use legato_workloads::region_sizes;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -46,23 +49,10 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((0u8..5, 0u8..16, 5e11f64..4e12), 1..48)
 }
 
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-    ]
-}
-
 fn descriptor(parameter: u8, flops: f64) -> TaskDescriptor {
-    let criticality = match parameter % 3 {
-        0 => Criticality::Normal,
-        1 => Criticality::High,
-        _ => Criticality::Critical,
-    };
     TaskDescriptor::named("t")
         .with_work(Work::flops(flops))
-        .with_requirements(Requirements::new().with_criticality(criticality))
+        .with_requirements(Requirements::new().with_criticality(gen::criticality(parameter % 3)))
 }
 
 fn region(parameter: u8) -> RegionId {
@@ -72,28 +62,19 @@ fn region(parameter: u8) -> RegionId {
 /// A runtime with faults on device 1, one retry, and optionally
 /// checkpoint/restart, a seeded churn trace and the event trace.
 fn runtime(seed: u64, resilient: bool, churn: Option<u64>, traced: bool) -> Runtime {
-    let sizes: HashMap<RegionId, Bytes> = (0..REGIONS)
-        .map(|r| (RegionId(r), Bytes::mib(16)))
-        .collect();
-    let mut cfg = EngineConfig::new()
-        .with_devices(devices())
-        .with_policy(Policy::Weighted(0.5))
-        .with_seed(seed)
-        .with_max_retries(1)
-        .with_region_sizes(sizes);
+    let mut cfg =
+        gen::config(seed).with_region_sizes(region_sizes(REGIONS as usize, Bytes::mib(16)));
     if resilient {
         cfg = cfg.with_resilience(ResilienceConfig::new(Seconds(600.0)).with_max_rollbacks(50));
     }
     if let Some(trace_seed) = churn {
-        let trace = ChurnTrace::seeded(trace_seed, 3, Seconds(60.0), 6, &devices(), 0.5);
+        let trace = ChurnTrace::seeded(trace_seed, 3, Seconds(60.0), 6, &gen::devices(), 0.5);
         cfg = cfg.with_churn(ChurnConfig::new(trace));
     }
     if traced {
         cfg = cfg.with_trace();
     }
-    let mut rt = cfg.build().expect("valid engine config");
-    rt.set_fault_prob(1, 0.4);
-    rt
+    gen::faulty(cfg)
 }
 
 /// The outcomes [`Runtime::outcome`] reports now, in id order: what a
@@ -172,12 +153,9 @@ fn drive(rt: &mut Runtime, ops: &[Op]) -> Result<Vec<Kept>, TestCaseError> {
             _ => kept.push(Kept::take(rt, rt.report())),
         }
     }
-    loop {
-        if let Some(report) = tolerate(rt.run())? {
-            kept.push(Kept::take(rt, report));
-            return Ok(kept);
-        }
-    }
+    let (report, _) = gen::run_past_expiries(rt);
+    kept.push(Kept::take(rt, report));
+    Ok(kept)
 }
 
 /// Fold a trace into the placements it implies, in id order.
@@ -271,7 +249,7 @@ proptest! {
 #[test]
 fn a_report_held_across_a_rollback_is_unchanged() {
     let mut rt = runtime(3, true, None, true);
-    for d in 0..devices().len() {
+    for d in 0..gen::devices().len() {
         rt.set_fault_prob(d, 0.5);
     }
     for c in 0..24u8 {

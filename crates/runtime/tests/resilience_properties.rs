@@ -7,52 +7,23 @@
 //! replay, and recovery never leaves failed or poisoned tasks behind as
 //! long as the rollback budget holds.
 
-use std::collections::HashMap;
+mod common;
 
+use common::gen;
 use legato_core::requirements::{Criticality, Requirements};
-use legato_core::task::{AccessMode, RegionId, TaskDescriptor, Work};
 use legato_core::units::{Bytes, Seconds};
 use legato_fti::{Fti, FtiConfig, Strategy as WriteStrategy};
-use legato_hw::device::DeviceSpec;
 use legato_hw::memory::{AddrSpace, MemoryManager};
 use legato_hw::storage::StorageTier;
 use legato_runtime::resilience::CheckpointStore;
-use legato_runtime::{EngineConfig, Policy, ResilienceConfig, Runtime};
+use legato_runtime::{EngineConfig, Policy, ResilienceConfig};
+use legato_workloads::region_sizes;
 use proptest::prelude::*;
 
-/// Chains → tasks → flops (seconds-scale so checkpoint intervals and
-/// MTBFs are commensurate with task durations).
-type ChainSpec = Vec<Vec<f64>>;
-
-fn chains_strategy() -> impl Strategy<Value = ChainSpec> {
-    prop::collection::vec(prop::collection::vec(5e11f64..4e12, 1..8), 1..6)
-}
-
-fn devices() -> Vec<DeviceSpec> {
-    vec![
-        DeviceSpec::xeon_x86(),
-        DeviceSpec::gtx1080(),
-        DeviceSpec::fpga_kintex(),
-    ]
-}
-
-fn build(rt: &mut Runtime, chains: &ChainSpec) {
-    for (c, chain) in chains.iter().enumerate() {
-        for &flops in chain {
-            rt.submit(
-                TaskDescriptor::named("t")
-                    .with_work(Work::flops(flops))
-                    .with_requirements(Requirements::new().with_criticality(Criticality::High)),
-                [(c as u64, AccessMode::InOut)],
-            );
-        }
-    }
-}
-
-fn sizes(chains: &ChainSpec) -> HashMap<RegionId, Bytes> {
-    (0..chains.len() as u64)
-        .map(|c| (RegionId(c), Bytes::mib(16)))
-        .collect()
+/// Every task dual-replicated, whatever was drawn, so a detected fault
+/// that exhausts its retry budget rolls back.
+fn dual(_crit: u8, _sec: u8) -> Requirements {
+    Requirements::new().with_criticality(Criticality::High)
 }
 
 proptest! {
@@ -85,19 +56,19 @@ proptest! {
     /// Same seed + same graph ⇒ identical report *and* identical
     /// rollback trace, with faults hot enough to exhaust retry budgets.
     #[test]
-    fn checkpointed_engine_is_deterministic(chains in chains_strategy(), seed in 0u64..500) {
+    fn checkpointed_engine_is_deterministic(chains in gen::chains_strategy(), seed in 0u64..500) {
         let run = || {
             let mut rt = EngineConfig::new()
-                .with_devices(devices())
+                .with_devices(gen::devices())
                 .with_policy(Policy::Performance)
                 .with_seed(seed)
                 .with_max_retries(1)
-                .with_region_sizes(sizes(&chains))
+                .with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)))
                 .with_resilience(ResilienceConfig::new(Seconds(5.0)))
                 .build()
                 .expect("valid engine config");
             rt.set_fault_prob(1, 0.6);
-            build(&mut rt, &chains);
+            gen::submit(&mut rt, &chains, dual);
             let report = rt.run().expect("devices present");
             (report, rt.rollback_trace().to_vec())
         };
@@ -110,19 +81,19 @@ proptest! {
     /// Within the rollback budget, checkpoint/restart always completes
     /// the graph: no failed tasks, no poisoned cone, every task placed.
     #[test]
-    fn rollback_always_recovers_within_budget(chains in chains_strategy(), seed in 0u64..500) {
+    fn rollback_always_recovers_within_budget(chains in gen::chains_strategy(), seed in 0u64..500) {
         let total: usize = chains.iter().map(Vec::len).sum();
         let mut rt = EngineConfig::new()
-            .with_devices(devices())
+            .with_devices(gen::devices())
             .with_policy(Policy::Performance)
             .with_seed(seed)
             .with_max_retries(1)
-            .with_region_sizes(sizes(&chains))
-            .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000))
+            .with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)))
+            .with_resilience(gen::checkpointing())
             .build()
             .expect("valid engine config");
         rt.set_fault_prob(1, 0.5);
-        build(&mut rt, &chains);
+        gen::submit(&mut rt, &chains, dual);
         let report = rt.run().expect("devices present");
         prop_assert!(report.failed.is_empty(), "stats: {:?}", report.resilience);
         prop_assert_eq!(report.placements.len(), total);

@@ -21,27 +21,25 @@
 
 use std::collections::{HashMap, VecDeque};
 
+mod common;
+
+use common::gen;
+
 use legato_core::requirements::{Criticality, Requirements};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, Joule, Seconds};
 use legato_hw::device::OperatingPoint;
 use legato_runtime::{
-    EnergyConfig, EngineConfig, Policy, ResilienceConfig, RunReport, Runtime, RuntimeError,
-    Service, ServiceConfig, TenantId, TenantSpec,
+    EnergyConfig, EngineConfig, Policy, RunReport, Runtime, RuntimeError, Service, ServiceConfig,
+    TenantId, TenantSpec,
 };
 use legato_workloads::fleets;
 use proptest::prelude::*;
 
 fn engine(seed: u64, policy_sel: u8) -> EngineConfig {
-    let policy = match policy_sel {
-        0 => Policy::Performance,
-        1 => Policy::Energy,
-        2 => Policy::Edp,
-        _ => Policy::Weighted(0.5),
-    };
     EngineConfig::new()
         .with_devices(fleets::reference())
-        .with_policy(policy)
+        .with_policy(gen::policy(policy_sel))
         .with_seed(seed)
 }
 
@@ -77,7 +75,7 @@ fn rollback_engine(seed: u64, tenants: usize) -> EngineConfig {
         .with_max_retries(1)
         .with_energy(EnergyConfig::new().with_device_point(1, 1))
         .with_region_sizes(sizes)
-        .with_resilience(ResilienceConfig::new(Seconds(5.0)).with_max_rollbacks(10_000))
+        .with_resilience(gen::checkpointing())
 }
 
 /// `tenants` sessions (every other one confidential, so the premium
@@ -187,12 +185,16 @@ fn observed_dispatch(rt: &Runtime) -> Vec<(usize, u64)> {
 proptest! {
     /// One tenant, any workload, any policy: the service is a
     /// transparent wrapper — bit-identical report and the identical
-    /// number of candidate evaluations as the bare engine.
+    /// number of candidate evaluations as the bare engine. Tenants that
+    /// register after it and submit nothing (every other one
+    /// confidential) change none of that: tenant 0 of N is the single
+    /// tenant.
     #[test]
     fn single_tenant_service_is_bit_identical_to_bare_engine(
         tasks in tasks_strategy(),
         seed in 0u64..200,
         policy_sel in 0u8..4,
+        idle in 0usize..5,
     ) {
         let mut bare = engine(seed, policy_sel).build().expect("valid config");
         for &(flops, r) in &tasks {
@@ -204,6 +206,10 @@ proptest! {
             .build()
             .expect("valid config");
         let tenant = svc.register(TenantSpec::new()).expect("valid spec");
+        for i in 0..idle {
+            let spec = if i % 2 == 0 { TenantSpec::new().confidential() } else { TenantSpec::new() };
+            svc.register(spec).expect("valid spec");
+        }
         for &(flops, r) in &tasks {
             svc.submit(tenant, descriptor(flops), [(u64::from(r), AccessMode::InOut)])
                 .expect("within default budget");
