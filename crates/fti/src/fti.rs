@@ -226,14 +226,8 @@ impl Fti {
 
     /// Total protected bytes.
     #[must_use]
-    pub fn protected_bytes(&self) -> Bytes {
+    fn protected_bytes(&self) -> Bytes {
         self.protected.values().map(Protected::size).sum()
-    }
-
-    /// Number of protected regions.
-    #[must_use]
-    pub fn protected_count(&self) -> usize {
-        self.protected.len()
     }
 
     /// Whether a local (L1) checkpoint exists.
@@ -393,7 +387,7 @@ impl Fti {
 
     /// Bytes protected per address-space class: `(device, uvm, host)`.
     #[must_use]
-    pub fn bytes_by_space(&self) -> (Bytes, Bytes, Bytes) {
+    fn bytes_by_space(&self) -> (Bytes, Bytes, Bytes) {
         let mut device = Bytes::ZERO;
         let mut uvm = Bytes::ZERO;
         let mut host = Bytes::ZERO;
@@ -573,7 +567,7 @@ mod tests {
         let h = mm.alloc(AddrSpace::Host, Bytes::kib(1)).unwrap();
         fti.protect(0, h, &mm).unwrap();
         assert_eq!(fti.protect(0, h, &mm), Err(FtiError::DuplicateId(0)));
-        assert_eq!(fti.protected_count(), 1);
+        assert_eq!(fti.protected_bytes(), Bytes::kib(1));
     }
 
     #[test]

@@ -136,13 +136,13 @@ impl FtiGroup {
 
     /// The node hosting `rank`.
     #[must_use]
-    pub fn node_of(&self, rank: usize) -> usize {
+    fn node_of(&self, rank: usize) -> usize {
         rank / self.config.procs_per_node
     }
 
     /// The partner node of `node` (next node, wrapping).
     #[must_use]
-    pub fn partner_node(&self, node: usize) -> usize {
+    fn partner_node(&self, node: usize) -> usize {
         (node + 1) % self.nodes()
     }
 
@@ -150,7 +150,7 @@ impl FtiGroup {
     /// last node backwards so that losing low-numbered (data-heavy) nodes
     /// does not also take parity with it.
     #[must_use]
-    pub fn parity_host(&self, p: usize) -> usize {
+    fn parity_host(&self, p: usize) -> usize {
         self.nodes() - 1 - (p % self.nodes())
     }
 

@@ -80,12 +80,6 @@ impl Heat2d {
         self.iterations
     }
 
-    /// Local interior rows (excluding halos).
-    #[must_use]
-    pub fn local_rows(&self) -> usize {
-        self.local_rows
-    }
-
     /// Columns.
     #[must_use]
     pub fn cols(&self) -> usize {
@@ -170,7 +164,7 @@ impl Heat2d {
     /// Serialize the interior (checkpointable state) to little-endian
     /// bytes.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.local_rows * self.cols * 8 + 8);
         out.extend(self.iterations.to_le_bytes());
         for row in 0..self.local_rows {
@@ -187,7 +181,7 @@ impl Heat2d {
     ///
     /// [`FtiError::LayoutMismatch`] if the byte length does not match this
     /// solver's geometry.
-    pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), FtiError> {
+    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), FtiError> {
         let expect = self.local_rows * self.cols * 8 + 8;
         if bytes.len() != expect {
             return Err(FtiError::LayoutMismatch(format!(
@@ -364,9 +358,9 @@ mod tests {
             .collect();
         for handle in handles {
             let (rank, h) = handle.join().unwrap();
-            for row in 0..h.local_rows() {
+            for row in 0..h.local_rows {
                 for col in 0..COLS {
-                    let global_row = rank * h.local_rows() + row;
+                    let global_row = rank * h.local_rows + row;
                     let want = reference.at(global_row, col);
                     let got = h.at(row, col);
                     assert!(

@@ -32,7 +32,18 @@ impl CheckpointLevel {
 
     /// How many simultaneous node losses the level tolerates
     /// (`usize::MAX` marks L4, which survives any node-set loss as long as
-    /// the file system does).
+    /// the file system does). This is what tells FTI's four levels
+    /// apart: each costs more than the last because it survives more.
+    ///
+    /// ```
+    /// use legato_fti::CheckpointLevel;
+    ///
+    /// // Node-local storage dies with its node; a partner copy survives
+    /// // one loss; Reed-Solomon survives as many as it has parity shards.
+    /// assert_eq!(CheckpointLevel::L1.node_losses_survived(2), 0);
+    /// assert_eq!(CheckpointLevel::L2.node_losses_survived(2), 1);
+    /// assert_eq!(CheckpointLevel::L3.node_losses_survived(2), 2);
+    /// ```
     #[must_use]
     pub fn node_losses_survived(self, parity: usize) -> usize {
         match self {

@@ -3,9 +3,9 @@
 //! The paper closes §IV with: "for the same amount of application
 //! overhead, the extended FTI version can sustain execution in systems
 //! with 7 times smaller MTBF." This module provides the standard
-//! first-order model behind such statements (Young's optimal interval and
-//! Daly's refinement, plus the first-order overhead approximation) and a
-//! solver for the sustainable MTBF at a fixed overhead budget.
+//! first-order model behind such statements (Young's optimal interval
+//! and the first-order overhead approximation) and a solver for the
+//! sustainable MTBF at a fixed overhead budget.
 //!
 //! Every function validates its domain and returns
 //! [`FtiError::InvalidParameter`] instead of panicking — the
@@ -59,26 +59,6 @@ pub fn young_interval(ckpt: Seconds, mtbf: Seconds) -> Result<Seconds, FtiError>
     Ok(Seconds((2.0 * ckpt.0 * mtbf.0).sqrt()))
 }
 
-/// Daly's refinement of Young's interval,
-/// `τ = sqrt(2 δ M) · [1 + ⅓·sqrt(δ/2M) + (δ/2M)/9] − δ` for `δ < 2M`,
-/// falling back to `τ = M` when the checkpoint cost dominates the MTBF
-/// (Daly 2006, eq. 37).
-///
-/// # Errors
-///
-/// [`FtiError::InvalidParameter`] if either argument is non-positive or
-/// non-finite.
-pub fn daly_interval(ckpt: Seconds, mtbf: Seconds) -> Result<Seconds, FtiError> {
-    positive("ckpt", ckpt.0)?;
-    positive("mtbf", mtbf.0)?;
-    if ckpt.0 >= 2.0 * mtbf.0 {
-        return Ok(mtbf);
-    }
-    let ratio = ckpt.0 / (2.0 * mtbf.0);
-    let tau = (2.0 * ckpt.0 * mtbf.0).sqrt() * (1.0 + ratio.sqrt() / 3.0 + ratio / 9.0) - ckpt.0;
-    Ok(Seconds(tau))
-}
-
 /// First-order fraction of wall-clock time lost to fault tolerance when
 /// checkpointing every `interval` seconds with checkpoint cost `ckpt`,
 /// restart cost `restart`, on a machine with the given `mtbf`:
@@ -93,7 +73,7 @@ pub fn daly_interval(ckpt: Seconds, mtbf: Seconds) -> Result<Seconds, FtiError> 
 /// [`FtiError::InvalidParameter`] if `ckpt`, `interval` or `mtbf` is
 /// non-positive, or `restart` is negative (a free restart is allowed —
 /// the formula is well-defined at `R = 0`).
-pub fn overhead_fraction(
+fn overhead_fraction(
     ckpt: Seconds,
     restart: Seconds,
     interval: Seconds,
@@ -111,7 +91,7 @@ pub fn overhead_fraction(
 /// # Errors
 ///
 /// Same domain as [`overhead_fraction`].
-pub fn optimal_overhead(ckpt: Seconds, restart: Seconds, mtbf: Seconds) -> Result<f64, FtiError> {
+fn optimal_overhead(ckpt: Seconds, restart: Seconds, mtbf: Seconds) -> Result<f64, FtiError> {
     overhead_fraction(ckpt, restart, young_interval(ckpt, mtbf)?, mtbf)
 }
 
@@ -164,23 +144,6 @@ mod tests {
     fn young_interval_formula() {
         let tau = young_interval(Seconds(50.0), Seconds(10_000.0)).unwrap();
         assert!((tau.0 - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn daly_interval_close_to_young_for_small_ckpt() {
-        let young = young_interval(Seconds(10.0), Seconds(100_000.0)).unwrap();
-        let daly = daly_interval(Seconds(10.0), Seconds(100_000.0)).unwrap();
-        // The correction is small when δ ≪ M, and positive overall.
-        assert!(daly.0 > 0.0);
-        assert!((daly.0 - young.0).abs() / young.0 < 0.01);
-    }
-
-    #[test]
-    fn daly_interval_clamps_when_ckpt_dominates() {
-        assert_eq!(
-            daly_interval(Seconds(100.0), Seconds(10.0)).unwrap(),
-            Seconds(10.0)
-        );
     }
 
     #[test]

@@ -157,18 +157,6 @@ impl ReedSolomon {
         })
     }
 
-    /// Number of data shards.
-    #[must_use]
-    pub fn data_shards(&self) -> usize {
-        self.data
-    }
-
-    /// Number of parity shards.
-    #[must_use]
-    pub fn parity_shards(&self) -> usize {
-        self.parity
-    }
-
     /// Compute the parity shards for `shards` (must be exactly
     /// `data_shards` equal-length slices).
     ///

@@ -36,16 +36,20 @@
 //!   session's completed frontier into its [`CheckpointRecord`], priced
 //!   by the same [`CheckpointStore`] type the engine's checkpoints go
 //!   through; [`Service::restart`] rebuilds the engine from the retained
-//!   [`EngineConfig`] and re-queues only what the record does not cover.
-//!   Sealed tasks are never re-executed; an unsealed task whose sealed
-//!   producer is gone becomes a root (its input is in the checkpoint).
+//!   [`EngineConfig`] and re-queues only what the record does not cover,
+//!   read back from the old engine's graph. Sealed tasks are never
+//!   re-executed; an unsealed task whose sealed producer is gone becomes
+//!   a root (its input is in the checkpoint).
 //!
-//! Every operation costs what is new since the last one: a dispatch is
-//! a heap pop over the tenants with pending work, the meters read the
-//! engine's acceptance log ([`Runtime::accepted`]) from a cursor, and a
-//! seal visits only what completed since the previous seal.
+//! A submitted task is stored once: the service owns it until dispatch,
+//! the engine graph after. Every operation costs what is new since the
+//! last one: a dispatch is a heap pop over the tenants with pending
+//! work, the meters read the engine's acceptance log
+//! ([`Runtime::accepted`]) from a cursor, a seal visits only what
+//! completed since the previous seal, and a restart visits the current
+//! engine's tasks, not every task the session ever admitted.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use legato_core::requirements::SecurityLevel;
@@ -141,8 +145,8 @@ pub struct TenantReport {
     pub admission_rejections: u64,
 }
 
-/// One logged submission: the session's durable record of what the
-/// tenant asked for, replayed (unsealed tasks only) on restart.
+/// A submission the engine does not hold: admitted and not dispatched
+/// yet, or read back from the old engine's graph by a restart.
 #[derive(Debug, Clone)]
 struct LoggedTask {
     descriptor: TaskDescriptor,
@@ -156,10 +160,11 @@ struct TenantState {
     /// Stride-scheduler virtual time; the pending tenant with the lowest
     /// value dispatches next.
     vtime: f64,
-    /// Session-local indices admitted but not yet handed to the engine.
-    pending: VecDeque<u64>,
-    /// Every task this session ever admitted, by session-local index.
-    log: Vec<LoggedTask>,
+    /// Admitted tasks not yet handed to the engine, by ascending
+    /// session-local index; once dispatched, the engine graph holds them.
+    pending: VecDeque<(u64, LoggedTask)>,
+    /// Tasks this session ever admitted: the next session-local index.
+    admitted: u64,
     /// What the session's seals cover — the sealed session-local tasks,
     /// the bytes written and the priced cost, over all seals so far. The
     /// only copy: [`Service::restart`] resumes from it.
@@ -179,41 +184,17 @@ impl TenantState {
     /// Admitted but not completed: a completed task is in the session
     /// record or waiting in `unsealed` for the next seal.
     fn queued(&self) -> usize {
-        self.log.len() - self.session.frontier.len() - self.unsealed.len()
+        self.admitted as usize - self.session.frontier.len() - self.unsealed.len()
     }
 }
 
 /// A pending tenant's place in the stride order: lowest virtual time
-/// first, ties to the lowest tenant id. `total_cmp` is a faithful order
-/// here because virtual times are sums of `1/share` over validated
-/// positive finite shares — never NaN, never negative zero.
-#[derive(Debug, Clone, Copy)]
-struct Turn {
-    vtime: f64,
-    tenant: u32,
+/// first, ties to the lowest tenant id. Virtual times are sums of
+/// `1/share` over validated positive finite shares, and the bits of a
+/// non-negative finite `f64` order as its value.
+fn turn(vtime: f64, tenant: u32) -> Reverse<(u64, u32)> {
+    Reverse((vtime.to_bits(), tenant))
 }
-
-impl Ord for Turn {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.vtime
-            .total_cmp(&other.vtime)
-            .then(self.tenant.cmp(&other.tenant))
-    }
-}
-
-impl PartialOrd for Turn {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Turn {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Turn {}
 
 /// Builder for a [`Service`]: the engine configuration every (re)start
 /// builds from, plus the session-layer knobs.
@@ -279,9 +260,9 @@ pub struct Service {
     /// Stride order over exactly the tenants with pending work, one
     /// entry each, keyed by the tenant's current virtual time (which
     /// only moves while the tenant is popped for dispatch).
-    turns: BinaryHeap<Reverse<Turn>>,
-    /// Engine task id → (tenant, session-local index). Rebuilt from the
-    /// session logs on restart.
+    turns: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Engine task id → (tenant, session-local index). Restart reads the
+    /// old engine's unsealed tasks back through it, then clears it.
     task_of: Vec<(u32, u64)>,
     /// Engine task ids already absorbed into the meters (a rollback
     /// makes the engine accept an id again; this keeps metering
@@ -330,7 +311,7 @@ impl Service {
             spec,
             vtime: 0.0,
             pending: VecDeque::new(),
-            log: Vec::new(),
+            admitted: 0,
             session: CheckpointRecord::default(),
             unsealed: Vec::new(),
             sealed_fresh: 0,
@@ -376,31 +357,27 @@ impl Service {
         if t.spec.confidential && !descriptor.requirements.security.seals_at_rest() {
             descriptor.requirements.security = SecurityLevel::Confidential;
         }
-        let accesses = accesses
-            .into_iter()
-            .map(|(r, m)| {
-                let r: RegionId = r.into();
-                if r.0 > u64::from(u32::MAX) {
-                    return Err(RuntimeError::invalid_parameter(
-                        "region",
-                        format!("session-local region ids are 32-bit, got {}", r.0),
-                    ));
-                }
-                Ok((r, m))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let idx = t.log.len() as u64;
-        t.log.push(LoggedTask {
-            descriptor,
-            accesses,
-        });
-        if t.pending.is_empty() {
-            self.turns.push(Reverse(Turn {
-                vtime: t.vtime,
-                tenant: tenant.0,
-            }));
+        // Collected unfiltered, so an exact-size iterator sizes it exactly.
+        let accesses: Vec<(RegionId, _)> =
+            accesses.into_iter().map(|(r, m)| (r.into(), m)).collect();
+        if let Some((r, _)) = accesses.iter().find(|(r, _)| r.0 > u64::from(u32::MAX)) {
+            return Err(RuntimeError::invalid_parameter(
+                "region",
+                format!("session-local region ids are 32-bit, got {}", r.0),
+            ));
         }
-        t.pending.push_back(idx);
+        let idx = t.admitted;
+        t.admitted += 1;
+        if t.pending.is_empty() {
+            self.turns.push(turn(t.vtime, tenant.0));
+        }
+        t.pending.push_back((
+            idx,
+            LoggedTask {
+                descriptor,
+                accesses,
+            },
+        ));
         Ok(idx)
     }
 
@@ -408,25 +385,18 @@ impl Service {
     /// order: lowest virtual time first, ties to the lowest tenant id,
     /// each dispatch advancing the tenant's virtual time by `1/share`.
     fn dispatch_pending(&mut self) {
-        while let Some(Reverse(Turn { tenant, .. })) = self.turns.pop() {
+        while let Some(Reverse((_, tenant))) = self.turns.pop() {
             let t = &mut self.tenants[tenant as usize];
-            let idx = t.pending.pop_front().expect("a queued turn has work");
-            let logged = &t.log[idx as usize];
-            // The session log keeps its copy for restart; a static
-            // task-type name makes the clone allocation-free.
+            let (idx, task) = t.pending.pop_front().expect("a queued turn has work");
             let id = self.rt.submit(
-                logged.descriptor.clone(),
-                logged
-                    .accesses
-                    .iter()
-                    .map(|&(r, m)| (namespace(tenant, r), m)),
+                task.descriptor,
+                task.accesses
+                    .into_iter()
+                    .map(|(r, m)| (namespace(tenant, r), m)),
             );
             t.vtime += 1.0 / t.spec.share;
             if !t.pending.is_empty() {
-                self.turns.push(Reverse(Turn {
-                    vtime: t.vtime,
-                    tenant,
-                }));
+                self.turns.push(turn(t.vtime, tenant));
             }
             debug_assert_eq!(id.index(), self.task_of.len());
             self.task_of.push((tenant, idx));
@@ -501,7 +471,7 @@ impl Service {
                 continue;
             };
             self.metered[i] = true;
-            let (tenant, idx) = self.task_of[i];
+            let tenant = self.task_of[i].0;
             let dur = p.finish - p.start;
             let energy: Joule = p
                 .devices
@@ -515,12 +485,8 @@ impl Service {
                 self.unsealed_tenants.push(tenant);
             }
             t.unsealed.push(id);
-            if t.log[idx as usize]
-                .descriptor
-                .requirements
-                .security
-                .seals_at_rest()
-            {
+            let descriptor = self.rt.graph.descriptor(id).expect("a dispatched task");
+            if descriptor.requirements.security.seals_at_rest() {
                 if t.sealed_fresh == 0 {
                     self.sealed_tenants.push(tenant);
                 }
@@ -575,14 +541,37 @@ impl Service {
     /// every session from its last seal: sealed tasks are carried over
     /// as completed (never re-executed), everything else — pending,
     /// in-flight, and completed-but-unsealed — is re-queued for the
-    /// next [`Service::run`]. Meters persist (re-executed work
-    /// re-meters: it really is redone); virtual time restarts at zero.
+    /// next [`Service::run`], the old engine's tasks read back from its
+    /// graph ahead of those still pending. Meters persist (re-executed
+    /// work re-meters: it really is redone); virtual time restarts at
+    /// zero.
     ///
     /// # Errors
     ///
-    /// Whatever [`EngineConfig::build`] reports.
+    /// Whatever [`EngineConfig::build`] reports; the service is then
+    /// unchanged.
     pub fn restart(&mut self) -> Result<(), RuntimeError> {
-        self.rt = self.config.engine.clone().build()?;
+        let old = std::mem::replace(&mut self.rt, self.config.engine.clone().build()?);
+        // Dispatch is FIFO per tenant, so the old engine's tasks precede
+        // the pending ones: pushing them to the front, last id first,
+        // keeps every queue in ascending session index.
+        for (i, &(tenant, idx)) in self.task_of.iter().enumerate().rev() {
+            let t = &mut self.tenants[tenant as usize];
+            if t.session.frontier.contains(TaskId(idx)) {
+                continue;
+            }
+            let id = TaskId(i as u64);
+            let accesses = old.graph.accesses(id).expect("a dispatched task");
+            let task = LoggedTask {
+                descriptor: old.graph.descriptor(id).expect("a dispatched task").clone(),
+                // Un-namespace: session-local ids are 32-bit.
+                accesses: accesses
+                    .iter()
+                    .map(|&(r, m)| (RegionId(r.0 & 0xFFFF_FFFF), m))
+                    .collect(),
+            };
+            t.pending.push_front((idx, task));
+        }
         self.task_of.clear();
         self.metered.clear();
         self.cursor = 0;
@@ -591,16 +580,9 @@ impl Service {
         self.unsealed_tenants.clear();
         for (i, t) in self.tenants.iter_mut().enumerate() {
             t.vtime = 0.0;
-            t.pending.clear();
             t.unsealed.clear();
-            let sealed = &t.session.frontier;
-            t.pending
-                .extend((0..t.log.len() as u64).filter(|&idx| !sealed.contains(TaskId(idx))));
             if !t.pending.is_empty() {
-                self.turns.push(Reverse(Turn {
-                    vtime: 0.0,
-                    tenant: i as u32,
-                }));
+                self.turns.push(turn(0.0, i as u32));
             }
         }
         Ok(())

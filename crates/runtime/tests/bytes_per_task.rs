@@ -1,5 +1,6 @@
-//! Regression pins: the memory one task costs, end to end, and what a
-//! held report costs on top.
+//! Regression pins: the memory one task costs, end to end, what a held
+//! report costs on top, and what a task submitted through the service
+//! costs (`a_service_task_is_stored_once`, with its own table).
 //!
 //! This binary installs a counting allocator, builds a fixed 10k-task
 //! graph of 2,500 depth-4 chains (the `chains-pooled` benchmark shape
@@ -31,13 +32,16 @@
 //!
 //! 3,253,760 / 10,000 = 325 bytes per task.
 //!
-//! Live bytes are counted per thread, so the two tests here may run in
+//! Live bytes are counted per thread, so the tests here may run in
 //! parallel without reading each other's allocations.
 
 mod common;
 
 use common::{live_bytes, peak_live_bytes, reset_peak, CountingAlloc};
-use legato_runtime::{EngineConfig, Policy, PoolConfig, Runtime, TaskOutcome};
+use legato_core::task::{AccessMode, TaskDescriptor, Work};
+use legato_runtime::{
+    EngineConfig, Policy, PoolConfig, Runtime, ServiceConfig, TaskOutcome, TenantId, TenantSpec,
+};
 use legato_workloads::{chains_batch, fleets};
 
 #[global_allocator]
@@ -125,5 +129,82 @@ fn a_held_report_costs_one_table_copy() {
         first.placements[..],
         saved[..],
         "the held report is unchanged"
+    );
+}
+
+const TENANTS: u32 = 100;
+const PER_WAVE: u64 = 8;
+const WAVES: u64 = 12;
+/// Peak live bytes per task of a service wave run; the table on
+/// [`a_service_task_is_stored_once`] is the arithmetic.
+const SERVICE_BYTES_PER_TASK: usize = 436;
+
+/// A task submitted through a [`legato_runtime::Service`] is stored once:
+/// the service holds it until dispatch, the engine graph after. 100
+/// tenants each submit 8 tasks a wave (each to its own region `slot`, so
+/// a tenant's slot is a 12-deep chain across waves) for 12 waves, every
+/// wave run by `Service::run` and its report dropped before the next.
+///
+/// The peak of live bytes falls inside the last wave's dispatch, 193 of
+/// its 800 tasks in, with the 607 others still pending (bytes; 16,384-slot
+/// buffers are doubling growth past 9,600 pushes):
+///
+/// | structure | arithmetic | bytes |
+/// |---|---|---:|
+/// | graph nodes (`Node`, descriptor inline) | 16,384 × 104 | 1,703,936 |
+/// | access arena, its slot column | 16,384 × (16 + 4) | 327,680 |
+/// | predecessor arena (one per access), unmet counts | 16,384 × (8 + 8) | 262,144 |
+/// | successor arena (relocating lists) | 32,768 × 8 | 262,144 |
+/// | task states | 16,384 × 1 | 16,384 |
+/// | region tables: history, liveness, slot→region (800 regions), region→slot map | 1,024 × (40 + 16 + 8) + 17,424 | 82,960 |
+/// | engine outcome table (`TaskOutcome`, sized at the 11th run's entry) | 12,800 × 64 | 819,200 |
+/// | engine acceptance log, ready queue (`Event`) | 16,384 × 8 + 1,024 × 32 | 163,840 |
+/// | finish slab and its free list | 1,024 × (128 + 4) | 135,168 |
+/// | per-device deferred finishes, their headers and flags, event heap | 38,912 + 2,048 + 64 + 2,048 | 43,072 |
+/// | service `task_of`, `metered` | 16,384 × (16 + 1) | 278,528 |
+/// | service pending queues (`(u64, LoggedTask)`, 8 slots a tenant) | 100 × 8 × 80 | 64,000 |
+/// | access lists of the 607 pending tasks | 607 × 16 | 9,712 |
+/// | other buffers, each under 8 KiB | | 22,816 |
+/// | **peak** | | **4,191,584** |
+///
+/// 4,191,584 / 9,600 = 436 bytes per task. A service that also kept a
+/// log of every admitted task read 589: per tenant a 128-slot vector of
+/// 72 B entries (a descriptor and an access-list header), 921,600 bytes,
+/// and one 64 B access list per task, 614,400 more.
+#[test]
+fn a_service_task_is_stored_once() {
+    let mut svc = ServiceConfig::new(
+        EngineConfig::new()
+            .with_devices(fleets::cycled(64))
+            .with_policy(Policy::Performance)
+            .with_seed(42),
+    )
+    .build()
+    .expect("valid config");
+    for _ in 0..TENANTS {
+        svc.register(TenantSpec::new()).expect("valid spec");
+    }
+    let base = live_bytes();
+    reset_peak();
+    for _ in 0..WAVES {
+        for slot in 0..PER_WAVE {
+            for t in 0..TENANTS {
+                svc.submit(
+                    TenantId(t),
+                    TaskDescriptor::named("svc").with_work(Work::flops(1e12)),
+                    [(slot, AccessMode::InOut)],
+                )
+                .expect("within the default budget");
+            }
+        }
+        drop(svc.run().expect("devices present"));
+    }
+    let tasks = (u64::from(TENANTS) * PER_WAVE * WAVES) as usize;
+    assert_eq!(svc.engine().graph().len(), tasks);
+    let peak = usize::try_from(peak_live_bytes() - base).expect("a peak is at least its base");
+    assert_eq!(
+        peak / tasks,
+        SERVICE_BYTES_PER_TASK,
+        "peak live bytes {peak} over {tasks} service tasks moved"
     );
 }

@@ -226,31 +226,34 @@ proptest! {
     /// Pay-for-what-you-use: an all-public workload on a runtime with
     /// the security layer configured is bit-identical — report, trace
     /// and all — to the same workload on a runtime that never heard of
-    /// security. The security wiring costs nothing until a confidential
-    /// task exists.
+    /// security, under every policy, and places it with the same number
+    /// of candidate evaluations. The security wiring costs nothing until
+    /// a confidential task exists.
     #[test]
     fn all_public_runs_are_bit_identical_to_security_unaware_runs(
         chains in gen::chains_strategy(),
         seed in 0u64..300,
         resilient in any::<bool>(),
+        policy_sel in 0u8..4,
     ) {
-        // `runtime()` configures security; this twin never does.
-        let mut plain_cfg = gen::config(seed);
+        // The twins differ only in `with_security`.
+        let mut cfg = gen::config(seed)
+            .with_policy(gen::policy(policy_sel))
+            .with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)));
         if resilient {
-            plain_cfg = plain_cfg
-                .with_region_sizes(region_sizes(chains.len(), Bytes::mib(16)))
-                .with_resilience(gen::checkpointing());
+            cfg = cfg.with_resilience(gen::checkpointing());
         }
-        let mut plain = gen::faulty(plain_cfg);
+        let mut plain = gen::faulty(cfg.clone());
         gen::submit(&mut plain, &chains, gen::public);
         let plain_report = plain.run().expect("devices present");
 
-        let mut configured = runtime(seed, resilient, &chains);
+        let mut configured = gen::faulty(cfg.with_security(SecurityConfig::new()));
         gen::submit(&mut configured, &chains, gen::public);
         let configured_report = configured.run().expect("devices present");
 
         prop_assert_eq!(&plain_report, &configured_report);
         prop_assert_eq!(plain.rollback_trace(), configured.rollback_trace());
+        prop_assert_eq!(plain.placement_evals(), configured.placement_evals());
         prop_assert_eq!(configured_report.security, None);
     }
 

@@ -18,6 +18,11 @@
 //! * **Heap stride order** — the dispatch order equals a linear argmin
 //!   over `(vtime, tenant id)`, under mid-stream submissions and a
 //!   restart.
+//! * **Restart ≡ replay** — against the test's own log of every
+//!   submission, a restart re-queues each tenant's unsealed tasks,
+//!   in-flight, failed and completed-but-unsealed ones included, in
+//!   session order and as submitted, whether the service still held
+//!   them or only the old engine did.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -25,7 +30,7 @@ mod common;
 
 use common::gen;
 
-use legato_core::requirements::{Criticality, Requirements};
+use legato_core::requirements::{Criticality, Requirements, SecurityLevel};
 use legato_core::task::{AccessMode, RegionId, TaskDescriptor, TaskId, Work};
 use legato_core::units::{Bytes, Joule, Seconds};
 use legato_hw::device::OperatingPoint;
@@ -102,6 +107,30 @@ fn multi_tenant(cfg: EngineConfig, tenants: usize, tasks: &Tasks, replicated: bo
         }
     }
     svc
+}
+
+/// One submission as the test logs it.
+type Logged = (TaskDescriptor, Vec<(RegionId, AccessMode)>);
+
+/// What tenant `t` of [`multi_tenant`] submits for a drawn `(flops,
+/// region, security selector)`: an in-out of region `r` and a read of
+/// region `r + 6`, at the drawn security level, raised to confidential
+/// for the confidential tenants as the service raises it (so the
+/// descriptor reads as the engine stores it).
+fn logged(t: usize, flops: f64, r: u8, sec: u8) -> Logged {
+    let mut security = gen::security(sec);
+    if t % 2 == 1 && security == SecurityLevel::Public {
+        security = SecurityLevel::Confidential;
+    }
+    let d = descriptor(flops).with_requirements(Requirements::new().with_security(security));
+    let r = u64::from(r);
+    (
+        d,
+        vec![
+            (RegionId(r), AccessMode::InOut),
+            (RegionId(r + 6), AccessMode::In),
+        ],
+    )
 }
 
 /// The tenant an engine task belongs to, read back from the upper half
@@ -465,6 +494,80 @@ proptest! {
         let _ = svc.run().expect("devices present");
         reference_dispatch(&shares, &mut vtime, &mut pending, &mut expected);
         prop_assert_eq!(&observed_dispatch(svc.engine()), &expected);
+    }
+
+    /// Restart ≡ replay. Random tenants submit, step and run on the
+    /// rollback engine and seal at random points, so when the service
+    /// restarts (twice) some tasks are pending, some in flight, some
+    /// failed and some completed but unsealed. After each restart and
+    /// the run that follows, each tenant's tasks in the new engine are
+    /// exactly its session indices the seals did not cover, ascending,
+    /// each with the submitted descriptor and namespaced accesses.
+    #[test]
+    fn restart_requeues_exactly_the_unsealed_submissions(
+        tenants in 1usize..4,
+        seed in 0u64..200,
+        ops in prop::collection::vec(
+            (0u8..10, 0usize..4, 5e11f64..4e12, 0u8..6, 0u8..3),
+            1..60,
+        ),
+        restarts in prop::collection::vec(0usize..60, 2),
+    ) {
+        let cfg = rollback_engine(seed, tenants);
+        let mut svc = multi_tenant(cfg, tenants, &Tasks::new(), false);
+        let mut log: Vec<Vec<Logged>> = vec![Vec::new(); tenants];
+        for (i, &(op, sel, flops, r, sec)) in ops.iter().enumerate() {
+            match op {
+                0..=4 => {
+                    let t = sel % tenants;
+                    let (d, accesses) = logged(t, flops, r, sec);
+                    let idx = svc
+                        .submit(TenantId(t as u32), d.clone(), accesses.clone())
+                        .expect("within default budget");
+                    prop_assert_eq!(idx, log[t].len() as u64);
+                    log[t].push((d, accesses));
+                }
+                5..=7 => {
+                    let _ = svc.step();
+                }
+                8 => {
+                    let _ = svc.run();
+                }
+                _ => svc.seal(),
+            }
+            for _ in restarts.iter().filter(|&&at| at == i) {
+                let sealed: Vec<_> = (0..tenants as u32)
+                    .map(|t| svc.session(TenantId(t)).expect("registered").frontier.clone())
+                    .collect();
+                svc.restart().expect("retained config rebuilds");
+                // Nothing is submitted between the restart and this run,
+                // so the new engine holds exactly what was re-queued.
+                let _ = svc.run();
+                let rt = svc.engine();
+                let mut requeued = vec![Vec::new(); tenants];
+                for id in (0..rt.graph().len() as u64).map(TaskId) {
+                    requeued[tenant_of(rt, id)].push(id);
+                }
+                for t in 0..tenants {
+                    let unsealed: Vec<usize> = (0..log[t].len())
+                        .filter(|&idx| !sealed[t].contains(TaskId(idx as u64)))
+                        .collect();
+                    prop_assert_eq!(requeued[t].len(), unsealed.len());
+                    for (&id, &idx) in requeued[t].iter().zip(&unsealed) {
+                        let (d, accesses) = &log[t][idx];
+                        let namespaced: Vec<_> = accesses
+                            .iter()
+                            .map(|&(r, m)| (RegionId(((t as u64) << 32) | r.0), m))
+                            .collect();
+                        prop_assert_eq!(rt.graph().descriptor(id).expect("dispatched"), d);
+                        prop_assert_eq!(
+                            rt.graph().accesses(id).expect("dispatched"),
+                            &namespaced[..]
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
