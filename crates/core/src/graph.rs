@@ -119,48 +119,62 @@ impl Frontier {
 /// Why [`TaskGraph::rollback_to`] refuses a frontier.
 const OPEN_FRONTIER: &str = "checkpoint frontier is not closed under dependences";
 
-/// Half-open window into one of the graph's flat arenas.
+/// Half-open window into one of the graph's flat arenas. Positions are
+/// `u32`: an arena holds fewer than 2^32 entries (see [`arena_pos`]).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct Span {
-    start: usize,
-    len: usize,
+    start: u32,
+    len: u32,
 }
 
 impl Span {
     #[inline]
     fn range(self) -> std::ops::Range<usize> {
-        self.start..self.start + self.len
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
 /// Successor window with growth capacity: streaming submission cannot
 /// know a task's out-degree in advance, so successor spans relocate to
-/// the end of the arena with doubled capacity when they fill (amortized
-/// O(1) per edge, like `Vec` push but without a heap allocation per
-/// task). [`GraphBuilder`] bypasses the growth path entirely with an
+/// the end of the arena when they fill, their capacity going 0 → 1 → 2
+/// → 4 → … (amortized O(1) per edge, like `Vec` push but without a heap
+/// allocation per task, and a task with one successor holds one slot).
+/// [`GraphBuilder`] bypasses the growth path entirely with an
 /// exactly-sized two-pass layout.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct SuccSpan {
-    start: usize,
-    len: usize,
-    cap: usize,
+    start: u32,
+    len: u32,
+    cap: u32,
 }
 
-/// Cold per-task data: looked up once per lifecycle phase. The *hot*
-/// per-task fields the executors touch on every event — lifecycle state
-/// and unmet-dependence count — live in dense parallel arrays on
-/// [`TaskGraph`] (`states`, `unmet`), so the engine's readiness-order
-/// (i.e. random-order) walks stay cache-resident instead of dragging a
-/// full node struct through the cache per touch. Edge and access lists
-/// are spans into shared flat arenas (CSR layout) rather than three
-/// heap `Vec`s per task — a 1M-task build performs a handful of arena
-/// growths instead of millions of small allocations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Node {
-    descriptor: TaskDescriptor,
-    preds: Span,
-    succs: SuccSpan,
-    accesses: Span,
+impl SuccSpan {
+    #[inline]
+    fn range(self) -> std::ops::Range<usize> {
+        let (start, len) = (self.start, self.len);
+        Span { start, len }.range()
+    }
+}
+
+/// Bytes the graph keeps per task in its columns: descriptor, the three
+/// spans, unmet count and state. DESIGN.md §8 ("Where the memory goes")
+/// budgets them; a field added to the descriptor or a span fails the
+/// build here instead of drifting `bytes_per_task.rs`, and a new column
+/// belongs in this sum.
+const TASK_COLUMN_BYTES: usize = size_of::<TaskDescriptor>()
+    + 2 * size_of::<Span>()
+    + size_of::<SuccSpan>()
+    + size_of::<u32>()
+    + size_of::<TaskState>();
+const _: () = assert!(
+    TASK_COLUMN_BYTES <= 81,
+    "DESIGN.md §8: graph columns ≤ 81 B/task"
+);
+
+/// `n` as an arena position or task count.
+#[inline]
+fn arena_pos(n: usize) -> u32 {
+    u32::try_from(n).expect("fewer than 2^32 arena entries")
 }
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -190,14 +204,32 @@ impl RegionLiveness {
 /// A dynamic dataflow DAG over [`TaskDescriptor`]s.
 ///
 /// See the [crate-level example](crate) for typical use.
+///
+/// Per-task state is columnar: one dense vector per field, indexed by
+/// task id. The engine's readiness-order (i.e. random-order) walks
+/// touch only the columns a transition needs — state, unmet count,
+/// successor span — instead of dragging a whole task record through
+/// the cache. Edge and access lists are spans into shared flat arenas
+/// (CSR layout) rather than heap `Vec`s per task, so a 1M-task build
+/// performs a handful of arena growths instead of millions of small
+/// allocations.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TaskGraph {
-    nodes: Vec<Node>,
-    /// Lifecycle state per task (parallel to `nodes`) — the hottest
-    /// field in the graph, touched 3–5 times per task per run.
+    /// Descriptor of each task: the cold column, read when a task is
+    /// claimed and by reports. [`GraphBuilder::build_into`] moves the
+    /// builder's vector in whole when the graph is empty.
+    descriptors: Vec<TaskDescriptor>,
+    /// Predecessor window of each task in `pred_arena`.
+    preds: Vec<Span>,
+    /// Successor window of each task in `succ_arena`.
+    succs: Vec<SuccSpan>,
+    /// Declaration window of each task in `access_arena`.
+    accesses: Vec<Span>,
+    /// Lifecycle state per task — the hottest column in the graph,
+    /// touched 3–5 times per task per run.
     states: Vec<TaskState>,
-    /// Outstanding-dependence count per task (parallel to `nodes`).
-    unmet: Vec<usize>,
+    /// Outstanding-dependence count per task.
+    unmet: Vec<u32>,
     /// Region interner: the dense slot each region was given when a task
     /// first declared it. The graph's one `RegionId`-keyed table, probed
     /// once per access at submission and never on a state transition.
@@ -241,9 +273,10 @@ pub struct TaskGraph {
     /// contiguous [`Span`], fixed at submission time (dependences never
     /// change after inference).
     pred_arena: Vec<TaskId>,
-    /// Flat successor arena: [`SuccSpan`]s relocate (doubling) when a
-    /// streaming append outgrows them; holes left behind are dead space.
-    /// Bulk builds via [`GraphBuilder`] lay this out exactly, hole-free.
+    /// Flat successor arena: [`SuccSpan`]s relocate (capacity 1, 2, 4,
+    /// …) when a streaming append outgrows them; holes left behind are
+    /// dead space. Bulk builds via [`GraphBuilder`] lay this out
+    /// exactly, hole-free.
     succ_arena: Vec<TaskId>,
     /// Flat `(region, mode)` declaration arena.
     access_arena: Vec<(RegionId, AccessMode)>,
@@ -272,28 +305,8 @@ impl TaskGraph {
     /// graph would waste memory.
     #[must_use]
     pub fn with_capacity(tasks: usize, edges: usize) -> Self {
-        // Access declarations are unknown ahead of time; two per task
-        // covers the common read+write shape without overcommitting.
-        Self::with_capacity_parts(tasks, edges, edges, tasks * 2)
-    }
-
-    fn with_capacity_parts(
-        tasks: usize,
-        pred_cap: usize,
-        succ_cap: usize,
-        access_cap: usize,
-    ) -> Self {
-        let words = tasks.div_ceil(64);
         let mut g = TaskGraph::default();
-        g.nodes.reserve(tasks);
-        g.states.reserve(tasks);
-        g.unmet.reserve(tasks);
-        g.ready_bits.reserve(words);
-        g.completed_bits.reserve(words);
-        g.pred_arena.reserve(pred_cap);
-        g.succ_arena.reserve(succ_cap);
-        g.access_arena.reserve(access_cap);
-        g.access_slots.reserve(access_cap);
+        g.reserve(tasks, edges);
         g
     }
 
@@ -302,18 +315,29 @@ impl TaskGraph {
     /// a graph that may already hold tasks. Streaming a large batch into
     /// a live graph never regrows mid-stream after this.
     pub fn reserve(&mut self, tasks: usize, edges: usize) {
-        let words = (self.nodes.len() + tasks).div_ceil(64);
-        self.nodes.reserve(tasks);
+        self.descriptors.reserve(tasks);
+        self.reserve_task_state(tasks);
+        self.pred_arena.reserve(edges);
+        self.succ_arena.reserve(edges);
+        // Access declarations are unknown ahead of time; two per task
+        // covers the common read+write shape without overcommitting.
+        self.access_arena.reserve(tasks * 2);
+        self.access_slots.reserve(tasks * 2);
+    }
+
+    /// Pre-size every per-task column but the descriptors, and the two
+    /// per-task bitmaps, for `tasks` more tasks.
+    fn reserve_task_state(&mut self, tasks: usize) {
+        let words = (self.len() + tasks).div_ceil(64);
+        self.preds.reserve(tasks);
+        self.succs.reserve(tasks);
+        self.accesses.reserve(tasks);
         self.states.reserve(tasks);
         self.unmet.reserve(tasks);
         self.ready_bits
             .reserve(words.saturating_sub(self.ready_bits.len()));
         self.completed_bits
             .reserve(words.saturating_sub(self.completed_bits.len()));
-        self.pred_arena.reserve(edges);
-        self.succ_arena.reserve(edges);
-        self.access_arena.reserve(tasks * 2);
-        self.access_slots.reserve(tasks * 2);
     }
 
     /// Pre-size the region interner and the per-slot history, liveness
@@ -332,13 +356,13 @@ impl TaskGraph {
     /// Number of tasks ever submitted.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.states.len()
     }
 
     /// Whether no task has been submitted.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.states.is_empty()
     }
 
     /// Number of dependence edges.
@@ -356,7 +380,7 @@ impl TaskGraph {
     /// Whether every task completed successfully.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.completed_count == self.nodes.len()
+        self.completed_count == self.len()
     }
 
     /// All tasks currently in [`TaskState::Completed`], in submission
@@ -416,21 +440,35 @@ impl TaskGraph {
         I: IntoIterator<Item = (R, AccessMode)>,
         R: Into<RegionId>,
     {
-        let acc_start = self.access_arena.len();
+        let acc = self.append_accesses(accesses);
+        self.descriptors.push(descriptor);
+        let id = self.push_task_core(acc);
+        self.wire_successors(id);
+        id
+    }
+
+    /// Append a task's declarations to the access arena, returning their
+    /// window.
+    fn append_accesses<I, R>(&mut self, accesses: I) -> Span
+    where
+        I: IntoIterator<Item = (R, AccessMode)>,
+        R: Into<RegionId>,
+    {
+        let start = self.access_arena.len();
         self.access_arena
             .extend(accesses.into_iter().map(|(r, m)| (r.into(), m)));
-        let acc = Span {
-            start: acc_start,
-            len: self.access_arena.len() - acc_start,
-        };
-        let id = self.push_task_core(descriptor, acc);
-        // Wire the new task into its predecessors' successor lists.
-        let p = self.nodes[id.index()].preds;
-        for j in p.range() {
+        Span {
+            start: arena_pos(start),
+            len: arena_pos(self.access_arena.len() - start),
+        }
+    }
+
+    /// Wire a streamed task into its predecessors' successor lists.
+    fn wire_successors(&mut self, id: TaskId) {
+        for j in self.preds[id.index()].range() {
             let pred = self.pred_arena[j].index();
             self.succ_push(pred, id);
         }
-        id
     }
 
     /// Submit a task with an *explicit* predecessor list instead of
@@ -465,31 +503,21 @@ impl TaskGraph {
         R: Into<RegionId>,
     {
         for &d in deps {
-            if d.index() >= self.nodes.len() {
-                return Err(CoreError::UnknownTask(d));
-            }
+            self.index(d)?;
         }
-        let acc_start = self.access_arena.len();
-        self.access_arena
-            .extend(accesses.into_iter().map(|(r, m)| (r.into(), m)));
-        let acc = Span {
-            start: acc_start,
-            len: self.access_arena.len() - acc_start,
-        };
+        let acc = self.append_accesses(accesses);
         let acc = self.collapse_duplicate_accesses(acc);
         let mut deps = deps.to_vec();
         deps.sort_unstable();
         deps.dedup();
-        let id = self.push_task_inner(descriptor, acc, Some(&deps));
-        let p = self.nodes[id.index()].preds;
-        for j in p.range() {
-            let pred = self.pred_arena[j].index();
-            self.succ_push(pred, id);
-        }
+        self.descriptors.push(descriptor);
+        let id = self.push_task_inner(acc, Some(&deps));
+        self.wire_successors(id);
         Ok(id)
     }
 
-    /// Core of task submission: infer dependences for a task whose access
+    /// Core of task submission: infer dependences for a task whose
+    /// descriptor is already in its column and whose access
     /// declarations already sit in the access arena at `acc`, record its
     /// predecessor span, update region histories, liveness and readiness —
     /// but do **not** wire the task into its predecessors' successor
@@ -497,9 +525,9 @@ impl TaskGraph {
     /// (growth spans), while [`GraphBuilder::build_into`] counts
     /// out-degrees first and lays successors out in one exactly-sized
     /// pass.
-    fn push_task_core(&mut self, descriptor: TaskDescriptor, acc: Span) -> TaskId {
+    fn push_task_core(&mut self, acc: Span) -> TaskId {
         let acc = self.collapse_duplicate_accesses(acc);
-        self.push_task_inner(descriptor, acc, None)
+        self.push_task_inner(acc, None)
     }
 
     /// Collapse duplicate declarations of the same region within one
@@ -529,7 +557,7 @@ impl TaskGraph {
         }
         Span {
             start: acc.start,
-            len: kept,
+            len: arena_pos(kept),
         }
     }
 
@@ -560,13 +588,8 @@ impl TaskGraph {
     /// Shared tail of task submission: predecessors either inferred from
     /// the access declarations (`explicit == None`) or taken verbatim
     /// from the caller (`Some`, already validated, sorted and deduped).
-    fn push_task_inner(
-        &mut self,
-        descriptor: TaskDescriptor,
-        acc: Span,
-        explicit: Option<&[TaskId]>,
-    ) -> TaskId {
-        let id = TaskId(self.nodes.len() as u64);
+    fn push_task_inner(&mut self, acc: Span, explicit: Option<&[TaskId]>) -> TaskId {
+        let id = TaskId(self.len() as u64);
         self.intern(acc);
 
         let mut preds = std::mem::take(&mut self.pred_scratch);
@@ -600,8 +623,8 @@ impl TaskGraph {
             .count();
 
         let pred_span = Span {
-            start: self.pred_arena.len(),
-            len: preds.len(),
+            start: arena_pos(self.pred_arena.len()),
+            len: arena_pos(preds.len()),
         };
         self.pred_arena.extend_from_slice(&preds);
         self.edge_count += preds.len();
@@ -640,36 +663,36 @@ impl TaskGraph {
         }
 
         self.states.push(state);
-        self.unmet.push(unmet);
-        self.nodes.push(Node {
-            descriptor,
-            preds: pred_span,
-            succs: SuccSpan::default(),
-            accesses: acc,
-        });
+        self.unmet.push(arena_pos(unmet));
+        self.preds.push(pred_span);
+        self.succs.push(SuccSpan::default());
+        self.accesses.push(acc);
         id
     }
 
     /// Append `id` to task `p`'s successor span, relocating the span to
-    /// the arena tail with doubled capacity when full. Appends arrive in
-    /// ascending id order (submission order), and relocation preserves
-    /// the prefix, so successor lists stay ascending — a property the
-    /// runtime's deterministic replay relies on.
+    /// the arena tail when full: its capacity goes 0 → 1 → 2 → 4 → …, so
+    /// a task with one successor (every link of a chain) holds exactly
+    /// one slot. Appends arrive in ascending id order (submission
+    /// order), and relocation preserves the prefix, so successor lists
+    /// stay ascending — a property the runtime's deterministic replay
+    /// relies on.
     fn succ_push(&mut self, p: usize, id: TaskId) {
-        let s = self.nodes[p].succs;
+        let s = self.succs[p];
         if s.len < s.cap {
-            self.succ_arena[s.start + s.len] = id;
-            self.nodes[p].succs.len += 1;
+            self.succ_arena[(s.start + s.len) as usize] = id;
+            self.succs[p].len += 1;
             return;
         }
-        let new_cap = (s.cap * 2).max(2);
+        let new_cap = (s.cap * 2).max(1);
         let new_start = self.succ_arena.len();
-        self.succ_arena.reserve(new_cap);
-        self.succ_arena.extend_from_within(s.start..s.start + s.len);
+        self.succ_arena.reserve(new_cap as usize);
+        self.succ_arena.extend_from_within(s.range());
         self.succ_arena.push(id);
-        self.succ_arena.resize(new_start + new_cap, TaskId(0));
-        self.nodes[p].succs = SuccSpan {
-            start: new_start,
+        self.succ_arena
+            .resize(new_start + new_cap as usize, TaskId(0));
+        self.succs[p] = SuccSpan {
+            start: arena_pos(new_start),
             len: s.len + 1,
             cap: new_cap,
         };
@@ -680,14 +703,13 @@ impl TaskGraph {
     /// without per-task `Result` plumbing.
     #[inline]
     pub(crate) fn preds_of(&self, i: usize) -> &[TaskId] {
-        &self.pred_arena[self.nodes[i].preds.range()]
+        &self.pred_arena[self.preds[i].range()]
     }
 
     /// Successors of task `i` (by index), borrowed from the arena.
     #[inline]
     pub(crate) fn succs_of(&self, i: usize) -> &[TaskId] {
-        let s = self.nodes[i].succs;
-        &self.succ_arena[s.start..s.start + s.len]
+        &self.succ_arena[self.succs[i].range()]
     }
 
     /// Descriptor of a task.
@@ -697,7 +719,7 @@ impl TaskGraph {
     /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
     #[inline]
     pub fn descriptor(&self, id: TaskId) -> Result<&TaskDescriptor, CoreError> {
-        self.node(id).map(|n| &n.descriptor)
+        Ok(&self.descriptors[self.index(id)?])
     }
 
     /// Current lifecycle state of a task.
@@ -719,8 +741,7 @@ impl TaskGraph {
     ///
     /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
     pub fn predecessors(&self, id: TaskId) -> Result<&[TaskId], CoreError> {
-        let s = self.node(id)?.preds;
-        Ok(&self.pred_arena[s.range()])
+        Ok(self.preds_of(self.index(id)?))
     }
 
     /// Direct successors (dependents) of a task.
@@ -729,8 +750,7 @@ impl TaskGraph {
     ///
     /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
     pub fn successors(&self, id: TaskId) -> Result<&[TaskId], CoreError> {
-        let s = self.node(id)?.succs;
-        Ok(&self.succ_arena[s.start..s.start + s.len])
+        Ok(self.succs_of(self.index(id)?))
     }
 
     /// The `(region, mode)` declarations a task was submitted with.
@@ -743,7 +763,7 @@ impl TaskGraph {
     /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
     #[inline]
     pub fn accesses(&self, id: TaskId) -> Result<&[(RegionId, AccessMode)], CoreError> {
-        let s = self.node(id)?.accesses;
+        let s = self.accesses[self.index(id)?];
         Ok(&self.access_arena[s.range()])
     }
 
@@ -757,7 +777,7 @@ impl TaskGraph {
     /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
     #[inline]
     pub fn access_slots(&self, id: TaskId) -> Result<&[u32], CoreError> {
-        let s = self.node(id)?.accesses;
+        let s = self.accesses[self.index(id)?];
         Ok(&self.access_slots[s.range()])
     }
 
@@ -805,10 +825,10 @@ impl TaskGraph {
         }
     }
 
-    /// Claim a task for execution if (and only if) it is ready: one node
+    /// Claim a task for execution if (and only if) it is ready: one state
     /// lookup answering "is this ready?", performing the
     /// `Ready → Running` transition, and handing back the descriptor the
-    /// claimer is about to place — all in a single node access. Returns
+    /// claimer is about to place — all in one call. Returns
     /// `None` for a task in any other state — the event engine uses this
     /// to drop stale ready events (task already executed, or poisoned
     /// upstream) without a second state probe.
@@ -827,7 +847,7 @@ impl TaskGraph {
         }
         *state = TaskState::Running;
         self.remove_ready(id);
-        Ok(Some(&self.nodes[id.index()].descriptor))
+        Ok(Some(&self.descriptors[id.index()]))
     }
 
     /// Complete a task, returning the tasks that became ready.
@@ -890,7 +910,7 @@ impl TaskGraph {
         self.insert_completed(id);
         // The task's reads are settled; its writes are now produced by a
         // completed task. Both can flip region liveness.
-        for a in self.nodes[id.index()].accesses.range() {
+        for a in self.accesses[id.index()].range() {
             let mode = self.access_arena[a].1;
             self.update_liveness(self.access_slots[a], |l| {
                 if mode.reads() {
@@ -957,7 +977,7 @@ impl TaskGraph {
     /// completing (failed or poisoned): its reads are no longer
     /// outstanding.
     fn retire_reads(&mut self, id: TaskId) {
-        for a in self.nodes[id.index()].accesses.range() {
+        for a in self.accesses[id.index()].range() {
             if self.access_arena[a].1.reads() {
                 self.update_liveness(self.access_slots[a], |l| l.readers_outstanding -= 1);
             }
@@ -1038,7 +1058,7 @@ impl TaskGraph {
     /// kept but one of its predecessors is not — such a frontier could
     /// never have been reached). On error the graph is unchanged.
     pub fn rollback_to(&mut self, frontier: &Frontier) -> Result<Vec<TaskId>, CoreError> {
-        if let Some(id) = frontier.first_at_or_after(self.nodes.len()) {
+        if let Some(id) = frontier.first_at_or_after(self.len()) {
             return Err(CoreError::UnknownTask(id));
         }
         // Δ: completed on one side only, or unsettled right now.
@@ -1079,9 +1099,8 @@ impl TaskGraph {
         // Δ's successors are in Δ, whose turn is next: a waiting one that
         // the frontier keeps is re-armed here and completed there.)
         for &d in &delta {
-            let span = self.nodes[d.index()].succs;
-            for k in 0..span.len {
-                let s = self.succ_arena[span.start + k];
+            for k in self.succs[d.index()].range() {
+                let s = self.succ_arena[k];
                 if matches!(
                     self.states[s.index()],
                     TaskState::Pending | TaskState::Ready
@@ -1123,7 +1142,7 @@ impl TaskGraph {
         self.rollback_visits += 1;
         let preds = self.preds_of(id.index());
         let unmet = preds.iter().filter(|&&p| !frontier.contains(p)).count();
-        self.unmet[id.index()] = unmet;
+        self.unmet[id.index()] = arena_pos(unmet);
         if unmet == 0 {
             self.states[id.index()] = TaskState::Ready;
             self.insert_ready(id);
@@ -1138,7 +1157,7 @@ impl TaskGraph {
     /// it writes (the rollback-side inverse of the transition updates).
     fn shift_liveness(&mut self, id: TaskId, readers: isize, writers: isize) {
         const MIRROR: &str = "liveness counters mirror task states";
-        for a in self.nodes[id.index()].accesses.range() {
+        for a in self.accesses[id.index()].range() {
             let mode = self.access_arena[a].1;
             self.update_liveness(self.access_slots[a], |l| {
                 if mode.reads() {
@@ -1179,7 +1198,7 @@ impl TaskGraph {
             count: 0,
         };
         for &id in completed {
-            self.node(id)?;
+            self.index(id)?;
             frontier.insert(id);
         }
         self.rollback_to(&frontier).map_err(|err| {
@@ -1204,8 +1223,8 @@ impl TaskGraph {
     ///
     /// Returns [`CoreError::UnknownTask`] for an id outside the graph.
     pub fn root_cause(&self, id: TaskId) -> Result<Vec<TaskId>, CoreError> {
-        self.node(id)?;
-        let mut visited = vec![false; self.nodes.len()];
+        self.index(id)?;
+        let mut visited = vec![false; self.len()];
         let mut causes = Vec::new();
         let mut stack = vec![id];
         visited[id.index()] = true;
@@ -1234,15 +1253,15 @@ impl TaskGraph {
     where
         F: Fn(TaskId, &TaskDescriptor) -> f64,
     {
-        if self.nodes.is_empty() {
+        if self.is_empty() {
             return Err(CoreError::EmptyGraph);
         }
-        let n = self.nodes.len();
+        let n = self.len();
         let mut dist = vec![0.0_f64; n];
         let mut best_pred: Vec<Option<TaskId>> = vec![None; n];
         for i in 0..n {
             let id = TaskId(i as u64);
-            let c = cost(id, &self.nodes[i].descriptor);
+            let c = cost(id, &self.descriptors[i]);
             let mut incoming = 0.0_f64;
             for &p in self.preds_of(i) {
                 if dist[p.index()] > incoming {
@@ -1275,19 +1294,18 @@ impl TaskGraph {
     where
         F: Fn(TaskId, &TaskDescriptor) -> f64,
     {
-        self.nodes
+        self.descriptors
             .iter()
             .enumerate()
-            .map(|(i, n)| cost(TaskId(i as u64), &n.descriptor))
+            .map(|(i, d)| cost(TaskId(i as u64), d))
             .sum()
     }
 
     fn release_successors(&mut self, id: TaskId, released: &mut Vec<TaskId>) {
         // Index iteration instead of cloning the successor list: this runs
         // once per completed task, on the engine's hottest path.
-        let span = self.nodes[id.index()].succs;
-        for k in 0..span.len {
-            let s = self.succ_arena[span.start + k];
+        for k in self.succs[id.index()].range() {
+            let s = self.succ_arena[k];
             if self.states[s.index()] != TaskState::Pending {
                 continue;
             }
@@ -1320,8 +1338,13 @@ impl TaskGraph {
         }
     }
 
-    fn node(&self, id: TaskId) -> Result<&Node, CoreError> {
-        self.nodes.get(id.index()).ok_or(CoreError::UnknownTask(id))
+    /// `id`'s index into the per-task columns, if the graph holds it.
+    fn index(&self, id: TaskId) -> Result<usize, CoreError> {
+        if id.index() < self.len() {
+            Ok(id.index())
+        } else {
+            Err(CoreError::UnknownTask(id))
+        }
     }
 }
 
@@ -1458,7 +1481,7 @@ impl GraphBuilder {
     /// Build a fresh, exactly-sized graph from the buffered tasks.
     #[must_use]
     pub fn build(self) -> TaskGraph {
-        let mut g = TaskGraph::with_capacity_parts(self.descriptors.len(), 0, 0, 0);
+        let mut g = TaskGraph::new();
         self.build_into(&mut g);
         g
     }
@@ -1466,7 +1489,8 @@ impl GraphBuilder {
     /// Append the buffered tasks to an existing graph, inferring
     /// dependences against its region histories exactly as streaming
     /// submission would (new tasks may depend on previously submitted
-    /// ones). Consumes the builder.
+    /// ones). Consumes the builder: into an empty graph, its descriptor
+    /// and access vectors move in whole, uncopied.
     pub fn build_into(self, g: &mut TaskGraph) {
         let GraphBuilder {
             descriptors,
@@ -1474,18 +1498,20 @@ impl GraphBuilder {
             bounds,
             region_capacity,
         } = self;
-        let n0 = g.nodes.len();
+        let n0 = g.len();
         let new = descriptors.len();
-        g.nodes.reserve(new);
-        g.states.reserve(new);
-        g.unmet.reserve(new);
+        if g.descriptors.is_empty() {
+            g.descriptors = descriptors;
+        } else {
+            g.descriptors.extend(descriptors);
+        }
+        g.reserve_task_state(new);
         // Dependence edges are unknown until inference; one per access
         // covers the common RAW/WAW shape without overcommitting.
         g.pred_arena.reserve(accesses.len());
         if region_capacity > 0 {
             g.reserve_regions(region_capacity);
         }
-        // Move the flat access block in wholesale (no per-task copies).
         let acc_base = g.access_arena.len();
         if acc_base == 0 {
             g.access_arena = accesses;
@@ -1496,51 +1522,42 @@ impl GraphBuilder {
         // Pass 1: submit every task (dependence inference, states,
         // bitmaps, region histories). Edges whose producer is an *old*
         // task are wired immediately (ids ascend, so existing successor
-        // lists stay sorted); out-degrees of new tasks are only counted.
-        let mut degree = vec![0usize; new];
-        for (k, descriptor) in descriptors.into_iter().enumerate() {
-            let acc = Span {
-                start: acc_base + bounds[k],
-                len: bounds[k + 1] - bounds[k],
-            };
-            let id = g.push_task_core(descriptor, acc);
-            let p = g.nodes[id.index()].preds;
-            for j in p.range() {
+        // lists stay sorted); a new producer's out-degree is counted in
+        // its successor span's `cap`.
+        for k in 0..new {
+            let id = g.push_task_core(Span {
+                start: arena_pos(acc_base + bounds[k]),
+                len: arena_pos(bounds[k + 1] - bounds[k]),
+            });
+            for j in g.preds[id.index()].range() {
                 let pred = g.pred_arena[j].index();
                 if pred < n0 {
                     g.succ_push(pred, id);
                 } else {
-                    degree[pred - n0] += 1;
+                    g.succs[pred].cap += 1;
                 }
             }
         }
 
         // Exactly-sized successor spans for the new tasks.
-        let total: usize = degree.iter().sum();
-        let succ_base = g.succ_arena.len();
-        g.succ_arena.resize(succ_base + total, TaskId(0));
-        let mut offset = succ_base;
-        for (k, &d) in degree.iter().enumerate() {
-            g.nodes[n0 + k].succs = SuccSpan {
-                start: offset,
-                len: 0,
-                cap: d,
-            };
-            offset += d;
+        let mut offset = g.succ_arena.len();
+        for s in &mut g.succs[n0..] {
+            s.start = arena_pos(offset);
+            offset += s.cap as usize;
         }
+        g.succ_arena.resize(offset, TaskId(0));
 
         // Pass 2: fill the spans. Walking tasks in ascending id order
         // fills every successor list in ascending order — the property
         // deterministic replay relies on.
-        for i in n0..g.nodes.len() {
+        for i in n0..g.len() {
             let id = TaskId(i as u64);
-            let p = g.nodes[i].preds;
-            for j in p.range() {
+            for j in g.preds[i].range() {
                 let pred = g.pred_arena[j].index();
                 if pred >= n0 {
-                    let s = g.nodes[pred].succs;
-                    g.succ_arena[s.start + s.len] = id;
-                    g.nodes[pred].succs.len += 1;
+                    let s = &mut g.succs[pred];
+                    g.succ_arena[(s.start + s.len) as usize] = id;
+                    s.len += 1;
                 }
             }
         }
@@ -2171,6 +2188,21 @@ mod tests {
             readers.push(g.add_task(desc("r"), [(0u64, AccessMode::In)]));
         }
         assert_eq!(g.successors(w).unwrap(), readers.as_slice());
+    }
+
+    #[test]
+    fn a_streamed_chain_holds_one_successor_slot_per_edge() {
+        // Eight chains fed a link each per wave, as a service's tenants
+        // feed theirs: every producer has one successor, and its first
+        // relocation gives it exactly one slot.
+        let mut g = TaskGraph::new();
+        for _wave in 0..12 {
+            for chain in 0..8u64 {
+                g.add_task(desc("link"), [(chain, AccessMode::InOut)]);
+            }
+        }
+        assert_eq!(g.edge_count(), 8 * 11);
+        assert_eq!(g.succ_arena.len(), g.edge_count());
     }
 
     #[test]

@@ -13,9 +13,9 @@ use super::*;
 
 /// Restore `completed` by rebuilding everything: O(V + E + accesses).
 fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreError> {
-    let mut keep = vec![false; g.nodes.len()];
+    let mut keep = vec![false; g.len()];
     for &id in completed {
-        g.node(id)?;
+        g.index(id)?;
         keep[id.index()] = true;
     }
     for &id in completed {
@@ -34,7 +34,7 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
     g.live_bits.fill(0);
     g.live_count = 0;
     let mut ready = Vec::new();
-    for i in 0..g.nodes.len() {
+    for i in 0..g.len() {
         let id = TaskId(i as u64);
         if keep[i] {
             g.states[i] = TaskState::Completed;
@@ -42,7 +42,7 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
             continue;
         }
         let unmet = g.preds_of(i).iter().filter(|p| !keep[p.index()]).count();
-        g.unmet[i] = unmet;
+        g.unmet[i] = arena_pos(unmet);
         if unmet == 0 {
             g.states[i] = TaskState::Ready;
             g.insert_ready(id);
@@ -51,8 +51,8 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
             g.states[i] = TaskState::Pending;
         }
     }
-    for (node, &completed) in g.nodes.iter().zip(&keep) {
-        for a in node.accesses.range() {
+    for (span, &completed) in g.accesses.iter().zip(&keep) {
+        for a in span.range() {
             let mode = g.access_arena[a].1;
             let live = &mut g.liveness[g.access_slots[a] as usize];
             if completed && mode.writes() {
@@ -78,7 +78,7 @@ fn rebuild(g: &mut TaskGraph, completed: &[TaskId]) -> Result<Vec<TaskId>, CoreE
 #[derive(Debug, PartialEq)]
 struct Observed {
     states: Vec<TaskState>,
-    unmet: Vec<Option<usize>>,
+    unmet: Vec<Option<u32>>,
     ready: Vec<TaskId>,
     completed: Vec<TaskId>,
     counts: (usize, usize, usize),
@@ -86,7 +86,7 @@ struct Observed {
 }
 
 fn observe(g: &TaskGraph) -> Observed {
-    let pending = |(s, &u): (&TaskState, &usize)| (!s.is_terminal()).then_some(u);
+    let pending = |(s, &u): (&TaskState, &u32)| (!s.is_terminal()).then_some(u);
     Observed {
         states: g.states.clone(),
         unmet: g.states.iter().zip(&g.unmet).map(pending).collect(),

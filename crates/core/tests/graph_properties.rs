@@ -4,7 +4,8 @@
 //! acyclic, dependences only point backwards in submission order, executing
 //! in ready order always drains the graph, RAW serialization holds for
 //! every region, and the incremental live-region view matches a
-//! from-scratch recomputation through any lifetime.
+//! from-scratch recomputation through any lifetime, and every submission
+//! path (streamed, bulk, bulk onto a streamed prefix) builds the same graph.
 
 use std::collections::HashSet;
 
@@ -358,4 +359,89 @@ fn reachable_set(g: &TaskGraph, from: TaskId) -> std::collections::HashSet<TaskI
 
 fn path_exists(g: &TaskGraph, from: TaskId, to: TaskId) -> bool {
     reachable_set(g, from).contains(&to)
+}
+
+/// A task's declarations with, on `dup`, every one repeated in a
+/// rotated mode, so collapsing duplicates to the joined mode is always
+/// exercised.
+fn declarations(acc: &[(u64, AccessMode)], dup: bool) -> Vec<(u64, AccessMode)> {
+    let rotate = |m| match m {
+        AccessMode::In => AccessMode::Out,
+        AccessMode::Out => AccessMode::InOut,
+        AccessMode::InOut => AccessMode::In,
+    };
+    let copies = acc.iter().rev().map(|&(r, m)| (r, rotate(m)));
+    acc.iter()
+        .copied()
+        .chain(copies.take(if dup { acc.len() } else { 0 }))
+        .collect()
+}
+
+/// A task's declarations collapsed by hand: one entry per region, in
+/// first-declaration order, with the join of its modes.
+fn collapsed(acc: &[(u64, AccessMode)]) -> Vec<(RegionId, AccessMode)> {
+    let mut out: Vec<(RegionId, AccessMode)> = Vec::new();
+    for &(r, m) in acc {
+        match out.iter_mut().find(|(seen, _)| *seen == RegionId(r)) {
+            Some(entry) => entry.1 = entry.1.join(m),
+            None => out.push((RegionId(r), m)),
+        }
+    }
+    out
+}
+
+/// Task `i`'s descriptor, distinct per task.
+fn descriptor(i: usize) -> TaskDescriptor {
+    TaskDescriptor::named(format!("t{i}")).with_work(legato_core::task::Work::flops(i as f64))
+}
+
+proptest! {
+    /// Streamed `add_task`, `GraphBuilder::build`, and `build_into` onto
+    /// a streamed prefix cut anywhere build the same graph: the same
+    /// predecessors, ascending successors, collapsed accesses,
+    /// descriptors, ready set and edge count.
+    #[test]
+    fn every_submission_path_builds_the_same_graph(
+        tasks in prop::collection::vec((accesses_strategy(), any::<bool>()), 1..40),
+        cut in 0usize..64,
+    ) {
+        let tasks: Vec<Vec<(u64, AccessMode)>> =
+            tasks.iter().map(|(acc, dup)| declarations(acc, *dup)).collect();
+        let mut streamed = TaskGraph::new();
+        let mut builder = GraphBuilder::new();
+        for (i, acc) in tasks.iter().enumerate() {
+            streamed.add_task(descriptor(i), acc.iter().copied());
+            builder.task(descriptor(i), acc.iter().copied());
+        }
+        let built = builder.build();
+        let cut = cut % (tasks.len() + 1);
+        let mut hybrid = TaskGraph::new();
+        for (i, acc) in tasks[..cut].iter().enumerate() {
+            hybrid.add_task(descriptor(i), acc.iter().copied());
+        }
+        let mut tail = GraphBuilder::new();
+        for (i, acc) in tasks.iter().enumerate().skip(cut) {
+            tail.task(descriptor(i), acc.iter().copied());
+        }
+        tail.build_into(&mut hybrid);
+
+        for g in [&built, &hybrid] {
+            prop_assert_eq!(g.len(), streamed.len());
+            prop_assert_eq!(g.edge_count(), streamed.edge_count());
+            prop_assert_eq!(g.ready(), streamed.ready());
+        }
+        for (i, acc) in tasks.iter().enumerate() {
+            let id = TaskId(i as u64);
+            let succs = streamed.successors(id).unwrap();
+            prop_assert!(succs.windows(2).all(|w| w[0] < w[1]), "{id}: {succs:?}");
+            prop_assert_eq!(streamed.accesses(id).unwrap(), &collapsed(acc)[..]);
+            prop_assert_eq!(streamed.descriptor(id).unwrap(), &descriptor(i));
+            for g in [&built, &hybrid] {
+                prop_assert_eq!(g.predecessors(id).unwrap(), streamed.predecessors(id).unwrap());
+                prop_assert_eq!(g.successors(id).unwrap(), succs);
+                prop_assert_eq!(g.accesses(id).unwrap(), streamed.accesses(id).unwrap());
+                prop_assert_eq!(g.descriptor(id).unwrap(), &descriptor(i));
+            }
+        }
+    }
 }

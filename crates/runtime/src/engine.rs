@@ -41,7 +41,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use legato_core::requirements::SecurityLevel;
-use legato_core::task::{TaskId, TaskKind, Work};
+use legato_core::task::TaskId;
 use legato_core::units::{Bytes, Joule, Seconds};
 use legato_hw::device::{Device, DeviceId, DeviceSpec};
 use rand::Rng;
@@ -56,26 +56,17 @@ use crate::runtime::{golden_value, Placements, ReplicaDevices, RunReport, Runtim
 use crate::scheduler::{Anchors, Estimate, Plan};
 use crate::trace::{FinishVerdict, Record, RecordKind};
 
-/// The devices and per-replica results of one (possibly replicated)
-/// attempt, stored inline in the finish event. `len` is the live prefix
-/// of both arrays; the primary replica is first.
-#[derive(Debug, Clone, Copy)]
-struct ReplicaSet {
-    devices: [usize; MAX_REPLICAS],
-    results: [ReplicaResult; MAX_REPLICAS],
-    len: u8,
-}
-
-impl ReplicaSet {
-    fn results(&self) -> &[ReplicaResult] {
-        &self.results[..self.len as usize]
-    }
+/// `n` replicas, at most [`MAX_REPLICAS`], as an [`Attempt::replicas`]
+/// width.
+fn replica_width(n: usize) -> u8 {
+    debug_assert!(n <= MAX_REPLICAS);
+    u8::try_from(n).expect("at most MAX_REPLICAS replicas")
 }
 
 /// One scheduled simulation event. `Copy`, free of owned heap data, and
 /// deliberately *small* (32 bytes): every heap push/pop sifts entries
 /// through O(log n) levels, so entry size is sift bandwidth. The bulky
-/// finish payload (inline replica set, start time, attempt counter)
+/// finish payload (attempt, replica devices, start time, verdict)
 /// lives in a slab on the side ([`EngineState::finish_slab`]) and the
 /// event carries only its slot index.
 #[derive(Debug, Clone, Copy)]
@@ -110,43 +101,64 @@ enum EventKind {
     },
 }
 
-/// The facts of one attempt of one task, read off the graph node once
-/// when the task is claimed. Every launch — first placement, fault or
-/// crash retry, crash migration, deferred re-dispatch — hands this one
-/// value to [`Runtime::start_attempt`], so no later step touches the
-/// graph node again.
+/// The facts of one attempt of one task that the task's descriptor
+/// does not hold, fixed when the task is claimed. Every launch — first
+/// placement, fault or crash retry, crash migration, deferred
+/// re-dispatch — hands this one value to [`Runtime::start_attempt`],
+/// which reads the task's work and kind back from the graph's
+/// descriptor column.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Attempt {
     pub(crate) task: TaskId,
-    pub(crate) work: Work,
-    pub(crate) kind: TaskKind,
     /// Confidentiality level (drives re-planning and output sealing).
     pub(crate) security: SecurityLevel,
     /// Enclave code measurement of the task type (meaningful only when
     /// `security` requires an enclave).
     pub(crate) measurement: u64,
-    /// Replicas to place. A finish payload carries the width actually
-    /// placed, so a retry or migration re-plans at that width.
-    pub(crate) replicas: usize,
+    /// Replicas to place, at most [`MAX_REPLICAS`]. A finish payload
+    /// carries the width actually placed, so a retry or migration
+    /// re-plans at that width.
+    pub(crate) replicas: u8,
     /// Zero-based attempt number.
     pub(crate) attempt: u32,
 }
 
-/// Out-of-heap payload of one finish event.
+/// Out-of-heap payload of one finish event: one slab slot per attempt
+/// in flight, so its size is bytes per task on a wide ready front.
 #[derive(Debug, Clone, Copy)]
 struct FinishPayload {
+    /// The attempt; `attempt.replicas` is the width placed.
     attempt: Attempt,
-    /// Devices and results of the attempt, inline (primary first).
-    replicas: ReplicaSet,
+    /// Devices of the replicas, primary first; the first
+    /// `attempt.replicas` are live.
+    devices: [u32; MAX_REPLICAS],
     /// Earliest replica start.
     start: Seconds,
-    /// The task's golden value, computed once when it was launched.
-    golden: u64,
+    /// The vote on the replicas' results, taken when they were drawn at
+    /// launch (the results and the golden value are not kept).
+    verdict: FinishVerdict,
     /// Set when a device crash killed this attempt before its finish
     /// event fired: the event stays queued (heap entries cannot be
     /// retracted) and no-ops on arrival, so slot recycling and per-device
     /// head promotion keep their invariants.
     crashed: bool,
+}
+
+const _: () = assert!(
+    size_of::<FinishPayload>() <= 48,
+    "DESIGN.md §8: a finish payload is ≤ 48 B"
+);
+
+impl FinishPayload {
+    /// The replicas' devices, primary first.
+    fn devices(&self) -> &[u32] {
+        &self.devices[..usize::from(self.attempt.replicas)]
+    }
+
+    /// The device of a single-replica attempt.
+    fn sole_device(&self) -> Option<usize> {
+        (self.attempt.replicas == 1).then_some(self.devices[0] as usize)
+    }
 }
 
 impl Ord for Event {
@@ -290,7 +302,7 @@ impl EngineState {
     /// replicated attempts — whose finish is a max over several
     /// timelines — go straight to the heap.
     fn push_finish(&mut self, time: Seconds, payload: FinishPayload) {
-        let device = (payload.replicas.len == 1).then(|| payload.replicas.devices[0]);
+        let device = payload.sole_device();
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 self.finish_slab[slot as usize] = payload;
@@ -334,8 +346,7 @@ impl EngineState {
     fn take_finish(&mut self, slot: u32) -> FinishPayload {
         self.free_slots.push(slot);
         let payload = self.finish_slab[slot as usize];
-        if payload.replicas.len == 1 {
-            let d = payload.replicas.devices[0];
+        if let Some(d) = payload.sole_device() {
             match self.deferred_finishes[d].pop_front() {
                 Some(next) => {
                     self.deferred -= 1;
@@ -932,10 +943,9 @@ impl Runtime {
 
     fn handle_ready(&mut self, task: TaskId, at: Seconds) -> Result<(), RuntimeError> {
         // Stale events (task poisoned by an upstream failure) are
-        // dropped, not errors; `try_claim`
-        // answers "still ready?", claims, and returns the descriptor in
-        // one node access. Everything a launch needs is copied into one
-        // `Attempt` here.
+        // dropped, not errors; `try_claim` answers "still ready?",
+        // claims, and returns the descriptor in one call. What a launch
+        // needs beyond the descriptor goes into one `Attempt` here.
         let Some(desc) = self.graph.try_claim(task)? else {
             return Ok(());
         };
@@ -951,11 +961,9 @@ impl Runtime {
         let eligible = self.classes.eligible_devices(security, avail);
         let mut attempt = Attempt {
             task,
-            work: desc.work,
-            kind: desc.kind,
             security,
             measurement: 0,
-            replicas: wanted.min(eligible).max(usize::from(avail.is_some())),
+            replicas: replica_width(wanted.min(eligible).max(usize::from(avail.is_some()))),
             attempt: 0,
         };
         // An empty TEE pool is a hard error for an enclave-only task —
@@ -978,7 +986,7 @@ impl Runtime {
                     // parks with the surviving fleet's replica budget.
                     if avail.is_some() {
                         let fleet = self.classes.eligible_devices(SecurityLevel::Public, avail);
-                        attempt.replicas = wanted.min(fleet).max(1);
+                        attempt.replicas = replica_width(wanted.min(fleet).max(1));
                         attempt.measurement = m;
                         self.defer_placement(attempt, at);
                         return Ok(());
@@ -995,7 +1003,7 @@ impl Runtime {
         if attempt.replicas == 1 {
             self.engine.stats.unreplicated += 1;
         } else {
-            self.engine.stats.replica_executions += (attempt.replicas - 1) as u64;
+            self.engine.stats.replica_executions += u64::from(attempt.replicas - 1);
         }
         self.start_attempt(attempt, at)
     }
@@ -1030,13 +1038,12 @@ impl Runtime {
     fn start_attempt(&mut self, attempt: Attempt, at: Seconds) -> Result<(), RuntimeError> {
         let Attempt {
             task,
-            work,
-            kind,
             security,
             measurement,
             replicas,
             ..
         } = attempt;
+        let replicas = usize::from(replicas);
         // A synchronous checkpoint or an in-progress restart stalls new
         // placements (resilience mode).
         let at = match &self.resilience {
@@ -1067,7 +1074,8 @@ impl Runtime {
         }
         // Everything a candidate inherits from its spec is priced here,
         // once per class; both searches below read it per candidate.
-        self.classes.price(work, kind);
+        let desc = self.graph.descriptor(task)?;
+        self.classes.price(desc.work, desc.kind);
         // Two searches, one selection: the sharded bound-and-prune
         // search (`DevicePools::plan_k`) and the flat scan
         // (`Policy::plan_k_devices`) return the same devices, order and
@@ -1135,7 +1143,7 @@ impl Runtime {
             return Err(RuntimeError::NoSecurePlacement(task));
         }
         let golden = golden_value(task);
-        let mut devices = [0usize; MAX_REPLICAS];
+        let mut devices = [0u32; MAX_REPLICAS];
         let mut results = [ReplicaResult(0); MAX_REPLICAS];
         let mut start = Seconds(f64::INFINITY);
         let mut finish = Seconds::ZERO;
@@ -1146,7 +1154,7 @@ impl Runtime {
                 // class tree is stale.
                 pools.mark_dirty(d);
             }
-            devices[slot] = d;
+            devices[slot] = u32::try_from(d).expect("fewer than 2^32 devices");
             start = start.min(s);
             finish = finish.max(f);
             let faulty = self.rng.gen_range(0.0..1.0) < self.fault_probs[d];
@@ -1170,7 +1178,7 @@ impl Runtime {
             start,
             task,
             RecordKind::Place {
-                devices: ReplicaDevices::from_raw(devices, k as u8),
+                devices: ReplicaDevices::from_raw(&devices[..k]),
                 evaluated,
                 pooled: use_pools,
             },
@@ -1179,16 +1187,12 @@ impl Runtime {
             finish,
             FinishPayload {
                 attempt: Attempt {
-                    replicas: k,
+                    replicas: replica_width(k),
                     ..attempt
                 },
-                replicas: ReplicaSet {
-                    devices,
-                    results,
-                    len: k as u8,
-                },
+                devices,
                 start,
-                golden,
+                verdict: FinishVerdict::judge(vote(&results[..k]), golden),
                 crashed: false,
             },
         );
@@ -1202,13 +1206,11 @@ impl Runtime {
     ) -> Result<(), RuntimeError> {
         let FinishPayload {
             attempt,
-            replicas,
             start,
-            golden,
-            crashed: _,
+            verdict,
+            ..
         } = payload;
         let task = attempt.task;
-        let verdict = FinishVerdict::judge(vote(replicas.results()), golden);
         match verdict {
             FinishVerdict::Accepted { correct: false } => self.engine.stats.silent_corruptions += 1,
             FinishVerdict::Masked { .. } => self.engine.stats.masked += 1,
@@ -1227,7 +1229,7 @@ impl Runtime {
                 if self.security.active || self.topology.is_some() {
                     let accesses = slot_accesses(&self.graph, task)?;
                     self.regions
-                        .record(accesses, replicas.devices[0], attempt.security);
+                        .record(accesses, payload.devices[0] as usize, attempt.security);
                 }
                 // Complete through the scratch buffer: the only per-task
                 // allocation left on the accept path is the outcome's
@@ -1266,10 +1268,7 @@ impl Runtime {
                 self.engine.scratch.released = released;
                 self.engine.record_outcome(TaskOutcome {
                     task,
-                    devices: crate::runtime::ReplicaDevices::from_raw(
-                        replicas.devices,
-                        replicas.len,
-                    ),
+                    devices: ReplicaDevices::from_raw(payload.devices()),
                     start,
                     finish,
                     correct,
@@ -1517,7 +1516,7 @@ impl Runtime {
         for (slot, payload) in self.engine.finish_slab.iter_mut().enumerate() {
             if live[slot]
                 && !payload.crashed
-                && payload.replicas.devices[..payload.replicas.len as usize].contains(&device)
+                && payload.devices().iter().any(|&d| d as usize == device)
             {
                 payload.crashed = true;
                 victims.push(*payload);

@@ -44,11 +44,19 @@ impl ReplicaDevices {
         &self.devices[..self.len as usize]
     }
 
-    /// Engine-internal constructor from an already-inline array whose
-    /// dead slots are zeroed (keeps derived equality honest).
-    pub(crate) fn from_raw(devices: [usize; crate::replication::MAX_REPLICAS], len: u8) -> Self {
-        debug_assert!(devices[len as usize..].iter().all(|&d| d == 0));
-        ReplicaDevices { devices, len }
+    /// Engine-internal constructor from the live device ids, primary
+    /// first, at most [`MAX_REPLICAS`](crate::replication::MAX_REPLICAS)
+    /// of them. Dead slots stay zeroed, which keeps derived equality
+    /// honest.
+    pub(crate) fn from_raw(live: &[u32]) -> Self {
+        let mut devices = [0; crate::replication::MAX_REPLICAS];
+        for (slot, &d) in devices.iter_mut().zip(live) {
+            *slot = d as usize;
+        }
+        ReplicaDevices {
+            devices,
+            len: u8::try_from(live.len()).expect("at most MAX_REPLICAS replicas"),
+        }
     }
 }
 

@@ -17,20 +17,23 @@
 //!
 //! | structure | arithmetic | bytes |
 //! |---|---|---:|
-//! | graph nodes (`Node`, descriptor inline) | 10,000 × 104 | 1,040,000 |
+//! | graph descriptor column (moved in from the builder) | 10,000 × 48 | 480,000 |
+//! | graph span columns: predecessors, accesses, successors (`u32` start, length, capacity) | 10,000 × (8 + 8 + 12) | 280,000 |
 //! | access arena, its slot column | 10,000 × (16 + 4) | 200,000 |
-//! | unmet counts, task states | 10,000 × (8 + 1) | 90,000 |
+//! | unmet counts (`u32`), task states | 10,000 × (4 + 1) | 50,000 |
 //! | predecessor arena (one per access), successor arena (7,500 edges) | 10,000 × 8 + 7,500 × 8 | 140,000 |
 //! | region tables: history, liveness, slot→region, region→slot map | 2,500 × (40 + 16 + 8) + 69,648 | 229,648 |
 //! | ready/completed/live bitmaps | (157 + 157 + 40) words × 8 | 2,832 |
 //! | engine outcome table (`TaskOutcome`, one slot per submitted task, sized when the run starts) | 10,000 × 64 | 640,000 |
 //! | engine acceptance log, ready queue (`Event`) | 16,384 × 8 + 4,096 × 32 | 262,144 |
-//! | finish slab and its free list, deferred finishes, event heap | 4,096 × (128 + 4) + 2,816 × 32 + 256 × 32 | 638,976 |
+//! | finish slab (48 B `FinishPayload`) and its free list, deferred finishes, event heap | 4,096 × (48 + 4) + 2,816 × 32 + 256 × 32 | 311,296 |
 //! | report placements (the outcome table, shared: every slot is filled) | 0 | 0 |
-//! | other buffers, each under 4 KiB | | 10,160 |
-//! | **peak** | | **3,253,760** |
+//! | per-device deferred-finish headers, other buffers under 4 KiB | 256 × 32 + 384 | 8,576 |
+//! | **peak** | | **2,604,496** |
 //!
-//! 3,253,760 / 10,000 = 325 bytes per task.
+//! 2,604,496 / 10,000 = 260 bytes per task. With a 104 B node (the
+//! descriptor inline beside three `usize` spans), `usize` unmet counts
+//! and a 128 B finish payload it read 325.
 //!
 //! Live bytes are counted per thread, so the tests here may run in
 //! parallel without reading each other's allocations.
@@ -50,7 +53,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TASKS: usize = 10_000;
 const CHAINS: usize = 2_500;
 /// Peak live bytes per task; the table above is the arithmetic.
-const BYTES_PER_TASK: usize = 325;
+const BYTES_PER_TASK: usize = 260;
 
 fn runtime() -> Runtime {
     EngineConfig::new()
@@ -137,7 +140,7 @@ const PER_WAVE: u64 = 8;
 const WAVES: u64 = 12;
 /// Peak live bytes per task of a service wave run; the table on
 /// [`a_service_task_is_stored_once`] is the arithmetic.
-const SERVICE_BYTES_PER_TASK: usize = 436;
+const SERVICE_BYTES_PER_TASK: usize = 359;
 
 /// A task submitted through a [`legato_runtime::Service`] is stored once:
 /// the service holds it until dispatch, the engine graph after. 100
@@ -151,26 +154,30 @@ const SERVICE_BYTES_PER_TASK: usize = 436;
 ///
 /// | structure | arithmetic | bytes |
 /// |---|---|---:|
-/// | graph nodes (`Node`, descriptor inline) | 16,384 × 104 | 1,703,936 |
+/// | graph descriptor column | 16,384 × 48 | 786,432 |
+/// | graph span columns: predecessors, accesses, successors | 16,384 × (8 + 8 + 12) | 458,752 |
 /// | access arena, its slot column | 16,384 × (16 + 4) | 327,680 |
-/// | predecessor arena (one per access), unmet counts | 16,384 × (8 + 8) | 262,144 |
-/// | successor arena (relocating lists) | 32,768 × 8 | 262,144 |
+/// | predecessor arena (one per access), unmet counts | 16,384 × (8 + 4) | 196,608 |
+/// | successor arena (one slot per edge: a chain link holds one) | 16,384 × 8 | 131,072 |
 /// | task states | 16,384 × 1 | 16,384 |
 /// | region tables: history, liveness, slot→region (800 regions), region→slot map | 1,024 × (40 + 16 + 8) + 17,424 | 82,960 |
 /// | engine outcome table (`TaskOutcome`, sized at the 11th run's entry) | 12,800 × 64 | 819,200 |
 /// | engine acceptance log, ready queue (`Event`) | 16,384 × 8 + 1,024 × 32 | 163,840 |
-/// | finish slab and its free list | 1,024 × (128 + 4) | 135,168 |
+/// | finish slab and its free list | 1,024 × (48 + 4) | 53,248 |
 /// | per-device deferred finishes, their headers and flags, event heap | 38,912 + 2,048 + 64 + 2,048 | 43,072 |
 /// | service `task_of`, `metered` | 16,384 × (16 + 1) | 278,528 |
 /// | service pending queues (`(u64, LoggedTask)`, 8 slots a tenant) | 100 × 8 × 80 | 64,000 |
 /// | access lists of the 607 pending tasks | 607 × 16 | 9,712 |
 /// | other buffers, each under 8 KiB | | 22,816 |
-/// | **peak** | | **4,191,584** |
+/// | **peak** | | **3,454,304** |
 ///
-/// 4,191,584 / 9,600 = 436 bytes per task. A service that also kept a
-/// log of every admitted task read 589: per tenant a 128-slot vector of
-/// 72 B entries (a descriptor and an access-list header), 921,600 bytes,
-/// and one 64 B access list per task, 614,400 more.
+/// 3,454,304 / 9,600 = 359 bytes per task. With 104 B graph nodes, a
+/// 128 B finish payload and successor lists that relocated 0 → 2 → 4
+/// (32,768 arena slots for 8,800 edges) it read 436; a service that
+/// also kept a log of every admitted task read 589: per tenant a
+/// 128-slot vector of 72 B entries (a descriptor and an access-list
+/// header), 921,600 bytes, and one 64 B access list per task, 614,400
+/// more.
 #[test]
 fn a_service_task_is_stored_once() {
     let mut svc = ServiceConfig::new(
