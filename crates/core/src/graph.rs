@@ -288,6 +288,10 @@ pub struct TaskGraph {
     pred_scratch: Vec<TaskId>,
     /// See [`TaskGraph::rollback_visits`].
     rollback_visits: u64,
+    /// `(tasks, edges)` reserved but not yet allocated: a reservation
+    /// made while the graph is empty waits for the first submission (see
+    /// [`TaskGraph::reserve`]).
+    reserved: (usize, usize),
 }
 
 impl TaskGraph {
@@ -314,7 +318,30 @@ impl TaskGraph {
     /// `tasks` additional tasks and roughly `edges` additional edges, on
     /// a graph that may already hold tasks. Streaming a large batch into
     /// a live graph never regrows mid-stream after this.
+    ///
+    /// On an empty graph nothing is allocated until the first
+    /// submission: a streamed task takes the whole reservation, while a
+    /// [`GraphBuilder::build_into`] moves the builder's columns in and
+    /// keeps only what its batch leaves of the reservation for later
+    /// streaming.
     pub fn reserve(&mut self, tasks: usize, edges: usize) {
+        if self.is_empty() {
+            self.reserved.0 += tasks;
+            self.reserved.1 += edges;
+        } else {
+            self.reserve_now(tasks, edges);
+        }
+    }
+
+    /// Allocate a reservation [`TaskGraph::reserve`] left waiting.
+    fn take_reserved(&mut self) {
+        let (tasks, edges) = std::mem::take(&mut self.reserved);
+        if tasks > 0 || edges > 0 {
+            self.reserve_now(tasks, edges);
+        }
+    }
+
+    fn reserve_now(&mut self, tasks: usize, edges: usize) {
         self.descriptors.reserve(tasks);
         self.reserve_task_state(tasks);
         self.pred_arena.reserve(edges);
@@ -440,6 +467,7 @@ impl TaskGraph {
         I: IntoIterator<Item = (R, AccessMode)>,
         R: Into<RegionId>,
     {
+        self.take_reserved();
         let acc = self.append_accesses(accesses);
         self.descriptors.push(descriptor);
         let id = self.push_task_core(acc);
@@ -505,6 +533,7 @@ impl TaskGraph {
         for &d in deps {
             self.index(d)?;
         }
+        self.take_reserved();
         let acc = self.append_accesses(accesses);
         let acc = self.collapse_duplicate_accesses(acc);
         let mut deps = deps.to_vec();
@@ -1500,9 +1529,11 @@ impl GraphBuilder {
         } = self;
         let n0 = g.len();
         let new = descriptors.len();
+        let (reserved_tasks, reserved_edges) = g.reserved;
         if g.descriptors.is_empty() {
             g.descriptors = descriptors;
         } else {
+            g.take_reserved();
             g.descriptors.extend(descriptors);
         }
         g.reserve_task_state(new);
@@ -1560,6 +1591,14 @@ impl GraphBuilder {
                     s.len += 1;
                 }
             }
+        }
+        if n0 == 0 {
+            // Whatever the batch left of a reservation on the empty
+            // graph waits for the next streamed task.
+            g.reserved = (
+                reserved_tasks.saturating_sub(new),
+                reserved_edges.saturating_sub(g.edge_count),
+            );
         }
     }
 }
@@ -2215,6 +2254,23 @@ mod tests {
             sized.add_task(desc("t"), [(i % 7, AccessMode::InOut)]);
         }
         assert_same_graph(&plain, &sized);
+    }
+
+    #[test]
+    fn a_reservation_on_an_empty_graph_waits_for_its_first_task() {
+        let mut g = TaskGraph::new();
+        g.reserve(100, 50);
+        assert_eq!(g.descriptors.capacity(), 0, "nothing allocated yet");
+        let mut b = GraphBuilder::with_capacity(10, 10);
+        for _ in 0..10 {
+            b.task(desc("t"), [(0u64, AccessMode::InOut)]);
+        }
+        b.build_into(&mut g);
+        assert_eq!(g.descriptors.capacity(), 10, "the builder's column");
+        assert_eq!(g.reserved, (90, 41), "what the batch left");
+        g.add_task(desc("t"), [(0u64, AccessMode::InOut)]);
+        assert!(g.descriptors.capacity() >= 100);
+        assert_eq!(g.reserved, (0, 0));
     }
 
     #[test]

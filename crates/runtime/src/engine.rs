@@ -224,7 +224,7 @@ pub(crate) struct EngineState {
     /// ([`TaskOutcome::VACANT`]) until its task's outcome is accepted,
     /// and again after a rollback discards it. Slots are added when a
     /// run or step starts, never on the accept path. A report whose every
-    /// slot is filled shares this buffer (see [`Placements`]).
+    /// slot is filled shares its chunks (see [`Placements`]).
     outcomes: Placements,
     /// Filled slots of `outcomes`.
     filled: usize,
@@ -432,7 +432,7 @@ impl EngineState {
 
     /// Record an accepted outcome in its task's slot.
     fn record_outcome(&mut self, outcome: TaskOutcome) {
-        let slot = &mut self.outcomes.make_mut(0)[outcome.task.index()];
+        let slot = self.outcomes.slot_mut(outcome.task.index());
         debug_assert!(slot.is_vacant(), "one accepted outcome per task");
         *slot = outcome;
         self.filled += 1;
@@ -445,33 +445,22 @@ impl EngineState {
             return None;
         }
         self.filled -= 1;
-        let slot = &mut self.outcomes.make_mut(0)[task.index()];
+        let slot = self.outcomes.slot_mut(task.index());
         Some(std::mem::replace(slot, TaskOutcome::VACANT))
     }
 
-    /// Give the outcome table one slot per submitted task, `tasks` in
-    /// all; a table that long already is left alone.
-    fn grow_outcomes(&mut self, tasks: usize) {
-        let fresh = tasks - self.outcomes.len();
-        if fresh > 0 {
-            self.outcomes
-                .make_mut(fresh)
-                .resize(tasks, TaskOutcome::VACANT);
-        }
-    }
-
-    /// Pre-size the outcome table and the acceptance log for `tasks`
-    /// more tasks.
+    /// Pre-size the outcome table (every chunk it will fill) and the
+    /// acceptance log for `tasks` more tasks.
     pub(crate) fn reserve(&mut self, tasks: usize) {
-        self.outcomes.make_mut(tasks);
+        self.outcomes.reserve(tasks);
         self.accepted.reserve(tasks);
     }
 
-    /// A report's placements: the table itself when every slot is
-    /// filled, an exactly sized compaction of it otherwise.
+    /// A report's placements: the table's chunks, shared, when every
+    /// slot is filled, an exactly sized compaction of it otherwise.
     fn placements(&self) -> Placements {
         if self.filled == self.outcomes.len() {
-            self.outcomes.clone()
+            self.outcomes.share()
         } else {
             self.outcomes.compact(self.filled)
         }
@@ -506,9 +495,10 @@ impl Runtime {
     ///
     /// The returned report is [`Runtime::report`] at quiescence, a
     /// snapshot: when every task completed, its placements share the
-    /// engine's outcome table instead of copying it, and the engine
-    /// copies the table only if the report is still alive at its next
-    /// submission.
+    /// chunks of the engine's outcome table instead of copying them, and
+    /// while the report is alive the engine copies only the chunks it
+    /// writes to afterwards (at most the partly filled last one when the
+    /// next run grows the table).
     ///
     /// # Errors
     ///
@@ -570,7 +560,8 @@ impl Runtime {
         self.policy.validate()?;
         self.classes.check()?;
         self.ensure_analyzed()?;
-        self.engine.grow_outcomes(self.graph.len());
+        // One outcome slot per submitted task.
+        self.engine.outcomes.grow(self.graph.len());
         if self.security.active || self.resilience.is_some() || self.topology.is_some() {
             self.resolve_sizes();
         }
@@ -815,12 +806,13 @@ impl Runtime {
     /// accumulated by the engine so far, plus whole-system energy.
     ///
     /// The report is a snapshot: nothing the runtime does afterwards
-    /// changes it. Its [`placements`](RunReport::placements) are the
-    /// engine's outcome table itself, uncopied, when every submitted task
-    /// has an accepted outcome (a run that drained without failures), and
-    /// an exactly sized copy of the accepted outcomes otherwise. A shared
-    /// table is copied once, by the engine's next write to it, and only
-    /// if the report (or a clone of its placements) is still alive then.
+    /// changes it. Its [`placements`](RunReport::placements) share the
+    /// chunks of the engine's outcome table, uncopied, when every
+    /// submitted task has an accepted outcome (a run that drained without
+    /// failures), and are an exactly sized copy of the accepted outcomes
+    /// otherwise. A shared chunk is copied by the engine's next write to
+    /// it, and only if the report (or a clone of its placements) is still
+    /// alive then.
     pub fn report(&self) -> RunReport {
         // The outcome table is indexed by task id: the placement list
         // falls out sorted without sorting.

@@ -116,69 +116,174 @@ impl TaskOutcome {
     }
 }
 
+/// Slots per chunk of an outcome table: the most one write to a shared
+/// table copies. A report's snapshot bumps one count per chunk, so a
+/// chunk must be large next to a task; 4096 × 64 B is 256 KiB, small
+/// next to a service's history.
+const CHUNK: usize = 4096;
+const CHUNK_SHIFT: u32 = CHUNK.trailing_zeros();
+
 /// Accepted outcomes in task-id order, one per task that completed
 /// (failed, poisoned and not yet executed tasks are absent).
 ///
 /// A snapshot: what a [`RunReport`] holds never changes after
 /// [`Runtime::report`] returned it, whatever the runtime does next. It
-/// dereferences to `[TaskOutcome]`, so it reads like the slice it is, and
-/// cloning it shares the buffer. The engine keeps its outcome table in
-/// this same type: a report taken while every slot of the table is
-/// filled hands that table out uncopied, and the engine copies it once,
-/// at its next write (growth at a run or step, an acceptance or a
-/// rollback), only if such a snapshot is still alive then.
+/// reads like a slice (`len`, `get`, `iter`, indexing, `for p in &…`)
+/// and cloning it shares its storage.
+///
+/// The outcomes live in chunks of 4096 slots, each shared by reference
+/// count. The engine keeps its outcome table in this same type, and a
+/// report taken while every slot of the table is filled shares the
+/// table's chunks uncopied. The engine copies a chunk at its next write
+/// to it (growth at a run or step, an acceptance or a rollback), and
+/// only if such a snapshot still holds it then: a held report costs at
+/// most the chunks the engine writes afterwards, not the history.
 #[derive(Clone, Default)]
-pub struct Placements(Arc<Vec<TaskOutcome>>);
+pub struct Placements {
+    /// Chunks before `len / CHUNK` are full, chunk `len / CHUNK` (when
+    /// present) holds the rest, and any after it are empty ones
+    /// [`Placements::reserve`] opened.
+    chunks: Vec<Arc<Vec<TaskOutcome>>>,
+    len: usize,
+}
 
 impl Placements {
-    /// The buffer for writing, with room for `additional` more slots. A
-    /// buffer a snapshot still shares is copied first, keeping its
-    /// capacity, so a write never changes what a snapshot reads.
-    pub(crate) fn make_mut(&mut self, additional: usize) -> &mut Vec<TaskOutcome> {
-        // No `Weak` to the buffer is ever made, so one strong count
-        // means unshared: a plain load, which keeps the hot path to the
-        // one atomic exchange in `Arc::get_mut`.
-        if Arc::strong_count(&self.0) > 1 {
-            let capacity = self.0.capacity().max(self.0.len() + additional);
-            let mut own = Vec::with_capacity(capacity);
-            own.extend_from_slice(&self.0);
-            self.0 = Arc::new(own);
-        }
-        let table = Arc::get_mut(&mut self.0).expect("unshared after the copy");
-        table.reserve(additional);
-        table
+    /// Number of outcomes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// The filled slots of an outcome table, `filled` of them, in an
-    /// exactly sized buffer of their own.
+    /// Whether there are no outcomes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th outcome, `None` past the end.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<&TaskOutcome> {
+        (i < self.len).then(|| &self.chunks[i >> CHUNK_SHIFT][i % CHUNK])
+    }
+
+    /// The outcomes in order.
+    pub fn iter(&self) -> PlacementsIter<'_> {
+        PlacementsIter {
+            chunks: self.chunks.iter(),
+            slots: [].iter(),
+            left: self.len,
+        }
+    }
+
+    /// The outcomes copied into one vector.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<TaskOutcome> {
+        let mut all = Vec::with_capacity(self.len);
+        all.extend(self.iter());
+        all
+    }
+
+    /// A snapshot of the table: its chunks that hold slots, shared.
+    pub(crate) fn share(&self) -> Placements {
+        Placements {
+            chunks: self.chunks[..self.len.div_ceil(CHUNK)].to_vec(),
+            len: self.len,
+        }
+    }
+
+    /// Slot `i` for writing; the one chunk holding it is copied first
+    /// if a snapshot shares it.
+    pub(crate) fn slot_mut(&mut self, i: usize) -> &mut TaskOutcome {
+        &mut Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT])[i % CHUNK]
+    }
+
+    /// Add vacant slots until the table holds `len` in all.
+    pub(crate) fn grow(&mut self, len: usize) {
+        while self.len < len {
+            let c = self.len >> CHUNK_SHIFT;
+            let end = (len - (c << CHUNK_SHIFT)).min(CHUNK);
+            self.chunk_mut(c, end).resize(end, TaskOutcome::VACANT);
+            self.len = (c << CHUNK_SHIFT) + end;
+        }
+    }
+
+    /// Open every chunk that `additional` more slots will fill, each
+    /// with room for its share of them.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let len = self.len + additional;
+        let mut c = self.len >> CHUNK_SHIFT;
+        while c << CHUNK_SHIFT < len {
+            self.chunk_mut(c, (len - (c << CHUNK_SHIFT)).min(CHUNK));
+            c += 1;
+        }
+    }
+
+    /// Chunk `c` (at most one past the last) for writing, with room for
+    /// `end` slots: opened exactly sized when absent, grown by doubling
+    /// up to [`CHUNK`] when short, and copied first, at that capacity,
+    /// when a snapshot shares it.
+    fn chunk_mut(&mut self, c: usize, end: usize) -> &mut Vec<TaskOutcome> {
+        if c == self.chunks.len() {
+            self.chunks.push(Arc::new(Vec::with_capacity(end)));
+        }
+        let chunk = &mut self.chunks[c];
+        let room = chunk.capacity();
+        let capacity = if room >= end {
+            room
+        } else {
+            end.max(2 * room).min(CHUNK)
+        };
+        // No `Weak` to a chunk is ever made, so one strong count means
+        // unshared.
+        if Arc::strong_count(chunk) > 1 {
+            let mut own = Vec::with_capacity(capacity);
+            own.extend_from_slice(chunk);
+            *chunk = Arc::new(own);
+        }
+        let chunk = Arc::get_mut(chunk).expect("unshared after the copy");
+        chunk.reserve_exact(capacity - chunk.len());
+        chunk
+    }
+
+    /// The filled slots of an outcome table, `filled` of them, in exactly
+    /// sized chunks of their own.
     pub(crate) fn compact(&self, filled: usize) -> Placements {
-        let mut own = Vec::with_capacity(filled);
-        own.extend(self.0.iter().filter(|o| !o.is_vacant()));
-        debug_assert_eq!(own.len(), filled);
-        Placements(Arc::new(own))
+        let mut slots = self.iter().filter(|o| !o.is_vacant());
+        let mut own = Placements::default();
+        while own.len < filled {
+            let n = (filled - own.len).min(CHUNK);
+            let mut chunk = Vec::with_capacity(n);
+            chunk.extend(slots.by_ref().take(n));
+            debug_assert_eq!(chunk.len(), n);
+            own.chunks.push(Arc::new(chunk));
+            own.len += n;
+        }
+        debug_assert!(slots.next().is_none(), "{filled} filled slots");
+        own
     }
 }
 
-impl std::ops::Deref for Placements {
-    type Target = [TaskOutcome];
+impl std::ops::Index<usize> for Placements {
+    type Output = TaskOutcome;
 
-    fn deref(&self) -> &[TaskOutcome] {
-        &self.0
+    fn index(&self, i: usize) -> &TaskOutcome {
+        self.get(i)
+            .unwrap_or_else(|| panic!("placement {i} of {}", self.len))
     }
 }
 
 impl<'a> IntoIterator for &'a Placements {
     type Item = &'a TaskOutcome;
-    type IntoIter = std::slice::Iter<'a, TaskOutcome>;
+    type IntoIter = PlacementsIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
     }
 }
 
 impl PartialEq for Placements {
     fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
@@ -187,6 +292,45 @@ impl std::fmt::Debug for Placements {
         f.debug_list().entries(self.iter()).finish()
     }
 }
+
+/// Iterator over [`Placements`], in task-id order.
+#[derive(Clone, Debug)]
+pub struct PlacementsIter<'a> {
+    chunks: std::slice::Iter<'a, Arc<Vec<TaskOutcome>>>,
+    slots: std::slice::Iter<'a, TaskOutcome>,
+    left: usize,
+}
+
+impl<'a> Iterator for PlacementsIter<'a> {
+    type Item = &'a TaskOutcome;
+
+    fn next(&mut self) -> Option<&'a TaskOutcome> {
+        loop {
+            if let Some(slot) = self.slots.next() {
+                self.left -= 1;
+                return Some(slot);
+            }
+            self.slots = self.chunks.next()?.iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, &'a TaskOutcome) -> B,
+    {
+        let acc = self.slots.fold(init, &mut f);
+        self.chunks
+            .fold(acc, |acc, chunk| chunk.iter().fold(acc, &mut f))
+    }
+}
+
+impl ExactSizeIterator for PlacementsIter<'_> {}
+
+impl std::iter::FusedIterator for PlacementsIter<'_> {}
 
 /// Result of a full run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -201,8 +345,8 @@ pub struct RunReport {
     /// Per-task outcomes in submission order (skipped/poisoned tasks are
     /// absent), as they stood when the report was taken: a snapshot
     /// that later runs, submissions and rollbacks leave as it is. Taking
-    /// it copies nothing when every submitted task has an accepted
-    /// outcome; see [`Placements`] for when a copy happens.
+    /// it copies no outcome when every submitted task has an accepted
+    /// one; see [`Placements`] for what a held report costs.
     pub placements: Placements,
     /// Replication statistics.
     pub stats: ReplicationStats,
@@ -458,7 +602,11 @@ impl Runtime {
     /// and edge storage (and the engine's outcome table and acceptance
     /// log) so a large streaming submission (100k–1M tasks) does not pay
     /// amortized regrowth. Purely an optimization — the resulting
-    /// schedule is identical with or without the call.
+    /// schedule is identical with or without the call. On an empty
+    /// runtime the graph's share waits for the first submission, so a
+    /// following [`Runtime::submit_batch`] moves its builder's columns
+    /// in without a reservation beside them (see
+    /// [`TaskGraph::reserve`](legato_core::graph::TaskGraph::reserve)).
     pub fn reserve(&mut self, tasks: usize, edges: usize) {
         self.graph.reserve(tasks, edges);
         self.engine.reserve(tasks);
@@ -630,7 +778,7 @@ mod tests {
         chain(&mut rt, 5, Criticality::Normal);
         let rep = rt.run().unwrap();
         assert_eq!(rep.placements.len(), 5);
-        for w in rep.placements.windows(2) {
+        for w in rep.placements.to_vec().windows(2) {
             assert!(w[1].start >= w[0].finish);
         }
         assert!(rep.is_correct());

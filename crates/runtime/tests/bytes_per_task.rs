@@ -1,6 +1,7 @@
 //! Regression pins: the memory one task costs, end to end, what a held
-//! report costs on top, and what a task submitted through the service
-//! costs (`a_service_task_is_stored_once`, with its own table).
+//! report costs on top, that a reservation ahead of a bulk submit is not
+//! thrown away, and what a task submitted through the service costs
+//! (`a_service_task_is_stored_once`, with its own table).
 //!
 //! This binary installs a counting allocator, builds a fixed 10k-task
 //! graph of 2,500 depth-4 chains (the `chains-pooled` benchmark shape
@@ -24,14 +25,15 @@
 //! | predecessor arena (one per access), successor arena (7,500 edges) | 10,000 × 8 + 7,500 × 8 | 140,000 |
 //! | region tables: history, liveness, slot→region, region→slot map | 2,500 × (40 + 16 + 8) + 69,648 | 229,648 |
 //! | ready/completed/live bitmaps | (157 + 157 + 40) words × 8 | 2,832 |
-//! | engine outcome table (`TaskOutcome`, one slot per submitted task, sized when the run starts) | 10,000 × 64 | 640,000 |
+//! | engine outcome table (`TaskOutcome`, one slot per submitted task, sized when the run starts: two full 4,096-slot chunks and an exactly sized 1,808-slot tail, their `Arc`s, the chunk list) | 10,000 × 64 + 3 × 40 + 4 × 8 | 640,152 |
 //! | engine acceptance log, ready queue (`Event`) | 16,384 × 8 + 4,096 × 32 | 262,144 |
 //! | finish slab (48 B `FinishPayload`) and its free list, deferred finishes, event heap | 4,096 × (48 + 4) + 2,816 × 32 + 256 × 32 | 311,296 |
-//! | report placements (the outcome table, shared: every slot is filled) | 0 | 0 |
+//! | report placements (the outcome table's chunks, shared: every slot is filled) | 3 × 8 | 24 |
 //! | per-device deferred-finish headers, other buffers under 4 KiB | 256 × 32 + 384 | 8,576 |
-//! | **peak** | | **2,604,496** |
+//! | **peak** | | **2,604,672** |
 //!
-//! 2,604,496 / 10,000 = 260 bytes per task. With a 104 B node (the
+//! 2,604,672 / 10,000 = 260 bytes per task (2,604,496 with the outcome
+//! table one `Arc<Vec>` allocated at build). With a 104 B node (the
 //! descriptor inline beside three `usize` spans), `usize` unmet counts
 //! and a 128 B finish payload it read 325.
 //!
@@ -46,6 +48,7 @@ use legato_runtime::{
     EngineConfig, Policy, PoolConfig, Runtime, ServiceConfig, TaskOutcome, TenantId, TenantSpec,
 };
 use legato_workloads::{chains_batch, fleets};
+use std::mem::size_of;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -92,17 +95,25 @@ fn second_batch_peak(rt: &mut Runtime) -> usize {
     usize::try_from(peak_live_bytes() - base).expect("a peak is at least its base")
 }
 
+/// The allocation an `Arc<Vec<TaskOutcome>>` chunk adds to its slots:
+/// two counts and a `Vec` header.
+const CHUNK_ARC: usize = 2 * size_of::<usize>() + size_of::<Vec<TaskOutcome>>();
+
 /// A first report held across a second batch costs one copy of the
-/// outcome table as that report saw it: its 10,000 slots, plus the 40 B
-/// `Arc` allocation (two counts and a `Vec` header) that wraps them. A
-/// report dropped before the second batch costs nothing against a
-/// runtime that never took one.
+/// outcome table's tail chunk, the only chunk the second batch writes
+/// that the report shares. The first batch leaves two full 4,096-slot
+/// chunks and an exactly sized 1,808-slot tail; the second batch's
+/// growth takes the tail to 4,096 slots. Unshared, that is a
+/// reallocation; shared, the engine copies the tail into a new 4,096-slot
+/// chunk and the report keeps the old one alive: its 1,808 slots plus
+/// the 40 B `Arc` allocation that wraps them. A report dropped before
+/// the second batch costs nothing against a runtime that never took
+/// one. (With the table one `Arc<Vec>`, a held report cost one copy of
+/// the whole table, 640,040 B.)
 #[test]
-fn a_held_report_costs_one_table_copy() {
-    let copy = TASKS * std::mem::size_of::<TaskOutcome>()
-        + 2 * std::mem::size_of::<usize>()
-        + std::mem::size_of::<Vec<TaskOutcome>>();
-    assert_eq!(copy, 640_040);
+fn a_held_report_costs_one_tail_chunk_copy() {
+    let copy = (TASKS - 2 * 4096) * size_of::<TaskOutcome>() + CHUNK_ARC;
+    assert_eq!(copy, 115_752);
 
     let mut unreported = runtime();
     unreported.submit_batch(chains_batch(TASKS, CHAINS));
@@ -126,13 +137,38 @@ fn a_held_report_costs_one_table_copy() {
     assert_eq!(
         while_held - after_drop,
         copy,
-        "a held report costs one table copy"
+        "a held report costs one tail-chunk copy"
     );
     assert_eq!(
-        first.placements[..],
-        saved[..],
+        first.placements.to_vec(),
+        saved,
         "the held report is unchanged"
     );
+}
+
+/// `Runtime::reserve` ahead of a bulk submit into an empty runtime
+/// allocates nothing in the graph: the builder's columns move in, so a
+/// graph reservation would be dropped unused (a 10,000 × 48 B descriptor
+/// column and a 20,000 × 16 B access arena here). The submit's peak is
+/// the bare submit's plus the engine's share, reserved for the run:
+/// 10,000 outcome slots in three exactly sized chunks with their `Arc`s
+/// and the 4-entry chunk list, and a 10,000-entry acceptance log.
+#[test]
+fn a_reservation_before_a_bulk_submit_is_not_thrown_away() {
+    let engine = TASKS * size_of::<TaskOutcome>() + 3 * CHUNK_ARC + 4 * 8 + TASKS * 8;
+    assert_eq!(engine, 720_152);
+    let submit_peak = |reserve: bool| {
+        let mut rt = runtime();
+        let batch = chains_batch(TASKS, CHAINS);
+        let base = live_bytes();
+        reset_peak();
+        if reserve {
+            rt.reserve(TASKS, TASKS - CHAINS);
+        }
+        rt.submit_batch(batch);
+        usize::try_from(peak_live_bytes() - base).expect("a peak is at least its base")
+    };
+    assert_eq!(submit_peak(true), submit_peak(false) + engine);
 }
 
 const TENANTS: u32 = 100;
@@ -140,7 +176,7 @@ const PER_WAVE: u64 = 8;
 const WAVES: u64 = 12;
 /// Peak live bytes per task of a service wave run; the table on
 /// [`a_service_task_is_stored_once`] is the arithmetic.
-const SERVICE_BYTES_PER_TASK: usize = 359;
+const SERVICE_BYTES_PER_TASK: usize = 337;
 
 /// A task submitted through a [`legato_runtime::Service`] is stored once:
 /// the service holds it until dispatch, the engine graph after. 100
@@ -148,9 +184,9 @@ const SERVICE_BYTES_PER_TASK: usize = 359;
 /// a tenant's slot is a 12-deep chain across waves) for 12 waves, every
 /// wave run by `Service::run` and its report dropped before the next.
 ///
-/// The peak of live bytes falls inside the last wave's dispatch, 193 of
-/// its 800 tasks in, with the 607 others still pending (bytes; 16,384-slot
-/// buffers are doubling growth past 9,600 pushes):
+/// The peak of live bytes falls inside the last wave's metering, after
+/// its run, with all 9,600 tasks dispatched (bytes; 16,384-slot buffers
+/// are doubling growth past 9,600 pushes):
 ///
 /// | structure | arithmetic | bytes |
 /// |---|---|---:|
@@ -161,17 +197,20 @@ const SERVICE_BYTES_PER_TASK: usize = 359;
 /// | successor arena (one slot per edge: a chain link holds one) | 16,384 × 8 | 131,072 |
 /// | task states | 16,384 × 1 | 16,384 |
 /// | region tables: history, liveness, slot→region (800 regions), region→slot map | 1,024 × (40 + 16 + 8) + 17,424 | 82,960 |
-/// | engine outcome table (`TaskOutcome`, sized at the 11th run's entry) | 12,800 × 64 | 819,200 |
+/// | engine outcome table (two full 4,096-slot chunks and a 1,408-slot tail, grown at the 12th run's entry) | 9,600 × 64 | 614,400 |
 /// | engine acceptance log, ready queue (`Event`) | 16,384 × 8 + 1,024 × 32 | 163,840 |
 /// | finish slab and its free list | 1,024 × (48 + 4) | 53,248 |
 /// | per-device deferred finishes, their headers and flags, event heap | 38,912 + 2,048 + 64 + 2,048 | 43,072 |
 /// | service `task_of`, `metered` | 16,384 × (16 + 1) | 278,528 |
-/// | service pending queues (`(u64, LoggedTask)`, 8 slots a tenant) | 100 × 8 × 80 | 64,000 |
-/// | access lists of the 607 pending tasks | 607 × 16 | 9,712 |
-/// | other buffers, each under 8 KiB | | 22,816 |
-/// | **peak** | | **3,454,304** |
+/// | service pending queues (`(u64, LoggedTask)`, 8 slots a tenant, empty) | 100 × 8 × 80 | 64,000 |
+/// | metering: the wave's 800 ids, per-tenant unsealed ids and tenant list | 800 × 8 + 100 × 64 + 512 | 13,312 |
+/// | other buffers, each under 4 KiB | | 9,680 |
+/// | **peak** | | **3,239,968** |
 ///
-/// 3,454,304 / 9,600 = 359 bytes per task. With 104 B graph nodes, a
+/// 3,239,968 / 9,600 = 337 bytes per task. With the outcome table one
+/// `Arc<Vec>` grown by amortised doubling it read 359: the peak fell in
+/// the last wave's dispatch, with a 12,800-slot table (819,200 B) and
+/// 607 tasks still pending. With 104 B graph nodes, a
 /// 128 B finish payload and successor lists that relocated 0 → 2 → 4
 /// (32,768 arena slots for 8,800 edges) it read 436; a service that
 /// also kept a log of every admitted task read 589: per tenant a

@@ -134,7 +134,7 @@ proptest! {
         let (report, refused) = gen::run_past_expiries(&mut rt);
 
         let total: usize = chains.iter().map(Vec::len).sum();
-        for pair in report.placements.windows(2) {
+        for pair in report.placements.to_vec().windows(2) {
             prop_assert!(pair[0].task < pair[1].task, "placements sorted by task");
         }
         for f in &report.failed {

@@ -11,7 +11,8 @@
 //! that counter is process-wide, and the harness runs the tests of one
 //! binary on parallel threads. Live and peak bytes are counted per
 //! thread, so the harness's own bookkeeping and other tests stay out of
-//! them, and a binary that reads only them may hold several tests.
+//! them, and a binary that reads only them may hold several tests. So
+//! are [`requests`], the allocation calls and the bytes they asked for.
 #![allow(dead_code)]
 
 pub mod gen;
@@ -29,6 +30,40 @@ thread_local! {
     /// more than it allocated (a buffer another thread allocated).
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
     static PEAK_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    static REQUESTS: Cell<Requests> = const { Cell::new(Requests { calls: 0, bytes: 0 }) };
+}
+
+/// Allocation calls on one thread and the bytes they asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Requests {
+    /// Allocations and reallocations.
+    pub calls: usize,
+    /// Sizes asked for: an allocation's size, a reallocation's new size.
+    pub bytes: usize,
+}
+
+impl std::ops::Sub for Requests {
+    type Output = Requests;
+
+    fn sub(self, earlier: Requests) -> Requests {
+        Requests {
+            calls: self.calls - earlier.calls,
+            bytes: self.bytes - earlier.bytes,
+        }
+    }
+}
+
+/// This thread's allocation calls and requested bytes so far.
+pub fn requests() -> Requests {
+    REQUESTS.get()
+}
+
+fn request(bytes: usize) {
+    let r = REQUESTS.get();
+    REQUESTS.set(Requests {
+        calls: r.calls + 1,
+        bytes: r.bytes + bytes,
+    });
 }
 
 /// Allocations and reallocations so far, on every thread.
@@ -70,6 +105,7 @@ fn shrink(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        request(layout.size());
         grow(layout.size());
         unsafe { System.alloc(layout) }
     }
@@ -81,6 +117,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        request(new_size);
         if new_size >= layout.size() {
             grow(new_size - layout.size());
         } else {

@@ -75,7 +75,7 @@ fn waves(chains: &ChainSpec, split: usize) -> (ChainSpec, ChainSpec) {
 }
 
 fn assert_report_shape(report: &RunReport) {
-    for pair in report.placements.windows(2) {
+    for pair in report.placements.to_vec().windows(2) {
         assert!(
             pair[0].task < pair[1].task,
             "placements must be strictly sorted by task id"

@@ -1,8 +1,9 @@
 //! Reports are snapshots, and the event trace explains them.
 //!
-//! A report's placements may share the engine's outcome table instead of
-//! copying it, and the engine copies the table on its next write while a
-//! report still holds it. Three contracts pin that:
+//! A report's placements may share the chunks of the engine's outcome
+//! table instead of copying them, and the engine copies a chunk on its
+//! next write to it while a report still holds it. Four contracts pin
+//! that:
 //!
 //! * **Snapshots stay put** — random interleavings of `submit`,
 //!   `submit_batch`, `step` and `run`, under faults, checkpoint
@@ -19,6 +20,11 @@
 //! * **Across a rollback** — a report held while a rollback discards
 //!   outcomes it lists is unchanged, and the trace replays through the
 //!   rollback.
+//! * **Across chunks** — the outcome table is stored in 4096-slot
+//!   chunks. Reports that share every chunk of an 11,200-task table
+//!   (taken whenever every submitted task has completed) are held across
+//!   later waves and across rollbacks that empty slots they list; each
+//!   still reads, by iteration and by index, as it did when taken.
 
 use std::collections::HashMap;
 
@@ -210,7 +216,7 @@ proptest! {
         let mut rt = runtime(seed, resilient, churn, false);
         let kept = drive(&mut rt, &ops)?;
         for (i, k) in kept.iter().enumerate() {
-            prop_assert!(k.report.placements[..] == k.saved[..], "report {} changed", i);
+            prop_assert!(k.report.placements.to_vec() == k.saved, "report {} changed", i);
             prop_assert!(k.saved == k.compaction, "report {} is not the compaction", i);
         }
     }
@@ -276,6 +282,123 @@ fn a_report_held_across_a_rollback_is_unchanged() {
         .iter()
         .any(|r| matches!(r.kind, RecordKind::Rollback { discarded } if discarded > 0)));
     let last = rt.run().expect("devices present");
-    assert_eq!(held.placements[..], saved[..]);
+    assert_eq!(held.placements.to_vec(), saved);
     assert_eq!(replay(rt.trace()), last.placements.to_vec());
+}
+
+/// Tasks per wave of [`reports_sharing_chunks_survive_waves_and_rollbacks`]:
+/// four waves fill two 4096-slot chunks of the outcome table and most
+/// of a third.
+const WAVE: u64 = 2_800;
+const WAVES: u64 = 4;
+
+/// Submit one wave of replicated tasks over 64 chained regions; odd
+/// waves go in as one batch.
+fn submit_wave(rt: &mut Runtime, wave: u64) {
+    let tasks = (wave * WAVE..(wave + 1) * WAVE).map(|i| {
+        let descriptor = TaskDescriptor::named("t")
+            .with_work(Work::flops(5e11 * (1 + i % 7) as f64))
+            .with_requirements(
+                Requirements::new().with_criticality(gen::criticality(1 + (i % 2) as u8)),
+            );
+        (descriptor, [(RegionId(i % 64), AccessMode::InOut)])
+    });
+    if wave.is_multiple_of(2) {
+        for (descriptor, accesses) in tasks {
+            rt.submit(descriptor, accesses);
+        }
+    } else {
+        let mut batch = GraphBuilder::new();
+        for (descriptor, accesses) in tasks {
+            batch.task(descriptor, accesses);
+        }
+        rt.submit_batch(batch);
+    }
+}
+
+/// A report that shares every chunk of the outcome table is held while
+/// later waves grow the table and rollbacks empty slots it lists, in
+/// chunks it shares. Every wave but the last is stepped only until each
+/// of its tasks has completed, so the run does not drain, and a long
+/// MTBF keeps checkpoints rare: the next wave's rollbacks reach back to
+/// the last checkpoint taken inside an earlier wave. At the end every held report
+/// still reads as when it was taken, by iteration and by index, and the
+/// final one equals both the trace replay and the compaction of
+/// [`Runtime::outcome`].
+#[test]
+fn reports_sharing_chunks_survive_waves_and_rollbacks() {
+    for seed in [0, 3, 5] {
+        let mut rt = gen::config(seed)
+            .with_region_sizes(region_sizes(64, Bytes::mib(16)))
+            .with_resilience(ResilienceConfig::new(Seconds(1e7)).with_max_rollbacks(10_000))
+            .with_trace()
+            .build()
+            .expect("valid engine config");
+        for d in 0..gen::devices().len() {
+            rt.set_fault_prob(d, 0.05);
+        }
+        let mut held: Vec<(RunReport, Vec<TaskOutcome>)> = Vec::new();
+        // Acceptances replayed from the trace, and how many rollbacks
+        // emptied a slot that a held report lists.
+        let mut accepted: Vec<TaskId> = Vec::new();
+        let mut read = 0;
+        let mut reaching = 0;
+        for wave in 0..WAVES {
+            submit_wave(&mut rt, wave);
+            let report = if wave + 1 == WAVES {
+                rt.run().expect("devices present")
+            } else {
+                while !rt.graph().is_complete() {
+                    rt.step().expect("devices present").expect("work left");
+                }
+                rt.report()
+            };
+            let listed = held.last().map_or(0, |(r, _)| r.placements.len() as u64);
+            for r in &rt.trace()[read..] {
+                match r.kind {
+                    RecordKind::Finish { verdict } if verdict.accepted().is_some() => {
+                        accepted.push(r.task);
+                    }
+                    RecordKind::Rollback { discarded } => {
+                        let kept = accepted.len() - discarded;
+                        reaching += usize::from(accepted[kept..].iter().any(|t| t.0 < listed));
+                        accepted.truncate(kept);
+                    }
+                    _ => {}
+                }
+            }
+            read = rt.trace().len();
+            assert_eq!(
+                report.placements.len(),
+                rt.graph().len(),
+                "seed {seed}: every task completed, so the report shares the table"
+            );
+            let saved = report.placements.to_vec();
+            held.push((report, saved));
+        }
+        assert!(
+            reaching > 0,
+            "seed {seed}: some rollback empties a slot a held report lists"
+        );
+        for (i, (report, saved)) in held.iter().enumerate() {
+            let placements = &report.placements;
+            assert_eq!(
+                &placements.to_vec(),
+                saved,
+                "seed {seed}: report {i} changed"
+            );
+            let indexed: Vec<TaskOutcome> = (0..placements.len()).map(|k| placements[k]).collect();
+            assert_eq!(
+                &indexed, saved,
+                "seed {seed}: report {i} indexes as it iterates"
+            );
+        }
+        let (last, _) = held.last().expect("one report per wave");
+        assert_eq!(last.placements.len() as u64, WAVES * WAVE);
+        assert_eq!(
+            replay(rt.trace()),
+            held.last().expect("one report per wave").1
+        );
+        assert_eq!(compacted(&rt), last.placements.to_vec());
+    }
 }
