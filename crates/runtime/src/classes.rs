@@ -4,9 +4,9 @@
 //! placement derives from a spec — the roofline duration of the task
 //! being placed, the busy power, the TEE capability — is a fact of the
 //! device's *class*, not of the device. The
-//! [`Runtime`](crate::runtime::Runtime) owns one table; the flat scan,
-//! the pooled search and the security plan price a class once per task
-//! and read the price per candidate.
+//! [`Runtime`](crate::runtime::Runtime) owns one table; the placement
+//! search and the security plan price a class once per task and read
+//! the price per candidate.
 
 use legato_core::requirements::SecurityLevel;
 use legato_core::task::{TaskKind, Work};

@@ -146,14 +146,15 @@ impl EngineConfig {
 
     /// Shard the device fleet into pools for sub-linear placement (see
     /// [`pool`](crate::pool)). Membership is validated against the
-    /// device list at [`EngineConfig::build`]. With a pool
-    /// configuration, every policy placement — `Performance`, `Energy`,
-    /// `Edp` and `Weighted` (whose global min-max normalization is
-    /// reconstructed exactly from per-shard busy extrema) — runs the
-    /// bound-and-prune sharded search — bit-identical selections to
-    /// the flat scan, at a fraction of the per-task evaluations. Only
-    /// an active security plan or a Pareto energy objective falls back
-    /// to the flat scan.
+    /// device list at [`EngineConfig::build`]. Without one the fleet is
+    /// a single pool and every placement evaluates every eligible
+    /// device. With one, every policy placement — `Performance`,
+    /// `Energy`, `Edp` and `Weighted` (whose global min-max
+    /// normalization is reconstructed exactly from per-shard busy
+    /// extrema) — prunes the shards that cannot reach the top-k:
+    /// bit-identical selections at a fraction of the per-task
+    /// evaluations. An active security plan or a Pareto energy
+    /// objective evaluates every eligible device.
     pub fn with_pools(mut self, config: PoolConfig) -> Self {
         self.pools = Some(config);
         self
@@ -317,7 +318,7 @@ impl EngineConfig {
             rt.energy = energy_state;
         }
         if let Some(cfg) = pools {
-            rt.pools = Some(DevicePools::new(cfg, &rt.classes)?);
+            rt.pools = DevicePools::new(cfg, &rt.classes)?;
         }
         rt.topology = topology;
         if let Some(cfg) = analysis {

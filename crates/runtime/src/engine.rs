@@ -53,7 +53,7 @@ use crate::regions::slot_accesses;
 use crate::replication::{vote, ReplicaResult, ReplicationStats, MAX_REPLICAS};
 use crate::resilience::{CheckpointRecord, EngineCheckpoint, RollbackEvent};
 use crate::runtime::{golden_value, Placements, ReplicaDevices, RunReport, Runtime, TaskOutcome};
-use crate::scheduler::{Anchors, Estimate, Plan};
+use crate::scheduler::{Estimate, Plan};
 use crate::trace::{FinishVerdict, Record, RecordKind};
 
 /// `n` replicas, at most [`MAX_REPLICAS`], as an [`Attempt::replicas`]
@@ -244,11 +244,11 @@ pub(crate) struct EngineState {
     /// Reusable scratch buffers: after warm-up, the per-event path
     /// allocates nothing through these.
     scratch: Scratch,
-    /// Per-device placement evaluations performed so far (flat and
-    /// pooled paths alike) — the sub-linearity observable behind
+    /// Per-device placement evaluations performed so far (pruned and
+    /// unpruned placements alike) — the sub-linearity observable behind
     /// [`Runtime::placement_evals`]. Deliberately *not* part of
-    /// [`RunReport`]: pooled and flat runs must stay bit-identical
-    /// there.
+    /// [`RunReport`]: a run with a [`PoolConfig`](crate::pool::PoolConfig)
+    /// and one without must stay bit-identical there.
     pub(crate) sched_evals: u64,
     /// The event trace; `None` (and never written) unless the runtime
     /// was built with
@@ -260,13 +260,10 @@ pub(crate) struct EngineState {
 /// between events; only the capacity is carried.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// The flat scan's `Weighted` survivors, each candidate's plan beside
-    /// its estimate, with capacity for the whole fleet (`start_attempt`).
-    /// Every other selection keeps its top-k inline.
+    /// The unpruned search's `Weighted` survivors, each candidate's plan
+    /// beside its estimate, with capacity for the whole fleet
+    /// (`start_attempt`). Every other selection keeps its top-k inline.
     survivors: Vec<(Plan, Estimate)>,
-    /// The `Weighted` prune's anchors, one inline set per spec class;
-    /// grown only when a class opens.
-    anchors: Vec<Anchors>,
     /// Tasks released by a completion (`handle_finish`).
     released: Vec<TaskId>,
     /// Topology transfer charge per pool for the task being placed
@@ -1013,20 +1010,21 @@ impl Runtime {
     /// Every launch enters here — first placement, fault or crash retry,
     /// migration of an attempt queued on a crashed device, re-dispatch
     /// of a deferred one — so the checkpoint blackout, the security
-    /// plan, the energy objective and the pooled search bind all of
+    /// plan, the energy objective and the placement search bind all of
     /// them alike.
     ///
     /// This is the allocation-free half of the hot path: the roofline
-    /// runs once per spec class, and the flat scan selects in the same
-    /// O(D) pass that prices, keeping the ≤ 3 best plans in an inline
-    /// accumulator — no ranking vector, no sort, no second walk. Only
-    /// `Weighted`, whose min-max norm needs every candidate first, keeps
-    /// the candidates no earlier member of their class dominates in
-    /// per-runtime scratch and scores those few once the pass has folded
-    /// the norm. Confidential tasks (and tasks reading sealed regions) first
-    /// build a per-class security plan whose costs are folded into the
-    /// estimates, so the policy ranks TEE and crypto capability like any
-    /// other dimension.
+    /// runs once per spec class, and the one search
+    /// ([`DevicePools::plan_k`](crate::pool::DevicePools::plan_k)) selects
+    /// in the pass that prices, keeping the ≤ 3 best plans in an inline
+    /// accumulator — no ranking vector, no sort, no second walk. Only an
+    /// unpruned `Weighted` placement, whose min-max norm needs every
+    /// candidate first, keeps the candidates no earlier member of their
+    /// shard dominates in per-runtime scratch and scores those few once
+    /// the pass has folded the norm. Confidential tasks (and tasks
+    /// reading sealed regions) first build a per-class security plan
+    /// whose costs are folded into the estimates, so the policy ranks
+    /// TEE and crypto capability like any other dimension.
     fn start_attempt(&mut self, attempt: Attempt, at: Seconds) -> Result<(), RuntimeError> {
         let Attempt {
             task,
@@ -1056,68 +1054,34 @@ impl Runtime {
             )
         };
         // Topology charge for this task: per-pool producer→consumer
-        // transfer extras, folded into every estimate before scoring on
-        // both the pooled and the flat path.
-        let topo_active = self.topology.is_some();
-        if let (Some(topology), Some(pools)) = (&self.topology, &self.pools) {
+        // transfer extras, folded into every estimate before scoring.
+        if let Some(topology) = &self.topology {
             let accesses = slot_accesses(&self.graph, task)?;
             let extras = &mut self.engine.scratch.pool_extras;
-            topology.charge_into(&self.regions, pools, accesses, extras);
+            topology.charge_into(&self.regions, &self.pools, accesses, extras);
         }
         // Everything a candidate inherits from its spec is priced here,
-        // once per class; both searches below read it per candidate.
+        // once per class; the search reads it per candidate.
         let desc = self.graph.descriptor(task)?;
         self.classes.price(desc.work, desc.kind);
-        // Two searches, one selection: the sharded bound-and-prune
-        // search (`DevicePools::plan_k`) and the flat scan
-        // (`Policy::plan_k_devices`) return the same devices, order and
-        // `(start, duration)` plans (proptest-pinned in
-        // `tests/pool_equivalence.rs`), and the plans are committed
-        // as-is. The sharded search takes every policy placement of a
-        // pooled runtime, `Weighted` included; a security plan
-        // (per-device exceptions) or a Pareto energy objective (replaces
-        // the scoring) takes the flat scan, as does a runtime without
-        // pools. The topology extras apply on both. The policy was
-        // validated at run/step entry.
+        // One search over the class-sharded pools. Departed and draining
+        // devices left their shards, so the churn mask is not read here.
+        // The plans are committed as-is; the policy was validated at
+        // run/step entry.
         let mut planned = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let use_pools = self.pools.is_some() && !needs_sec && self.energy.objective.is_none();
-        let (k, evaluated) = if use_pools {
-            let extras = topo_active.then_some(self.engine.scratch.pool_extras.as_slice());
-            self.pools.as_mut().expect("checked above").plan_k(
-                self.policy,
-                &self.devices,
-                &self.classes,
-                at,
-                extras,
-                &mut planned[..replicas.min(MAX_REPLICAS)],
-            )
-        } else {
-            // A literal `None` arm, not `Option::zip`: it lets the plain
-            // scan's dispatch fold away on this path (4 % of `wide-flat`).
-            let topo = if topo_active {
-                Some((
-                    self.engine.scratch.pool_extras.as_slice(),
-                    self.pools
-                        .as_ref()
-                        .expect("topo requires pools")
-                        .pool_of_slice(),
-                ))
-            } else {
-                None
-            };
-            self.policy.plan_k_devices(
-                &self.devices,
-                &self.classes,
-                at,
-                self.churn.as_ref().map(|c| c.available.as_slice()),
-                needs_sec.then_some(&self.security.plan),
-                topo,
-                self.energy.objective.is_some().then_some(&mut self.energy),
-                &mut self.engine.scratch.survivors,
-                &mut self.engine.scratch.anchors,
-                &mut planned[..replicas.min(MAX_REPLICAS)],
-            )
-        };
+        let (k, evaluated, pruned) = self.pools.plan_k(
+            self.policy,
+            &self.devices,
+            &self.classes,
+            at,
+            self.topology
+                .is_some()
+                .then_some(self.engine.scratch.pool_extras.as_slice()),
+            needs_sec.then_some(&self.security.plan),
+            &mut self.energy,
+            &mut self.engine.scratch.survivors,
+            &mut planned[..replicas.min(MAX_REPLICAS)],
+        );
         self.engine.sched_evals += evaluated;
         if k == 0 {
             // Under churn, an empty eligible set means every (capable)
@@ -1141,11 +1105,9 @@ impl Runtime {
         let mut finish = Seconds::ZERO;
         for (slot, &(d, plan_start, plan_dur)) in planned[..k].iter().enumerate() {
             let (s, f) = self.devices[d].execute_planned(plan_start, plan_dur);
-            if let Some(pools) = &mut self.pools {
-                // The device's timeline moved: its shard's leaf in the
-                // class tree is stale.
-                pools.mark_dirty(d);
-            }
+            // The device's timeline moved: its shard's leaf in the class
+            // tree is stale.
+            self.pools.mark_dirty(d);
             devices[slot] = u32::try_from(d).expect("fewer than 2^32 devices");
             start = start.min(s);
             finish = finish.max(f);
@@ -1172,7 +1134,7 @@ impl Runtime {
             RecordKind::Place {
                 devices: ReplicaDevices::from_raw(&devices[..k]),
                 evaluated,
-                pooled: use_pools,
+                pooled: pruned,
             },
         );
         self.engine.push_finish(
@@ -1382,9 +1344,7 @@ impl Runtime {
             // the fleet.
             self.energy.op_fault_probs.push(fp);
         }
-        if let Some(pools) = &mut self.pools {
-            pools.add_device(d, class, pool.unwrap_or(d));
-        }
+        self.pools.add_device(d, class, pool.unwrap_or(d));
         let churn = self
             .churn
             .as_mut()
@@ -1429,9 +1389,7 @@ impl Runtime {
     /// finishes normally, so the shrink wastes zero work.
     fn begin_drain(&mut self, device: usize, at: Seconds) {
         let free_at = self.devices[device].busy_until().max(at);
-        if let Some(pools) = &mut self.pools {
-            pools.remove_device(device);
-        }
+        self.pools.remove_device(device);
         let seq = self.engine.next_seq();
         let churn = self
             .churn
@@ -1481,9 +1439,7 @@ impl Runtime {
     /// the detected-fault path, with the partial execution counted as
     /// wasted work.
     fn handle_crash(&mut self, device: usize, at: Seconds) -> Result<(), RuntimeError> {
-        if let Some(pools) = &mut self.pools {
-            pools.remove_device(device);
-        }
+        self.pools.remove_device(device);
         {
             let churn = self
                 .churn

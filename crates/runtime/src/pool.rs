@@ -1,87 +1,88 @@
-//! Device-pool sharding: sub-linear placement over large device fleets.
+//! Device-pool sharding: the one placement search, sub-linear over large
+//! partitioned fleets.
 //!
-//! The engine's placement choke point evaluates the roofline model on
-//! every device per task — exact, but O(D) with 1k+ devices dwarfs the
-//! rest of the per-event work. This module partitions the fleet into
-//! *pools* (RECS|BOX carriers, cluster nodes, or uniform chunks) — the
-//! user-visible locality domains the topology cost model charges
-//! transfers across — and internally splits each pool into *shards* of
-//! identically-specced devices, turning placement into a
-//! bound-and-prune search over shards:
+//! Every placement goes through `DevicePools::plan_k`. The fleet is
+//! split into *pools* — RECS|BOX carriers, cluster nodes or uniform
+//! chunks from a [`PoolConfig`], the locality domains the topology cost
+//! model charges transfers across, or one pool without one — and each
+//! pool into *shards*, one per spec class. A member is priced from its
+//! class's duration and busy power (`SpecClasses`) plus its extra: its
+//! pool's transfer charge and the security plan's price on it.
+//!
+//! Evaluating every member is exact, but O(D) with 1k+ devices dwarfs
+//! the rest of the per-event work. On a partitioned fleet the search
+//! prunes instead, bounding and skipping whole shards:
 //!
 //! * the shards of one spec class are the leaves of that class's
 //!   *tournament tree*, and every node caches the least and the greatest
 //!   `busy_until` of the members below it. A member's timeline change
 //!   queues its shard once (`DevicePools::mark_dirty`); the next
-//!   placement recomputes each queued leaf and re-folds its path to the
-//!   root, and shards that did not change cost nothing;
-//! * a class's members share one spec, so the runtime's class table
-//!   (`SpecClasses`) already holds their common duration and busy power
-//!   for the task being placed; with a node's cached availability
-//!   minimum that gives a **lower bound** on the score of every member
-//!   below it under the active [`Policy`]. At a leaf the bound is the
-//!   score of the shard's least-busy member — *exact*, which is what
-//!   makes the pruning bite: a mixed pool bounded as a whole combines
-//!   its idlest device with its fastest device into a score nothing in
-//!   the pool can achieve, and such a bound almost never exceeds the
-//!   incumbent;
-//! * the search walks every class's tree depth-first, the
-//!   least-bounded class and the better-bounded child first, so its
-//!   first leaf is a least-bounded one. Leaves are evaluated with the
-//!   *identical* per-device arithmetic the flat path uses, and a subtree
-//!   is skipped once `k` candidates are held and its bound is
+//!   pruning placement recomputes each queued leaf and re-folds its path
+//!   to the root, and shards that did not change cost nothing;
+//! * with a node's cached availability minimum, the class price gives a
+//!   **lower bound** on the score of every member below it under the
+//!   active [`Policy`]. At a leaf the bound is the score of the shard's
+//!   least-busy member — *exact*, which is what makes the pruning bite: a
+//!   mixed pool bounded as a whole combines its idlest device with its
+//!   fastest device into a score nothing in the pool can achieve, and
+//!   such a bound almost never exceeds the incumbent;
+//! * the search walks every class's tree depth-first, the least-bounded
+//!   class and the better-bounded child first, so its first leaf is a
+//!   least-bounded one. Leaves are priced like every other member, and a
+//!   subtree is skipped once `k` candidates are held and its bound is
 //!   **strictly** worse than the current k-th best score: every device
 //!   below it is strictly worse than the k-th final score. A placement
 //!   touches O(classes + k · log shards) nodes, not every shard.
 //!
 //! Because pruning only skips devices that are *strictly* worse than
 //! the k-th selected score, and ties among evaluated devices break
-//! toward the lowest device index — exactly the flat
+//! toward the lowest device index — exactly the
 //! [`select_k`](crate::scheduler::Scheduler::select_k) tie-break — the
-//! selected set, order and committed plans are bit-identical to the
-//! flat O(D) scan (proptest-pinned in `tests/pool_equivalence.rs`).
+//! selected set, order and committed plans are bit-identical to a search
+//! that evaluates every member (proptest-pinned in
+//! `tests/pool_equivalence.rs`).
 //!
-//! The pooled path covers every [`Policy`], including
-//! [`Policy::Weighted`]: the global min-max normalization a weighted
-//! score needs is derived **exactly** from the class roots in
-//! O(classes) rather than O(D) — a class's members share one spec, so
-//! their durations and energies coincide and only the queue delay
-//! varies, which means the class's extreme finish times are
-//! `ready.max(min_busy) + dur` and `ready.max(max_busy) + dur` over its
-//! root's busy extrema. Folding those per-class extremes reproduces,
-//! bit for bit, the [`ScoreNorm::from_estimates`] context the flat scan
-//! would have computed from all candidates (f64 min/max folds are
-//! order-independent). The engine falls back to the flat scan only
-//! when a security plan excludes devices per task or a Pareto energy
-//! objective replaces the scoring.
+//! Pruning covers every [`Policy`], including [`Policy::Weighted`]: the
+//! global min-max normalization a weighted score needs is derived
+//! **exactly** from the class roots in O(classes) rather than O(D) — a
+//! class's members share one spec, so their durations and energies
+//! coincide and only the queue delay varies, which means the class's
+//! extreme finish times are `ready.max(min_busy) + dur` and
+//! `ready.max(max_busy) + dur` over its root's busy extrema. Folding
+//! those per-class extremes reproduces, bit for bit, the
+//! [`ScoreNorm::from_estimates`] context of all candidates (f64 min/max
+//! folds are order-independent). The search evaluates every member on a
+//! fleet without a [`PoolConfig`], under a security plan (per-device
+//! exceptions) and under a Pareto objective (a different key).
 //!
 //! The same pool structure carries the **topology cost model**
 //! ([`TopologyConfig`]): the engine's region table records the device
 //! that produced each region beside its declared size, both by slot,
 //! and a consumer placed outside that device's pool is charged the
 //! link's transfer time for the region — folded into the estimate
-//! *before* scoring on both the pooled and the flat path, so locality
-//! becomes a scheduling dimension like any other. A charge varies
-//! across the leaves of one tree, so the same search bounds an internal
-//! node under the task's smallest pool charge (still a lower bound) and
-//! each leaf under its own pool's. Below a root the bounds are then
-//! loose, so a branch and bound finds the least-bounded leaf before the
-//! walk starts, and the weighted normalization descends below a root
-//! only into subtrees whose charge range could still move one of its
-//! four extremes.
+//! *before* scoring, pruned or not, so locality becomes a scheduling
+//! dimension like any other. A charge varies across the leaves of one
+//! tree, so the same search bounds an internal node under the task's
+//! smallest pool charge (still a lower bound) and each leaf under its
+//! own pool's. Below a root the bounds are then loose, so a branch and
+//! bound finds the least-bounded leaf before the walk starts, and the
+//! weighted normalization descends below a root only into subtrees
+//! whose charge range could still move one of its four extremes.
 
 use legato_core::task::AccessMode;
-use legato_core::units::Seconds;
+use legato_core::units::{Seconds, Watt};
 use legato_hw::cluster::NodeSpec;
 use legato_hw::comm::LinkModel;
 use legato_hw::device::{Device, DeviceSpec};
 use legato_hw::recs::RecsBox;
 
 use crate::classes::SpecClasses;
+use crate::energy::EnergyState;
 use crate::error::RuntimeError;
 use crate::regions::RegionTable;
 use crate::replication::MAX_REPLICAS;
 use crate::scheduler::{Estimate, Plan, Policy, Scheduler, ScoreNorm, TopK};
+use crate::security::SecurePlan;
 
 /// How the device fleet is partitioned into pools.
 ///
@@ -104,7 +105,7 @@ pub struct PoolConfig {
 impl PoolConfig {
     /// An explicit partition: `pools[p]` lists the device indices of
     /// pool `p`. Empty pools are dropped.
-    fn from_membership(pools: Vec<Vec<usize>>) -> Self {
+    pub(crate) fn from_membership(pools: Vec<Vec<usize>>) -> Self {
         PoolConfig {
             pools,
             uniform: None,
@@ -281,7 +282,8 @@ impl Tree {
     }
 }
 
-/// What one placement prices a tree node with.
+/// What one placement prices a member or a tree node with.
+#[derive(Clone, Copy)]
 struct Query<'a> {
     policy: Policy,
     /// Per-class durations of the task and busy powers.
@@ -295,30 +297,84 @@ struct Query<'a> {
     norm: ScoreNorm,
 }
 
-/// Runtime state of the sharded placement layer: pool membership (for
-/// the topology charges), the homogeneous shards each pool splits
-/// into, and one tournament tree of cached availability extrema per
-/// spec class. Everything spec-derived is read from the runtime's
+/// The devices of one pool that share one spec class.
+#[derive(Debug, Clone)]
+struct Shard {
+    /// Member device indices, ascending. All members carry an identical
+    /// [`DeviceSpec`], which makes the shard's score bound exact (see the
+    /// module docs).
+    members: Vec<usize>,
+    /// The pool it belongs to (indexes the topology extras).
+    pool: usize,
+    /// Its spec class ([`SpecClasses`]) — usually far fewer classes than
+    /// shards (a 1k fleet cycling four reference specs has four classes
+    /// and hundreds of shards).
+    class: usize,
+}
+
+impl Shard {
+    /// The charge the shard's pool adds to the task.
+    fn charge(&self, q: &Query) -> Seconds {
+        q.extras.map_or(Seconds::ZERO, |e| e[self.pool])
+    }
+
+    /// Price every member `d` of shard `s` (this one) — its class's
+    /// duration and busy power from `prices`, plus its extra: `secure(d)`
+    /// (the security plan's price on it) and its pool's `charge` — and
+    /// hand `visit` each one's plan, estimate, busy power and shard, in
+    /// member order; returns how many it priced. The one pricing every
+    /// placement uses; `prices` and `ready_at` come by value (DESIGN.md §8).
+    #[inline(always)]
+    fn price(
+        &self,
+        s: usize,
+        (prices, ready_at): (&[(Seconds, Watt)], Seconds),
+        charge: Seconds,
+        devices: &[Device],
+        secure: impl Fn(usize) -> Seconds,
+        visit: &mut impl FnMut(Plan, Estimate, Watt, usize),
+    ) -> u64 {
+        let (dur, power) = prices[self.class];
+        for &d in &self.members {
+            // Compare-select instead of `Seconds::max`: virtual times are
+            // never NaN or −0, so the bits are the same and the NaN fix-up
+            // leaves the loop.
+            let busy = devices[d].busy_until();
+            let start = if busy > ready_at { busy } else { ready_at };
+            let dur = dur + (secure(d) + charge);
+            // `busy_power * dur` is `DeviceSpec::energy_for` over the
+            // class's one roofline evaluation; the crypto time burns
+            // device power like any other busy time.
+            visit(
+                (d, start, dur),
+                Estimate::new(start + dur, power * dur),
+                power,
+                s,
+            );
+        }
+        self.members.len() as u64
+    }
+}
+
+/// Runtime state of the placement layer: the homogeneous shards each
+/// pool splits into, each shard's pool (what the topology charges
+/// read), and, to prune by, one tournament tree of cached availability
+/// extrema per spec class. A runtime built without a [`PoolConfig`] is
+/// one pool, so its shards are its spec classes; it never prunes, so it
+/// keeps no trees. Everything spec-derived is read from the runtime's
 /// [`SpecClasses`].
 #[derive(Debug, Clone)]
 pub(crate) struct DevicePools {
-    /// Pool index of each device (the user-visible partition).
-    pool_of: Vec<usize>,
-    /// Number of (non-empty) pools.
+    /// Whether a [`PoolConfig`] partitioned the fleet: only then may a
+    /// placement prune ([`DevicePools::plan_k`]).
+    partitioned: bool,
+    /// Number of (non-empty) pools; one without a [`PoolConfig`].
     pool_count: usize,
     /// Shard index of each device.
     shard_of: Vec<usize>,
-    /// Member device indices per shard, ascending. All members of a
-    /// shard carry an identical [`DeviceSpec`], which makes the shard's
-    /// score bound exact (see the module docs).
-    members: Vec<Vec<usize>>,
-    /// Pool each shard belongs to (indexes the topology extras).
-    shard_pool: Vec<usize>,
-    /// Spec class ([`SpecClasses`]) of each shard — usually far fewer
-    /// classes than shards (a 1k fleet cycling four reference specs has
-    /// four classes and hundreds of shards).
-    class_of: Vec<usize>,
-    /// Leaf slot of each shard in its class's tree.
+    shards: Vec<Shard>,
+    /// Leaf slot of each shard in its class's tree. This and the three
+    /// fields below stay empty unless `partitioned`.
     slot_of: Vec<usize>,
     /// One tree per spec class, indexed by class.
     trees: Vec<Tree>,
@@ -371,97 +427,100 @@ impl DevicePools {
                 "at least one non-empty pool is required",
             ));
         }
-        let mut pool_of = vec![usize::MAX; device_count];
-        for (p, pool) in pools.iter_mut().enumerate() {
+        let mut assigned = vec![false; device_count];
+        for pool in &mut pools {
             pool.sort_unstable();
             for &d in pool.iter() {
                 if d >= device_count {
                     return Err(out_of_range(d));
                 }
-                if pool_of[d] != usize::MAX {
+                if std::mem::replace(&mut assigned[d], true) {
                     return Err(RuntimeError::invalid_parameter(
                         "pools",
                         format!("device {d} appears in more than one pool"),
                     ));
                 }
-                pool_of[d] = p;
             }
         }
-        if let Some(d) = pool_of.iter().position(|&p| p == usize::MAX) {
+        if let Some(d) = assigned.iter().position(|&a| !a) {
             return Err(unassigned(d));
         }
-        // One shard per (pool, class). Shard members stay ascending
-        // because each pool was sorted above and devices append in
-        // order.
-        let pool_count = pools.len();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        let mut shard_pool: Vec<usize> = Vec::new();
-        let mut class_of: Vec<usize> = Vec::new();
-        let mut shard_of = vec![0usize; device_count];
-        for (p, pool) in pools.iter().enumerate() {
-            let first = members.len();
-            for &d in pool {
-                let class = classes.class_of(d);
-                let s = (first..members.len())
-                    .find(|&s| class_of[s] == class)
-                    .unwrap_or_else(|| {
-                        members.push(Vec::new());
-                        shard_pool.push(p);
-                        class_of.push(class);
-                        members.len() - 1
-                    });
-                members[s].push(d);
-                shard_of[d] = s;
-            }
-        }
-        let n = members.len();
+        Ok(Self::sharded(pools.into_iter(), classes, true))
+    }
+
+    /// The fleet as one pool, sharded by spec class: the pools of a
+    /// runtime built without a [`PoolConfig`], whose placements never
+    /// prune.
+    pub(crate) fn one_pool(classes: &SpecClasses) -> Self {
+        let fleet = 0..classes.class_of_slice().len();
+        Self::sharded(std::iter::once(fleet), classes, false)
+    }
+
+    /// Split every pool, its devices listed in ascending order, into one
+    /// shard per spec class; the shards' members stay ascending.
+    fn sharded<P: IntoIterator<Item = usize>>(
+        pools: impl ExactSizeIterator<Item = P>,
+        classes: &SpecClasses,
+        partitioned: bool,
+    ) -> Self {
         let mut built = DevicePools {
-            pool_of,
-            pool_count,
-            shard_of,
-            shard_pool,
-            class_of,
-            members,
-            slot_of: Vec::with_capacity(n),
+            partitioned,
+            pool_count: pools.len(),
+            shard_of: vec![0; classes.class_of_slice().len()],
+            shards: Vec::new(),
+            slot_of: Vec::new(),
             trees: Vec::new(),
-            stale: Vec::with_capacity(n),
-            queued: Vec::with_capacity(n),
+            stale: Vec::new(),
+            queued: Vec::new(),
             roots: Vec::new(),
         };
-        for s in 0..n {
-            built.plant(s);
+        for (p, pool) in pools.enumerate() {
+            let first = built.shards.len();
+            for d in pool {
+                let class = classes.class_of(d);
+                let s = (first..built.shards.len())
+                    .find(|&s| built.shards[s].class == class)
+                    .unwrap_or_else(|| built.open(p, class));
+                built.shards[s].members.push(d);
+                built.shard_of[d] = s;
+            }
         }
-        Ok(built)
+        built
     }
 
-    /// Give the newest shard `s` a leaf in its class's tree, opening the
-    /// tree if no shard carried the class yet, and queue the leaf.
-    fn plant(&mut self, s: usize) {
-        let class = self.class_of[s];
-        if class >= self.trees.len() {
-            self.trees.resize_with(class + 1, Tree::default);
+    /// Open an empty shard of spec class `class` in pool `p` and return
+    /// it. To prune by, the shard gets a leaf in its class's tree
+    /// (opening the tree if no shard carried the class yet), queued.
+    fn open(&mut self, p: usize, class: usize) -> usize {
+        let s = self.shards.len();
+        self.shards.push(Shard {
+            members: Vec::new(),
+            pool: p,
+            class,
+        });
+        if self.partitioned {
+            if class >= self.trees.len() {
+                self.trees.resize_with(class + 1, Tree::default);
+            }
+            self.slot_of.push(self.trees[class].push(s));
+            self.queued.push(true);
+            self.stale.push(s);
         }
-        self.slot_of.push(self.trees[class].push(s));
-        self.queued.push(true);
-        self.stale.push(s);
+        s
     }
 
-    /// Queue shard `s`'s leaf for recomputation, once.
+    /// Queue shard `s`'s leaf for recomputation, once (a fleet with no
+    /// trees has nothing to queue).
     fn touch(&mut self, s: usize) {
-        if !self.queued[s] {
+        if self.partitioned && !self.queued[s] {
             self.queued[s] = true;
             self.stale.push(s);
         }
     }
 
-    /// The pool device `d` belongs to.
+    /// The pool device `d` belongs to (or belonged to, once departed).
     pub(crate) fn pool_of(&self, d: usize) -> usize {
-        self.pool_of[d]
-    }
-
-    /// Pool membership of every device, indexed by device.
-    pub(crate) fn pool_of_slice(&self) -> &[usize] {
-        &self.pool_of
+        self.shards[self.shard_of[d]].pool
     }
 
     /// Number of pools.
@@ -471,7 +530,9 @@ impl DevicePools {
 
     /// Device `d`'s timeline changed: its shard's leaf is stale.
     pub(crate) fn mark_dirty(&mut self, d: usize) {
-        self.touch(self.shard_of[d]);
+        if self.partitioned {
+            self.touch(self.shard_of[d]);
+        }
     }
 
     /// Grow the structures for an arriving device `d` (the next index)
@@ -480,35 +541,25 @@ impl DevicePools {
     /// queue the shard's leaf. `pool` wraps modulo the pool count, so
     /// round-robin callers need no bounds handling.
     pub(crate) fn add_device(&mut self, d: usize, class: usize, pool: usize) {
-        debug_assert_eq!(d, self.pool_of.len(), "arrivals append at the end");
+        debug_assert_eq!(d, self.shard_of.len(), "arrivals append at the end");
         let p = pool % self.pool_count;
-        self.pool_of.push(p);
-        let shard_pool = &self.shard_pool;
-        let joined = self
-            .trees
-            .get(class)
-            .and_then(|tree| tree.shards.iter().copied().find(|&s| shard_pool[s] == p));
-        let s = joined.unwrap_or_else(|| {
-            self.members.push(Vec::new());
-            self.shard_pool.push(p);
-            self.class_of.push(class);
-            let s = self.members.len() - 1;
-            self.plant(s);
-            s
-        });
+        let s = (self.shards.iter())
+            .position(|shard| shard.class == class && shard.pool == p)
+            .unwrap_or_else(|| self.open(p, class));
         // Members stay ascending: the new device's index exceeds every
         // existing one.
-        self.members[s].push(d);
+        self.shards[s].members.push(d);
         self.shard_of.push(s);
         self.touch(s);
     }
 
-    /// Remove a departed device from its shard. The shard itself stays
-    /// (possibly empty — its leaf then folds to an empty span, which the
-    /// search never enters), which keeps every stored shard index valid.
+    /// Remove a departed or draining device from its shard, and so from
+    /// every later placement. The shard itself stays (possibly empty —
+    /// its leaf then folds to an empty span, which the walk never
+    /// enters), which keeps every stored shard index valid.
     pub(crate) fn remove_device(&mut self, d: usize) {
         let s = self.shard_of[d];
-        self.members[s].retain(|&m| m != d);
+        self.shards[s].members.retain(|&m| m != d);
         self.touch(s);
     }
 
@@ -517,28 +568,39 @@ impl DevicePools {
     fn refresh(&mut self, devices: &[Device]) {
         while let Some(s) = self.stale.pop() {
             self.queued[s] = false;
-            let span = self.members[s].iter().fold(Span::EMPTY, |span, &d| {
+            let shard = &self.shards[s];
+            let span = shard.members.iter().fold(Span::EMPTY, |span, &d| {
                 let busy = devices[d].busy_until();
                 span.join(Span { lo: busy, hi: busy })
             });
-            self.trees[self.class_of[s]].set(self.slot_of[s], span);
+            self.trees[shard.class].set(self.slot_of[s], span);
         }
     }
 
-    /// Pooled top-k placement: bit-identical selection and plans to the
-    /// flat scan (`Policy::plan_k_devices` with no security plan and no
-    /// energy objective), walking the class trees and pruning every
-    /// subtree whose bound is strictly worse than the k-th best score
-    /// found so far.
+    /// Top-k placement: the one search every placement goes through.
+    /// Fills `out` with `(device index, start, duration)` triples in
+    /// selection order and returns `(filled, devices evaluated,
+    /// pruned)`. `filled` is `min(out.len(), live eligible devices)`;
+    /// the evaluations are the sub-linearity observable the scaling
+    /// guard test pins. Ties break toward the lowest device index, as in
+    /// [`select_k`](crate::scheduler::Scheduler::select_k), so the
+    /// selection is the per-device reference's whatever order the
+    /// members are visited in.
     ///
-    /// `extras` carries the per-pool topology charge for the task (or
-    /// `None` when the topology model is off). Fills `out` with
-    /// `(device index, start, duration)` triples in selection order;
-    /// returns `(filled, devices evaluated)` — the second component is
-    /// the sub-linearity observable the scaling guard test pins.
+    /// Every member is priced alike ([`Shard::price`]): its class's
+    /// duration and busy power — `classes` must hold the task's
+    /// ([`SpecClasses::price`]) — plus its pool's charge from `extras`
+    /// (`None` with the topology model off) and, under a `security`
+    /// plan, the plan's price on the member.
     ///
-    /// `classes` must hold the task's per-class durations
-    /// ([`SpecClasses::price`]).
+    /// The search prunes exactly when a [`PoolConfig`] partitioned the
+    /// fleet, no security plan is in force and no Pareto objective in
+    /// `energy` replaces the scoring: it walks the class trees and skips
+    /// every subtree whose bound is strictly worse than the k-th best
+    /// score found so far. Otherwise it prices every live member of
+    /// every class the plan admits, shard by shard, for
+    /// [`Policy::select_plans`] to select among.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn plan_k(
         &mut self,
         policy: Policy,
@@ -546,28 +608,49 @@ impl DevicePools {
         classes: &SpecClasses,
         ready_at: Seconds,
         extras: Option<&[Seconds]>,
+        security: Option<&SecurePlan>,
+        energy: &mut EnergyState,
+        survivors: &mut Vec<(Plan, Estimate)>,
         out: &mut [Plan],
-    ) -> (usize, u64) {
+    ) -> (usize, u64, bool) {
+        let q = Query {
+            policy,
+            classes,
+            ready_at,
+            extras,
+            charge: (Seconds::ZERO, Seconds::ZERO),
+            norm: ScoreNorm::IDENTITY,
+        };
+        if self.partitioned && security.is_none() && energy.objective.is_none() {
+            let (filled, evaluated) = self.walk_k(q, devices, out);
+            return (filled, evaluated, true);
+        }
+        let candidates = Candidates {
+            shards: &self.shards,
+            q,
+            devices,
+            security,
+        };
+        let (filled, evaluated) = policy.select_plans(candidates, energy, survivors, out);
+        (filled, evaluated, false)
+    }
+
+    /// The pruning search: walk the class trees, skipping every subtree
+    /// whose bound is strictly worse than the k-th best score so far.
+    #[inline(never)] // one call site; kept out of the unpruned search's frame
+    fn walk_k(&mut self, mut q: Query, devices: &[Device], out: &mut [Plan]) -> (usize, u64) {
         let want = out.len().min(devices.len()).min(MAX_REPLICAS);
         if want == 0 {
             return (0, 0);
         }
         self.refresh(devices);
-        let charge = extras.map_or((Seconds::ZERO, Seconds::ZERO), |extras| {
+        if let Some(extras) = q.extras {
             let none = (Seconds(f64::INFINITY), Seconds(f64::NEG_INFINITY));
-            extras
+            q.charge = extras
                 .iter()
-                .fold(none, |(lo, hi), &x| (lo.min(x), hi.max(x)))
-        });
-        let mut q = Query {
-            policy,
-            classes,
-            ready_at,
-            extras,
-            charge,
-            norm: ScoreNorm::IDENTITY,
-        };
-        if policy.needs_norm() {
+                .fold(none, |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        }
+        if q.policy.needs_norm() {
             q.norm = self.norm(&q);
         }
         self.roots.clear();
@@ -594,7 +677,7 @@ impl DevicePools {
         // below a root is loose, so a branch and bound finds that leaf
         // first (the seed) and the walk starts from it.
         let mut seed: Option<(f64, usize)> = None;
-        if charge.0 != charge.1 {
+        if q.charge.0 != q.charge.1 {
             let mut seek = |lb: f64, leaf: Option<usize>| {
                 let better = seed.is_none_or(|(held, _)| lb < held);
                 if let (true, Some(s)) = (better, leaf) {
@@ -610,20 +693,33 @@ impl DevicePools {
         }
         let seed = seed.map(|(_, s)| s);
 
-        // Top-k by (score, device index) — the order the flat scan's
-        // selection produces; leaves arrive out of index order, which
-        // the accumulator's index tie-break absorbs. Strict inequality:
-        // a subtree whose bound *ties* the k-th score may still hold the
-        // tie-break winner, so it is entered; only strictly worse ones
-        // are pruned, which is what makes the selection exact.
+        // Top-k by (score, device index); leaves arrive out of index
+        // order, which the accumulator's index tie-break absorbs. Strict
+        // inequality: a subtree whose bound *ties* the k-th score may
+        // still hold the tie-break winner, so it is entered; only
+        // strictly worse ones are pruned, which is what makes the
+        // selection exact.
         let mut best = TopK::new(want);
-        let mut evaluated = seed.map_or(0, |s| self.evaluate(&q, devices, s, &mut best));
+        let evaluate = |s: usize, best: &mut TopK| {
+            let (at, charge) = ((q.classes.prices(), q.ready_at), self.shards[s].charge(&q));
+            self.shards[s].price(
+                s,
+                at,
+                charge,
+                devices,
+                |_| Seconds::ZERO,
+                &mut |plan, e, _, _| {
+                    best.offer(q.policy.score(&e, &q.norm), plan);
+                },
+            )
+        };
+        let mut evaluated = seed.map_or(0, |s| evaluate(s, &mut best));
         let mut gather = |lb: f64, leaf: Option<usize>| {
             if best.bar().is_some_and(|bar| lb > bar) {
                 return false;
             }
             if let Some(s) = leaf.filter(|&s| Some(s) != seed) {
-                evaluated += self.evaluate(&q, devices, s, &mut best);
+                evaluated += evaluate(s, &mut best);
             }
             true
         };
@@ -633,11 +729,6 @@ impl DevicePools {
             }
         }
         (best.write(out), evaluated)
-    }
-
-    /// The charge shard `s`'s pool adds to the task.
-    fn extra(&self, q: &Query, s: usize) -> Seconds {
-        q.extras.map_or(Seconds::ZERO, |e| e[self.shard_pool[s]])
     }
 
     /// A lower bound on the score of every member below node `node` of
@@ -655,7 +746,7 @@ impl DevicePools {
         }
         let width = tree.width();
         let extra = match q.extras {
-            Some(extras) if node >= width => extras[self.shard_pool[tree.shards[node - width]]],
+            Some(extras) if node >= width => extras[self.shards[tree.shards[node - width]].pool],
             _ => q.charge.0,
         };
         let (dur, power) = q.classes.price_of(c);
@@ -702,28 +793,14 @@ impl DevicePools {
         }
     }
 
-    /// Offer every member of shard `s` to `best`, priced with the flat
-    /// scan's per-device arithmetic; returns how many were priced.
-    fn evaluate(&self, q: &Query, devices: &[Device], s: usize, best: &mut TopK) -> u64 {
-        let (dur, power) = q.classes.price_of(self.class_of[s]);
-        let dur = dur + self.extra(q, s);
-        let energy = power * dur;
-        for &d in &self.members[s] {
-            let start = q.ready_at.max(devices[d].busy_until());
-            let score = q.policy.score(&Estimate::new(start + dur, energy), &q.norm);
-            best.offer(score, (d, start, dur));
-        }
-        self.members[s].len() as u64
-    }
-
-    /// The min-max normalization the flat scan folds over every
-    /// candidate, read off the trees. A class's members share one
+    /// The min-max normalization [`Policy::weighted_k`] folds over
+    /// every candidate, read off the trees. A class's members share one
     /// duration and one energy, so a node's candidates span
     /// `[ready.max(lo) + dur, ready.max(hi) + dur]` in time and one
     /// point in energy: exact at every root when all pools are charged
     /// alike, which makes the fold O(classes) and bit-identical to the
-    /// flat one (f64 min/max folds are order-independent; an empty node
-    /// has no flat candidate either). Under uneven charges a node's
+    /// per-member one (f64 min/max folds are order-independent; an empty
+    /// node has no member either). Under uneven charges a node's
     /// range is widened to the charge range, and the fold descends only
     /// where that range could still move one of the four extremes.
     fn norm(&self, q: &Query) -> ScoreNorm {
@@ -752,7 +829,7 @@ impl DevicePools {
         }
         let width = tree.width();
         let (lo, hi) = if node >= width {
-            let x = self.extra(q, tree.shards[node - width]);
+            let x = self.shards[tree.shards[node - width]].charge(q);
             (x, x)
         } else {
             q.charge
@@ -773,6 +850,55 @@ impl DevicePools {
             self.fold_norm(q, c, 2 * node, fold);
             self.fold_norm(q, c, 2 * node + 1, fold);
         }
+    }
+}
+
+/// One placement's candidates when the search does not prune
+/// ([`DevicePools::plan_k`]), for [`Policy::select_plans`] to select
+/// among.
+#[derive(Clone, Copy)]
+pub(crate) struct Candidates<'a> {
+    shards: &'a [Shard],
+    q: Query<'a>,
+    devices: &'a [Device],
+    security: Option<&'a SecurePlan>,
+}
+
+impl Candidates<'_> {
+    /// The fleet's size: at least the candidate count.
+    pub(crate) fn fleet_size(self) -> usize {
+        self.devices.len()
+    }
+
+    /// Price every live member of every shard whose class the security
+    /// plan admits — a class it does not admit is skipped whole — shard
+    /// by shard, and hand `visit` each one's plan, estimate, busy power
+    /// and shard; returns how many it priced. A shard's members arrive
+    /// together and in ascending index order, the order
+    /// [`Anchors`](crate::scheduler::Anchors) needs of a group; the
+    /// shards of one class may interleave indices.
+    #[inline(always)]
+    pub(crate) fn each(self, mut visit: impl FnMut(Plan, Estimate, Watt, usize)) -> u64 {
+        let (q, devices, shards) = (&self.q, self.devices, self.shards.iter().enumerate());
+        let at = (q.classes.prices(), q.ready_at);
+        let mut priced = 0;
+        match self.security {
+            None => {
+                for (s, shard) in shards {
+                    let charge = shard.charge(q);
+                    priced += shard.price(s, at, charge, devices, |_| Seconds::ZERO, &mut visit);
+                }
+            }
+            Some(plan) => {
+                for (s, shard) in shards {
+                    if plan.admits(shard.class) {
+                        let (charge, secure) = (shard.charge(q), |d| plan.extra(d, shard.class));
+                        priced += shard.price(s, at, charge, devices, secure, &mut visit);
+                    }
+                }
+            }
+        }
+        priced
     }
 }
 
@@ -882,33 +1008,46 @@ mod tests {
         out: &mut [(usize, Seconds, Seconds)],
     ) -> (usize, u64) {
         let classes = priced(devices, work, kind);
-        pools.plan_k(policy, devices, &classes, ready_at, extras, out)
+        let mut energy = EnergyState::default();
+        let (filled, evaluated, pruned) = pools.plan_k(
+            policy,
+            devices,
+            &classes,
+            ready_at,
+            extras,
+            None,
+            &mut energy,
+            &mut Vec::new(),
+            out,
+        );
+        assert!(pruned, "a partitioned fleet placing a public task prunes");
+        (filled, evaluated)
     }
 
-    fn flat_plan(
+    /// The per-device reference: every device priced with its own
+    /// `spec.time_for` plus `extra(d)` (`None` leaves the device out),
+    /// selected by [`Scheduler::select_k`] over the estimates.
+    #[allow(clippy::too_many_arguments)]
+    fn per_device(
         policy: Policy,
         devices: &[Device],
         work: Work,
         kind: TaskKind,
         ready_at: Seconds,
+        extra: impl Fn(usize) -> Option<Seconds>,
         k: usize,
     ) -> Vec<(usize, Seconds, Seconds)> {
-        let mut survivors = Vec::new();
-        let mut anchors = Vec::new();
-        let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let (filled, _) = policy.plan_k_devices(
-            devices,
-            &priced(devices, work, kind),
-            ready_at,
-            None,
-            None,
-            None,
-            None,
-            &mut survivors,
-            &mut anchors,
-            &mut out[..k],
-        );
-        out[..filled].to_vec()
+        let (mut estimates, mut plans) = (Vec::new(), Vec::new());
+        for (d, device) in devices.iter().enumerate() {
+            let Some(extra) = extra(d) else { continue };
+            let start = ready_at.max(device.busy_until());
+            let dur = device.spec.time_for(work, kind) + extra;
+            estimates.push(Estimate::new(start + dur, device.spec.busy_power * dur));
+            plans.push((d, start, dur));
+        }
+        let mut chosen = [0; MAX_REPLICAS];
+        let filled = policy.select_k(&estimates, &mut chosen[..k]);
+        chosen[..filled].iter().map(|&c| plans[c]).collect()
     }
 
     #[test]
@@ -917,14 +1056,14 @@ mod tests {
         let pools = pools_over(PoolConfig::uniform(10, 4), &devices).expect("valid");
         assert_eq!(pools.pool_count(), 3); // 4 + 4 + 2
         let mut seen = [false; 10];
-        for (s, shard) in pools.members.iter().enumerate() {
-            for &d in shard {
+        for (s, shard) in pools.shards.iter().enumerate() {
+            for &d in &shard.members {
                 assert!(!seen[d]);
                 seen[d] = true;
-                assert_eq!(pools.pool_of(d), pools.shard_pool[s]);
+                assert_eq!(pools.pool_of(d), shard.pool);
                 assert_eq!(pools.shard_of[d], s);
                 assert_eq!(
-                    devices[d].spec, devices[shard[0]].spec,
+                    devices[d].spec, devices[shard.members[0]].spec,
                     "shards are spec-homogeneous"
                 );
             }
@@ -1011,12 +1150,13 @@ mod tests {
                     None,
                     &mut out[..k],
                 );
-                let flat = flat_plan(
+                let flat = per_device(
                     policy,
                     &devices,
                     Work::flops(66e9),
                     TaskKind::Inference,
                     Seconds::ZERO,
+                    |_| Some(Seconds::ZERO),
                     k,
                 );
                 assert_eq!(filled, flat.len(), "{policy:?} k={k}");
@@ -1056,12 +1196,13 @@ mod tests {
                 None,
                 &mut out,
             );
-            let flat = flat_plan(
+            let flat = per_device(
                 policy,
                 &devices,
                 Work::new(2e12, Bytes::gib(1)),
                 TaskKind::Compute,
                 Seconds(0.5),
+                |_| Some(Seconds::ZERO),
                 MAX_REPLICAS,
             );
             assert_eq!(filled, flat.len(), "{policy:?}");
@@ -1094,7 +1235,7 @@ mod tests {
     fn weighted_matches_flat_across_weights() {
         // The weighted score reads the global min-max normalization; the
         // pooled path reconstructs it from per-shard busy extrema. Every
-        // weight must reproduce the flat scan's selection bit for bit,
+        // weight must reproduce the per-device selection bit for bit,
         // busy timelines included.
         let mut devices = fleet(12);
         for (i, d) in devices.iter_mut().enumerate() {
@@ -1120,12 +1261,13 @@ mod tests {
                     None,
                     &mut out[..k],
                 );
-                let flat = flat_plan(
+                let flat = per_device(
                     Policy::Weighted(w),
                     &devices,
                     Work::new(3e12, Bytes::mib(512)),
                     TaskKind::Compute,
                     Seconds(1.0),
+                    |_| Some(Seconds::ZERO),
                     k,
                 );
                 assert_eq!(filled, flat.len(), "w={w} k={k}");
@@ -1139,7 +1281,7 @@ mod tests {
         // A time-leaning weighted run over one fast pool and many slow
         // pools: the normalized ARM bounds stay strictly worse than the
         // two GPU scores, so everything but the fast pool is pruned —
-        // Weighted no longer pays the flat O(fleet) scan.
+        // Weighted no longer pays an O(fleet) visit.
         let mut specs = vec![DeviceSpec::gtx1080(), DeviceSpec::gtx1080()];
         for _ in 0..31 {
             specs.push(DeviceSpec::arm64());
@@ -1269,12 +1411,13 @@ mod tests {
             None,
             &mut out,
         );
-        let flat = flat_plan(
+        let flat = per_device(
             Policy::Performance,
             &devices,
             Work::flops(1e9),
             TaskKind::Compute,
             Seconds::ZERO,
+            |_| Some(Seconds::ZERO),
             1,
         );
         assert_eq!(filled, 1);
@@ -1407,10 +1550,10 @@ mod tests {
     /// tree, in ascending order.
     fn check_trees(pools: &DevicePools, devices: &[Device]) -> Result<(), TestCaseError> {
         prop_assert!(pools.stale.is_empty(), "a placement refreshes every leaf");
-        for (s, members) in pools.members.iter().enumerate() {
-            let tree = &pools.trees[pools.class_of[s]];
+        for (s, shard) in pools.shards.iter().enumerate() {
+            let tree = &pools.trees[shard.class];
             prop_assert_eq!(tree.shards[pools.slot_of[s]], s);
-            let span = members.iter().fold(Span::EMPTY, |span, &d| {
+            let span = shard.members.iter().fold(Span::EMPTY, |span, &d| {
                 let busy = devices[d].busy_until();
                 span.join(Span { lo: busy, hi: busy })
             });
@@ -1430,7 +1573,7 @@ mod tests {
     }
 
     /// What a k = 1 search must evaluate: every member of every shard
-    /// whose exact bound, under the flat scan's normalization, ties the
+    /// whose exact bound, under the per-device normalization, ties the
     /// least one.
     fn tied_members(
         pools: &DevicePools,
@@ -1446,7 +1589,11 @@ mod tests {
             let dur = dur + extra(pool);
             Estimate::new(ready_at.max(busy) + dur, power * dur)
         };
-        let live: Vec<usize> = pools.members.iter().flatten().copied().collect();
+        let live: Vec<usize> = pools
+            .shards
+            .iter()
+            .flat_map(|s| s.members.clone())
+            .collect();
         let candidates: Vec<Estimate> = live
             .iter()
             .map(|&d| {
@@ -1462,13 +1609,13 @@ mod tests {
         } else {
             ScoreNorm::IDENTITY
         };
-        let bounds: Vec<(f64, u64)> = (0..pools.members.len())
-            .filter(|&s| !pools.members[s].is_empty())
-            .map(|s| {
-                let members = &pools.members[s];
+        let bounds: Vec<(f64, u64)> = (pools.shards.iter())
+            .filter(|shard| !shard.members.is_empty())
+            .map(|shard| {
+                let members = &shard.members;
                 let least = members.iter().map(|&d| devices[d].busy_until());
                 let least = least.fold(Seconds(f64::INFINITY), Seconds::min);
-                let est = estimate(pools.class_of[s], pools.shard_pool[s], least);
+                let est = estimate(shard.class, shard.pool, least);
                 (policy.score(&est, &norm), members.len() as u64)
             })
             .collect();
@@ -1481,7 +1628,7 @@ mod tests {
         /// devices that leave and arrivals — some of a spec no shard
         /// carries yet, which opens a class tree mid-run. After every
         /// search the trees hold their invariants, the selection and
-        /// plans are the flat scan's bit for bit, and a k = 1 search
+        /// plans are the per-device reference's bit for bit, and a k = 1 search
         /// evaluates exactly the shards whose bound ties the minimum;
         /// with topology charges drawn per pool, all of it still holds.
         #[test]
@@ -1513,7 +1660,6 @@ mod tests {
             let mut classes = SpecClasses::new(&devices);
             let mut pools = pools_over(PoolConfig::uniform(n, pool_size), &devices).expect("valid");
             let mut avail = vec![true; n];
-            let (mut survivors, mut anchors) = (Vec::new(), Vec::new());
             for (step, &(op, pick, x)) in ops.iter().enumerate() {
                 let live: Vec<usize> = (0..devices.len()).filter(|&d| avail[d]).collect();
                 let picked = (!live.is_empty()).then(|| live[pick % live.len()]);
@@ -1542,26 +1688,26 @@ mod tests {
                 });
                 let extras = extras.as_deref();
                 let ready_at = Seconds(x);
-                classes.price(Work::new(1e12 + 1e12 * x, Bytes::mib(64)), TaskKind::Compute);
+                let work = Work::new(1e12 + 1e12 * x, Bytes::mib(64));
+                classes.price(work, TaskKind::Compute);
                 for want in [1, k] {
                     let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-                    let (filled, evaluated) =
-                        pools.plan_k(policy, &devices, &classes, ready_at, extras, &mut out[..want]);
-                    check_trees(&pools, &devices)?;
-                    let mut flat = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-                    let (flat_filled, _) = policy.plan_k_devices(
+                    let (filled, evaluated, _) = pools.plan_k(
+                        policy,
                         &devices,
                         &classes,
                         ready_at,
-                        Some(&avail),
+                        extras,
                         None,
-                        extras.map(|e| (e, pools.pool_of_slice())),
-                        None,
-                        &mut survivors,
-                        &mut anchors,
-                        &mut flat[..want],
+                        &mut EnergyState::default(),
+                        &mut Vec::new(),
+                        &mut out[..want],
                     );
-                    prop_assert_eq!(&out[..filled], &flat[..flat_filled]);
+                    check_trees(&pools, &devices)?;
+                    let charge = |d: usize| extras.map_or(Seconds::ZERO, |e| e[pools.pool_of(d)]);
+                    let live = |d: usize| avail[d].then(|| charge(d));
+                    let flat = per_device(policy, &devices, work, TaskKind::Compute, ready_at, live, want);
+                    prop_assert_eq!(&out[..filled], flat.as_slice());
                     if want == 1 {
                         let tied = tied_members(&pools, &devices, &classes, policy, ready_at, extras);
                         prop_assert_eq!(evaluated, tied);

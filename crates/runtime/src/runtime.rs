@@ -392,8 +392,8 @@ impl RunReport {
 #[derive(Debug, Clone)]
 pub struct Runtime {
     pub(crate) devices: Vec<Device>,
-    /// The fleet deduplicated by spec: what the flat scan, the pooled
-    /// search and the security plan price once per class.
+    /// The fleet deduplicated by spec: what the placement search and
+    /// the security plan price once per class.
     pub(crate) classes: SpecClasses,
     pub(crate) fault_probs: Vec<f64>,
     pub(crate) graph: TaskGraph,
@@ -404,8 +404,9 @@ pub struct Runtime {
     pub(crate) resilience: Option<ResilienceState>,
     pub(crate) security: SecurityState,
     pub(crate) energy: EnergyState,
-    /// Sharded placement state; `None` = flat O(D) scan per placement.
-    pub(crate) pools: Option<DevicePools>,
+    /// The placement search's class-sharded pools: one pool without a
+    /// [`PoolConfig`](crate::pool::PoolConfig).
+    pub(crate) pools: DevicePools,
     /// Topology cost model (configured only together with pools).
     pub(crate) topology: Option<TopologyConfig>,
     /// The one size declaration; read by [`Runtime::resolve_sizes`] and
@@ -435,9 +436,11 @@ impl Runtime {
             .enumerate()
             .map(|(i, s)| Device::new(DeviceId(i as u64), s))
             .collect::<Vec<_>>();
+        let classes = SpecClasses::new(&devices);
         Runtime {
             fault_probs: vec![0.0; devices.len()],
-            classes: SpecClasses::new(&devices),
+            pools: DevicePools::one_pool(&classes),
+            classes,
             devices,
             graph: TaskGraph::new(),
             policy,
@@ -447,7 +450,6 @@ impl Runtime {
             resilience: None,
             security: SecurityState::default(),
             energy: EnergyState::default(),
-            pools: None,
             topology: None,
             region_sizes: RegionSizes::new(),
             regions: RegionTable::default(),
@@ -662,22 +664,17 @@ impl Runtime {
     }
 
     /// Per-device placement evaluations performed so far (each is one
-    /// roofline estimate plus scoring). The flat path evaluates every
-    /// eligible device per attempt; the pooled path
-    /// ([`EngineConfig::with_pools`](crate::config::EngineConfig::with_pools))
-    /// prunes shards whose score lower bound cannot reach the top-k, so
-    /// this counter is the sub-linearity observable — deliberately kept
-    /// out of [`RunReport`] so pooled and flat reports stay comparable
-    /// bit for bit.
+    /// estimate plus scoring). A placement evaluates every live eligible
+    /// device unless it prunes, which it does on a runtime built with
+    /// [`EngineConfig::with_pools`](crate::config::EngineConfig::with_pools)
+    /// when no security plan or Pareto objective is in force: it skips
+    /// shards whose score lower bound cannot reach the top-k, so this
+    /// counter is the sub-linearity observable — deliberately kept out
+    /// of [`RunReport`] so reports with and without pools stay
+    /// comparable bit for bit.
     #[must_use]
     pub fn placement_evals(&self) -> u64 {
         self.engine.sched_evals
-    }
-
-    /// Number of device pools, or `None` when placement is unsharded.
-    #[must_use]
-    pub fn pool_count(&self) -> Option<usize> {
-        self.pools.as_ref().map(DevicePools::pool_count)
     }
 
     /// The underlying dataflow graph.

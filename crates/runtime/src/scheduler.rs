@@ -22,12 +22,13 @@
 //!   HEATS' node placement and migration phases.
 
 use legato_core::task::{TaskKind, Work};
-use legato_core::units::{Joule, Seconds, Watt};
+use legato_core::units::{Joule, Seconds};
 use legato_hw::device::Device;
 use serde::{Deserialize, Serialize};
 
-use crate::classes::SpecClasses;
+use crate::energy::EnergyState;
 use crate::error::RuntimeError;
+use crate::pool::Candidates;
 use crate::replication::MAX_REPLICAS;
 
 /// Predicted cost of running a task on one candidate execution site.
@@ -95,8 +96,8 @@ impl ScoreNorm {
 
     /// Min-max normalization from precomputed bounds: the context
     /// [`ScoreNorm::from_estimates`] would build, for a caller that
-    /// already knows the candidate set's extremes. The flat scan folds
-    /// them while it writes the estimates; the pooled scheduler derives
+    /// already knows the candidate set's extremes. A search that prices
+    /// every candidate folds them as it prices; a pruning one derives
     /// them exactly from its per-class trees, in O(classes) without
     /// topology charges (a class's members share one duration and one
     /// energy; only the queue delay varies, and each tree root caches
@@ -243,10 +244,11 @@ pub(crate) type Plan = (usize, Seconds, Seconds);
 /// That is the first `want` entries of a stable sort by key over an
 /// index-ordered candidate list — exactly what [`pick_k_by`] selects —
 /// but built in one pass: a candidate that cannot enter costs one
-/// comparison against the worst plan held. The flat scan offers every
-/// candidate as it prices it (`Weighted`: every survivor of its prune,
-/// once the norm is known); the pooled search offers the members of the
-/// shards it does not prune, in tree order.
+/// comparison against the worst plan held, and candidates may arrive in
+/// any order. An unpruned placement offers every candidate as it prices
+/// it (`Weighted`: every survivor of its prune, once the norm is known);
+/// a pruning one offers the members of the shards it does not prune, in
+/// tree order.
 #[derive(Debug)]
 pub(crate) struct TopK {
     keys: [f64; MAX_REPLICAS],
@@ -268,7 +270,7 @@ impl TopK {
     }
 
     /// The key a candidate must beat once `want` plans are held (`None`
-    /// until then): the pooled search prunes a subtree of shards whose
+    /// until then): the pruning search skips a subtree of shards whose
     /// bound is strictly above it.
     pub(crate) fn bar(&self) -> Option<f64> {
         (self.len == self.want && self.len > 0).then(|| self.keys[self.len - 1])
@@ -306,12 +308,15 @@ impl TopK {
     }
 }
 
-/// One spec class's anchors for the `Weighted` prune: up to `want`
-/// earlier survivors of the class, the earliest finishers so far, kept
-/// sorted by finish (ties in arrival order). A candidate that `want`
-/// anchors dominate — finish and energy both ≤ its own — has `want`
-/// candidates ahead of it in the stable order by any `Weighted` score,
-/// so it cannot be chosen (see [`Policy::plan_k_devices`]).
+/// One group's anchors for the `Weighted` prune: up to `want` earlier
+/// survivors of the group, the earliest finishers so far, kept sorted by
+/// finish (ties in arrival order). A candidate that `want` anchors
+/// dominate — finish and energy both ≤ its own — has `want` candidates
+/// ahead of it in the stable order by any `Weighted` score, so it cannot
+/// be chosen (see [`Policy::weighted_k`]). That holds only while every
+/// anchor has a lower device index than the candidate it drops, so a
+/// group is a run of candidates visited in ascending index order: one
+/// shard's members ([`Candidates::each`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Anchors {
     /// Once `want` anchors are held, their latest finish and greatest
@@ -435,58 +440,24 @@ impl Policy {
         }
     }
 
-    /// Top-k device selection for the engine's hot path: semantically
-    /// identical to [`device_estimates_into`] + [`Scheduler::select_k`],
-    /// but everything a candidate shares with its spec class is read from
-    /// `classes` — the roofline (`time_for`, two divisions) ran once per
-    /// *class* when the engine priced the task
-    /// ([`SpecClasses::price`](crate::classes::SpecClasses::price)). What
-    /// is left per candidate is `start = ready.max(busy_until)`, `finish =
-    /// start + dur[class] + extra` and `energy = power[class] · dur`.
+    /// Top-k selection over every candidate of an unpruned placement
+    /// ([`DevicePools::plan_k`](crate::pool::DevicePools::plan_k)):
+    /// semantically identical to [`device_estimates_into`] +
+    /// [`Scheduler::select_k`] over the live devices, but everything a
+    /// candidate shares with its spec class was priced once per *class*
+    /// ([`SpecClasses::price`](crate::classes::SpecClasses::price)), and
+    /// what the security plan and the topology charge add is folded into
+    /// each candidate's plan *before* scoring, so the estimate the policy
+    /// ranks is the true cost.
     ///
-    /// Selection happens in the same O(D) pass: each candidate is scored
-    /// and offered to a [`TopK`] of ≤ 3 plans, which keeps exactly the
-    /// prefix of the stable sort by score that the O(D·k) repeated
-    /// minimum would pick. `Weighted` is the one exception: its min-max
-    /// norm needs every candidate before the first can be scored. Its
-    /// pass prices every candidate and folds the [`ScoreNorm`] bounds
-    /// over all of them (f64 min/max folds are order-independent), but
-    /// writes to `survivors` only a candidate that fewer than `k` earlier
-    /// survivors of its spec class dominate (finish and energy both ≤;
-    /// per class, the ≤ `k` earliest-finishing survivors are kept in
-    /// `anchors` to test against). For `w ∈ [0, 1]` the score is
-    /// non-decreasing in finish and in energy, rounding included, so a
-    /// dropped candidate has `k` candidates ahead of it in the stable
-    /// order and the top `k` of the survivors — scored in index order
-    /// into the same [`TopK`] once the norm is known — is the top `k` of
-    /// all. Either way the chosen devices' `(start, duration)` plans come
-    /// back for the caller to commit with [`Device::execute_planned`].
+    /// Selection happens in the pass that prices: each candidate is
+    /// scored and offered to a [`TopK`] of ≤ 3 plans, which keeps exactly
+    /// the prefix of the stable sort by score that the O(D·k) repeated
+    /// minimum would pick, whatever order the candidates arrive in.
+    /// `Weighted`, whose min-max norm needs every candidate first, prunes
+    /// and then scores ([`Policy::weighted_k`]).
     ///
-    /// `avail` carries the churn layer's availability mask when the
-    /// fleet is malleable: a departed or draining device is excluded
-    /// from the candidate set entirely. `None` (a fixed fleet) is the
-    /// exact pre-churn arithmetic.
-    ///
-    /// `security` carries the security plan of a confidential task (or
-    /// of a task reading sealed regions): an ineligible device
-    /// (enclave-only task, no TEE) is excluded from the candidate set
-    /// entirely, and an eligible device's extra security duration is
-    /// folded into its plan *before* scoring, so the estimate the policy
-    /// ranks is the true cost — transitions, boundary crypto, sealing
-    /// and pending attestation included. `None` (the common case) is the
-    /// exact pre-security arithmetic.
-    ///
-    /// `topo` carries the topology layer's per-pool transfer charges
-    /// (`pool_extras`, `pool_of`) when the runtime has a pool
-    /// configuration and an active
-    /// [`TopologyConfig`](crate::pool::TopologyConfig): device `i`'s
-    /// estimate is charged `pool_extras[pool_of[i]]` of extra duration
-    /// *before* scoring, composing with the security extra. `None` is
-    /// the exact pre-topology arithmetic.
-    ///
-    /// `energy` carries the energy layer's state when a Pareto
-    /// [`EnergyObjective`](crate::energy::EnergyObjective) is in force:
-    /// the objective *replaces* this policy's scoring for the selection,
+    /// A Pareto objective in `energy` *replaces* this policy's scoring,
     /// and a placement that had to relax its bound or cap bumps the
     /// state's relaxation counter. The pass keeps two [`TopK`]s and a
     /// feasible count:
@@ -502,109 +473,37 @@ impl Policy {
     ///   lowest-power candidates overall, chosen the same way (one cap
     ///   relaxation on fallback).
     ///
-    /// `None` (no objective) is the exact pre-energy arithmetic.
-    ///
-    /// Fills `out` with `(device index, start, duration)` triples in
-    /// selection order and returns `(slots filled, candidates
-    /// evaluated)`; the first is `min(out.len(), eligible devices)`, the
-    /// second counts every candidate priced, pruned or not. The plans
-    /// are valid until the next `execute` on the respective device.
-    #[allow(clippy::too_many_arguments)] // two scratch buffers are the point
-    pub(crate) fn plan_k_devices(
-        self,
-        devices: &[Device],
-        classes: &SpecClasses,
-        ready_at: Seconds,
-        avail: Option<&[bool]>,
-        security: Option<&crate::security::SecurePlan>,
-        topo: Option<(&[Seconds], &[usize])>,
-        energy: Option<&mut crate::energy::EnergyState>,
-        survivors: &mut Vec<(Plan, Estimate)>,
-        anchors: &mut Vec<Anchors>,
-        out: &mut [Plan],
-    ) -> (usize, u64) {
-        // The scan is generic over what the layers add to a candidate,
-        // so that a fixed fleet placing a public task — nothing to mask,
-        // nothing to add — compiles to a loop with no option left to
-        // test per candidate. Same source, same arithmetic: `dur + 0.0`.
-        if avail.is_none() && security.is_none() && topo.is_none() {
-            let nothing = |_, _| Some(Seconds::ZERO);
-            return self.scan_k(
-                devices, classes, ready_at, energy, survivors, anchors, out, nothing,
-            );
-        }
-        self.scan_k(
-            devices,
-            classes,
-            ready_at,
-            energy,
-            survivors,
-            anchors,
-            out,
-            // Inlined by force: left to itself the optimizer calls this
-            // once per candidate, which costs more than the roofline did.
-            #[inline(always)]
-            |i, c| {
-                if avail.is_some_and(|a| !a[i]) {
-                    return None; // departed or draining
-                }
-                let mut extra = match security {
-                    None => Seconds::ZERO,
-                    Some(plan) => plan.extra(i, c)?,
-                };
-                if let Some((pool_extras, pool_of)) = topo {
-                    extra += pool_extras[pool_of[i]];
-                }
-                Some(extra)
-            },
-        )
-    }
-
-    /// The flat scan behind [`Policy::plan_k_devices`]. `extra_on(i, c)`
-    /// is the extra duration the availability, security and topology
-    /// layers charge device `i` of class `c`, or `None` when it is not a
-    /// candidate.
+    /// Fills `out` with the chosen `(device index, start, duration)`
+    /// plans in selection order, for the caller to commit with
+    /// [`Device::execute_planned`], and returns `(slots filled,
+    /// candidates evaluated)`: the first is `min(out.len(), candidates)`,
+    /// the second counts every candidate priced, pruned or not.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn scan_k(
+    pub(crate) fn select_plans(
         self,
-        devices: &[Device],
-        classes: &SpecClasses,
-        ready_at: Seconds,
-        energy: Option<&mut crate::energy::EnergyState>,
+        candidates: Candidates<'_>,
+        energy: &mut EnergyState,
         survivors: &mut Vec<(Plan, Estimate)>,
-        anchors: &mut Vec<Anchors>,
         out: &mut [Plan],
-        extra_on: impl Fn(usize, usize) -> Option<Seconds>,
     ) -> (usize, u64) {
         use crate::energy::EnergyObjective::{MinEnergyWithinMakespan, MinMakespanUnderPowerCap};
         let want = out.len().min(MAX_REPLICAS);
-        match energy.and_then(|state| state.objective.map(|obj| (state, obj))) {
-            None if self.needs_norm() => self.weighted_k(
-                devices, classes, ready_at, survivors, anchors, out, &extra_on,
-            ),
+        match energy.objective {
+            None if self.needs_norm() => self.weighted_k(candidates, survivors, out),
             None => {
                 let mut best = TopK::new(want);
-                let m = price_each(
-                    devices,
-                    classes,
-                    ready_at,
-                    &extra_on,
-                    &mut |plan, e, _, _| {
-                        best.offer(self.score(&e, &ScoreNorm::IDENTITY), plan);
-                    },
+                let m = candidates.each(
+                    #[inline(always)]
+                    |plan, e, _, _| best.offer(self.score(&e, &ScoreNorm::IDENTITY), plan),
                 );
                 (best.write(out), m)
             }
-            Some((state, MinEnergyWithinMakespan(bound))) => {
+            Some(MinEnergyWithinMakespan(bound)) => {
                 let (mut cheapest, mut fastest) = (TopK::new(want), TopK::new(want));
                 let mut feasible = 0;
-                let m = price_each(
-                    devices,
-                    classes,
-                    ready_at,
-                    &extra_on,
-                    &mut |plan, e, _, _| {
+                let m = candidates.each(
+                    #[inline(always)]
+                    |plan, e, _, _| {
                         if e.finish.0 <= bound.0 {
                             feasible += 1;
                             cheapest.offer(e.energy.0, plan);
@@ -619,20 +518,17 @@ impl Policy {
                 let pick = if feasible >= want.min(m as usize) {
                     cheapest
                 } else {
-                    state.bound_relaxations += 1;
+                    energy.bound_relaxations += 1;
                     fastest
                 };
                 (pick.write(out), m)
             }
-            Some((state, MinMakespanUnderPowerCap(cap))) => {
+            Some(MinMakespanUnderPowerCap(cap)) => {
                 let (mut capped, mut frugal) = (TopK::new(want), TopK::new(want));
                 let mut feasible = 0;
-                let m = price_each(
-                    devices,
-                    classes,
-                    ready_at,
-                    &extra_on,
-                    &mut |plan, e, power, _| {
+                let m = candidates.each(
+                    #[inline(always)]
+                    |plan, e, power, _| {
                         if power.0 <= cap.0 {
                             feasible += 1;
                             capped.offer(e.finish.0, plan);
@@ -645,7 +541,7 @@ impl Policy {
                 let pick = if feasible >= want.min(m as usize) {
                     capped
                 } else {
-                    state.cap_relaxations += 1;
+                    energy.cap_relaxations += 1;
                     frugal
                 };
                 (pick.write(out), m)
@@ -653,25 +549,22 @@ impl Policy {
         }
     }
 
-    /// `Weighted` placement: price, prune, then score. The pass prices
-    /// every candidate and folds the min-max bounds over all of them,
-    /// but keeps a candidate's plan and estimate in `survivors` only when
-    /// fewer than `k` of its class's `anchors` dominate it
-    /// ([`Policy::plan_k_devices`] has why that drops no winner). Once
-    /// the norm is known, the survivors — a handful per class on a fleet
-    /// whose classes share one energy — are scored in index order into a
-    /// [`TopK`]. The anchors are sized to the class count, so their
-    /// buffer grows only when a class opens; the survivors' to the fleet.
-    #[allow(clippy::too_many_arguments)]
+    /// `Weighted` placement: price, prune, then score. The pass folds
+    /// the [`ScoreNorm`] bounds over every candidate (f64 min/max folds
+    /// are order-independent), but keeps a candidate's plan and estimate
+    /// in `survivors` (sized to the fleet) only when fewer than `k` of
+    /// its group's [`Anchors`] — one inline set, emptied when a group
+    /// begins — dominate it. For `w ∈ [0, 1]` the score is non-decreasing
+    /// in finish and in energy, rounding included, so a dropped candidate
+    /// has `k` candidates ahead of it in the stable order, and the top
+    /// `k` of the survivors — a handful per group on a fleet whose
+    /// classes share one energy, scored once the norm is known — is the
+    /// top `k` of all.
     fn weighted_k(
         self,
-        devices: &[Device],
-        classes: &SpecClasses,
-        ready_at: Seconds,
+        candidates: Candidates<'_>,
         survivors: &mut Vec<(Plan, Estimate)>,
-        anchors: &mut Vec<Anchors>,
         out: &mut [Plan],
-        extra_on: &impl Fn(usize, usize) -> Option<Seconds>,
     ) -> (usize, u64) {
         // The prune's precondition: the score is monotone in finish and
         // energy only for a weight in [0, 1] (`Runtime` validates it at
@@ -682,17 +575,13 @@ impl Policy {
         );
         let want = out.len().min(MAX_REPLICAS);
         survivors.clear();
-        survivors.reserve(devices.len());
-        anchors.clear();
-        anchors.resize(classes.prices().len(), Anchors::empty(want));
+        survivors.reserve(candidates.fleet_size());
+        let mut anchors = (usize::MAX, Anchors::empty(want));
         let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        let m = price_each(
-            devices,
-            classes,
-            ready_at,
-            extra_on,
-            &mut |plan, e, _, class| {
+        let m = candidates.each(
+            #[inline(always)]
+            |plan, e, _, group| {
                 // Compare-select instead of `f64::min`/`max`: no value here
                 // is NaN (specs are validated where classes open).
                 let (finish, energy) = (e.finish.0, e.energy.0);
@@ -700,7 +589,10 @@ impl Policy {
                 t_hi = if finish > t_hi { finish } else { t_hi };
                 e_lo = if energy < e_lo { energy } else { e_lo };
                 e_hi = if energy > e_hi { energy } else { e_hi };
-                if anchors[class].admit(e, want) {
+                if anchors.0 != group {
+                    anchors = (group, Anchors::empty(want));
+                }
+                if anchors.1.admit(e, want) {
                     survivors.push((plan, e));
                 }
             },
@@ -712,44 +604,6 @@ impl Policy {
         }
         (best.write(out), m)
     }
-}
-
-/// Price every candidate of the flat scan, in device-index order: hand
-/// `visit` its plan, its estimate, its class's busy power and its class,
-/// and return how many candidates there were.
-#[inline(always)]
-fn price_each(
-    devices: &[Device],
-    classes: &SpecClasses,
-    ready_at: Seconds,
-    extra_on: &impl Fn(usize, usize) -> Option<Seconds>,
-    visit: &mut impl FnMut(Plan, Estimate, Watt, usize),
-) -> u64 {
-    let mut m = 0;
-    for (i, (d, &c)) in devices.iter().zip(classes.class_of_slice()).enumerate() {
-        let c = c as usize;
-        let Some(extra) = extra_on(i, c) else {
-            continue;
-        };
-        let (dur, power) = classes.price_of(c);
-        let dur = dur + extra;
-        // Compare-select instead of `Seconds::max`: virtual times are
-        // never NaN or −0, so the bits are the same and the NaN fix-up
-        // leaves the loop.
-        let busy = d.busy_until();
-        let start = if busy > ready_at { busy } else { ready_at };
-        // `busy_power * dur` is `DeviceSpec::energy_for` over the class's
-        // one roofline evaluation; the crypto time burns device power
-        // like any other busy time.
-        visit(
-            (i, start, dur),
-            Estimate::new(start + dur, power * dur),
-            power,
-            c,
-        );
-        m += 1;
-    }
-    m
 }
 
 impl Scheduler for Policy {
@@ -795,6 +649,8 @@ pub fn device_estimates_into(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::classes::SpecClasses;
+    use crate::pool::{DevicePools, PoolConfig};
     use legato_hw::device::{DeviceId, DeviceSpec};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -1001,8 +857,8 @@ pub(crate) mod tests {
             prop_assert_eq!(&picked, &selected);
 
             // The one-pass accumulator keeps the same prefix, whether the
-            // candidates arrive in index order (the flat scan) or not
-            // (the pooled search visits shards out of order).
+            // candidates arrive in index order or not (the search visits
+            // shards out of index order).
             let kept = want.min(MAX_REPLICAS);
             for reversed in [false, true] {
                 let mut top = TopK::new(k);
@@ -1032,8 +888,9 @@ pub(crate) mod tests {
 
     /// Constrained top-k selection for a Pareto
     /// [`EnergyObjective`](crate::energy::EnergyObjective) over a written-out
-    /// candidate list, the reference the flat scan's one-pass selection is
-    /// checked against (`the_scan_matches_a_per_device_reference`):
+    /// candidate list, the reference the placement search's one-pass
+    /// selection is checked against
+    /// (`the_scan_matches_a_per_device_reference`):
     ///
     /// * **Min energy within a makespan bound** — when at least `k`
     ///   candidates are predicted to finish by the bound, pick the `k`
@@ -1082,15 +939,19 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The class-priced, one-pass scan against the loops it replaced:
+        /// The one placement search against the loops it replaced:
         /// price every device with its own `spec.time_for`, collect
         /// estimates, plans and candidates, then walk them again for the
         /// bounds (`select_k`) or hand them to `pick_k_pareto`. Same devices,
-        /// same order, same `(start, duration)` bits, same candidate
-        /// count and relaxation counters — over fleets with duplicate
-        /// specs and a singleton class, busy timelines, availability
-        /// masks, security plans (ineligible devices, producer and
-        /// attestation exceptions) and per-pool topology charges.
+        /// same order, same `(start, duration)` bits and relaxation
+        /// counters, and every candidate counted unless the search
+        /// prunes — over fleets with duplicate specs and a singleton
+        /// class, busy timelines, departed devices, security plans
+        /// (ineligible devices, producer and attestation exceptions),
+        /// one pool or random pool memberships whose device indices
+        /// interleave, and per-pool topology charges. The search prunes
+        /// exactly when a membership is set and no security plan or
+        /// objective is.
         #[test]
         fn the_scan_matches_a_per_device_reference(
             seed in any::<u64>(),
@@ -1118,12 +979,28 @@ pub(crate) mod tests {
             let avail: Option<Vec<bool>> = rng
                 .gen_bool(0.5)
                 .then(|| (0..n).map(|_| rng.gen_bool(0.8)).collect());
+            // Each device joins one of up to four pools at random, so the
+            // pools' indices interleave; without a membership the fleet
+            // is one pool.
+            let membership: Option<Vec<Vec<usize>>> = rng.gen_bool(0.5).then(|| {
+                let mut pools = vec![Vec::new(); rng.gen_range(1..=4)];
+                for d in 0..n {
+                    let p = rng.gen_range(0..pools.len());
+                    pools[p].push(d);
+                }
+                pools.retain(|p| !p.is_empty());
+                pools
+            });
+            let mut pool_of = vec![0; n];
+            for (p, pool) in membership.iter().flatten().enumerate() {
+                pool.iter().for_each(|&d| pool_of[d] = p);
+            }
+            let pool_count = membership.as_ref().map_or(1, Vec::len);
             let topo: Option<(Vec<Seconds>, Vec<usize>)> = rng.gen_bool(0.5).then(|| {
-                let pools = rng.gen_range(1..=4);
                 let charge = Seconds(rng.gen_range(0.0..0.2));
                 (
-                    (0..pools).map(|_| if rng.gen_bool(0.5) { charge } else { Seconds::ZERO }).collect(),
-                    (0..n).map(|_| rng.gen_range(0..pools)).collect(),
+                    (0..pool_count).map(|_| if rng.gen_bool(0.5) { charge } else { Seconds::ZERO }).collect(),
+                    pool_of,
                 )
             });
             let work = Work::new(rng.gen_range(1e9..1e11), Bytes::mib(rng.gen_range(0..512)));
@@ -1201,21 +1078,34 @@ pub(crate) mod tests {
                 None => policy.select_k(&ests, &mut chosen[..k]),
             };
 
+            let partitioned = membership.is_some();
+            let mut pools = match membership {
+                Some(pools) => DevicePools::new(PoolConfig::from_membership(pools), &classes)
+                    .expect("a partition of the fleet"),
+                None => DevicePools::one_pool(&classes),
+            };
+            for (d, _) in avail.iter().flatten().enumerate().filter(|(_, &up)| !up) {
+                pools.remove_device(d);
+            }
             let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); 3];
-            let (got, evaluated) = policy.plan_k_devices(
+            let (got, evaluated, pruned) = pools.plan_k(
+                policy,
                 &devices,
                 &classes,
                 ready_at,
-                avail.as_deref(),
+                topo.as_ref().map(|(extras, _)| extras.as_slice()),
                 planned.then_some(&sec.plan),
-                topo.as_ref().map(|(extras, pool_of)| (extras.as_slice(), pool_of.as_slice())),
-                objective.is_some().then_some(&mut actual),
-                &mut Vec::new(),
+                &mut actual,
                 &mut Vec::new(),
                 &mut out[..k],
             );
+            prop_assert_eq!(pruned, partitioned && !planned && objective.is_none());
             prop_assert_eq!(got, filled);
-            prop_assert_eq!(evaluated, ests.len() as u64);
+            if pruned {
+                prop_assert!(evaluated <= ests.len() as u64);
+            } else {
+                prop_assert_eq!(evaluated, ests.len() as u64);
+            }
             for (slot, &c) in chosen[..filled].iter().enumerate() {
                 let (d, start, dur) = out[slot];
                 prop_assert_eq!(
@@ -1259,8 +1149,8 @@ pub(crate) mod tests {
             .expect("devices present")
     }
 
-    /// `policy`'s flat placement of the reference inference task on
-    /// `devices` (ready at zero), held to the reference: `select_k` over
+    /// `policy`'s placement of the reference inference task on `devices`
+    /// (ready at zero, one pool), held to the reference: `select_k` over
     /// the per-device estimates picks the same devices in the same order,
     /// each plan is the device's own `(max(0, busy_until), time_for)`,
     /// and every device is counted as evaluated. Returns the chosen
@@ -1277,16 +1167,15 @@ pub(crate) mod tests {
         let filled = policy.select_k(&inference_estimates(devices), &mut reference[..k]);
         let mut survivors = Vec::new();
         let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let (got, evaluated) = policy.plan_k_devices(
+        let (got, evaluated, _) = DevicePools::one_pool(&classes).plan_k(
+            policy,
             devices,
             &classes,
             Seconds::ZERO,
             None,
             None,
-            None,
-            None,
+            &mut EnergyState::default(),
             &mut survivors,
-            &mut Vec::new(),
             &mut out[..k],
         );
         assert_eq!(got, filled, "{policy:?}, k {k}");

@@ -233,12 +233,19 @@ impl SecurePlan {
         (seal, crossed)
     }
 
-    /// Extra execution duration on device `d` of spec class `c`, or
-    /// `None` when the task must not be placed there.
+    /// Whether the task may run on spec class `c`: the per-class mask a
+    /// placement skips a class by, whole.
     #[inline]
-    pub(crate) fn extra(&self, d: usize, c: usize) -> Option<Seconds> {
-        let cost = self.cost(d, c);
-        cost.eligible.then(|| cost.total())
+    pub(crate) fn admits(&self, c: usize) -> bool {
+        self.classes[c].eligible
+    }
+
+    /// Extra execution duration on device `d` of a class the plan
+    /// [admits](SecurePlan::admits): the class price, corrected for a
+    /// producer of a sealed input or a device not yet attested.
+    #[inline]
+    pub(crate) fn extra(&self, d: usize, c: usize) -> Seconds {
+        self.cost(d, c).total()
     }
 }
 
@@ -551,9 +558,9 @@ mod tests {
             SecurityLevel::Enclave,
             m
         ));
-        assert!(state.plan.extra(0, 0).is_some(), "xeon hosts enclaves");
-        assert!(state.plan.extra(1, 1).is_none(), "gpu must be ineligible");
-        assert!(state.plan.extra(2, 2).is_some(), "arm hosts enclaves");
+        assert!(state.plan.admits(0), "xeon hosts enclaves");
+        assert!(!state.plan.admits(1), "gpu must be ineligible");
+        assert!(state.plan.admits(2), "arm hosts enclaves");
     }
 
     #[test]
@@ -570,8 +577,8 @@ mod tests {
             SecurityLevel::Enclave,
             m,
         );
-        let hw = state.plan.extra(0, 0).unwrap();
-        let sw = state.plan.extra(2, 2).unwrap();
+        let hw = state.plan.extra(0, 0);
+        let sw = state.plan.extra(2, 2);
         assert!(
             hw.0 * 4.0 < sw.0,
             "hardware crypto must be far cheaper: {hw} vs {sw}"
@@ -611,10 +618,10 @@ mod tests {
         ));
         assert_eq!(
             state.plan.extra(0, 0),
-            Some(Seconds::ZERO),
+            Seconds::ZERO,
             "same device: no crossing"
         );
-        let crossing = state.plan.extra(1, 1).unwrap();
+        let crossing = state.plan.extra(1, 1);
         assert!(crossing > Seconds::ZERO, "crossing must pay seal/unseal");
         // Seal at producer (hw rate) + unseal at consumer (sw rate).
         let bytes = Bytes::mib(32);
@@ -778,7 +785,7 @@ mod tests {
         let classes = SpecClasses::new(&devices);
         let reads0 = [(0, AccessMode::In)];
         assert!(state.prepare(&classes, &regions, reads0, SecurityLevel::Public, 0));
-        assert!(state.plan.extra(1, 1).unwrap() > Seconds::ZERO);
+        assert!(state.plan.extra(1, 1) > Seconds::ZERO);
         let reads1 = [(1, AccessMode::In)];
         assert!(!state.prepare(&classes, &regions, reads1, SecurityLevel::Public, 0));
         // A snapshot from before anything was written restores to the

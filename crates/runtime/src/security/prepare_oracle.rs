@@ -165,7 +165,7 @@ proptest! {
                         let c = classes.class_of(d);
                         prop_assert_eq!((d, bits(state.plan.cost(d, c))), (d, bits(want)));
                         prop_assert_eq!(
-                            state.plan.extra(d, c),
+                            state.plan.admits(c).then(|| state.plan.extra(d, c)),
                             want.eligible.then(|| want.total())
                         );
                     }

@@ -41,8 +41,9 @@ pub enum RecordKind {
         devices: ReplicaDevices,
         /// Per-device placement evaluations the search spent on it.
         evaluated: u64,
-        /// Whether the sharded pool search placed it (otherwise the flat
-        /// scan did).
+        /// Whether the placement search pruned: it does on a runtime built
+        /// with pools, for a placement under no security plan and no
+        /// Pareto objective; otherwise it evaluated every eligible device.
         pooled: bool,
     },
     /// An attempt's replicas joined and were voted on, at the attempt's

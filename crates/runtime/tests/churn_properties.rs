@@ -13,9 +13,9 @@
 //!   fleet, the run loop terminates, every error is a typed refusal
 //!   (an expired deferral), and the final report accounts for each
 //!   submitted task at most once — never both placed and failed.
-//! * **Pooled ≡ flat under churn** — crash migrations take the same
+//! * **Pooled ≡ one-pool under churn** — crash migrations take the same
 //!   launcher as every other attempt, so with a pool configuration they
-//!   reach the sharded search: same report as the flat scan, never more
+//!   reach the pruning search: same report as without pools, never more
 //!   placement evaluations — also when an arrival brings a spec the
 //!   build-time fleet lacks and the search opens a class tree mid-run.
 
@@ -153,10 +153,10 @@ proptest! {
     }
 
     /// Single-replica chains under a crash-heavy trace: attempts queued
-    /// on a crashed device migrate through the sharded search when the
+    /// on a crashed device migrate through the pruning search when the
     /// fleet is pooled, and the shards grow and shrink underneath it —
-    /// the report stays bit-identical to the flat scan's, and pruning
-    /// never evaluates more candidates than the scan does.
+    /// the report stays bit-identical to the one-pool run's, and pruning
+    /// never evaluates more candidates than that run does.
     #[test]
     fn pooled_placement_stays_bit_identical_under_churn(
         // Many short chains, submitted as `Normal` tasks (one replica):
@@ -200,9 +200,9 @@ proptest! {
 
     /// An arrival of a spec no build-time device carries (a Jetson
     /// among x86, GPU and FPGA) opens a new spec class mid-run, and with
-    /// it a new shard and class tree in the sharded search: the report
-    /// stays bit-identical to the flat scan's, and pruning never
-    /// evaluates more candidates than the scan does.
+    /// it a new shard and class tree in the pruning search: the report
+    /// stays bit-identical to the one-pool run's, and pruning never
+    /// evaluates more candidates than that run does.
     #[test]
     fn pooled_placement_stays_bit_identical_when_a_new_class_arrives(
         chains in gen::chains(1..4, 8..20),

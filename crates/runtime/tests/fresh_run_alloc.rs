@@ -17,7 +17,8 @@
 //! | build | devices (4 × 160) and fault probabilities (4 × 8) | 2 | 672 |
 //! | build | spec classes: specs (4 × 128), prices (4 × 16), TEE capabilities (4 × 24), class per device (4 × 4) | 4 | 688 |
 //! | build | the class specs' names (56), ladders (4 × 144) and ladder labels (12 strings, 72) | 20 | 704 |
-//! | **build** | | **26** | **2,064** |
+//! | build | the one pool's shards, one per class: shard per device (4 × 8), shards (4 × 40: member list, pool, class), each shard's members (4 × 32) | 6 | 320 |
+//! | **build** | | **32** | **2,384** |
 //! | submit | descriptor column (48 B, 4 → 1,024) | 9 | 98,112 |
 //! | submit | span columns: predecessors (8 B), successors (12 B), accesses (8 B) | 27 | 57,232 |
 //! | submit | access arena (16 B) and its slot column (4 B) | 18 | 40,880 |
@@ -42,8 +43,12 @@
 //!
 //! The other policies differ only in the run: their deferred finishes
 //! take 4 calls and 1,920 B (Energy), 8 and 3,840 (Edp), 6 and 2,304
-//! (Weighted), and Weighted adds its survivor (160) and anchor (288)
-//! scratch, 2 calls.
+//! (Weighted), and Weighted adds its survivor scratch (4 × 40), 1 call.
+//!
+//! Before every runtime placed through its pools, a runtime built
+//! without a `PoolConfig` had none, and the same test read build
+//! 26 / 2,064; Weighted's run read 39 / 66,696, one call more for a
+//! per-class anchor scratch (288 B) that is now one inline set.
 //!
 //! With the outcome table one `Arc<Vec>`, the same test read build
 //! 27 / 2,104 (the empty table's `Arc`, 40 B, allocated at build), run
@@ -125,7 +130,7 @@ fn phases(policy: Policy) -> Phases {
 
 /// Build, submit, report and drop, the same under every policy.
 fn pinned(run: (usize, usize)) -> Phases {
-    [(26, 2_064), (157, 251_860), run, (1, 8), (0, 0)]
+    [(32, 2_384), (157, 251_860), run, (1, 8), (0, 0)]
 }
 
 #[test]
@@ -145,5 +150,5 @@ fn edp() {
 
 #[test]
 fn weighted() {
-    assert_eq!(phases(Policy::Weighted(0.5)), pinned((39, 66_696)));
+    assert_eq!(phases(Policy::Weighted(0.5)), pinned((38, 66_408)));
 }

@@ -1,11 +1,11 @@
 //! Regression pin: steady-state placement must not allocate.
 //!
 //! DESIGN.md §8 promises an allocation-free event path: the one-pass
-//! selections keep their top-k inline; `Weighted`'s survivors (sized to
-//! the fleet) and per-class anchors (sized when a class opens) and the
-//! security plan live in per-runtime scratch sized by the first
-//! placements; the sharded search's trees and stale list are sized when
-//! the pools are built; and `reserve` sizes the outcome table and the
+//! selections keep their top-k inline, `Weighted`'s anchors included;
+//! its survivors (sized to the fleet) and the security plan live in
+//! per-runtime scratch sized by the first placements; the pruning
+//! search's trees and stale list are sized when the pools are built;
+//! and `reserve` sizes the outcome table and the
 //! acceptance log up front. This binary installs a counting allocator,
 //! lets one wave of placements warm every buffer, and asserts that a
 //! second, equal wave allocates nothing, where a placement that
@@ -118,7 +118,7 @@ fn steady_state_placement_is_allocation_free() {
             replicated,
             FLEET,
         ),
-        // `Weighted` with two replicas: every class holds two anchors,
+        // `Weighted` with two replicas: every shard holds two anchors,
         // and every candidate is still priced.
         ("replicated-weighted", base(), replicated, FLEET),
         // The sharded search: on a fleet the chain leaves idle, the

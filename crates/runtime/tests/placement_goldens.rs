@@ -1,13 +1,13 @@
 //! Placement goldens: what every placement path chooses today, frozen.
 //!
-//! Two searches still exist — the flat scan and the sharded
-//! bound-and-prune search — and `pool_equivalence.rs` pins them equal.
-//! These constants are what a single search will be held to once the flat
-//! scan stops being the reference (ROADMAP item 2): each row is one
+//! Every placement goes through one search, which prunes only on a
+//! runtime built with pools; `pool_equivalence.rs` pins pruned and
+//! unpruned placements equal. These constants hold the search to what
+//! the flat O(devices) scan it replaced chose: each row is one
 //! `legato-workloads` fan on one fleet down one placement path, digested
 //! to its placements, makespan and total energy. The policy rows are
-//! checked against the flat scan *and* against `uniform(_, 16)` pools,
-//! which must reproduce them bit for bit.
+//! checked without pools *and* against `uniform(_, 16)` pools, which
+//! must reproduce them bit for bit.
 //!
 //! The constants were generated from the code at commit 18bb543. When a
 //! row moves, the failure prints the whole table as it now reads.

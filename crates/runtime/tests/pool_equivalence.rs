@@ -1,24 +1,25 @@
 //! Equivalence properties pinning the hierarchical sharded scheduler.
 //!
-//! The device-pool layer ([`legato_runtime::pool`]) is a pure pruning
-//! optimisation: with no topology cost configured it must select the
-//! *bit-identical* replica set the flat O(D) scan selects, for every
-//! policy, pillar combination and pool shape. Four contracts pin that,
-//! and a fifth holds the topology charges themselves to the schedule:
+//! A [`PoolConfig`] ([`legato_runtime::pool`]) is a pure pruning
+//! optimisation: with no topology cost configured a runtime built with
+//! one must select the *bit-identical* replica set a runtime without
+//! one — a single pool, whose every placement evaluates every eligible
+//! device — selects, for every policy, pillar combination and pool
+//! shape. Four contracts pin that, and a fifth holds the topology
+//! charges themselves to the schedule:
 //!
-//! * **Pooled ≡ flat** — the same workload on the same seed produces a
-//!   bit-identical [`RunReport`] and rollback trace whether the engine
-//!   searches pools or scans the fleet, across every policy — the
-//!   scale-free ones and `Weighted`, whose global min-max normalization
-//!   the pooled path reconstructs exactly from per-shard busy extrema —
-//!   security mixes (which force the flat fallback per confidential
-//!   task) and resilience (whose rollbacks reset devices and must
-//!   re-dirty every pool).
+//! * **Pooled ≡ one-pool** — the same workload on the same seed produces
+//!   a bit-identical [`RunReport`] and rollback trace whether the engine
+//!   prunes over pools or evaluates the whole fleet, across every
+//!   policy — the scale-free ones and `Weighted`, whose global min-max
+//!   normalization the pruning search reconstructs exactly from
+//!   per-shard busy extrema — security mixes (under which a
+//!   confidential task's placement does not prune) and resilience.
 //! * **Never more work** — the pooled engine evaluates at most as many
-//!   candidate devices as the flat engine on the identical schedule.
+//!   candidate devices as the one-pool engine on the identical schedule.
 //! * **Zero-cost topology ≡ no topology** — a configured topology whose
 //!   transfers are all free (zero-sized regions) charges nothing and
-//!   stays bit-identical to the flat engine.
+//!   stays bit-identical to the one-pool engine.
 //! * **Seeded determinism under topology** — with a real link cost the
 //!   run is a function of the seed alone: two runs agree bit for bit,
 //!   producer tracking and dirty-pool refresh included.
@@ -102,10 +103,11 @@ fn topology_run(
 }
 
 proptest! {
-    /// The pooled engine is bit-identical to the flat engine — report,
-    /// rollback trace and all — for every policy (pruned path and
-    /// fallback paths alike), pool shape, security mix and resilience
-    /// setting, and it never evaluates more candidates doing it.
+    /// The pooled engine is bit-identical to the one-pool engine —
+    /// report, rollback trace and all — for every policy (pruned and
+    /// unpruned placements alike), pool shape, security mix and
+    /// resilience setting, and it never evaluates more candidates doing
+    /// it.
     #[test]
     fn pooled_equals_flat_without_topology(
         chains in gen::chains_strategy(),

@@ -10,8 +10,9 @@
 //!   within 3× of per-task evaluations on 64 devices (the fleet grew
 //!   16×), with identical pool size at both scales.
 //! * **Pruned vs flat** — on the 1024-device fleet the pooled engine
-//!   evaluates at least 3× fewer candidates per task than the flat
-//!   O(D) scan, while producing the bit-identical schedule.
+//!   evaluates at least 3× fewer candidates per task than the same
+//!   fleet without pools, which evaluates every device (O(D)), while
+//!   producing the bit-identical schedule.
 
 use legato_runtime::{EngineConfig, Policy, PoolConfig, Runtime};
 use legato_workloads::{chains, fleets};
