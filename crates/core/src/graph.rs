@@ -159,8 +159,8 @@ impl SuccSpan {
 /// Bytes the graph keeps per task in its columns: descriptor, the three
 /// spans, unmet count and state. DESIGN.md §8 ("Where the memory goes")
 /// budgets them; a field added to the descriptor or a span fails the
-/// build here instead of drifting `bytes_per_task.rs`, and a new column
-/// belongs in this sum.
+/// build here instead of drifting the runtime cost ledger's "10k chains"
+/// peak, and a new column belongs in this sum.
 const TASK_COLUMN_BYTES: usize = size_of::<TaskDescriptor>()
     + 2 * size_of::<Span>()
     + size_of::<SuccSpan>()

@@ -262,7 +262,8 @@ impl Endpoint {
 /// The scheduler's topology layer prices a producer→consumer region
 /// movement as `latency + bytes / bandwidth` without ever materializing
 /// a payload — evaluating a cost is pure arithmetic on `Copy` values
-/// (regression-pinned allocation-free in `tests/comm_cost_alloc.rs`).
+/// (pinned allocation-free by the runtime's cost ledger,
+/// `crates/runtime/tests/cost_ledger.rs`, row "link models").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Sustained link bandwidth.

@@ -10,6 +10,10 @@
 //! wall-clock ratio generous enough to be robust under CI noise; the
 //! absolute numbers are `benchmark/`'s traced `graph.build_ns_per_task`
 //! and `analyze.ns_per_task`.
+//!
+//! This is the one cost guard that is not an exact cell of
+//! `tests/cost_ledger.rs`: the analyzer counts no visits, so there is no
+//! deterministic work counter to pin, only time.
 
 use legato_runtime::{EngineConfig, Policy, Runtime};
 use legato_workloads::{chains_batch, fleets};
