@@ -38,6 +38,7 @@ impl EnergyMeter {
     /// # Panics
     ///
     /// Panics if power or duration is negative or not finite.
+    #[inline]
     pub fn record(&mut self, power: Watt, duration: Seconds) {
         assert!(
             power.0.is_finite() && power.0 >= 0.0,

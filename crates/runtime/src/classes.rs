@@ -117,6 +117,7 @@ impl SpecClasses {
     /// Run the roofline once per class for the task about to be placed,
     /// so [`SpecClasses::price_of`] is bit for bit what `spec.time_for`
     /// returns on any member.
+    #[inline]
     pub(crate) fn price(&mut self, work: Work, kind: TaskKind) {
         for (price, spec) in self.prices.iter_mut().zip(&self.specs) {
             price.0 = spec.time_for(work, kind);

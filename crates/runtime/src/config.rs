@@ -318,7 +318,7 @@ impl EngineConfig {
             rt.energy = energy_state;
         }
         if let Some(cfg) = pools {
-            rt.pools = DevicePools::new(cfg, &rt.classes)?;
+            rt.pools = DevicePools::new(cfg, &rt.classes, &rt.devices)?;
         }
         rt.topology = topology;
         if let Some(cfg) = analysis {

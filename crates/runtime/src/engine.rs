@@ -1071,7 +1071,6 @@ impl Runtime {
         let mut planned = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
         let (k, evaluated, pruned) = self.pools.plan_k(
             self.policy,
-            &self.devices,
             &self.classes,
             at,
             self.topology
@@ -1105,9 +1104,9 @@ impl Runtime {
         let mut finish = Seconds::ZERO;
         for (slot, &(d, plan_start, plan_dur)) in planned[..k].iter().enumerate() {
             let (s, f) = self.devices[d].execute_planned(plan_start, plan_dur);
-            // The device's timeline moved: its shard's leaf in the class
-            // tree is stale.
-            self.pools.mark_dirty(d);
+            // The device's timeline moved: mirror it into its shard's
+            // busy column (and queue the shard's leaf in the class tree).
+            self.pools.commit(d, f);
             devices[slot] = u32::try_from(d).expect("fewer than 2^32 devices");
             start = start.min(s);
             finish = finish.max(f);
@@ -1344,7 +1343,8 @@ impl Runtime {
             // the fleet.
             self.energy.op_fault_probs.push(fp);
         }
-        self.pools.add_device(d, class, pool.unwrap_or(d));
+        let busy = self.devices[d].busy_until();
+        self.pools.add_device(d, class, pool.unwrap_or(d), busy);
         let churn = self
             .churn
             .as_mut()

@@ -16,9 +16,10 @@
 //! * the shards of one spec class are the leaves of that class's
 //!   *tournament tree*, and every node caches the least and the greatest
 //!   `busy_until` of the members below it. A member's timeline change
-//!   queues its shard once (`DevicePools::mark_dirty`); the next
-//!   pruning placement recomputes each queued leaf and re-folds its path
-//!   to the root, and shards that did not change cost nothing;
+//!   writes its shard's busy column and queues the shard once
+//!   (`DevicePools::commit`); the next pruning placement recomputes each
+//!   queued leaf from the column and re-folds its path to the root, and
+//!   shards that did not change cost nothing;
 //! * with a node's cached availability minimum, the class price gives a
 //!   **lower bound** on the score of every member below it under the
 //!   active [`Policy`]. At a leaf the bound is the score of the shard's
@@ -70,7 +71,7 @@
 //! whose charge range could still move one of its four extremes.
 
 use legato_core::task::AccessMode;
-use legato_core::units::{Seconds, Watt};
+use legato_core::units::{Joule, Seconds, Watt};
 use legato_hw::cluster::NodeSpec;
 use legato_hw::comm::LinkModel;
 use legato_hw::device::{Device, DeviceSpec};
@@ -304,12 +305,129 @@ struct Shard {
     /// [`DeviceSpec`], which makes the shard's score bound exact (see the
     /// module docs).
     members: Vec<usize>,
+    /// `busy[i]` is `devices[members[i]].busy_until()`, bit for bit: the
+    /// one column a placement reads per member ([`Shard::price`]), eight
+    /// to a cache line where a [`Device`] is 160 B. Seeded from the
+    /// devices when the shard is built or a device joins, and written
+    /// where a timeline moves ([`DevicePools::commit`]).
+    busy: Vec<Seconds>,
     /// The pool it belongs to (indexes the topology extras).
     pool: usize,
     /// Its spec class ([`SpecClasses`]) — usually far fewer classes than
     /// shards (a 1k fleet cycling four reference specs has four classes
     /// and hundreds of shards).
     class: usize,
+}
+
+/// Members one [`Chunk`] holds: one cache line of the busy column.
+const LANES: usize = 8;
+
+/// A chunk's per-member start and duration: scratch a placement fills
+/// chunk after chunk ([`Shard::price`]), set up once per placement so a
+/// 1-member shard pays for no more than its member.
+#[derive(Default)]
+pub(crate) struct Lanes {
+    start: [f64; LANES],
+    dur: [f64; LANES],
+}
+
+/// Up to [`LANES`] consecutive members of one shard, priced: what
+/// [`Shard::price`] hands a selection arm. Lane `i` is member
+/// `members[i]`; lanes past the last member are stale. `lo` pairs the
+/// chunk's least finish with its least energy, a lower bound on every
+/// member's key under a key monotone in both, and `hi` the greatest of
+/// each, so an arm can skip a chunk none of whose members it could
+/// choose without reading the lanes.
+pub(crate) struct Chunk<'a> {
+    /// Member device indices, ascending, 1 to [`LANES`] of them.
+    members: &'a [usize],
+    lanes: &'a Lanes,
+    /// The shard's busy power, shared by every member.
+    pub(crate) power: Watt,
+    /// The shard the members belong to.
+    pub(crate) shard: usize,
+    pub(crate) lo: Estimate,
+    pub(crate) hi: Estimate,
+}
+
+impl Lanes {
+    /// Lane `i`'s estimate at busy power `power`: the same two
+    /// operations that price the chunk's corners, so the same bits.
+    #[inline(always)]
+    fn estimate(&self, i: usize, power: Watt) -> Estimate {
+        let dur = Seconds(self.dur[i]);
+        Estimate::new(Seconds(self.start[i]) + dur, power * dur)
+    }
+}
+
+impl Chunk<'_> {
+    /// Number of members.
+    #[inline(always)]
+    pub(crate) fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// The lowest member device index.
+    #[inline(always)]
+    pub(crate) fn first(&self) -> usize {
+        self.members[0]
+    }
+
+    /// Member `i`'s plan.
+    #[inline(always)]
+    pub(crate) fn plan(&self, i: usize) -> Plan {
+        (
+            self.members[i],
+            Seconds(self.lanes.start[i]),
+            Seconds(self.lanes.dur[i]),
+        )
+    }
+
+    /// Member `i`'s estimate: the same two operations that priced the
+    /// chunk's corners, so the same bits.
+    #[inline(always)]
+    pub(crate) fn estimate(&self, i: usize) -> Estimate {
+        self.lanes.estimate(i, self.power)
+    }
+}
+
+/// The lesser of `a` and `b`: a compare-select instead of `f64::min`. No
+/// value priced here is NaN or −0 (specs are validated where classes
+/// open, virtual times start at zero), so the bits are the same and the
+/// NaN fix-up leaves the loop.
+#[inline(always)]
+pub(crate) fn least(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The greater of `a` and `b`, as [`least`].
+#[inline(always)]
+pub(crate) fn greatest(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The least and the greatest of eight lanes, folded as a tree: three
+/// levels of independent compare-selects instead of one chain that waits
+/// on its previous step at every lane.
+#[inline(always)]
+fn spread(v: &[f64; LANES]) -> (f64, f64) {
+    let (mut lo4, mut hi4) = ([0.0; 4], [0.0; 4]);
+    for i in 0..4 {
+        (lo4[i], hi4[i]) = (least(v[i], v[i + 4]), greatest(v[i], v[i + 4]));
+    }
+    let (lo2, hi2) = (
+        [least(lo4[0], lo4[2]), least(lo4[1], lo4[3])],
+        [greatest(hi4[0], hi4[2]), greatest(hi4[1], hi4[3])],
+    );
+    (least(lo2[0], lo2[1]), greatest(hi2[0], hi2[1]))
 }
 
 impl Shard {
@@ -321,39 +439,84 @@ impl Shard {
     /// Price every member `d` of shard `s` (this one) — its class's
     /// duration and busy power from `prices`, plus its extra: `secure(d)`
     /// (the security plan's price on it) and its pool's `charge` — and
-    /// hand `visit` each one's plan, estimate, busy power and shard, in
-    /// member order; returns how many it priced. The one pricing every
-    /// placement uses; `prices` and `ready_at` come by value (DESIGN.md §8).
+    /// hand `visit` the members in [`Chunk`]s of [`LANES`], in member
+    /// order; returns how many it priced. A full chunk reads one cache
+    /// line of the busy column and folds its extremes as a tree; a
+    /// shorter tail, a whole 1-member shard included, is priced and
+    /// folded lane by lane. The one pricing every placement uses, and the
+    /// one reader of the column per member; `prices` and `ready_at` come
+    /// by value (DESIGN.md §8).
     #[inline(always)]
     fn price(
         &self,
         s: usize,
         (prices, ready_at): (&[(Seconds, Watt)], Seconds),
         charge: Seconds,
-        devices: &[Device],
         secure: impl Fn(usize) -> Seconds,
-        visit: &mut impl FnMut(Plan, Estimate, Watt, usize),
+        lanes: &mut Lanes,
+        visit: &mut impl FnMut(&Chunk),
     ) -> u64 {
         let (dur, power) = prices[self.class];
-        for &d in &self.members {
-            // Compare-select instead of `Seconds::max`: virtual times are
-            // never NaN or −0, so the bits are the same and the NaN fix-up
-            // leaves the loop.
-            let busy = devices[d].busy_until();
-            let start = if busy > ready_at { busy } else { ready_at };
-            let dur = dur + (secure(d) + charge);
-            // `busy_power * dur` is `DeviceSpec::energy_for` over the
-            // class's one roofline evaluation; the crypto time burns
-            // device power like any other busy time.
-            visit(
-                (d, start, dur),
-                Estimate::new(start + dur, power * dur),
+        // The start is a compare-select, as in `least`. `busy_power * dur`
+        // is `DeviceSpec::energy_for` over the class's one roofline
+        // evaluation; the crypto time burns device power like any other
+        // busy time.
+        let start = |busy: Seconds| if busy > ready_at { busy.0 } else { ready_at.0 };
+        let dur = |d: usize| (dur + (secure(d) + charge)).0;
+        let (mut members, mut busy) = (&self.members[..], &self.busy[..self.members.len()]);
+        while !members.is_empty() {
+            let n = members.len().min(LANES);
+            let (t, e) = if let (Ok(m), Ok(b)) = (
+                <&[usize; LANES]>::try_from(&members[..n]),
+                <&[Seconds; LANES]>::try_from(&busy[..n]),
+            ) {
+                let (mut finish, mut energy) = ([0.0; LANES], [0.0; LANES]);
+                for i in 0..LANES {
+                    (lanes.start[i], lanes.dur[i]) = (start(b[i]), dur(m[i]));
+                    finish[i] = lanes.start[i] + lanes.dur[i];
+                    energy[i] = power.0 * lanes.dur[i];
+                }
+                (spread(&finish), spread(&energy))
+            } else {
+                let mut fold = [
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ];
+                for i in 0..n {
+                    (lanes.start[i], lanes.dur[i]) = (start(busy[i]), dur(members[i]));
+                    let e = lanes.estimate(i, power);
+                    let (t, e) = (e.finish.0, e.energy.0);
+                    fold = [
+                        least(fold[0], t),
+                        greatest(fold[1], t),
+                        least(fold[2], e),
+                        greatest(fold[3], e),
+                    ];
+                }
+                ((fold[0], fold[1]), (fold[2], fold[3]))
+            };
+            visit(&Chunk {
+                members: &members[..n],
+                lanes,
                 power,
-                s,
-            );
+                shard: s,
+                lo: Estimate::new(Seconds(t.0), Joule(e.0)),
+                hi: Estimate::new(Seconds(t.1), Joule(e.1)),
+            });
+            (members, busy) = (&members[n..], &busy[n..]);
         }
         self.members.len() as u64
     }
+}
+
+/// `shard_of`'s position of a device no shard holds any more.
+const GONE: u32 = u32::MAX;
+
+/// A shard index or member position as `shard_of` stores it.
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 shards and members")
 }
 
 /// Runtime state of the placement layer: the homogeneous shards each
@@ -370,8 +533,9 @@ pub(crate) struct DevicePools {
     partitioned: bool,
     /// Number of (non-empty) pools; one without a [`PoolConfig`].
     pool_count: usize,
-    /// Shard index of each device.
-    shard_of: Vec<usize>,
+    /// Shard index of each device and its position among the shard's
+    /// members (`GONE` once it left them).
+    shard_of: Vec<(u32, u32)>,
     shards: Vec<Shard>,
     /// Leaf slot of each shard in its class's tree. This and the three
     /// fields below stay empty unless `partitioned`.
@@ -397,7 +561,11 @@ impl DevicePools {
     /// exact partition of the device indices. A uniform rule is checked
     /// against the fleet before it is expanded, so a count of any size
     /// is refused without allocating for it.
-    pub(crate) fn new(config: PoolConfig, classes: &SpecClasses) -> Result<Self, RuntimeError> {
+    pub(crate) fn new(
+        config: PoolConfig,
+        classes: &SpecClasses,
+        devices: &[Device],
+    ) -> Result<Self, RuntimeError> {
         let device_count = classes.class_of_slice().len();
         let out_of_range = |d: usize| {
             RuntimeError::invalid_parameter(
@@ -445,28 +613,30 @@ impl DevicePools {
         if let Some(d) = assigned.iter().position(|&a| !a) {
             return Err(unassigned(d));
         }
-        Ok(Self::sharded(pools.into_iter(), classes, true))
+        Ok(Self::sharded(pools.into_iter(), classes, devices, true))
     }
 
     /// The fleet as one pool, sharded by spec class: the pools of a
     /// runtime built without a [`PoolConfig`], whose placements never
     /// prune.
-    pub(crate) fn one_pool(classes: &SpecClasses) -> Self {
+    pub(crate) fn one_pool(classes: &SpecClasses, devices: &[Device]) -> Self {
         let fleet = 0..classes.class_of_slice().len();
-        Self::sharded(std::iter::once(fleet), classes, false)
+        Self::sharded(std::iter::once(fleet), classes, devices, false)
     }
 
     /// Split every pool, its devices listed in ascending order, into one
-    /// shard per spec class; the shards' members stay ascending.
+    /// shard per spec class; the shards' members stay ascending, and
+    /// their busy column starts from the devices' timelines.
     fn sharded<P: IntoIterator<Item = usize>>(
         pools: impl ExactSizeIterator<Item = P>,
         classes: &SpecClasses,
+        devices: &[Device],
         partitioned: bool,
     ) -> Self {
         let mut built = DevicePools {
             partitioned,
             pool_count: pools.len(),
-            shard_of: vec![0; classes.class_of_slice().len()],
+            shard_of: vec![(0, 0); classes.class_of_slice().len()],
             shards: Vec::new(),
             slot_of: Vec::new(),
             trees: Vec::new(),
@@ -481,8 +651,7 @@ impl DevicePools {
                 let s = (first..built.shards.len())
                     .find(|&s| built.shards[s].class == class)
                     .unwrap_or_else(|| built.open(p, class));
-                built.shards[s].members.push(d);
-                built.shard_of[d] = s;
+                built.join(s, d, devices[d].busy_until());
             }
         }
         built
@@ -495,6 +664,7 @@ impl DevicePools {
         let s = self.shards.len();
         self.shards.push(Shard {
             members: Vec::new(),
+            busy: Vec::new(),
             pool: p,
             class,
         });
@@ -509,6 +679,15 @@ impl DevicePools {
         s
     }
 
+    /// Append device `d`, busy until `busy`, to shard `s`'s members: its
+    /// index must exceed every member's, which keeps them ascending.
+    fn join(&mut self, s: usize, d: usize, busy: Seconds) {
+        let shard = &mut self.shards[s];
+        self.shard_of[d] = (index(s), index(shard.members.len()));
+        shard.members.push(d);
+        shard.busy.push(busy);
+    }
+
     /// Queue shard `s`'s leaf for recomputation, once (a fleet with no
     /// trees has nothing to queue).
     fn touch(&mut self, s: usize) {
@@ -520,7 +699,7 @@ impl DevicePools {
 
     /// The pool device `d` belongs to (or belonged to, once departed).
     pub(crate) fn pool_of(&self, d: usize) -> usize {
-        self.shards[self.shard_of[d]].pool
+        self.shards[self.shard_of[d].0 as usize].pool
     }
 
     /// Number of pools.
@@ -528,49 +707,62 @@ impl DevicePools {
         self.pool_count
     }
 
-    /// Device `d`'s timeline changed: its shard's leaf is stale.
-    pub(crate) fn mark_dirty(&mut self, d: usize) {
-        if self.partitioned {
-            self.touch(self.shard_of[d]);
-        }
+    /// Device `d`'s timeline now runs to `finish`, its new
+    /// `busy_until`: write its entry of its shard's busy column, and queue
+    /// the shard's leaf. O(1); the one place the column moves after a
+    /// device joined.
+    #[inline]
+    pub(crate) fn commit(&mut self, d: usize, finish: Seconds) {
+        let (s, i) = self.shard_of[d];
+        let s = s as usize;
+        self.shards[s].busy[i as usize] = finish;
+        self.touch(s);
     }
 
     /// Grow the structures for an arriving device `d` (the next index)
-    /// of spec class `class`: join the same-class shard of `pool` or
-    /// open a new one (and a new tree for a class no shard carried), and
-    /// queue the shard's leaf. `pool` wraps modulo the pool count, so
-    /// round-robin callers need no bounds handling.
-    pub(crate) fn add_device(&mut self, d: usize, class: usize, pool: usize) {
+    /// of spec class `class`, busy until `busy`: join the same-class
+    /// shard of `pool` or open a new one (and a new tree for a class no
+    /// shard carried), and queue the shard's leaf. `pool` wraps modulo
+    /// the pool count, so round-robin callers need no bounds handling.
+    pub(crate) fn add_device(&mut self, d: usize, class: usize, pool: usize, busy: Seconds) {
         debug_assert_eq!(d, self.shard_of.len(), "arrivals append at the end");
         let p = pool % self.pool_count;
         let s = (self.shards.iter())
             .position(|shard| shard.class == class && shard.pool == p)
             .unwrap_or_else(|| self.open(p, class));
-        // Members stay ascending: the new device's index exceeds every
-        // existing one.
-        self.shards[s].members.push(d);
-        self.shard_of.push(s);
+        self.shard_of.push((0, 0));
+        self.join(s, d, busy);
         self.touch(s);
     }
 
     /// Remove a departed or draining device from its shard, and so from
-    /// every later placement. The shard itself stays (possibly empty —
-    /// its leaf then folds to an empty span, which the walk never
-    /// enters), which keeps every stored shard index valid.
+    /// every later placement; the members after it move up one position.
+    /// The shard itself stays (possibly empty — its leaf then folds to
+    /// an empty span, which the walk never enters), which keeps every
+    /// stored shard index valid. A device already removed is left as is.
     pub(crate) fn remove_device(&mut self, d: usize) {
-        let s = self.shard_of[d];
-        self.shards[s].members.retain(|&m| m != d);
+        let (s, i) = self.shard_of[d];
+        if i == GONE {
+            return;
+        }
+        let (s, i) = (s as usize, i as usize);
+        let shard = &mut self.shards[s];
+        shard.members.remove(i);
+        shard.busy.remove(i);
+        for &m in &shard.members[i..] {
+            self.shard_of[m].1 -= 1;
+        }
+        self.shard_of[d].1 = GONE;
         self.touch(s);
     }
 
-    /// Recompute every queued leaf from its members' timelines and
+    /// Recompute every queued leaf from its shard's busy column and
     /// re-fold its path to the root.
-    fn refresh(&mut self, devices: &[Device]) {
+    fn refresh(&mut self) {
         while let Some(s) = self.stale.pop() {
             self.queued[s] = false;
             let shard = &self.shards[s];
-            let span = shard.members.iter().fold(Span::EMPTY, |span, &d| {
-                let busy = devices[d].busy_until();
+            let span = (shard.busy.iter()).fold(Span::EMPTY, |span, &busy| {
                 span.join(Span { lo: busy, hi: busy })
             });
             self.trees[shard.class].set(self.slot_of[s], span);
@@ -604,7 +796,6 @@ impl DevicePools {
     pub(crate) fn plan_k(
         &mut self,
         policy: Policy,
-        devices: &[Device],
         classes: &SpecClasses,
         ready_at: Seconds,
         extras: Option<&[Seconds]>,
@@ -622,13 +813,13 @@ impl DevicePools {
             norm: ScoreNorm::IDENTITY,
         };
         if self.partitioned && security.is_none() && energy.objective.is_none() {
-            let (filled, evaluated) = self.walk_k(q, devices, out);
+            let (filled, evaluated) = self.walk_k(q, out);
             return (filled, evaluated, true);
         }
         let candidates = Candidates {
             shards: &self.shards,
             q,
-            devices,
+            fleet: self.shard_of.len(),
             security,
         };
         let (filled, evaluated) = policy.select_plans(candidates, energy, survivors, out);
@@ -638,12 +829,12 @@ impl DevicePools {
     /// The pruning search: walk the class trees, skipping every subtree
     /// whose bound is strictly worse than the k-th best score so far.
     #[inline(never)] // one call site; kept out of the unpruned search's frame
-    fn walk_k(&mut self, mut q: Query, devices: &[Device], out: &mut [Plan]) -> (usize, u64) {
-        let want = out.len().min(devices.len()).min(MAX_REPLICAS);
+    fn walk_k(&mut self, mut q: Query, out: &mut [Plan]) -> (usize, u64) {
+        let want = out.len().min(self.shard_of.len()).min(MAX_REPLICAS);
         if want == 0 {
             return (0, 0);
         }
-        self.refresh(devices);
+        self.refresh();
         if let Some(extras) = q.extras {
             let none = (Seconds(f64::INFINITY), Seconds(f64::NEG_INFINITY));
             q.charge = extras
@@ -699,23 +890,17 @@ impl DevicePools {
         // still hold the tie-break winner, so it is entered; only
         // strictly worse ones are pruned, which is what makes the
         // selection exact.
-        let mut best = TopK::new(want);
-        let evaluate = |s: usize, best: &mut TopK| {
+        let (mut best, mut lanes) = (TopK::new(want), Lanes::default());
+        let mut evaluate = |s: usize, best: &mut TopK| {
             let (at, charge) = ((q.classes.prices(), q.ready_at), self.shards[s].charge(&q));
-            self.shards[s].price(
-                s,
-                at,
-                charge,
-                devices,
-                |_| Seconds::ZERO,
-                &mut |plan, e, _, _| {
-                    best.offer(q.policy.score(&e, &q.norm), plan);
-                },
-            )
+            let key = |e: &Estimate| q.policy.score(e, &q.norm);
+            self.shards[s].price(s, at, charge, |_| Seconds::ZERO, &mut lanes, &mut |c| {
+                best.offer_chunk(c, key);
+            })
         };
         let mut evaluated = seed.map_or(0, |s| evaluate(s, &mut best));
         let mut gather = |lb: f64, leaf: Option<usize>| {
-            if best.bar().is_some_and(|bar| lb > bar) {
+            if best.bar().is_some_and(|(bar, _)| lb > bar) {
                 return false;
             }
             if let Some(s) = leaf.filter(|&s| Some(s) != seed) {
@@ -860,40 +1045,40 @@ impl DevicePools {
 pub(crate) struct Candidates<'a> {
     shards: &'a [Shard],
     q: Query<'a>,
-    devices: &'a [Device],
+    /// The fleet's size, departed devices included.
+    fleet: usize,
     security: Option<&'a SecurePlan>,
 }
 
 impl Candidates<'_> {
     /// The fleet's size: at least the candidate count.
     pub(crate) fn fleet_size(self) -> usize {
-        self.devices.len()
+        self.fleet
     }
 
     /// Price every live member of every shard whose class the security
     /// plan admits — a class it does not admit is skipped whole — shard
-    /// by shard, and hand `visit` each one's plan, estimate, busy power
-    /// and shard; returns how many it priced. A shard's members arrive
-    /// together and in ascending index order, the order
-    /// [`Anchors`](crate::scheduler::Anchors) needs of a group; the
-    /// shards of one class may interleave indices.
+    /// by shard, and hand `visit` them in [`Chunk`]s; returns how many
+    /// it priced. A shard's chunks arrive together and in ascending index
+    /// order, the order [`Anchors`](crate::scheduler::Anchors) needs of a
+    /// group; the shards of one class may interleave indices.
     #[inline(always)]
-    pub(crate) fn each(self, mut visit: impl FnMut(Plan, Estimate, Watt, usize)) -> u64 {
-        let (q, devices, shards) = (&self.q, self.devices, self.shards.iter().enumerate());
+    pub(crate) fn each(self, mut visit: impl FnMut(&Chunk)) -> u64 {
+        let (q, shards) = (&self.q, self.shards.iter().enumerate());
         let at = (q.classes.prices(), q.ready_at);
-        let mut priced = 0;
+        let (mut priced, lanes) = (0, &mut Lanes::default());
         match self.security {
             None => {
                 for (s, shard) in shards {
                     let charge = shard.charge(q);
-                    priced += shard.price(s, at, charge, devices, |_| Seconds::ZERO, &mut visit);
+                    priced += shard.price(s, at, charge, |_| Seconds::ZERO, lanes, &mut visit);
                 }
             }
             Some(plan) => {
                 for (s, shard) in shards {
                     if plan.admits(shard.class) {
                         let (charge, secure) = (shard.charge(q), |d| plan.extra(d, shard.class));
-                        priced += shard.price(s, at, charge, devices, secure, &mut visit);
+                        priced += shard.price(s, at, charge, secure, lanes, &mut visit);
                     }
                 }
             }
@@ -964,7 +1149,7 @@ impl TopologyConfig {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use legato_core::requirements::SecurityLevel;
     use legato_core::task::{TaskKind, Work};
@@ -986,7 +1171,7 @@ mod tests {
     }
 
     fn pools_over(config: PoolConfig, devices: &[Device]) -> Result<DevicePools, RuntimeError> {
-        DevicePools::new(config, &SpecClasses::new(devices))
+        DevicePools::new(config, &SpecClasses::new(devices), devices)
     }
 
     /// The class table of `devices`, priced for one task.
@@ -1011,7 +1196,6 @@ mod tests {
         let mut energy = EnergyState::default();
         let (filled, evaluated, pruned) = pools.plan_k(
             policy,
-            devices,
             &classes,
             ready_at,
             extras,
@@ -1057,11 +1241,11 @@ mod tests {
         assert_eq!(pools.pool_count(), 3); // 4 + 4 + 2
         let mut seen = [false; 10];
         for (s, shard) in pools.shards.iter().enumerate() {
-            for &d in &shard.members {
+            for (i, &d) in shard.members.iter().enumerate() {
                 assert!(!seen[d]);
                 seen[d] = true;
                 assert_eq!(pools.pool_of(d), shard.pool);
-                assert_eq!(pools.shard_of[d], s);
+                assert_eq!(pools.shard_of[d], (index(s), index(i)));
                 assert_eq!(
                     devices[d].spec, devices[shard.members[0]].spec,
                     "shards are spec-homogeneous"
@@ -1398,8 +1582,8 @@ mod tests {
         // Busy every device in pool 0, mark them dirty, and check the
         // pooled result still matches flat.
         for (d, dev) in devices.iter_mut().enumerate().take(4) {
-            dev.execute(Seconds::ZERO, Work::flops(5e13), TaskKind::Compute);
-            pools.mark_dirty(d);
+            let (_, finish) = dev.execute(Seconds::ZERO, Work::flops(5e13), TaskKind::Compute);
+            pools.commit(d, finish);
         }
         let (filled, _) = pooled_plan(
             &mut pools,
@@ -1545,6 +1729,59 @@ mod tests {
         assert_eq!(pool_extras, [Seconds::ZERO; 4]);
     }
 
+    /// The busy column mirrors the fleet: every member's entry is its
+    /// device's `busy_until`, bit for bit, the members stay ascending,
+    /// `shard_of` finds each member at its position, and a device no
+    /// shard holds is marked gone.
+    pub(crate) fn check_mirror(
+        pools: &DevicePools,
+        devices: &[Device],
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(pools.shard_of.len(), devices.len());
+        let mut held = vec![false; devices.len()];
+        for (s, shard) in pools.shards.iter().enumerate() {
+            prop_assert_eq!(shard.members.len(), shard.busy.len());
+            prop_assert!(shard.members.windows(2).all(|w| w[0] < w[1]));
+            for (i, (&d, &busy)) in shard.members.iter().zip(&shard.busy).enumerate() {
+                prop_assert_eq!(busy.0.to_bits(), devices[d].busy_until().0.to_bits());
+                prop_assert_eq!(pools.shard_of[d], (index(s), index(i)));
+                held[d] = true;
+            }
+        }
+        for (d, &held) in held.iter().enumerate() {
+            prop_assert_eq!((d, held), (d, pools.shard_of[d].1 != GONE));
+        }
+        Ok(())
+    }
+
+    /// Pools built over a fleet whose devices already carry a backlog —
+    /// partitioned or one pool — start their column from the timelines,
+    /// and a departure keeps the rest of its shard in place.
+    #[test]
+    fn pools_over_a_backlog_seed_the_column() {
+        let mut devices = fleet(24);
+        for (i, d) in devices.iter_mut().enumerate() {
+            if i % 3 != 0 {
+                d.execute(
+                    Seconds::ZERO,
+                    Work::flops(1e11 * i as f64),
+                    TaskKind::Compute,
+                );
+            }
+        }
+        let classes = SpecClasses::new(&devices);
+        for mut pools in [
+            pools_over(PoolConfig::uniform(24, 10), &devices).expect("valid"),
+            DevicePools::one_pool(&classes, &devices),
+        ] {
+            check_mirror(&pools, &devices).expect("seeded from the timelines");
+            for d in [5, 1, 21, 5] {
+                pools.remove_device(d);
+                check_mirror(&pools, &devices).expect("a departure shifts its shard");
+            }
+        }
+    }
+
     /// Every leaf spans its shard's members, every internal node joins
     /// its children, and every shard sits at its slot in its class's
     /// tree, in ascending order.
@@ -1627,7 +1864,9 @@ mod tests {
         /// The trees against brute force, through timelines that move,
         /// devices that leave and arrivals — some of a spec no shard
         /// carries yet, which opens a class tree mid-run. After every
-        /// search the trees hold their invariants, the selection and
+        /// step the busy column mirrors the timelines bit for bit, with
+        /// every departed device out of its shard; after every search
+        /// the trees hold their invariants, the selection and
         /// plans are the per-device reference's bit for bit, and a k = 1 search
         /// evaluates exactly the shards whose bound ties the minimum;
         /// with topology charges drawn per pool, all of it still holds.
@@ -1665,14 +1904,15 @@ mod tests {
                 let picked = (!live.is_empty()).then(|| live[pick % live.len()]);
                 match (op, picked) {
                     (0, Some(d)) => {
-                        devices[d].execute(Seconds(x), Work::flops(1e12 * x), TaskKind::Compute);
-                        pools.mark_dirty(d);
+                        let work = Work::flops(1e12 * x);
+                        let (_, finish) = devices[d].execute(Seconds(x), work, TaskKind::Compute);
+                        pools.commit(d, finish);
                     }
                     (1, _) => {
                         let d = devices.len();
                         devices.push(Device::new(DeviceId(d as u64), specs[pick % 5].clone()));
                         let class = classes.add_device(&devices[d].spec);
-                        pools.add_device(d, class, pick);
+                        pools.add_device(d, class, pick, devices[d].busy_until());
                         avail.push(true);
                     }
                     (2, Some(d)) => {
@@ -1681,6 +1921,7 @@ mod tests {
                     }
                     _ => {}
                 }
+                check_mirror(&pools, &devices)?;
                 let extras: Option<Vec<Seconds>> = charged.then(|| {
                     (0..pools.pool_count())
                         .map(|p| Seconds(0.25 * f64::from(levels[(p + step) % levels.len()])))
@@ -1694,7 +1935,6 @@ mod tests {
                     let mut out = [(0usize, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
                     let (filled, evaluated, _) = pools.plan_k(
                         policy,
-                        &devices,
                         &classes,
                         ready_at,
                         extras,
@@ -1714,9 +1954,10 @@ mod tests {
                     }
                     if op == 3 && want == k {
                         for &(d, start, dur) in &out[..filled] {
-                            devices[d].execute_planned(start, dur);
-                            pools.mark_dirty(d);
+                            let (_, finish) = devices[d].execute_planned(start, dur);
+                            pools.commit(d, finish);
                         }
+                        check_mirror(&pools, &devices)?;
                     }
                 }
             }

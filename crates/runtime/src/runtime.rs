@@ -439,7 +439,7 @@ impl Runtime {
         let classes = SpecClasses::new(&devices);
         Runtime {
             fault_probs: vec![0.0; devices.len()],
-            pools: DevicePools::one_pool(&classes),
+            pools: DevicePools::one_pool(&classes, &devices),
             classes,
             devices,
             graph: TaskGraph::new(),

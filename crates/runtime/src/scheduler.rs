@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyState;
 use crate::error::RuntimeError;
-use crate::pool::Candidates;
+use crate::pool::{greatest, least, Candidates, Chunk};
 use crate::replication::MAX_REPLICAS;
 
 /// Predicted cost of running a task on one candidate execution site.
@@ -248,7 +248,8 @@ pub(crate) type Plan = (usize, Seconds, Seconds);
 /// any order. An unpruned placement offers every candidate as it prices
 /// it (`Weighted`: every survivor of its prune, once the norm is known);
 /// a pruning one offers the members of the shards it does not prune, in
-/// tree order.
+/// tree order. Either skips a [`Chunk`] none of whose members could
+/// enter ([`TopK::offer_chunk`]).
 #[derive(Debug)]
 pub(crate) struct TopK {
     keys: [f64; MAX_REPLICAS],
@@ -269,11 +270,36 @@ impl TopK {
         }
     }
 
-    /// The key a candidate must beat once `want` plans are held (`None`
-    /// until then): the pruning search skips a subtree of shards whose
-    /// bound is strictly above it.
-    pub(crate) fn bar(&self) -> Option<f64> {
-        (self.len == self.want && self.len > 0).then(|| self.keys[self.len - 1])
+    /// The key a candidate must beat once `want` plans are held, and the
+    /// device index that wins a tie with it (`None` until then): the
+    /// pruning search skips a subtree of shards whose bound is strictly
+    /// above the key.
+    pub(crate) fn bar(&self) -> Option<(f64, usize)> {
+        let last = self.len.wrapping_sub(1);
+        (self.len == self.want && self.len > 0).then(|| (self.keys[last], self.plans[last].0))
+    }
+
+    /// Whether a candidate keyed `key` or more, on device `first` or a
+    /// later one, could enter: the key is below the bar, or ties it on a
+    /// lower device index.
+    #[inline(always)]
+    pub(crate) fn admits(&self, key: f64, first: usize) -> bool {
+        self.bar()
+            .is_none_or(|(bar, at)| key < bar || (key == bar && first < at))
+    }
+
+    /// Offer every member of chunk `c` under `key`, which must be
+    /// monotone non-decreasing in finish and in energy — or none, when
+    /// not even the chunk's lower corner `c.lo` on its first device could
+    /// enter. An idle class ties at `ready_at`, so the index half of the
+    /// test is what lets a later tied chunk go.
+    #[inline(always)]
+    pub(crate) fn offer_chunk(&mut self, c: &Chunk, key: impl Fn(&Estimate) -> f64) {
+        if self.admits(key(&c.lo), c.first()) {
+            for i in 0..c.len() {
+                self.offer(key(&c.estimate(i)), c.plan(i));
+            }
+        }
     }
 
     /// Offer one candidate plan under `key` (lower is better).
@@ -343,6 +369,14 @@ impl Anchors {
         }
     }
 
+    /// Whether `want` anchors dominate `e`: finish and energy both at or
+    /// past the bar. Dominating a chunk's lower corner, they dominate
+    /// every member of it.
+    #[inline(always)]
+    fn dominate(&self, e: Estimate) -> bool {
+        e.finish.0 >= self.bar.0 && e.energy.0 >= self.bar.1
+    }
+
     /// Whether `e` survives: fewer than `want` anchors dominate it. A
     /// survivor becomes an anchor when fewer than `want` are held or it
     /// finishes strictly before the last of them, which it displaces.
@@ -351,10 +385,10 @@ impl Anchors {
     /// the call cost the whole loop more than the rare update inlined.
     #[inline(always)]
     fn admit(&mut self, e: Estimate, want: usize) -> bool {
-        let (finish, energy) = (e.finish.0, e.energy.0);
-        if finish >= self.bar.0 && energy >= self.bar.1 {
+        if self.dominate(e) {
             return false;
         }
+        let finish = e.finish.0;
         if self.len == want {
             if finish >= self.held[want - 1].finish.0 {
                 return true;
@@ -494,7 +528,7 @@ impl Policy {
                 let mut best = TopK::new(want);
                 let m = candidates.each(
                     #[inline(always)]
-                    |plan, e, _, _| best.offer(self.score(&e, &ScoreNorm::IDENTITY), plan),
+                    |c| best.offer_chunk(c, |e| self.score(e, &ScoreNorm::IDENTITY)),
                 );
                 (best.write(out), m)
             }
@@ -503,15 +537,27 @@ impl Policy {
                 let mut feasible = 0;
                 let m = candidates.each(
                     #[inline(always)]
-                    |plan, e, _, _| {
-                        if e.finish.0 <= bound.0 {
-                            feasible += 1;
-                            cheapest.offer(e.energy.0, plan);
-                        }
+                    |c| {
                         // The fallback is dead once `want` candidates meet
                         // the bound: the feasible count only grows.
-                        if feasible < want {
-                            fastest.offer(e.finish.0, plan);
+                        let fits = (0..c.len())
+                            .filter(|&i| c.estimate(i).finish.0 <= bound.0)
+                            .count();
+                        if !(fits > 0 && cheapest.admits(c.lo.energy.0, c.first())
+                            || feasible < want && fastest.admits(c.lo.finish.0, c.first()))
+                        {
+                            feasible += fits;
+                            return;
+                        }
+                        for i in 0..c.len() {
+                            let (plan, e) = (c.plan(i), c.estimate(i));
+                            if e.finish.0 <= bound.0 {
+                                feasible += 1;
+                                cheapest.offer(e.energy.0, plan);
+                            }
+                            if feasible < want {
+                                fastest.offer(e.finish.0, plan);
+                            }
                         }
                     },
                 );
@@ -528,13 +574,24 @@ impl Policy {
                 let mut feasible = 0;
                 let m = candidates.each(
                     #[inline(always)]
-                    |plan, e, power, _| {
-                        if power.0 <= cap.0 {
-                            feasible += 1;
-                            capped.offer(e.finish.0, plan);
+                    |c| {
+                        // A shard's members share one busy power.
+                        let fits = if c.power.0 <= cap.0 { c.len() } else { 0 };
+                        if !(fits > 0 && capped.admits(c.lo.finish.0, c.first())
+                            || feasible < want && frugal.admits(c.power.0, c.first()))
+                        {
+                            feasible += fits;
+                            return;
                         }
-                        if feasible < want {
-                            frugal.offer(power.0, plan);
+                        for i in 0..c.len() {
+                            let plan = c.plan(i);
+                            if c.power.0 <= cap.0 {
+                                feasible += 1;
+                                capped.offer(c.estimate(i).finish.0, plan);
+                            }
+                            if feasible < want {
+                                frugal.offer(c.power.0, plan);
+                            }
                         }
                     },
                 );
@@ -581,19 +638,23 @@ impl Policy {
         let (mut e_lo, mut e_hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let m = candidates.each(
             #[inline(always)]
-            |plan, e, _, group| {
-                // Compare-select instead of `f64::min`/`max`: no value here
-                // is NaN (specs are validated where classes open).
-                let (finish, energy) = (e.finish.0, e.energy.0);
-                t_lo = if finish < t_lo { finish } else { t_lo };
-                t_hi = if finish > t_hi { finish } else { t_hi };
-                e_lo = if energy < e_lo { energy } else { e_lo };
-                e_hi = if energy > e_hi { energy } else { e_hi };
-                if anchors.0 != group {
-                    anchors = (group, Anchors::empty(want));
+            |c| {
+                let (lo, hi) = (c.lo, c.hi);
+                (t_lo, t_hi) = (least(t_lo, lo.finish.0), greatest(t_hi, hi.finish.0));
+                (e_lo, e_hi) = (least(e_lo, lo.energy.0), greatest(e_hi, hi.energy.0));
+                if anchors.0 != c.shard {
+                    anchors = (c.shard, Anchors::empty(want));
                 }
-                if anchors.1.admit(e, want) {
-                    survivors.push((plan, e));
+                // Dominated at its lower corner, no member of the chunk
+                // survives, and the anchors stay as they are.
+                if anchors.1.dominate(lo) {
+                    return;
+                }
+                for i in 0..c.len() {
+                    let e = c.estimate(i);
+                    if anchors.1.admit(e, want) {
+                        survivors.push((c.plan(i), e));
+                    }
                 }
             },
         );
@@ -810,6 +871,32 @@ pub(crate) mod tests {
         devices
     }
 
+    /// 10–49 devices, one class of 9–40 members among them — full chunks
+    /// and a partial tail of the busy column, which a placement prices
+    /// eight at a time — beside a singleton class (device 0) and up to
+    /// eight devices of other specs, every index past 0 shuffled.
+    fn wide_fleet(rng: &mut SmallRng) -> Vec<Device> {
+        let pool = [
+            DeviceSpec::xeon_x86(),
+            DeviceSpec::gtx1080(),
+            DeviceSpec::arm64(),
+            DeviceSpec::fpga_kintex(),
+        ];
+        let wide = rng.gen_range(0..pool.len());
+        let mut specs = vec![pool[wide].clone(); rng.gen_range(9..=40)];
+        for _ in 0..rng.gen_range(0..=8) {
+            specs.push(pool[rng.gen_range(0..pool.len())].clone());
+        }
+        for i in (1..specs.len()).rev() {
+            specs.swap(i, rng.gen_range(0..=i));
+        }
+        let mut devices = vec![Device::new(DeviceId(0), DeviceSpec::jetson_soc())];
+        for spec in specs {
+            devices.push(Device::new(DeviceId(devices.len() as u64), spec));
+        }
+        devices
+    }
+
     pub(crate) fn policy_strategy() -> impl Strategy<Value = Policy> {
         (0u8..6).prop_map(|sel| match sel {
             0 => Policy::Performance,
@@ -958,6 +1045,7 @@ pub(crate) mod tests {
             policy in policy_strategy(),
             objective in 0u8..3,
             k in 0usize..4,
+            wide in any::<bool>(),
         ) {
             use crate::energy::{EnergyObjective, EnergyState};
             use crate::regions::RegionTable;
@@ -968,10 +1056,14 @@ pub(crate) mod tests {
             use rand::SeedableRng;
 
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut devices = random_fleet(&mut rng);
+            let (mut devices, busy_share) = if wide {
+                (wide_fleet(&mut rng), 0.5)
+            } else {
+                (random_fleet(&mut rng), 0.7)
+            };
             let n = devices.len();
             for d in &mut devices {
-                if rng.gen_bool(0.7) {
+                if rng.gen_bool(busy_share) {
                     let backlog = Work::flops(rng.gen_range(1e9..5e11));
                     d.execute(Seconds::ZERO, backlog, TaskKind::Compute);
                 }
@@ -1080,17 +1172,19 @@ pub(crate) mod tests {
 
             let partitioned = membership.is_some();
             let mut pools = match membership {
-                Some(pools) => DevicePools::new(PoolConfig::from_membership(pools), &classes)
-                    .expect("a partition of the fleet"),
-                None => DevicePools::one_pool(&classes),
+                Some(pools) => {
+                    DevicePools::new(PoolConfig::from_membership(pools), &classes, &devices)
+                        .expect("a partition of the fleet")
+                }
+                None => DevicePools::one_pool(&classes, &devices),
             };
             for (d, _) in avail.iter().flatten().enumerate().filter(|(_, &up)| !up) {
                 pools.remove_device(d);
             }
+            crate::pool::tests::check_mirror(&pools, &devices)?;
             let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); 3];
             let (got, evaluated, pruned) = pools.plan_k(
                 policy,
-                &devices,
                 &classes,
                 ready_at,
                 topo.as_ref().map(|(extras, _)| extras.as_slice()),
@@ -1167,9 +1261,8 @@ pub(crate) mod tests {
         let filled = policy.select_k(&inference_estimates(devices), &mut reference[..k]);
         let mut survivors = Vec::new();
         let mut out = [(usize::MAX, Seconds::ZERO, Seconds::ZERO); MAX_REPLICAS];
-        let (got, evaluated, _) = DevicePools::one_pool(&classes).plan_k(
+        let (got, evaluated, _) = DevicePools::one_pool(&classes, devices).plan_k(
             policy,
-            devices,
             &classes,
             Seconds::ZERO,
             None,

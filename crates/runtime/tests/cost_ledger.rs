@@ -362,8 +362,8 @@ fn fan_run(policy: Policy, pinned: [Cell; 5]) {
 /// | build | devices (4 × 160) and fault probabilities (4 × 8) | 2 | 672 |
 /// | build | spec classes: specs (4 × 128), prices (4 × 16), TEE capabilities (4 × 24), class per device (4 × 4) | 4 | 688 |
 /// | build | the class specs' names (56), ladders (4 × 144) and ladder labels (12 strings, 72) | 20 | 704 |
-/// | build | the one pool's shards, one per class: shard per device (4 × 8), shards (4 × 40: member list, pool, class), each shard's members (4 × 32) | 6 | 320 |
-/// | **build** | | **32** | **2,384** |
+/// | build | the one pool's shards, one per class: shard and position per device (4 × 8), shards (4 × 64: member list, busy column, pool, class), each shard's members (4 × 32) and busy column (8 B, 4 × 32) | 10 | 544 |
+/// | **build** | | **36** | **2,608** |
 /// | submit | descriptor column (48 B, 4 → 1,024) | 9 | 98,112 |
 /// | submit | span columns: predecessors (8 B), successors (12 B), accesses (8 B) | 27 | 57,232 |
 /// | submit | access arena (16 B) and its slot column (4 B) | 18 | 40,880 |
@@ -379,9 +379,13 @@ fn fan_run(policy: Policy, pinned: [Cell; 5]) {
 ///
 /// With the outcome table one `Arc<Vec>`, build read 27 / 2,104 (the
 /// empty table's `Arc`, 40 B, allocated at build) and report 0 / 0.
+/// Before each shard mirrored its members' timelines in a busy column,
+/// build read 32 / 2,384, peak 1,872: the column adds a 24 B `Vec`
+/// header to each shard and one 4-slot allocation per shard, 4 calls
+/// and 224 B.
 fn fan_phases(run: Cell) -> [Cell; 5] {
     [
-        cell(32, 2_384, 1_872, 0),
+        cell(36, 2_608, 2_096, 0),
         cell(157, 251_860, 115_488, 0),
         run,
         cell(1, 8, 8, 0),
