@@ -1103,10 +1103,11 @@ impl Runtime {
         let mut start = Seconds(f64::INFINITY);
         let mut finish = Seconds::ZERO;
         for (slot, &(d, plan_start, plan_dur)) in planned[..k].iter().enumerate() {
-            let (s, f) = self.devices[d].execute_planned(plan_start, plan_dur);
-            // The device's timeline moved: mirror it into its shard's
-            // busy column (and queue the shard's leaf in the class tree).
-            self.pools.commit(d, f);
+            // Runs the plan and mirrors the device's new timeline into its
+            // shard's busy column (and queues the shard's leaf).
+            let (s, f) = self
+                .pools
+                .execute_planned(&mut self.devices, d, plan_start, plan_dur);
             devices[slot] = u32::try_from(d).expect("fewer than 2^32 devices");
             start = start.min(s);
             finish = finish.max(f);

@@ -17,9 +17,9 @@
 //!   *tournament tree*, and every node caches the least and the greatest
 //!   `busy_until` of the members below it. A member's timeline change
 //!   writes its shard's busy column and queues the shard once
-//!   (`DevicePools::commit`); the next pruning placement recomputes each
-//!   queued leaf from the column and re-folds its path to the root, and
-//!   shards that did not change cost nothing;
+//!   (`DevicePools::execute_planned`); the next pruning placement
+//!   recomputes each queued leaf from the column and re-folds its path to
+//!   the root, and shards that did not change cost nothing;
 //! * with a node's cached availability minimum, the class price gives a
 //!   **lower bound** on the score of every member below it under the
 //!   active [`Policy`]. At a leaf the bound is the score of the shard's
@@ -309,7 +309,7 @@ struct Shard {
     /// one column a placement reads per member ([`Shard::price`]), eight
     /// to a cache line where a [`Device`] is 160 B. Seeded from the
     /// devices when the shard is built or a device joins, and written
-    /// where a timeline moves ([`DevicePools::commit`]).
+    /// where a timeline moves ([`DevicePools::execute_planned`]).
     busy: Vec<Seconds>,
     /// The pool it belongs to (indexes the topology extras).
     pool: usize,
@@ -707,12 +707,29 @@ impl DevicePools {
         self.pool_count
     }
 
+    /// Run plan `(start, dur)` on device `d` ([`Device::execute_planned`])
+    /// and mirror its new `busy_until` into its shard's busy column: the
+    /// one way a placement moves a timeline, so the column cannot miss a
+    /// write. Returns the device's `(start, finish)`.
+    #[inline]
+    pub(crate) fn execute_planned(
+        &mut self,
+        devices: &mut [Device],
+        d: usize,
+        start: Seconds,
+        dur: Seconds,
+    ) -> (Seconds, Seconds) {
+        let (start, finish) = devices[d].execute_planned(start, dur);
+        self.commit(d, finish);
+        (start, finish)
+    }
+
     /// Device `d`'s timeline now runs to `finish`, its new
     /// `busy_until`: write its entry of its shard's busy column, and queue
     /// the shard's leaf. O(1); the one place the column moves after a
     /// device joined.
     #[inline]
-    pub(crate) fn commit(&mut self, d: usize, finish: Seconds) {
+    fn commit(&mut self, d: usize, finish: Seconds) {
         let (s, i) = self.shard_of[d];
         let s = s as usize;
         self.shards[s].busy[i as usize] = finish;
@@ -1954,8 +1971,7 @@ pub(crate) mod tests {
                     }
                     if op == 3 && want == k {
                         for &(d, start, dur) in &out[..filled] {
-                            let (_, finish) = devices[d].execute_planned(start, dur);
-                            pools.commit(d, finish);
+                            pools.execute_planned(&mut devices, d, start, dur);
                         }
                         check_mirror(&pools, &devices)?;
                     }

@@ -575,14 +575,6 @@ impl Policy {
                 let m = candidates.each(
                     #[inline(always)]
                     |c| {
-                        // A shard's members share one busy power.
-                        let fits = if c.power.0 <= cap.0 { c.len() } else { 0 };
-                        if !(fits > 0 && capped.admits(c.lo.finish.0, c.first())
-                            || feasible < want && frugal.admits(c.power.0, c.first()))
-                        {
-                            feasible += fits;
-                            return;
-                        }
                         for i in 0..c.len() {
                             let plan = c.plan(i);
                             if c.power.0 <= cap.0 {
